@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	accbench -experiment fig2|fig3|fig4|servers|all [flags]
+//	accbench -experiment fig2|fig3|fig4|servers|ablation|all [flags]
 //
 // The defaults reproduce the paper's operating region at laptop scale; see
 // EXPERIMENTS.md for recorded results.
@@ -28,13 +28,31 @@ import (
 	"accdb/internal/trace"
 )
 
+// experiments names the runs -experiment selects from; "all" runs each.
+var experiments = []string{"fig2", "fig3", "fig4", "servers", "ablation"}
+
+// checkExperiment rejects a name -experiment would match nothing with: a
+// typo must not print nothing and exit 0, or a CI step passes without
+// running.
+func checkExperiment(name string) error {
+	if name == "all" {
+		return nil
+	}
+	for _, e := range experiments {
+		if name == e {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -experiment %q (want %s or all)", name, strings.Join(experiments, ", "))
+}
+
 // closeTrace flushes and closes the -trace output; set when tracing is on so
 // both the normal exit and fatal() finish the file.
 var closeTrace func()
 
 func main() {
 	var (
-		which    = flag.String("experiment", "all", "fig2 | fig3 | fig4 | servers | ablation | all")
+		which    = flag.String("experiment", "all", strings.Join(experiments, " | ")+" | all")
 		duration = flag.Duration("duration", 6*time.Second, "measured interval per point per system")
 		warmup   = flag.Duration("warmup", 1*time.Second, "warmup before measuring")
 		think    = flag.Duration("think", 800*time.Millisecond, "mean terminal think time")
@@ -62,11 +80,12 @@ func main() {
 		slowLog  = flag.String("slow-txn-log", "slow-txns.jsonl", "destination for -slow-txn-threshold dumps")
 		tierName = flag.String("read-tier", "locked", "consistency tier for the read-only types (order-status, stock-level): locked | asap | committed | snapshot")
 		readHvy  = flag.Bool("read-heavy", false, "swap the TPC-C mix for the read-heavy mix (mostly order-status/stock-level over a thin writer stream)")
-		parts    = flag.Int("partitions", 0, "measure a partitioned deployment instead: TPC-C against this many engines behind the multi-shot coordinator, reporting the single- vs cross-partition throughput split")
-		remote   = flag.String("remote-pct", "10", "with -partitions: comma-separated remote-warehouse percentages of new-orders (each foreign-partition supply line runs as a remote shot)")
 	)
 	flag.Parse()
 
+	if err := checkExperiment(*which); err != nil {
+		fatal(err)
+	}
 	tier, err := core.ParseReadTier(*tierName)
 	if err != nil {
 		fatal(err)
@@ -74,11 +93,6 @@ func main() {
 
 	if *faultPt != "" {
 		runFault(*faultPt, *faultNth, *faultSd, *walDir)
-		return
-	}
-
-	if *parts > 0 {
-		runPartitionBench(*parts, *remote, *duration, *warmup, *seed)
 		return
 	}
 

@@ -27,7 +27,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -42,10 +41,13 @@ import (
 	"accdb/internal/wal"
 )
 
-// The partition set serves the same wire protocol as a single engine.
-var _ server.Runner = (*partition.Set)(nil)
-
 func main() {
+	// A bad ACCDB_PARTITIONS is refused even when -partitions overrides it:
+	// the deployment's configuration is wrong either way.
+	envPartitions, err := partition.EnvPartitions()
+	if err != nil {
+		fatal(err)
+	}
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7654", "listen address for the wire protocol")
 		mode         = flag.String("mode", "acc", "scheduler: acc | baseline | two-level")
@@ -62,7 +64,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain; in-flight work past it is cancelled (and compensated)")
 		check        = flag.Bool("check", true, "verify TPC-C consistency after the drain; violations exit non-zero")
 		ready        = flag.String("ready-fd", "", "write one line with the bound address to this file once listening (harness handshake)")
-		partitions   = flag.Int("partitions", partition.EnvPartitions(), "partition count: >1 shards warehouses across independent engines behind the multi-shot coordinator (default from ACCDB_PARTITIONS)")
+		partitions   = flag.Int("partitions", envPartitions, "partition count: >1 shards warehouses across independent engines behind the multi-shot coordinator (default from ACCDB_PARTITIONS)")
 	)
 	flag.Parse()
 
@@ -96,80 +98,34 @@ func main() {
 		}()
 	}
 
-	scale := tpcc.DefaultScale()
-	if scale.Warehouses < *partitions {
-		// Every partition must own at least one warehouse for the
-		// warehouse-modulo router to give each engine work.
-		scale.Warehouses = *partitions
-	}
-
-	// buildEngine constructs one engine: partition p's shard of the database
-	// (p is -1 for the single-engine deployment), its own log under a
-	// per-partition subdirectory, its transaction types registered.
-	var logs []*wal.Log
-	buildEngine := func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, scale, *seed, max(p, 0), *partitions); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
-		var dlog *wal.Log
-		if *walDir != "" {
-			dir := *walDir
-			if p >= 0 {
-				dir = filepath.Join(dir, fmt.Sprintf("p%d", p))
-			}
-			var err error
-			dlog, err = wal.Open(dir, wal.Options{ForceLatency: *force, GroupWindow: *groupCommit})
-			if err != nil {
-				return nil, err
-			}
-			logs = append(logs, dlog)
-		}
-		opts := []core.Option{
+	// One stack for every partition count: -partitions 1, the default, is
+	// the same set, router and per-partition log layout with one engine.
+	st, err := tpcc.NewStack(tpcc.StackConfig{
+		Partitions: *partitions,
+		Scale:      tpcc.DefaultScale(),
+		Seed:       *seed,
+		WALDir:     *walDir,
+		WAL:        wal.Options{ForceLatency: *force, GroupWindow: *groupCommit},
+		Engine: []core.Option{
 			core.WithMode(m),
 			core.WithWaitTimeout(*waitTimeout),
 			core.WithForceLatency(*force),
 			core.WithTracer(tr),
-			core.WithWAL(dlog),
-		}
-		if p >= 0 {
-			opts = append(opts, core.WithEngineLabel(fmt.Sprintf("partition %d", p)))
-		}
-		eng := core.New(db, types.Tables, opts...)
-		if _, err := tpcc.RegisterPartitioned(eng, types, scale, *partitions); err != nil {
-			return nil, err
-		}
-		return eng, nil
+		},
+	})
+	if err != nil {
+		fatal(err)
 	}
-
-	var (
-		eng *core.Engine   // partition 0's engine (debug endpoints, stats)
-		set *partition.Set // non-nil only when -partitions > 1
-	)
-	if *partitions > 1 {
-		var err error
-		set, err = partition.New(*partitions, buildEngine, partition.WithTracer(tr))
-		if err != nil {
-			fatal(err)
-		}
-		tpcc.InstallRoutes(set)
-		eng = set.Engine(0)
-	} else {
-		var err error
-		eng, err = buildEngine(-1)
-		if err != nil {
-			fatal(err)
-		}
+	defer st.Close()
+	if len(st.Used) > 0 {
+		// The database was loaded fresh and transaction ids restart at 1:
+		// appending to these logs would interleave two histories that a
+		// later recovery could not tell apart.
+		fatal(fmt.Errorf("-wal-dir %s already holds log records (%s): accd does not recover at startup; "+
+			"recover the directory first (see examples/recovery) or point -wal-dir at an empty one",
+			*walDir, strings.Join(st.Used, ", ")))
 	}
-	defer func() {
-		for _, l := range logs {
-			l.Close()
-		}
-	}()
+	set := st.Set
 
 	// The latency-anatomy layer turns on with either consumer: the debug
 	// endpoint's live histograms, or the slow-transaction flight recorder.
@@ -188,14 +144,10 @@ func main() {
 		anatomy = trace.NewAnatomy(acfg)
 	}
 
-	var runner server.Runner = eng
-	if set != nil {
-		runner = set
-	}
 	protos := tpcc.ArgsPrototypes()
 	holes := tpcc.NewHoleTracker()
 	srv := server.New(server.Config{
-		Engine: runner,
+		Engine: set,
 		NewArgs: func(name string) any {
 			if f, ok := protos[name]; ok {
 				return f()
@@ -210,13 +162,11 @@ func main() {
 
 	if *metricsAddr != "" {
 		dbg := debughttp.New(tr, anatomy)
-		// Partitioned: the engine sections show partition 0 (every partition
-		// is symmetric); the set's own routing/coordinator series ride along.
-		dbg.SetEngine(eng)
-		dbg.SetRPCMetrics(srv.WriteMetrics)
-		if set != nil {
-			dbg.SetExtraMetrics(set.WriteMetrics)
-		}
+		// The engine sections show partition 0 (every partition is
+		// symmetric); the set's own routing/coordinator series ride along.
+		dbg.SetEngine(set.Engine(0))
+		dbg.AddMetrics(srv.WriteMetrics)
+		dbg.AddMetrics(set.WriteMetrics)
 		if err := dbg.Start(*metricsAddr); err != nil {
 			fatal(err)
 		}
@@ -251,38 +201,24 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "accd: drain incomplete:", err)
 	}
-	st := srv.Stats()
+	rs := srv.Stats()
 	var es core.Stats
-	if set != nil {
-		for _, e := range set.Engines() {
-			s := e.Snapshot()
-			es.Commits += s.Commits
-			es.Compensations += s.Compensations
-		}
-		ps := set.Snapshot()
-		fmt.Fprintf(os.Stderr,
-			"accd: partition routing: single=%d cross_started=%d cross_committed=%d cross_aborted=%d shots=%d undos=%d deadlocks=%d\n",
-			ps.SingleRouted, ps.CrossStarted, ps.CrossCommitted, ps.CrossAborted,
-			ps.ShotsRun, ps.ShotUndos, ps.CrossDeadlocks)
-	} else {
-		es = eng.Snapshot()
+	for _, e := range set.Engines() {
+		s := e.Snapshot()
+		es.Commits += s.Commits
+		es.Compensations += s.Compensations
 	}
+	ps := set.Snapshot()
+	fmt.Fprintf(os.Stderr,
+		"accd: partition routing: single=%d cross_started=%d cross_committed=%d cross_aborted=%d shots=%d undos=%d deadlocks=%d\n",
+		ps.SingleRouted, ps.CrossStarted, ps.CrossCommitted, ps.CrossAborted,
+		ps.ShotsRun, ps.ShotUndos, ps.CrossDeadlocks)
 	fmt.Fprintf(os.Stderr,
 		"accd: drained: admitted=%d rejected_full=%d rejected_draining=%d commits=%d compensations=%d\n",
-		st.Admitted, st.RejectedFull, st.RejectedDraining, es.Commits, es.Compensations)
+		rs.Admitted, rs.RejectedFull, rs.RejectedDraining, es.Commits, es.Compensations)
 
 	if *check {
-		var errs []error
-		if set != nil {
-			dbs := make([]*core.DB, set.Partitions())
-			for p := range dbs {
-				dbs[p] = set.Engine(p).DB()
-			}
-			errs = tpcc.CheckConsistencyPartitioned(dbs, scale, holes.Holes())
-		} else {
-			errs = tpcc.CheckConsistency(eng.DB(), scale, holes.Holes())
-		}
-		if len(errs) > 0 {
+		if errs := st.Check(holes.Holes()); len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintln(os.Stderr, "accd: consistency violation:", e)
 			}

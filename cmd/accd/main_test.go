@@ -1,0 +1,131 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"accdb/internal/tpcc"
+	"accdb/pkg/accclient"
+)
+
+// buildAccd compiles this package into the test's temp directory.
+func buildAccd(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "accd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// refused runs accd to completion and requires a non-zero exit whose stderr
+// mentions every want.
+func refused(t *testing.T, bin string, env []string, args []string, want ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	done := make(chan error, 1)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatalf("accd %v %v exited 0; stderr:\n%s", env, args, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		t.Fatalf("accd %v %v kept running instead of refusing; stderr:\n%s", env, args, stderr.String())
+	}
+	for _, w := range want {
+		if !strings.Contains(stderr.String(), w) {
+			t.Errorf("accd %v %v: stderr lacks %q:\n%s", env, args, w, stderr.String())
+		}
+	}
+}
+
+// TestRefusesBadPartitionCounts: neither the environment variable nor the
+// flag is coerced to a one-partition deployment.
+func TestRefusesBadPartitionCounts(t *testing.T) {
+	bin := buildAccd(t)
+	for _, c := range []struct {
+		env, flag, want string
+	}{
+		{env: "ACCDB_PARTITIONS=abc", want: "ACCDB_PARTITIONS"},
+		{env: "ACCDB_PARTITIONS=0", want: "ACCDB_PARTITIONS"},
+		{env: "ACCDB_PARTITIONS=abc", flag: "2", want: "ACCDB_PARTITIONS"},
+		{flag: "0", want: "at least one partition"},
+		{flag: "-1", want: "at least one partition"},
+	} {
+		args := []string{"-addr", "127.0.0.1:0"}
+		if c.flag != "" {
+			args = append(args, "-partitions", c.flag)
+		}
+		env := "ACCDB_PARTITIONS=" // unset, whatever the test's own environment says
+		if c.env != "" {
+			env = c.env
+		}
+		refused(t, bin, []string{env}, args, c.want)
+	}
+}
+
+// TestRefusesUsedWALDir: accd serves a fresh -wal-dir, drains clean, and then
+// refuses to start on the records it left — it would append a second history
+// with transaction ids restarting at 1 — pointing at the directory and at
+// examples/recovery.
+func TestRefusesUsedWALDir(t *testing.T) {
+	bin := buildAccd(t)
+	dir := t.TempDir()
+	walDir, ready := filepath.Join(dir, "wal"), filepath.Join(dir, "ready")
+	args := []string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-ready-fd", ready}
+
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), "ACCDB_PARTITIONS=")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	var addr string
+	for deadline := time.Now().Add(20 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+		if data, err := os.ReadFile(ready); err == nil && bytes.HasSuffix(data, []byte("\n")) {
+			addr = strings.TrimSpace(string(data))
+		} else if time.Now().After(deadline) {
+			t.Fatalf("accd not ready; stderr:\n%s", stderr.String())
+		}
+	}
+	cli, err := accclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cli.Run(context.Background(), "payment", &tpcc.PaymentArgs{
+		WID: 1, DID: 1, CWID: 1, CDID: 1, CID: 1, Amount: 500, HID: 1 << 30,
+	})
+	cli.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil || !strings.Contains(stderr.String(), "consistency check passed") {
+		t.Fatalf("first run: exit %v; stderr:\n%s", err, stderr.String())
+	}
+	// One layout for every partition count: the single partition logs under p0.
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "p0", "*")); len(segs) == 0 {
+		t.Fatalf("no segment files under %s/p0", walDir)
+	}
+
+	refused(t, bin, []string{"ACCDB_PARTITIONS="}, args, walDir, "examples/recovery")
+}

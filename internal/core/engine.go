@@ -94,7 +94,7 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Anatomy, when non-nil, is the latency-anatomy recorder (DESIGN.md §13).
 	// Callers that already carry a request span (the network server) pass it
-	// through RunTypeContextSpan; for span-less calls the engine starts a
+	// in Request.Span; for span-less calls the engine starts a
 	// span of its own, so in-process harnesses get the same per-stage
 	// histograms and flight recorder as the network path. Nil disables
 	// anatomy at zero cost.

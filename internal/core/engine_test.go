@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -192,10 +193,62 @@ func TestCommitBothModes(t *testing.T) {
 	}
 }
 
-func TestUnknownTxnType(t *testing.T) {
-	s := newTestSys(t, ModeACC)
-	if err := s.eng.Run("nope", nil); err == nil {
-		t.Fatal("unknown type accepted")
+// TestExec drives the one entry point through its preamble and every tier:
+// what used to be spread over a Run* method per combination of context, tier,
+// resolved type and span is one table over Request.
+func TestExec(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tiers := []ReadTier{TierLocked, TierASAP, TierReadCommitted, TierSnapshot}
+	type execCase struct {
+		name   string
+		ctx    context.Context
+		req    func(s *testSys) Request
+		closed bool
+		want   error // matched with errors.Is; nil means commit
+	}
+	var cases []execCase
+	for _, tier := range tiers {
+		tier := tier
+		cases = append(cases,
+			execCase{name: "unknown name/" + tier.String(), ctx: context.Background(), want: ErrUnknownTxnType,
+				req: func(*testSys) Request { return Request{Name: "nope", Tier: tier} }},
+			execCase{name: "closed engine/" + tier.String(), ctx: context.Background(), closed: true, want: ErrEngineClosed,
+				req: func(*testSys) Request { return Request{Name: "audit", Args: &auditArgs{}, Tier: tier} }},
+			execCase{name: "cancelled ctx/" + tier.String(), ctx: canceled, want: context.Canceled,
+				req: func(*testSys) Request { return Request{Name: "audit", Args: &auditArgs{}, Tier: tier} }},
+			execCase{name: "read by name/" + tier.String(), ctx: context.Background(),
+				req: func(*testSys) Request { return Request{Name: "audit", Args: &auditArgs{}, Tier: tier} }},
+			execCase{name: "read by resolved type/" + tier.String(), ctx: context.Background(),
+				req: func(s *testSys) Request { return Request{Type: s.eng.Type("audit"), Args: &auditArgs{}, Tier: tier} }},
+		)
+		want := ErrReadOnly
+		if tier == TierLocked {
+			want = nil // the only tier that permits writes
+		}
+		cases = append(cases, execCase{name: "write/" + tier.String(), ctx: context.Background(), want: want,
+			req: func(*testSys) Request { return Request{Name: "poke", Tier: tier} }})
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestSys(t, ModeACC)
+			registerAudit(t, s)
+			registerPoke(t, s)
+			if c.closed {
+				s.eng.Close()
+			} else {
+				defer s.eng.Close()
+			}
+			req := c.req(s)
+			err := s.eng.Exec(c.ctx, req)
+			if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("Exec = %v, want %v", err, c.want)
+			}
+			if a, ok := req.Args.(*auditArgs); ok && err == nil && a.Total != 600 {
+				t.Fatalf("audit at %s saw total %d, want 600", req.Tier, a.Total)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"accdb/internal/spi"
 )
 
-// The engine's error taxonomy. Every failure surfaced by Run/RunContext is
+// The engine's error taxonomy. Every failure surfaced by Exec is
 // classifiable with errors.Is/errors.As against the sentinels below — the
 // server maps them onto wire status codes, the client maps those codes back,
 // and both ends (plus the in-process retry loops) share one Retryable

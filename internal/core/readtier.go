@@ -148,7 +148,7 @@ type Snapshot struct {
 }
 
 // OpenSnapshot captures the current CSN and registers it live. The returned
-// handle runs read-only transactions against that fixed point; RunRead at
+// handle runs read-only transactions against that fixed point; Exec at
 // TierSnapshot does the same for a single call.
 func (e *Engine) OpenSnapshot() *Snapshot {
 	id, csn := e.openSnapshot()
@@ -351,52 +351,6 @@ func (e *Engine) Versions() VersionMetrics {
 // transactions this engine served (tier name → summary).
 func (e *Engine) ReadTierSummaries() map[string]metrics.Summary {
 	return e.readRec.ByType()
-}
-
-// RunRead executes the named transaction type read-only at the given tier.
-// At TierLocked it is exactly Run. At the versioned tiers the transaction
-// acquires no locks, appends no log records, and never joins the waits-for
-// graph; any write operation inside a step body fails the transaction with
-// ErrReadOnly. It is RunReadContext under context.Background().
-func (e *Engine) RunRead(name string, args any, tier ReadTier) error {
-	return e.RunReadContext(context.Background(), name, args, tier)
-}
-
-// RunReadContext is RunRead under a caller context, checked between steps.
-func (e *Engine) RunReadContext(ctx context.Context, name string, args any, tier ReadTier) error {
-	tt := e.Type(name)
-	if tt == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTxnType, name)
-	}
-	return e.RunReadTypeContextSpan(ctx, tt, args, tier, nil)
-}
-
-// RunReadTypeContextSpan is RunReadContext for an already-resolved type with
-// a latency-anatomy span threaded through (the network server's entry
-// point). TierLocked delegates to the full scheduler.
-func (e *Engine) RunReadTypeContextSpan(ctx context.Context, tt *TxnType, args any, tier ReadTier, sp *trace.Span) error {
-	if tier == TierLocked {
-		return e.RunTypeContextSpan(ctx, tt, args, sp)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if sp == nil && e.anatomy != nil {
-		sp = e.anatomy.Start(0, time.Time{})
-		sp.EnterEngine()
-		err := e.runReadTiered(ctx, tt, args, tier, sp)
-		sp.ExitEngine()
-		sp.SetStatus(spanStatus(err))
-		sp.Finish()
-		return err
-	}
-	return e.runReadTiered(ctx, tt, args, tier, sp)
 }
 
 // runReadTiered resolves the tier's read point, registering a snapshot for

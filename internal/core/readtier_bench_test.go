@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -69,7 +70,7 @@ func benchRead(b *testing.B, tier ReadTier, readers int) {
 			defer rg.Done()
 			a := &auditArgs{}
 			for i := 0; i < n; i++ {
-				err := s.eng.RunRead("audit", a, tier)
+				err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: a, Tier: tier})
 				if err != nil && !Retryable(err) {
 					b.Error(err)
 					return

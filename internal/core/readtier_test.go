@@ -76,7 +76,7 @@ func TestSnapshotReadAcquiresZeroLocks(t *testing.T) {
 
 	for _, tier := range []ReadTier{TierASAP, TierReadCommitted, TierSnapshot} {
 		a := &auditArgs{}
-		if err := s.eng.RunRead("audit", a, tier); err != nil {
+		if err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: a, Tier: tier}); err != nil {
 			t.Fatalf("%s: %v", tier, err)
 		}
 		if a.Total != 600 || a.Balances[1] != 70 || a.Balances[2] != 130 {
@@ -112,7 +112,7 @@ func TestVersionedTierRejectsWrites(t *testing.T) {
 	s := newTestSys(t, ModeACC, func(o *Options) { o.VersionGCInterval = -1 })
 	defer s.eng.Close()
 	registerPoke(t, s)
-	err := s.eng.RunRead("poke", nil, TierSnapshot)
+	err := s.eng.Exec(context.Background(), Request{Name: "poke", Args: nil, Tier: TierSnapshot})
 	if !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("got %v, want ErrReadOnly", err)
 	}
@@ -189,7 +189,7 @@ func TestSnapshotStableView(t *testing.T) {
 	// The writers are done: read-ASAP now sees the final committed state,
 	// which transfers keep at the same grand total.
 	a := &auditArgs{}
-	if err := s.eng.RunRead("audit", a, TierASAP); err != nil {
+	if err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: a, Tier: TierASAP}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Total != 600 {
@@ -242,7 +242,7 @@ func TestVersionGCTruncatesBehindSnapshot(t *testing.T) {
 		t.Fatalf("quiescent engine still holds %d chain versions", vm.ChainVersions)
 	}
 	// Reads still correct off the base rows.
-	if err := s.eng.RunRead("audit", a, TierSnapshot); err != nil {
+	if err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: a, Tier: TierSnapshot}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Balances[1] != 85 || a.Balances[2] != 115 {
@@ -270,7 +270,7 @@ func TestReadTierExposureSemantics(t *testing.T) {
 			// read from another goroutine (no locks, so no self-deadlock even
 			// though the transfer still holds its locks) sees the debit.
 			a := &auditArgs{}
-			if err := s.eng.RunRead("audit", a, TierReadCommitted); err != nil {
+			if err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: a, Tier: TierReadCommitted}); err != nil {
 				probed <- nil
 				panic(err)
 			}

@@ -66,43 +66,42 @@ func spanStatus(err error) string {
 	}
 }
 
-// Run executes one instance of the named transaction type with the given
-// arguments under the engine's scheduler mode. It returns nil on commit, a
-// *CompensatedError or ErrUserAbort-wrapping error on rollback, and other
-// errors on failure. It is RunContext under context.Background().
-func (e *Engine) Run(name string, args any) error {
-	return e.RunContext(context.Background(), name, args)
+// Request is one transaction to execute: what Engine.Exec, partition.Set.Exec
+// and the network server's Runner all take.
+type Request struct {
+	// Type is the resolved transaction type (the server resolves it from the
+	// wire frame without allocating); when nil, Name is looked up.
+	Type *TxnType
+	Name string
+	// Args is the argument record; it doubles as the work area.
+	Args any
+	// Tier is the consistency tier. Zero is TierLocked: the full scheduler,
+	// and the only tier that permits writes (see ReadTier).
+	Tier ReadTier
+	// Span is the caller's latency-anatomy span (DESIGN.md §13). With Span
+	// nil and an Anatomy attached the engine owns a span for the call, so
+	// in-process harnesses get the same per-stage histograms and flight
+	// recorder as the network path.
+	Span *trace.Span
 }
 
-// RunContext is Run under a caller context. Cancellation and deadlines
-// propagate into lock waits: a cancelled ctx aborts an in-progress wait,
-// and the transaction rolls back — by compensation (§3.4) if any step had
-// completed, by in-place undo otherwise. Compensation itself always runs
-// to completion regardless of ctx; its effects must not be half-applied.
-func (e *Engine) RunContext(ctx context.Context, name string, args any) error {
-	tt := e.Type(name)
+// Exec executes one transaction under the engine's scheduler mode: the one
+// entry point every other way of running a transaction wraps. It returns nil
+// on commit, a *CompensatedError or ErrUserAbort-wrapping error on rollback,
+// and other errors on failure.
+//
+// Cancellation and deadlines propagate into lock waits: a cancelled ctx
+// aborts an in-progress wait, and the transaction rolls back — by
+// compensation (§3.4) if any step had completed, by in-place undo otherwise.
+// Compensation itself always runs to completion regardless of ctx; its
+// effects must not be half-applied.
+func (e *Engine) Exec(ctx context.Context, req Request) error {
+	tt := req.Type
 	if tt == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTxnType, name)
+		if tt = e.Type(req.Name); tt == nil {
+			return fmt.Errorf("%w: %q", ErrUnknownTxnType, req.Name)
+		}
 	}
-	return e.RunTypeContext(ctx, tt, args)
-}
-
-// RunType is Run for an already-resolved type.
-func (e *Engine) RunType(tt *TxnType, args any) error {
-	return e.RunTypeContext(context.Background(), tt, args)
-}
-
-// RunTypeContext is RunContext for an already-resolved type.
-func (e *Engine) RunTypeContext(ctx context.Context, tt *TxnType, args any) error {
-	return e.RunTypeContextSpan(ctx, tt, args, nil)
-}
-
-// RunTypeContextSpan is RunTypeContext with a latency-anatomy span threaded
-// through every layer the transaction touches (DESIGN.md §13). The network
-// server passes the request's span; with sp nil and an Anatomy attached the
-// engine owns a span for the call, so in-process harnesses get the same
-// per-stage histograms and flight recorder as the network path.
-func (e *Engine) RunTypeContextSpan(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -112,49 +111,56 @@ func (e *Engine) RunTypeContextSpan(ctx context.Context, tt *TxnType, args any, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if sp == nil && e.anatomy != nil {
+	sp := req.Span
+	owned := sp == nil && e.anatomy != nil
+	if owned {
 		// Engine-owned span: the whole call is the engine phase; there are
 		// no wire stages around it to subtract.
 		sp = e.anatomy.Start(0, time.Time{})
 		sp.EnterEngine()
-		err := e.dispatch(ctx, tt, args, sp)
+	}
+	var err error
+	switch {
+	case req.Tier != TierLocked:
+		err = e.runReadTiered(ctx, tt, req.Args, req.Tier, sp)
+	case e.opt.Mode == ModeBaseline:
+		err = e.runBaseline(ctx, tt, req.Args, sp)
+	default:
+		err = e.runDecomposed(ctx, tt, req.Args, sp)
+	}
+	if owned {
 		sp.ExitEngine()
 		sp.SetStatus(spanStatus(err))
 		sp.Finish()
-		return err
 	}
-	return e.dispatch(ctx, tt, args, sp)
+	return err
 }
 
-// dispatch routes to the scheduler selected by the engine mode.
-func (e *Engine) dispatch(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
-	if e.opt.Mode == ModeBaseline {
-		return e.runBaseline(ctx, tt, args, sp)
-	}
-	return e.runDecomposed(ctx, tt, args, sp)
+// Run is Exec of the named type under context.Background().
+func (e *Engine) Run(name string, args any) error {
+	return e.Exec(context.Background(), Request{Name: name, Args: args})
+}
+
+// RunReadContext is Exec of the named type at a read tier. It survives the
+// collapse of the Run* family only because bench/probe_core.go, which this
+// repository's benchmark contract freezes, calls it; new code calls Exec.
+func (e *Engine) RunReadContext(ctx context.Context, name string, args any, tier ReadTier) error {
+	return e.Exec(ctx, Request{Name: name, Args: args, Tier: tier})
 }
 
 // RunLegacy executes an undecomposed (ad-hoc) transaction: a single
 // strict-2PL unit whose lock requests carry the legacy tags, so under the
 // ACC it is completely isolated from intermediate states of multi-step
-// transactions (§3.3 end). It is RunLegacyContext under
-// context.Background().
+// transactions (§3.3 end). It builds a one-step type and folds into Exec, so
+// retry and close semantics are identical to every other transaction.
 func (e *Engine) RunLegacy(name string, body func(tc *Ctx) error) error {
-	return e.RunLegacyContext(context.Background(), name, body)
-}
-
-// RunLegacyContext is RunLegacy under a caller context; it folds into the
-// same run path as every other transaction, so cancellation, retry, and
-// close semantics are identical.
-func (e *Engine) RunLegacyContext(ctx context.Context, name string, body func(tc *Ctx) error) error {
-	tt := &TxnType{
+	return e.Exec(context.Background(), Request{Type: &TxnType{
 		Name: name,
 		ID:   interference.LegacyTxn,
 		Steps: []Step{{
 			Name: name, Type: interference.LegacyStep, Body: body,
 		}},
-	}
-	return e.RunTypeContext(ctx, tt, nil)
+	}})
 }
 
 // runDecomposed executes tt under the ACC (or two-level) scheduler. A

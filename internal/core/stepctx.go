@@ -97,7 +97,7 @@ func (tc *Ctx) stmt(work func()) {
 }
 
 // versioned reports whether this context reads through the version chains
-// instead of the lock manager (RunRead at a non-locked tier).
+// instead of the lock manager (Exec at a non-locked tier).
 func (tc *Ctx) versioned() bool { return tc.readTier != TierLocked }
 
 // asOf resolves the CSN the current statement reads as of: MaxCSN for

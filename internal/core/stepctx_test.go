@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -52,10 +53,10 @@ func newOpSys(t *testing.T) *opSys {
 // run executes body as a single-step transaction.
 func (s *opSys) run(t *testing.T, body func(tc *Ctx) error) error {
 	t.Helper()
-	return s.eng.RunType(&TxnType{
+	return s.eng.Exec(context.Background(), Request{Type: &TxnType{
 		Name: "op", ID: s.txn,
 		Steps: []Step{{Name: "op", Type: s.step, Body: body}},
-	}, nil)
+	}})
 }
 
 func TestCtxGetInsertDelete(t *testing.T) {
@@ -113,12 +114,12 @@ func TestCtxScanPartitionIsolatedFromOtherPartitions(t *testing.T) {
 	txn := b.TxnType("x", 1)
 	step := b.StepType("x")
 	eng := New(db2, b.Build())
-	err = eng.RunType(&TxnType{Name: "x", ID: txn, Steps: []Step{{
+	err = eng.Exec(context.Background(), Request{Type: &TxnType{Name: "x", ID: txn, Steps: []Step{{
 		Name: "x", Type: step,
 		Body: func(tc *Ctx) error {
 			return tc.ScanPartition("flat", nil, func(spi.Row) error { return nil })
 		},
-	}}}, nil)
+	}}}})
 	if err == nil {
 		t.Fatal("partition scan of unpartitioned table accepted")
 	}

@@ -36,15 +36,11 @@ type Server struct {
 	anatomy *trace.Anatomy
 	eng     atomic.Pointer[core.Engine]
 
-	// rpc, when non-nil, appends the owner's RPC-layer series to /metrics
-	// (accd passes the network server's WriteMetrics). A func field instead
-	// of an interface keeps this package independent of internal/server.
-	rpc func(io.Writer)
-
-	// extra, when non-nil, appends a further owner-defined /metrics section
-	// (accd passes the partition set's WriteMetrics in a partitioned
-	// deployment).
-	extra func(io.Writer)
+	// sections append the owner's own series to /metrics, in the order added
+	// (accd adds the network server's and the partition set's WriteMetrics).
+	// Funcs instead of interfaces keep this package independent of
+	// internal/server and internal/partition.
+	sections []func(io.Writer)
 }
 
 // New creates a debug server over the given (possibly nil) trace bus and
@@ -56,13 +52,8 @@ func New(tr *trace.Tracer, an *trace.Anatomy) *Server {
 // SetEngine publishes the engine currently under load.
 func (s *Server) SetEngine(e *core.Engine) { s.eng.Store(e) }
 
-// SetRPCMetrics registers an extra /metrics section writer (the network
-// server's admission and per-type latency series). Call before Start.
-func (s *Server) SetRPCMetrics(fn func(io.Writer)) { s.rpc = fn }
-
-// SetExtraMetrics registers one more /metrics section writer (the partition
-// set's routing and coordinator series). Call before Start.
-func (s *Server) SetExtraMetrics(fn func(io.Writer)) { s.extra = fn }
+// AddMetrics registers one more /metrics section writer. Call before Start.
+func (s *Server) AddMetrics(fn func(io.Writer)) { s.sections = append(s.sections, fn) }
 
 // Start listens on addr and serves in the background. The listener error is
 // returned synchronously so a bad -metrics-addr fails fast.
@@ -154,11 +145,8 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	if s.anatomy != nil {
 		s.anatomy.WriteMetrics(w)
 	}
-	if s.rpc != nil {
-		s.rpc(w)
-	}
-	if s.extra != nil {
-		s.extra(w)
+	for _, section := range s.sections {
+		section(w)
 	}
 }
 

@@ -74,8 +74,9 @@ type Config struct {
 	// system mid-run.
 	OnEngine func(*core.Engine)
 	// WALDir, when non-empty, backs the engine's log with CRC-framed segment
-	// files in that directory (wal.Open) instead of the in-memory log; the
-	// engine then pays real write+fsync per force on top of ForceLatency.
+	// files under WALDir/p0 (the stack's one layout) instead of the in-memory
+	// log; the engine then pays real write+fsync per force on top of
+	// ForceLatency.
 	WALDir string
 	// GroupWindow, with WALDir set, enables cross-terminal group commit: a
 	// force leader waits this long so concurrent commits share one sync.
@@ -117,45 +118,37 @@ type RunResult struct {
 	Violations []error
 }
 
-// Run builds a fresh system per the config, applies the load, verifies the
-// twelve-component consistency constraint afterwards, and returns the
-// measurements.
+// Run builds a fresh system per the config — the same one-partition
+// tpcc.Stack accd serves and the crash matrix crashes, here with the
+// simulation testbed as its execution environment — applies the load,
+// verifies the twelve-component consistency constraint afterwards, and
+// returns the measurements.
 func Run(cfg Config) (*RunResult, error) {
-	db := core.NewDB()
-	if err := tpcc.CreateSchema(db); err != nil {
+	st, err := tpcc.NewStack(tpcc.StackConfig{
+		Partitions: 1,
+		Scale:      cfg.Scale,
+		Seed:       cfg.Seed,
+		WALDir:     cfg.WALDir,
+		WAL:        wal.Options{ForceLatency: cfg.ForceLatency, GroupWindow: cfg.GroupWindow},
+		Engine: []core.Option{
+			core.WithMode(cfg.Mode),
+			core.WithWaitTimeout(30 * time.Second),
+			core.WithForceLatency(cfg.ForceLatency),
+			core.WithEnv(sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
+			core.WithEagerAssertionLocks(cfg.EagerAssertionLocks),
+			core.WithTracer(cfg.Tracer),
+			core.WithAnatomy(cfg.Anatomy),
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := tpcc.Load(db, cfg.Scale, cfg.Seed); err != nil {
-		return nil, err
-	}
-	types := tpcc.BuildTypes()
-	env := sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)
-	var dlog *wal.Log
-	if cfg.WALDir != "" {
-		var err error
-		dlog, err = wal.Open(cfg.WALDir, wal.Options{ForceLatency: cfg.ForceLatency, GroupWindow: cfg.GroupWindow})
-		if err != nil {
-			return nil, err
-		}
-		defer dlog.Close()
-	}
-	eng := core.New(db, types.Tables,
-		core.WithMode(cfg.Mode),
-		core.WithWaitTimeout(30*time.Second),
-		core.WithForceLatency(cfg.ForceLatency),
-		core.WithEnv(env),
-		core.WithEagerAssertionLocks(cfg.EagerAssertionLocks),
-		core.WithTracer(cfg.Tracer),
-		core.WithAnatomy(cfg.Anatomy),
-		core.WithWAL(dlog),
-	)
-	if _, err := tpcc.Register(eng, types, cfg.Scale); err != nil {
-		return nil, err
-	}
+	defer st.Close()
+	eng := st.Set.Engine(0)
 	if cfg.OnEngine != nil {
 		cfg.OnEngine(eng)
 	}
-	wcfg := tpcc.DefaultWorkloadConfig(cfg.Scale)
+	wcfg := tpcc.DefaultWorkloadConfig(st.Scale)
 	wcfg.DistrictSkew = cfg.Skew
 	wcfg.ReadTier = cfg.ReadTier
 	if cfg.ReadHeavy {
@@ -164,7 +157,7 @@ func Run(cfg Config) (*RunResult, error) {
 	if cfg.RollbackPercent > 0 {
 		wcfg.RollbackPercent = cfg.RollbackPercent
 	}
-	w := tpcc.NewWorkload(eng, wcfg)
+	w := tpcc.NewWorkload(st.Set, wcfg)
 
 	res := sim.Run(sim.Config{
 		Terminals: cfg.Terminals,
@@ -173,10 +166,9 @@ func Run(cfg Config) (*RunResult, error) {
 		ThinkTime: cfg.ThinkTime,
 		Seed:      cfg.Seed,
 	}, w)
-	defer eng.Close() // stops the version reaper; the log is closed by its opener
 
 	total := res.Recorder.Total()
-	violations := tpcc.CheckConsistency(db, cfg.Scale, w.Holes())
+	violations := st.Check(w.Holes())
 	return &RunResult{
 		Mode:       cfg.Mode,
 		ByType:     res.Recorder.ByType(),

@@ -65,24 +65,8 @@ func init() {
 func (s *Set) crashPoint(name string) {
 	if fault.Point(name).Effect == fault.Crash {
 		for _, e := range s.engines {
-			if l := e.Log(); l != nil {
-				l.Crash()
-			}
+			e.Log().Crash()
 		}
-	}
-}
-
-// appendRec / appendForceRec tolerate WAL-less engines: a purely in-memory
-// partition set runs the same protocol, it just has nothing to recover.
-func appendRec(l *wal.Log, rec wal.Record) {
-	if l != nil {
-		l.Append(rec)
-	}
-}
-
-func appendForceRec(l *wal.Log, rec wal.Record) {
-	if l != nil {
-		l.AppendForce(rec)
 	}
 }
 
@@ -128,12 +112,13 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	g := s.nextGlobal.Add(1)
 	s.crossStarted.Add(1)
 	homeEng := s.engines[home]
+	homeLog := homeEng.Log() // never nil: an engine without a disk log keeps a memory one
 	start := time.Now()
 
 	// 1. The decision record. Forced: after this the global transaction
 	// exists durably and recovery owns its fate.
-	appendForceRec(homeEng.Log(), wal.Record{Type: wal.TCoordBegin, Txn: g, TxnType: tt.Name, WorkArea: plan})
-	if l := homeEng.Log(); l != nil && l.Crashed() {
+	homeLog.AppendForce(wal.Record{Type: wal.TCoordBegin, Txn: g, TxnType: tt.Name, WorkArea: plan})
+	if homeLog.Crashed() {
 		// The home log froze (a simulated crash) and the force above may have
 		// been silently absorbed. Running shots now could durably commit them
 		// on healthy partitions with no decision record anywhere — orphans no
@@ -167,7 +152,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 				return err
 			}
 			done[i] = true
-			appendRec(homeEng.Log(), wal.Record{Type: wal.TCoordShot, Txn: g, Step: int32(i + 1)})
+			homeLog.Append(wal.Record{Type: wal.TCoordShot, Txn: g, Step: int32(i + 1)})
 			s.crashPoint(fpCoordShot)
 		}
 		return nil
@@ -177,10 +162,10 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	hctx := core.WithShotTag(WithHook(cctx, hook), core.ShotTag{
 		Global: g, Shot: 0, OnTxn: s.track(home, g, false),
 	})
-	err = homeEng.RunTypeContextSpan(hctx, tt, args, sp)
+	err = homeEng.Exec(hctx, core.Request{Type: tt, Args: args, Span: sp})
 	if err == nil {
 		s.crashPoint(fpCoordCommit)
-		appendRec(homeEng.Log(), wal.Record{Type: wal.TCoordCommit, Txn: g})
+		homeLog.Append(wal.Record{Type: wal.TCoordCommit, Txn: g})
 		s.crossCommitted.Add(1)
 		s.emit(trace.KindCoordCommit, g, -1, tt.Name, time.Since(start).Nanoseconds(), "")
 		return nil
@@ -192,7 +177,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 		if !done[i] {
 			continue
 		}
-		if uerr := s.undoShot(g, int32(i+1), shots[i].Type, shots[i].Args); uerr != nil {
+		if uerr := s.undoShot(g, int32(i+1), shots[i], shots[i].Args); uerr != nil {
 			s.emit(trace.KindCoordAbort, g, -1, tt.Name, time.Since(start).Nanoseconds(),
 				fmt.Sprintf("undo of shot %d failed: %v", i+1, uerr))
 			return fmt.Errorf("partition: global %d rollback: undo of shot %d: %w (cause: %v)", g, i+1, uerr, err)
@@ -201,7 +186,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	}
 	// Forced only after every undo is durable: recovery must not see an
 	// aborted decision record whose undos still need running.
-	appendForceRec(homeEng.Log(), wal.Record{Type: wal.TCoordAbort, Txn: g})
+	homeLog.AppendForce(wal.Record{Type: wal.TCoordAbort, Txn: g})
 	s.crossAborted.Add(1)
 	s.emit(trace.KindCoordAbort, g, -1, tt.Name, time.Since(start).Nanoseconds(), err.Error())
 	return err
@@ -211,15 +196,10 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 // The shot commits (its engine forces its commit record) before runShot
 // returns nil, so plan order doubles as durability order.
 func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
-	eng := s.engines[sh.Partition]
-	tt := eng.Type(sh.Type)
-	if tt == nil {
-		return fmt.Errorf("partition %d: %w: %q", sh.Partition, core.ErrUnknownTxnType, sh.Type)
-	}
 	s.emit(trace.KindShotBegin, g, idx, sh.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
 	start := time.Now()
 	sctx := core.WithShotTag(ctx, core.ShotTag{Global: g, Shot: idx, OnTxn: s.track(sh.Partition, g, false)})
-	if err := eng.RunTypeContext(sctx, tt, sh.Args); err != nil {
+	if err := s.engines[sh.Partition].Exec(sctx, core.Request{Name: sh.Type, Args: sh.Args}); err != nil {
 		return fmt.Errorf("shot %d (%s on partition %d): %w", idx, sh.Type, sh.Partition, err)
 	}
 	s.shotsRun.Add(1)
@@ -227,49 +207,27 @@ func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
 	return nil
 }
 
-// undoShot runs the compensating undo of a committed shot. It runs under a
-// fresh background context — the global transaction's own context is
+// undoShot runs the compensating undo of committed shot sh on the partition
+// the plan ran it on, with args the shot's work area — the live record at run
+// time, the one its end-of-step record preserved at recovery. It runs under
+// a fresh background context — the global transaction's own context is
 // typically already cancelled (deadlock doom) or failed, and compensation,
 // like the engine's own §3.4 executor, must proceed regardless. Retries are
 // persistent: an undo shot only touches items the forward shot reserved, so
 // transient scheduling aborts are the only failures expected.
-func (s *Set) undoShot(g uint64, idx int32, shotType string, shotArgs any) error {
-	spec, ok := s.undoSpec(shotType)
+func (s *Set) undoShot(g uint64, idx int32, sh Shot, args any) error {
+	spec, ok := s.undoSpec(sh.Type)
 	if !ok {
-		return fmt.Errorf("partition: no undo registered for shot type %q", shotType)
+		return fmt.Errorf("partition: no undo registered for shot type %q", sh.Type)
 	}
-	eng := s.engines[s.shotPartitionOf(shotType, shotArgs)]
-	return s.undoShotOn(eng, g, idx, shotType, shotArgs, spec)
-}
-
-// shotPartitionOf resolves the partition a shot type instance lives on via
-// its route's Home function; shot types route like any other type.
-func (s *Set) shotPartitionOf(shotType string, args any) int {
-	if r := s.route(shotType); r != nil && r.Home != nil {
-		if p := r.Home(args); p >= 0 && p < len(s.engines) {
-			return p
-		}
-	}
-	return 0
-}
-
-// undoShotOn is undoShot against an explicit engine (recovery knows the
-// partition from the plan rather than the route table).
-func (s *Set) undoShotOn(eng *core.Engine, g uint64, idx int32, shotType string, shotArgs any, spec UndoSpec) error {
-	ut := eng.Type(spec.Type)
-	if ut == nil {
-		return fmt.Errorf("partition: %w: undo type %q", core.ErrUnknownTxnType, spec.Type)
-	}
-	args := shotArgs
 	if spec.Args != nil {
-		args = spec.Args(shotArgs)
+		args = spec.Args(args)
 	}
-	part := s.partitionOfEngine(eng)
-	s.emit(trace.KindShotUndo, g, -idx, spec.Type, 0, fmt.Sprintf("partition=%d", part))
-	uctx := core.WithShotTag(context.Background(), core.ShotTag{Global: g, Shot: -idx, OnTxn: s.track(part, g, true)})
+	s.emit(trace.KindShotUndo, g, -idx, spec.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
+	uctx := core.WithShotTag(context.Background(), core.ShotTag{Global: g, Shot: -idx, OnTxn: s.track(sh.Partition, g, true)})
 	var err error
 	for attempt := 0; attempt < 100; attempt++ {
-		err = eng.RunTypeContext(uctx, ut, args)
+		err = s.engines[sh.Partition].Exec(uctx, core.Request{Name: spec.Type, Args: args})
 		if err == nil || !core.Retryable(err) {
 			break
 		}
@@ -279,15 +237,6 @@ func (s *Set) undoShotOn(eng *core.Engine, g uint64, idx int32, shotType string,
 	}
 	s.shotUndos.Add(1)
 	return nil
-}
-
-func (s *Set) partitionOfEngine(eng *core.Engine) int {
-	for p, e := range s.engines {
-		if e == eng {
-			return p
-		}
-	}
-	return 0
 }
 
 // encodePlan serializes the shot plan into a TCoordBegin work area:

@@ -7,7 +7,7 @@ import (
 
 // WriteMetrics writes the Set's coordinator counters in Prometheus text
 // format — the debug endpoint mounts it next to the engine metrics via
-// debughttp.SetExtraMetrics.
+// debughttp.AddMetrics.
 func (s *Set) WriteMetrics(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)

@@ -85,9 +85,10 @@ type Stats struct {
 	CrossDeadlocks uint64 // cycles broken by the cross-partition detector
 }
 
-// Set is a partitioned engine: n engines behind a router and a multi-shot
-// commit coordinator. It satisfies the network server's Runner contract, so
-// accd serves a Set exactly as it serves a single engine.
+// Set is a partitioned engine: n ≥ 1 engines behind a router and a
+// multi-shot commit coordinator. It is what everything above internal/core
+// builds, serves, crashes and audits; a single engine is a Set of one, whose
+// every transaction takes the direct path.
 type Set struct {
 	engines []*core.Engine
 
@@ -150,18 +151,20 @@ func WithTracer(t *trace.Tracer) Option {
 }
 
 // EnvPartitions reads the ACCDB_PARTITIONS environment variable: the
-// partition count accd and the harnesses default to. Unset, empty, zero, or
-// unparsable means 1 — a plain single-engine system.
-func EnvPartitions() int {
+// partition count accd and acc.NewCluster default to. Unset or empty means 1;
+// anything that is not a positive integer is an error, never a silent 1 — a
+// deployment that asked for four partitions and got one would pass every
+// smoke test while measuring something else.
+func EnvPartitions() (int, error) {
 	v := os.Getenv("ACCDB_PARTITIONS")
 	if v == "" {
-		return 1
+		return 1, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 1 {
-		return 1
+		return 0, fmt.Errorf("partition: ACCDB_PARTITIONS=%q: want a positive integer", v)
 	}
-	return n
+	return n, nil
 }
 
 // New builds a Set of n partitions, constructing each engine with build.
@@ -237,29 +240,9 @@ func (s *Set) undoSpec(shotType string) (UndoSpec, bool) {
 	return spec, ok
 }
 
-// Run executes one transaction, routing by its type's declaration. It is
-// RunContext under context.Background().
+// Run is Exec of the named type under context.Background().
 func (s *Set) Run(name string, args any) error {
-	return s.RunContext(context.Background(), name, args)
-}
-
-// RunContext is Run under a caller context.
-func (s *Set) RunContext(ctx context.Context, name string, args any) error {
-	tt := s.engines[0].Type(name)
-	if tt == nil {
-		return fmt.Errorf("%w: %q", core.ErrUnknownTxnType, name)
-	}
-	return s.RunReadTypeContextSpan(ctx, tt, args, core.TierLocked, nil)
-}
-
-// RunRead executes a read-only transaction at the given tier on the
-// instance's home partition.
-func (s *Set) RunRead(name string, args any, tier core.ReadTier) error {
-	tt := s.engines[0].Type(name)
-	if tt == nil {
-		return fmt.Errorf("%w: %q", core.ErrUnknownTxnType, name)
-	}
-	return s.RunReadTypeContextSpan(context.Background(), tt, args, tier, nil)
+	return s.Exec(context.Background(), core.Request{Name: name, Args: args})
 }
 
 // TypeBytes resolves a transaction type by byte-slice name (the network
@@ -269,35 +252,41 @@ func (s *Set) TypeBytes(name []byte) *core.TxnType {
 	return s.engines[0].TypeBytes(name)
 }
 
-// RunReadTypeContextSpan is the Set's single execution entry point — the
-// same contract the network server drives a single engine through. At
-// TierLocked it routes the transaction (direct to its home partition, or
-// through the multi-shot coordinator when the instance splits); at the
-// versioned read tiers it runs read-only on the home partition.
-func (s *Set) RunReadTypeContextSpan(ctx context.Context, tt *core.TxnType, args any, tier core.ReadTier, sp *trace.Span) error {
+// Exec is the Set's single execution entry point, with core.Engine.Exec's
+// contract. At TierLocked it routes the transaction (direct to its home
+// partition, or through the multi-shot coordinator when the instance
+// splits); at the versioned read tiers it runs read-only on the home
+// partition.
+func (s *Set) Exec(ctx context.Context, req core.Request) error {
+	if req.Type == nil {
+		if req.Type = s.engines[0].Type(req.Name); req.Type == nil {
+			return fmt.Errorf("%w: %q", core.ErrUnknownTxnType, req.Name)
+		}
+	}
+	tt := req.Type
 	r := s.route(tt.Name)
 	home := 0
 	if r != nil && r.Home != nil {
-		home = r.Home(args)
+		home = r.Home(req.Args)
 	}
 	if home < 0 || home >= len(s.engines) {
 		return fmt.Errorf("partition: %s routed to partition %d of %d", tt.Name, home, len(s.engines))
 	}
-	if tier != core.TierLocked {
-		return s.engines[home].RunReadTypeContextSpan(ctx, tt, args, tier, sp)
-	}
 	var shots []Shot
-	if r != nil && r.Split != nil {
-		shots = r.Split(args)
+	if req.Tier == core.TierLocked && r != nil && r.Split != nil {
+		shots = r.Split(req.Args)
 	}
 	if len(shots) == 0 {
 		// The hot path: the whole instance lives in one partition. No
 		// global id, no decision record, no coordinator state — exactly the
-		// single-engine cost plus the routing lookup above.
-		s.singleRouted.Add(1)
-		return s.engines[home].RunTypeContextSpan(ctx, tt, args, sp)
+		// engine's own cost plus the routing lookup above. A set of one
+		// never leaves this path.
+		if req.Tier == core.TierLocked {
+			s.singleRouted.Add(1)
+		}
+		return s.engines[home].Exec(ctx, req)
 	}
-	return s.runCross(ctx, tt, args, home, shots, sp)
+	return s.runCross(ctx, tt, req.Args, home, shots, req.Span)
 }
 
 // Snapshot returns the coordinator counters.

@@ -1,9 +1,10 @@
 package partition_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -14,49 +15,24 @@ import (
 	"accdb/internal/partition"
 	"accdb/internal/spi"
 	"accdb/internal/tpcc"
-	"accdb/internal/wal"
 
 	_ "accdb/internal/backends" // default storage backends
 )
 
-// buildTPCCSet assembles a partitioned TPC-C system: one engine per
-// partition, each loaded with its own warehouses (plus the replicated item
-// table) and, when walBase is non-empty, its own disk-backed log under
-// walBase/p<N>.
-func buildTPCCSet(t testing.TB, parts int, scale tpcc.Scale, seed int64, walBase string, opts ...partition.Option) *partition.Set {
+// buildTPCCSet assembles a partitioned TPC-C system through the one stack
+// constructor: one engine per partition, each loaded with its own warehouses
+// (plus the replicated item table) and, when walBase is non-empty, its own
+// disk-backed log under walBase/p<N>.
+func buildTPCCSet(t testing.TB, parts int, scale tpcc.Scale, seed int64, walBase string) *partition.Set {
 	t.Helper()
-	set, err := partition.New(parts, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, scale, seed, p, parts); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
-		eopts := []core.Option{
-			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10 * time.Second),
-			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
-		}
-		if walBase != "" {
-			l, err := wal.Open(filepath.Join(walBase, fmt.Sprintf("p%d", p)), wal.Options{})
-			if err != nil {
-				return nil, err
-			}
-			eopts = append(eopts, core.WithWAL(l))
-		}
-		eng := core.New(db, types.Tables, eopts...)
-		if _, err := tpcc.RegisterPartitioned(eng, types, scale, parts); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}, opts...)
+	st, err := tpcc.NewStack(tpcc.StackConfig{
+		Partitions: parts, Scale: scale, Seed: seed, WALDir: walBase,
+		Engine: []core.Option{core.WithMode(core.ModeACC), core.WithWaitTimeout(10 * time.Second)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpcc.InstallRoutes(set)
-	return set
+	return st.Set
 }
 
 func partitionDBs(set *partition.Set) []*core.DB {
@@ -650,4 +626,73 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 		EncodeArgs: encodePoke,
 		DecodeArgs: decodePoke,
 	})
+}
+
+// TestEnvPartitions: ACCDB_PARTITIONS is a positive integer or unset;
+// everything else is an error, never a silent one-partition deployment.
+func TestEnvPartitions(t *testing.T) {
+	for _, c := range []struct {
+		env  string
+		want int // 0: an error
+	}{
+		{"", 1}, {"1", 1}, {"4", 4},
+		{"0", 0}, {"-2", 0}, {"abc", 0}, {"4x", 0}, {" 4", 0}, {"1.5", 0},
+	} {
+		t.Setenv("ACCDB_PARTITIONS", c.env)
+		got, err := partition.EnvPartitions()
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("ACCDB_PARTITIONS=%q accepted as %d", c.env, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ACCDB_PARTITIONS=%q = %d, %v; want %d", c.env, got, err, c.want)
+		}
+	}
+	for _, n := range []int{0, -1} {
+		if _, err := partition.New(n, nil); err == nil {
+			t.Errorf("partition.New(%d) accepted", n)
+		}
+	}
+}
+
+// TestSetExec: the Set's entry point keeps the engine's contract — unknown
+// name, closed, cancelled — and runs a versioned-tier read on the instance's
+// home partition without counting it as routed work or splitting it.
+func TestSetExec(t *testing.T) {
+	scale := smallScale(2)
+	set := buildTPCCSet(t, 2, scale, 1, "")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	status := func(w int64) core.Request {
+		return core.Request{Name: "order_status", Args: &tpcc.OrderStatusArgs{WID: w, DID: 1, CID: 1}}
+	}
+
+	if err := set.Exec(context.Background(), core.Request{Name: "nope"}); !errors.Is(err, core.ErrUnknownTxnType) {
+		t.Errorf("unknown name: %v", err)
+	}
+	if err := set.Exec(canceled, status(2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: %v", err)
+	}
+	for _, tier := range []core.ReadTier{core.TierLocked, core.TierASAP, core.TierReadCommitted, core.TierSnapshot} {
+		req := status(2) // warehouse 2 lives on partition 1
+		req.Tier = tier
+		opened := set.Engine(1).Versions().SnapshotsOpened
+		if err := set.Exec(context.Background(), req); err != nil {
+			t.Errorf("%s: %v", tier, err)
+		}
+		if tier == core.TierSnapshot && set.Engine(1).Versions().SnapshotsOpened != opened+1 {
+			t.Errorf("snapshot read of warehouse 2 did not run on partition 1")
+		}
+	}
+	// Routing precedes the engine's own checks, so the cancelled request
+	// counts too; the versioned-tier reads do not.
+	if st := set.Snapshot(); st.SingleRouted != 2 || st.CrossStarted != 0 {
+		t.Errorf("stats = %+v, want the two locked requests counted as routed", st)
+	}
+	set.Close()
+	if err := set.Exec(context.Background(), status(1)); !errors.Is(err, core.ErrEngineClosed) {
+		t.Errorf("closed set: %v", err)
+	}
 }

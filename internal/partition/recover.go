@@ -49,9 +49,6 @@ func (s *Set) Recover() (*RecoverResult, error) {
 	res := &RecoverResult{}
 	analyses := make([]*wal.Analysis, len(s.engines))
 	for p, eng := range s.engines {
-		if eng.Log() == nil {
-			return nil, fmt.Errorf("partition %d: no WAL attached, nothing to recover from", p)
-		}
 		r, err := eng.RecoverLog(eng.Log())
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
@@ -93,7 +90,7 @@ func (s *Set) Recover() (*RecoverResult, error) {
 					redriven = true
 				}
 				if c.Open() {
-					appendRec(s.engines[home].Log(), wal.Record{Type: wal.TCoordCommit, Txn: g})
+					s.engines[home].Log().Append(wal.Record{Type: wal.TCoordCommit, Txn: g})
 				}
 				if c.Open() || redriven {
 					res.ForwardDriven = append(res.ForwardDriven, g)
@@ -130,17 +127,13 @@ func (s *Set) Recover() (*RecoverResult, error) {
 						args = dec
 					}
 				}
-				spec, ok := s.undoSpec(shots[i].Type)
-				if !ok {
-					return nil, fmt.Errorf("partition: no undo registered for shot type %q (global %d)", shots[i].Type, g)
-				}
-				if err := s.undoShotOn(s.engines[shots[i].Partition], g, int32(i+1), shots[i].Type, args, spec); err != nil {
+				if err := s.undoShot(g, int32(i+1), shots[i], args); err != nil {
 					return nil, fmt.Errorf("partition: recovery undo of global %d shot %d: %w", g, i+1, err)
 				}
 				undone = true
 			}
 			if c.Open() {
-				appendForceRec(s.engines[home].Log(), wal.Record{Type: wal.TCoordAbort, Txn: g})
+				s.engines[home].Log().AppendForce(wal.Record{Type: wal.TCoordAbort, Txn: g})
 			}
 			if c.Open() || undone {
 				res.Undone = append(res.Undone, g)

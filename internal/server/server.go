@@ -39,17 +39,17 @@ import (
 // leaves MaxInFlight zero.
 const DefaultMaxInFlight = 128
 
-// Runner is the execution surface the server drives. *core.Engine satisfies
-// it directly (the single-engine deployment); *partition.Set satisfies it
-// too, so a partitioned accd serves the identical wire protocol with routing
-// and the multi-shot coordinator behind this seam.
+// Runner is the execution surface the server drives. accd always serves a
+// *partition.Set (of one partition by default); the seam exists so this
+// package need not import the router and its tests can serve a bare
+// *core.Engine, which satisfies it too.
 type Runner interface {
 	// TypeBytes resolves a transaction type by its wire-frame name without
 	// allocating a string (the hot-path contract the session loop relies on).
 	TypeBytes(name []byte) *core.TxnType
-	// RunReadTypeContextSpan executes one transaction: tier 0 is the full
-	// locked protocol, versioned tiers take the lock-free read path.
-	RunReadTypeContextSpan(ctx context.Context, tt *core.TxnType, args any, tier core.ReadTier, sp *trace.Span) error
+	// Exec executes one transaction: tier 0 is the full locked protocol,
+	// versioned tiers take the lock-free read path.
+	Exec(ctx context.Context, req core.Request) error
 	// Close drains and forces durable state; Closed reports it happened.
 	Close() error
 	Closed() bool
@@ -57,8 +57,7 @@ type Runner interface {
 
 // Config configures a Server.
 type Config struct {
-	// Engine executes the transactions. Required. A plain *core.Engine or a
-	// *partition.Set (or anything else satisfying Runner).
+	// Engine executes the transactions. Required.
 	Engine Runner
 	// NewArgs returns a fresh argument record to decode a request's JSON
 	// into, or nil if the transaction type takes no arguments the server
@@ -478,8 +477,8 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 	if args != nil {
 		sp.EnterEngine()
 		// Tier 0 is the full locked protocol; the versioned tiers take the
-		// lock-free read path (RunReadTypeContextSpan refuses writes).
-		err := s.eng.RunReadTypeContextSpan(sess.ctx, tt, args, core.ReadTier(st.req.Tier), sp)
+		// lock-free read path (which refuses writes).
+		err := s.eng.Exec(sess.ctx, core.Request{Type: tt, Args: args, Tier: core.ReadTier(st.req.Tier), Span: sp})
 		sp.ExitEngine()
 		var msg string
 		resp.Status, msg = statusOf(err)

@@ -233,15 +233,6 @@ func InstallRoutes(set *partition.Set) {
 	set.SetRoute("stock_level", partition.Route{
 		Home: func(args any) int { return byWID(args.(*StockLevelArgs).WID) },
 	})
-	homeBySupply := func(args any) int {
-		a := args.(*NoStockArgs)
-		if len(a.Lines) == 0 {
-			return 0
-		}
-		return byWID(a.Lines[0].SupplyW)
-	}
-	set.SetRoute("no_stock", partition.Route{Home: homeBySupply})
-	set.SetRoute("no_stock_undo", partition.Route{Home: homeBySupply})
 	// The forward shot's args double as the undo's: its work area carries
 	// the filled quantities by the time an undo can run.
 	set.SetUndo("no_stock", partition.UndoSpec{Type: "no_stock_undo"})

@@ -78,9 +78,6 @@ func Register(eng *core.Engine, types *Types, scale Scale) (*Registration, error
 // no_stock_undo shot types are additionally registered so this engine can
 // execute and recover shots of cross-partition new-orders.
 func RegisterPartitioned(eng *core.Engine, types *Types, scale Scale, partitions int) (*Registration, error) {
-	if partitions < 1 {
-		partitions = 1
-	}
 	reg := &Registration{Types: types, Scale: scale, partitions: partitions}
 	reg.buildAssertions()
 	tts := []*core.TxnType{

@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -78,8 +79,8 @@ func DefaultWorkloadConfig(s Scale) WorkloadConfig {
 // re-encoded work area back into args.
 type RunFunc func(name string, args any) error
 
-// ReadRunFunc executes one read-only transaction at a consistency tier: the
-// engine's RunRead, or a network client's RunTier.
+// ReadRunFunc executes one read-only transaction at a consistency tier: Exec
+// with Request.Tier set, or a network client's RunTier.
 type ReadRunFunc func(name string, args any, tier core.ReadTier) error
 
 // Workload generates TPC-C transactions against a RunFunc. It also tracks
@@ -101,11 +102,21 @@ type DistrictKey struct {
 	W, D int64
 }
 
-// NewWorkload binds a generator to an engine whose database was loaded at
+// Executor is what an in-process Workload drives: a *partition.Set (a
+// Stack's), or a bare *core.Engine in the engine's own tests.
+type Executor interface {
+	Exec(ctx context.Context, req core.Request) error
+}
+
+// NewWorkload binds a generator to an executor whose database was loaded at
 // cfg.Scale and whose transaction types are registered.
-func NewWorkload(eng *core.Engine, cfg WorkloadConfig) *Workload {
-	w := NewRemoteWorkload(eng.Run, cfg)
-	w.runRead = eng.RunRead
+func NewWorkload(x Executor, cfg WorkloadConfig) *Workload {
+	w := NewRemoteWorkload(func(name string, args any) error {
+		return x.Exec(context.Background(), core.Request{Name: name, Args: args})
+	}, cfg)
+	w.runRead = func(name string, args any, tier core.ReadTier) error {
+		return x.Exec(context.Background(), core.Request{Name: name, Args: args, Tier: tier})
+	}
 	return w
 }
 

@@ -10,9 +10,16 @@
 //	// create tables, build interference tables ...
 //	eng := acc.New(db, tables, acc.WithMode(acc.ModeACC))
 //	eng.MustRegister(myTxnType)
-//	err := eng.RunContext(ctx, "new-order", &args)
+//	err := eng.Exec(ctx, acc.Request{Name: "new-order", Args: &args})
 //
-// RunContext propagates ctx into every lock wait: cancelling the context
+// Exec is the one way a transaction runs — on an Engine, on a Cluster
+// (NewCluster: n ≥ 1 engines behind a router; an Engine is the cluster of
+// one) and, through the same Request, in the accd server. Request.Tier
+// selects a lock-free read tier for read-only types; Engine.Run and
+// Cluster.Run are Exec under context.Background() for callers with nothing
+// to cancel.
+//
+// Exec propagates ctx into every lock wait: cancelling the context
 // aborts the wait, rolls the transaction back (compensating completed steps
 // per §3.4 of the paper), and returns an error wrapping ctx.Err().
 // Compensation itself always runs to completion under a background context —
@@ -116,9 +123,14 @@ var (
 	WithOptions = core.WithOptions
 )
 
-// ReadTier selects the consistency level of a read-only transaction run
-// through Engine.RunRead / Engine.RunReadContext or a client's RunTier (see
-// CONSISTENCY.md for the tier-by-tier guarantees).
+// Request is one transaction to execute: a type (by name, or resolved), its
+// argument record, a read tier (zero: the full locked protocol) and an
+// optional latency-anatomy span. Engine.Exec and Cluster.Exec take it.
+type Request = core.Request
+
+// ReadTier selects the consistency level of a read-only transaction, set in
+// Request.Tier or passed to a client's RunTier (see CONSISTENCY.md for the
+// tier-by-tier guarantees).
 type ReadTier = core.ReadTier
 
 // Consistency tiers, weakest coupling to the lock manager first. Only

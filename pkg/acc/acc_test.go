@@ -96,11 +96,11 @@ func newMoveSys(t *testing.T) *moveSys {
 	return s
 }
 
-// TestRunContextCancelCompensates drives the facade's headline contract: a
+// TestExecCancelCompensates drives the facade's headline contract: a
 // caller that cancels its context while the transaction is blocked in a lock
 // wait gets the wait aborted, the completed prefix compensated (§3.4), and
 // every lock released.
-func TestRunContextCancelCompensates(t *testing.T) {
+func TestExecCancelCompensates(t *testing.T) {
 	s := newMoveSys(t)
 
 	// A legacy transaction camps on account 1's write spi.
@@ -130,10 +130,10 @@ func TestRunContextCancelCompensates(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // let the wait actually park
 		cancel()
 	}()
-	err := s.eng.RunContext(ctx, "move", &moveArgs{
+	err := s.eng.Exec(ctx, acc.Request{Name: "move", Args: &moveArgs{
 		ID: 7, Account: 1,
 		BeforeUpdate: func() { close(waiting) },
-	})
+	}})
 	close(release)
 	if berr := <-blockerDone; berr != nil {
 		t.Fatalf("blocker: %v", berr)
@@ -176,14 +176,14 @@ func TestRunContextCancelCompensates(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelBeforeExposure cancels during step 1: nothing is
+// TestExecCancelBeforeExposure cancels during step 1: nothing is
 // exposed yet, so the engine undoes in place and propagates the bare
 // cancellation — no compensation, no user-abort accounting.
-func TestRunContextCancelBeforeExposure(t *testing.T) {
+func TestExecCancelBeforeExposure(t *testing.T) {
 	s := newMoveSys(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.eng.RunContext(ctx, "move", &moveArgs{ID: 9, Account: 2})
+	err := s.eng.Exec(ctx, acc.Request{Name: "move", Args: &moveArgs{ID: 9, Account: 2}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

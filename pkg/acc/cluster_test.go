@@ -98,12 +98,11 @@ func TestClusterRouting(t *testing.T) {
 }
 
 // TestClusterEnvPartitions pins the ACCDB_PARTITIONS default path: without
-// WithPartitions the cluster sizes itself from the environment, and an
-// unset variable means a plain one-partition system.
+// WithPartitions the cluster sizes itself from the environment.
 func TestClusterEnvPartitions(t *testing.T) {
 	t.Setenv("ACCDB_PARTITIONS", "3")
-	if got := acc.EnvPartitions(); got != 3 {
-		t.Fatalf("EnvPartitions = %d, want 3", got)
+	if got, err := acc.EnvPartitions(); err != nil || got != 3 {
+		t.Fatalf("EnvPartitions = %d, %v, want 3", got, err)
 	}
 	c, err := acc.NewCluster(buildBump(t))
 	if err != nil {
@@ -114,8 +113,16 @@ func TestClusterEnvPartitions(t *testing.T) {
 	}
 	c.Close()
 
+	// Garbage is an error for whoever consults the variable, never a silent
+	// one-partition system — and not for a caller that sized the cluster
+	// itself.
 	t.Setenv("ACCDB_PARTITIONS", "not-a-number")
-	if got := acc.EnvPartitions(); got != 1 {
-		t.Fatalf("EnvPartitions = %d, want 1 for garbage input", got)
+	if _, err := acc.NewCluster(buildBump(t)); err == nil {
+		t.Fatal("NewCluster accepted ACCDB_PARTITIONS=not-a-number")
 	}
+	c, err = acc.NewCluster(buildBump(t), acc.WithPartitions(1))
+	if err != nil {
+		t.Fatalf("WithPartitions(1) under a bad ACCDB_PARTITIONS: %v", err)
+	}
+	c.Close()
 }

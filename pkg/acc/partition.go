@@ -49,8 +49,8 @@ type clusterConfig struct {
 }
 
 // WithPartitions sets the partition count. Without it, NewCluster sizes
-// the cluster from the ACCDB_PARTITIONS environment variable (unset or
-// invalid means one partition — a plain single-engine system).
+// the cluster from the ACCDB_PARTITIONS environment variable (unset means
+// one partition; an invalid value is an error).
 func WithPartitions(n int) ClusterOption {
 	return func(c *clusterConfig) { c.n = n }
 }
@@ -72,19 +72,25 @@ func WithDetectInterval(d time.Duration) ClusterOption {
 	}
 }
 
-// EnvPartitions reads ACCDB_PARTITIONS: the partition count NewCluster,
-// accd, and the harnesses default to. Unset, empty, zero, or unparsable
-// means 1.
-func EnvPartitions() int { return partition.EnvPartitions() }
+// EnvPartitions reads ACCDB_PARTITIONS: the partition count NewCluster and
+// accd default to. Unset or empty means 1; anything but a positive integer
+// is an error.
+func EnvPartitions() (int, error) { return partition.EnvPartitions() }
 
 // NewCluster builds a Cluster, constructing each partition's engine with
 // build. The partition count comes from WithPartitions, or failing that
-// from ACCDB_PARTITIONS. A one-partition Cluster is a valid degenerate
-// case: every transaction takes the direct single-engine path.
+// from ACCDB_PARTITIONS. A one-partition Cluster is the default deployment:
+// every transaction takes the direct path to its one engine.
 func NewCluster(build BuildFunc, opts ...ClusterOption) (*Cluster, error) {
-	cfg := clusterConfig{n: partition.EnvPartitions()}
+	n, envErr := partition.EnvPartitions()
+	cfg := clusterConfig{n: n}
 	for _, apply := range opts {
 		apply(&cfg)
+	}
+	if cfg.n == 0 && envErr != nil {
+		// Nothing overrode the (zero) count a bad ACCDB_PARTITIONS left; a
+		// caller that sized the cluster itself never sees this error.
+		return nil, envErr
 	}
 	return partition.New(cfg.n, build, cfg.opts...)
 }
