@@ -183,32 +183,3 @@ func BenchmarkAblationEagerLocks(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationStepForce quantifies design decision 3 of DESIGN.md: the
-// per-step log force is the ACC's main overhead; removing it (hypothetical
-// hardware with free forces) shows the scheduler's intrinsic cost.
-func BenchmarkAblationStepForce(b *testing.B) {
-	for _, sub := range []struct {
-		name  string
-		force time.Duration
-	}{
-		{"forced-steps", 100 * time.Microsecond},
-		{"free-forces", 0},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Terminals = 8
-			cfg.ForceLatency = sub.force
-			var last *experiment.RunResult
-			for i := 0; i < b.N; i++ {
-				r, err := experiment.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(last.Throughput, "txn/s")
-			b.ReportMetric(float64(last.Mean.Microseconds())/1000, "mean-ms")
-		})
-	}
-}

@@ -73,11 +73,14 @@ func runFault(name string, nth uint64, seed int64, walDir string) {
 		if len(res.Violations)+len(res.RerunViolations) > 0 {
 			verdict = "INCONSISTENT"
 		}
+		if len(res.LostAcks) > 0 {
+			verdict = "LOST ACKS"
+		}
 		if verdict != "ok" {
 			failed++
 		}
-		fmt.Printf("%-28s fired=%-5v committed=%-5d compensated=%-4d forward=%-2d undone=%-2d rerun=%-5d %s\n",
-			p.Name, res.Fired, res.Committed, res.Compensated, res.ForwardDriven, res.Undone, res.RerunCompleted, verdict)
+		fmt.Printf("%-28s fired=%-5v committed=%-5d compensated=%-4d forward=%-2d undone=%-2d lost_acks=%-2d rerun=%-5d %s\n",
+			p.Name, res.Fired, res.Committed, res.Compensated, res.ForwardDriven, res.Undone, len(res.LostAcks), res.RerunCompleted, verdict)
 		if res.TornTail != nil {
 			fmt.Printf("%-28s torn tail at offset %d (%d bytes discarded)\n",
 				"", res.TornTail.Offset, res.TornTail.DiscardedBytes)
@@ -87,6 +90,9 @@ func runFault(name string, nth uint64, seed int64, walDir string) {
 		}
 		for _, v := range res.RerunViolations {
 			fmt.Printf("%-28s after re-run: %v\n", "", v)
+		}
+		for _, l := range res.LostAcks {
+			fmt.Printf("%-28s acknowledged but lost: %s\n", "", l)
 		}
 	}
 	if failed > 0 {

@@ -12,6 +12,10 @@
 // new-order holes observed server-side. Violations exit non-zero, so a CI
 // smoke run asserts end-to-end integrity just by checking the exit code.
 //
+// A write-ahead log that fails (write or fsync error) is fail-stop: the
+// engine answers every later request with an internal error, accd starts the
+// drain on its own and exits non-zero naming the partition and the error.
+//
 // With -metrics-addr set, the shared debug endpoint (internal/debughttp)
 // serves /metrics (engine, lock, WAL, latency-anatomy, admission and per-RPC
 // series in Prometheus text format), /debug/locks, /debug/waitsfor,
@@ -22,6 +26,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -146,6 +151,7 @@ func main() {
 
 	protos := tpcc.ArgsPrototypes()
 	holes := tpcc.NewHoleTracker()
+	logFailed := make(chan struct{}, 1) // one wake-up is enough; later failures find it full
 	srv := server.New(server.Config{
 		Engine: set,
 		NewArgs: func(name string) any {
@@ -157,7 +163,15 @@ func main() {
 		MaxInFlight: *maxInFlight,
 		Tracer:      tr,
 		Anatomy:     anatomy,
-		OnOutcome:   holes.Observe,
+		OnOutcome: func(txnType string, args any, err error) {
+			holes.Observe(txnType, args, err)
+			if errors.Is(err, core.ErrLogFailed) {
+				select {
+				case logFailed <- struct{}{}:
+				default:
+				}
+			}
+		},
 	})
 
 	if *metricsAddr != "" {
@@ -171,6 +185,11 @@ func main() {
 			fatal(err)
 		}
 	}
+
+	// Catch the drain signal before announcing readiness: a supervisor may
+	// send it the moment the ready file appears.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -187,11 +206,11 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "accd: %v: draining (timeout %v)\n", sig, *drainTimeout)
+	case <-logFailed:
+		fmt.Fprintf(os.Stderr, "accd: write-ahead log failed: draining (timeout %v)\n", *drainTimeout)
 	case err := <-serveErr:
 		fatal(fmt.Errorf("accd: serve: %w", err))
 	}
@@ -205,7 +224,7 @@ func main() {
 	var es core.Stats
 	for _, e := range set.Engines() {
 		s := e.Snapshot()
-		es.Commits += s.Commits
+		es.Commits += s.Commits + s.ReadOnly // as /metrics counts them: read-only ones included
 		es.Compensations += s.Compensations
 	}
 	ps := set.Snapshot()
@@ -216,6 +235,19 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"accd: drained: admitted=%d rejected_full=%d rejected_draining=%d commits=%d compensations=%d\n",
 		rs.Admitted, rs.RejectedFull, rs.RejectedDraining, es.Commits, es.Compensations)
+
+	// A failed log is fail-stop: what the database holds beyond the durable
+	// prefix was never acknowledged, so there is nothing to audit.
+	failed := false
+	for p, l := range st.Logs() {
+		if l.Crashed() {
+			fmt.Fprintf(os.Stderr, "accd: partition %d: write-ahead log failed: %v\n", p, l.Err())
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
+	}
 
 	if *check {
 		if errs := st.Check(holes.Holes()); len(errs) > 0 {

@@ -2,12 +2,19 @@
 // fault injection, restart over the surviving log segments, and watch
 // recovery compensate the half-done transaction (DESIGN.md §10).
 //
-// The demo builds the quickstart bank over a disk-backed WAL, arms the
-// core.commit.force.crash fault point (the process dies at the commit force,
-// so the transfer's durable prefix ends after its debit step), then reopens
-// the log in a "new process": analysis finds the pending transaction, redo
-// replays its completed step, and a compensating step — run under
-// re-acquired exposure and reservation locks — returns the debited money.
+// The demo builds the quickstart bank over a disk-backed WAL and arms the
+// core.commit.force.crash fault point: the process dies at the commit record.
+// Step boundaries are appended, not forced — only the reply waits for the
+// disk — so whether the debit step survives depends on whether some other
+// session's group commit carried its end-of-step record to disk first; the
+// demo plays that session by hand. The commit record is also the final
+// step's end-of-step record, so the log that survives says "debit completed,
+// credit in flight", never "both steps completed, not committed". The doomed
+// transfer is answered with ErrLogFailed, not OK. Then the log is reopened in
+// a "new process": analysis finds the pending transaction, redo replays its
+// completed step, the in-flight credit is discarded, and a compensating step
+// — run under re-acquired exposure and reservation locks — returns the
+// debited money.
 package main
 
 import (
@@ -24,7 +31,12 @@ import (
 	"accdb/internal/wal"
 )
 
-type transferArgs struct{ From, To, Amount int64 }
+type transferArgs struct {
+	From, To, Amount int64
+	// beforeCredit, when set, runs at the start of the credit step: after the
+	// debit step appended its end-of-step record and gave up its locks.
+	beforeCredit func()
+}
 
 // bank is one "process": base state freshly loaded (the archive copy), the
 // log reopened from dir (the surviving disk).
@@ -95,6 +107,9 @@ func build(dir string) (*bank, error) {
 			{Name: "credit", Type: credit, Pre: []*core.Assertion{aInFlight},
 				Body: func(tc *core.Ctx) error {
 					a := tc.Args().(*transferArgs)
+					if a.beforeCredit != nil {
+						a.beforeCredit()
+					}
 					return add(tc, a.To, a.Amount)
 				}},
 		},
@@ -109,7 +124,7 @@ func build(dir string) (*bank, error) {
 			},
 		},
 		// Recovery rebuilds the compensation's input from the work area the
-		// end-of-step record forced to disk — so args must round-trip.
+		// end-of-step record carried to disk — so args must round-trip.
 		EncodeArgs: func(args any) []byte {
 			a := args.(*transferArgs)
 			return spi.MarshalRow(nil, spi.Row{
@@ -158,23 +173,28 @@ func main() {
 	}
 	b1.report("after committed transfer:")
 
-	// Arm the fault: the very next commit force "kills the process" — the
-	// debit step's end-of-step record is durable, the commit record is not.
+	// Arm the fault: the very next commit record "kills the process". The
+	// debit's end-of-step record was only appended; another session's group
+	// commit (played here by the Force in beforeCredit) makes it durable, the
+	// credit step and the commit record never are.
 	ctrl := fault.NewController(1)
 	ctrl.Arm("core.commit.force.crash", fault.Spec{Effect: fault.Crash, Nth: 1})
 	ctrl.Activate()
 	// The doomed process keeps running in memory — that is the simulation
 	// model: durability froze at the crash instant, so nothing it does from
 	// here on survives the "kill". Its in-memory state is the state that is
-	// about to be lost.
-	if err := b1.eng.Run("transfer", &transferArgs{From: 1, To: 2, Amount: 250}); err != nil {
-		log.Fatal(err)
-	}
+	// about to be lost — and its client is never told OK: the one durability
+	// wait before the reply ends on a dead log.
+	err = b1.eng.Run("transfer", &transferArgs{From: 1, To: 2, Amount: 250, beforeCredit: b1.log.Force})
 	fault.Deactivate()
 	if ctrl.FiredPoint() == "" {
 		log.Fatal("expected the injected crash to fire")
 	}
-	fmt.Printf("simulated crash at %q: durable log ends before the commit record\n", ctrl.FiredPoint())
+	if !errors.Is(err, core.ErrLogFailed) {
+		log.Fatalf("the doomed transfer was answered %v, want ErrLogFailed", err)
+	}
+	fmt.Printf("simulated crash at %q: durable log ends inside the credit step\n", ctrl.FiredPoint())
+	fmt.Printf("the doomed transfer's client was told: %v\n", err)
 	b1.report("doomed process saw:")
 	b1.log.Close()
 

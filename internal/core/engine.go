@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -116,12 +117,19 @@ type Options struct {
 
 // Stats aggregates engine counters.
 type Stats struct {
+	// Commits counts commit records: committed transactions that wrote. With
+	// ReadOnly it is the number of committed locked-tier transactions (the
+	// /metrics series accdb_txn_commits_total reports that sum).
 	Commits       uint64
 	UserAborts    uint64
 	Compensations uint64
 	CompFailures  uint64
 	StepRetries   uint64
 	TxnRetries    uint64
+	// ReadOnly counts locked-tier transactions that committed without writing:
+	// they left no record in the log, so they are not among Commits — which
+	// is what recovery will find there.
+	ReadOnly uint64
 }
 
 // Engine schedules transactions over a DB under the configured mode.
@@ -146,6 +154,7 @@ type Engine struct {
 	compFailures  atomic.Uint64
 	stepRetries   atomic.Uint64
 	txnRetries    atomic.Uint64
+	readOnly      atomic.Uint64
 
 	closed atomic.Bool
 
@@ -157,6 +166,9 @@ type Engine struct {
 	// reader loading the clock therefore always sees a complete prefix.
 	csnClock atomic.Uint64
 	pubMu    sync.Mutex
+	// pubLSN is the log position of the newest record whose writes were
+	// published: what a versioned reader's reply waits for (readtier.go).
+	pubLSN   atomic.Uint64
 	snapMu   sync.Mutex
 	snaps    map[uint64]spi.CSN
 	nextSnap uint64 // under snapMu
@@ -276,6 +288,19 @@ func (e *Engine) Close() error {
 // Closed reports whether Close was called.
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
+// logFailed builds the error for a transaction whose durability wait ended
+// on a failed or frozen log, naming the engine and the log's own error.
+func (e *Engine) logFailed() error {
+	cause := e.log.Err()
+	if cause == nil {
+		cause = errors.New("log frozen")
+	}
+	if e.opt.Label != "" {
+		return fmt.Errorf("%w: %s: %v", ErrLogFailed, e.opt.Label, cause)
+	}
+	return fmt.Errorf("%w: %v", ErrLogFailed, cause)
+}
+
 // DB returns the underlying database.
 func (e *Engine) DB() *DB { return e.db }
 
@@ -342,6 +367,7 @@ func (e *Engine) Snapshot() Stats {
 		CompFailures:  e.compFailures.Load(),
 		StepRetries:   e.stepRetries.Load(),
 		TxnRetries:    e.txnRetries.Load(),
+		ReadOnly:      e.readOnly.Load(),
 	}
 }
 

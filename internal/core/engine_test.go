@@ -496,7 +496,10 @@ func TestCrashRecoveryCommitsAndCompensates(t *testing.T) {
 		})
 	}()
 	<-crashed
-	logImage := s.eng.Log().DurableBytes() // crash: unforced tail lost
+	// The debit's end-of-step record is appended, not forced: the crash comes
+	// after some other session's group commit made it durable.
+	s.eng.Log().Force()
+	logImage := s.eng.Log().DurableBytes()
 
 	// Recovery into a fresh system over the freshly loaded base state.
 	s2 := newTestSys(t, ModeACC)
@@ -535,6 +538,7 @@ func TestRecoveryRejectsUnknownType(t *testing.T) {
 		})
 	}()
 	<-crashed
+	s.eng.Log().Force()
 	img := s.eng.Log().DurableBytes()
 	// An engine without the type registered cannot recover it.
 	empty := New(NewDB(), interference.NewBuilder().Build())

@@ -47,6 +47,13 @@ var (
 	// taxonomy.
 	ErrLockTimeout = spi.ErrTimeout
 
+	// ErrLogFailed reports that the write-ahead log failed (a write or fsync
+	// error) or froze before the transaction's outcome was durable: whatever
+	// it did is not acknowledged and will not survive a restart. The engine
+	// is fail-stop from then on — every later transaction gets this error —
+	// and the condition is never retryable.
+	ErrLogFailed = errors.New("acc: write-ahead log failed")
+
 	// ErrReadOnly reports a write operation attempted inside a read-only
 	// (versioned-tier) transaction: the lock-free read path has no locks, no
 	// undo images, and no compensation, so writes are refused outright.

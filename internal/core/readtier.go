@@ -13,6 +13,14 @@ package core
 // acquires zero locks, writes zero log records, and never appears in the
 // waits-for graph; a background reaper garbage-collects chain versions behind
 // the oldest live snapshot.
+//
+// Versions are published when their record is appended, before it is durable,
+// and a versioned reader takes no locks, so it cannot see the retired grants
+// locked readers take their durability dependency from. It follows the
+// conservative rule instead: publishWrites keeps the log position of the
+// newest published record, and the reader's reply waits for the log to be
+// durable through the mark as of the CSN it read at — on a memory-only log,
+// one load.
 
 import (
 	"context"
@@ -23,6 +31,7 @@ import (
 	"accdb/internal/metrics"
 	"accdb/internal/spi"
 	"accdb/internal/trace"
+	"accdb/internal/wal"
 )
 
 // ReadTier selects the consistency level of a read-only transaction. The
@@ -101,13 +110,19 @@ func (e *Engine) CSN() uint64 { return e.csnClock.Load() }
 // chains under a freshly assigned CSN and only then advances the clock, so a
 // reader that loads the clock always sees a fully installed prefix. Within
 // the unit, the last write to a key wins and the first write's before-image
-// seeds the chain if garbage collection dropped it. Returns the assigned CSN
-// (0 when there was nothing to publish).
-func (e *Engine) publishWrites(writes []writeRec) spi.CSN {
+// seeds the chain if garbage collection dropped it. lsn is the end of the
+// unit's log record, appended but not yet durable: it raises the published
+// high-water mark first, so a versioned reader that loads the mark after it
+// resolved a row never misses the record that row depends on. Returns the
+// assigned CSN (0 when there was nothing to publish).
+func (e *Engine) publishWrites(writes []writeRec, lsn wal.LSN) spi.CSN {
 	if len(writes) == 0 {
 		return 0
 	}
 	e.pubMu.Lock()
+	if uint64(lsn) > e.pubLSN.Load() {
+		e.pubLSN.Store(uint64(lsn))
+	}
 	csn := spi.CSN(e.csnClock.Load() + 1)
 	for i := range writes {
 		w := &writes[i]
@@ -144,6 +159,7 @@ type Snapshot struct {
 	e      *Engine
 	id     uint64
 	csn    spi.CSN
+	lsn    wal.LSN // published high-water mark when csn was captured
 	opened time.Time
 }
 
@@ -151,8 +167,8 @@ type Snapshot struct {
 // handle runs read-only transactions against that fixed point; Exec at
 // TierSnapshot does the same for a single call.
 func (e *Engine) OpenSnapshot() *Snapshot {
-	id, csn := e.openSnapshot()
-	return &Snapshot{e: e, id: id, csn: csn, opened: time.Now()}
+	id, csn, lsn := e.openSnapshot()
+	return &Snapshot{e: e, id: id, csn: csn, lsn: lsn, opened: time.Now()}
 }
 
 // CSN returns the snapshot's fixed commit sequence number.
@@ -166,7 +182,7 @@ func (s *Snapshot) Run(ctx context.Context, name string, args any) error {
 	if tt == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownTxnType, name)
 	}
-	return s.e.runReadBody(ctx, tt, args, TierSnapshot, s.csn, nil)
+	return s.e.runReadBody(ctx, tt, args, TierSnapshot, s.csn, s.lsn, nil)
 }
 
 // Close deregisters the snapshot, releasing its versions to the reaper.
@@ -183,12 +199,14 @@ func (s *Snapshot) Close() {
 // the same mutex the reaper computes its floor under — so a snapshot is
 // either visible to a concurrent floor computation or opens at a CSN no
 // older than the floor that computation used; either way the versions it
-// needs survive.
-func (e *Engine) openSnapshot() (uint64, spi.CSN) {
+// needs survive. The published log mark is loaded after the CSN, so it covers
+// every record the snapshot can see.
+func (e *Engine) openSnapshot() (uint64, spi.CSN, wal.LSN) {
 	e.snapMu.Lock()
 	e.nextSnap++
 	id := e.nextSnap
 	csn := spi.CSN(e.csnClock.Load())
+	lsn := wal.LSN(e.pubLSN.Load())
 	e.snaps[id] = csn
 	e.snapMu.Unlock()
 	e.snapshotsOpened.Add(1)
@@ -197,7 +215,7 @@ func (e *Engine) openSnapshot() (uint64, spi.CSN) {
 		ev.Dur = int64(csn)
 		e.tracer.Emit(ev)
 	}
-	return id, csn
+	return id, csn, lsn
 }
 
 func (e *Engine) closeSnapshot(id uint64, csn spi.CSN, held time.Duration) {
@@ -357,21 +375,24 @@ func (e *Engine) ReadTierSummaries() map[string]metrics.Summary {
 // TierSnapshot so the reaper preserves its versions until the body finishes.
 func (e *Engine) runReadTiered(ctx context.Context, tt *TxnType, args any, tier ReadTier, sp *trace.Span) error {
 	var asOf spi.CSN
+	var need wal.LSN
 	if tier == TierSnapshot {
-		id, csn := e.openSnapshot()
+		id, csn, lsn := e.openSnapshot()
 		start := time.Now()
 		defer func() { e.closeSnapshot(id, csn, time.Since(start)) }()
-		asOf = csn
+		asOf, need = csn, lsn
 	}
-	return e.runReadBody(ctx, tt, args, tier, asOf, sp)
+	return e.runReadBody(ctx, tt, args, tier, asOf, need, sp)
 }
 
 // runReadBody executes the type's step bodies sequentially against the
 // versioned read path: no lock manager, no WAL, no exposure marks — the
 // paper's reader-free waits-for graph made literal. Step preconditions are
 // not re-evaluated: a published CSN prefix is by construction a state every
-// discharged assertion held over (CONSISTENCY.md).
-func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier ReadTier, asOf spi.CSN, sp *trace.Span) error {
+// discharged assertion held over (CONSISTENCY.md). need is the published log
+// mark of a snapshot's CSN; the per-statement tiers read the latest versions
+// and take the mark after their last statement. The reply waits for it.
+func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier ReadTier, asOf spi.CSN, need wal.LSN, sp *trace.Span) error {
 	txn := &txnState{
 		tt:    tt,
 		args:  args,
@@ -400,6 +421,13 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 			txn.spanEvent(trace.KindTxnAbort, tier.String(), tt.Name, int64(time.Since(start)))
 			return fmt.Errorf("core: %s (%s read) failed: %w", tt.Name, tier, err)
 		}
+	}
+	if tier != TierSnapshot {
+		need = wal.LSN(e.pubLSN.Load())
+	}
+	if err := e.awaitDurable(need, sp); err != nil {
+		e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)
+		return err
 	}
 	e.readRec.Record(tier.String(), time.Since(start), metrics.Committed)
 	txn.spanEvent(trace.KindTxnCommit, tier.String(), tt.Name, int64(time.Since(start)))

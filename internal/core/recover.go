@@ -13,8 +13,9 @@ import (
 // completed step (their results may already have been observed by committed
 // transactions, so they cannot be undone) and discards in-flight steps.
 // Transactions left with a completed prefix and no commit are then
-// compensated using the work area saved in their last forced end-of-step
-// record.
+// compensated using the work area saved in their last end-of-step record.
+// The commit record is the final step's end-of-step record, so that prefix
+// never includes the final step: a log cut inside it leaves it in flight.
 //
 // Restart recovery runs in three passes over the durable log image:
 //
@@ -118,9 +119,10 @@ func (e *Engine) Recover(logData []byte) (*RecoverResult, error) {
 		// — a second crash after this point re-analyzes the transaction as
 		// compensated instead of compensating it twice.
 		txn := &txnState{
-			tt:   tt,
-			args: args,
-			info: spi.NewTxn(spi.TxnID(pending.ID), tt.ID),
+			tt:     tt,
+			args:   args,
+			info:   spi.NewTxn(spi.TxnID(pending.ID), tt.ID),
+			logged: true,
 		}
 		txn.info.SetCompletedSteps(pending.CompletedSteps)
 		// Re-acquire the D- and C-locks the crash dissolved: the completed

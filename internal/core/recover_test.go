@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"accdb/internal/fault"
@@ -21,9 +22,10 @@ func diskSys(t *testing.T, dir string) *testSys {
 func TestDiskRecoveryAfterCommitForceCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := diskSys(t, dir)
-	// Two clean commits, then a transfer that crashes at its commit force:
-	// both steps completed and durable, the commit record lost — recovery
-	// must compensate it.
+	// Two clean commits, then a transfer that crashes at its commit record:
+	// the debit's end-of-step record is durable (another session's sync
+	// covered it), the credit step and the commit record are lost — recovery
+	// must compensate the debit, and the doomed run must not be acknowledged.
 	for i := int64(1); i <= 2; i++ {
 		if err := s.eng.Run("transfer", &transferArgs{From: i, To: i + 1, Amount: 10}); err != nil {
 			t.Fatal(err)
@@ -32,11 +34,11 @@ func TestDiskRecoveryAfterCommitForceCrash(t *testing.T) {
 	c := fault.NewController(5)
 	c.Arm("core.commit.force.crash", fault.Spec{Effect: fault.Crash, Nth: 1})
 	c.Activate()
-	err := s.eng.Run("transfer", &transferArgs{From: 5, To: 6, Amount: 30})
+	err := s.eng.Run("transfer", &transferArgs{From: 5, To: 6, Amount: 30,
+		BeforeCredit: func() { s.eng.Log().Force() }})
 	fault.Deactivate()
-	if err != nil {
-		// The doomed run may or may not error; the log freeze is the crash.
-		t.Logf("crashed run returned %v", err)
+	if !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("crashed run returned %v, want ErrLogFailed", err)
 	}
 	if !s.eng.Log().Crashed() {
 		t.Fatal("commit-force fault did not freeze the log")
@@ -81,17 +83,20 @@ func TestDiskRecoveryAfterCommitForceCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second crash, this time mid-transaction at the end-of-step force, with
+	// Second crash, this time mid-transaction, right after the debit step gave
+	// up its locks with its end-of-step record still in the buffer, and with
 	// the pre-crash history still in the log: recovery must replay the whole
 	// prefix and compensate only what is pending.
 	c2 := fault.NewController(6)
-	c2.Arm("core.eos.force.crash", fault.Spec{Effect: fault.Crash, Nth: 1})
+	c2.Arm("core.retire.crash", fault.Spec{Effect: fault.Crash, Nth: 1})
 	c2.Activate()
 	err = s2.eng.Run("transfer", &transferArgs{From: 2, To: 3, Amount: 5})
 	fault.Deactivate()
-	t.Logf("second crashed run returned %v", err)
+	if !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("second crashed run returned %v, want ErrLogFailed", err)
+	}
 	if !s2.eng.Log().Crashed() {
-		t.Fatal("eos-force fault did not freeze the log")
+		t.Fatal("retire fault did not freeze the log")
 	}
 	s2.eng.Log().Close()
 
@@ -103,7 +108,7 @@ func TestDiskRecoveryAfterCommitForceCrash(t *testing.T) {
 	if res3.Committed != 3 {
 		t.Fatalf("after second crash recovered %d commits, want 3", res3.Committed)
 	}
-	// The eos-crash transfer never durably completed its debit step, so
+	// The second crashed transfer never durably completed its debit step, so
 	// nothing is pending beyond the first crash's (already compensated) txn.
 	if len(res3.CompensatedTxns) != 0 {
 		t.Fatalf("CompensatedTxns after second crash = %+v", res3.CompensatedTxns)
@@ -125,6 +130,7 @@ func TestRecoveryReattachesExposureAndReservation(t *testing.T) {
 		})
 	}()
 	<-crashed
+	s.eng.Log().Force()
 	img := s.eng.Log().DurableBytes()
 
 	// Recover into a fresh system whose compensation body inspects the lock

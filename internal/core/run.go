@@ -15,12 +15,20 @@ import (
 )
 
 func init() {
-	fault.Declare("core.eos.force.crash", fault.Crash,
-		"process dies at an end-of-step force: the step's writes and work area never became durable")
 	fault.Declare("core.commit.force.crash", fault.Crash,
-		"process dies at the commit force: every step completed but the commit record is lost")
+		"process dies at the commit record: the final step ran but neither it nor the commit is in the log")
 	fault.Declare("core.comp.force.crash", fault.Crash,
-		"process dies at the compensation-done force: recovery must compensate again")
+		"process dies at the compensation-done record: recovery must compensate again")
+	fault.Declare("core.retire.crash", fault.Crash,
+		"process dies after a step boundary gave up its locks and published its writes, before the record was durable")
+}
+
+// crashPoint consults an engine fault point; a fired Crash freezes the log,
+// so everything appended from here on is lost to recovery.
+func (e *Engine) crashPoint(name string) {
+	if fault.Point(name).Effect == fault.Crash {
+		e.log.Crash()
+	}
 }
 
 // emitTxn sends one engine-layer event. Callers nil-check e.tracer first so
@@ -90,6 +98,15 @@ type Request struct {
 // on commit, a *CompensatedError or ErrUserAbort-wrapping error on rollback,
 // and other errors on failure.
 //
+// Durability is a property of the reply, not of the step (DESIGN.md §10):
+// end-of-step, commit and compensation-done records are appended, the step's
+// writes published and its locks given up at the append, and Exec waits
+// once, just before it returns a commit or a compensated rollback, for the
+// log to be durable through the last record that outcome depends on — its
+// own, or that of a not-yet-durable writer it read from. If the log failed
+// before that, Exec returns ErrLogFailed and the engine refuses further
+// transactions. A transaction that wrote nothing logs nothing.
+//
 // Cancellation and deadlines propagate into lock waits: a cancelled ctx
 // aborts an in-progress wait, and the transaction rolls back — by
 // compensation (§3.4) if any step had completed, by in-place undo otherwise.
@@ -110,6 +127,10 @@ func (e *Engine) Exec(ctx context.Context, req Request) error {
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if req.Tier == TierLocked && e.log.Crashed() {
+		// Fail-stop: nothing written from here on could ever be acknowledged.
+		return e.logFailed()
 	}
 	sp := req.Span
 	owned := sp == nil && e.anatomy != nil
@@ -184,12 +205,25 @@ func (e *Engine) runDecomposed(ctx context.Context, tt *TxnType, args any, sp *t
 }
 
 func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
+	txn := e.beginTxn(ctx, tt, args, tt.ID, sp)
+	start := time.Now()
+	for j := range txn.steps {
+		if err := e.runStep(txn, j); err != nil {
+			return e.rollback(txn, j, err)
+		}
+	}
+	return e.commit(txn, txn.pending, start)
+}
+
+// beginTxn builds the per-attempt transaction record, announces it to the
+// trace and the span, and prepares — but does not append — its begin record.
+func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, typ interference.TxnTypeID, sp *trace.Span) *txnState {
 	txn := &txnState{
 		tt:    tt,
 		args:  args,
 		ctx:   ctx,
 		steps: tt.stepsFor(args),
-		info:  spi.NewTxn(spi.TxnID(e.nextTxn.Add(1)), tt.ID),
+		info:  spi.NewTxn(spi.TxnID(e.nextTxn.Add(1)), typ),
 		span:  sp,
 	}
 	// The lock manager charges this transaction's blocked time to the span's
@@ -197,70 +231,169 @@ func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, s
 	// waits keep accumulating, which is the end-to-end truth.
 	txn.info.Span = sp
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
-	start := time.Now()
 	if e.tracer != nil {
 		e.emitTxn(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
 	}
 	txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
-	rec := wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
+	txn.begin = wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
 	if tag, ok := shotTagFrom(ctx); ok && tag.Global != 0 {
 		// A shot of a multi-shot global transaction: stamp the begin record
 		// so partition recovery can resolve this shot's fate, and report the
 		// local id for cross-partition deadlock detection. A retried attempt
 		// re-stamps with its fresh id; the latest attempt is the live one.
-		rec.Global, rec.Shot = tag.Global, tag.Shot
+		txn.begin.Global, txn.begin.Shot = tag.Global, tag.Shot
 		if tag.OnTxn != nil {
 			tag.OnTxn(txn.info.ID)
 		}
 	}
-	e.log.AppendSpan(rec, sp)
+	return txn
+}
 
-	for j := range txn.steps {
-		if err := e.runStep(txn, j); err != nil {
-			return e.rollback(txn, j, err)
-		}
+// append writes rec to the log on txn's behalf, charging the append to the
+// span's wal_append stage, and remembers where the record ends: the log must
+// be durable through there before the transaction's outcome is acknowledged.
+func (e *Engine) append(txn *txnState, rec wal.Record) {
+	if txn.span == nil {
+		txn.lastLSN = e.log.Append(rec)
+		return
 	}
-	// Commit: one forced record; conventional locks of the final step are
-	// held through the force so nothing uncommitted is ever exposed.
-	e.logForce(txn, wal.Record{Type: wal.TCommit, Txn: uint64(txn.info.ID)})
-	e.publishWrites(txn.pending)
-	e.lm.ReleaseAll(txn.info)
-	e.commits.Add(1)
-	if e.tracer != nil {
-		e.emitTxn(trace.KindTxnCommit, txn, -1, tt.Name, int64(time.Since(start)), "")
+	start := time.Now()
+	txn.lastLSN = e.log.Append(rec)
+	txn.span.Add(trace.StageWALAppend, int64(time.Since(start)))
+}
+
+// openUnit notes the record that opens the step or compensation about to
+// run. A transaction already in the log appends it at once; otherwise it is
+// held back until the unit's first write (ensureLogged).
+func (e *Engine) openUnit(txn *txnState, rec wal.Record) {
+	txn.unit = rec
+	if txn.logged {
+		e.append(txn, rec)
 	}
-	txn.spanEvent(trace.KindTxnCommit, "", tt.Name, int64(time.Since(start)))
-	e.recordCommit(txn)
+}
+
+// ensureLogged puts the transaction into the log — its begin record and the
+// record opening the current unit — before its first write record. A
+// transaction that never writes never gets here, and appends nothing.
+func (e *Engine) ensureLogged(txn *txnState) {
+	if txn.logged {
+		return
+	}
+	txn.logged = true
+	e.append(txn, txn.begin)
+	e.append(txn, txn.unit)
+}
+
+// appendBoundary writes the record that closes a unit — end-of-step, commit,
+// compensation-done — charging its preparation (building the record, saving
+// the work area, updating the log tail) as one unit of server CPU: the ACC
+// overhead §5 measures ("these actions represent overhead and are included
+// in the measured results"). The paper also forces the record here; this
+// engine does not (settle). withArea saves the work area in the record.
+func (e *Engine) appendBoundary(txn *txnState, rec wal.Record, withArea bool) {
+	if !txn.logged {
+		return // nothing written, nothing to close
+	}
+	switch rec.Type {
+	case wal.TCommit:
+		e.crashPoint("core.commit.force.crash")
+	case wal.TCompDone:
+		e.crashPoint("core.comp.force.crash")
+	}
+	e.env.Statement(func() {})
+	tt := txn.tt
+	switch {
+	case !withArea:
+	case tt.AppendArgs != nil:
+		// Append form: the work area is serialized into a pooled scratch.
+		// Append copies it into the log synchronously, so the buffer is free
+		// again as soon as the record is in.
+		buf := areaPool.Get().(*[]byte)
+		defer areaPool.Put(buf)
+		*buf = tt.AppendArgs((*buf)[:0], txn.args)
+		rec.WorkArea = *buf
+	case tt.EncodeArgs != nil:
+		rec.WorkArea = tt.EncodeArgs(txn.args)
+	}
+	e.append(txn, rec)
+}
+
+// retire gives up the transaction's conventional locks at a unit boundary:
+// the boundary's record is appended, not yet durable, so write locks stay
+// behind as retired grants a later reader takes its durability dependency
+// from (spi.LockService.Retire).
+func (e *Engine) retire(txn *txnState, final bool) {
+	durable := e.log.Durable()
+	e.lm.Retire(txn.info, uint64(txn.lastLSN), uint64(durable), final)
+	if txn.lastLSN > durable {
+		e.crashPoint("core.retire.crash")
+	}
+}
+
+// settle is the transaction's one durability wait, taken after its locks
+// were given up and just before its outcome is acknowledged: the log must be
+// durable through its own last record and through the record of every
+// retired grant it was granted over. Its retired grants are dropped when the
+// wait returns.
+func (e *Engine) settle(txn *txnState) error {
+	need := txn.lastLSN
+	if dep := wal.LSN(txn.info.DepLSN()); dep > need {
+		need = dep
+	}
+	err := e.awaitDurable(need, txn.span)
+	if txn.logged {
+		e.lm.ReleaseAll(txn.info) // an unlogged transaction retired nothing
+	}
+	return err
+}
+
+// awaitDurable returns once the log is durable through need, charging the
+// wait — group-commit window, follower ride-along, the sync itself — to the
+// span's group_commit stage. The common read-only case is one atomic load.
+// A log that failed or froze first yields ErrLogFailed.
+func (e *Engine) awaitDurable(need wal.LSN, sp *trace.Span) error {
+	if need <= e.log.Durable() {
+		return nil
+	}
+	if sp == nil {
+		e.log.ForceTo(need)
+	} else {
+		start := time.Now()
+		e.log.ForceTo(need)
+		d := int64(time.Since(start))
+		sp.Add(trace.StageGroupCommit, d)
+		sp.Event(trace.KindWALForce, "", "", d)
+	}
+	if need > e.log.Durable() {
+		return e.logFailed()
+	}
 	return nil
 }
 
-// logForce writes a forced log record, charging its preparation (building
-// the record, saving the work area, updating the log tail) as one unit of
-// server CPU — the ACC overhead §5 measures: "these actions represent
-// overhead and are included in the measured results". The force I/O itself
-// is latency, paid outside any server. The append and force are charged to
-// the transaction's span (wal_append and group_commit stages).
-func (e *Engine) logForce(txn *txnState, rec wal.Record) {
-	if fault.Enabled() {
-		// Crash at the most revealing instants: the record is built but its
-		// force never completes, so durability ends just before it.
-		var point string
-		switch rec.Type {
-		case wal.TEndOfStep:
-			point = "core.eos.force.crash"
-		case wal.TCommit:
-			point = "core.commit.force.crash"
-		case wal.TCompDone:
-			point = "core.comp.force.crash"
-		}
-		if point != "" {
-			if o := fault.Point(point); o.Effect == fault.Crash {
-				e.log.Crash()
-			}
-		}
+// commit is the one commit tail the ACC, two-level and baseline schedulers
+// share: the commit record (which is also the final step's end-of-step
+// record) is appended, the final writes are published, every lock is given
+// up, and only then does the request wait for the disk.
+func (e *Engine) commit(txn *txnState, writes []writeRec, start time.Time) error {
+	// A committed remote shot can still be compensated by its coordinator,
+	// from the work area its commit record saved.
+	e.appendBoundary(txn, wal.Record{Type: wal.TCommit, Txn: uint64(txn.info.ID)}, txn.begin.Shot > 0)
+	e.publishWrites(writes, txn.lastLSN)
+	e.retire(txn, true)
+	if err := e.settle(txn); err != nil {
+		return err
 	}
-	e.env.Statement(func() {})
-	e.log.AppendForceSpan(rec, txn.span)
+	if txn.logged {
+		e.commits.Add(1)
+	} else {
+		e.readOnly.Add(1)
+	}
+	if e.tracer != nil {
+		e.emitTxn(trace.KindTxnCommit, txn, -1, txn.tt.Name, int64(time.Since(start)), "")
+	}
+	txn.spanEvent(trace.KindTxnCommit, "", txn.tt.Name, int64(time.Since(start)))
+	e.recordCommit(txn)
+	return nil
 }
 
 // retryBackoff sleeps before a transaction restart: exponential in the
@@ -290,7 +423,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		if err := txn.ctx.Err(); err != nil {
 			return err
 		}
-		e.log.AppendSpan(wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)}, txn.span)
+		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)})
 		if e.tracer != nil {
 			e.emitTxn(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
 		}
@@ -361,63 +494,34 @@ func (e *Engine) stepPrologue(tc *Ctx, j int) error {
 }
 
 // finishStep performs the end-of-step processing: exposure and reservation
-// marks on written items, the forced end-of-step record with the saved work
-// area, breakpoint advance, and release of the step's conventional locks
-// and of the completed precondition's assertional locks. The final step
-// skips exposure and keeps its locks until commit forces the log.
+// marks on written items, the end-of-step record with the saved work area,
+// publication of the step's writes, breakpoint advance, and release of the
+// step's conventional locks and of the completed precondition's assertional
+// locks — all at the append; nothing here waits for the disk. The final step
+// has no end-of-step record of its own: it skips exposure and keeps its
+// writes and locks for commit, whose record closes it.
 func (e *Engine) finishStep(txn *txnState, tc *Ctx, j int) {
-	tt := txn.tt
-	last := j == len(txn.steps)-1
-	if !last {
-		compType := interference.NoStep
-		if tt.Comp != nil {
-			compType = tt.Comp.Type
-		}
-		for item := range tc.wroteItems {
-			e.lm.AttachExposure(txn.info, item)
-			e.lm.AttachReservation(txn.info, item, compType)
-		}
-	}
-	var area []byte
-	var areaBuf *[]byte
-	switch {
-	case tt.AppendArgs != nil:
-		// Append form: the work area is serialized into a pooled scratch.
-		// Append below copies it into the log synchronously, so the buffer
-		// is free again as soon as the record is in.
-		areaBuf = areaPool.Get().(*[]byte)
-		*areaBuf = tt.AppendArgs((*areaBuf)[:0], txn.args)
-		area = *areaBuf
-	case tt.EncodeArgs != nil:
-		area = tt.EncodeArgs(txn.args)
-	}
-	rec := wal.Record{
-		Type: wal.TEndOfStep, Txn: uint64(txn.info.ID),
-		Step: int32(j), WorkArea: area,
-	}
-	if last {
-		// The commit record that follows immediately is forced; piggyback
-		// its processing too. The step's writes become visible to versioned
-		// readers only once that commit force succeeds.
-		e.log.AppendSpan(rec, txn.span)
-		if areaBuf != nil {
-			areaPool.Put(areaBuf)
-		}
-		txn.pending = append(txn.pending, tc.writes...)
+	if j == len(txn.steps)-1 {
+		txn.pending = tc.writes
 		txn.info.AdvanceStep()
 		return
 	}
-	e.logForce(txn, rec)
-	// The end-of-step force is this step's exposure point (§2): publish its
-	// writes to the version chains under one CSN before the conventional
-	// locks release, so versioned readers see the same interstep states
-	// locked readers are about to.
-	e.publishWrites(tc.writes)
-	if areaBuf != nil {
-		areaPool.Put(areaBuf)
+	compType := interference.NoStep
+	if txn.tt.Comp != nil {
+		compType = txn.tt.Comp.Type
 	}
+	for item := range tc.wroteItems {
+		e.lm.AttachExposure(txn.info, item)
+		e.lm.AttachReservation(txn.info, item, compType)
+	}
+	e.appendBoundary(txn, wal.Record{Type: wal.TEndOfStep, Txn: uint64(txn.info.ID), Step: int32(j)}, true)
+	// The end-of-step append is this step's exposure point (§2): publish its
+	// writes to the version chains under one CSN before the conventional
+	// locks go, so versioned readers see the same interstep states locked
+	// readers are about to.
+	e.publishWrites(tc.writes, txn.lastLSN)
 	txn.info.AdvanceStep()
-	e.lm.ReleaseConventional(txn.info)
+	e.retire(txn, false)
 	e.releaseAssertions(txn, txn.steps[j].Pre)
 }
 
@@ -455,7 +559,11 @@ func (e *Engine) releaseAssertions(txn *txnState, pre []*Assertion) {
 func (e *Engine) rollback(txn *txnState, j int, cause error) error {
 	completed := txn.info.CompletedSteps()
 	if completed == 0 {
-		e.log.AppendSpan(wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)}, txn.span)
+		// Nothing was exposed and nothing retired: an abort promises nothing,
+		// so it waits for nothing.
+		if txn.logged {
+			e.append(txn, wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)})
+		}
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(cause) {
 			if e.tracer != nil {
@@ -497,7 +605,7 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 		return fmt.Errorf("core: %s has completed steps but no compensation", tt.Name)
 	}
 	for attempt := 0; ; attempt++ {
-		e.log.AppendSpan(wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)}, txn.span)
+		e.openUnit(txn, wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)})
 		if e.tracer != nil {
 			// Step carries the number of completed forward steps being undone.
 			e.emitTxn(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
@@ -512,9 +620,13 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 		}
 		err := tt.Comp.Body(tc, completed)
 		if err == nil {
-			e.logForce(txn, wal.Record{Type: wal.TCompDone, Txn: uint64(txn.info.ID)})
-			e.publishWrites(tc.writes)
-			e.lm.ReleaseAll(txn.info)
+			e.appendBoundary(txn, wal.Record{Type: wal.TCompDone, Txn: uint64(txn.info.ID)}, false)
+			e.publishWrites(tc.writes, txn.lastLSN)
+			e.retire(txn, true)
+			// The rollback is acknowledged like a commit: only once durable.
+			if err := e.settle(txn); err != nil {
+				return err
+			}
 			e.compensations.Add(1)
 			if e.tracer != nil {
 				e.emitTxn(trace.KindCompDone, txn, completed, tt.Name,
@@ -538,6 +650,11 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 			time.Sleep(time.Duration(attempt+1)*200*time.Microsecond + jitter)
 			continue
 		}
+		// Earlier steps' retired grants outlive their records' wait even on
+		// this path; everything else the transaction holds goes after it. A
+		// log failure on top of this one is not reported here: the next Exec
+		// refuses with it.
+		_ = e.settle(txn)
 		e.lm.ReleaseAll(txn.info)
 		e.compFailures.Add(1)
 		return &CompensationFailedError{Txn: tt.Name, Cause: err}
@@ -545,30 +662,16 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 }
 
 // runBaseline executes tt as the unmodified system would: all step bodies
-// in one strict-2PL unit, everything released at commit, one forced commit
-// record, and whole-transaction restart on deadlock.
+// in one strict-2PL unit, everything released at commit, one commit record
+// waited for once, and whole-transaction restart on deadlock.
 func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		txn := &txnState{
-			tt:    tt,
-			args:  args,
-			ctx:   ctx,
-			steps: tt.stepsFor(args),
-			info:  spi.NewTxn(spi.TxnID(e.nextTxn.Add(1)), interference.LegacyTxn),
-			span:  sp,
-		}
-		txn.info.Span = sp
-		sp.SetTxn(uint64(txn.info.ID), tt.Name)
+		txn := e.beginTxn(ctx, tt, args, interference.LegacyTxn, sp)
 		start := time.Now()
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
-		}
-		txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
-		e.log.AppendSpan(wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}, sp)
-		e.log.AppendSpan(wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: 0}, sp)
+		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: 0})
 		tc := &Ctx{e: e, txn: txn, stepType: interference.LegacyStep}
 		var err error
 		for j := range txn.steps {
@@ -579,21 +682,13 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 			}
 		}
 		if err == nil {
-			e.log.AppendSpan(wal.Record{Type: wal.TEndOfStep, Txn: uint64(txn.info.ID), Step: 0}, sp)
-			e.logForce(txn, wal.Record{Type: wal.TCommit, Txn: uint64(txn.info.ID)})
-			e.publishWrites(tc.writes)
-			e.lm.ReleaseAll(txn.info)
-			e.commits.Add(1)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnCommit, txn, -1, tt.Name, int64(time.Since(start)), "")
-			}
-			txn.spanEvent(trace.KindTxnCommit, "", tt.Name, int64(time.Since(start)))
-			e.recordCommit(txn)
-			return nil
+			return e.commit(txn, tc.writes, start)
 		}
 		// Serializable rollback: restore before-images; nothing was exposed.
 		tc.undo()
-		e.log.AppendSpan(wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)}, sp)
+		if txn.logged {
+			e.append(txn, wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)})
+		}
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(err) {
 			if ctx.Err() == nil && attempt < e.opt.MaxTxnRetries {

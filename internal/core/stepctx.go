@@ -50,10 +50,19 @@ type txnState struct {
 	args  any
 	steps []Step
 	info  *spi.Txn
-	// pending holds the final step's writes between its end-of-step record
-	// and the commit force, whose success publishes them as one version
-	// batch (readtier.go).
+	// pending holds the final step's writes until the commit record — that
+	// step's end-of-step record — is appended and publishes them as one
+	// version batch (readtier.go).
 	pending []writeRec
+	// begin is the transaction's begin record and unit the record that opened
+	// the step or compensation in progress. Neither is appended until the
+	// first write (logged): a transaction that writes nothing logs nothing.
+	// Recovery-built states start logged — their begin record is in the log.
+	begin, unit wal.Record
+	logged      bool
+	// lastLSN is the end of the last record the transaction appended: what
+	// settle waits for before the outcome is acknowledged.
+	lastLSN wal.LSN
 	// ctx is the caller's context; forward-step lock waits abort when it
 	// is cancelled. Nil (recovery-built states) behaves as Background.
 	ctx context.Context
@@ -211,10 +220,11 @@ func (tc *Ctx) table(name string) (spi.Table, error) {
 // written items for exposure and reservation marking at step end.
 func (tc *Ctx) recordWrite(table string, keyVals []spi.Value, pk spi.Key, before, after spi.Row) {
 	tc.writes = append(tc.writes, writeRec{table: table, pk: pk, before: before, after: after})
-	tc.e.log.AppendSpan(wal.Record{
+	tc.e.ensureLogged(tc.txn)
+	tc.e.append(tc.txn, wal.Record{
 		Type: wal.TWrite, Txn: uint64(tc.txn.info.ID),
 		Table: table, PK: pk, Before: before, After: after,
-	}, tc.txn.span)
+	})
 	if tc.wroteItems == nil {
 		tc.wroteItems = make(map[spi.Item]bool)
 	}
@@ -302,12 +312,26 @@ func (tc *Ctx) GetMany(table string, keys [][]spi.Value) ([]spi.Row, error) {
 	return rows, nil
 }
 
-// ClaimMin atomically pops the index-least row matching eqVals: it probes
-// the index for the head, X-locks that row, re-verifies it, and deletes it —
-// the head-of-queue claim a delivery performs. The probe itself takes no row
-// locks (it reads the index the way an index page lookup would); losing a
-// race to another claimer simply re-probes. Returns (nil, nil) when no row
-// matches.
+// queueItem names the granule ClaimMin pops from: the key range eqVals
+// selects in the index. It is an item of its own, not the table's partition
+// granule, so claimers exclude each other there without touching the writers
+// that append to the queue.
+func queueItem(table, index string, eqVals []spi.Value) spi.Item {
+	return spi.PartitionItem(table+"."+index, spi.EncodeKey(eqVals...))
+}
+
+// ClaimMin atomically pops the index-least row matching eqVals: it X-locks
+// the queue (queueItem), probes the index for the head, X-locks that row,
+// re-verifies it, and deletes it — the head-of-queue claim a delivery
+// performs. The probe itself takes no row locks (it reads the index the way
+// an index page lookup would). Returns (nil, nil) when no row matches.
+//
+// A successful claim counts as a write of the queue item, so the claimer's
+// exposure mark stays there until it commits or is compensated: a claimer
+// that may not interleave with it cannot pop the next row meanwhile. Without
+// that, the deleted head is simply invisible to the next probe, a later
+// claimer overtakes and commits, and compensating the first one puts its row
+// back BEHIND a row that is gone for good — a hole in the queue.
 func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error) {
 	if tc.versioned() {
 		return nil, ErrReadOnly
@@ -317,6 +341,10 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 		return nil, err
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
+		return nil, err
+	}
+	queue := queueItem(table, index, eqVals)
+	if err := tc.acquire(queue, spi.ModeX); err != nil {
 		return nil, err
 	}
 	for {
@@ -347,10 +375,11 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 			old, derr = t.Delete(headPK)
 		})
 		if derr != nil {
-			continue // another claimer won the race; re-probe
+			continue // the head went between probe and grant; re-probe
 		}
 		keyVals := t.Schema().PKOf(old)
 		tc.recordWrite(table, keyVals, headPK, old, nil)
+		tc.wroteItems[queue] = true
 		return row, nil
 	}
 }

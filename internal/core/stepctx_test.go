@@ -265,6 +265,92 @@ func TestCtxClaimMin(t *testing.T) {
 	}
 }
 
+// TestClaimMinWaitsOutAnEarlierClaimer: a claimer that may not interleave with
+// an earlier, still uncommitted claimer of the same queue waits for it instead
+// of popping the next row — so a compensated claim goes back to the HEAD of
+// the queue, never behind a row a later claimer took for good.
+func TestClaimMinWaitsOutAnEarlierClaimer(t *testing.T) {
+	for _, firstCommits := range []bool{true, false} {
+		db := NewDB()
+		q := db.MustCreateTable(spi.MustSchema("queue", []spi.Column{
+			{Name: "lane", Kind: spi.KindInt},
+			{Name: "seq", Kind: spi.KindInt},
+		}, "lane", "seq"))
+		if err := q.AddIndex(spi.IndexDef{Name: "by_lane", Columns: []string{"lane"}}); err != nil {
+			t.Fatal(err)
+		}
+		for seq := int64(1); seq <= 3; seq++ {
+			if err := q.Insert(spi.Row{spi.I64(1), spi.I64(seq)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := interference.NewBuilder()
+		claimer := b.TxnType("claimer", 2)
+		claim, rest, undo := b.StepType("claim"), b.StepType("rest"), b.StepType("undo")
+		b.AllowInterleaveEverywhere(undo, claimer) // nothing else: claim may not interleave with a claimer
+		eng := New(db, b.Build(), WithWaitTimeout(5*time.Second))
+
+		type area struct{ got int64 }
+		claimed := make(chan int64, 2)
+		gate := make(chan error)
+		tt := func(second func() error) *TxnType {
+			return &TxnType{
+				Name: "claimer", ID: claimer,
+				Steps: []Step{
+					{Name: "claim", Type: claim, Body: func(tc *Ctx) error {
+						row, err := tc.ClaimMin("queue", "by_lane", []spi.Value{spi.I64(1)})
+						if err != nil {
+							return err
+						}
+						tc.Args().(*area).got = row[1].Int64()
+						claimed <- row[1].Int64()
+						return nil
+					}},
+					{Name: "rest", Type: rest, Body: func(*Ctx) error { return second() }},
+				},
+				Comp: &Compensation{Type: undo, Body: func(tc *Ctx, _ int) error {
+					return tc.Insert("queue", spi.Row{spi.I64(1), spi.I64(tc.Args().(*area).got)})
+				}},
+			}
+		}
+		firstDone := make(chan error, 1)
+		go func() {
+			firstDone <- eng.Exec(context.Background(), Request{Type: tt(func() error { return <-gate }), Args: &area{}})
+		}()
+		if got := <-claimed; got != 1 {
+			t.Fatalf("first claimer popped %d, want 1", got)
+		}
+		secondDone := make(chan error, 1)
+		go func() {
+			secondDone <- eng.Exec(context.Background(), Request{Type: tt(func() error { return nil }), Args: &area{}})
+		}()
+		select {
+		case got := <-claimed:
+			t.Fatalf("second claimer popped %d past an uncommitted claim", got)
+		case <-time.After(50 * time.Millisecond):
+		}
+		want := int64(2)
+		if firstCommits {
+			gate <- nil
+			if err := <-firstDone; err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			gate <- ErrUserAbort
+			if err := <-firstDone; !IsCompensated(err) {
+				t.Fatalf("first claimer: %v, want a compensated rollback", err)
+			}
+			want = 1 // the compensation put the head back
+		}
+		if got := <-claimed; got != want {
+			t.Fatalf("second claimer popped %d, want %d (first committed: %v)", got, want, firstCommits)
+		}
+		if err := <-secondDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCtxUpdateRejectsPKChange(t *testing.T) {
 	s := newOpSys(t)
 	err := s.run(t, func(tc *Ctx) error {

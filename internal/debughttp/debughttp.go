@@ -89,7 +89,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	eng := s.eng.Load()
 	if eng != nil {
 		es := eng.Snapshot()
-		counter("accdb_txn_commits_total", "Committed transactions.", es.Commits)
+		counter("accdb_txn_commits_total", "Committed transactions, read-only ones included.", es.Commits+es.ReadOnly)
 		counter("accdb_txn_user_aborts_total", "User-initiated aborts.", es.UserAborts)
 		counter("accdb_txn_compensations_total", "Compensated rollbacks.", es.Compensations)
 		counter("accdb_txn_comp_failures_total", "Failed compensations.", es.CompFailures)

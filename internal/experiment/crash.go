@@ -6,10 +6,11 @@ package experiment
 // would — restart (fresh base state + reopened logs), recover each partition
 // and the coordinator's decision records through Set.Recover, and verify the
 // TPC-C consistency battery (including the cross-partition stock condition)
-// over every partition store; then re-admit load on the recovered set and
-// verify again. DESIGN.md §10 and §16 document the protocols this harness
-// checks: recovery is only trusted because every durability transition has
-// been crashed through.
+// over every partition store, and that nothing the doomed run acknowledged
+// is missing from them; then re-admit load on the recovered set and verify
+// again. DESIGN.md §10 and §16 document the protocols this harness checks:
+// recovery is only trusted because every durability transition has been
+// crashed through.
 
 import (
 	"fmt"
@@ -89,6 +90,11 @@ type CrashResult struct {
 	// Violations is the consistency battery on the recovered, quiescent
 	// state, evaluated across every partition store.
 	Violations []error
+	// Acked counts the transactions the doomed run acknowledged OK, and
+	// LostAcks lists those whose effect the recovered state lacks.
+	// Acknowledged means durable: LostAcks must be empty whatever point fired.
+	Acked    int
+	LostAcks []string
 	// RerunCompleted and RerunViolations cover the post-recovery load: the
 	// recovered set must not merely hold a consistent state but keep
 	// producing them.
@@ -131,9 +137,10 @@ func buildCrashSystem(cfg CrashConfig) (*tpcc.Stack, *tpcc.Workload, error) {
 
 // drive runs the workload from cfg.Terminals goroutines until ops
 // transactions were started or stop is closed, and returns how many
-// committed. Concurrent terminals let group commit share the log syncs,
-// which is what bounds a case's wall time.
-func drive(w *tpcc.Workload, cfg CrashConfig, seed int64, ops int, stop <-chan struct{}) int {
+// committed; acks, when non-nil, remembers each of them. Concurrent terminals
+// let group commit share the log syncs, which is what bounds a case's wall
+// time.
+func drive(w *tpcc.Workload, cfg CrashConfig, seed int64, ops int, stop <-chan struct{}, acks *tpcc.AckLog) int {
 	var started, committed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Terminals; i++ {
@@ -150,8 +157,12 @@ func drive(w *tpcc.Workload, cfg CrashConfig, seed int64, ops int, stop <-chan s
 				if started.Add(1) > int64(ops) {
 					return
 				}
-				if out, _ := w.Next(r, term).Run(); out == metrics.Committed {
+				name, args := w.DrawArgs(r, term)
+				if out, _ := w.Run(name, args); out == metrics.Committed {
 					committed.Add(1)
+					if acks != nil {
+						acks.Observe(name, args)
+					}
 				}
 			}
 		}(i)
@@ -220,12 +231,13 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 		case <-watcherStop:
 		}
 	}()
-	drive(w, cfg, cfg.Seed, maxOps, ctrl.Crashed())
+	var acks tpcc.AckLog
+	acked := drive(w, cfg, cfg.Seed, maxOps, ctrl.Crashed(), &acks)
 	close(watcherStop)
 	<-watcherDone
 	fault.Deactivate()
 
-	res := &CrashResult{}
+	res := &CrashResult{Acked: acked}
 	for _, l := range st.Logs() {
 		if crashes && ctrl.FiredPoint() != "" {
 			// Deterministic backstop for the watcher's race window — and it
@@ -273,10 +285,11 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 		w.MergeHoles(tpcc.HolesFromRecovery(pr))
 	}
 	res.Violations = st.Check(w.Holes())
+	res.LostAcks = acks.Lost(st.DBs())
 
 	// Phase 3: the recovered set re-admits load against the same logs.
 	w.AdvanceHistoryID(1 << 20)
-	res.RerunCompleted = drive(w, cfg, cfg.Seed^0x5eedca5e, cfg.RerunOps, nil)
+	res.RerunCompleted = drive(w, cfg, cfg.Seed^0x5eedca5e, cfg.RerunOps, nil, nil)
 	for _, l := range st.Logs() {
 		l.Force()
 	}

@@ -10,14 +10,15 @@ import (
 
 // TestCrashMatrix is the recovery acceptance test: for EVERY registered fault
 // injection point, crash a TPC-C run there, recover through Set.Recover, and
-// require the consistency battery to hold on the recovered state — and to
+// require the consistency battery to hold on the recovered state, every
+// transaction the doomed run acknowledged to be in it — and the battery to
 // keep holding after the recovered set re-runs load. Generic (wal.*, core.*)
 // points crash the default one-partition deployment; the partition.coord.*
 // points — after the decision record, between shots, after the home commit,
 // mid-compensation — need the cross-partition path and crash four partitions
-// under a 25% remote-warehouse share, as does one generic point, because a
-// plain log-layer crash inside one partition must recover just as well when
-// the workload spans partitions.
+// under a 25% remote-warehouse share, and so does every generic point a
+// second time, because a plain log-layer crash inside one partition must
+// recover just as well when the workload spans partitions.
 func TestCrashMatrix(t *testing.T) {
 	points := fault.Points()
 	if len(points) < 15 {
@@ -28,14 +29,16 @@ func TestCrashMatrix(t *testing.T) {
 		partitions int // 0: RunCrash's default for the point (1, or 4 for partition.coord.*)
 	}
 	var cases []matrixCase
+	generic := 0
 	for _, p := range points {
 		cases = append(cases, matrixCase{p, 0})
-		if p.Name == "core.commit.force.crash" {
+		if !strings.HasPrefix(p.Name, "partition.coord.") {
 			cases = append(cases, matrixCase{p, 4})
+			generic++
 		}
 	}
-	if len(cases) != len(points)+1 {
-		t.Fatalf("the generic 4-partition case is missing: %d cases for %d points", len(cases), len(points))
+	if generic < 11 {
+		t.Fatalf("the generic 4-partition cases are missing: %d of them for %d points", generic, len(points))
 	}
 	for _, c := range cases {
 		c := c
@@ -64,12 +67,67 @@ func TestCrashMatrix(t *testing.T) {
 				}
 				t.Errorf("after re-run: %v", v)
 			}
+			for i, l := range res.LostAcks {
+				if i > 5 {
+					t.Fatalf("... and %d more", len(res.LostAcks)-i)
+				}
+				t.Errorf("acknowledged but lost: %s", l)
+			}
 			if res.RerunCompleted == 0 {
 				t.Error("recovered set completed no transactions")
 			}
 			t.Logf("committed=%d compensated=%d forward=%d undone=%d torn=%v rerun=%d",
 				res.Committed, res.Compensated, res.ForwardDriven, res.Undone, res.TornTail, res.RerunCompleted)
 		})
+	}
+}
+
+// TestCrashKeepsAcks crashes late — after hundreds of transactions were
+// acknowledged — at the instants where a reply could run ahead of the disk:
+// locks retired with the record still in the buffer, the group-commit window,
+// the sync itself, and a sync that fails. Every acknowledged payment,
+// new-order and delivery must be in the recovered state, with one partition
+// and with four.
+func TestCrashKeepsAcks(t *testing.T) {
+	for _, c := range []struct {
+		point string
+		nth   uint64
+	}{
+		{"core.retire.crash", 400},
+		{"wal.group.force.crash", 40},
+		{"wal.sync.crash", 40},
+		{"wal.sync.error", 40},
+	} {
+		for _, parts := range []int{1, 4} {
+			c, parts := c, parts
+			t.Run(fmt.Sprintf("%s/p%d", c.point, parts), func(t *testing.T) {
+				var info fault.Info
+				for _, p := range fault.Points() {
+					if p.Name == c.point {
+						info = p
+					}
+				}
+				res, err := RunCrash(CrashConfig{
+					Point: info, Nth: c.nth, Seed: 11, WALDir: t.TempDir(), Partitions: parts, RerunOps: 50,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Fired {
+					t.Fatalf("point %s never fired within the op budget", c.point)
+				}
+				if res.Acked < 20 {
+					t.Fatalf("only %d transactions acknowledged before the crash: the case checks nothing", res.Acked)
+				}
+				for _, l := range res.LostAcks {
+					t.Errorf("acknowledged but lost: %s", l)
+				}
+				for _, v := range res.Violations {
+					t.Errorf("recovered state: %v", v)
+				}
+				t.Logf("acked=%d committed=%d compensated=%d", res.Acked, res.Committed, res.Compensated)
+			})
+		}
 	}
 }
 

@@ -363,7 +363,7 @@ func TestExposureBreakpointSensitivity(t *testing.T) {
 	// advance the holder, and release a step: the waiter must be re-examined.
 	o.setInterleave(5, 1, true)
 	holder.AdvanceStep()
-	m.ReleaseConventional(holder) // triggers the grant pass at step boundary
+	m.Retire(holder, 0, 0, false) // triggers the grant pass at step boundary
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,11 @@ const (
 	kindAssertional
 	kindExposure
 	kindReservation
+	// kindRetired is a conventional write-mode grant its holder gave up
+	// before the log record of the step that held it was durable (Retire).
+	// conflictsWithGrant has no case for it, so it blocks nobody and makes
+	// no waits-for edge; noteRetired is where it still counts.
+	kindRetired
 )
 
 // grant is one held entry on an item. A transaction may hold several entries
@@ -37,7 +42,8 @@ type grant struct {
 	txn  *TxnInfo
 	kind grantKind
 
-	mode      Mode                     // conventional
+	mode      Mode                     // conventional, retired
+	lsn       uint64                   // retired: log position of the holder's step record
 	step      interference.StepTypeID  // conventional, assertional: acquiring step type
 	assertion interference.AssertionID // assertional
 	csTypes   []interference.StepTypeID
@@ -73,6 +79,9 @@ type waiter struct {
 type lockState struct {
 	grants []*grant
 	queue  []*waiter
+	// retired counts the kindRetired entries in grants, so a grant on an item
+	// nobody retired a lock on pays nothing for noteRetired.
+	retired int
 }
 
 // Stats aggregates lock-manager counters (spi.LockStats).
@@ -291,6 +300,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req R
 				old := g.mode
 				g.mode = want
 				g.step = req.Step
+				noteRetired(txn, want, st)
 				sh.mu.Unlock()
 				if m.tracer != nil {
 					m.emitLock(trace.KindLockUpgrade, txn.ID, item, sh,
@@ -340,6 +350,21 @@ func (m *Manager) anyWaiterConflict(txn *TxnInfo, req Request, st *lockState) bo
 	return false
 }
 
+// noteRetired records in txn the retired grants a conventional grant of the
+// given mode would have conflicted with: the holder's record may not be
+// durable yet, and txn is about to see (or overwrite) what it wrote. Caller
+// holds the item's shard latch.
+func noteRetired(txn *TxnInfo, mode Mode, st *lockState) {
+	if st.retired == 0 {
+		return
+	}
+	for _, g := range st.grants {
+		if g.kind == kindRetired && g.txn.ID != txn.ID && !conventionalCompat(mode, g.mode) {
+			txn.NoteDep(g.lsn)
+		}
+	}
+}
+
 // install adds the grant entry for a now-compatible request. Caller holds
 // the item's shard latch.
 func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req Request) {
@@ -347,9 +372,11 @@ func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req
 		if g := st.findConventional(txn.ID); g != nil {
 			g.mode = sup(g.mode, req.Mode)
 			g.step = req.Step
+			noteRetired(txn, g.mode, st)
 			sh.noteHeld(txn, item)
 			return
 		}
+		noteRetired(txn, req.Mode, st)
 	}
 	g := sh.newGrant()
 	g.txn, g.step, g.stepSeq = txn, req.Step, txn.CompletedSteps()
@@ -692,7 +719,7 @@ func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.Ste
 // touched (tracked as a bitmask on TxnInfo), locking one shard at a time;
 // the release is not atomic across shards, which is harmless — lock release
 // order within the shrinking phase of 2PL is unconstrained.
-func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*grant) bool) {
+func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*lockState, *grant) bool) {
 	mask := txn.ShardMask.Load()
 	for i := 0; mask != 0; i++ {
 		bit := uint64(1) << uint(i)
@@ -707,8 +734,10 @@ func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*grant) bool) {
 	}
 }
 
-// releaseInShard applies a release pass to one shard. Caller holds sh.mu.
-func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*grant) bool) {
+// releaseInShard applies a release pass to one shard: drop sees each of
+// txn's grants item by item, in grant-list order, with the item's state.
+// Caller holds sh.mu.
+func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*lockState, *grant) bool) {
 	hs, ok := sh.held[txn.ID]
 	if !ok {
 		return
@@ -722,7 +751,10 @@ func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*grant) bool
 		remaining := false
 		out := st.grants[:0]
 		for _, g := range st.grants {
-			if g.txn.ID == txn.ID && drop(g) {
+			if g.txn.ID == txn.ID && drop(st, g) {
+				if g.kind == kindRetired {
+					st.retired--
+				}
 				sh.freeGrant(g)
 				continue
 			}
@@ -746,11 +778,42 @@ func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*grant) bool
 	}
 }
 
-// ReleaseConventional releases txn's conventional locks (step end under the
-// ACC: strict 2PL within the step; assertional, exposure and reservation
-// entries persist to commit).
-func (m *Manager) ReleaseConventional(txn *TxnInfo) {
-	m.releaseWhere(txn, func(g *grant) bool { return g.kind == kindConventional })
+// Retire gives up txn's conventional locks at a step boundary (strict 2PL
+// within the step) whose log record ends at lsn, the log being durable
+// through durable. Read-mode grants are dropped. Write-mode grants stay as
+// retired grants stamped lsn — one per item, a later boundary's grant on the
+// same item folds into it — unless lsn is already durable; txn's earlier
+// retired grants that became durable meanwhile are dropped as well. final is
+// the transaction's last boundary: its assertional, exposure and reservation
+// entries go too, leaving only retired grants for ReleaseAll.
+func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
+	var st *lockState // the item being visited
+	var kept *grant   // txn's retired grant on it, once seen
+	m.releaseWhere(txn, func(cur *lockState, g *grant) bool {
+		if cur != st {
+			st, kept = cur, nil
+		}
+		switch {
+		case g.kind == kindRetired:
+			if g.lsn <= durable {
+				return true
+			}
+			kept = g
+			return false
+		case g.kind != kindConventional:
+			return final
+		case lsn <= durable || g.mode == ModeIS || g.mode == ModeS:
+			return true
+		case kept != nil:
+			kept.mode, kept.lsn = sup(kept.mode, g.mode), lsn
+			return true
+		default:
+			g.kind, g.lsn = kindRetired, lsn
+			st.retired++
+			kept = g
+			return false
+		}
+	})
 }
 
 // ReleaseStepAbort releases txn's conventional locks plus exposure and
@@ -759,7 +822,7 @@ func (m *Manager) ReleaseConventional(txn *TxnInfo) {
 // steps, which is why a recurring deadlock escalates to compensation.
 func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
 	seq := txn.CompletedSteps()
-	m.releaseWhere(txn, func(g *grant) bool {
+	m.releaseWhere(txn, func(_ *lockState, g *grant) bool {
 		if g.kind == kindConventional {
 			return true
 		}
@@ -770,14 +833,15 @@ func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
 // ReleaseAssertion drops txn's assertional locks for one assertion type
 // (its precondition has been discharged by the completing step).
 func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
-	m.releaseWhere(txn, func(g *grant) bool {
+	m.releaseWhere(txn, func(_ *lockState, g *grant) bool {
 		return g.kind == kindAssertional && g.assertion == a
 	})
 }
 
-// ReleaseAll releases everything txn holds (commit, or end of compensation).
+// ReleaseAll releases everything txn holds, retired grants included: an
+// abort, or the end of the durability wait that follows the final Retire.
 func (m *Manager) ReleaseAll(txn *TxnInfo) {
-	m.releaseWhere(txn, func(*grant) bool { return true })
+	m.releaseWhere(txn, func(*lockState, *grant) bool { return true })
 }
 
 // CancelWait aborts txn's blocked request, if any, making it return

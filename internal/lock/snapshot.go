@@ -107,6 +107,10 @@ func snapGrant(g *grant) GrantSnapshot {
 	case kindReservation:
 		gs.Kind = tagReservation
 		gs.Mode = tagReservation
+	case kindRetired:
+		gs.Kind = "retired"
+		gs.Mode = g.mode.String()
+		gs.LSN = g.lsn
 	}
 	return gs
 }

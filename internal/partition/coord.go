@@ -22,10 +22,14 @@ import (
 //     transaction holds its exposure marks and reservations) runs each
 //     remote shot in plan order as an ordinary local transaction on its
 //     partition, stamped (global, i) in that partition's begin record. Each
-//     shot's local commit is forced by its own engine before the next shot
-//     starts; an advisory TCoordShot lands in h's log after each.
-//  3. The home transaction commits last. Its commit force is the global
-//     commit point: home committed ⇒ every remote shot durably committed.
+//     shot's Exec returns only once its commit is durable in its own
+//     partition's log, before the next shot starts — the engines force
+//     nothing at step boundaries, but log order is per log, so these
+//     cross-log edges stay waits. An advisory TCoordShot lands in h's log
+//     after each.
+//  3. The home transaction commits last. Its commit, acknowledged only once
+//     durable, is the global commit point: home committed ⇒ every remote
+//     shot durably committed.
 //     An advisory TCoordCommit closes the decision record.
 //  4. If anything fails after shots committed — the home transaction
 //     aborted or was compensated, a later shot aborted, a deadlock victim
@@ -36,7 +40,7 @@ import (
 // Crash recovery (recover.go) replays open decision records: a home-committed
 // global is driven forward (defensively — the invariant says its shots
 // already committed), anything else is rolled back by the same undo path
-// using the work areas the shots' own end-of-step records preserved.
+// using the work areas the shots' own commit records preserved.
 
 // Coordinator fault points, enumerated by the crash matrix alongside the
 // wal/core points.
@@ -124,7 +128,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 		// on healthy partitions with no decision record anywhere — orphans no
 		// recovery pass would find. Crash state is sticky, so a clean check
 		// here proves the record is durable.
-		return fmt.Errorf("partition: global %d: home log crashed before the decision record was durable", g)
+		return fmt.Errorf("partition: global %d: %w: home log froze before the decision record was durable", g, core.ErrLogFailed)
 	}
 	s.emit(trace.KindCoordBegin, g, -1, tt.Name, 0, fmt.Sprintf("home=%d shots=%d", home, len(shots)))
 	s.crashPoint(fpCoordBegin)
@@ -193,8 +197,8 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 }
 
 // runShot executes one remote shot as a local transaction on its partition.
-// The shot commits (its engine forces its commit record) before runShot
-// returns nil, so plan order doubles as durability order.
+// The shot's Exec returns only once its commit record is durable in its
+// partition's log, so plan order doubles as durability order.
 func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
 	s.emit(trace.KindShotBegin, g, idx, sh.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
 	start := time.Now()
@@ -209,7 +213,7 @@ func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
 
 // undoShot runs the compensating undo of committed shot sh on the partition
 // the plan ran it on, with args the shot's work area — the live record at run
-// time, the one its end-of-step record preserved at recovery. It runs under
+// time, the one its commit record preserved at recovery. It runs under
 // a fresh background context — the global transaction's own context is
 // typically already cancelled (deadlock doom) or failed, and compensation,
 // like the engine's own §3.4 executor, must proceed regardless. Retries are

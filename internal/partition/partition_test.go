@@ -312,7 +312,7 @@ func TestRecoverForwardDrive(t *testing.T) {
 // TestRecoverUndoesShots: crash between shots (the partition.coord.shot
 // fault point). The shot's commit is durable on its partition, the home
 // transaction is not — recovery must compensate the home transaction
-// locally and run the shot's undo from the work area its end-of-step record
+// locally and run the shot's undo from the work area its commit record
 // preserved.
 func TestRecoverUndoesShots(t *testing.T) {
 	scale := smallScale(2)
@@ -328,10 +328,10 @@ func TestRecoverUndoesShots(t *testing.T) {
 		tpcc.OrderLineReq{ItemID: 9, SupplyW: 2, Quantity: 4},
 	))
 	fault.Deactivate()
-	// The frozen logs make everything after the crash point non-durable; the
-	// in-process run itself continues and commits.
-	if err != nil {
-		t.Fatalf("post-crash-point execution: %v", err)
+	// The frozen logs make everything after the crash point non-durable: the
+	// in-process run continues, but nothing it does can be acknowledged.
+	if !errors.Is(err, core.ErrLogFailed) {
+		t.Fatalf("post-crash-point execution returned %v, want ErrLogFailed", err)
 	}
 	set.Close()
 	for _, e := range set.Engines() {

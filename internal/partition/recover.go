@@ -37,7 +37,7 @@ type RecoverResult struct {
 //     ordering, but checked — is defensively re-driven from the plan.
 //   - otherwise → the global transaction rolls back: every shot that
 //     committed and was not already undone is compensated in reverse plan
-//     order, with arguments decoded from the shot's own end-of-step work
+//     order, with arguments decoded from the shot's own commit-record work
 //     area (its runtime state, not the plan's initial arguments), then the
 //     decision record is closed with a forced TCoordAbort.
 //
@@ -116,7 +116,7 @@ func (s *Set) Recover() (*RecoverResult, error) {
 				}
 				args := shots[i].Args
 				if len(st.WorkArea) > 0 {
-					// The shot's end-of-step record preserved its runtime work
+					// The shot's commit record preserved its runtime work
 					// area (identifiers assigned, quantities actually taken);
 					// the undo must see that, not the plan's initial arguments.
 					if tt := s.engines[0].Type(shots[i].Type); tt != nil && tt.DecodeArgs != nil {

@@ -576,6 +576,10 @@ func statusOf(err error) (wire.Status, string) {
 	switch {
 	case err == nil:
 		return wire.StatusOK, ""
+	case errors.Is(err, core.ErrLogFailed):
+		// First, whatever it is wrapped in: nothing about the outcome is
+		// durable, and no retry against this server can change that.
+		return wire.StatusInternal, err.Error()
 	case core.IsCompensated(err):
 		return wire.StatusCompensated, err.Error()
 	case errors.Is(err, core.ErrUnknownTxnType):

@@ -6,15 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"accdb/internal/core"
-	"math/rand"
-
+	"accdb/internal/fault"
 	"accdb/internal/interference"
 	"accdb/internal/server/wire"
 	"accdb/internal/spi"
@@ -776,4 +777,82 @@ func benignBenchErr(err error) bool {
 		errors.Is(err, core.ErrDeadlockVictim) ||
 		errors.Is(err, core.ErrLockTimeout) ||
 		errors.Is(err, accclient.ErrQueueFull)
+}
+
+// TestLogFailureOverWire: a commit whose force failed is answered with an
+// internal error — never OK — through a served partition set; the client
+// does not retry it, the outcome hook sees ErrLogFailed (accd's cue to stop),
+// and the failed partition keeps refusing while it stays up.
+func TestLogFailureOverWire(t *testing.T) {
+	st, err := tpcc.NewStack(tpcc.StackConfig{
+		Partitions: 2,
+		Scale:      tpcc.Scale{Warehouses: 2, Districts: 2, CustomersPerDistrict: 10, Items: 20, InitialOrdersPerDistrict: 5, NewOrderBacklog: 2},
+		Seed:       1,
+		WALDir:     t.TempDir(),
+		Engine:     []core.Option{core.WithWaitTimeout(10 * time.Second)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	protos := tpcc.ArgsPrototypes()
+	var sawLogFailed atomic.Int64
+	srv := New(Config{
+		Engine:  st.Set,
+		NewArgs: func(name string) any { return protos[name]() },
+		OnOutcome: func(_ string, _ any, err error) {
+			if errors.Is(err, core.ErrLogFailed) {
+				sawLogFailed.Add(1)
+			}
+		},
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	cli, err := accclient.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	w := tpcc.NewRemoteWorkload(nil, tpcc.DefaultWorkloadConfig(st.Scale))
+	r := rand.New(rand.NewSource(1))
+	pay := func(wid int64) error {
+		a := w.PaymentArgs(r)
+		a.WID, a.CWID = wid, wid
+		return cli.Run(context.Background(), "payment", a)
+	}
+	if err := pay(1); err != nil {
+		t.Fatal(err)
+	}
+
+	c := fault.NewController(1)
+	c.Arm("wal.sync.error", fault.Spec{Effect: fault.Error, Nth: 1})
+	c.Activate()
+	before := cli.Stats()
+	err = pay(1)
+	fault.Deactivate()
+	if err == nil || !strings.Contains(err.Error(), wire.StatusInternal.String()) ||
+		!strings.Contains(err.Error(), "write-ahead log failed") || !strings.Contains(err.Error(), "partition 0") {
+		t.Fatalf("commit over a failed fsync answered %v, want an internal error naming the log and the partition", err)
+	}
+	if after := cli.Stats(); after.Attempts != before.Attempts+1 {
+		t.Fatalf("client retried a log failure: attempts %d -> %d", before.Attempts, after.Attempts)
+	}
+	if sawLogFailed.Load() != 1 {
+		t.Fatalf("outcome hook saw ErrLogFailed %d times, want 1", sawLogFailed.Load())
+	}
+	if err := pay(1); err == nil {
+		t.Fatal("the failed partition accepted another write")
+	}
+	if err := pay(2); err != nil {
+		t.Fatalf("the healthy partition stopped serving: %v", err)
+	}
 }

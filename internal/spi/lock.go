@@ -138,6 +138,13 @@ type Txn struct {
 	ShardMask atomic.Uint64
 
 	completed atomic.Int32
+
+	// dep is the highest log position of a retired grant (LockService.Retire)
+	// this transaction's requests were granted over: data it saw or overwrote
+	// whose record is not known durable yet. The lock service writes it under
+	// its own latches; the engine reads it once, on the transaction's
+	// goroutine, before it answers.
+	dep atomic.Uint64
 }
 
 // NewTxn constructs the lock-side descriptor of a transaction.
@@ -154,6 +161,22 @@ func (t *Txn) AdvanceStep() { t.completed.Add(1) }
 
 // SetCompletedSteps overrides the step counter (used by recovery).
 func (t *Txn) SetCompletedSteps(n int) { t.completed.Store(int32(n)) }
+
+// NoteDep records that the transaction was granted a lock over a retired
+// grant stamped lsn. For the lock service only.
+func (t *Txn) NoteDep(lsn uint64) {
+	for {
+		old := t.dep.Load()
+		if old >= lsn || t.dep.CompareAndSwap(old, lsn) {
+			return
+		}
+	}
+}
+
+// DepLSN returns the log position through which the log must be durable
+// before the transaction's outcome may be acknowledged on account of what it
+// read: the maximum over the retired grants it was granted over, 0 if none.
+func (t *Txn) DepLSN() uint64 { return t.dep.Load() }
 
 // LockRequest describes one lock acquisition.
 type LockRequest struct {
@@ -215,9 +238,19 @@ type ClassStats struct {
 //   - Attach* are idempotent per (txn, item); entries carry the holder's
 //     CompletedSteps at attach time so ReleaseStepAbort can drop exactly the
 //     aborted step's marks.
-//   - ReleaseConventional drops conventional grants only (step end);
-//     assertional, exposure and reservation entries persist to commit and
-//     fall with ReleaseAll. ReleaseAssertion drops one assertion's A-locks.
+//   - Retire gives up the conventional grants at a step boundary whose log
+//     record is appended but not yet durable (controlled lock violation):
+//     read-mode grants are dropped; write-mode grants (IX, SIX, X) stay on
+//     the item as retired grants stamped with the record's log position. A
+//     retired grant blocks nobody, makes no waits-for edge and is invisible
+//     to HoldsConventional, but a request granted in a mode that would have
+//     conflicted with it notes the stamp in the requester (Txn.NoteDep), so
+//     a reader waits for exactly the records it saw. A grant retired at or
+//     below the durable watermark is simply dropped. Assertional, exposure
+//     and reservation entries persist to the final Retire and fall with it;
+//     retired grants fall with ReleaseAll, which the holder calls once its
+//     own durability wait returned. ReleaseAssertion drops one assertion's
+//     A-locks.
 //   - The waits-for membership of a blocked request must be visible to
 //     CancelWait, and Snapshot must render grants, queues and waits-for
 //     edges as deadlock detection would see them.
@@ -240,14 +273,19 @@ type LockService interface {
 	// refused on it. A NoStep cs is a no-op.
 	AttachReservation(txn *Txn, item Item, cs StepTypeID)
 
-	// ReleaseConventional releases txn's conventional locks (step end).
-	ReleaseConventional(txn *Txn)
+	// Retire gives up txn's conventional locks at a step boundary whose log
+	// record ends at lsn, with the log durable through durable (see the
+	// interface comment). final marks the transaction's last boundary —
+	// commit or compensation end — where the A/D/C entries are dropped too
+	// and only retired grants remain.
+	Retire(txn *Txn, lsn, durable uint64, final bool)
 	// ReleaseStepAbort releases txn's conventional locks plus exposure and
 	// reservation marks attached during the aborted step.
 	ReleaseStepAbort(txn *Txn)
 	// ReleaseAssertion drops txn's assertional locks for one assertion type.
 	ReleaseAssertion(txn *Txn, a AssertionID)
-	// ReleaseAll releases everything txn holds (commit or compensation end).
+	// ReleaseAll releases everything txn holds, retired grants included
+	// (abort, or after the durability wait that follows the final Retire).
 	ReleaseAll(txn *Txn)
 	// CancelWait aborts txn's blocked request, if any, making it return
 	// ErrAborted.

@@ -35,14 +35,17 @@ type ItemSnapshot struct {
 }
 
 // GrantSnapshot describes one held entry. Kind is "lock" for conventional
-// entries, or the paper's tags: "A" (assertional), "D" (exposure mark),
-// "C" (compensation reservation). Mode carries the conventional mode for
-// "lock" entries and repeats the tag otherwise.
+// entries, "retired" for a conventional grant given up before its log record
+// was durable (it blocks nobody; LSN is the record's log position), or the
+// paper's tags: "A" (assertional), "D" (exposure mark), "C" (compensation
+// reservation). Mode carries the conventional mode for "lock" and "retired"
+// entries and repeats the tag otherwise.
 type GrantSnapshot struct {
 	Txn       TxnID
 	Kind      string
 	Mode      string
-	Assertion int // assertion ID for "A" entries, else -1
+	Assertion int    // assertion ID for "A" entries, else -1
+	LSN       uint64 // "retired" entries only
 }
 
 // WaitSnapshot describes one queued (still blocked) request.
@@ -122,6 +125,8 @@ func (s *TableSnapshot) String() string {
 					fmt.Fprintf(&b, "    held T%d A(assertion=%d)\n", g.Txn, g.Assertion)
 				} else if g.Kind == "lock" {
 					fmt.Fprintf(&b, "    held T%d %s\n", g.Txn, g.Mode)
+				} else if g.Kind == "retired" {
+					fmt.Fprintf(&b, "    retired T%d %s (lsn %d)\n", g.Txn, g.Mode, g.LSN)
 				} else {
 					fmt.Fprintf(&b, "    held T%d %s\n", g.Txn, g.Kind)
 				}

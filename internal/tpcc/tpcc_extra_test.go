@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -350,6 +351,71 @@ func TestBaselineRollbackRestoresCounter(t *testing.T) {
 	after, _ := eng.DB().Table(TDistrict).Get(spi.EncodeKey(i64(1), i64(a.DID)))
 	if before[colDNext].Int64() != after[colDNext].Int64() {
 		t.Fatal("baseline rollback must restore the order counter")
+	}
+	checkAll(t, eng, w)
+}
+
+// TestDeliveryDoesNotOvertakeAnUncommittedDelivery: a delivery stalled after
+// claiming a district's oldest order keeps later deliveries out of that
+// district's queue, so when the stalled one is rolled back its order returns
+// to the HEAD of the queue and the next delivery takes it — not the order
+// behind it, which would leave the re-queued one stranded below a delivered
+// order (condition 3).
+func TestDeliveryDoesNotOvertakeAnUncommittedDelivery(t *testing.T) {
+	eng, w := testSystem(t, core.ModeACC, smallScale())
+	head := func(d int64) int64 {
+		o := int64(0)
+		eng.DB().Table(TNewOrder).IndexScan(IdxNewOrderByDist, []spi.Value{i64(1), i64(d)},
+			func(_ spi.Key, row spi.Row) bool {
+				o = row[colNoOID].Int64()
+				return false
+			})
+		return o
+	}
+	first, stall := head(1), head(2)
+
+	// An undecomposed transaction sits on the order the first delivery will
+	// claim in district 2: D2[2] blocks there, with district 1 delivered.
+	holding, release := make(chan struct{}), make(chan struct{})
+	legacyDone := make(chan error, 1)
+	go func() {
+		legacyDone <- eng.RunLegacy("hold", func(tc *core.Ctx) error {
+			err := tc.Update(TOrders, []spi.Value{i64(1), i64(2), i64(stall)}, func(spi.Row) error { return nil })
+			close(holding)
+			<-release
+			return err
+		})
+	}()
+	<-holding
+
+	r := rand.New(rand.NewSource(31))
+	ctx, cancel := context.WithCancel(context.Background())
+	aDone := make(chan error, 1)
+	go func() { aDone <- eng.Exec(ctx, core.Request{Name: "delivery", Args: w.DeliveryArgs(r)}) }()
+	for head(2) == stall { // until the first delivery has claimed in district 2
+		time.Sleep(time.Millisecond)
+	}
+	bArgs := w.DeliveryArgs(r)
+	bDone := make(chan error, 1)
+	go func() { bDone <- eng.Exec(context.Background(), core.Request{Name: "delivery", Args: bArgs}) }()
+	time.Sleep(50 * time.Millisecond)
+	if got := head(1); got != first+1 {
+		t.Fatalf("district 1 queue head = %d with one uncommitted claim of %d: a second delivery went past it", got, first)
+	}
+
+	cancel()
+	if err := <-aDone; !core.IsCompensated(err) {
+		t.Fatalf("stalled delivery: %v, want a compensated rollback", err)
+	}
+	close(release)
+	if err := <-legacyDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	if bArgs.Claimed[0] != first || bArgs.Claimed[1] != stall {
+		t.Fatalf("second delivery claimed %v, want the re-queued heads %d and %d", bArgs.Claimed[:2], first, stall)
 	}
 	checkAll(t, eng, w)
 }

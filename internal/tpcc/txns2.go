@@ -49,7 +49,11 @@ func (reg *Registration) deliveryType() *core.TxnType {
 // delivery popping the queue head must not collide with new-orders appending
 // at the tail (they use different index pages in the modelled system). An
 // in-flight new-order's queue entry carries its exposure mark, so the claim
-// can never steal a half-entered order.
+// can never steal a half-entered order. Two deliveries do collide: the claim
+// leaves this delivery's exposure mark on the district's queue and D1 may not
+// interleave with a delivery, so a later one waits here until this one
+// commits — it cannot deliver past an order whose claim dlvCompensate may
+// still put back, which would leave a hole in the queue (condition 3).
 func (reg *Registration) dlvClaim(d int64) func(*core.Ctx) error {
 	return func(tc *core.Ctx) error {
 		a := tc.Args().(*DeliveryArgs)

@@ -319,26 +319,25 @@ func (w *Workload) DrawArgs(r *rand.Rand, terminal int) (string, any) {
 // and returns a runnable instance.
 func (w *Workload) Next(r *rand.Rand, terminal int) sim.Txn {
 	name, args := w.DrawArgs(r, terminal)
+	return sim.Txn{Type: name, Run: func() (metrics.Outcome, error) { return w.Run(name, args) }}
+}
+
+// Run executes one drawn transaction — for drivers that need the argument
+// record afterwards (the crash harness remembers what was acknowledged).
+func (w *Workload) Run(name string, args any) (metrics.Outcome, error) {
 	if a, ok := args.(*NewOrderArgs); ok {
-		return sim.Txn{Type: name, Run: func() (metrics.Outcome, error) {
-			err := w.run(name, a)
-			if core.IsCompensated(err) {
-				// Compensation leaves the order number as a hole (§4); a
-				// plain abort restored the counter, so no hole.
-				w.addHole(a.WID, a.DID, a.ONum)
-			}
-			return outcome(err)
-		}}
+		err := w.run(name, a)
+		if core.IsCompensated(err) {
+			// Compensation leaves the order number as a hole (§4); a
+			// plain abort restored the counter, so no hole.
+			w.addHole(a.WID, a.DID, a.ONum)
+		}
+		return outcome(err)
 	}
 	if w.cfg.ReadTier != core.TierLocked && w.runRead != nil && readOnlyType(name) {
-		tier := w.cfg.ReadTier
-		return sim.Txn{Type: name, Run: func() (metrics.Outcome, error) {
-			return outcome(w.runRead(name, args, tier))
-		}}
+		return outcome(w.runRead(name, args, w.cfg.ReadTier))
 	}
-	return sim.Txn{Type: name, Run: func() (metrics.Outcome, error) {
-		return outcome(w.run(name, args))
-	}}
+	return outcome(w.run(name, args))
 }
 
 func outcome(err error) (metrics.Outcome, error) {

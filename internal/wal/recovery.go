@@ -14,6 +14,12 @@ import (
 // *compensated*, not undone — their intermediate results may already have
 // been observed by committed transactions. Analyze produces exactly that
 // plan: the writes to replay and the transactions still owing compensation.
+//
+// A step is completed by its end-of-step record, and the final step by the
+// commit record itself — no separate end-of-step record is written for it.
+// So an uncommitted transaction never analyses with every step completed: a
+// log cut anywhere in the final step leaves that step in flight, its writes
+// are discarded, and compensation starts from the steps before it.
 
 // WrittenItem identifies one tuple a transaction durably wrote (in a
 // completed step). Recovery re-attaches D- and C-locks on these items for
@@ -28,7 +34,7 @@ type TxnState struct {
 	ID             uint64
 	Type           string
 	CompletedSteps int
-	WorkArea       []byte // saved at the last completed step
+	WorkArea       []byte // saved at the last completed step (or at commit, for a shot)
 	Committed      bool
 	Aborted        bool
 	Compensated    bool
@@ -154,9 +160,19 @@ func Analyze(data []byte) (*Analysis, error) {
 		return c
 	}
 	attempts := make(map[unitKey]int)
+	// The unit (step or compensation) each transaction is currently in.
+	current := make(map[uint64]unitKey)
 	// Writes of the current (possibly doomed) attempt, per txn; promoted to
 	// TxnState.Written only when the attempt's end-of-step record arrives.
 	inFlight := make(map[uint64][]WrittenItem)
+	// completeStep closes the current attempt of forward step `step`.
+	completeStep := func(t *TxnState, step int32) {
+		k := unitKey{t.ID, step}
+		a.completedAttempt[k] = attempts[k]
+		t.CompletedSteps = int(step) + 1
+		t.Written = append(t.Written, inFlight[t.ID]...)
+		inFlight[t.ID] = inFlight[t.ID][:0]
+	}
 	err := Replay(data, func(r Record) error {
 		switch r.Type {
 		// Coordinator records carry a GLOBAL transaction id in Txn — a
@@ -191,21 +207,28 @@ func Analyze(data []byte) (*Analysis, error) {
 				}
 			}
 		case TStepBegin:
-			attempts[unitKey{r.Txn, r.Step}]++
+			k := unitKey{r.Txn, r.Step}
+			attempts[k]++
+			current[r.Txn] = k
 			inFlight[r.Txn] = inFlight[r.Txn][:0]
 		case TCompBegin:
-			attempts[unitKey{r.Txn, compUnit}]++
+			k := unitKey{r.Txn, compUnit}
+			attempts[k]++
+			current[r.Txn] = k
 			inFlight[r.Txn] = inFlight[r.Txn][:0]
 		case TWrite:
 			inFlight[r.Txn] = append(inFlight[r.Txn], WrittenItem{Table: r.Table, PK: r.PK})
 		case TEndOfStep:
-			k := unitKey{r.Txn, r.Step}
-			a.completedAttempt[k] = attempts[k]
-			t.CompletedSteps = int(r.Step) + 1
+			completeStep(t, r.Step)
 			t.WorkArea = r.WorkArea
-			t.Written = append(t.Written, inFlight[r.Txn]...)
-			inFlight[r.Txn] = inFlight[r.Txn][:0]
 		case TCommit:
+			// The commit record is the final step's end-of-step record.
+			if k, ok := current[r.Txn]; ok && k.unit != compUnit {
+				completeStep(t, k.unit)
+			}
+			if len(r.WorkArea) > 0 {
+				t.WorkArea = r.WorkArea
+			}
 			t.Committed = true
 		case TAbort:
 			t.Aborted = true

@@ -343,14 +343,15 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		image = image[:valid]
 	}
-	return &Log{
+	l := &Log{
 		ForceLatency: opt.ForceLatency,
 		groupWindow:  opt.GroupWindow,
 		prefix:       image,
 		size:         LSN(valid),
-		flushed:      LSN(valid),
 		fsWritten:    LSN(valid),
 		fs:           fs,
 		tornTail:     torn,
-	}, nil
+	}
+	l.durable.Store(uint64(valid))
+	return l, nil
 }

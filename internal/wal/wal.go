@@ -2,12 +2,14 @@
 // atomicity, commitment, and compensation-aware crash recovery.
 //
 // The log is the stand-in for Open Ingres's log file. Its distinctive ACC
-// feature (§5 of the paper) is the forced **end-of-step record**, which also
+// feature (§5 of the paper) is the **end-of-step record**, which also
 // carries the transaction's saved work area so a compensating step can run
-// after a crash. Forcing the log at every step boundary — instead of once
-// per transaction — is the ACC's principal overhead, so the Log simulates a
-// configurable force latency that the benchmarks charge to the scheduler
-// exactly the way the paper's measurements did.
+// after a crash. The paper forces it at every step boundary; this engine
+// only appends it and makes durability a property of the reply (DESIGN.md
+// §10): one sequential log means a record can never become durable before
+// the records ahead of it, so a request waits once, for the last record its
+// outcome depends on. The Log simulates a configurable force latency that
+// the benchmarks charge to that one wait.
 package wal
 
 import (
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accdb/internal/fault"
@@ -33,16 +36,19 @@ const (
 	// TWrite records one tuple mutation (insert, update, or delete) with
 	// before and after images.
 	TWrite
-	// TEndOfStep marks successful completion of a step; it is forced and
+	// TEndOfStep marks successful completion of a non-final step and
 	// carries the saved work area used to compensate after a crash.
 	TEndOfStep
-	// TCommit marks transaction commit; forced.
+	// TCommit marks transaction commit and is the final step's end-of-step
+	// record: the step it closes completed, and no separate TEndOfStep is
+	// written for it. It carries the work area only for a transaction that
+	// can still be compensated after it committed (a remote shot).
 	TCommit
 	// TAbort marks an abort that required no compensation (no completed steps).
 	TAbort
 	// TCompBegin marks the start of a compensating step.
 	TCompBegin
-	// TCompDone marks successful completion of compensation; forced.
+	// TCompDone marks successful completion of compensation.
 	TCompDone
 	// TCoordBegin is a multi-shot coordinator's decision record, written to
 	// the originating partition's log before any shot runs: Txn carries the
@@ -105,7 +111,7 @@ type Record struct {
 	PK       spi.Key
 	Before   spi.Row // nil for insert
 	After    spi.Row // nil for delete
-	WorkArea []byte  // TEndOfStep: work area; TCoordBegin: encoded shot plan
+	WorkArea []byte  // TEndOfStep, TCommit: work area; TCoordBegin: encoded shot plan
 
 	// Global and Shot stamp a TBegin whose transaction executes one shot of
 	// a multi-shot global transaction: Global is the coordinator's global id
@@ -131,7 +137,7 @@ type Stats struct {
 // configurations behind the same API:
 //
 //   - memory-only (New): records live in a buffer and "durability" is the
-//     flushed watermark plus a simulated force latency — the test double
+//     durable watermark plus a simulated force latency — the test double
 //     the experiments and most unit tests use;
 //   - disk-backed (Open): forces additionally write the buffered tail to
 //     CRC-framed segment files and fsync, with group commit — concurrent
@@ -160,9 +166,14 @@ type Log struct {
 	tail      []byte   // current chunk being filled
 	size      LSN      // absolute end of the log (prefix + chunks + tail)
 	payload   []byte   // retained encode scratch (guarded by mu)
-	flushed   LSN      // global durable watermark (≥ len(prefix))
 	stats     Stats
-	crashed   bool // simulated crash: durability frozen
+
+	// durable is the global durable watermark (≥ len(prefix)) and crashed the
+	// simulated-crash / I/O-failure freeze. Both are written under mu and
+	// read without it: the per-request durability check (Durable, covered)
+	// is one load, not a trip through the append mutex.
+	durable atomic.Uint64
+	crashed atomic.Bool
 
 	// fs is the segment-file backend; nil for memory-only logs.
 	fs *fileStorage
@@ -300,42 +311,6 @@ func (l *Log) AppendForce(rec Record) LSN {
 	return lsn
 }
 
-// AppendSpan is Append, charging the append's wall time to the span's
-// wal_append latency-anatomy stage. A nil span is identical to Append.
-func (l *Log) AppendSpan(rec Record, sp *trace.Span) LSN {
-	if sp == nil {
-		return l.Append(rec)
-	}
-	start := time.Now()
-	lsn := l.Append(rec)
-	sp.Add(trace.StageWALAppend, int64(time.Since(start)))
-	return lsn
-}
-
-// ForceToSpan is ForceTo, charging the whole force — group-commit window
-// wait, follower ride-along, and the sync itself — to the span's
-// group_commit stage and recording it in the span's event history. A nil
-// span is identical to ForceTo.
-func (l *Log) ForceToSpan(lsn LSN, sp *trace.Span) {
-	if sp == nil {
-		l.ForceTo(lsn)
-		return
-	}
-	start := time.Now()
-	l.ForceTo(lsn)
-	d := int64(time.Since(start))
-	sp.Add(trace.StageGroupCommit, d)
-	sp.Event(trace.KindWALForce, "", "", d)
-}
-
-// AppendForceSpan is AppendForce with span attribution split between the
-// wal_append and group_commit stages.
-func (l *Log) AppendForceSpan(rec Record, sp *trace.Span) LSN {
-	lsn := l.AppendSpan(rec, sp)
-	l.ForceToSpan(lsn, sp)
-	return lsn
-}
-
 // SetGroupWindow enables cross-caller group commit: when d > 0, a ForceTo
 // whose LSN is not yet durable elects a leader that waits up to d for more
 // appends to arrive, then issues one force covering the whole tail.
@@ -356,16 +331,18 @@ func (l *Log) GroupWindow() time.Duration {
 	return l.groupWindow
 }
 
+// Durable returns the durable watermark: every record ending at or below it
+// survives a crash. One atomic load.
+func (l *Log) Durable() LSN { return LSN(l.durable.Load()) }
+
 // covered reports whether lsn is already durable — or never will be,
 // because the log crashed or froze.
 func (l *Log) covered(lsn LSN) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushed >= lsn || l.crashed
+	return l.Durable() >= lsn || l.crashed.Load()
 }
 
 // ForceTo makes the log durable through lsn. Memory-only logs advance the
-// flushed watermark and pay the simulated latency; disk-backed logs write
+// durable watermark and pay the simulated latency; disk-backed logs write
 // and fsync under group commit — the caller that wins the flush mutex
 // syncs everything appended so far, and concurrent callers whose LSN that
 // sync covered return without touching the disk. With a group window set
@@ -416,24 +393,26 @@ func (l *Log) ForceTo(lsn LSN) {
 // forceDirect is the ungrouped force path: it makes the log durable through
 // lsn immediately, coalescing only with forces already in flight.
 func (l *Log) forceDirect(lsn LSN) {
-	l.mu.Lock()
-	if l.flushed >= lsn || l.crashed {
-		l.mu.Unlock()
+	if l.covered(lsn) {
 		return
 	}
 	if l.fs == nil {
-		l.flushed = lsn
+		l.mu.Lock()
+		if l.covered(lsn) {
+			l.mu.Unlock()
+			return
+		}
+		l.durable.Store(uint64(lsn))
 		l.stats.Forces++
 		l.mu.Unlock()
 		l.payForceLatency(time.Now())
 		return
 	}
-	l.mu.Unlock()
 
 	start := time.Now()
 	l.flushMu.Lock()
 	l.mu.Lock()
-	if l.flushed >= lsn || l.crashed {
+	if l.covered(lsn) {
 		// A concurrent leader's group commit covered us while we waited.
 		l.mu.Unlock()
 		l.flushMu.Unlock()
@@ -454,13 +433,13 @@ func (l *Log) forceDirect(lsn LSN) {
 		// here on is gone; freeze the log exactly like a crash so recovery
 		// sees only what made it to disk.
 		l.ioErr = err
-		l.crashed = true
+		l.crashed.Store(true)
 		l.mu.Unlock()
 		l.flushMu.Unlock()
 		return
 	}
 	l.fsWritten = tail
-	l.flushed = tail
+	l.durable.Store(uint64(tail))
 	l.stats.Forces++
 	l.mu.Unlock()
 	l.flushMu.Unlock()
@@ -499,11 +478,11 @@ func (l *Log) tailLSN() LSN {
 // discards the page cache.
 func (l *Log) Crash() {
 	l.mu.Lock()
-	if l.crashed {
+	if l.crashed.Load() {
 		l.mu.Unlock()
 		return
 	}
-	l.crashed = true
+	l.crashed.Store(true)
 	fs := l.fs
 	l.mu.Unlock()
 	if fs != nil {
@@ -513,15 +492,11 @@ func (l *Log) Crash() {
 
 // Crashed reports whether the log has taken a simulated crash (or frozen
 // itself after an I/O error).
-func (l *Log) Crashed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.crashed
-}
+func (l *Log) Crashed() bool { return l.crashed.Load() }
 
 // Err returns the first write/sync error the log absorbed, if any. The log
-// freezes (as after Crash) rather than failing appends, so the engine keeps
-// scheduling; callers that care about durability loss poll this.
+// freezes (as after Crash) rather than failing appends; the engine finds out
+// at its durability wait (core.ErrLogFailed) and reports this error.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -565,10 +540,11 @@ func (l *Log) Bytes() []byte {
 func (l *Log) DurableBytes() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]byte, 0, l.flushed)
+	durable := l.Durable()
+	out := make([]byte, 0, durable)
 	out = append(out, l.prefix...)
-	if l.flushed > LSN(len(l.prefix)) {
-		out = l.copyRangeLocked(out, LSN(len(l.prefix)), l.flushed)
+	if durable > LSN(len(l.prefix)) {
+		out = l.copyRangeLocked(out, LSN(len(l.prefix)), durable)
 	}
 	return out
 }
@@ -636,7 +612,14 @@ func encodePayload(dst []byte, r Record) []byte {
 		payload = binary.AppendVarint(payload, int64(r.Step))
 		payload = binary.AppendUvarint(payload, uint64(len(r.WorkArea)))
 		payload = append(payload, r.WorkArea...)
-	case TCommit, TAbort, TCompDone, TCoordCommit, TCoordAbort:
+	case TCommit:
+		if len(r.WorkArea) > 0 {
+			// Appended only when present, so a plain commit record keeps its
+			// two-byte layout.
+			payload = binary.AppendUvarint(payload, uint64(len(r.WorkArea)))
+			payload = append(payload, r.WorkArea...)
+		}
+	case TAbort, TCompDone, TCoordCommit, TCoordAbort:
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown record type %d", r.Type))
 	}
@@ -859,7 +842,15 @@ func decodeRecord(p []byte) (Record, error) {
 			return r, fmt.Errorf("bad work area")
 		}
 		r.WorkArea = append([]byte(nil), p[n2:n2+int(l)]...)
-	case TCommit, TAbort, TCompDone, TCoordCommit, TCoordAbort:
+	case TCommit:
+		if len(p) > 0 {
+			l, n := binary.Uvarint(p)
+			if n <= 0 || l > uint64(len(p)) || n+int(l) > len(p) {
+				return r, fmt.Errorf("bad work area")
+			}
+			r.WorkArea = append([]byte(nil), p[n:n+int(l)]...)
+		}
+	case TAbort, TCompDone, TCoordCommit, TCoordAbort:
 	default:
 		return r, fmt.Errorf("unknown record type %d", uint8(r.Type))
 	}

@@ -28,6 +28,7 @@ func sampleRecords() []Record {
 		{Type: TAbort, Txn: 2},
 		{Type: TCompBegin, Txn: 3, Step: 2},
 		{Type: TCompDone, Txn: 3},
+		{Type: TCommit, Txn: 4, WorkArea: []byte("a shot's work area")},
 	}
 }
 
@@ -168,8 +169,11 @@ func TestForceSemantics(t *testing.T) {
 	if len(l.DurableBytes()) != 0 {
 		t.Fatal("unforced record already durable")
 	}
+	if l.Durable() != 0 {
+		t.Fatalf("durable watermark = %d before any force", l.Durable())
+	}
 	l.ForceTo(lsn)
-	if len(l.DurableBytes()) != int(lsn) {
+	if len(l.DurableBytes()) != int(lsn) || l.Durable() != lsn {
 		t.Fatal("force did not advance durable prefix")
 	}
 	st := l.Snapshot()
@@ -194,15 +198,17 @@ func TestForceLatencyCharged(t *testing.T) {
 
 func TestAnalyzeOutcomes(t *testing.T) {
 	l := New(0)
-	// Txn 1 commits after two steps; txn 2 aborts clean; txn 3 has one
-	// completed step and then crashes (needs compensation); txn 4 finished
-	// compensating; txn 5 crashed mid-first-step (nothing to do).
+	// Txn 1 commits after two steps — the commit record closes the second;
+	// txn 2 aborts clean; txn 3 has one completed step and then crashes in
+	// its final step (needs compensation from step 1, never from 2); txn 4
+	// finished compensating; txn 5 crashed mid-first-step (nothing to do);
+	// txn 6 is a committed shot whose commit record saved its work area.
 	recs := []Record{
 		{Type: TBegin, Txn: 1, TxnType: "a"},
 		{Type: TStepBegin, Txn: 1, Step: 0},
 		{Type: TEndOfStep, Txn: 1, Step: 0},
 		{Type: TStepBegin, Txn: 1, Step: 1},
-		{Type: TEndOfStep, Txn: 1, Step: 1},
+		{Type: TWrite, Txn: 1, Table: "t", PK: "k", After: spi.Row{spi.I64(1)}},
 		{Type: TCommit, Txn: 1},
 		{Type: TBegin, Txn: 2, TxnType: "b"},
 		{Type: TAbort, Txn: 2},
@@ -217,6 +223,9 @@ func TestAnalyzeOutcomes(t *testing.T) {
 		{Type: TCompDone, Txn: 4},
 		{Type: TBegin, Txn: 5, TxnType: "e"},
 		{Type: TStepBegin, Txn: 5, Step: 0},
+		{Type: TBegin, Txn: 6, TxnType: "f", Global: 9, Shot: 1},
+		{Type: TStepBegin, Txn: 6, Step: 0},
+		{Type: TCommit, Txn: 6, WorkArea: []byte("shot")},
 	}
 	for _, r := range recs {
 		l.Append(r)
@@ -225,8 +234,14 @@ func TestAnalyzeOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Txns[1].Committed || a.Txns[1].CompletedSteps != 2 {
+	if !a.Txns[1].Committed || a.Txns[1].CompletedSteps != 2 || len(a.Txns[1].Written) != 1 {
 		t.Errorf("txn1 = %+v", a.Txns[1])
+	}
+	if a.Txns[3].CompletedSteps != 1 {
+		t.Errorf("txn3 completed %d steps, want 1: its final step never closed", a.Txns[3].CompletedSteps)
+	}
+	if st := a.ShotTxn(9, 1); st == nil || !st.Committed || st.CompletedSteps != 1 || string(st.WorkArea) != "shot" {
+		t.Errorf("shot txn6 = %+v", st)
 	}
 	if !a.Txns[2].Aborted {
 		t.Errorf("txn2 = %+v", a.Txns[2])

@@ -198,6 +198,10 @@ var (
 	// ErrReadOnly reports a write attempted inside a versioned-tier
 	// read-only transaction.
 	ErrReadOnly = core.ErrReadOnly
+	// ErrLogFailed reports that the write-ahead log failed or froze before
+	// the transaction's outcome was durable: nothing is acknowledged, the
+	// engine refuses everything after it, and no retry helps.
+	ErrLogFailed = core.ErrLogFailed
 )
 
 // CompensatedError reports that a transaction was rolled back by running
