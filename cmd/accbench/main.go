@@ -159,7 +159,7 @@ func main() {
 		if err := dbg.Start(*metrics); err != nil {
 			fatal(err)
 		}
-		cfg.OnEngine = dbg.SetEngine
+		cfg.OnEngine = func(e *core.Engine) { dbg.SetEngines(e) }
 	}
 
 	terminals := experiment.DefaultTerminals

@@ -176,9 +176,10 @@ func main() {
 
 	if *metricsAddr != "" {
 		dbg := debughttp.New(tr, anatomy)
-		// The engine sections show partition 0 (every partition is
-		// symmetric); the set's own routing/coordinator series ride along.
-		dbg.SetEngine(set.Engine(0))
+		// The engine sections of /metrics show partition 0 (every partition is
+		// symmetric), /debug/locks and /debug/waitsfor every partition; the
+		// set's own routing/coordinator series ride along.
+		dbg.SetEngines(set.Engines()...)
 		dbg.AddMetrics(srv.WriteMetrics)
 		dbg.AddMetrics(set.WriteMetrics)
 		if err := dbg.Start(*metricsAddr); err != nil {

@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,6 +83,64 @@ func TestRefusesBadPartitionCounts(t *testing.T) {
 	}
 }
 
+// serve starts accd with args (which name ready as the -ready-fd file) and
+// returns once it listens: the process, its address and its stderr so far.
+// The process is killed when the test ends, if it has not exited by then.
+func serve(t *testing.T, bin, ready string, args []string) (*exec.Cmd, string, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), "ACCDB_PARTITIONS=")
+	stderr := &bytes.Buffer{}
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, err := os.ReadFile(ready); err == nil && bytes.HasSuffix(data, []byte("\n")) {
+			return cmd, strings.TrimSpace(string(data)), stderr
+		} else if time.Now().After(deadline) {
+			t.Fatalf("accd not ready; stderr:\n%s", stderr.String())
+		}
+	}
+}
+
+// TestDebugLocksCoverEveryPartition: /debug/locks and /debug/waitsfor render
+// the lock table of every partition, not only partition 0's.
+func TestDebugLocksCoverEveryPartition(t *testing.T) {
+	bin := buildAccd(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := ln.Addr().String()
+	ln.Close()
+	ready := filepath.Join(t.TempDir(), "ready")
+	serve(t, bin, ready, []string{"-addr", "127.0.0.1:0", "-partitions", "4", "-metrics-addr", metrics, "-ready-fd", ready})
+
+	get := func(path string) string {
+		resp, err := http.Get("http://" + metrics + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	locks := get("/debug/locks")
+	for p := 0; p < 4; p++ {
+		if want := fmt.Sprintf("partition %d lock table:", p); !strings.Contains(locks, want) {
+			t.Errorf("/debug/locks lacks %q:\n%s", want, locks)
+		}
+	}
+	if dot := get("/debug/waitsfor"); !strings.Contains(dot, "digraph waitsfor") {
+		t.Errorf("/debug/waitsfor is no digraph:\n%s", dot)
+	}
+}
+
 // TestRefusesUsedWALDir: accd serves a fresh -wal-dir, drains clean, and then
 // refuses to start on the records it left — it would append a second history
 // with transaction ids restarting at 1 — pointing at the directory and at
@@ -89,22 +151,7 @@ func TestRefusesUsedWALDir(t *testing.T) {
 	walDir, ready := filepath.Join(dir, "wal"), filepath.Join(dir, "ready")
 	args := []string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-ready-fd", ready}
 
-	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "ACCDB_PARTITIONS=")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-	var addr string
-	for deadline := time.Now().Add(20 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
-		if data, err := os.ReadFile(ready); err == nil && bytes.HasSuffix(data, []byte("\n")) {
-			addr = strings.TrimSpace(string(data))
-		} else if time.Now().After(deadline) {
-			t.Fatalf("accd not ready; stderr:\n%s", stderr.String())
-		}
-	}
+	cmd, addr, stderr := serve(t, bin, ready, args)
 	cli, err := accclient.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

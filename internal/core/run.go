@@ -236,15 +236,13 @@ func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, typ interf
 	}
 	txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
 	txn.begin = wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
-	if tag, ok := shotTagFrom(ctx); ok && tag.Global != 0 {
+	if tag := shotTagFrom(ctx); tag.Group != nil {
 		// A shot of a multi-shot global transaction: stamp the begin record
-		// so partition recovery can resolve this shot's fate, and report the
-		// local id for cross-partition deadlock detection. A retried attempt
+		// so partition recovery can resolve this shot's fate, and join the
+		// global's group before the first lock request. A retried attempt
 		// re-stamps with its fresh id; the latest attempt is the live one.
-		txn.begin.Global, txn.begin.Shot = tag.Global, tag.Shot
-		if tag.OnTxn != nil {
-			tag.OnTxn(txn.info.ID)
-		}
+		txn.begin.Global, txn.begin.Shot = tag.Group.ID, tag.Shot
+		txn.info.Group = tag.Group
 	}
 	return txn
 }

@@ -16,17 +16,14 @@ import (
 // transaction from the per-partition logs alone.
 
 // ShotTag marks the next transaction run under the context as shot Shot of
-// global transaction Global. Shot 0 is the home (originating-partition)
-// transaction, positive indices are remote shots in plan order, and a
-// negative index -k is the compensating undo of shot k.
+// the global transaction Group identifies. Shot 0 is the home
+// (originating-partition) transaction, positive indices are remote shots in
+// plan order, and a negative index -k is the compensating undo of shot k.
+// The group rides on every attempt's spi.Txn, which is how the lock service
+// follows a deadlock cycle from one partition's lock table into another's.
 type ShotTag struct {
-	Global uint64
-	Shot   int32
-	// OnTxn, when non-nil, is invoked with the local transaction id of each
-	// execution attempt, before the transaction's first lock request. The
-	// coordinator uses it to map local waits-for vertices to global ids for
-	// cross-partition deadlock detection.
-	OnTxn func(spi.TxnID)
+	Group *spi.Group
+	Shot  int32
 }
 
 type shotTagKey struct{}
@@ -38,8 +35,8 @@ func WithShotTag(ctx context.Context, tag ShotTag) context.Context {
 	return context.WithValue(ctx, shotTagKey{}, tag)
 }
 
-// shotTagFrom extracts the shot stamp, if any.
-func shotTagFrom(ctx context.Context) (ShotTag, bool) {
-	tag, ok := ctx.Value(shotTagKey{}).(ShotTag)
-	return tag, ok
+// shotTagFrom extracts the shot stamp; without one its Group is nil.
+func shotTagFrom(ctx context.Context) ShotTag {
+	tag, _ := ctx.Value(shotTagKey{}).(ShotTag)
+	return tag
 }

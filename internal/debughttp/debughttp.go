@@ -4,16 +4,18 @@
 //	/metrics         engine, lock, WAL, trace, latency-anatomy and (when
 //	                 wired) per-RPC counters in Prometheus text exposition
 //	                 format
-//	/debug/locks     lock-table snapshot: per-shard held locks (with the
-//	                 paper's A/D/C kinds) and wait queues, as text
-//	/debug/waitsfor  the waits-for graph in Graphviz DOT form
+//	/debug/locks     every partition's lock-table snapshot: per-shard held
+//	                 locks (with the paper's A/D/C kinds) and wait queues
+//	/debug/waitsfor  the waits-for graph deadlock detection walks, across
+//	                 every partition's lock table, in Graphviz DOT form
 //	/debug/anatomy   live per-stage latency breakdown (p50/p90/p99) plus the
 //	                 flight recorder's slowest recent transactions, as text
 //	/debug/pprof/*   the standard Go profiler endpoints
 //
-// The engine pointer is swapped atomically each time the owner builds a
-// fresh system (accbench builds one per sweep point per mode), so the
-// endpoints always observe the system currently under load.
+// The engines are swapped atomically each time the owner builds a fresh
+// system (accbench builds one per sweep point per mode), so the endpoints
+// always observe the system currently under load. The engine-level /metrics
+// series describe the first engine (partition 0).
 package debughttp
 
 import (
@@ -26,6 +28,7 @@ import (
 	"time"
 
 	"accdb/internal/core"
+	"accdb/internal/spi"
 	"accdb/internal/trace"
 )
 
@@ -34,7 +37,7 @@ import (
 type Server struct {
 	tracer  *trace.Tracer
 	anatomy *trace.Anatomy
-	eng     atomic.Pointer[core.Engine]
+	engines atomic.Pointer[[]*core.Engine]
 
 	// sections append the owner's own series to /metrics, in the order added
 	// (accd adds the network server's and the partition set's WriteMetrics).
@@ -49,8 +52,9 @@ func New(tr *trace.Tracer, an *trace.Anatomy) *Server {
 	return &Server{tracer: tr, anatomy: an}
 }
 
-// SetEngine publishes the engine currently under load.
-func (s *Server) SetEngine(e *core.Engine) { s.eng.Store(e) }
+// SetEngines publishes the engines currently under load — at least one — in
+// partition order.
+func (s *Server) SetEngines(engines ...*core.Engine) { s.engines.Store(&engines) }
 
 // AddMetrics registers one more /metrics section writer. Call before Start.
 func (s *Server) AddMetrics(fn func(io.Writer)) { s.sections = append(s.sections, fn) }
@@ -64,8 +68,8 @@ func (s *Server) Start(addr string) error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/debug/locks", s.locks)
-	mux.HandleFunc("/debug/waitsfor", s.waitsFor)
+	mux.HandleFunc("/debug/locks", s.lockDump("text/plain; charset=utf-8", spi.LocksText))
+	mux.HandleFunc("/debug/waitsfor", s.lockDump("text/vnd.graphviz", spi.WaitsForDOT))
 	mux.HandleFunc("/debug/anatomy", s.anatomyText)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -86,8 +90,8 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	gauge := func(name, help string, v int) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	eng := s.eng.Load()
-	if eng != nil {
+	if engines := s.engines.Load(); engines != nil {
+		eng := (*engines)[0]
 		es := eng.Snapshot()
 		counter("accdb_txn_commits_total", "Committed transactions, read-only ones included.", es.Commits+es.ReadOnly)
 		counter("accdb_txn_user_aborts_total", "User-initiated aborts.", es.UserAborts)
@@ -150,26 +154,22 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// locks renders the lock-table snapshot as text.
-func (s *Server) locks(w http.ResponseWriter, _ *http.Request) {
-	eng := s.eng.Load()
-	if eng == nil {
-		http.Error(w, "no engine under load yet", http.StatusServiceUnavailable)
-		return
+// lockDump serves one rendering of the lock tables of every engine under
+// load: the snapshot as text, or the waits-for graph as Graphviz DOT.
+func (s *Server) lockDump(contentType string, render func([]*spi.TableSnapshot) string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		engines := s.engines.Load()
+		if engines == nil {
+			http.Error(w, "no engine under load yet", http.StatusServiceUnavailable)
+			return
+		}
+		var tables []*spi.TableSnapshot
+		for _, e := range *engines {
+			tables = append(tables, e.Locks().Snapshot())
+		}
+		w.Header().Set("Content-Type", contentType)
+		fmt.Fprint(w, render(tables))
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, eng.Locks().Snapshot().String())
-}
-
-// waitsFor renders the waits-for graph as Graphviz DOT.
-func (s *Server) waitsFor(w http.ResponseWriter, _ *http.Request) {
-	eng := s.eng.Load()
-	if eng == nil {
-		http.Error(w, "no engine under load yet", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/vnd.graphviz")
-	fmt.Fprint(w, eng.Locks().Snapshot().DOT())
 }
 
 // anatomyText renders the live per-stage latency breakdown.

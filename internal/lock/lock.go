@@ -23,16 +23,18 @@
 //     assertional lock.
 //
 // Deadlocks are detected by cycle search in the waits-for graph at block
-// time. The victim is the request that completes the cycle (§3.4), except
-// that a compensating step is never the victim: the manager instead aborts a
-// forward-step waiter on the cycle so the compensation can proceed.
+// time; a cycle may pass through other partitions' managers by way of a
+// global transaction's spi.Group. The victim is the request that completes
+// the cycle (§3.4), except that a compensating step is never the victim: the
+// manager instead aborts a forward-step waiter on the cycle so the
+// compensation can proceed.
 //
 // The lock table is partitioned into shards — max(16, 4×GOMAXPROCS),
 // capped at 64 — each with its own latch, item map and wait queues, like
 // the sharded hash table of lock chains in the Ingres lock manager the
-// paper modified. Blocked requests are additionally published in a small
-// cross-shard waits-for registry so deadlock detection and cancellation
-// can find them without a global latch; see shard.go and deadlock.go.
+// paper modified. A blocked request is additionally published in its
+// transaction's group (a scratch slot the SPI reserves) so deadlock
+// detection can find it without a global latch; see shard.go and deadlock.go.
 package lock
 
 import (
@@ -170,9 +172,8 @@ var (
 	// ErrDeadlock reports that the request completed a waits-for cycle and
 	// was chosen as the victim. The caller aborts and retries the step.
 	ErrDeadlock = spi.ErrDeadlock
-	// ErrAborted reports that the waiting request was aborted from outside —
-	// either by Manager.CancelWait or because a compensating step needed the
-	// cycle broken.
+	// ErrAborted reports that the waiting request was aborted from outside: a
+	// compensating step or an undo shot needed the cycle broken.
 	ErrAborted = spi.ErrAborted
 	// ErrTimeout reports that the configured wait budget elapsed.
 	ErrTimeout = spi.ErrTimeout

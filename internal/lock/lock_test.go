@@ -459,6 +459,14 @@ func TestReleaseStepAbortKeepsAssertionsDropsStepMarks(t *testing.T) {
 	<-done
 }
 
+// cancelWait kills txn's blocked request, if any, the way deadlock detection
+// kills a victim it chose on a compensation's behalf.
+func cancelWait(txn *TxnInfo) {
+	if w := blockedOf(txn); w != nil {
+		w.kill(ErrAborted)
+	}
+}
+
 func TestCancelWait(t *testing.T) {
 	m := NewManager(newStub())
 	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
@@ -467,7 +475,7 @@ func TestCancelWait(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(t2, it, conv(ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
-	m.CancelWait(2)
+	cancelWait(t2)
 	if err := <-done; !errors.Is(err, ErrAborted) {
 		t.Fatalf("got %v, want ErrAborted", err)
 	}

@@ -54,13 +54,13 @@ type grant struct {
 }
 
 // waiter is a blocked Acquire. Its granted/err fields are guarded by the
-// owning shard's latch (sh.mu); the grantor (grant pass, victim kill,
-// cancel) sets exactly one outcome and signals ch exactly once, all under
-// that latch.
+// owning shard's latch (sh.mu); the grantor (grant pass, victim kill) sets
+// exactly one outcome and signals ch exactly once, all under that latch.
 type waiter struct {
 	txn  *TxnInfo
 	req  Request
 	item Item
+	m    *Manager // owns sh; a deadlock walk may reach w from another manager
 	sh   *shard
 	conv bool // conversion request (trace events tag these as upgrades)
 
@@ -91,8 +91,8 @@ type Stats = spi.LockStats
 // the structure of the sharded Ingres lock manager the paper modified —
 // each with its own latch, item map and wait queues, so Acquires on
 // unrelated items proceed in parallel. Wait queues park on per-waiter
-// channels; blocked requests are published in a cross-shard waits-for
-// registry for deadlock detection and cancellation.
+// channels; a blocked request is published in its transaction's group's
+// Blocked slot, where deadlock detection finds it.
 type Manager struct {
 	oracle Oracle
 
@@ -102,8 +102,6 @@ type Manager struct {
 
 	shards    []*shard
 	shardMask uint64
-
-	reg waitRegistry
 
 	// tracer is the structured event bus; nil disables tracing. Every emit
 	// site nil-checks first, so the disabled cost is one predictable branch
@@ -137,7 +135,6 @@ func NewManagerWithShards(oracle Oracle, n int) *Manager {
 		oracle:    oracle,
 		shards:    make([]*shard, n),
 		shardMask: uint64(n - 1),
-		reg:       newWaitRegistry(),
 	}
 	for i := range m.shards {
 		m.shards[i] = newShard(i)
@@ -435,9 +432,10 @@ func spanWait(w *waiter, waited time.Duration, kind trace.Kind) {
 	sp.Event(kind, w.blockedBy, w.item.String(), int64(waited))
 }
 
-// spanWaitKind maps a finished wait's outcome to the event kind recorded in
-// the span history (mirroring emitWaitOutcome, minus the upgrade special
-// case — the span cares about where time went, not queue mechanics).
+// spanWaitKind maps a finished wait's outcome to its event kind, for the
+// span history and for the trace bus (emitWaitOutcome, which adds the
+// upgrade special case — the span cares about where time went, not queue
+// mechanics).
 func spanWaitKind(granted bool, err error) trace.Kind {
 	switch {
 	case err == ErrTimeout:
@@ -451,11 +449,11 @@ func spanWaitKind(granted bool, err error) trace.Kind {
 	}
 }
 
-// wait enqueues the request, publishes it in the waits-for registry, runs
-// deadlock detection, and parks until the grant, the wait budget, or ctx.
-// Called with sh.mu held; releases it.
+// wait enqueues the request, publishes it in its group's Blocked slot, runs
+// deadlock detection, and parks until the grant, a victim kill, the wait
+// budget, or ctx. Called with sh.mu held; releases it.
 func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, st *lockState, req Request, conversion bool) error {
-	w := &waiter{txn: txn, req: req, item: item, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
+	w := &waiter{txn: txn, req: req, item: item, m: m, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
 	if txn.Span != nil {
 		w.stage, w.blockedBy = m.blockStage(txn, req, st)
 	}
@@ -480,32 +478,9 @@ func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, 
 
 	// Publish before detecting: the last member of a cycle to publish is
 	// guaranteed to see every other member when its own detection runs.
-	m.reg.add(txn.ID, w)
+	txn.Group.Blocked.Store(w)
 	start := time.Now()
-
-	if err := m.resolveDeadlock(w); err != nil {
-		// w completed a cycle and must abort. It may have been granted or
-		// finalized concurrently — re-check under the shard latch and honour
-		// that outcome instead.
-		sh.mu.Lock()
-		if w.granted || w.err != nil {
-			sh.mu.Unlock()
-			<-w.ch // finalized concurrently; consume the signal
-			return m.finishWait(w, start)
-		}
-		w.err = err // finalize under the latch so no other path re-removes w
-		m.removeWaiter(sh, w)
-		sh.mu.Unlock()
-		m.reg.remove(txn.ID, w)
-		waited := time.Since(start)
-		sh.recordWait(w.item, w.req.Mode, uint64(waited))
-		spanWait(w, waited, trace.KindDeadlockVictim)
-		if m.tracer != nil {
-			m.emitLock(trace.KindDeadlockVictim, txn.ID, item, sh,
-				req.Mode.String(), int64(waited), "self")
-		}
-		return err
-	}
+	resolveDeadlock(w) // a victim w wakes at once, below
 
 	var timeout <-chan time.Time
 	if m.WaitTimeout > 0 {
@@ -513,55 +488,29 @@ func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, 
 		defer t.Stop()
 		timeout = t.C
 	}
+	// Whoever ends the wait — the grant pass, a victim kill, or one of the two
+	// kills below — signals w.ch exactly once.
 	select {
 	case <-w.ch:
 	case <-timeout:
-		if abandoned := m.abandonWait(w, start, ErrTimeout, trace.KindLockTimeout, ""); abandoned {
-			return ErrTimeout
-		}
-		<-w.ch // finalized concurrently; consume the signal
+		w.kill(ErrTimeout)
+		<-w.ch
 	case <-ctx.Done():
 		// The caller gave up: a disconnected session or an expired deadline.
 		// The wait is withdrawn and the ctx error propagates so the engine
 		// rolls the transaction back (by compensation if steps completed).
-		if abandoned := m.abandonWait(w, start, ctx.Err(), trace.KindLockAbort, "ctx"); abandoned {
-			return ctx.Err()
-		}
-		<-w.ch // finalized concurrently; consume the signal
+		w.kill(ctx.Err())
+		<-w.ch
 	}
 	return m.finishWait(w, start)
 }
 
-// abandonWait finalizes a parked waiter from the waiting side (wait budget
-// elapsed or caller context done). It reports true when this call claimed
-// the outcome; false means the grantor finalized concurrently and the
-// caller must consume the signal and honour that outcome instead. Abandoned
-// waits count toward contention attribution like any other wait.
-func (m *Manager) abandonWait(w *waiter, start time.Time, cause error, kind trace.Kind, extra string) bool {
-	sh := w.sh
-	sh.mu.Lock()
-	if w.granted || w.err != nil {
-		sh.mu.Unlock()
-		return false
-	}
-	w.err = cause
-	m.removeWaiter(sh, w)
-	sh.mu.Unlock()
-	m.reg.remove(w.txn.ID, w)
-	waited := time.Since(start)
-	sh.recordWait(w.item, w.req.Mode, uint64(waited))
-	spanWait(w, waited, kind)
-	if m.tracer != nil {
-		m.emitLock(kind, w.txn.ID, w.item, sh, w.req.Mode.String(), int64(waited), extra)
-	}
-	return true
-}
-
-// finishWait withdraws a signalled waiter from the registry, records the
-// wait against the shard's counters and contention class, and maps the
-// waiter's outcome to the Acquire result.
+// finishWait withdraws a signalled waiter from its Blocked slot, records the
+// wait against the shard's counters and contention class — abandoned waits
+// count toward contention attribution like any other — and maps the waiter's
+// outcome to the Acquire result.
 func (m *Manager) finishWait(w *waiter, start time.Time) error {
-	m.reg.remove(w.txn.ID, w)
+	w.txn.Group.Blocked.Store((*waiter)(nil))
 	sh := w.sh
 	sh.mu.Lock()
 	granted, err := w.granted, w.err
@@ -581,24 +530,20 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 	return nil
 }
 
-// emitWaitOutcome maps a finished wait to its trace event. The
-// for-compensation victim kill additionally emits its own KindDeadlockVictim
-// at the kill site (deadlock.go), so here an externally aborted wait is a
-// plain lock.abort.
+// emitWaitOutcome sends a finished wait's trace event. The for-compensation
+// victim kill emits its own KindDeadlockVictim at the kill site (deadlock.go),
+// so here an externally aborted wait is a plain lock.abort.
 func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int64) {
-	mode := w.req.Mode.String()
+	kind, extra := spanWaitKind(granted, err), ""
 	switch {
-	case err == ErrTimeout:
-		m.emitLock(trace.KindLockTimeout, w.txn.ID, w.item, w.sh, mode, waited, "")
 	case err == ErrDeadlock:
-		m.emitLock(trace.KindDeadlockVictim, w.txn.ID, w.item, w.sh, mode, waited, "self")
-	case err != nil || !granted:
-		m.emitLock(trace.KindLockAbort, w.txn.ID, w.item, w.sh, mode, waited, "")
-	case w.conv:
-		m.emitLock(trace.KindLockUpgrade, w.txn.ID, w.item, w.sh, mode, waited, "waited")
-	default:
-		m.emitLock(trace.KindLockGrant, w.txn.ID, w.item, w.sh, mode, waited, "")
+		extra = "self"
+	case err != nil && err != ErrTimeout && err != ErrAborted:
+		extra = "ctx" // the caller's context
+	case err == nil && granted && w.conv:
+		kind, extra = trace.KindLockUpgrade, "waited"
 	}
+	m.emitLock(kind, w.txn.ID, w.item, w.sh, w.req.Mode.String(), waited, extra)
 }
 
 // isConversion reports whether w is a conversion (its txn already holds a
@@ -842,28 +787,6 @@ func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
 // abort, or the end of the durability wait that follows the final Retire.
 func (m *Manager) ReleaseAll(txn *TxnInfo) {
 	m.releaseWhere(txn, func(*lockState, *grant) bool { return true })
-}
-
-// CancelWait aborts txn's blocked request, if any, making it return
-// ErrAborted. Used by the engine to kill victims picked by external policy.
-func (m *Manager) CancelWait(txn TxnID) {
-	w := m.reg.get(txn)
-	if w == nil {
-		return
-	}
-	sh := w.sh
-	sh.mu.Lock()
-	cancelled := false
-	if !w.granted && w.err == nil {
-		w.err = ErrAborted
-		m.removeWaiter(sh, w)
-		w.ch <- struct{}{}
-		cancelled = true
-	}
-	sh.mu.Unlock()
-	if cancelled && m.tracer != nil {
-		m.emitLock(trace.KindLockAbort, txn, w.item, sh, w.req.Mode.String(), 0, "cancel")
-	}
 }
 
 // HeldItems returns the items on which txn currently holds any entry,

@@ -11,10 +11,10 @@ import (
 // Each shard owns its own latch, item map, wait queues, held-set index and
 // counters, so Acquires on unrelated items proceed in parallel.
 //
-// Invariant: a goroutine never holds two shard latches at once, and never
-// holds a shard latch and the waits-for registry latch at the same time.
-// Everything cross-shard (deadlock detection, multi-item release, stats
-// aggregation) works one shard at a time.
+// Invariant: a goroutine never holds two shard latches at once — of this
+// manager or, on a deadlock walk, of any other. Everything cross-shard
+// (deadlock detection, multi-item release, stats aggregation) works one
+// shard at a time.
 //
 // Each shard recycles its lock-chain machinery — lock states, grant
 // entries and per-transaction held lists — through small freelists guarded

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accdb/internal/spi"
 	"accdb/internal/storage"
 )
 
@@ -73,6 +74,45 @@ func TestCrossShardDeadlock(t *testing.T) {
 	}
 }
 
+// TestCrossManagerDeadlock: two global transactions, each holding a lock in
+// one manager through one member and waiting in the other manager through
+// another (ids repeat across managers, as across engines). Neither table holds
+// a cycle; the walk follows each holder's group into the other manager. The
+// closer dies and, the cycle having left its lock table, its group is doomed.
+func TestCrossManagerDeadlock(t *testing.T) {
+	m0, m1 := NewManager(newStub()), NewManager(newStub())
+	doomed := make(chan string, 2)
+	member := func(id TxnID, g *spi.Group) *TxnInfo {
+		txn := NewTxnInfo(id, 1)
+		txn.Group = g
+		return txn
+	}
+	g1 := spi.NewGroup(1, func(cycle string) { doomed <- "g1 " + cycle })
+	g2 := spi.NewGroup(2, func(cycle string) { doomed <- "g2 " + cycle })
+	home1, shot1 := member(1, g1), member(2, g1) // g1: holds in m0, waits in m1
+	home2, shot2 := member(1, g2), member(2, g2) // g2: holds in m1, waits in m0
+	x, y := item("x"), item("y")
+	m0.Acquire(home1, x, conv(ModeX))
+	m1.Acquire(home2, y, conv(ModeX))
+	got1 := make(chan error, 1)
+	go func() { got1 <- m1.Acquire(shot1, y, conv(ModeX)) }()
+	waitUntil(t, func() bool { return m1.Snapshot().WaiterCount() == 1 })
+	if err := m0.Acquire(shot2, x, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("cross-manager cycle closer got %v, want ErrDeadlock", err)
+	}
+	if got := <-doomed; got != "g2 g2->g1->g2" {
+		t.Fatalf("doomed %q, want the closer's group with the cycle", got)
+	}
+	m1.ReleaseAll(home2)
+	if err := <-got1; err != nil {
+		t.Fatal(err)
+	}
+	if len(doomed) != 0 || m0.Stats().Deadlocks != 1 || m1.Stats().Deadlocks != 0 {
+		t.Fatalf("want one deadlock, counted where it closed, and one doom; got %d more dooms, %+v, %+v",
+			len(doomed), m0.Stats(), m1.Stats())
+	}
+}
+
 // TestCrossShardDeadlockThreeWay runs a three-transaction cycle spanning
 // three shards (t1→t2→t3→t1).
 func TestCrossShardDeadlockThreeWay(t *testing.T) {
@@ -133,7 +173,7 @@ func TestCrossShardCompensatingNeverVictim(t *testing.T) {
 	}
 }
 
-// TestCancelWaitVsTimeoutRace hammers CancelWait against WaitTimeout expiry
+// TestCancelWaitVsTimeoutRace hammers a victim kill against WaitTimeout expiry
 // on the same waiter; run under -race it proves a waiter has exactly one
 // outcome and the queue stays clean whichever side wins.
 func TestCancelWaitVsTimeoutRace(t *testing.T) {
@@ -154,7 +194,7 @@ func TestCancelWaitVsTimeoutRace(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m.CancelWait(blocked.ID)
+				cancelWait(blocked)
 			}()
 		}
 		err := <-done

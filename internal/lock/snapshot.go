@@ -61,7 +61,8 @@ func (m *Manager) Snapshot() *TableSnapshot {
 					Conversion:   w.conv,
 				})
 				for _, b := range m.blockersLocked(w, st) {
-					snap.Edges = append(snap.Edges, WaitEdge{From: w.txn.ID, To: b, Item: item})
+					snap.Edges = append(snap.Edges, WaitEdge{From: w.txn.ID, To: b.ID,
+						FromGroup: w.txn.Group.ID, ToGroup: b.Group.ID, Item: item})
 				}
 			}
 			ss.Items = append(ss.Items, is)

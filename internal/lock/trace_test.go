@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -137,11 +138,12 @@ func TestTraceTimeoutAndCancelEvents(t *testing.T) {
 	m.WaitTimeout = 0
 	t3 := NewTxnInfo(3, 1)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t3, it, conv(ModeX)) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { done <- m.AcquireCtx(ctx, t3, it, conv(ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
-	m.CancelWait(3)
-	if err := <-done; !errors.Is(err, ErrAborted) {
-		t.Fatalf("got %v, want ErrAborted", err)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 
 	byKind := collect(tr, sink)
@@ -152,7 +154,7 @@ func TestTraceTimeoutAndCancelEvents(t *testing.T) {
 	ab := byKind[trace.KindLockAbort]
 	found := false
 	for _, ev := range ab {
-		if ev.Txn == 3 && ev.Extra == "cancel" {
+		if ev.Txn == 3 && ev.Extra == "ctx" {
 			found = true
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/fault"
+	"accdb/internal/spi"
 	"accdb/internal/trace"
 	"accdb/internal/wal"
 )
@@ -133,15 +134,17 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	s.emit(trace.KindCoordBegin, g, -1, tt.Name, 0, fmt.Sprintf("home=%d shots=%d", home, len(shots)))
 	s.crashPoint(fpCoordBegin)
 
-	// The per-global cancel is the deadlock detector's doom lever: it stops
-	// the engines' retry loops (they check ctx between attempts) as well as
-	// the current lock wait.
+	// The group is the global's identity in every partition's lock table,
+	// and its doom the deadlock detector's lever: a cancelled context stops
+	// the engines' retry loops (they check ctx between attempts), which
+	// aborting the victim's current lock wait alone would not.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s.shotMu.Lock()
-	s.cancels[g] = cancel
-	s.shotMu.Unlock()
-	defer s.untrack(g)
+	grp := spi.NewGroup(g, func(cycle string) {
+		cancel()
+		s.crossDeadlocks.Add(1)
+		s.emit(trace.KindCrossDeadlock, g, -1, "", 0, cycle)
+	})
 
 	// done survives home-transaction retries: a deadlock-victim home attempt
 	// reruns its hook step, which must continue from the first uncommitted
@@ -152,7 +155,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 			if done[i] {
 				continue
 			}
-			if err := s.runShot(cctx, g, int32(i+1), sh); err != nil {
+			if err := s.runShot(cctx, grp, int32(i+1), sh); err != nil {
 				return err
 			}
 			done[i] = true
@@ -163,9 +166,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	}
 
 	// 2-3. The home transaction, hook in context, commits last.
-	hctx := core.WithShotTag(WithHook(cctx, hook), core.ShotTag{
-		Global: g, Shot: 0, OnTxn: s.track(home, g, false),
-	})
+	hctx := core.WithShotTag(WithHook(cctx, hook), core.ShotTag{Group: grp})
 	err = homeEng.Exec(hctx, core.Request{Type: tt, Args: args, Span: sp})
 	if err == nil {
 		s.crashPoint(fpCoordCommit)
@@ -181,7 +182,7 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 		if !done[i] {
 			continue
 		}
-		if uerr := s.undoShot(g, int32(i+1), shots[i], shots[i].Args); uerr != nil {
+		if uerr := s.undoShot(grp, int32(i+1), shots[i], shots[i].Args); uerr != nil {
 			s.emit(trace.KindCoordAbort, g, -1, tt.Name, time.Since(start).Nanoseconds(),
 				fmt.Sprintf("undo of shot %d failed: %v", i+1, uerr))
 			return fmt.Errorf("partition: global %d rollback: undo of shot %d: %w (cause: %v)", g, i+1, uerr, err)
@@ -199,15 +200,15 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 // runShot executes one remote shot as a local transaction on its partition.
 // The shot's Exec returns only once its commit record is durable in its
 // partition's log, so plan order doubles as durability order.
-func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
-	s.emit(trace.KindShotBegin, g, idx, sh.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
+func (s *Set) runShot(ctx context.Context, grp *spi.Group, idx int32, sh Shot) error {
+	s.emit(trace.KindShotBegin, grp.ID, idx, sh.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
 	start := time.Now()
-	sctx := core.WithShotTag(ctx, core.ShotTag{Global: g, Shot: idx, OnTxn: s.track(sh.Partition, g, false)})
+	sctx := core.WithShotTag(ctx, core.ShotTag{Group: grp, Shot: idx})
 	if err := s.engines[sh.Partition].Exec(sctx, core.Request{Name: sh.Type, Args: sh.Args}); err != nil {
 		return fmt.Errorf("shot %d (%s on partition %d): %w", idx, sh.Type, sh.Partition, err)
 	}
 	s.shotsRun.Add(1)
-	s.emit(trace.KindShotEnd, g, idx, sh.Type, time.Since(start).Nanoseconds(), "")
+	s.emit(trace.KindShotEnd, grp.ID, idx, sh.Type, time.Since(start).Nanoseconds(), "")
 	return nil
 }
 
@@ -218,8 +219,10 @@ func (s *Set) runShot(ctx context.Context, g uint64, idx int32, sh Shot) error {
 // typically already cancelled (deadlock doom) or failed, and compensation,
 // like the engine's own §3.4 executor, must proceed regardless. Retries are
 // persistent: an undo shot only touches items the forward shot reserved, so
-// transient scheduling aborts are the only failures expected.
-func (s *Set) undoShot(g uint64, idx int32, sh Shot, args any) error {
+// transient scheduling aborts are the only failures expected. From its first
+// undo shot on the group is marked undoing: §3.4 lifted across partitions, a
+// compensating shot is no deadlock victim while forward work can be.
+func (s *Set) undoShot(grp *spi.Group, idx int32, sh Shot, args any) error {
 	spec, ok := s.undoSpec(sh.Type)
 	if !ok {
 		return fmt.Errorf("partition: no undo registered for shot type %q", sh.Type)
@@ -227,8 +230,9 @@ func (s *Set) undoShot(g uint64, idx int32, sh Shot, args any) error {
 	if spec.Args != nil {
 		args = spec.Args(args)
 	}
-	s.emit(trace.KindShotUndo, g, -idx, spec.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
-	uctx := core.WithShotTag(context.Background(), core.ShotTag{Global: g, Shot: -idx, OnTxn: s.track(sh.Partition, g, true)})
+	s.emit(trace.KindShotUndo, grp.ID, -idx, spec.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
+	grp.Undoing.Store(true)
+	uctx := core.WithShotTag(context.Background(), core.ShotTag{Group: grp, Shot: -idx})
 	var err error
 	for attempt := 0; attempt < 100; attempt++ {
 		err = s.engines[sh.Partition].Exec(uctx, core.Request{Name: spec.Type, Args: args})

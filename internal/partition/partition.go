@@ -18,12 +18,13 @@
 //
 // Because the home transaction holds its exposure (D) and reservation (C)
 // marks while its remote shots run, two cross-partition transactions can
-// block each other through locks in different partitions that no
-// single-partition detector sees. The Set runs a cross-partition waits-for
-// detector that projects each engine's local waits-for edges through the
-// live shot table onto global transaction ids and breaks cycles by
-// cancelling one member — never an undo shot, preserving the paper's rule
-// that compensating work is not a deadlock victim.
+// block each other through locks in different partitions. The Set runs no
+// detector of its own: every local transaction of a global carries the
+// global's spi.Group, and the lock manager's on-block cycle search follows
+// it from one partition's lock table into the next (DESIGN.md §8). What the
+// Set supplies is the doom lever — cancelling the victim global's context so
+// the engines' retry loops stop — and the "undoing" mark that keeps a
+// compensating undo shot from being chosen while forward work can be.
 package partition
 
 import (
@@ -33,10 +34,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/spi"
 	"accdb/internal/trace"
 )
 
@@ -82,7 +81,7 @@ type Stats struct {
 	CrossAborted   uint64 // ... rolled back with shots compensated
 	ShotsRun       uint64 // remote shots committed
 	ShotUndos      uint64 // compensating undo shots run
-	CrossDeadlocks uint64 // cycles broken by the cross-partition detector
+	CrossDeadlocks uint64 // globals doomed as victims of a cross-partition cycle
 }
 
 // Set is a partitioned engine: n ≥ 1 engines behind a router and a
@@ -98,18 +97,7 @@ type Set struct {
 
 	nextGlobal atomic.Uint64
 
-	// shotMu guards the live shot table the deadlock detector projects
-	// local waits-for edges through, and the per-global cancel functions it
-	// dooms victims with.
-	shotMu  sync.Mutex
-	shots   map[shotKey]shotRef
-	byGlob  map[uint64][]shotKey
-	cancels map[uint64]context.CancelFunc
-
-	tracer      *trace.Tracer
-	detInterval time.Duration
-	detStop     chan struct{}
-	detDone     chan struct{}
+	tracer *trace.Tracer
 
 	singleRouted   atomic.Uint64
 	crossStarted   atomic.Uint64
@@ -122,27 +110,8 @@ type Set struct {
 	closed atomic.Bool
 }
 
-// shotKey names one live local transaction of a global transaction.
-type shotKey struct {
-	part int
-	txn  spi.TxnID
-}
-
-// shotRef is the global identity of a live local transaction.
-type shotRef struct {
-	global uint64
-	undo   bool
-}
-
 // Option configures a Set.
 type Option func(*Set)
-
-// WithDetectInterval sets the cross-partition deadlock detector's cadence.
-// Zero keeps the 10ms default; negative disables the background detector
-// (tests drive DetectOnce directly).
-func WithDetectInterval(d time.Duration) Option {
-	return func(s *Set) { s.detInterval = d }
-}
 
 // WithTracer attaches a trace bus to the coordinator's own events
 // (coord.*/shot.* kinds); the per-partition engines carry their own tracers.
@@ -174,12 +143,8 @@ func New(n int, build BuildFunc, opts ...Option) (*Set, error) {
 		return nil, fmt.Errorf("partition: need at least one partition, got %d", n)
 	}
 	s := &Set{
-		routes:      make(map[string]*Route),
-		undos:       make(map[string]UndoSpec),
-		shots:       make(map[shotKey]shotRef),
-		byGlob:      make(map[uint64][]shotKey),
-		cancels:     make(map[uint64]context.CancelFunc),
-		detInterval: 10 * time.Millisecond,
+		routes: make(map[string]*Route),
+		undos:  make(map[string]UndoSpec),
 	}
 	for _, apply := range opts {
 		apply(s)
@@ -193,11 +158,6 @@ func New(n int, build BuildFunc, opts ...Option) (*Set, error) {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
 		}
 		s.engines = append(s.engines, eng)
-	}
-	if n > 1 && s.detInterval > 0 {
-		s.detStop = make(chan struct{})
-		s.detDone = make(chan struct{})
-		go s.detectLoop()
 	}
 	return s, nil
 }
@@ -302,14 +262,10 @@ func (s *Set) Snapshot() Stats {
 	}
 }
 
-// Close stops the deadlock detector and closes every engine.
+// Close closes every engine.
 func (s *Set) Close() error {
 	if s.closed.Swap(true) {
 		return nil
-	}
-	if s.detStop != nil {
-		close(s.detStop)
-		<-s.detDone
 	}
 	var first error
 	for _, e := range s.engines {
@@ -322,30 +278,6 @@ func (s *Set) Close() error {
 
 // Closed reports whether Close was called.
 func (s *Set) Closed() bool { return s.closed.Load() }
-
-// track registers local transaction ids of global g's shots as they begin,
-// for the deadlock detector's projection. Returned as a core.ShotTag.OnTxn.
-func (s *Set) track(part int, g uint64, undo bool) func(spi.TxnID) {
-	return func(id spi.TxnID) {
-		k := shotKey{part, id}
-		s.shotMu.Lock()
-		s.shots[k] = shotRef{global: g, undo: undo}
-		s.byGlob[g] = append(s.byGlob[g], k)
-		s.shotMu.Unlock()
-	}
-}
-
-// untrack drops global g's shot-table entries and cancel hook once the
-// global transaction reached an outcome.
-func (s *Set) untrack(g uint64) {
-	s.shotMu.Lock()
-	for _, k := range s.byGlob[g] {
-		delete(s.shots, k)
-	}
-	delete(s.byGlob, g)
-	delete(s.cancels, g)
-	s.shotMu.Unlock()
-}
 
 // emit sends one coordinator-layer trace event, if a bus is attached.
 func (s *Set) emit(kind trace.Kind, g uint64, step int32, item string, dur int64, extra string) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"accdb/internal/partition"
 	"accdb/internal/spi"
 	"accdb/internal/tpcc"
+	"accdb/internal/trace"
 
 	_ "accdb/internal/backends" // default storage backends
 )
@@ -372,61 +374,26 @@ func TestRecoverUndoesShots(t *testing.T) {
 	}
 }
 
-// TestCrossPartitionDeadlock builds the cycle the issue prescribes: two
-// cross-partition transactions acquire exposure marks in opposite partition
-// order — each holds a row on its home partition and sends a shot after the
-// row the other holds. No single engine sees a cycle; only the projection
-// of the per-partition waits-for edges through the shot table does. The
-// detector dooms the younger global (§3.4's compensating-victim rule: the
-// survivor keeps its marks, the victim is compensated) and the survivor
-// commits.
+// TestCrossPartitionDeadlock builds the basic cycle: two cross-partition
+// transactions acquire exposure marks in opposite partition order — each
+// holds a row on its home partition and sends a shot after the row the other
+// holds. Neither lock table holds a cycle; the on-block walk finds it by
+// following each holder's group to the shot blocked in the other partition.
+// The shot that closes the cycle dies and its global is doomed (compensated
+// at home, nothing to undo); the survivor keeps its marks and commits.
 func TestCrossPartitionDeadlock(t *testing.T) {
-	sys := newLockerSys(t)
-	set := sys.set
-	defer set.Close()
+	sys := newLockerSys(t, 2, 10*time.Second)
+	defer sys.set.Close()
 
-	barrier := newBarrier(2)
-	errs := make(chan error, 2)
+	arrive := barrier(2)
+	start := time.Now()
 	// T1: home partition 0, holds key 1 there, then pokes key 2 on partition 1.
 	// T2: home partition 1, holds key 2 there, then pokes key 1 on partition 0.
-	go func() {
-		errs <- set.Run("locker", &lockerArgs{Home: 0, LocalKey: 1, RemoteKey: 2, barrier: barrier})
-	}()
-	go func() {
-		errs <- set.Run("locker", &lockerArgs{Home: 1, LocalKey: 2, RemoteKey: 1, barrier: barrier})
-	}()
-
-	// Background detection is off (WithDetectInterval < 0); drive it by hand
-	// until the cycle appears.
-	deadline := time.Now().Add(10 * time.Second)
-	doomed := 0
-	for doomed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("cross-partition deadlock never detected")
-		}
-		doomed = set.DetectOnce()
-		time.Sleep(2 * time.Millisecond)
-	}
-	if doomed != 1 {
-		t.Errorf("doomed %d globals, want 1", doomed)
-	}
-
-	var failures []error
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			failures = append(failures, err)
-		}
-	}
-	if len(failures) != 1 {
-		t.Fatalf("want exactly one victim, got %d failures: %v", len(failures), failures)
-	}
-	st := set.Snapshot()
-	if st.CrossDeadlocks != 1 {
-		t.Errorf("cross deadlocks = %d, want 1", st.CrossDeadlocks)
-	}
-	if st.CrossCommitted != 1 || st.CrossAborted != 1 {
-		t.Errorf("counters = %+v, want one committed and one aborted global", st)
-	}
+	errs := sys.run(
+		&lockerArgs{Home: 0, LocalKey: 1, Remote: []*pokeArgs{{Part: 1, Key: 2}}, grabbed: arrive},
+		&lockerArgs{Home: 1, LocalKey: 2, Remote: []*pokeArgs{{Part: 0, Key: 1}}, grabbed: arrive},
+	)
+	sys.wantBroken(t, start, errs, 1, 1)
 
 	// Exactly one (home, remote) pair carries the survivor's increments; the
 	// victim's home increment was compensated away and its poke never landed.
@@ -437,49 +404,251 @@ func TestCrossPartitionDeadlock(t *testing.T) {
 	}
 }
 
-// --- minimal cross-partition locker system for the deadlock test -----------
+// TestCrossPartitionDeadlockThroughLocal: the cycle passes through a purely
+// local transaction. L (local to partition 0) holds key 3 and waits for key
+// 1; G2's shot waits for key 3; G1, which holds key 1, closes the cycle from
+// partition 1 — two group hops and one ordinary one. G1 is doomed; L and G2
+// commit.
+func TestCrossPartitionDeadlockThroughLocal(t *testing.T) {
+	sys := newLockerSys(t, 2, 10*time.Second)
+	defer sys.set.Close()
 
-type barrier struct {
-	mu    sync.Mutex
-	n     int
-	ch    chan struct{}
-	seen  map[*lockerArgs]bool
-	total int
+	g1Grabbed, g1Go := make(chan struct{}), make(chan struct{})
+	g1 := &lockerArgs{Home: 0, LocalKey: 1, Remote: []*pokeArgs{{Part: 1, Key: 2}},
+		grabbed: func() { close(g1Grabbed); <-g1Go }}
+	errs1 := sys.runAsync(g1)
+	<-g1Grabbed
+	errsL := sys.runAsync(&lockerArgs{Home: 0, LocalKey: 3, Then: 1})
+	sys.awaitWaiters(t, 0, 1) // L, on key 1
+	errs2 := sys.runAsync(&lockerArgs{Home: 1, LocalKey: 2, Remote: []*pokeArgs{{Part: 0, Key: 3}}})
+	sys.awaitWaiters(t, 0, 2) // and G2's shot, on key 3
+	start := time.Now()
+	close(g1Go)
+
+	errs := []error{<-errs1, <-errsL, <-errs2}
+	sys.wantBroken(t, start, errs, 1, 1)
+	if errs[0] == nil {
+		t.Errorf("the closer's global committed; failures: %v", errs)
+	}
+	sys.wantValues(t, map[kvRef]int64{{0, 1}: 100, {0, 3}: 11, {1, 2}: 1})
 }
 
-func newBarrier(n int) *barrier {
-	return &barrier{total: n, ch: make(chan struct{}), seen: make(map[*lockerArgs]bool)}
-}
+// TestCrossPartitionDeadlockRing: three globals, each holding a row at home
+// and poking the next partition's — a cycle of three group hops.
+func TestCrossPartitionDeadlockRing(t *testing.T) {
+	sys := newLockerSys(t, 3, 10*time.Second)
+	defer sys.set.Close()
 
-// arrive blocks until all parties have arrived once; re-arrival (a retried
-// step) passes straight through.
-func (b *barrier) arrive(a *lockerArgs) {
-	b.mu.Lock()
-	if !b.seen[a] {
-		b.seen[a] = true
-		b.n++
-		if b.n == b.total {
-			close(b.ch)
+	arrive := barrier(3)
+	var ring []*lockerArgs
+	for p := 0; p < 3; p++ {
+		ring = append(ring, &lockerArgs{Home: p, LocalKey: 1,
+			Remote: []*pokeArgs{{Part: (p + 1) % 3, Key: 1}}, grabbed: arrive})
+	}
+	start := time.Now()
+	errs := sys.run(ring...)
+	sys.wantBroken(t, start, errs, 1, 1)
+	// The victim's partition keeps the poke it received and lost its own grab;
+	// the partition after it never got the victim's poke.
+	for v, err := range errs {
+		if err != nil {
+			sys.wantValues(t, map[kvRef]int64{{v, 1}: 10, {(v + 1) % 3, 1}: 1, {(v + 2) % 3, 1}: 11})
 		}
 	}
-	b.mu.Unlock()
-	select {
-	case <-b.ch:
-	case <-time.After(5 * time.Second):
+}
+
+// TestCrossPartitionDeadlockUndoCloses: the request that closes the cycle
+// belongs to an undo shot. G1 is rolling back: its undo shot U holds key 1 of
+// partition 0 and now wants key 2, which G2 holds at home; G2's shot waits in
+// partition 1 for G3's home row; G3's shot waits in partition 0 for key 1.
+// §3.4 lifted across partitions: U survives and the first forward member
+// along the cycle, G2, is doomed. (G2's compensation then finds U queued ahead
+// of it on key 2, and U — shielded less than a compensating step — yields.)
+func TestCrossPartitionDeadlockUndoCloses(t *testing.T) {
+	sys := newLockerSys(t, 3, 10*time.Second)
+	defer sys.set.Close()
+
+	uHolds, uGo := make(chan struct{}), make(chan struct{})
+	g1 := &lockerArgs{Home: 2, LocalKey: 1, Fail: true, Remote: []*pokeArgs{{Part: 0, Key: 1, Then: 2,
+		between: func() { close(uHolds); <-uGo }}}}
+	errs1 := sys.runAsync(g1)
+	<-uHolds
+	errs3 := sys.runAsync(&lockerArgs{Home: 1, LocalKey: 1, Remote: []*pokeArgs{{Part: 0, Key: 1}}})
+	sys.awaitWaiters(t, 0, 1) // G3's shot, on key 1
+	errs2 := sys.runAsync(&lockerArgs{Home: 0, LocalKey: 2, Remote: []*pokeArgs{{Part: 1, Key: 1}}})
+	sys.awaitWaiters(t, 1, 1) // G2's shot, on G3's row
+
+	// What the operator sees is what the walk will follow: G2's shot waits
+	// for G3's home transaction, which (dashed) waits for G3's shot, blocked
+	// in partition 0. G3 was the second global to start.
+	var tables []*spi.TableSnapshot
+	for _, e := range sys.set.Engines() {
+		tables = append(tables, e.Locks().Snapshot())
 	}
+	groupEdge := regexp.MustCompile(`p1_t\d+ -> p0_t\d+ \[style=dashed label="g2"\]`)
+	if dot := spi.WaitsForDOT(tables); !groupEdge.MatchString(dot) {
+		t.Errorf("no group edge from partition 1 to partition 0 in:\n%s", dot)
+	}
+	if text := spi.LocksText(tables); !regexp.MustCompile(`p1:T\d+ waits-for p0:T\d+ as g2`).MatchString(text) {
+		t.Errorf("no group edge in:\n%s", text)
+	}
+
+	start := time.Now()
+	close(uGo)
+
+	errs := []error{<-errs1, <-errs2, <-errs3}
+	// G1 fails by design and is undone; G2 is the one deadlock victim.
+	sys.wantBroken(t, start, errs, 2, 1)
+	if !errors.Is(errs[0], errLockerFail) || errs[1] == nil {
+		t.Errorf("want G1 rolled back by its own failure and G2 doomed, got %v", errs)
+	}
+	if st := sys.set.Snapshot(); st.ShotUndos != 1 {
+		t.Errorf("shot undos = %d, want 1: the undo shot must finish", st.ShotUndos)
+	}
+	sys.wantValues(t, map[kvRef]int64{{0, 1}: 10, {0, 2}: 0, {1, 1}: 1, {2, 1}: 0})
 }
 
+// TestCrossPartitionDeadlockStress: seeded random globals poke a handful of
+// rows over three partitions in every order, some failing on purpose so undo
+// shots run in the mix. Whatever cycles form must be found when they close:
+// no lock wait may reach the 2 s budget, every run must end — committed, or
+// rolled back (compensated with its shots undone, or aborted in place before
+// anything was exposed) — and each row must hold exactly the increments of
+// the committed runs.
+func TestCrossPartitionDeadlockStress(t *testing.T) {
+	const parts, keys, workers, rounds = 3, 2, 8, 20
+	sys := newLockerSys(t, parts, 2*time.Second)
+	defer sys.set.Close()
+
+	var mu sync.Mutex
+	want := make(map[kvRef]int64)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(20 + int64(w)))
+			for i := 0; i < rounds; i++ {
+				a := &lockerArgs{Home: r.Intn(parts), LocalKey: 1 + r.Int63n(keys), Fail: r.Intn(8) == 0}
+				// Hold the home row a moment, or the runs hardly overlap.
+				a.grabbed = func() { time.Sleep(time.Duration(r.Intn(300)) * time.Microsecond) }
+				for _, off := range r.Perm(parts - 1)[:1+r.Intn(parts-1)] {
+					a.Remote = append(a.Remote, &pokeArgs{Part: (a.Home + 1 + off) % parts, Key: 1 + r.Int63n(keys)})
+				}
+				err := sys.set.Run("locker", a)
+				switch {
+				case err == nil:
+					mu.Lock()
+					want[kvRef{a.Home, a.LocalKey}]++
+					for _, p := range a.Remote {
+						want[kvRef{p.Part, p.Key}] += 10
+					}
+					mu.Unlock()
+				case errors.Is(err, spi.ErrTimeout):
+					t.Errorf("worker %d round %d: a lock wait timed out: %v", w, i, err)
+				case core.IsCompensated(err):
+				case core.Retryable(err), errors.Is(err, context.Canceled):
+					// A victim before its first step completed: undone in place.
+				default:
+					t.Errorf("worker %d round %d: neither committed nor rolled back: %v", w, i, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	sys.tracer.Flush()
+	if n := sys.events.count(trace.KindLockTimeout); n != 0 || sys.tracer.Drops() != 0 {
+		t.Errorf("%d lock waits timed out (%d trace events dropped)", n, sys.tracer.Drops())
+	}
+	st := sys.set.Snapshot()
+	if st.CrossCommitted+st.CrossAborted != workers*rounds {
+		t.Errorf("counters = %+v, want %d globals ended", st, workers*rounds)
+	}
+	if n := sys.events.count(trace.KindCrossDeadlock); uint64(n) != st.CrossDeadlocks {
+		t.Errorf("%d coord.deadlock events for %d dooms", n, st.CrossDeadlocks)
+	}
+	t.Logf("committed=%d aborted=%d undos=%d dooms=%d", st.CrossCommitted, st.CrossAborted, st.ShotUndos, st.CrossDeadlocks)
+	for p := 0; p < parts; p++ {
+		for k := int64(1); k <= keys; k++ {
+			if _, ok := want[kvRef{p, k}]; !ok {
+				want[kvRef{p, k}] = 0
+			}
+		}
+	}
+	sys.wantValues(t, want)
+}
+
+// --- minimal cross-partition locker system for the deadlock tests ----------
+
+// barrier returns a function that blocks until it was called n times.
+func barrier(n int) func() {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	return func() { wg.Done(); wg.Wait() }
+}
+
+// kvRef names one kv row: every partition holds keys 1..lockerKeys.
+type kvRef struct {
+	Part int
+	Key  int64
+}
+
+const lockerKeys = 3
+
+var errLockerFail = errors.New("locker: failing on request")
+
+// lockerArgs drives one "locker": a first step that increments LocalKey on
+// the home partition (and keeps its exposure mark), then a second that runs
+// one poke shot per Remote entry, increments Then (another home key) if set,
+// and fails if Fail — after its shots committed, so they are undone.
 type lockerArgs struct {
-	Home      int
-	LocalKey  int64
-	RemoteKey int64
-	barrier   *barrier
+	Home     int
+	LocalKey int64
+	Remote   []*pokeArgs
+	Then     int64
+	Fail     bool
+	grabbed  func() // called once, inside the first step, holding LocalKey
+	once     sync.Once
 }
 
-type pokeArgs struct{ Key int64 }
+// pokeArgs drives one "poke" shot (+10 on Key, then on Then if set) and its
+// undo, which calls between once after giving back Key and before Then.
+type pokeArgs struct {
+	Part    int
+	Key     int64
+	Then    int64
+	between func()
+	once    sync.Once
+}
+
+// kindCounter is a trace sink that tallies events by kind.
+type kindCounter struct {
+	mu sync.Mutex
+	n  map[trace.Kind]int
+}
+
+func (c *kindCounter) Write(batch []trace.Event) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ev := range batch {
+		c.n[ev.Kind]++
+	}
+	return nil
+}
+
+func (c *kindCounter) Close() error { return nil }
+
+func (c *kindCounter) count(k trace.Kind) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[k]
+}
 
 type lockerSys struct {
-	set *partition.Set
+	set    *partition.Set
+	tracer *trace.Tracer
+	events *kindCounter
 }
 
 func (s *lockerSys) value(t *testing.T, part int, key int64) int64 {
@@ -492,42 +661,122 @@ func (s *lockerSys) value(t *testing.T, part int, key int64) int64 {
 	return row[1].Int64()
 }
 
-func newLockerSys(t *testing.T) *lockerSys {
+func (s *lockerSys) wantValues(t *testing.T, want map[kvRef]int64) {
+	t.Helper()
+	for ref, v := range want {
+		if got := s.value(t, ref.Part, ref.Key); got != v {
+			t.Errorf("partition %d key %d = %d, want %d", ref.Part, ref.Key, got, v)
+		}
+	}
+}
+
+// runAsync starts one locker and returns where its outcome will arrive.
+func (s *lockerSys) runAsync(a *lockerArgs) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- s.set.Run("locker", a) }()
+	return done
+}
+
+// run runs the lockers concurrently and returns their outcomes in order.
+func (s *lockerSys) run(args ...*lockerArgs) []error {
+	var done []<-chan error
+	for _, a := range args {
+		done = append(done, s.runAsync(a))
+	}
+	errs := make([]error, len(args))
+	for i := range done {
+		errs[i] = <-done[i]
+	}
+	return errs
+}
+
+// awaitWaiters blocks until partition part's lock table has n blocked requests.
+func (s *lockerSys) awaitWaiters(t *testing.T, part, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.set.Engine(part).Locks().Snapshot().WaiterCount() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("partition %d never had %d blocked requests", part, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantBroken asserts a deadlock was broken promptly and precisely: the runs
+// ended well inside the lock-wait budget, exactly failed of them failed, and
+// exactly doomed globals were doomed — each counted and traced once.
+func (s *lockerSys) wantBroken(t *testing.T, start time.Time, errs []error, failed int, doomed uint64) {
+	t.Helper()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the cycle took %v to break", d)
+	}
+	var failures []error
+	for _, err := range errs {
+		if err != nil {
+			failures = append(failures, err)
+		}
+	}
+	if len(failures) != failed {
+		t.Fatalf("want exactly %d failures, got %d: %v", failed, len(failures), failures)
+	}
+	st := s.set.Snapshot()
+	if st.CrossDeadlocks != doomed {
+		t.Errorf("cross deadlocks = %d, want %d", st.CrossDeadlocks, doomed)
+	}
+	if int(st.CrossAborted) != failed || int(st.CrossCommitted+st.SingleRouted+st.CrossAborted) != len(errs) {
+		t.Errorf("counters = %+v, want %d of %d runs aborted", st, failed, len(errs))
+	}
+	s.tracer.Flush()
+	if n := s.events.count(trace.KindCrossDeadlock); uint64(n) != doomed {
+		t.Errorf("%d coord.deadlock events, want %d", n, doomed)
+	}
+}
+
+func newLockerSys(t *testing.T, parts int, waitTimeout time.Duration) *lockerSys {
 	t.Helper()
 	b := newInterference()
-	set, err := partition.New(2, func(p int) (*core.Engine, error) {
+	sys := &lockerSys{events: &kindCounter{n: make(map[trace.Kind]int)}}
+	sys.tracer = trace.New(sys.events)
+	t.Cleanup(func() { sys.tracer.Close() })
+	set, err := partition.New(parts, func(p int) (*core.Engine, error) {
 		db := core.NewDB()
 		kv := db.MustCreateTable(spi.MustSchema("kv", []spi.Column{
 			{Name: "k", Kind: spi.KindInt},
 			{Name: "v", Kind: spi.KindInt},
 		}, "k"))
-		// Partition 0 owns key 1, partition 1 owns key 2.
-		if err := kv.Insert(spi.Row{spi.I64(int64(p + 1)), spi.I64(0)}); err != nil {
-			return nil, err
+		for k := int64(1); k <= lockerKeys; k++ {
+			if err := kv.Insert(spi.Row{spi.I64(k), spi.I64(0)}); err != nil {
+				return nil, err
+			}
 		}
 		eng := core.New(db, b.tables,
 			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10*time.Second),
+			core.WithWaitTimeout(waitTimeout),
+			core.WithTracer(sys.tracer),
 			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
 		)
 		registerLockerTypes(eng, b)
 		return eng, nil
-	}, partition.WithDetectInterval(-1))
+	}, partition.WithTracer(sys.tracer))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.set = set
 	set.SetRoute("locker", partition.Route{
 		Home: func(args any) int { return args.(*lockerArgs).Home },
 		Split: func(args any) []partition.Shot {
-			a := args.(*lockerArgs)
-			return []partition.Shot{{Partition: 1 - a.Home, Type: "poke", Args: &pokeArgs{Key: a.RemoteKey}}}
+			var shots []partition.Shot
+			for _, p := range args.(*lockerArgs).Remote {
+				shots = append(shots, partition.Shot{Partition: p.Part, Type: "poke", Args: p})
+			}
+			return shots
 		},
 	})
-	pokeHome := func(args any) int { return int(args.(*pokeArgs).Key) - 1 }
+	pokeHome := func(args any) int { return args.(*pokeArgs).Part }
 	set.SetRoute("poke", partition.Route{Home: pokeHome})
 	set.SetRoute("poke_undo", partition.Route{Home: pokeHome})
 	set.SetUndo("poke", partition.UndoSpec{Type: "poke_undo"})
-	return &lockerSys{set: set}
+	return sys
 }
 
 func addKV(tc *core.Ctx, key, delta int64) error {
@@ -539,21 +788,21 @@ func addKV(tc *core.Ctx, key, delta int64) error {
 
 func encodePoke(v any) []byte {
 	a := v.(*pokeArgs)
-	return []byte(fmt.Sprintf("%d", a.Key))
+	return []byte(fmt.Sprintf("%d %d %d", a.Part, a.Key, a.Then))
 }
 
 func decodePoke(data []byte) (any, error) {
-	var k int64
-	if _, err := fmt.Sscanf(string(data), "%d", &k); err != nil {
+	a := &pokeArgs{}
+	if _, err := fmt.Sscanf(string(data), "%d %d %d", &a.Part, &a.Key, &a.Then); err != nil {
 		return nil, err
 	}
-	return &pokeArgs{Key: k}, nil
+	return a, nil
 }
 
 // lockerInterference is the design-time registration of the locker system:
 // a two-step home transaction, a single-step shot, and its undo. No
 // interference freedoms are declared, so every conflicting access waits —
-// which is the point: the test needs the waits.
+// which is the point: the tests need the waits.
 type lockerInterference struct {
 	tables                             *interference.Tables
 	txnLocker, txnPoke, txnPokeUndo    interference.TxnTypeID
@@ -586,18 +835,30 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 				if err := addKV(tc, a.LocalKey, 1); err != nil {
 					return err
 				}
-				// Hold the exposure mark until the peer holds its own: both
-				// transactions enter their shot phase with their home rows
-				// locked, making the cross-partition cycle certain.
-				a.barrier.arrive(a)
+				// The tests hold the row here until the peers hold theirs, so
+				// that every transaction enters its shot phase with its home
+				// row marked; a retried step passes straight through.
+				if a.grabbed != nil {
+					a.once.Do(a.grabbed)
+				}
 				return nil
 			}},
 			{Name: "hook", Type: li.stHook, Body: func(tc *core.Ctx) error {
-				hook, ok := partition.HookFrom(tc.Context())
-				if !ok {
-					return nil
+				a := tc.Args().(*lockerArgs)
+				if hook, ok := partition.HookFrom(tc.Context()); ok {
+					if err := hook(); err != nil {
+						return err
+					}
 				}
-				return hook()
+				if a.Then != 0 {
+					if err := addKV(tc, a.Then, 100); err != nil {
+						return err
+					}
+				}
+				if a.Fail {
+					return errLockerFail
+				}
+				return nil
 			}},
 		},
 		Comp: &core.Compensation{
@@ -610,19 +871,30 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 			},
 		},
 	})
+	poke := func(sign int64) func(tc *core.Ctx) error {
+		return func(tc *core.Ctx) error {
+			a := tc.Args().(*pokeArgs)
+			if err := addKV(tc, a.Key, sign*10); err != nil {
+				return err
+			}
+			if sign < 0 && a.between != nil {
+				a.once.Do(a.between)
+			}
+			if a.Then == 0 {
+				return nil
+			}
+			return addKV(tc, a.Then, sign*10)
+		}
+	}
 	eng.MustRegister(&core.TxnType{
 		Name: "poke", ID: li.txnPoke,
-		Steps: []core.Step{{Name: "poke", Type: li.stPoke, Body: func(tc *core.Ctx) error {
-			return addKV(tc, tc.Args().(*pokeArgs).Key, 10)
-		}}},
+		Steps:      []core.Step{{Name: "poke", Type: li.stPoke, Body: poke(1)}},
 		EncodeArgs: encodePoke,
 		DecodeArgs: decodePoke,
 	})
 	eng.MustRegister(&core.TxnType{
 		Name: "poke_undo", ID: li.txnPokeUndo,
-		Steps: []core.Step{{Name: "poke-undo", Type: li.stPokeUndo, Body: func(tc *core.Ctx) error {
-			return addKV(tc, tc.Args().(*pokeArgs).Key, -10)
-		}}},
+		Steps:      []core.Step{{Name: "poke-undo", Type: li.stPokeUndo, Body: poke(-1)}},
 		EncodeArgs: encodePoke,
 		DecodeArgs: decodePoke,
 	})

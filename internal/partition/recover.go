@@ -3,8 +3,10 @@ package partition
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"accdb/internal/core"
+	"accdb/internal/spi"
 	"accdb/internal/wal"
 )
 
@@ -67,6 +69,7 @@ func (s *Set) Recover() (*RecoverResult, error) {
 	for home, a := range analyses {
 		for _, g := range sortedKeys(a.Coords) {
 			c := a.Coords[g]
+			grp := spi.NewGroup(g, nil) // nothing to doom: recovery's shots run under no caller
 			shots, err := s.decodePlan(c.Plan)
 			if err != nil {
 				return nil, fmt.Errorf("partition %d: global %d plan: %w", home, g, err)
@@ -84,7 +87,7 @@ func (s *Set) Recover() (*RecoverResult, error) {
 					if st := analyses[sh.Partition].ShotTxn(g, int32(i+1)); st != nil && st.Committed {
 						continue
 					}
-					if err := s.runShot(context.Background(), g, int32(i+1), sh); err != nil {
+					if err := s.runShot(context.Background(), grp, int32(i+1), sh); err != nil {
 						return nil, fmt.Errorf("partition: re-driving global %d shot %d: %w", g, i+1, err)
 					}
 					redriven = true
@@ -95,7 +98,6 @@ func (s *Set) Recover() (*RecoverResult, error) {
 				if c.Open() || redriven {
 					res.ForwardDriven = append(res.ForwardDriven, g)
 				}
-				s.untrack(g)
 				continue
 			}
 			// Rolled-back (or undecided) global: every committed shot must
@@ -127,7 +129,7 @@ func (s *Set) Recover() (*RecoverResult, error) {
 						args = dec
 					}
 				}
-				if err := s.undoShot(g, int32(i+1), shots[i], args); err != nil {
+				if err := s.undoShot(grp, int32(i+1), shots[i], args); err != nil {
 					return nil, fmt.Errorf("partition: recovery undo of global %d shot %d: %w", g, i+1, err)
 				}
 				undone = true
@@ -138,7 +140,6 @@ func (s *Set) Recover() (*RecoverResult, error) {
 			if c.Open() || undone {
 				res.Undone = append(res.Undone, g)
 			}
-			s.untrack(g)
 		}
 	}
 
@@ -146,4 +147,13 @@ func (s *Set) Recover() (*RecoverResult, error) {
 		s.nextGlobal.Store(maxGlobal)
 	}
 	return res, nil
+}
+
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -137,6 +137,12 @@ type Txn struct {
 	// ignore it.
 	ShardMask atomic.Uint64
 
+	// Group is the transaction's vertex in the waits-for graph: its own — a
+	// group of one — until the engine, before the first lock request, joins
+	// it to the group of a global transaction.
+	Group *Group
+	solo  Group
+
 	completed atomic.Int32
 
 	// dep is the highest log position of a retired grant (LockService.Retire)
@@ -149,7 +155,9 @@ type Txn struct {
 
 // NewTxn constructs the lock-side descriptor of a transaction.
 func NewTxn(id TxnID, typ TxnTypeID) *Txn {
-	return &Txn{ID: id, Type: typ}
+	t := &Txn{ID: id, Type: typ}
+	t.Group = &t.solo
+	return t
 }
 
 // CompletedSteps returns the number of forward steps the transaction has
@@ -178,6 +186,47 @@ func (t *Txn) NoteDep(lsn uint64) {
 // read: the maximum over the retired grants it was granted over, 0 if none.
 func (t *Txn) DepLSN() uint64 { return t.dep.Load() }
 
+// Group is a vertex of the waits-for graph: one transaction, or the local
+// transactions of one global (cross-partition) transaction — its home
+// attempts, remote shots and undo shots, each in its own engine and lock
+// table. Those run one after another on the coordinator's goroutine, so the
+// group is blocked in at most one lock queue at a time, and a blocker that
+// belongs to it waits for whatever its blocked member waits for.
+type Group struct {
+	// ID is the global transaction id, 0 for a transaction on its own.
+	ID uint64
+
+	doom   func(cycle string)
+	doomed atomic.Bool
+
+	// Undoing is set once the global transaction rolls back by compensating
+	// undo shots: from then on its requests are deadlock victims only when a
+	// compensating step would otherwise be (§3.4).
+	Undoing atomic.Bool
+
+	// Blocked is scratch space reserved for the lock service, like
+	// Txn.ShardMask: the group's currently blocked request, which deadlock
+	// detection resolves a blocker to.
+	Blocked atomic.Value
+}
+
+// NewGroup creates the group of global transaction id. doom, unless nil, is
+// what the lock service calls, once, when a member is the victim of a cycle
+// that leaves the member's own lock table: it must stop the transaction's
+// forward work, because retrying the member's step alone would re-form the
+// cycle on locks its siblings keep.
+func NewGroup(id uint64, doom func(cycle string)) *Group {
+	return &Group{ID: id, doom: doom}
+}
+
+// Doom stops the global transaction as a deadlock victim. For the lock
+// service only.
+func (g *Group) Doom(cycle string) {
+	if g.doom != nil && g.doomed.CompareAndSwap(false, true) {
+		g.doom(cycle)
+	}
+}
+
 // LockRequest describes one lock acquisition.
 type LockRequest struct {
 	// Mode is the requested mode; ModeA requests also set Assertion.
@@ -197,9 +246,8 @@ var (
 	// ErrDeadlock reports that the request completed a waits-for cycle and
 	// was chosen as the victim. The caller aborts and retries the step.
 	ErrDeadlock = errors.New("lock: deadlock victim")
-	// ErrAborted reports that the waiting request was aborted from outside —
-	// either by LockService.CancelWait or because a compensating step needed
-	// the cycle broken.
+	// ErrAborted reports that the waiting request was aborted from outside:
+	// a compensating step or an undo shot needed the cycle broken.
 	ErrAborted = errors.New("lock: wait aborted")
 	// ErrTimeout reports that the configured wait budget elapsed.
 	ErrTimeout = errors.New("lock: wait timed out")
@@ -287,9 +335,6 @@ type LockService interface {
 	// ReleaseAll releases everything txn holds, retired grants included
 	// (abort, or after the durability wait that follows the final Retire).
 	ReleaseAll(txn *Txn)
-	// CancelWait aborts txn's blocked request, if any, making it return
-	// ErrAborted.
-	CancelWait(txn TxnID)
 
 	// HeldItems returns the items on which txn currently holds any entry.
 	HeldItems(txn TxnID) []Item

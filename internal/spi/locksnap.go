@@ -11,6 +11,11 @@ import (
 // detection would see them. The dump is advisory: an implementation may
 // observe its internal partitions at slightly different instants, the same
 // consistency deadlock detection itself settles for.
+//
+// A partitioned engine has one lock table per partition, and transaction ids
+// are per engine: WaitsForDOT and LocksText take every partition's dump, name
+// a transaction p<N>:T<id>, and add the group edges detection follows from a
+// blocker in one table to its global transaction's member blocked in another.
 
 // TableSnapshot is a point-in-time structural dump of the lock table.
 type TableSnapshot struct {
@@ -56,11 +61,12 @@ type WaitSnapshot struct {
 	Conversion   bool
 }
 
-// WaitEdge is one waits-for edge, annotated with the contested item.
+// WaitEdge is one waits-for edge, annotated with the contested item and with
+// the global transaction (Group.ID) either end belongs to, 0 if none.
 type WaitEdge struct {
-	From TxnID
-	To   TxnID
-	Item Item
+	From, To           TxnID
+	FromGroup, ToGroup uint64
+	Item               Item
 }
 
 // GrantCount totals held entries across the dump.
@@ -85,29 +91,110 @@ func (s *TableSnapshot) WaiterCount() int {
 	return n
 }
 
-// DOT renders the waits-for graph in Graphviz DOT form. Blocked transactions
-// and their blockers appear as nodes; each edge is labelled with the
-// contested item. An empty graph still renders a valid digraph.
-func (s *TableSnapshot) DOT() string {
+// snapNode is one transaction of one partition's dump.
+type snapNode struct {
+	part int
+	txn  TxnID
+}
+
+// groupEdge: from waits for whatever to, its group's member blocked in
+// another lock table, waits for.
+type groupEdge struct {
+	from, to snapNode
+	group    uint64
+}
+
+// groupEdges derives the group edges of the partitions' dumps: one from every
+// blocker whose global transaction has a member blocked elsewhere.
+func groupEdges(parts []*TableSnapshot) []groupEdge {
+	blocked := make(map[uint64]snapNode)
+	for p, s := range parts {
+		for _, e := range s.Edges {
+			if e.FromGroup != 0 {
+				blocked[e.FromGroup] = snapNode{p, e.From}
+			}
+		}
+	}
+	var out []groupEdge
+	seen := make(map[snapNode]bool)
+	for p, s := range parts {
+		for _, e := range s.Edges {
+			from := snapNode{p, e.To}
+			if to, ok := blocked[e.ToGroup]; ok && to != from && !seen[from] {
+				seen[from] = true
+				out = append(out, groupEdge{from, to, e.ToGroup})
+			}
+		}
+	}
+	return out
+}
+
+// DOT renders the table's waits-for graph on its own (see WaitsForDOT).
+func (s *TableSnapshot) DOT() string { return WaitsForDOT([]*TableSnapshot{s}) }
+
+// WaitsForDOT renders the waits-for graph of the given lock tables, one per
+// partition, in Graphviz DOT form. Blocked transactions and their blockers
+// appear as nodes — T<id>, or p<N>:T<id> given several tables; each edge is
+// labelled with the contested item, each group edge (dashed) with the global
+// transaction. An empty graph still renders a valid digraph.
+func WaitsForDOT(parts []*TableSnapshot) string {
 	var b strings.Builder
 	b.WriteString("digraph waitsfor {\n")
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  node [shape=circle];\n")
-	seen := make(map[TxnID]bool)
-	node := func(t TxnID) {
-		if !seen[t] {
-			seen[t] = true
-			fmt.Fprintf(&b, "  t%d [label=\"T%d\"];\n", t, t)
+	id := func(n snapNode) string {
+		if len(parts) == 1 {
+			return fmt.Sprintf("t%d", n.txn)
+		}
+		return fmt.Sprintf("p%d_t%d", n.part, n.txn)
+	}
+	seen := make(map[snapNode]bool)
+	node := func(n snapNode) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		if len(parts) == 1 {
+			fmt.Fprintf(&b, "  %s [label=\"T%d\"];\n", id(n), n.txn)
+		} else {
+			fmt.Fprintf(&b, "  %s [label=\"p%d:T%d\"];\n", id(n), n.part, n.txn)
 		}
 	}
-	for _, e := range s.Edges {
-		node(e.From)
-		node(e.To)
+	groups := groupEdges(parts)
+	for p, s := range parts {
+		for _, e := range s.Edges {
+			node(snapNode{p, e.From})
+			node(snapNode{p, e.To})
+		}
 	}
-	for _, e := range s.Edges {
-		fmt.Fprintf(&b, "  t%d -> t%d [label=%q];\n", e.From, e.To, e.Item.String())
+	for _, e := range groups {
+		node(e.to)
+	}
+	for p, s := range parts {
+		for _, e := range s.Edges {
+			fmt.Fprintf(&b, "  %s -> %s [label=%q];\n", id(snapNode{p, e.From}), id(snapNode{p, e.To}), e.Item.String())
+		}
+	}
+	for _, e := range groups {
+		fmt.Fprintf(&b, "  %s -> %s [style=dashed label=\"g%d\"];\n", id(e.from), id(e.to), e.group)
 	}
 	b.WriteString("}\n")
+	return b.String()
+}
+
+// LocksText renders the dumps of the given lock tables, one per partition,
+// as text: each table as String does, then the group edges between them.
+func LocksText(parts []*TableSnapshot) string {
+	if len(parts) == 1 {
+		return parts[0].String()
+	}
+	var b strings.Builder
+	for p, s := range parts {
+		fmt.Fprintf(&b, "partition %d %s", p, s)
+	}
+	for _, e := range groupEdges(parts) {
+		fmt.Fprintf(&b, "p%d:T%d waits-for p%d:T%d as g%d\n", e.from.part, e.from.txn, e.to.part, e.to.txn, e.group)
+	}
 	return b.String()
 }
 

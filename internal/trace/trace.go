@@ -80,8 +80,9 @@ const (
 	// KindLockTimeout marks a wait abandoned by the wait-budget safety net;
 	// Dur is the time waited.
 	KindLockTimeout
-	// KindLockAbort marks a wait cancelled from outside (CancelWait or an
-	// externally killed victim); Dur is the time waited.
+	// KindLockAbort marks a wait cancelled from outside (the caller's
+	// context, Extra "ctx", or an externally killed victim); Dur is the time
+	// waited.
 	KindLockAbort
 	// KindDeadlockVictim marks a request aborted to break a waits-for
 	// cycle. Extra is "self" when the requester completed the cycle and
@@ -140,8 +141,9 @@ const (
 	// KindShotUndo marks the compensating undo of a committed shot during
 	// global rollback or recovery; Step is the shot index being undone.
 	KindShotUndo
-	// KindCrossDeadlock marks the cross-partition deadlock detector breaking
-	// a cycle: Txn is the victim's global id, Extra the cycle members.
+	// KindCrossDeadlock marks a global transaction doomed as the victim of a
+	// deadlock cycle that crosses partitions: Txn is the victim's global id,
+	// Extra the cycle members.
 	KindCrossDeadlock
 
 	kindMax

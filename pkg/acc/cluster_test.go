@@ -56,8 +56,7 @@ func buildBump(t *testing.T) acc.BuildFunc {
 // WithPartitions builds n engines, a Route's Home function steers each
 // instance to its partition, and the direct path shows up in ClusterStats.
 func TestClusterRouting(t *testing.T) {
-	c, err := acc.NewCluster(buildBump(t),
-		acc.WithPartitions(2), acc.WithDetectInterval(-1))
+	c, err := acc.NewCluster(buildBump(t), acc.WithPartitions(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@
 package acc
 
 import (
-	"time"
-
 	"accdb/internal/partition"
 	"accdb/internal/trace"
 )
@@ -61,14 +59,6 @@ func WithPartitions(n int) ClusterOption {
 func WithClusterTracer(t *trace.Tracer) ClusterOption {
 	return func(c *clusterConfig) {
 		c.opts = append(c.opts, partition.WithTracer(t))
-	}
-}
-
-// WithDetectInterval sets the cross-partition deadlock detector's cadence.
-// Zero keeps the default; negative disables the background detector.
-func WithDetectInterval(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) {
-		c.opts = append(c.opts, partition.WithDetectInterval(d))
 	}
 }
 
