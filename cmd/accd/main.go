@@ -149,17 +149,10 @@ func main() {
 		anatomy = trace.NewAnatomy(acfg)
 	}
 
-	protos := tpcc.ArgsPrototypes()
 	holes := tpcc.NewHoleTracker()
 	logFailed := make(chan struct{}, 1) // one wake-up is enough; later failures find it full
 	srv := server.New(server.Config{
-		Engine: set,
-		NewArgs: func(name string) any {
-			if f, ok := protos[name]; ok {
-				return f()
-			}
-			return nil
-		},
+		Engine:      set,
 		MaxInFlight: *maxInFlight,
 		Tracer:      tr,
 		Anatomy:     anatomy,

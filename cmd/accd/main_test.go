@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -175,4 +176,28 @@ func TestRefusesUsedWALDir(t *testing.T) {
 	}
 
 	refused(t, bin, []string{"ACCDB_PARTITIONS="}, args, walDir, "examples/recovery")
+}
+
+// TestShortDeliveryFrame: a delivery whose work area is sized for no district
+// is a well-formed frame; it is answered bad-request and the process keeps
+// serving. With ACCD_SMOKE_ADDR set (the CI network smoke, which then reads
+// accd_rpc_bad_requests_total) the frame goes to that running server instead
+// of one started here.
+func TestShortDeliveryFrame(t *testing.T) {
+	addr := os.Getenv("ACCD_SMOKE_ADDR")
+	if addr == "" {
+		ready := filepath.Join(t.TempDir(), "ready")
+		_, addr, _ = serve(t, buildAccd(t), ready, []string{"-addr", "127.0.0.1:0", "-ready-fd", ready})
+	}
+	cli, err := accclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Run(context.Background(), "delivery", &tpcc.DeliveryArgs{WID: 1}); !errors.Is(err, accclient.ErrBadRequest) {
+		t.Fatalf("short delivery answered %v, want a bad request", err)
+	}
+	if err := cli.Run(context.Background(), "order_status", &tpcc.OrderStatusArgs{WID: 1, DID: 1, CID: 1}); err != nil {
+		t.Fatalf("accd stopped serving: %v", err)
+	}
 }

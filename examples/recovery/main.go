@@ -125,9 +125,9 @@ func build(dir string) (*bank, error) {
 		},
 		// Recovery rebuilds the compensation's input from the work area the
 		// end-of-step record carried to disk — so args must round-trip.
-		EncodeArgs: func(args any) []byte {
+		AppendArgs: func(dst []byte, args any) []byte {
 			a := args.(*transferArgs)
-			return spi.MarshalRow(nil, spi.Row{
+			return spi.MarshalRow(dst, spi.Row{
 				spi.I64(a.From), spi.I64(a.To), spi.I64(a.Amount),
 			})
 		},

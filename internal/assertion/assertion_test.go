@@ -13,18 +13,18 @@ import (
 func fixture(t *testing.T) spi.Store {
 	t.Helper()
 	cat := storage.NewStore()
-	acc, err := cat.Create(storage.MustSchema("accounts", []storage.Column{
-		{Name: "id", Kind: storage.KindInt},
-		{Name: "owner", Kind: storage.KindString},
-		{Name: "balance", Kind: storage.KindInt},
+	acc, err := cat.Create(spi.MustSchema("accounts", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "owner", Kind: spi.KindString},
+		{Name: "balance", Kind: spi.KindInt},
 	}, "id"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []storage.Row{
-		{storage.I64(1), storage.Str("ann"), storage.I64(100)},
-		{storage.I64(2), storage.Str("ann"), storage.I64(50)},
-		{storage.I64(3), storage.Str("bob"), storage.I64(-20)},
+	rows := []spi.Row{
+		{spi.I64(1), spi.Str("ann"), spi.I64(100)},
+		{spi.I64(2), spi.Str("ann"), spi.I64(50)},
+		{spi.I64(3), spi.Str("bob"), spi.I64(-20)},
 	}
 	for _, r := range rows {
 		if err := acc.Insert(r); err != nil {
@@ -99,7 +99,7 @@ func TestQuantifiers(t *testing.T) {
 	// Bounded ∀: ann's accounts are all positive.
 	annPos := ForAll{
 		Table: "accounts",
-		Where: []Binding{{Column: "owner", Value: Const{storage.Str("ann")}}},
+		Where: []Binding{{Column: "owner", Value: Const{spi.Str("ann")}}},
 		Body:  Cmp{Op: GT, L: Col{"accounts", "balance"}, R: I64(0)},
 	}
 	if !eval(t, annPos, cat, nil) {
@@ -113,16 +113,16 @@ func TestQuantifiers(t *testing.T) {
 		t.Error("Exists should hold")
 	}
 	// Plain existence with binding.
-	if !eval(t, Exists{Table: "accounts", Where: []Binding{{Column: "owner", Value: Const{storage.Str("bob")}}}}, cat, nil) {
+	if !eval(t, Exists{Table: "accounts", Where: []Binding{{Column: "owner", Value: Const{spi.Str("bob")}}}}, cat, nil) {
 		t.Error("plain Exists should hold")
 	}
-	if eval(t, Exists{Table: "accounts", Where: []Binding{{Column: "owner", Value: Const{storage.Str("eve")}}}}, cat, nil) {
+	if eval(t, Exists{Table: "accounts", Where: []Binding{{Column: "owner", Value: Const{spi.Str("eve")}}}}, cat, nil) {
 		t.Error("Exists for eve should fail")
 	}
 	// ForAll over an empty range is vacuously true.
 	if !eval(t, ForAll{
 		Table: "accounts",
-		Where: []Binding{{Column: "owner", Value: Const{storage.Str("eve")}}},
+		Where: []Binding{{Column: "owner", Value: Const{spi.Str("eve")}}},
 		Body:  Cmp{Op: EQ, L: I64(1), R: I64(2)},
 	}, cat, nil) {
 		t.Error("vacuous ForAll should hold")
@@ -133,7 +133,7 @@ func TestCountAndSum(t *testing.T) {
 	cat := fixture(t)
 	if !eval(t, CountEq{
 		Table:  "accounts",
-		Where:  []Binding{{Column: "owner", Value: Const{storage.Str("ann")}}},
+		Where:  []Binding{{Column: "owner", Value: Const{spi.Str("ann")}}},
 		Equals: I64(2),
 	}, cat, nil) {
 		t.Error("CountEq should hold")
@@ -157,7 +157,7 @@ func TestParams(t *testing.T) {
 		Table: "accounts",
 		Where: []Binding{{Column: "owner", Value: Param{"who"}}},
 	}
-	if !eval(t, e, cat, Env{"who": storage.Str("ann")}) {
+	if !eval(t, e, cat, Env{"who": spi.Str("ann")}) {
 		t.Error("param binding failed")
 	}
 	if _, err := Eval(e, cat, nil); err == nil {
@@ -207,7 +207,7 @@ func TestCountEqQuick(t *testing.T) {
 		want := counts[owner] == int64(n)
 		got, err := Eval(CountEq{
 			Table:  "accounts",
-			Where:  []Binding{{Column: "owner", Value: Const{storage.Str(owner)}}},
+			Where:  []Binding{{Column: "owner", Value: Const{spi.Str(owner)}}},
 			Equals: I64(int64(n)),
 		}, cat, nil)
 		return err == nil && got == want

@@ -31,8 +31,7 @@ import (
 // page locks). Partition columns must be a subset of the primary key so that
 // both point accesses and inserts can derive the partition of a row.
 type DB struct {
-	store   spi.Store
-	backend string
+	store spi.Store
 
 	mu    sync.RWMutex
 	parts map[string]*partition
@@ -77,8 +76,8 @@ func NewDB(opts ...DBOption) *DB {
 		apply(&c)
 	}
 	store := c.store
-	name := c.backend
 	if store == nil {
+		name := c.backend
 		if name == "" {
 			name = spi.DefaultBackend()
 		}
@@ -87,22 +86,12 @@ func NewDB(opts ...DBOption) *DB {
 		if err != nil {
 			panic(err)
 		}
-	} else if name == "" {
-		// A caller-supplied store has no registry name; diagnostics still
-		// deserve something better than an empty string.
-		name = "custom"
 	}
-	return &DB{store: store, backend: name, parts: make(map[string]*partition)}
+	return &DB{store: store, parts: make(map[string]*partition)}
 }
 
 // Store returns the underlying SPI row store.
 func (db *DB) Store() spi.Store { return db.store }
-
-// Backend returns the name of the storage backend this database opened —
-// the registry name, or "custom" for a store supplied via WithStore. It is
-// what configuration warnings cite so multi-engine setups can tell which
-// backend refused an option.
-func (db *DB) Backend() string { return db.backend }
 
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) spi.Table { return db.store.Table(name) }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,9 +108,9 @@ type Options struct {
 	// oldest live snapshot. Zero means the 100ms default; negative disables
 	// the reaper (tests drive ReapVersions directly).
 	VersionGCInterval time.Duration
-	// Label names this engine in logs and configuration warnings. Empty for
-	// single-engine processes; a partitioned cluster sets "partition N" so
-	// warnings identify which engine instance they concern.
+	// Label names this engine in errors (ErrLogFailed). Empty for
+	// single-engine processes; a partitioned cluster sets "partition N" so a
+	// failure says which engine instance it concerns.
 	Label string
 }
 
@@ -183,11 +182,6 @@ type Engine struct {
 
 	reaperStop chan struct{}
 	reaperDone chan struct{}
-
-	// warnings collects configuration notes recorded at construction —
-	// options that the selected backend cannot honour and that were turned
-	// into no-ops rather than silently ignored.
-	warnings []string
 }
 
 // New creates an engine over db using the design-time interference tables,
@@ -235,41 +229,12 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 	if opt.RecordHistory {
 		e.hist = newHistory()
 	}
-	if !spi.StoreCapabilities(db.store).Versions {
-		// The backend keeps no version chains: versioned read tiers fall
-		// back to base rows and there is nothing for the reaper to prune.
-		if opt.VersionGCInterval > 0 {
-			e.warn(fmt.Sprintf("WithVersionGCInterval has no effect: backend %q does not support version chains", db.Backend()))
-		}
-		e.opt.VersionGCInterval = -1 // disable the reaper
-	}
 	// Rows loaded into the store before the engine attached were written
 	// without CSN stamps; drop any chains their loading seeded so versioned
 	// reads fall back to the (committed, quiescent) base rows.
 	e.resetVersions()
 	e.startReaper()
 	return e
-}
-
-// warn records a configuration warning and logs it once at construction.
-// The engine label, when set, prefixes the message so a multi-engine
-// process (one engine per partition) reports which instance is concerned
-// instead of a single anonymous line for the whole cluster.
-func (e *Engine) warn(msg string) {
-	if e.opt.Label != "" {
-		msg = e.opt.Label + ": " + msg
-	}
-	e.warnings = append(e.warnings, msg)
-	log.Printf("core: %s", msg)
-}
-
-// ConfigWarnings returns the configuration warnings recorded at
-// construction: options the selected backend cannot honour, downgraded to
-// no-ops rather than silently ignored.
-func (e *Engine) ConfigWarnings() []string {
-	out := make([]string, len(e.warnings))
-	copy(out, e.warnings)
-	return out
 }
 
 // Close marks the engine closed and forces the write-ahead log: subsequent

@@ -133,9 +133,9 @@ func newTestSys(t testing.TB, mode Mode, opts ...func(*Options)) *testSys {
 				return nil
 			},
 		},
-		EncodeArgs: func(args any) []byte {
+		AppendArgs: func(dst []byte, args any) []byte {
 			a := args.(*transferArgs)
-			return spi.MarshalRow(nil, spi.Row{
+			return spi.MarshalRow(dst, spi.Row{
 				spi.I64(a.From), spi.I64(a.To), spi.I64(a.Amount),
 			})
 		},

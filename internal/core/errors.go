@@ -54,6 +54,12 @@ var (
 	// and the condition is never retryable.
 	ErrLogFailed = errors.New("acc: write-ahead log failed")
 
+	// ErrBadArgs is returned (wrapped) by a step body that refuses its
+	// argument record before touching the database — a record a remote
+	// caller built to the wrong shape. Nothing ran; the server answers it as
+	// a bad request.
+	ErrBadArgs = errors.New("acc: malformed argument record")
+
 	// ErrReadOnly reports a write operation attempted inside a read-only
 	// (versioned-tier) transaction: the lock-free read path has no locks, no
 	// undo images, and no compensation, so writes are refused outright.

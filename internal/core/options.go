@@ -79,10 +79,10 @@ func WithWAL(l *wal.Log) Option {
 	return func(o *Options) { o.Log = l }
 }
 
-// WithEngineLabel names the engine in logs and configuration warnings.
+// WithEngineLabel names the engine in the errors it reports (ErrLogFailed).
 // Single-engine processes can leave it empty; a partitioned cluster labels
-// each engine ("partition 3") so a warning about one backend instance says
-// which of the n engines it concerns.
+// each engine ("partition 3") so a failure says which of the n engines it
+// concerns.
 func WithEngineLabel(label string) Option {
 	return func(o *Options) { o.Label = label }
 }

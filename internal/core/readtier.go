@@ -403,7 +403,7 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 	}
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
 	start := time.Now()
-	txn.spanEvent(trace.KindTxnBegin, tier.String(), tt.Name, 0)
+	txn.span.Event(trace.KindTxnBegin, tier.String(), tt.Name, 0)
 	tc := &Ctx{e: e, txn: txn, readTier: tier, readCSN: asOf}
 	for j := range txn.steps {
 		if err := ctx.Err(); err != nil {
@@ -418,7 +418,7 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 				e.userAborts.Add(1)
 			}
 			e.readRec.Record(tier.String(), time.Since(start), outcome)
-			txn.spanEvent(trace.KindTxnAbort, tier.String(), tt.Name, int64(time.Since(start)))
+			txn.span.Event(trace.KindTxnAbort, tier.String(), tt.Name, int64(time.Since(start)))
 			return fmt.Errorf("core: %s (%s read) failed: %w", tt.Name, tier, err)
 		}
 	}
@@ -430,6 +430,6 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 		return err
 	}
 	e.readRec.Record(tier.String(), time.Since(start), metrics.Committed)
-	txn.spanEvent(trace.KindTxnCommit, tier.String(), tt.Name, int64(time.Since(start)))
+	txn.span.Event(trace.KindTxnCommit, tier.String(), tt.Name, int64(time.Since(start)))
 	return nil
 }

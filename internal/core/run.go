@@ -31,10 +31,11 @@ func (e *Engine) crashPoint(name string) {
 	}
 }
 
-// emitTxn sends one engine-layer event. Callers nil-check e.tracer first so
-// the disabled path never builds the event. step < 0 means not step-scoped.
-// The transaction's trace id (when a latency-anatomy span is attached) rides
-// along so one request can be followed across client, server and engine.
+// emitTxn sends one engine-layer event to the bus. Callers nil-check e.tracer
+// first so the disabled path never builds the event (nor formats what goes
+// in it). step < 0 means not step-scoped. The transaction's trace id (when a
+// latency-anatomy span is attached) rides along so one request can be
+// followed across client, server and engine.
 func (e *Engine) emitTxn(kind trace.Kind, txn *txnState, step int, item string, dur int64, extra string) {
 	ev := trace.Ev(kind, uint64(txn.info.ID))
 	if txn.span != nil {
@@ -47,14 +48,17 @@ func (e *Engine) emitTxn(kind trace.Kind, txn *txnState, step int, item string, 
 	e.tracer.Emit(ev)
 }
 
-// spanEvent mirrors an engine-layer transition into the transaction's
-// latency-anatomy span history. Unlike emitTxn it does not depend on the
-// tracer, so the flight recorder keeps the full per-transaction event
-// history even with the event bus detached.
-func (txn *txnState) spanEvent(kind trace.Kind, mode, item string, dur int64) {
-	if txn.span != nil {
-		txn.span.Event(kind, mode, item, dur)
+// announce reports one transition of txn to both observers: the bus when
+// one is attached, and the transaction's span history when it has a span —
+// the flight recorder keeps the full per-transaction history with the bus
+// detached. note qualifies the kind (an abort's reason); it is the bus
+// event's Extra and the span entry's Mode. With neither observer nothing is
+// built.
+func (e *Engine) announce(kind trace.Kind, txn *txnState, step int, item string, dur int64, note string) {
+	if e.tracer != nil {
+		e.emitTxn(kind, txn, step, item, dur, note)
 	}
+	txn.span.Event(kind, note, item, dur)
 }
 
 // spanStatus classifies an engine outcome for engine-owned span records,
@@ -231,10 +235,7 @@ func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, typ interf
 	// waits keep accumulating, which is the end-to-end truth.
 	txn.info.Span = sp
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
-	if e.tracer != nil {
-		e.emitTxn(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
-	}
-	txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
+	e.announce(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
 	txn.begin = wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
 	if tag := shotTagFrom(ctx); tag.Group != nil {
 		// A shot of a multi-shot global transaction: stamp the begin record
@@ -299,19 +300,14 @@ func (e *Engine) appendBoundary(txn *txnState, rec wal.Record, withArea bool) {
 		e.crashPoint("core.comp.force.crash")
 	}
 	e.env.Statement(func() {})
-	tt := txn.tt
-	switch {
-	case !withArea:
-	case tt.AppendArgs != nil:
-		// Append form: the work area is serialized into a pooled scratch.
-		// Append copies it into the log synchronously, so the buffer is free
-		// again as soon as the record is in.
+	if withArea && txn.tt.AppendArgs != nil {
+		// The work area is serialized into a pooled scratch. Append copies it
+		// into the log synchronously, so the buffer is free again as soon as
+		// the record is in.
 		buf := areaPool.Get().(*[]byte)
 		defer areaPool.Put(buf)
-		*buf = tt.AppendArgs((*buf)[:0], txn.args)
+		*buf = txn.tt.AppendArgs((*buf)[:0], txn.args)
 		rec.WorkArea = *buf
-	case tt.EncodeArgs != nil:
-		rec.WorkArea = tt.EncodeArgs(txn.args)
 	}
 	e.append(txn, rec)
 }
@@ -386,10 +382,7 @@ func (e *Engine) commit(txn *txnState, writes []writeRec, start time.Time) error
 	} else {
 		e.readOnly.Add(1)
 	}
-	if e.tracer != nil {
-		e.emitTxn(trace.KindTxnCommit, txn, -1, txn.tt.Name, int64(time.Since(start)), "")
-	}
-	txn.spanEvent(trace.KindTxnCommit, "", txn.tt.Name, int64(time.Since(start)))
+	e.announce(trace.KindTxnCommit, txn, -1, txn.tt.Name, int64(time.Since(start)), "")
 	e.recordCommit(txn)
 	return nil
 }
@@ -422,10 +415,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 			return err
 		}
 		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)})
-		if e.tracer != nil {
-			e.emitTxn(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
-		}
-		txn.spanEvent(trace.KindStepBegin, "", txn.steps[j].Name, 0)
+		e.announce(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
 		stepStart := time.Now()
 		tc := &Ctx{
 			e: e, txn: txn, stepIdx: j,
@@ -438,21 +428,19 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		}
 		if err == nil {
 			e.finishStep(txn, tc, j)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindStepEnd, txn, j, txn.steps[j].Name,
-					int64(time.Since(stepStart)), "")
-			}
-			txn.spanEvent(trace.KindStepEnd, "", txn.steps[j].Name, int64(time.Since(stepStart)))
+			e.announce(trace.KindStepEnd, txn, j, txn.steps[j].Name, int64(time.Since(stepStart)), "")
 			return nil
 		}
 		tc.undo()
 		e.lm.ReleaseStepAbort(txn.info)
 		if Retryable(err) && attempt < e.opt.MaxStepRetries {
 			e.stepRetries.Add(1)
+			// The one transition whose two observers differ: the bus carries
+			// the cause, and formatting it stays behind the check.
 			if e.tracer != nil {
 				e.emitTxn(trace.KindStepRetry, txn, j, txn.steps[j].Name, 0, err.Error())
 			}
-			txn.spanEvent(trace.KindStepRetry, "", txn.steps[j].Name, 0)
+			txn.span.Event(trace.KindStepRetry, "", txn.steps[j].Name, 0)
 			continue
 		}
 		return err
@@ -564,27 +552,18 @@ func (e *Engine) rollback(txn *txnState, j int, cause error) error {
 		}
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(cause) {
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "scheduling")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "scheduling", txn.tt.Name, 0)
+			e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "scheduling")
 			return cause // nothing exposed: the caller restarts the transaction
 		}
 		if canceled(cause) {
 			// The caller went away before anything was exposed: the undo
 			// already happened in place, so this is neither a user abort nor
 			// a scheduling abort — just the cancellation, propagated.
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "canceled")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "canceled", txn.tt.Name, 0)
+			e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "canceled")
 			return fmt.Errorf("core: %s canceled: %w", txn.tt.Name, cause)
 		}
 		e.userAborts.Add(1)
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "user")
-		}
-		txn.spanEvent(trace.KindTxnAbort, "user", txn.tt.Name, 0)
+		e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "user")
 		return fmt.Errorf("core: %s aborted: %w", txn.tt.Name, cause)
 	}
 	if err := e.compensate(txn, completed); err != nil {
@@ -604,11 +583,8 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 	}
 	for attempt := 0; ; attempt++ {
 		e.openUnit(txn, wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)})
-		if e.tracer != nil {
-			// Step carries the number of completed forward steps being undone.
-			e.emitTxn(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
-		}
-		txn.spanEvent(trace.KindCompBegin, "", tt.Name, 0)
+		// Step carries the number of completed forward steps being undone.
+		e.announce(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
 		compStart := time.Now()
 		tc := &Ctx{
 			e: e, txn: txn,
@@ -626,11 +602,7 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 				return err
 			}
 			e.compensations.Add(1)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindCompDone, txn, completed, tt.Name,
-					int64(time.Since(compStart)), "")
-			}
-			txn.spanEvent(trace.KindCompDone, "", tt.Name, int64(time.Since(compStart)))
+			e.announce(trace.KindCompDone, txn, completed, tt.Name, int64(time.Since(compStart)), "")
 			e.recordCommit(txn) // compensation publishes a (compensated) outcome
 			return nil
 		}
@@ -691,10 +663,7 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 		if Retryable(err) {
 			if ctx.Err() == nil && attempt < e.opt.MaxTxnRetries {
 				e.txnRetries.Add(1)
-				if e.tracer != nil {
-					e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "scheduling")
-				}
-				txn.spanEvent(trace.KindTxnAbort, "scheduling", tt.Name, 0)
+				e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "scheduling")
 				retryBackoff(attempt, uint64(txn.info.ID))
 				continue
 			}
@@ -703,17 +672,11 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 			return fmt.Errorf("core: %s: %w: %w", tt.Name, ErrRetriesExhausted, err)
 		}
 		if canceled(err) {
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "canceled")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "canceled", tt.Name, 0)
+			e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "canceled")
 			return fmt.Errorf("core: %s canceled: %w", tt.Name, err)
 		}
 		e.userAborts.Add(1)
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "user")
-		}
-		txn.spanEvent(trace.KindTxnAbort, "user", tt.Name, 0)
+		e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "user")
 		return fmt.Errorf("core: %s aborted: %w", tt.Name, err)
 	}
 }

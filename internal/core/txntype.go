@@ -64,7 +64,7 @@ type Compensation struct {
 }
 
 // TxnType is a design-time transaction declaration: the decomposition into
-// steps, the compensation, and the work-area codec used by crash recovery.
+// steps, the compensation, and the codec of its argument record.
 type TxnType struct {
 	Name string
 	// ID is the transaction type's entry in the interference tables.
@@ -78,19 +78,18 @@ type TxnType struct {
 	// Comp is the compensating step; nil only for single-step transactions,
 	// which never need compensation.
 	Comp *Compensation
-	// EncodeArgs serializes the instance's work area (its argument value,
+	// AppendArgs serializes the instance's work area (its argument value,
 	// including any state forward steps recorded into it, such as assigned
-	// identifiers). It is stored in every forced end-of-step record so a
-	// crash can be compensated. Optional: without it the transaction cannot
-	// be compensated after a crash (it still compensates normally online).
-	EncodeArgs func(args any) []byte
-	// AppendArgs, when non-nil, is EncodeArgs in append form: it serializes
-	// the work area onto dst and returns the extended slice, so the engine
-	// can reuse one pooled scratch buffer across end-of-step records
-	// instead of allocating per step. It must produce exactly the bytes
-	// EncodeArgs would.
+	// identifiers) onto dst and returns the extended slice. The engine saves
+	// the bytes in every end-of-step record so a crash can be compensated,
+	// and the partition coordinator saves a shot's in its decision record.
+	// Optional: without it the transaction cannot be compensated after a
+	// crash (it still compensates normally online) nor run as a shot.
 	AppendArgs func(dst []byte, args any) []byte
-	// DecodeArgs reverses EncodeArgs during crash recovery.
+	// DecodeArgs reverses AppendArgs into a fresh record, for the engine's
+	// crash recovery and the coordinator's. A type served over the wire binds
+	// the pair to its wire.ArgCodec (Encode, DecodeNew), so the record has
+	// one layout.
 	DecodeArgs func(data []byte) (any, error)
 	// InterStatementCompute opts this type into the environment's
 	// inter-statement compute time (§5.2 added it to the transactions whose

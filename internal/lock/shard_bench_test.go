@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"accdb/internal/storage"
+	"accdb/internal/spi"
 )
 
 // BenchmarkLockShards measures raw Acquire/ReleaseAll throughput of the
@@ -20,7 +20,7 @@ func BenchmarkLockShards(b *testing.B) {
 	const keySpace = 4096
 	items := make([]Item, keySpace)
 	for i := range items {
-		items[i] = RowItem("bench", storage.Key(fmt.Sprintf("k%06d", i)))
+		items[i] = RowItem("bench", spi.Key(fmt.Sprintf("k%06d", i)))
 	}
 	for _, dist := range []struct {
 		name string

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accdb/internal/spi"
-	"accdb/internal/storage"
 )
 
 // itemsInDistinctShards returns n row items that all hash to different
@@ -21,7 +20,7 @@ func itemsInDistinctShards(t *testing.T, m *Manager, n int) []Item {
 	seen := make(map[int]bool)
 	var out []Item
 	for i := 0; len(out) < n && i < 100000; i++ {
-		it := RowItem("t", storage.Key(fmt.Sprintf("key-%d", i)))
+		it := RowItem("t", spi.Key(fmt.Sprintf("key-%d", i)))
 		idx := m.shardIndex(it)
 		if !seen[idx] {
 			seen[idx] = true
@@ -41,7 +40,7 @@ func TestShardRoutingSpreadsItems(t *testing.T) {
 	}
 	counts := make(map[int]int)
 	for i := 0; i < 4096; i++ {
-		counts[m.shardIndex(RowItem("warehouse", storage.Key(fmt.Sprintf("w%d", i))))]++
+		counts[m.shardIndex(RowItem("warehouse", spi.Key(fmt.Sprintf("w%d", i))))]++
 	}
 	if len(counts) < m.ShardCount()/2 {
 		t.Fatalf("4096 keys landed on only %d of %d shards", len(counts), m.ShardCount())
@@ -254,7 +253,7 @@ func TestParallelAcquireAcrossShards(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				txn := NewTxnInfo(TxnID(g*1000+i+1), 1)
-				it := RowItem("t", storage.Key(fmt.Sprintf("g%d-k%d", g, i%37)))
+				it := RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i%37)))
 				if err := m.Acquire(txn, it, conv(ModeX)); err != nil {
 					t.Error(err)
 					return
@@ -267,7 +266,7 @@ func TestParallelAcquireAcrossShards(t *testing.T) {
 	probe := NewTxnInfo(777777, 1)
 	for g := 0; g < 8; g++ {
 		for i := 0; i < 37; i++ {
-			it := RowItem("t", storage.Key(fmt.Sprintf("g%d-k%d", g, i)))
+			it := RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i)))
 			if err := m.Acquire(probe, it, conv(ModeX)); err != nil {
 				t.Fatalf("leaked lock on %v: %v", it, err)
 			}

@@ -63,9 +63,6 @@ func (s *Store) Names() []string {
 	return names
 }
 
-// Capabilities: memstore implements the full version-chain contract.
-func (s *Store) Capabilities() spi.Capabilities { return spi.Capabilities{Versions: true} }
-
 type index struct {
 	def  spi.IndexDef
 	cols []int

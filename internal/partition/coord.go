@@ -250,7 +250,7 @@ func (s *Set) undoShot(grp *spi.Group, idx int32, sh Shot, args any) error {
 // encodePlan serializes the shot plan into a TCoordBegin work area:
 // uvarint shot count, then per shot uvarint partition, length-prefixed type
 // name, length-prefixed encoded arguments. Shot types must declare
-// EncodeArgs/DecodeArgs (the same requirement the engine's own crash
+// AppendArgs/DecodeArgs (the same requirement the engine's own crash
 // compensation imposes on multi-step types).
 func (s *Set) encodePlan(shots []Shot) ([]byte, error) {
 	buf := binary.AppendUvarint(nil, uint64(len(shots)))
@@ -259,13 +259,13 @@ func (s *Set) encodePlan(shots []Shot) ([]byte, error) {
 		if tt == nil {
 			return nil, fmt.Errorf("%w: %q", core.ErrUnknownTxnType, sh.Type)
 		}
-		if tt.EncodeArgs == nil {
-			return nil, fmt.Errorf("shot type %q has no EncodeArgs", sh.Type)
+		if tt.AppendArgs == nil {
+			return nil, fmt.Errorf("shot type %q has no AppendArgs", sh.Type)
 		}
 		buf = binary.AppendUvarint(buf, uint64(sh.Partition))
 		buf = binary.AppendUvarint(buf, uint64(len(sh.Type)))
 		buf = append(buf, sh.Type...)
-		enc := tt.EncodeArgs(sh.Args)
+		enc := tt.AppendArgs(nil, sh.Args)
 		buf = binary.AppendUvarint(buf, uint64(len(enc)))
 		buf = append(buf, enc...)
 	}

@@ -786,9 +786,9 @@ func addKV(tc *core.Ctx, key, delta int64) error {
 	})
 }
 
-func encodePoke(v any) []byte {
+func appendPoke(dst []byte, v any) []byte {
 	a := v.(*pokeArgs)
-	return []byte(fmt.Sprintf("%d %d %d", a.Part, a.Key, a.Then))
+	return fmt.Appendf(dst, "%d %d %d", a.Part, a.Key, a.Then)
 }
 
 func decodePoke(data []byte) (any, error) {
@@ -889,13 +889,13 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 	eng.MustRegister(&core.TxnType{
 		Name: "poke", ID: li.txnPoke,
 		Steps:      []core.Step{{Name: "poke", Type: li.stPoke, Body: poke(1)}},
-		EncodeArgs: encodePoke,
+		AppendArgs: appendPoke,
 		DecodeArgs: decodePoke,
 	})
 	eng.MustRegister(&core.TxnType{
 		Name: "poke_undo", ID: li.txnPokeUndo,
 		Steps:      []core.Step{{Name: "poke-undo", Type: li.stPokeUndo, Body: poke(-1)}},
-		EncodeArgs: encodePoke,
+		AppendArgs: appendPoke,
 		DecodeArgs: decodePoke,
 	})
 }

@@ -38,7 +38,6 @@ func (s *syncBuf) Bytes() []byte {
 // rpc.* and txn.* trace events with the wire trace ID and engine transaction
 // ID attached, plus one txn.span breakdown whose stages cover the request.
 func TestBinaryPathTraceSpans(t *testing.T) {
-	registerMoveCodec()
 	sink := trace.NewMemorySink(256)
 	tr := trace.New(sink)
 	defer tr.Close()

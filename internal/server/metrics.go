@@ -20,7 +20,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	counter("accd_rpc_admitted_total", "Requests past admission control.", st.Admitted)
 	counter("accd_rpc_rejected_queue_full_total", "Requests refused: in-flight limit reached.", st.RejectedFull)
 	counter("accd_rpc_rejected_draining_total", "Requests refused: server draining.", st.RejectedDraining)
-	counter("accd_rpc_bad_requests_total", "Undecodable or unknown-type requests.", st.BadRequests)
+	counter("accd_rpc_bad_requests_total", "Requests refused as undecodable, of an unknown type, or by their type.", st.BadRequests)
 	gauge("accd_rpc_in_flight", "Requests executing right now.", st.InFlight)
 	gauge("accd_conns_open", "Open client sessions.", st.Conns)
 	draining := int64(0)

@@ -21,7 +21,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -59,12 +58,6 @@ type Runner interface {
 type Config struct {
 	// Engine executes the transactions. Required.
 	Engine Runner
-	// NewArgs returns a fresh argument record to decode a request's JSON
-	// into, or nil if the transaction type takes no arguments the server
-	// knows how to decode. Required for any type clients may invoke —
-	// transaction bodies type-assert their argument records, so decoding
-	// into a generic map would panic them.
-	NewArgs func(txnType string) any
 	// MaxInFlight bounds concurrently executing requests across all
 	// connections; beyond it requests fail fast with StatusQueueFull.
 	// Zero means DefaultMaxInFlight.
@@ -92,7 +85,8 @@ type Stats struct {
 	RejectedFull uint64
 	// RejectedDraining counts requests refused with StatusDraining.
 	RejectedDraining uint64
-	// BadRequests counts undecodable or unknown-type requests.
+	// BadRequests counts requests answered StatusBadRequest or
+	// StatusUnknownType: undecodable, unknown, or refused by their type.
 	BadRequests uint64
 	// InFlight is the number of requests executing right now.
 	InFlight int64
@@ -398,9 +392,9 @@ func (sess *session) dispatch(st *reqState) {
 	go sess.run(rpcID, st)
 }
 
-// run executes one admitted request and enqueues its response. The request
-// stays in the format it arrived in: binary args answer with a binary
-// result, JSON with JSON.
+// run executes one admitted request and enqueues its response. Arguments
+// and result are the type's argument record in its codec's layout
+// (wire.ArgCodec): a type clients may run is a type with a registered codec.
 func (sess *session) run(rpcID uint64, st *reqState) {
 	s := sess.srv
 	// The span's queue stage covers admission and goroutine hand-off: frame
@@ -437,38 +431,26 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 	var args any
 	switch {
 	case tt == nil:
-		s.badRequests.Add(1)
 		resp.Status = wire.StatusUnknownType
 		resp.Msg = fmt.Appendf(nil, "unknown transaction type %q", st.req.Name)
 	case !core.ValidTier(st.req.Tier):
-		s.badRequests.Add(1)
 		resp.Status = wire.StatusBadRequest
 		resp.Msg = fmt.Appendf(nil, "unknown read tier %d", st.req.Tier)
-	case st.req.Fmt == wire.FmtBinary:
+	case st.req.Fmt != wire.FmtBinary:
+		resp.Status = wire.StatusBadRequest
+		resp.Msg = fmt.Appendf(nil, "unknown argument format %s", st.req.Fmt)
+	default:
 		if codec = wire.CodecForBytes(st.req.Name); codec == nil {
-			s.badRequests.Add(1)
 			resp.Status = wire.StatusBadRequest
-			resp.Msg = fmt.Appendf(nil, "no binary codec registered for %q", tt.Name)
+			resp.Msg = fmt.Appendf(nil, "no argument codec registered for %q", tt.Name)
 		} else {
 			args = codec.GetArgs()
 			if err := codec.Decode(st.req.Args, args); err != nil {
 				codec.PutArgs(args)
 				args = nil
-				s.badRequests.Add(1)
 				resp.Status = wire.StatusBadRequest
-				resp.Msg = fmt.Appendf(nil, "malformed binary arguments for %q: %v", tt.Name, err)
+				resp.Msg = fmt.Appendf(nil, "malformed arguments for %q: %v", tt.Name, err)
 			}
-		}
-	default:
-		if args = sess.newArgs(tt.Name); args == nil {
-			s.badRequests.Add(1)
-			resp.Status = wire.StatusUnknownType
-			resp.Msg = fmt.Appendf(nil, "no argument prototype for %q", tt.Name)
-		} else if len(st.req.Args) > 0 && json.Unmarshal(st.req.Args, args) != nil {
-			args = nil
-			s.badRequests.Add(1)
-			resp.Status = wire.StatusBadRequest
-			resp.Msg = fmt.Appendf(nil, "malformed arguments for %q", tt.Name)
 		}
 	}
 
@@ -489,45 +471,28 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 		// so the client observes assigned identifiers — also after a
 		// compensated rollback, whose consumed identifiers the client's
 		// bookkeeping may need (TPC-C order-number holes).
-		if codec != nil {
-			scratch = wire.GetBuffer()
-			*scratch = codec.Encode((*scratch)[:0], args)
-			resp.Fmt = wire.FmtBinary
-			resp.Result = *scratch
-		} else if out, merr := json.Marshal(args); merr == nil {
-			resp.Result = out
-		} else {
-			// The transaction already ran; a work area the client cannot
-			// observe must be an explicit failure, not a silent nil result.
-			resp.Status = wire.StatusInternal
-			resp.Msg = fmt.Appendf(nil, "result re-encode failed: %v", merr)
-			if s.tracer != nil {
-				s.emitRPC(trace.KindRPCError, rpcID, st.req.Trace, traceName, 0, "result-marshal: "+merr.Error())
-			}
-		}
+		scratch = wire.GetBuffer()
+		*scratch = codec.Encode((*scratch)[:0], args)
+		resp.Fmt = wire.FmtBinary
+		resp.Result = *scratch
 		s.rec.Record(tt.Name, time.Since(start), outcomeOf(err))
 		if s.cfg.OnOutcome != nil {
 			s.cfg.OnOutcome(tt.Name, args, err)
 		}
+	}
+	if resp.Status == wire.StatusBadRequest || resp.Status == wire.StatusUnknownType {
+		// Refused above, or by the type itself (core.ErrBadArgs, ErrReadOnly).
+		s.badRequests.Add(1)
 	}
 	if s.tracer != nil {
 		s.emitRPC(trace.KindRPCEnd, rpcID, st.req.Trace, traceName, int64(time.Since(start)), resp.Status.String())
 	}
 	sp.SetStatus(resp.Status.String())
 	sess.respondSpan(&resp, sp)
-	if codec != nil && args != nil {
+	if args != nil {
 		codec.PutArgs(args)
-	}
-	if scratch != nil {
 		wire.PutBuffer(scratch)
 	}
-}
-
-func (sess *session) newArgs(name string) any {
-	if sess.srv.cfg.NewArgs == nil {
-		return nil
-	}
-	return sess.srv.cfg.NewArgs(name)
 }
 
 // respond encodes one response into a pooled frame and hands it to the
@@ -548,7 +513,6 @@ func (sess *session) respondSpan(resp *wire.Response, sp *trace.Span) {
 	if err != nil {
 		// The result outgrew the frame limit: report that instead of
 		// silently dropping the response.
-		resp.Fmt = wire.FmtJSON
 		resp.Result = nil
 		resp.Status = wire.StatusInternal
 		resp.Msg = []byte("response exceeds frame limit")
@@ -592,7 +556,7 @@ func statusOf(err error) (wire.Status, string) {
 		return wire.StatusDeadlock, err.Error()
 	case errors.Is(err, core.ErrLockTimeout):
 		return wire.StatusLockTimeout, err.Error()
-	case errors.Is(err, core.ErrReadOnly):
+	case errors.Is(err, core.ErrReadOnly), errors.Is(err, core.ErrBadArgs):
 		return wire.StatusBadRequest, err.Error()
 	case errors.Is(err, core.ErrAborted):
 		return wire.StatusAborted, err.Error()

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,12 +24,36 @@ import (
 	"accdb/pkg/accclient"
 )
 
-// moveArgs is the argument record of the test transaction; exported fields
-// make it wire-encodable.
+// moveArgs is the argument record of the test transaction.
 type moveArgs struct {
 	ID      int64
 	Account int64
 }
+
+// moveCodec is moveArgs's codec (16 bytes, big-endian ID then Account),
+// registered for "move" only: move_legacy is the same transaction without
+// one, which the wire cannot run.
+var moveCodec = &wire.ArgCodec{
+	Name:  "move",
+	New:   func() any { return &moveArgs{} },
+	Reset: func(v any) { *v.(*moveArgs) = moveArgs{} },
+	Encode: func(dst []byte, v any) []byte {
+		a := v.(*moveArgs)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(a.ID))
+		return binary.BigEndian.AppendUint64(dst, uint64(a.Account))
+	},
+	Decode: func(data []byte, v any) error {
+		if len(data) != 16 {
+			return fmt.Errorf("move: want 16 bytes, got %d", len(data))
+		}
+		a := v.(*moveArgs)
+		a.ID = int64(binary.BigEndian.Uint64(data[:8]))
+		a.Account = int64(binary.BigEndian.Uint64(data[8:]))
+		return nil
+	},
+}
+
+func init() { wire.RegisterArgCodec(moveCodec) }
 
 // moveSys is a two-step "move" system behind a server: step 1 journals,
 // step 2 bumps an account balance; compensation removes the journal entry.
@@ -113,15 +136,9 @@ func newMoveSys(t *testing.T, cfg func(*Config), engOpts ...core.Option) *moveSy
 		}
 	}
 	eng.MustRegister(mkMove("move", txnMove))
-	// move_legacy is the same transaction registered without a binary
-	// codec: binary-format requests for it exercise the codec-missing
-	// rejection that drives the client's JSON fallback.
 	eng.MustRegister(mkMove("move_legacy", txnLegacy))
 
-	c := Config{
-		Engine:  eng,
-		NewArgs: func(string) any { return &moveArgs{} },
-	}
+	c := Config{Engine: eng}
 	if cfg != nil {
 		cfg(&c)
 	}
@@ -156,13 +173,9 @@ func dialRaw(t *testing.T, addr net.Addr) *rawConn {
 	return &rawConn{t: t, c: c}
 }
 
-func (rc *rawConn) send(id uint64, name string, args any) {
+func (rc *rawConn) send(id uint64, name string, args *moveArgs) {
 	rc.t.Helper()
-	payload, err := json.Marshal(args)
-	if err != nil {
-		rc.t.Fatal(err)
-	}
-	if err := wire.WriteRequest(rc.c, &wire.Request{ID: id, Op: wire.OpRun, Name: []byte(name), Args: payload}); err != nil {
+	if err := wire.WriteRequest(rc.c, mustReq(id, name, args)); err != nil {
 		rc.t.Fatal(err)
 	}
 }
@@ -188,7 +201,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestRunOverWire covers the basic request/response cycle including the
-// work-area echo, and the error statuses for unknown types and bad JSON.
+// work-area echo, and the error statuses for unknown types and a truncated
+// argument record.
 func TestRunOverWire(t *testing.T) {
 	s := newMoveSys(t, nil)
 	rc := dialRaw(t, s.ln.Addr())
@@ -200,11 +214,11 @@ func TestRunOverWire(t *testing.T) {
 		t.Fatalf("unexpected response: %+v", resp)
 	}
 	var out moveArgs
-	if err := json.Unmarshal(resp.Result, &out); err != nil {
+	if err := moveCodec.Decode(resp.Result, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != 10 || out.Account != 2 {
-		t.Fatalf("work area mangled: %+v", out)
+	if resp.Fmt != wire.FmtBinary || out.ID != 10 || out.Account != 2 {
+		t.Fatalf("work area mangled: %+v in %+v", out, resp)
 	}
 
 	rc.send(2, "no-such", &moveArgs{})
@@ -212,11 +226,16 @@ func TestRunOverWire(t *testing.T) {
 		t.Fatalf("want unknown-type, got %+v", resp)
 	}
 
-	if err := wire.WriteRequest(rc.c, &wire.Request{ID: 3, Op: wire.OpRun, Name: []byte("move"), Args: []byte("{oops")}); err != nil {
+	short := mustReq(3, "move", &moveArgs{ID: 11, Account: 2})
+	short.Args = short.Args[:7]
+	if err := wire.WriteRequest(rc.c, short); err != nil {
 		t.Fatal(err)
 	}
-	if resp := rc.recv(); resp.Status != wire.StatusBadRequest {
-		t.Fatalf("want bad-request, got %+v", resp)
+	if resp := rc.recv(); resp.ID != 3 || resp.Status != wire.StatusBadRequest {
+		t.Fatalf("truncated argument record accepted: %+v", resp)
+	}
+	if n := s.eng.Snapshot().Commits; n != 1 {
+		t.Fatalf("commits = %d: a refused request executed", n)
 	}
 
 	if err := wire.WriteRequest(rc.c, &wire.Request{ID: 4, Op: wire.OpPing}); err != nil {
@@ -410,11 +429,9 @@ func TestDrainUnderTPCCLoad(t *testing.T) {
 	if _, err := tpcc.Register(eng, types, scale); err != nil {
 		t.Fatal(err)
 	}
-	protos := tpcc.ArgsPrototypes()
 	holes := tpcc.NewHoleTracker()
 	srv := New(Config{
 		Engine:      eng,
-		NewArgs:     func(name string) any { return protos[name]() },
 		MaxInFlight: 256,
 		OnOutcome:   holes.Observe,
 	})
@@ -451,8 +468,8 @@ func TestDrainUnderTPCCLoad(t *testing.T) {
 				}
 				id++
 				name, args := w.DrawArgs(r, term)
-				payload, _ := json.Marshal(args)
-				if err := wire.WriteRequest(conn, &wire.Request{ID: id, Op: wire.OpRun, Name: []byte(name), Args: payload}); err != nil {
+				payload := wire.CodecFor(name).Encode(nil, args)
+				if err := wire.WriteRequest(conn, &wire.Request{ID: id, Op: wire.OpRun, Fmt: wire.FmtBinary, Name: []byte(name), Args: payload}); err != nil {
 					return // server closed the session post-drain
 				}
 				resp, err := wire.ReadResponse(conn)
@@ -546,54 +563,18 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 }
 
-func mustReq(id uint64, name string, args any) *wire.Request {
-	payload, err := json.Marshal(args)
-	if err != nil {
-		panic(err)
-	}
-	return &wire.Request{ID: id, Op: wire.OpRun, Name: []byte(name), Args: payload}
+// mustReq frames a request for name carrying a move record — the bytes a
+// client holding moveCodec would send, whatever the server makes of name.
+func mustReq(id uint64, name string, args *moveArgs) *wire.Request {
+	return &wire.Request{ID: id, Op: wire.OpRun, Fmt: wire.FmtBinary, Name: []byte(name), Args: moveCodec.Encode(nil, args)}
 }
 
-// registerMoveCodec installs the binary ArgCodec for moveArgs (16 bytes,
-// big-endian ID then Account). Codec registration is global and permanent,
-// so every test in the package shares one registration.
-var moveCodecOnce sync.Once
-
-func registerMoveCodec() {
-	moveCodecOnce.Do(func() {
-		wire.RegisterArgCodec(&wire.ArgCodec{
-			Name:  "move",
-			New:   func() any { return &moveArgs{} },
-			Reset: func(v any) { *v.(*moveArgs) = moveArgs{} },
-			Encode: func(dst []byte, v any) []byte {
-				a := v.(*moveArgs)
-				var buf [16]byte
-				binary.BigEndian.PutUint64(buf[:8], uint64(a.ID))
-				binary.BigEndian.PutUint64(buf[8:], uint64(a.Account))
-				return append(dst, buf[:]...)
-			},
-			Decode: func(data []byte, v any) error {
-				if len(data) != 16 {
-					return fmt.Errorf("move: want 16 bytes, got %d", len(data))
-				}
-				a := v.(*moveArgs)
-				a.ID = int64(binary.BigEndian.Uint64(data[:8]))
-				a.Account = int64(binary.BigEndian.Uint64(data[8:]))
-				return nil
-			},
-		})
-	})
-}
-
-// TestBinaryRequestRoundTrip covers the pooled binary codec end to end at
-// the server: a FmtBinary request decodes through the registered codec,
-// runs, and answers with a FmtBinary result; a JSON request on the same
-// session still answers JSON (mixed-version peers); truncated binary bytes
-// are rejected before anything executes; and a binary request for a type
-// with no codec gets the bad-request signal the client's JSON fallback
-// keys on.
+// TestBinaryRequestRoundTrip covers the pooled codec end to end at the
+// server: a request decodes through the registered codec, runs, and answers
+// with a FmtBinary result; a format byte other than FmtBinary, truncated
+// bytes, and a type with no codec are each rejected before anything
+// executes.
 func TestBinaryRequestRoundTrip(t *testing.T) {
-	registerMoveCodec()
 	s := newMoveSys(t, nil)
 	rc := dialRaw(t, s.ln.Addr())
 	defer rc.c.Close()
@@ -618,9 +599,11 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		t.Fatalf("work area mangled: %+v", out)
 	}
 
-	rc.send(2, "move", &moveArgs{ID: 71, Account: 2})
-	if resp := rc.recv(); resp.Status != wire.StatusOK || resp.Fmt != wire.FmtJSON {
-		t.Fatalf("JSON round trip after binary: %+v", resp)
+	if err := wire.WriteRequest(rc.c, &wire.Request{ID: 2, Op: wire.OpRun, Name: []byte("move"), Args: argBytes}); err != nil {
+		t.Fatal(err)
+	}
+	if resp := rc.recv(); resp.ID != 2 || resp.Status != wire.StatusBadRequest {
+		t.Fatalf("format byte 0 accepted: %+v", resp)
 	}
 
 	if err := wire.WriteRequest(rc.c, &wire.Request{ID: 3, Op: wire.OpRun, Fmt: wire.FmtBinary, Name: []byte("move"), Args: argBytes[:7]}); err != nil {
@@ -635,6 +618,9 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 	if resp := rc.recv(); resp.ID != 4 || resp.Status != wire.StatusBadRequest {
 		t.Fatalf("binary request without codec should be bad-request, got %+v", resp)
+	}
+	if n := s.eng.Snapshot().Commits; n != 1 {
+		t.Fatalf("commits = %d: a refused request executed", n)
 	}
 }
 
@@ -718,10 +704,8 @@ func benchServerThroughput(b *testing.B, anatomy *trace.Anatomy) {
 	if _, err := tpcc.Register(eng, types, scale); err != nil {
 		b.Fatal(err)
 	}
-	protos := tpcc.ArgsPrototypes()
 	srv := New(Config{
 		Engine:      eng,
-		NewArgs:     func(name string) any { return protos[name]() },
 		MaxInFlight: 512,
 		Anatomy:     anatomy,
 	})
@@ -779,44 +763,49 @@ func benignBenchErr(err error) bool {
 		errors.Is(err, accclient.ErrQueueFull)
 }
 
-// TestLogFailureOverWire: a commit whose force failed is answered with an
-// internal error — never OK — through a served partition set; the client
-// does not retry it, the outcome hook sees ErrLogFailed (accd's cue to stop),
-// and the failed partition keeps refusing while it stays up.
-func TestLogFailureOverWire(t *testing.T) {
+// serveStack serves a small TPC-C partition set until the test ends.
+func serveStack(t *testing.T, partitions int, walDir string, cfg Config) (*tpcc.Stack, *Server, net.Addr) {
+	t.Helper()
 	st, err := tpcc.NewStack(tpcc.StackConfig{
-		Partitions: 2,
-		Scale:      tpcc.Scale{Warehouses: 2, Districts: 2, CustomersPerDistrict: 10, Items: 20, InitialOrdersPerDistrict: 5, NewOrderBacklog: 2},
+		Partitions: partitions,
+		Scale:      tpcc.Scale{Warehouses: partitions, Districts: 2, CustomersPerDistrict: 10, Items: 20, InitialOrdersPerDistrict: 5, NewOrderBacklog: 2},
 		Seed:       1,
-		WALDir:     t.TempDir(),
+		WALDir:     walDir,
 		Engine:     []core.Option{core.WithWaitTimeout(10 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	protos := tpcc.ArgsPrototypes()
+	cfg.Engine = st.Set
+	srv := New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		st.Close()
+	})
+	return st, srv, ln.Addr()
+}
+
+// TestLogFailureOverWire: a commit whose force failed is answered with an
+// internal error — never OK — through a served partition set; the client
+// does not retry it, the outcome hook sees ErrLogFailed (accd's cue to stop),
+// and the failed partition keeps refusing while it stays up.
+func TestLogFailureOverWire(t *testing.T) {
 	var sawLogFailed atomic.Int64
-	srv := New(Config{
-		Engine:  st.Set,
-		NewArgs: func(name string) any { return protos[name]() },
+	st, _, addr := serveStack(t, 2, t.TempDir(), Config{
 		OnOutcome: func(_ string, _ any, err error) {
 			if errors.Is(err, core.ErrLogFailed) {
 				sawLogFailed.Add(1)
 			}
 		},
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	cli, err := accclient.Dial(ln.Addr().String())
+	cli, err := accclient.Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,5 +843,52 @@ func TestLogFailureOverWire(t *testing.T) {
 	}
 	if err := pay(2); err != nil {
 		t.Fatalf("the healthy partition stopped serving: %v", err)
+	}
+}
+
+// TestShortWorkAreaRefused: a client sizes the work-area vectors of the
+// record it sends, and the step bodies index them by line and by district —
+// so a well-formed frame with short vectors must be answered bad-request
+// with nothing executed, not reach a step (where it would index out of range
+// and, with nothing between the session goroutine and the body recovering,
+// take the server down). The server keeps serving afterwards.
+func TestShortWorkAreaRefused(t *testing.T) {
+	st, srv, addr := serveStack(t, 1, "", Config{})
+	rc := dialRaw(t, addr)
+	defer rc.c.Close()
+	run := func(id uint64, name string, args any) *wire.Response {
+		t.Helper()
+		req := &wire.Request{ID: id, Op: wire.OpRun, Fmt: wire.FmtBinary, Name: []byte(name), Args: wire.CodecFor(name).Encode(nil, args)}
+		if err := wire.WriteRequest(rc.c, req); err != nil {
+			t.Fatal(err)
+		}
+		return rc.recv()
+	}
+
+	lines := []tpcc.OrderLineReq{{ItemID: 1, SupplyW: 1, Quantity: 1}, {ItemID: 2, SupplyW: 1, Quantity: 1}}
+	for i, c := range []struct {
+		what string
+		name string
+		args any
+	}{
+		{"delivery with no district slots", "delivery", &tpcc.DeliveryArgs{WID: 1, Carrier: 1}},
+		{"delivery sized for another scale", "delivery", &tpcc.DeliveryArgs{WID: 1, Claimed: make([]int64, 3), Amounts: make([]int64, 3), Customers: make([]int64, 3)}},
+		{"delivery with short Amounts", "delivery", &tpcc.DeliveryArgs{WID: 1, Claimed: make([]int64, 2), Amounts: make([]int64, 1), Customers: make([]int64, 2)}},
+		{"new_order with no Filled/Amounts", "new_order", &tpcc.NewOrderArgs{WID: 1, DID: 1, CID: 1, Lines: lines}},
+		{"new_order with short Amounts", "new_order", &tpcc.NewOrderArgs{WID: 1, DID: 1, CID: 1, Lines: lines, Filled: make([]int64, 2), Amounts: make([]int64, 1)}},
+	} {
+		if resp := run(uint64(i+1), c.name, c.args); resp.Status != wire.StatusBadRequest {
+			t.Errorf("%s: answered %s (%s), want bad-request", c.what, resp.Status, resp.Msg)
+		}
+	}
+	if got := srv.Stats().BadRequests; got != 5 {
+		t.Errorf("BadRequests = %d, want 5", got)
+	}
+	if es := st.Set.Engine(0).Snapshot(); es.Commits != 0 || es.Compensations != 0 {
+		t.Errorf("a refused request executed: %+v", es)
+	}
+	ok := &tpcc.DeliveryArgs{WID: 1, Carrier: 1, Claimed: make([]int64, 2), Amounts: make([]int64, 2), Customers: make([]int64, 2)}
+	if resp := run(9, "delivery", ok); resp.Status != wire.StatusOK {
+		t.Fatalf("the server stopped serving: %s (%s)", resp.Status, resp.Msg)
 	}
 }

@@ -1,9 +1,10 @@
-// Work-area codec registry and the frame buffer pool. A transaction type
-// with a registered ArgCodec travels as a fixed-layout binary record
-// (FmtBinary) instead of JSON, encoded into and decoded out of pooled
-// storage, so the steady-state request path performs zero heap allocations
-// per request. Types without a codec fall back to JSON transparently — the
-// format byte on each frame keeps both populations interoperable.
+// Work-area codec registry and the frame buffer pool. A transaction type's
+// argument record has one serialisation, its ArgCodec, encoded into and
+// decoded out of pooled storage so the steady-state request path performs
+// zero heap allocations per request. The same codec value writes the record
+// into the log and the coordinator's shot plan (core.TxnType.AppendArgs /
+// DecodeArgs are bound to its Encode / DecodeNew), so the bytes in a frame
+// are the bytes in an end-of-step record.
 
 package wire
 
@@ -13,9 +14,10 @@ import (
 	"sync/atomic"
 )
 
-// ArgCodec is the fixed-layout binary encoding of one transaction type's
-// argument record, registered once (typically from the workload package's
-// init) and shared by the server and the client.
+// ArgCodec is the encoding of one transaction type's argument record,
+// declared once by the workload package. Registering it (typically from the
+// package's init) is what lets clients run the type; the server and the
+// client find it by the type's name.
 type ArgCodec struct {
 	// Name is the transaction type this codec encodes.
 	Name string
@@ -41,9 +43,20 @@ type ArgCodec struct {
 func (c *ArgCodec) NameBytes() []byte { return c.nameBytes }
 
 // Handles reports whether v is the concrete record type this codec
-// encodes, so callers holding an arbitrary args value can decide between
-// the binary path and the JSON fallback.
+// encodes; Encode and Decode type-assert, so a caller holding an arbitrary
+// args value asks first.
 func (c *ArgCodec) Handles(v any) bool { return reflect.TypeOf(v) == c.argType }
+
+// DecodeNew decodes data into a fresh record. It is the form recovery and
+// the coordinator's plan decoder take (core.TxnType.DecodeArgs): they keep
+// the record, so nothing there is pooled.
+func (c *ArgCodec) DecodeNew(data []byte) (any, error) {
+	v := c.New()
+	if err := c.Decode(data, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
 
 // GetArgs returns a pooled, reset argument record.
 func (c *ArgCodec) GetArgs() any {

@@ -11,7 +11,7 @@
 //	uint64  trace id    (client-chosen; threads the request through the
 //	                     server's latency-anatomy spans and trace events)
 //	uint8   op          (OpRun, OpPing)
-//	uint8   args format (FmtJSON, FmtBinary)
+//	uint8   args format (FmtBinary; zero on a frame without args)
 //	uint8   read tier   (0 locked, 1 asap, 2 read-committed, 3 snapshot)
 //	uint16  name length
 //	bytes   transaction type name (OpRun; empty for OpPing)
@@ -22,7 +22,7 @@
 //	uint8   version
 //	uint64  request id
 //	uint8   status code   (see Status)
-//	uint8   result format (FmtJSON, FmtBinary)
+//	uint8   result format (FmtBinary; zero on a frame without a result)
 //	uint16  message length
 //	bytes   human-readable error message (empty on success)
 //	bytes   encoded result (the rest of the frame)
@@ -34,11 +34,11 @@
 // never by order — the server answers out of order when pipelined requests
 // finish out of order.
 //
-// Argument records travel either as JSON (the universal fallback) or, for
-// transaction types with a registered ArgCodec, as a fixed-layout binary
-// work area. The format byte makes the choice per request, and the server
-// answers in the format the request used, so binary-speaking and
-// JSON-speaking clients interoperate against the same server.
+// An argument record travels in one format: the layout of the ArgCodec
+// registered for its transaction type, the same bytes the engine saves in
+// its end-of-step log records. A type without a registered codec cannot be
+// run over the wire. The format byte names that format; a request carrying
+// any other value is answered with StatusBadRequest.
 //
 // The package is built for an allocation-free steady state: frames encode
 // into pooled buffers (GetBuffer/PutBuffer), ReadFrame decodes into a
@@ -53,13 +53,10 @@ import (
 	"io"
 )
 
-// Version is the protocol version stamped on every payload. Version 2
-// introduced the version byte itself, the args/result format byte, and the
-// binary work-area codec; version 3 added the request trace id; version 4
-// added the read-tier byte selecting the lock-free versioned read path. As
-// with the v1→v2 break, there is no cross-version interoperability — both
-// ends of a deployment upgrade together.
-const Version = 4
+// Version is the protocol version stamped on every payload. There is no
+// cross-version interoperability: a peer that sends another version is
+// refused (ErrVersion), and both ends of a deployment upgrade together.
+const Version = 5
 
 // Op selects what a request asks the server to do.
 type Op uint8
@@ -74,24 +71,16 @@ const (
 // Format says how an args or result field is encoded.
 type Format uint8
 
-const (
-	// FmtJSON is the universal fallback: the field is a JSON document.
-	FmtJSON Format = 0
-	// FmtBinary is the fixed-layout work-area encoding of a registered
-	// ArgCodec.
-	FmtBinary Format = 1
-)
+// FmtBinary is the work-area encoding of the type's registered ArgCodec: the
+// one format an args or result field is ever in.
+const FmtBinary Format = 1
 
 // String names the format for logs and error messages.
 func (f Format) String() string {
-	switch f {
-	case FmtJSON:
-		return "json"
-	case FmtBinary:
+	if f == FmtBinary {
 		return "binary"
-	default:
-		return fmt.Sprintf("format(%d)", uint8(f))
 	}
+	return fmt.Sprintf("format(%d)", uint8(f))
 }
 
 // Status classifies the outcome of a request. The codes mirror the engine's
@@ -129,11 +118,11 @@ const (
 	// work. Nothing executed; retry against another server.
 	StatusDraining
 	// StatusBadRequest means the frame was structurally valid but the
-	// request could not be decoded (malformed args, bad op, binary args
-	// for a type with no registered codec).
+	// request could not be run as sent: a bad op, tier or format byte, a
+	// type with no registered codec, an argument record that does not
+	// decode or that the type refuses. Nothing executed.
 	StatusBadRequest
-	// StatusInternal is any other server-side failure, including a result
-	// work area that failed to re-encode.
+	// StatusInternal is any other server-side failure.
 	StatusInternal
 )
 

@@ -13,7 +13,7 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &Request{ID: 42, Trace: 7001, Op: OpRun, Fmt: FmtJSON, Name: []byte("new_order"), Args: []byte(`{"WID":1}`)}
+	in := &Request{ID: 42, Trace: 7001, Op: OpRun, Fmt: FmtBinary, Name: []byte("new_order"), Args: []byte{2, 4, 6}}
 	if err := WriteRequest(&buf, in); err != nil {
 		t.Fatal(err)
 	}

@@ -121,28 +121,3 @@ type Store interface {
 	// Names returns the table names in unspecified order.
 	Names() []string
 }
-
-// Capabilities declares which optional engine features a Store supports, so
-// the engine can warn on (rather than silently ignore) configuration that a
-// backend cannot honour.
-type Capabilities struct {
-	// Versions reports that the store implements the version-chain methods
-	// with real multi-version semantics, enabling the lock-free read tiers
-	// and the GC reaper.
-	Versions bool
-}
-
-// CapabilityReporter is optionally implemented by a Store to declare its
-// Capabilities; StoreCapabilities assumes full support otherwise.
-type CapabilityReporter interface {
-	Capabilities() Capabilities
-}
-
-// StoreCapabilities reports s's declared capabilities, defaulting to full
-// support for stores that do not implement CapabilityReporter.
-func StoreCapabilities(s Store) Capabilities {
-	if cr, ok := s.(CapabilityReporter); ok {
-		return cr.Capabilities()
-	}
-	return Capabilities{Versions: true}
-}

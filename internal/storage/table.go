@@ -28,33 +28,33 @@ func sprintf(format string, args ...any) string { return fmt.Sprintf(format, arg
 // (two-phase and assertional locking) is layered above by package core, the
 // way Ingres layers its lock manager above the page store.
 type Table struct {
-	schema *Schema
+	schema *spi.Schema
 
 	mu      sync.RWMutex
-	rows    map[Key]Row
+	rows    map[spi.Key]spi.Row
 	indexes []*secondaryIndex
 	// versions holds per-key version chains for the lock-free read tiers
 	// (version.go): ascending CSN order, seeded with the key's pre-image on
 	// first mutation so as-of reads never consult an uncommitted base row.
-	versions map[Key][]version
+	versions map[spi.Key][]version
 }
 
 type secondaryIndex struct {
-	def  IndexDef
+	def  spi.IndexDef
 	cols []int
 	tree *BTree
 }
 
 // NewTable creates an empty table for the schema.
-func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, rows: make(map[Key]Row)}
+func NewTable(schema *spi.Schema) *Table {
+	return &Table{schema: schema, rows: make(map[spi.Key]spi.Row)}
 }
 
 // Schema describes the relation; immutable after construction.
-func (t *Table) Schema() *Schema { return t.schema }
+func (t *Table) Schema() *spi.Schema { return t.schema }
 
 // AddIndex creates a secondary index and backfills it from existing rows.
-func (t *Table) AddIndex(def IndexDef) error {
+func (t *Table) AddIndex(def spi.IndexDef) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cols := make([]int, len(def.Columns))
@@ -75,7 +75,7 @@ func (t *Table) AddIndex(def IndexDef) error {
 
 // entryKey builds the index entry key: secondary values then the primary
 // key, encoded in one pass so index maintenance costs one allocation.
-func (ix *secondaryIndex) entryKey(row Row, pk Key) Key {
+func (ix *secondaryIndex) entryKey(row spi.Row, pk spi.Key) spi.Key {
 	var b strings.Builder
 	n := len(pk)
 	for _, c := range ix.cols {
@@ -86,7 +86,7 @@ func (ix *secondaryIndex) entryKey(row Row, pk Key) Key {
 		spi.AppendKeyVal(&b, row[c])
 	}
 	b.WriteString(string(pk))
-	return Key(b.String())
+	return spi.Key(b.String())
 }
 
 // Len returns the number of rows.
@@ -97,18 +97,18 @@ func (t *Table) Len() int {
 }
 
 // Get returns a copy of the row with the given primary key.
-func (t *Table) Get(pk Key) (Row, error) {
+func (t *Table) Get(pk spi.Key) (spi.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	row, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	return row.Clone(), nil
 }
 
 // Exists reports whether a primary key is present.
-func (t *Table) Exists(pk Key) bool {
+func (t *Table) Exists(pk spi.Key) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.rows[pk]
@@ -116,7 +116,7 @@ func (t *Table) Exists(pk Key) bool {
 }
 
 // Insert adds a new row; the primary key must not exist.
-func (t *Table) Insert(row Row) error {
+func (t *Table) Insert(row spi.Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func (t *Table) Insert(row Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.rows[pk]; ok {
-		return fmt.Errorf("%w: %s %v", ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
+		return fmt.Errorf("%w: %s %v", spi.ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
 	}
 	t.seedVersionLocked(pk, nil)
 	row = row.Clone()
@@ -137,7 +137,7 @@ func (t *Table) Insert(row Row) error {
 
 // Update replaces the row stored under pk. The new row must have the same
 // primary key. It returns the previous image for undo logging.
-func (t *Table) Update(pk Key, row Row) (Row, error) {
+func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 	defer t.mu.Unlock()
 	old, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	t.seedVersionLocked(pk, old)
 	row = row.Clone()
@@ -164,12 +164,12 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 }
 
 // Delete removes the row under pk, returning the removed image for undo.
-func (t *Table) Delete(pk Key) (Row, error) {
+func (t *Table) Delete(pk spi.Key) (spi.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	t.seedVersionLocked(pk, old)
 	delete(t.rows, pk)
@@ -182,7 +182,7 @@ func (t *Table) Delete(pk Key) (Row, error) {
 // Apply installs a row image directly (used by WAL recovery): a nil row
 // deletes pk, otherwise the row is upserted. No index entry is required to
 // pre-exist.
-func (t *Table) Apply(pk Key, row Row) {
+func (t *Table) Apply(pk spi.Key, row spi.Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old, had := t.rows[pk]
@@ -214,7 +214,7 @@ func (t *Table) Apply(pk Key, row Row) {
 
 // Scan visits every row (copy) in unspecified order; the visitor returns
 // false to stop. The latch is held in read mode for the whole scan.
-func (t *Table) Scan(visit func(pk Key, row Row) bool) {
+func (t *Table) Scan(visit func(pk spi.Key, row spi.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for pk, row := range t.rows {
@@ -225,15 +225,15 @@ func (t *Table) Scan(visit func(pk Key, row Row) bool) {
 }
 
 // IndexScan visits rows whose indexed columns equal eq, in index order.
-func (t *Table) IndexScan(indexName string, eq []Value, visit func(pk Key, row Row) bool) error {
+func (t *Table) IndexScan(indexName string, eq []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	prefix := EncodeKey(eq...)
-	ix.tree.AscendPrefix(prefix, func(_, pk Key) bool {
+	prefix := spi.EncodeKey(eq...)
+	ix.tree.AscendPrefix(prefix, func(_, pk spi.Key) bool {
 		row, ok := t.rows[pk]
 		if !ok {
 			return true // entry/row race is impossible under the latch; defensive
@@ -245,19 +245,19 @@ func (t *Table) IndexScan(indexName string, eq []Value, visit func(pk Key, row R
 
 // IndexRange visits rows whose index entries fall in [lo, hi) where lo and
 // hi are value tuples over the index columns (hi may be nil for unbounded).
-func (t *Table) IndexRange(indexName string, lo, hi []Value, visit func(pk Key, row Row) bool) error {
+func (t *Table) IndexRange(indexName string, lo, hi []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	loK := EncodeKey(lo...)
-	var hiK Key
+	loK := spi.EncodeKey(lo...)
+	var hiK spi.Key
 	if hi != nil {
-		hiK = EncodeKey(hi...)
+		hiK = spi.EncodeKey(hi...)
 	}
-	ix.tree.Ascend(loK, hiK, func(_, pk Key) bool {
+	ix.tree.Ascend(loK, hiK, func(_, pk spi.Key) bool {
 		row, ok := t.rows[pk]
 		if !ok {
 			return true
@@ -286,7 +286,7 @@ type Catalog struct {
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*Table)} }
 
 // Create adds a table for schema; the name must be new.
-func (c *Catalog) Create(schema *Schema) (*Table, error) {
+func (c *Catalog) Create(schema *spi.Schema) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.tables[schema.Name]; ok {
@@ -298,7 +298,7 @@ func (c *Catalog) Create(schema *Schema) (*Table, error) {
 }
 
 // MustCreate is Create that panics; for statically known schemas.
-func (c *Catalog) MustCreate(schema *Schema) *Table {
+func (c *Catalog) MustCreate(schema *spi.Schema) *Table {
 	t, err := c.Create(schema)
 	if err != nil {
 		panic(err)
@@ -339,7 +339,7 @@ func NewStore() *Store { return &Store{cat: Catalog{tables: make(map[string]*Tab
 func (s *Store) Catalog() *Catalog { return &s.cat }
 
 // Create adds a table for schema; the name must be new.
-func (s *Store) Create(schema *Schema) (spi.Table, error) {
+func (s *Store) Create(schema *spi.Schema) (spi.Table, error) {
 	t, err := s.cat.Create(schema)
 	if err != nil {
 		return nil, err
@@ -357,10 +357,6 @@ func (s *Store) Table(name string) spi.Table {
 
 // Names returns the table names in unspecified order.
 func (s *Store) Names() []string { return s.cat.Names() }
-
-// Capabilities reports full support: the B+-tree heap implements real
-// version chains.
-func (s *Store) Capabilities() spi.Capabilities { return spi.Capabilities{Versions: true} }
 
 func init() {
 	spi.Register("btree", func() spi.Store { return NewStore() })

@@ -4,33 +4,35 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"accdb/internal/spi"
 )
 
-func testSchema(t *testing.T) *Schema {
+func testSchema(t *testing.T) *spi.Schema {
 	t.Helper()
-	return MustSchema("emp", []Column{
-		{Name: "id", Kind: KindInt},
-		{Name: "dept", Kind: KindInt},
-		{Name: "name", Kind: KindString},
-		{Name: "salary", Kind: KindInt},
+	return spi.MustSchema("emp", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "dept", Kind: spi.KindInt},
+		{Name: "name", Kind: spi.KindString},
+		{Name: "salary", Kind: spi.KindInt},
 	}, "id")
 }
 
 func TestNewSchemaValidation(t *testing.T) {
-	cols := []Column{{Name: "a", Kind: KindInt}}
-	if _, err := NewSchema("", cols, "a"); err == nil {
+	cols := []spi.Column{{Name: "a", Kind: spi.KindInt}}
+	if _, err := spi.NewSchema("", cols, "a"); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := NewSchema("t", cols); err == nil {
+	if _, err := spi.NewSchema("t", cols); err == nil {
 		t.Error("missing pk accepted")
 	}
-	if _, err := NewSchema("t", cols, "nope"); err == nil {
+	if _, err := spi.NewSchema("t", cols, "nope"); err == nil {
 		t.Error("unknown pk column accepted")
 	}
-	if _, err := NewSchema("t", []Column{{Name: "a", Kind: KindInt}, {Name: "a", Kind: KindInt}}, "a"); err == nil {
+	if _, err := spi.NewSchema("t", []spi.Column{{Name: "a", Kind: spi.KindInt}, {Name: "a", Kind: spi.KindInt}}, "a"); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if _, err := NewSchema("t", []Column{{Name: "", Kind: KindInt}}, "a"); err == nil {
+	if _, err := spi.NewSchema("t", []spi.Column{{Name: "", Kind: spi.KindInt}}, "a"); err == nil {
 		t.Error("unnamed column accepted")
 	}
 }
@@ -40,17 +42,17 @@ func TestSchemaHelpers(t *testing.T) {
 	if s.Col("dept") != 1 || s.Col("missing") != -1 {
 		t.Error("Col lookup broken")
 	}
-	row := Row{I64(7), I64(2), Str("ann"), I64(100)}
+	row := spi.Row{spi.I64(7), spi.I64(2), spi.Str("ann"), spi.I64(100)}
 	if err := s.CheckRow(row); err != nil {
 		t.Error(err)
 	}
 	if err := s.CheckRow(row[:2]); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := s.CheckRow(Row{Str("x"), I64(2), Str("ann"), I64(100)}); err == nil {
+	if err := s.CheckRow(spi.Row{spi.Str("x"), spi.I64(2), spi.Str("ann"), spi.I64(100)}); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	if s.KeyOf(row) != EncodeKey(I64(7)) {
+	if s.KeyOf(row) != spi.EncodeKey(spi.I64(7)) {
 		t.Error("KeyOf mismatch")
 	}
 	defer func() {
@@ -63,11 +65,11 @@ func TestSchemaHelpers(t *testing.T) {
 
 func TestTableCRUD(t *testing.T) {
 	tab := NewTable(testSchema(t))
-	row := Row{I64(1), I64(10), Str("ann"), I64(500)}
+	row := spi.Row{spi.I64(1), spi.I64(10), spi.Str("ann"), spi.I64(500)}
 	if err := tab.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(row); !errors.Is(err, ErrDuplicate) {
+	if err := tab.Insert(row); !errors.Is(err, spi.ErrDuplicate) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
 	pk := tab.Schema().KeyOf(row)
@@ -76,21 +78,21 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
 	// Returned row is a copy.
-	got[3] = I64(0)
+	got[3] = spi.I64(0)
 	again, _ := tab.Get(pk)
 	if again[3].Int64() != 500 {
 		t.Fatal("Get aliases stored row")
 	}
 	// Update.
 	upd := row.Clone()
-	upd[3] = I64(700)
+	upd[3] = spi.I64(700)
 	old, err := tab.Update(pk, upd)
 	if err != nil || old[3].Int64() != 500 {
 		t.Fatalf("Update old = %v, %v", old, err)
 	}
 	// Update cannot change the PK.
 	bad := upd.Clone()
-	bad[0] = I64(99)
+	bad[0] = spi.I64(99)
 	if _, err := tab.Update(pk, bad); err == nil {
 		t.Fatal("PK change accepted")
 	}
@@ -99,33 +101,33 @@ func TestTableCRUD(t *testing.T) {
 	if err != nil || old[3].Int64() != 700 {
 		t.Fatalf("Delete old = %v, %v", old, err)
 	}
-	if _, err := tab.Get(pk); !errors.Is(err, ErrNotFound) {
+	if _, err := tab.Get(pk); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("Get after delete: %v", err)
 	}
-	if _, err := tab.Delete(pk); !errors.Is(err, ErrNotFound) {
+	if _, err := tab.Delete(pk); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if _, err := tab.Update(pk, upd); !errors.Is(err, ErrNotFound) {
+	if _, err := tab.Update(pk, upd); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("update missing: %v", err)
 	}
 }
 
 func TestTableSecondaryIndex(t *testing.T) {
 	tab := NewTable(testSchema(t))
-	if err := tab.AddIndex(IndexDef{Name: "by_dept", Columns: []string{"dept"}}); err != nil {
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.AddIndex(IndexDef{Name: "bad", Columns: []string{"zzz"}}); err == nil {
+	if err := tab.AddIndex(spi.IndexDef{Name: "bad", Columns: []string{"zzz"}}); err == nil {
 		t.Fatal("index on missing column accepted")
 	}
 	for i := 1; i <= 30; i++ {
 		dept := int64(i % 3)
-		if err := tab.Insert(Row{I64(int64(i)), I64(dept), Str("e"), I64(int64(i) * 10)}); err != nil {
+		if err := tab.Insert(spi.Row{spi.I64(int64(i)), spi.I64(dept), spi.Str("e"), spi.I64(int64(i) * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	count := 0
-	err := tab.IndexScan("by_dept", []Value{I64(1)}, func(pk Key, row Row) bool {
+	err := tab.IndexScan("by_dept", []spi.Value{spi.I64(1)}, func(pk spi.Key, row spi.Row) bool {
 		if row[1].Int64() != 1 {
 			t.Errorf("wrong dept row: %v", row)
 		}
@@ -136,14 +138,14 @@ func TestTableSecondaryIndex(t *testing.T) {
 		t.Fatalf("IndexScan count = %d, err = %v", count, err)
 	}
 	// Index maintenance on update: move employee 1 from dept 1 to dept 2.
-	pk := EncodeKey(I64(1))
+	pk := spi.EncodeKey(spi.I64(1))
 	row, _ := tab.Get(pk)
-	row[1] = I64(2)
+	row[1] = spi.I64(2)
 	if _, err := tab.Update(pk, row); err != nil {
 		t.Fatal(err)
 	}
 	count = 0
-	tab.IndexScan("by_dept", []Value{I64(1)}, func(Key, Row) bool { count++; return true })
+	tab.IndexScan("by_dept", []spi.Value{spi.I64(1)}, func(spi.Key, spi.Row) bool { count++; return true })
 	if count != 9 {
 		t.Fatalf("after move: dept 1 has %d, want 9", count)
 	}
@@ -152,12 +154,12 @@ func TestTableSecondaryIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	count = 0
-	tab.IndexScan("by_dept", []Value{I64(2)}, func(Key, Row) bool { count++; return true })
+	tab.IndexScan("by_dept", []spi.Value{spi.I64(2)}, func(spi.Key, spi.Row) bool { count++; return true })
 	if count != 10 { // 10 originally in dept 2, +1 moved, -1 deleted
 		t.Fatalf("dept 2 has %d, want 10", count)
 	}
 	// Unknown index errors.
-	if err := tab.IndexScan("nope", nil, func(Key, Row) bool { return true }); err == nil {
+	if err := tab.IndexScan("nope", nil, func(spi.Key, spi.Row) bool { return true }); err == nil {
 		t.Fatal("unknown index accepted")
 	}
 }
@@ -165,13 +167,13 @@ func TestTableSecondaryIndex(t *testing.T) {
 func TestTableIndexBackfill(t *testing.T) {
 	tab := NewTable(testSchema(t))
 	for i := 1; i <= 5; i++ {
-		tab.Insert(Row{I64(int64(i)), I64(1), Str("e"), I64(0)})
+		tab.Insert(spi.Row{spi.I64(int64(i)), spi.I64(1), spi.Str("e"), spi.I64(0)})
 	}
-	if err := tab.AddIndex(IndexDef{Name: "by_dept", Columns: []string{"dept"}}); err != nil {
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}}); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	tab.IndexScan("by_dept", []Value{I64(1)}, func(Key, Row) bool { count++; return true })
+	tab.IndexScan("by_dept", []spi.Value{spi.I64(1)}, func(spi.Key, spi.Row) bool { count++; return true })
 	if count != 5 {
 		t.Fatalf("backfill found %d, want 5", count)
 	}
@@ -179,12 +181,12 @@ func TestTableIndexBackfill(t *testing.T) {
 
 func TestTableIndexRange(t *testing.T) {
 	tab := NewTable(testSchema(t))
-	tab.AddIndex(IndexDef{Name: "by_salary", Columns: []string{"salary"}})
+	tab.AddIndex(spi.IndexDef{Name: "by_salary", Columns: []string{"salary"}})
 	for i := 1; i <= 10; i++ {
-		tab.Insert(Row{I64(int64(i)), I64(0), Str("e"), I64(int64(i) * 100)})
+		tab.Insert(spi.Row{spi.I64(int64(i)), spi.I64(0), spi.Str("e"), spi.I64(int64(i) * 100)})
 	}
 	var salaries []int64
-	err := tab.IndexRange("by_salary", []Value{I64(300)}, []Value{I64(700)}, func(_ Key, row Row) bool {
+	err := tab.IndexRange("by_salary", []spi.Value{spi.I64(300)}, []spi.Value{spi.I64(700)}, func(_ spi.Key, row spi.Row) bool {
 		salaries = append(salaries, row[3].Int64())
 		return true
 	})
@@ -204,18 +206,18 @@ func TestTableIndexRange(t *testing.T) {
 
 func TestTableApply(t *testing.T) {
 	tab := NewTable(testSchema(t))
-	tab.AddIndex(IndexDef{Name: "by_dept", Columns: []string{"dept"}})
-	row := Row{I64(1), I64(5), Str("x"), I64(1)}
+	tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}})
+	row := spi.Row{spi.I64(1), spi.I64(5), spi.Str("x"), spi.I64(1)}
 	pk := tab.Schema().KeyOf(row)
 	tab.Apply(pk, row) // upsert into empty
 	if !tab.Exists(pk) {
 		t.Fatal("Apply insert failed")
 	}
 	row2 := row.Clone()
-	row2[1] = I64(6)
+	row2[1] = spi.I64(6)
 	tab.Apply(pk, row2) // overwrite moves index entry
 	n := 0
-	tab.IndexScan("by_dept", []Value{I64(6)}, func(Key, Row) bool { n++; return true })
+	tab.IndexScan("by_dept", []spi.Value{spi.I64(6)}, func(spi.Key, spi.Row) bool { n++; return true })
 	if n != 1 {
 		t.Fatal("Apply update did not maintain index")
 	}
@@ -229,10 +231,10 @@ func TestTableApply(t *testing.T) {
 func TestTableScanStopsEarly(t *testing.T) {
 	tab := NewTable(testSchema(t))
 	for i := 0; i < 10; i++ {
-		tab.Insert(Row{I64(int64(i)), I64(0), Str("e"), I64(0)})
+		tab.Insert(spi.Row{spi.I64(int64(i)), spi.I64(0), spi.Str("e"), spi.I64(0)})
 	}
 	n := 0
-	tab.Scan(func(Key, Row) bool { n++; return n < 3 })
+	tab.Scan(func(spi.Key, spi.Row) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("visited %d", n)
 	}
@@ -250,12 +252,12 @@ func TestTableConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := int64(g*1000 + i)
-				row := Row{I64(id), I64(int64(g)), Str("c"), I64(0)}
+				row := spi.Row{spi.I64(id), spi.I64(int64(g)), spi.Str("c"), spi.I64(0)}
 				if err := tab.Insert(row); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := tab.Get(EncodeKey(I64(id))); err != nil {
+				if _, err := tab.Get(spi.EncodeKey(spi.I64(id))); err != nil {
 					t.Error(err)
 					return
 				}

@@ -2,14 +2,16 @@ package storage
 
 import (
 	"fmt"
+
+	"accdb/internal/spi"
 )
 
 // version is one entry of a key's chain. A nil row is a tombstone: the key
 // was absent as of the stamped CSN (the CSN semantics — total order, CSN 0
 // reserved for pre-images — are documented on spi.CSN).
 type version struct {
-	csn CSN
-	row Row
+	csn spi.CSN
+	row spi.Row
 }
 
 // seedVersionLocked starts pk's chain with its pre-image at CSN 0 if no chain
@@ -18,12 +20,12 @@ type version struct {
 // versioned reader never has to consult a base row that a still-uncommitted
 // step may have overwritten: once a key is written, every as-of read resolves
 // through the chain.
-func (t *Table) seedVersionLocked(pk Key, prior Row) {
+func (t *Table) seedVersionLocked(pk spi.Key, prior spi.Row) {
 	if _, ok := t.versions[pk]; ok {
 		return
 	}
 	if t.versions == nil {
-		t.versions = make(map[Key][]version)
+		t.versions = make(map[spi.Key][]version)
 	}
 	if prior != nil {
 		prior = prior.Clone()
@@ -38,7 +40,7 @@ func (t *Table) seedVersionLocked(pk Key, prior Row) {
 // re-seeds the chain at CSN 0 first, so snapshots older than csn still find
 // the key's pre-image instead of a hole. The engine serializes publications
 // under its CSN clock mutex, so stamps arrive in non-decreasing order.
-func (t *Table) PublishVersion(pk Key, prior, row Row, csn CSN) {
+func (t *Table) PublishVersion(pk spi.Key, prior, row spi.Row, csn spi.CSN) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seedVersionLocked(pk, prior)
@@ -52,19 +54,19 @@ func (t *Table) PublishVersion(pk Key, prior, row Row, csn CSN) {
 // stamped ≤ asOf, or — for a key never mutated since load or since its chain
 // was collected — the base row, which is then guaranteed committed and
 // quiescent. A tombstone (or an absent key) returns ErrNotFound.
-func (t *Table) GetAsOf(pk Key, asOf CSN) (Row, error) {
+func (t *Table) GetAsOf(pk spi.Key, asOf spi.CSN) (spi.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	row, ok := t.rowAsOfLocked(pk, asOf)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	return row, nil
 }
 
 // rowAsOfLocked resolves pk as of asOf under the latch, returning a clone and
 // whether the key exists at that CSN.
-func (t *Table) rowAsOfLocked(pk Key, asOf CSN) (Row, bool) {
+func (t *Table) rowAsOfLocked(pk spi.Key, asOf spi.CSN) (spi.Row, bool) {
 	if chain, ok := t.versions[pk]; ok {
 		for i := len(chain) - 1; i >= 0; i-- {
 			if chain[i].csn <= asOf {
@@ -87,7 +89,7 @@ func (t *Table) rowAsOfLocked(pk Key, asOf CSN) (Row, bool) {
 // with its as-of value. Keys visible only through tombstoned chains are
 // skipped; keys whose chain says "existed at asOf" are visited even if the
 // base row has since been deleted.
-func (t *Table) ScanAsOf(asOf CSN, visit func(pk Key, row Row) bool) {
+func (t *Table) ScanAsOf(asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for pk := range t.rows {
@@ -114,15 +116,15 @@ func (t *Table) ScanAsOf(asOf CSN, visit func(pk Key, row Row) bool) {
 // only if its index entry still exists. CONSISTENCY.md documents this
 // asymmetry; TPC-C's read-only probes are over stable or append-only
 // populations where it is invisible.
-func (t *Table) IndexScanAsOf(indexName string, eq []Value, asOf CSN, visit func(pk Key, row Row) bool) error {
+func (t *Table) IndexScanAsOf(indexName string, eq []spi.Value, asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	prefix := EncodeKey(eq...)
-	ix.tree.AscendPrefix(prefix, func(_, pk Key) bool {
+	prefix := spi.EncodeKey(eq...)
+	ix.tree.AscendPrefix(prefix, func(_, pk spi.Key) bool {
 		row, ok := t.rowAsOfLocked(pk, asOf)
 		if !ok {
 			return true
@@ -142,7 +144,7 @@ func (t *Table) IndexScanAsOf(indexName string, eq []Value, asOf CSN, visit func
 // uncommitted base-row overwrite is in flight, because any mutation would
 // have re-seeded a chain first. It returns the number of versions pruned and
 // chains dropped.
-func (t *Table) PruneVersions(floor CSN) (pruned, dropped int) {
+func (t *Table) PruneVersions(floor spi.CSN) (pruned, dropped int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for pk, chain := range t.versions {
@@ -181,10 +183,10 @@ func (t *Table) ResetVersions() {
 }
 
 // VersionStats reports the table's current version-chain footprint.
-func (t *Table) VersionStats() VersionStats {
+func (t *Table) VersionStats() spi.VersionStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := VersionStats{Chains: len(t.versions)}
+	s := spi.VersionStats{Chains: len(t.versions)}
 	for _, chain := range t.versions {
 		s.Versions += len(chain)
 	}
@@ -192,7 +194,7 @@ func (t *Table) VersionStats() VersionStats {
 }
 
 // ChainLen reports the number of versions chained under pk (tests).
-func (t *Table) ChainLen(pk Key) int {
+func (t *Table) ChainLen(pk spi.Key) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.versions[pk])

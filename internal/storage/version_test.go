@@ -3,10 +3,12 @@ package storage
 import (
 	"errors"
 	"testing"
+
+	"accdb/internal/spi"
 )
 
-func empRow(id, salary int64) Row {
-	return Row{I64(id), I64(10), Str("ann"), I64(salary)}
+func empRow(id, salary int64) spi.Row {
+	return spi.Row{spi.I64(id), spi.I64(10), spi.Str("ann"), spi.I64(salary)}
 }
 
 // TestVersionSeedOnMutate: the first mutation of a loaded key seeds its chain
@@ -28,16 +30,16 @@ func TestVersionSeedOnMutate(t *testing.T) {
 	}
 	// The base row already shows 700, but as-of any CSN the seed says 500:
 	// the write is not yet published.
-	row, err := tab.GetAsOf(pk, MaxCSN)
+	row, err := tab.GetAsOf(pk, spi.MaxCSN)
 	if err != nil || row[3].Int64() != 500 {
 		t.Fatalf("GetAsOf before publish = %v, %v; want pre-image 500", row, err)
 	}
 
 	tab.PublishVersion(pk, empRow(1, 500), empRow(1, 700), 1)
 	for _, tc := range []struct {
-		asOf CSN
+		asOf spi.CSN
 		want int64
-	}{{0, 500}, {1, 700}, {MaxCSN, 700}} {
+	}{{0, 500}, {1, 700}, {spi.MaxCSN, 700}} {
 		row, err := tab.GetAsOf(pk, tc.asOf)
 		if err != nil || row[3].Int64() != tc.want {
 			t.Fatalf("GetAsOf(%d) = %v, %v; want salary %d", tc.asOf, row, err, tc.want)
@@ -56,7 +58,7 @@ func TestVersionInsertAndTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.PublishVersion(pk, nil, row, 1)
-	if _, err := tab.GetAsOf(pk, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := tab.GetAsOf(pk, 0); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("key visible before its insert published: %v", err)
 	}
 	if r, err := tab.GetAsOf(pk, 1); err != nil || r[3].Int64() != 100 {
@@ -69,7 +71,7 @@ func TestVersionInsertAndTombstone(t *testing.T) {
 	if r, err := tab.GetAsOf(pk, 1); err != nil || r[3].Int64() != 100 {
 		t.Fatalf("snapshot at 1 lost the row after delete published: %v, %v", r, err)
 	}
-	if _, err := tab.GetAsOf(pk, 2); !errors.Is(err, ErrNotFound) {
+	if _, err := tab.GetAsOf(pk, 2); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("tombstone at 2 not honoured: %v", err)
 	}
 }
@@ -79,7 +81,7 @@ func TestVersionInsertAndTombstone(t *testing.T) {
 func TestVersionScanAsOf(t *testing.T) {
 	tab := NewTable(testSchema(t))
 	stable, doomed := empRow(1, 10), empRow(2, 20)
-	for _, r := range []Row{stable, doomed} {
+	for _, r := range []spi.Row{stable, doomed} {
 		if err := tab.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +99,7 @@ func TestVersionScanAsOf(t *testing.T) {
 	tab.PublishVersion(tab.Schema().KeyOf(late), nil, late, 6)
 
 	seen := map[int64]int64{}
-	tab.ScanAsOf(4, func(_ Key, row Row) bool {
+	tab.ScanAsOf(4, func(_ spi.Key, row spi.Row) bool {
 		seen[row[0].Int64()] = row[3].Int64()
 		return true
 	})
@@ -121,7 +123,7 @@ func TestPruneVersions(t *testing.T) {
 		if _, err := tab.Update(pk, empRow(1, sal)); err != nil {
 			t.Fatal(err)
 		}
-		tab.PublishVersion(pk, empRow(1, 100), empRow(1, sal), CSN(i+1))
+		tab.PublishVersion(pk, empRow(1, 100), empRow(1, sal), spi.CSN(i+1))
 	}
 	// Chain: seed(0)=100, 1=200, 2=300, 3=400.
 	pruned, dropped := tab.PruneVersions(2)
@@ -154,7 +156,7 @@ func TestPruneVersions(t *testing.T) {
 	if _, dropped = tab.PruneVersions(10); dropped != 0 {
 		t.Fatal("dropped a chain guarding an unpublished base-row overwrite")
 	}
-	if r, err := tab.GetAsOf(pk, MaxCSN); err != nil || r[3].Int64() != 400 {
+	if r, err := tab.GetAsOf(pk, spi.MaxCSN); err != nil || r[3].Int64() != 400 {
 		t.Fatalf("pre-image lost under in-flight write: %v, %v", r, err)
 	}
 }
@@ -185,7 +187,7 @@ func TestVersionStatsAndReset(t *testing.T) {
 		if err := tab.Insert(empRow(id, id*10)); err != nil {
 			t.Fatal(err)
 		}
-		tab.PublishVersion(tab.Schema().KeyOf(empRow(id, 0)), nil, empRow(id, id*10), CSN(id))
+		tab.PublishVersion(tab.Schema().KeyOf(empRow(id, 0)), nil, empRow(id, id*10), spi.CSN(id))
 	}
 	s := tab.VersionStats()
 	if s.Chains != 3 || s.Versions != 6 { // seed + published per key

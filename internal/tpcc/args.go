@@ -1,37 +1,10 @@
 package tpcc
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"accdb/internal/spi"
-)
-
-// The append-form encoders below write spi.MarshalRow's exact byte
-// format (uvarint column count, then kind byte + payload per column)
-// without materializing the intermediate Row, so the engine's end-of-step
-// hot path serializes work areas into a reused scratch with no per-step
-// allocation. decode* keep reading through UnmarshalRow, which also keeps
-// old log images replayable.
-
-// colI64 appends one KindInt column.
-func colI64(dst []byte, v int64) []byte {
-	dst = append(dst, byte(spi.KindInt))
-	return binary.AppendVarint(dst, v)
-}
-
-// colStr appends one KindString column.
-func colStr(dst []byte, s string) []byte {
-	dst = append(dst, byte(spi.KindString))
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // Argument structs double as the transactions' work areas (§3.4, §5): steps
 // record into them the state a compensating step needs (assigned order
-// number, quantities actually taken from stock, claimed orders). The encode
-// functions serialize them into the forced end-of-step records so crash
-// recovery can compensate.
+// number, quantities actually taken from stock, claimed orders). codec.go
+// serializes them — into the end-of-step records so crash recovery can
+// compensate, and identically wherever else a record leaves the process.
 
 // OrderLineReq is one requested line of a new-order.
 type OrderLineReq struct {
@@ -65,78 +38,6 @@ type NewOrderArgs struct {
 	Total     int64
 }
 
-func encodeNewOrder(v any) []byte { return appendNewOrder(nil, v) }
-
-func appendNewOrder(dst []byte, v any) []byte {
-	a := v.(*NewOrderArgs)
-	inv := int64(0)
-	if a.InvalidItem {
-		inv = 1
-	}
-	ff := int64(0)
-	if a.FailFinal {
-		ff = 1
-	}
-	dst = binary.AppendUvarint(dst, uint64(11+5*len(a.Lines)))
-	dst = colI64(dst, a.WID)
-	dst = colI64(dst, a.DID)
-	dst = colI64(dst, a.CID)
-	dst = colI64(dst, a.ONum)
-	dst = colI64(dst, a.WTax)
-	dst = colI64(dst, a.DTax)
-	dst = colI64(dst, a.CDiscount)
-	dst = colI64(dst, a.Total)
-	dst = colI64(dst, inv)
-	dst = colI64(dst, ff)
-	dst = colI64(dst, int64(len(a.Lines)))
-	for i, l := range a.Lines {
-		filled, amount := int64(0), int64(0)
-		if i < len(a.Filled) {
-			filled = a.Filled[i]
-		}
-		if i < len(a.Amounts) {
-			amount = a.Amounts[i]
-		}
-		dst = colI64(dst, l.ItemID)
-		dst = colI64(dst, l.SupplyW)
-		dst = colI64(dst, l.Quantity)
-		dst = colI64(dst, filled)
-		dst = colI64(dst, amount)
-	}
-	return dst
-}
-
-func decodeNewOrder(data []byte) (any, error) {
-	row, _, err := spi.UnmarshalRow(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(row) < 11 {
-		return nil, fmt.Errorf("tpcc: short new-order work area")
-	}
-	a := &NewOrderArgs{
-		WID: row[0].Int64(), DID: row[1].Int64(), CID: row[2].Int64(),
-		ONum: row[3].Int64(), WTax: row[4].Int64(), DTax: row[5].Int64(),
-		CDiscount: row[6].Int64(), Total: row[7].Int64(),
-		InvalidItem: row[8].Int64() == 1,
-		FailFinal:   row[9].Int64() == 1,
-	}
-	n := int(row[10].Int64())
-	if len(row) != 11+5*n {
-		return nil, fmt.Errorf("tpcc: malformed new-order work area")
-	}
-	for i := 0; i < n; i++ {
-		base := 11 + 5*i
-		a.Lines = append(a.Lines, OrderLineReq{
-			ItemID: row[base].Int64(), SupplyW: row[base+1].Int64(),
-			Quantity: row[base+2].Int64(),
-		})
-		a.Filled = append(a.Filled, row[base+3].Int64())
-		a.Amounts = append(a.Amounts, row[base+4].Int64())
-	}
-	return a, nil
-}
-
 // PaymentArgs parameterizes a payment transaction. The customer is selected
 // by last name when CLast is non-empty (60% of the time per the benchmark),
 // by id otherwise.
@@ -153,39 +54,6 @@ type PaymentArgs struct {
 	ResolvedCID int64
 }
 
-func encodePayment(v any) []byte { return appendPayment(nil, v) }
-
-func appendPayment(dst []byte, v any) []byte {
-	a := v.(*PaymentArgs)
-	dst = binary.AppendUvarint(dst, 10)
-	dst = colI64(dst, a.WID)
-	dst = colI64(dst, a.DID)
-	dst = colI64(dst, a.CWID)
-	dst = colI64(dst, a.CDID)
-	dst = colI64(dst, a.CID)
-	dst = colStr(dst, a.CLast)
-	dst = colI64(dst, a.Amount)
-	dst = colI64(dst, a.HID)
-	dst = colI64(dst, a.Date)
-	return colI64(dst, a.ResolvedCID)
-}
-
-func decodePayment(data []byte) (any, error) {
-	row, _, err := spi.UnmarshalRow(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(row) != 10 {
-		return nil, fmt.Errorf("tpcc: malformed payment work area")
-	}
-	return &PaymentArgs{
-		WID: row[0].Int64(), DID: row[1].Int64(), CWID: row[2].Int64(),
-		CDID: row[3].Int64(), CID: row[4].Int64(), CLast: row[5].Text(),
-		Amount: row[6].Int64(), HID: row[7].Int64(), Date: row[8].Int64(),
-		ResolvedCID: row[9].Int64(),
-	}, nil
-}
-
 // DeliveryArgs parameterizes a delivery transaction over all districts of a
 // warehouse.
 type DeliveryArgs struct {
@@ -200,47 +68,6 @@ type DeliveryArgs struct {
 }
 
 func (a *DeliveryArgs) districts() int { return len(a.Claimed) }
-
-func encodeDelivery(v any) []byte { return appendDelivery(nil, v) }
-
-func appendDelivery(dst []byte, v any) []byte {
-	a := v.(*DeliveryArgs)
-	dst = binary.AppendUvarint(dst, uint64(4+3*len(a.Claimed)))
-	dst = colI64(dst, a.WID)
-	dst = colI64(dst, a.Carrier)
-	dst = colI64(dst, a.Date)
-	dst = colI64(dst, int64(len(a.Claimed)))
-	for i := range a.Claimed {
-		dst = colI64(dst, a.Claimed[i])
-		dst = colI64(dst, a.Amounts[i])
-		dst = colI64(dst, a.Customers[i])
-	}
-	return dst
-}
-
-func decodeDelivery(data []byte) (any, error) {
-	row, _, err := spi.UnmarshalRow(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(row) < 4 {
-		return nil, fmt.Errorf("tpcc: short delivery work area")
-	}
-	a := &DeliveryArgs{
-		WID: row[0].Int64(), Carrier: row[1].Int64(), Date: row[2].Int64(),
-	}
-	n := int(row[3].Int64())
-	if len(row) != 4+3*n {
-		return nil, fmt.Errorf("tpcc: malformed delivery work area")
-	}
-	for i := 0; i < n; i++ {
-		base := 4 + 3*i
-		a.Claimed = append(a.Claimed, row[base].Int64())
-		a.Amounts = append(a.Amounts, row[base+1].Int64())
-		a.Customers = append(a.Customers, row[base+2].Int64())
-	}
-	return a, nil
-}
 
 // OrderStatusArgs parameterizes an order-status transaction.
 type OrderStatusArgs struct {

@@ -4,19 +4,6 @@ import (
 	"accdb/internal/core"
 )
 
-// ArgsPrototypes returns a fresh-argument-record factory per transaction
-// type, for accd's request decoder: the server must unmarshal a request's
-// JSON into the concrete record the transaction bodies type-assert.
-func ArgsPrototypes() map[string]func() any {
-	return map[string]func() any{
-		"new_order":    func() any { return &NewOrderArgs{} },
-		"payment":      func() any { return &PaymentArgs{} },
-		"order_status": func() any { return &OrderStatusArgs{} },
-		"delivery":     func() any { return &DeliveryArgs{} },
-		"stock_level":  func() any { return &StockLevelArgs{} },
-	}
-}
-
 // HoleTracker accumulates the order-number holes left by compensated
 // new-orders, observed server-side through the accd OnOutcome hook. After a
 // drain, accd hands Holes to CheckConsistency — the same bookkeeping the

@@ -1,8 +1,6 @@
 package tpcc
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"accdb/internal/core"
@@ -45,50 +43,6 @@ type NoStockArgs struct {
 	Filled []int64
 }
 
-func encodeNoStock(v any) []byte { return appendNoStock(nil, v) }
-
-func appendNoStock(dst []byte, v any) []byte {
-	a := v.(*NoStockArgs)
-	dst = binary.AppendUvarint(dst, uint64(2+4*len(a.Lines)))
-	dst = colI64(dst, a.WID)
-	dst = colI64(dst, int64(len(a.Lines)))
-	for i, l := range a.Lines {
-		filled := int64(0)
-		if i < len(a.Filled) {
-			filled = a.Filled[i]
-		}
-		dst = colI64(dst, l.ItemID)
-		dst = colI64(dst, l.SupplyW)
-		dst = colI64(dst, l.Quantity)
-		dst = colI64(dst, filled)
-	}
-	return dst
-}
-
-func decodeNoStock(data []byte) (any, error) {
-	row, _, err := spi.UnmarshalRow(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(row) < 2 {
-		return nil, fmt.Errorf("tpcc: short no_stock work area")
-	}
-	a := &NoStockArgs{WID: row[0].Int64()}
-	n := int(row[1].Int64())
-	if len(row) != 2+4*n {
-		return nil, fmt.Errorf("tpcc: malformed no_stock work area")
-	}
-	for i := 0; i < n; i++ {
-		base := 2 + 4*i
-		a.Lines = append(a.Lines, OrderLineReq{
-			ItemID: row[base].Int64(), SupplyW: row[base+1].Int64(),
-			Quantity: row[base+2].Int64(),
-		})
-		a.Filled = append(a.Filled, row[base+3].Int64())
-	}
-	return a, nil
-}
-
 // noStockType is the remote-stock shot: deplete each line's stock by the
 // TPC-C rule, recording the quantities taken. Single-step, so it needs no
 // compensation of its own — the global rollback runs no_stock_undo instead.
@@ -98,9 +52,8 @@ func (reg *Registration) noStockType() *core.TxnType {
 		Name:       "no_stock",
 		ID:         t.NoStock,
 		Steps:      []core.Step{{Name: "NOS", Type: t.NOS, Body: reg.noStockApply}},
-		EncodeArgs: encodeNoStock,
-		AppendArgs: appendNoStock,
-		DecodeArgs: decodeNoStock,
+		AppendArgs: noStockCodec.Encode,
+		DecodeArgs: noStockCodec.DecodeNew,
 	}
 }
 
@@ -142,9 +95,8 @@ func (reg *Registration) noStockUndoType() *core.TxnType {
 		Name:       "no_stock_undo",
 		ID:         t.NoStockUndo,
 		Steps:      []core.Step{{Name: "NOSU", Type: t.NOSU, Body: reg.noStockRevert}},
-		EncodeArgs: encodeNoStock,
-		AppendArgs: appendNoStock,
-		DecodeArgs: decodeNoStock,
+		AppendArgs: noStockCodec.Encode,
+		DecodeArgs: noStockCodec.DecodeNew,
 	}
 }
 

@@ -36,8 +36,9 @@ func HolesFromRecovery(res *core.RecoverResult) map[DistrictKey]map[int64]bool {
 		if t.Type != "new_order" || !t.Compensated {
 			continue
 		}
-		if v, err := decodeNewOrder(t.WorkArea); err == nil {
-			add(v.(*NewOrderArgs))
+		var a NewOrderArgs
+		if newOrderCodec.Decode(t.WorkArea, &a) == nil {
+			add(&a)
 		}
 	}
 	for _, ct := range res.CompensatedTxns {

@@ -237,9 +237,8 @@ func (reg *Registration) newOrderType() *core.TxnType {
 			Type: t.CSNewOrder,
 			Body: reg.noCompensate,
 		},
-		EncodeArgs: encodeNewOrder,
-		AppendArgs: appendNewOrder,
-		DecodeArgs: decodeNewOrder,
+		AppendArgs: newOrderCodec.Encode,
+		DecodeArgs: newOrderCodec.DecodeNew,
 	}
 }
 
@@ -433,9 +432,8 @@ func (reg *Registration) paymentType() *core.TxnType {
 			Type: t.CSPayment,
 			Body: reg.payCompensate,
 		},
-		EncodeArgs: encodePayment,
-		AppendArgs: appendPayment,
-		DecodeArgs: decodePayment,
+		AppendArgs: paymentCodec.Encode,
+		DecodeArgs: paymentCodec.DecodeNew,
 	}
 }
 

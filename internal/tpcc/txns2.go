@@ -38,9 +38,8 @@ func (reg *Registration) deliveryType() *core.TxnType {
 			Type: t.CSDelivery,
 			Body: reg.dlvCompensate,
 		},
-		EncodeArgs: encodeDelivery,
-		AppendArgs: appendDelivery,
-		DecodeArgs: decodeDelivery,
+		AppendArgs: deliveryCodec.Encode,
+		DecodeArgs: deliveryCodec.DecodeNew,
 	}
 }
 
@@ -54,9 +53,17 @@ func (reg *Registration) deliveryType() *core.TxnType {
 // interleave with a delivery, so a later one waits here until this one
 // commits — it cannot deliver past an order whose claim dlvCompensate may
 // still put back, which would leave a hole in the queue (condition 3).
+//
+// The first claim is also where the type refuses a record that is not sized
+// for this database: every later step indexes the work area by district, and
+// over the wire it is the client that sized it.
 func (reg *Registration) dlvClaim(d int64) func(*core.Ctx) error {
 	return func(tc *core.Ctx) error {
 		a := tc.Args().(*DeliveryArgs)
+		if a.districts() != reg.Scale.Districts {
+			return fmt.Errorf("%w: delivery over %d districts, the warehouse has %d",
+				core.ErrBadArgs, a.districts(), reg.Scale.Districts)
+		}
 		row, err := tc.ClaimMin(TNewOrder, IdxNewOrderByDist,
 			[]spi.Value{i64(a.WID), i64(d)})
 		if err != nil {

@@ -103,10 +103,6 @@ const (
 	// KindRPCReject marks a request refused before execution; Extra is the
 	// refusal cause ("queue-full", "draining", "unknown-type", "bad-request").
 	KindRPCReject
-	// KindRPCError marks a server-side failure while answering an executed
-	// request — e.g. the result work area failed to re-encode. The request
-	// itself ran; Extra elaborates what went wrong afterwards.
-	KindRPCError
 	// KindTxnSpan is the latency-anatomy breakdown emitted once per finished
 	// request span: Dur is the end-to-end latency, Item the transaction type,
 	// Mode the final wire status, and Extra the non-zero per-stage durations
@@ -171,7 +167,6 @@ var kindNames = [...]string{
 	KindRPCBegin:       "rpc.begin",
 	KindRPCEnd:         "rpc.end",
 	KindRPCReject:      "rpc.reject",
-	KindRPCError:       "rpc.error",
 	KindTxnSpan:        "txn.span",
 	KindSnapshotOpen:   "read.snapshot.open",
 	KindSnapshotClose:  "read.snapshot.close",

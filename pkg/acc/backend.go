@@ -21,11 +21,6 @@ type Storage = spi.Store
 // version-chain obligations backing the lock-free read tiers).
 type Table = spi.Table
 
-// Capabilities declares the optional engine features a Storage supports;
-// the engine warns on configuration a backend cannot honour (see
-// Engine.ConfigWarnings).
-type Capabilities = spi.Capabilities
-
 // Schema describes a relation: ordered columns plus a primary key.
 type Schema = spi.Schema
 

@@ -15,7 +15,6 @@ package accclient
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -185,12 +184,11 @@ func (c *Client) Close() error {
 }
 
 // runState carries one Run's request across attempts: the request header
-// plus the buffers its Name and Args fields alias. Pooled, so a
-// binary-codec Run allocates nothing on the request path.
+// plus the buffer its Args field aliases. Pooled, so a Run allocates nothing
+// on the request path.
 type runState struct {
-	req     wire.Request
-	argBuf  []byte
-	nameBuf []byte
+	req    wire.Request
+	argBuf []byte
 }
 
 var runPool = sync.Pool{New: func() any { return new(runState) }}
@@ -208,16 +206,14 @@ func (c *Client) Ping(ctx context.Context) error {
 }
 
 // Run executes the named transaction type on the server with the given
-// argument record. A type with a registered wire.ArgCodec travels as a
-// fixed-layout binary record through pooled buffers; anything else is
-// marshaled to JSON once. On a final outcome the response's work area is
-// decoded back into args, so output fields (assigned order numbers, fetched
-// balances) appear in place, exactly as with the in-process acc.Engine.
-// Retryable outcomes are retried per the policy with exponential backoff;
-// ctx cancels the wait for a response (the server finishes or compensates
-// the in-flight attempt on its own). A server that rejects the binary
-// format — no codec registered on its side — is retried once in JSON, so
-// mixed deployments interoperate.
+// argument record, which travels through pooled buffers in the layout of the
+// wire.ArgCodec registered for the type; a record no registered codec
+// handles is an error before anything is sent. On a final outcome the
+// response's work area is decoded back into args, so output fields (assigned
+// order numbers, fetched balances) appear in place, exactly as with the
+// in-process acc.Engine. Retryable outcomes are retried per the policy with
+// exponential backoff; ctx cancels the wait for a response (the server
+// finishes or compensates the in-flight attempt on its own).
 func (c *Client) Run(ctx context.Context, name string, args any) error {
 	return c.RunTier(ctx, name, args, core.TierLocked)
 }
@@ -230,23 +226,19 @@ func (c *Client) Run(ctx context.Context, name string, args any) error {
 // wrapping acc.ErrReadOnly's message.
 func (c *Client) RunTier(ctx context.Context, name string, args any, tier core.ReadTier) error {
 	c.requests.Add(1)
+	codec := wire.CodecFor(name)
+	if codec == nil || !codec.Handles(args) {
+		return fmt.Errorf("accclient: no registered codec for %q handles a %T", name, args)
+	}
 	st := runPool.Get().(*runState)
 	defer runPool.Put(st)
-	st.req = wire.Request{Op: wire.OpRun, Trace: c.nextTrace(), Tier: uint8(tier)}
+	st.argBuf = codec.Encode(st.argBuf[:0], args)
+	st.req = wire.Request{
+		Op: wire.OpRun, Trace: c.nextTrace(), Tier: uint8(tier),
+		Fmt: wire.FmtBinary, Name: codec.NameBytes(), Args: st.argBuf,
+	}
 	if c.opts.TraceObserver != nil {
 		c.opts.TraceObserver(st.req.Trace)
-	}
-	codec := wire.CodecFor(name)
-	if codec != nil && args != nil && codec.Handles(args) {
-		st.argBuf = codec.Encode(st.argBuf[:0], args)
-		st.req.Fmt = wire.FmtBinary
-		st.req.Name = codec.NameBytes()
-		st.req.Args = st.argBuf
-	} else {
-		codec = nil
-		if err := st.encodeJSON(name, args); err != nil {
-			return err
-		}
 	}
 	backoff := c.opts.Retry.Backoff
 	for attempt := 0; ; attempt++ {
@@ -269,27 +261,16 @@ func (c *Client) RunTier(ctx context.Context, name string, args any, tier core.R
 			return err
 		}
 		err = statusError(name, &rf.resp)
-		if codec != nil && errors.Is(err, ErrBadRequest) {
-			// The server has no binary codec for this type (an older
-			// build): fall back to JSON and resend. Nothing executed, so
-			// the resend is safe.
-			respPool.Put(rf)
-			codec = nil
-			if jerr := st.encodeJSON(name, args); jerr != nil {
-				return jerr
-			}
-			continue
-		}
 		if retryable(err) && attempt < c.opts.Retry.Max && ctx.Err() == nil {
 			respPool.Put(rf)
 			continue
 		}
-		if len(rf.resp.Result) > 0 && args != nil {
+		if len(rf.resp.Result) > 0 {
 			var uerr error
-			if rf.resp.Fmt == wire.FmtBinary && codec != nil {
+			if rf.resp.Fmt == wire.FmtBinary {
 				uerr = codec.Decode(rf.resp.Result, args)
 			} else {
-				uerr = json.Unmarshal(rf.resp.Result, args)
+				uerr = fmt.Errorf("unknown result format %s", rf.resp.Fmt)
 			}
 			if uerr != nil && err == nil {
 				err = fmt.Errorf("accclient: decode %s result: %w", name, uerr)
@@ -308,22 +289,6 @@ const traceSeqBits = 20
 // its retries, never zero.
 func (c *Client) nextTrace() uint64 {
 	return c.traceBase | (c.traces.Add(1) & (1<<traceSeqBits - 1))
-}
-
-// encodeJSON points st's request at a JSON encoding of args.
-func (st *runState) encodeJSON(name string, args any) error {
-	st.req.Fmt = wire.FmtJSON
-	st.nameBuf = append(st.nameBuf[:0], name...)
-	st.req.Name = st.nameBuf
-	st.req.Args = nil
-	if args != nil {
-		payload, err := json.Marshal(args)
-		if err != nil {
-			return fmt.Errorf("accclient: marshal %s args: %w", name, err)
-		}
-		st.req.Args = payload
-	}
-	return nil
 }
 
 // retryable extends the engine's predicate with client-side admission

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,6 +72,34 @@ type echoArgs struct {
 	Out int64
 }
 
+// echoBytes is an echoArgs record as its codec lays it out.
+func echoBytes(in, out int64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, uint64(in))
+	return binary.BigEndian.AppendUint64(b, uint64(out))
+}
+
+// Every type name a test runs gets the echoArgs codec: the client refuses a
+// record it has no codec for before sending anything.
+func init() {
+	for _, name := range []string{"echo", "aborted", "compensated", "stall", "nope"} {
+		wire.RegisterArgCodec(&wire.ArgCodec{
+			Name:   name,
+			New:    func() any { return &echoArgs{} },
+			Reset:  func(v any) { *v.(*echoArgs) = echoArgs{} },
+			Encode: func(dst []byte, v any) []byte { return append(dst, echoBytes(v.(*echoArgs).In, v.(*echoArgs).Out)...) },
+			Decode: func(data []byte, v any) error {
+				if len(data) != 16 {
+					return errors.New("bad length")
+				}
+				a := v.(*echoArgs)
+				a.In = int64(binary.BigEndian.Uint64(data))
+				a.Out = int64(binary.BigEndian.Uint64(data[8:]))
+				return nil
+			},
+		})
+	}
+}
+
 // TestRetriesDeadlockVictimExactlyOnce pins the default policy: a deadlock
 // outcome is retried exactly once (the paper's recurrence rule applied at
 // the client), and the second attempt's success is the caller's result.
@@ -78,7 +108,7 @@ func TestRetriesDeadlockVictimExactlyOnce(t *testing.T) {
 		if n == 1 {
 			return &wire.Response{Status: wire.StatusDeadlock, Msg: []byte("victim")}
 		}
-		return &wire.Response{Status: wire.StatusOK, Result: []byte(`{"In":1,"Out":99}`)}
+		return &wire.Response{Status: wire.StatusOK, Fmt: wire.FmtBinary, Result: echoBytes(1, 99)}
 	})
 	cli, err := Dial(fs.ln.Addr().String(), WithPoolSize(1))
 	if err != nil {
@@ -135,7 +165,7 @@ func TestNoRetryOnFinalOutcomes(t *testing.T) {
 		default:
 			return &wire.Response{
 				Status: wire.StatusCompensated, Msg: []byte("rolled back"),
-				Result: []byte(`{"In":7,"Out":41}`),
+				Fmt: wire.FmtBinary, Result: echoBytes(7, 41),
 			}
 		}
 	})
@@ -245,7 +275,7 @@ func TestUnknownTypeMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Run(context.Background(), "nope", nil); !errors.Is(err, core.ErrUnknownTxnType) {
+	if err := cli.Run(context.Background(), "nope", &echoArgs{}); !errors.Is(err, core.ErrUnknownTxnType) {
 		t.Fatalf("want ErrUnknownTxnType, got %v", err)
 	}
 	if got := fs.runs.Load(); got != 1 {
@@ -253,59 +283,33 @@ func TestUnknownTypeMapped(t *testing.T) {
 	}
 }
 
-type fallbackArgs struct {
-	In  int64
-	Out int64
-}
-
-// TestBinaryFallbackToJSON: a client holding a codec the server lacks (a
-// mixed-version deployment) gets StatusBadRequest for the binary format and
-// must transparently resend the request as JSON.
-func TestBinaryFallbackToJSON(t *testing.T) {
-	wire.RegisterArgCodec(&wire.ArgCodec{
-		Name:  "fallback_echo",
-		New:   func() any { return &fallbackArgs{} },
-		Reset: func(v any) { *v.(*fallbackArgs) = fallbackArgs{} },
-		Encode: func(dst []byte, v any) []byte {
-			a := v.(*fallbackArgs)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(a.In))
-			return binary.BigEndian.AppendUint64(dst, uint64(a.Out))
-		},
-		Decode: func(data []byte, v any) error {
-			if len(data) != 16 {
-				return errors.New("bad length")
-			}
-			a := v.(*fallbackArgs)
-			a.In = int64(binary.BigEndian.Uint64(data))
-			a.Out = int64(binary.BigEndian.Uint64(data[8:]))
-			return nil
-		},
-	})
-	var sawBinary, sawJSON atomic.Int64
-	fs := newFakeServer(t, func(n int64, req *wire.Request) *wire.Response {
-		if req.Fmt == wire.FmtBinary {
-			// An older server: no codec for this type.
-			sawBinary.Add(1)
-			return &wire.Response{Status: wire.StatusBadRequest, Msg: []byte(`no binary codec registered for "fallback_echo"`)}
-		}
-		sawJSON.Add(1)
-		return &wire.Response{Status: wire.StatusOK, Fmt: wire.FmtJSON, Result: []byte(`{"In":5,"Out":50}`)}
+// TestNoCodecIsAnErrorBeforeSending: a record no registered codec handles —
+// an unregistered type name, or a registered one given another record type —
+// fails in Run, naming the type, without a frame leaving the client.
+func TestNoCodecIsAnErrorBeforeSending(t *testing.T) {
+	fs := newFakeServer(t, func(int64, *wire.Request) *wire.Response {
+		return &wire.Response{Status: wire.StatusOK}
 	})
 	cli, err := Dial(fs.ln.Addr().String(), WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-
-	args := &fallbackArgs{In: 5}
-	if err := cli.Run(context.Background(), "fallback_echo", args); err != nil {
-		t.Fatalf("binary-refusing server must be retried in JSON: %v", err)
+	for _, c := range []struct {
+		name string
+		args any
+	}{
+		{"unregistered", &echoArgs{}},
+		{"echo", &struct{ X int }{}},
+		{"echo", nil},
+	} {
+		err := cli.Run(context.Background(), c.name, c.args)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.name)) {
+			t.Errorf("Run(%q, %T) = %v, want an error naming the type", c.name, c.args, err)
+		}
 	}
-	if args.Out != 50 {
-		t.Fatalf("JSON fallback result not decoded: %+v", args)
-	}
-	if sawBinary.Load() != 1 || sawJSON.Load() != 1 {
-		t.Fatalf("want one binary then one JSON attempt, got binary=%d json=%d", sawBinary.Load(), sawJSON.Load())
+	if got := fs.runs.Load(); got != 0 {
+		t.Fatalf("server saw %d requests, want none", got)
 	}
 }
 
