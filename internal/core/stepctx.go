@@ -17,6 +17,12 @@ import (
 // (the implemented one-level ACC acquires them dynamically, §3.3), executes
 // the statement's CPU phase through the ExecEnv, and records undo images so
 // a deadlock-victim step can be rolled back and retried.
+//
+// Rows are immutable values shared with the store (the spi.Table contract):
+// a row that Get, GetMany, ClaimMin, LookupByIndex or a scan visitor hands a
+// body is read-only, and a row given to Insert is the engine's from then on.
+// A body changes a row only inside an Update or UpdateWhere closure, which
+// gets a private copy.
 type Ctx struct {
 	e   *Engine
 	txn *txnState
@@ -284,30 +290,31 @@ func (tc *Ctx) GetMany(table string, keys [][]spi.Value) ([]spi.Row, error) {
 		return nil, err
 	}
 	// Lock in key order: batched acquirers that sort identically cannot
-	// deadlock against each other.
-	sorted := make([][]spi.Value, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool {
-		return spi.EncodeKey(sorted[i]...) < spi.EncodeKey(sorted[j]...)
-	})
-	pks := make([]spi.Key, len(sorted))
-	for i, kv := range sorted {
-		pk := spi.EncodeKey(kv...)
-		if err := tc.lockRead(table, kv, pk); err != nil {
+	// deadlock against each other. Each key is encoded once.
+	type lockKey struct {
+		pk      spi.Key
+		keyVals []spi.Value
+	}
+	sorted := make([]lockKey, len(keys))
+	for i, kv := range keys {
+		sorted[i] = lockKey{spi.EncodeKey(kv...), kv}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].pk < sorted[j].pk })
+	for _, k := range sorted {
+		if err := tc.lockRead(table, k.keyVals, k.pk); err != nil {
 			return nil, err
 		}
-		pks[i] = pk
 	}
-	rows := make([]spi.Row, 0, len(pks))
+	rows := make([]spi.Row, 0, len(sorted))
 	tc.stmt(func() {
-		for _, pk := range pks {
-			if row, err := t.Get(pk); err == nil {
+		for _, k := range sorted {
+			if row, err := t.Get(k.pk); err == nil {
 				rows = append(rows, row)
 			}
 		}
 	})
-	for _, pk := range pks {
-		tc.e.record(tc.txn, table, pk, false)
+	for _, k := range sorted {
+		tc.e.record(tc.txn, table, k.pk, false)
 	}
 	return rows, nil
 }
@@ -364,27 +371,22 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 		if err := tc.acquire(spi.RowItem(table, headPK), spi.ModeX); err != nil {
 			return nil, err
 		}
-		var row spi.Row
 		var old spi.Row
 		var derr error
-		tc.stmt(func() {
-			row, derr = t.Get(headPK)
-			if derr != nil {
-				return
-			}
-			old, derr = t.Delete(headPK)
-		})
+		tc.stmt(func() { old, derr = t.Delete(headPK) })
 		if derr != nil {
 			continue // the head went between probe and grant; re-probe
 		}
 		keyVals := t.Schema().PKOf(old)
 		tc.recordWrite(table, keyVals, headPK, old, nil)
 		tc.wroteItems[queue] = true
-		return row, nil
+		return old, nil
 	}
 }
 
-// Insert adds a new row.
+// Insert adds a new row. The row belongs to the engine from here on: the
+// table, the log record and the published version share it, so the body must
+// not change it afterwards (build a fresh row per Insert).
 func (tc *Ctx) Insert(table string, row spi.Row) error {
 	if tc.versioned() {
 		return ErrReadOnly
@@ -406,7 +408,7 @@ func (tc *Ctx) Insert(table string, row spi.Row) error {
 	if ierr != nil {
 		return ierr
 	}
-	tc.recordWrite(table, keyVals, pk, nil, row.Clone())
+	tc.recordWrite(table, keyVals, pk, nil, row)
 	return nil
 }
 
@@ -433,8 +435,11 @@ func (tc *Ctx) Delete(table string, keyVals ...spi.Value) error {
 	return nil
 }
 
-// Update applies mutate to a copy of the row under the given key and stores
-// the result. mutate must not change primary-key columns.
+// Update applies mutate to a private copy of the row under the given key and
+// stores the result: mutate may change its argument in place, but not its
+// primary-key columns, and not after it returns. The copy is the one a write
+// needs — the table, the step's undo image, the log record and the published
+// version then share it.
 func (tc *Ctx) Update(table string, keyVals []spi.Value, mutate func(spi.Row) error) error {
 	if tc.versioned() {
 		return ErrReadOnly
@@ -455,14 +460,12 @@ func (tc *Ctx) Update(table string, keyVals []spi.Value, mutate func(spi.Row) er
 		if uerr != nil {
 			return
 		}
+		row = row.Clone()
 		if uerr = mutate(row); uerr != nil {
 			return
 		}
 		before, uerr = t.Update(pk, row)
 		if uerr == nil {
-			// row is this call's private copy (t.Get cloned it, t.Update
-			// stored its own clone), so it can become the after image
-			// without another defensive copy.
 			tc.recordWrite(table, keyVals, pk, before, row)
 		}
 	})
@@ -520,9 +523,10 @@ func (tc *Ctx) ScanPartition(table string, partVals []spi.Value, visit func(spi.
 }
 
 // UpdateWhere visits every row of a partition under an exclusive partition
-// lock and replaces those for which mutate returns a changed row. mutate
-// returns (nil, nil) to leave a row untouched, (row, nil) to store it, or
-// (nil, ErrDeleteRow) to delete it.
+// lock and replaces those for which mutate returns a changed row. mutate gets
+// a private copy of each row, which it may change in place, and returns
+// (nil, nil) to leave the row untouched, (row, nil) to store it — the row then
+// belongs to the engine, as with Insert — or (nil, ErrDeleteRow) to delete it.
 func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.Row) (spi.Row, error)) error {
 	if tc.versioned() {
 		return ErrReadOnly
@@ -550,7 +554,7 @@ func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.R
 	var serr error
 	tc.stmt(func() {
 		serr = t.IndexScan(PartIndex, partVals, func(pk spi.Key, row spi.Row) bool {
-			after, err := mutate(row)
+			after, err := mutate(row.Clone())
 			if err == ErrDeleteRow {
 				changes = append(changes, change{pk, t.Schema().PKOf(row), nil})
 				return true
@@ -584,13 +588,13 @@ func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.R
 				serr = err
 				return
 			}
-			tc.recordWrite(table, ch.keyVals, ch.pk, old, ch.after.Clone())
+			tc.recordWrite(table, ch.keyVals, ch.pk, old, ch.after)
 		}
 	})
 	return serr
 }
 
-// LookupByIndex returns, in index order, copies of every row whose indexed
+// LookupByIndex returns, in index order, every row whose indexed
 // columns equal eqVals. Each matched row is locked S individually (no
 // partition lock is involved, so — like an Ingres index lookup under row
 // locks — the result is not phantom-protected; TPC-C's uses are over static

@@ -6,7 +6,12 @@ import (
 	"testing"
 
 	"accdb/internal/fault"
+	"accdb/internal/spi"
+	"accdb/internal/spi/spitest"
 )
+
+// frozenBackend is the selected backend behind spitest.Frozen.
+var frozenBackend, verifyFrozen = spitest.FrozenBackend(spi.DefaultBackend())
 
 // TestCrashMatrix is the recovery acceptance test: for EVERY registered fault
 // injection point, crash a TPC-C run there, recover through Set.Recover, and
@@ -19,7 +24,12 @@ import (
 // under a 25% remote-warehouse share, and so does every generic point a
 // second time, because a plain log-layer crash inside one partition must
 // recover just as well when the workload spans partitions.
+//
+// The whole matrix runs over checking stores (spitest.Frozen): the doomed
+// run, recovery's redo and undo and the re-run share row images with the
+// store, and none may change after it crossed the seam.
 func TestCrashMatrix(t *testing.T) {
+	t.Setenv(spi.EnvBackend, frozenBackend)
 	points := fault.Points()
 	if len(points) < 15 {
 		t.Fatalf("expected the full fault-point catalog, found %d: %v", len(points), points)
@@ -75,6 +85,9 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			if res.RerunCompleted == 0 {
 				t.Error("recovered set completed no transactions")
+			}
+			if err := verifyFrozen(); err != nil {
+				t.Error(err)
 			}
 			t.Logf("committed=%d compensated=%d forward=%d undone=%d torn=%v rerun=%d",
 				res.Committed, res.Compensated, res.ForwardDriven, res.Undone, res.TornTail, res.RerunCompleted)

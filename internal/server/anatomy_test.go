@@ -132,7 +132,10 @@ func TestBinaryPathTraceSpans(t *testing.T) {
 // layer over a real loopback connection with the production client: every
 // client-assigned trace ID must reappear in the server's flight recorder and
 // in the slow-transaction JSONL dump, and each span's per-stage durations
-// must sum to its end-to-end latency within 5%.
+// must sum to its end-to-end latency — exactly: the stages are contiguous, and
+// the engine's inner stages are carved out of its segment, so no instant
+// belongs to no stage. Only a span whose inner stages outgrew the engine
+// segment (exec clamped to zero) may sum to more.
 func TestLoopbackAnatomyEndToEnd(t *testing.T) {
 	var slow syncBuf
 	anatomy := trace.NewAnatomy(trace.AnatomyConfig{
@@ -186,13 +189,8 @@ func TestLoopbackAnatomyEndToEnd(t *testing.T) {
 		for _, d := range rec.Stages {
 			sum += d
 		}
-		diff := rec.Total - sum
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > rec.Total/20 {
-			t.Errorf("trace %d: stage sum %d vs total %d: off by more than 5%%",
-				rec.Trace, sum, rec.Total)
+		if clamped := rec.Stages[trace.StageExec] == 0; sum != rec.Total && !(clamped && sum > rec.Total) {
+			t.Errorf("trace %d: stage sum %d vs total %d (exec clamped: %v)", rec.Trace, sum, rec.Total, clamped)
 		}
 	}
 
@@ -216,13 +214,8 @@ func TestLoopbackAnatomyEndToEnd(t *testing.T) {
 		for _, d := range rec.Stages {
 			sum += d
 		}
-		diff := rec.Total - sum
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > rec.Total/20 {
-			t.Errorf("slow-log trace %d: stage sum %d vs total %d: off by more than 5%%",
-				rec.Trace, sum, rec.Total)
+		if clamped := rec.Stages["exec"] == 0; sum != rec.Total && !(clamped && sum > rec.Total) {
+			t.Errorf("slow-log trace %d: stage sum %d vs total %d (exec clamped: %v)", rec.Trace, sum, rec.Total, clamped)
 		}
 	}
 }

@@ -109,12 +109,17 @@ type Server struct {
 	rejectedFull     atomic.Uint64
 	rejectedDraining atomic.Uint64
 	badRequests      atomic.Uint64
-	inFlightN        atomic.Int64
 	connsN           atomic.Int64
 	nextRPC          atomic.Uint64
 
-	draining atomic.Bool
-	inflight sync.WaitGroup // admitted requests, until their response is written
+	// gate decides admission and drain on one word, so no request can be
+	// admitted after Shutdown saw the server idle: twice the number of
+	// admitted requests (until their response is enqueued), plus gateDraining
+	// once Shutdown has begun. admit adds 2 by CAS and only while the bit is
+	// clear; the leave that takes the word to exactly gateDraining — or
+	// Shutdown itself, setting the bit on an idle server — closes drained.
+	gate     atomic.Uint64
+	drained  chan struct{}
 	sessions sync.WaitGroup // session goroutines
 
 	mu    sync.Mutex
@@ -139,8 +144,34 @@ func New(cfg Config) *Server {
 		tracer:  cfg.Tracer,
 		anatomy: cfg.Anatomy,
 		conns:   make(map[*session]struct{}),
+		drained: make(chan struct{}),
 	}
 }
+
+const gateDraining = 1
+
+// admit counts one more request in flight unless the server is draining.
+func (s *Server) admit() bool {
+	for {
+		g := s.gate.Load()
+		if g&gateDraining != 0 {
+			return false
+		}
+		if s.gate.CompareAndSwap(g, g+2) {
+			return true
+		}
+	}
+}
+
+// leave ends what admit began; the last one out of a draining server
+// releases Shutdown.
+func (s *Server) leave() {
+	if s.gate.Add(^uint64(1)) == gateDraining {
+		close(s.drained)
+	}
+}
+
+func (s *Server) isDraining() bool { return s.gate.Load()&gateDraining != 0 }
 
 // Metrics returns the per-transaction-type RPC latency recorder.
 func (s *Server) Metrics() *metrics.Recorder { return s.rec }
@@ -152,9 +183,9 @@ func (s *Server) Stats() Stats {
 		RejectedFull:     s.rejectedFull.Load(),
 		RejectedDraining: s.rejectedDraining.Load(),
 		BadRequests:      s.badRequests.Load(),
-		InFlight:         s.inFlightN.Load(),
+		InFlight:         int64(s.gate.Load() >> 1),
 		Conns:            s.connsN.Load(),
-		Draining:         s.draining.Load(),
+		Draining:         s.isDraining(),
 	}
 }
 
@@ -176,7 +207,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			if s.draining.Load() {
+			if s.isDraining() {
 				return nil
 			}
 			return err
@@ -205,7 +236,11 @@ func (s *Server) Addr() net.Addr {
 // contexts cancel and in-progress transactions compensate — and ctx's error
 // is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	for g := s.gate.Load(); g&gateDraining == 0; g = s.gate.Load() {
+		if s.gate.CompareAndSwap(g, g|gateDraining) && g == 0 {
+			close(s.drained) // idle, and admit refuses from here on
+		}
+	}
 	s.mu.Lock()
 	ln := s.ln
 	s.mu.Unlock()
@@ -213,14 +248,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 
-	drained := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(drained)
-	}()
 	var err error
 	select {
-	case <-drained:
+	case <-s.drained:
 		s.eng.Close() // forces the write-ahead log
 	case <-ctx.Done():
 		err = ctx.Err()
@@ -365,7 +395,7 @@ func (sess *session) loop() {
 func (sess *session) dispatch(st *reqState) {
 	s := sess.srv
 	rpcID := s.nextRPC.Add(1)
-	if s.draining.Load() {
+	if !s.admit() {
 		s.rejectedDraining.Add(1)
 		if s.tracer != nil {
 			s.emitRPC(trace.KindRPCReject, rpcID, st.req.Trace, string(st.req.Name), 0, "draining")
@@ -377,6 +407,7 @@ func (sess *session) dispatch(st *reqState) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
+		s.leave()
 		s.rejectedFull.Add(1)
 		if s.tracer != nil {
 			s.emitRPC(trace.KindRPCReject, rpcID, st.req.Trace, string(st.req.Name), 0, "queue-full")
@@ -386,8 +417,6 @@ func (sess *session) dispatch(st *reqState) {
 		return
 	}
 	s.admitted.Add(1)
-	s.inFlightN.Add(1)
-	s.inflight.Add(1)
 	sess.reqs.Add(1)
 	go sess.run(rpcID, st)
 }
@@ -406,8 +435,7 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 	defer func() {
 		reqPool.Put(st)
 		<-s.sem
-		s.inFlightN.Add(-1)
-		s.inflight.Done()
+		s.leave()
 		sess.reqs.Done()
 	}()
 	// tt.Name is the engine's interned copy of the type name: everything

@@ -9,7 +9,8 @@
 // The suite exercises everything the scheduler relies on — CRUD with exact
 // pre-image capture, the sentinel errors, secondary-index ordering, and the
 // full version-chain protocol behind the lock-free read tiers (seeding,
-// publication, as-of resolution, pruning) — but deliberately nothing more:
+// publication, as-of resolution, pruning), and that a row handed out never
+// changes — but deliberately nothing more:
 // anything not tested here is not part of the contract, and a backend is
 // free to implement it any way it likes. Both bundled backends (storage,
 // memstore) pass this suite verbatim.
@@ -45,6 +46,7 @@ func Run(t *testing.T, open func() spi.Store) {
 		{"IndexScanAsOf", testIndexScanAsOf},
 		{"PruneVersions", testPruneVersions},
 		{"ResetVersions", testResetVersions},
+		{"RowStability", testRowStability},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) { tc.fn(t, open()) })
@@ -125,11 +127,6 @@ func testCRUD(t *testing.T, s spi.Store) {
 	}
 	if !got.Equal(row(1, 10, "ann")) {
 		t.Fatalf("Get(1) = %v", got)
-	}
-	// Returned rows are copies the caller owns.
-	got[2] = spi.Str("mutated")
-	if again, _ := tab.Get(pk(1)); !again.Equal(row(1, 10, "ann")) {
-		t.Fatalf("Get returned an aliased row: table now has %v", again)
 	}
 	if _, err := tab.Get(pk(9)); !errors.Is(err, spi.ErrNotFound) {
 		t.Fatalf("Get(absent): err = %v, want ErrNotFound", err)
@@ -513,5 +510,78 @@ func testResetVersions(t *testing.T, s spi.Store) {
 	}
 	if got, err := tab.GetAsOf(pk(1), 0); err != nil || !got.Equal(row(1, 10, "v0")) {
 		t.Fatalf("GetAsOf after reset = %v, %v; want the base row", got, err)
+	}
+}
+
+// Rows are immutable values: whatever the store handed out — from Get,
+// GetAsOf, Update's or Delete's return, or any visitor — must still read as
+// it did when first seen, whatever happens to its key afterwards.
+func testRowStability(t *testing.T, s spi.Store) {
+	tab := mkTable(t, s)
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_grp", Columns: []string{"grp"}}); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	insert(t, tab, row(1, 10, "v0"), row(2, 10, "other"))
+	tab.ResetVersions()
+
+	type held struct {
+		from      string
+		row, want spi.Row
+	}
+	var all []held
+	hold := func(from string, r spi.Row) {
+		if r != nil {
+			all = append(all, held{from, r, r.Clone()})
+		}
+	}
+	// observe collects a row from every way the store hands one out.
+	observe := func(stage string) {
+		visit := func(from string) func(spi.Key, spi.Row) bool {
+			return func(_ spi.Key, r spi.Row) bool { hold(stage+"/"+from, r); return true }
+		}
+		r, _ := tab.Get(pk(1))
+		hold(stage+"/Get", r)
+		for _, asOf := range []spi.CSN{0, 15, 25, spi.MaxCSN} {
+			r, _ = tab.GetAsOf(pk(1), asOf)
+			hold(stage+"/GetAsOf", r)
+		}
+		tab.Scan(visit("Scan"))
+		tab.ScanAsOf(15, visit("ScanAsOf"))
+		grp := []spi.Value{spi.I64(10)}
+		tab.IndexScan("by_grp", grp, visit("IndexScan"))
+		tab.IndexRange("by_grp", grp, nil, visit("IndexRange"))
+		tab.IndexScanAsOf("by_grp", grp, 15, visit("IndexScanAsOf"))
+	}
+	step := func(stage string, old spi.Row, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		hold(stage, old)
+		observe(stage)
+	}
+
+	observe("load")
+	old, err := tab.Update(pk(1), row(1, 10, "v1"))
+	step("Update", old, err)
+	tab.PublishVersion(pk(1), row(1, 10, "v0"), row(1, 10, "v1"), 10)
+	step("PublishVersion", nil, nil)
+	tab.Apply(pk(1), row(1, 20, "v2")) // moves the index entry
+	tab.PublishVersion(pk(1), row(1, 10, "v0"), row(1, 20, "v2"), 20)
+	step("Apply", nil, nil)
+	old, err = tab.Delete(pk(1))
+	step("Delete", old, err)
+	tab.PublishVersion(pk(1), row(1, 10, "v0"), nil, 30)
+	tab.Apply(pk(1), row(1, 10, "v3")) // the key comes back
+	step("Apply-reinsert", nil, nil)
+	tab.PruneVersions(25)
+	step("PruneVersions", nil, nil)
+	tab.ResetVersions()
+	step("ResetVersions", nil, nil)
+
+	for _, h := range all {
+		if !h.row.Equal(h.want) {
+			t.Errorf("row from %s was %v when handed out and reads %v now", h.from, h.want, h.row)
+		}
 	}
 }

@@ -41,8 +41,15 @@ type VersionStats struct {
 // Table is one relation of a Store. The contract, which spitest exercises:
 //
 //   - Operations are individually atomic (an internal latch per call);
-//     logical isolation is layered above by the scheduler. Returned rows are
-//     copies the caller owns.
+//     logical isolation is layered above by the scheduler.
+//   - Rows are immutable values, shared not copied. A Row passed to Insert,
+//     Update, Apply or PublishVersion belongs to the store from then on: the
+//     caller must not change it afterwards. A Row returned by Get, GetAsOf,
+//     Update or Delete, or handed to a scan visitor, is shared: it stays
+//     valid and unchanged for as long as the caller keeps it — no later
+//     operation on its key alters it — and the caller must never change it.
+//     Whoever wants a different row builds a new one (Row.Clone, then
+//     modify). A backend that copies on the way in or out satisfies this.
 //   - Insert rejects an existing primary key with ErrDuplicate; Get, Update
 //     and Delete report an absent key with ErrNotFound (wrapped). Update
 //     must reject a row whose primary key differs from pk. Update and
@@ -68,7 +75,7 @@ type Table interface {
 	Schema() *Schema
 	// Len returns the number of rows.
 	Len() int
-	// Get returns a copy of the row with the given primary key.
+	// Get returns the row with the given primary key.
 	Get(pk Key) (Row, error)
 	// Exists reports whether a primary key is present.
 	Exists(pk Key) bool
@@ -80,8 +87,8 @@ type Table interface {
 	Delete(pk Key) (Row, error)
 	// Apply installs a row image directly (nil row deletes; used by redo).
 	Apply(pk Key, row Row)
-	// Scan visits every row (copy) in unspecified order; the visitor
-	// returns false to stop.
+	// Scan visits every row in unspecified order; the visitor returns
+	// false to stop.
 	Scan(visit func(pk Key, row Row) bool)
 	// AddIndex creates a secondary index and backfills it.
 	AddIndex(def IndexDef) error

@@ -1,15 +1,20 @@
 package storage
 
-import "accdb/internal/spi"
+import (
+	"slices"
+
+	"accdb/internal/spi"
+)
 
 // BTree is an in-memory B+-tree mapping order-preserving encoded keys (Key)
-// to encoded primary keys. It backs secondary indexes: index entries encode
-// (secondary columns..., primary key columns...) so that duplicate secondary
-// values remain unique tree keys, and a range scan over a secondary prefix
-// yields primary keys in secondary order.
+// to values of type V. It backs secondary indexes, whose leaves hold the
+// *record of the row each entry names: index entries encode (secondary
+// columns..., primary key columns...) so that duplicate secondary values
+// remain unique tree keys, and a range scan over a secondary prefix yields
+// records in secondary order with no further lookup.
 //
 // The tree is not internally synchronized; Table wraps it in the table latch.
-type BTree struct {
+type BTree[V any] struct {
 	root   node
 	degree int
 	size   int
@@ -22,11 +27,11 @@ type node interface {
 	nkeys() []spi.Key
 }
 
-type leaf struct {
+type leaf[V any] struct {
 	keys []spi.Key
-	vals []spi.Key
-	next *leaf
-	prev *leaf
+	vals []V
+	next *leaf[V]
+	prev *leaf[V]
 }
 
 type inner struct {
@@ -34,38 +39,39 @@ type inner struct {
 	children []node    // children[i] holds keys < keys[i]; children[len] holds >= last
 }
 
-func (l *leaf) nkeys() []spi.Key  { return l.keys }
-func (n *inner) nkeys() []spi.Key { return n.keys }
+func (l *leaf[V]) nkeys() []spi.Key { return l.keys }
+func (n *inner) nkeys() []spi.Key   { return n.keys }
 
 // NewBTree creates an empty tree with the default fan-out.
-func NewBTree() *BTree { return NewBTreeDegree(defaultDegree) }
+func NewBTree[V any]() *BTree[V] { return NewBTreeDegree[V](defaultDegree) }
 
 // NewBTreeDegree creates an empty tree with max 2*degree-1 keys per node.
 // degree must be at least 2.
-func NewBTreeDegree(degree int) *BTree {
+func NewBTreeDegree[V any](degree int) *BTree[V] {
 	if degree < 2 {
 		panic("storage: BTree degree must be >= 2")
 	}
-	return &BTree{root: &leaf{}, degree: degree}
+	return &BTree[V]{root: &leaf[V]{}, degree: degree}
 }
 
 // Len returns the number of entries in the tree.
-func (t *BTree) Len() int { return t.size }
+func (t *BTree[V]) Len() int { return t.size }
 
-func (t *BTree) maxKeys() int { return 2*t.degree - 1 }
-func (t *BTree) minKeys() int { return t.degree - 1 }
+func (t *BTree[V]) maxKeys() int { return 2*t.degree - 1 }
+func (t *BTree[V]) minKeys() int { return t.degree - 1 }
 
 // Get returns the value stored under key, if present.
-func (t *BTree) Get(key spi.Key) (spi.Key, bool) {
+func (t *BTree[V]) Get(key spi.Key) (V, bool) {
 	n := t.root
 	for {
 		switch x := n.(type) {
 		case *inner:
 			n = x.children[childIndex(x.keys, key)]
-		case *leaf:
+		case *leaf[V]:
 			i, ok := searchKeys(x.keys, key)
 			if !ok {
-				return "", false
+				var zero V
+				return zero, false
 			}
 			return x.vals[i], true
 		}
@@ -102,7 +108,7 @@ func childIndex(keys []spi.Key, key spi.Key) int {
 
 // Set inserts or replaces the value under key. It reports whether the key
 // was newly inserted (true) or replaced (false).
-func (t *BTree) Set(key spi.Key, val spi.Key) bool {
+func (t *BTree[V]) Set(key spi.Key, val V) bool {
 	newChild, sepKey, inserted := t.insert(t.root, key, val)
 	if newChild != nil {
 		t.root = &inner{keys: []spi.Key{sepKey}, children: []node{t.root, newChild}}
@@ -115,9 +121,9 @@ func (t *BTree) Set(key spi.Key, val spi.Key) bool {
 
 // insert descends, splitting full children on the way back up. Returns a
 // new right sibling and separator if the node split.
-func (t *BTree) insert(n node, key spi.Key, val spi.Key) (node, spi.Key, bool) {
+func (t *BTree[V]) insert(n node, key spi.Key, val V) (node, spi.Key, bool) {
 	switch x := n.(type) {
-	case *leaf:
+	case *leaf[V]:
 		i, found := searchKeys(x.keys, key)
 		if found {
 			x.vals[i] = val
@@ -126,7 +132,7 @@ func (t *BTree) insert(n node, key spi.Key, val spi.Key) (node, spi.Key, bool) {
 		x.keys = append(x.keys, "")
 		copy(x.keys[i+1:], x.keys[i:])
 		x.keys[i] = key
-		x.vals = append(x.vals, "")
+		x.vals = append(x.vals, val)
 		copy(x.vals[i+1:], x.vals[i:])
 		x.vals[i] = val
 		if len(x.keys) > t.maxKeys() {
@@ -154,11 +160,11 @@ func (t *BTree) insert(n node, key spi.Key, val spi.Key) (node, spi.Key, bool) {
 	panic("storage: unknown node type")
 }
 
-func (t *BTree) splitLeaf(l *leaf) *leaf {
+func (t *BTree[V]) splitLeaf(l *leaf[V]) *leaf[V] {
 	mid := len(l.keys) / 2
-	right := &leaf{
+	right := &leaf[V]{
 		keys: append([]spi.Key(nil), l.keys[mid:]...),
-		vals: append([]spi.Key(nil), l.vals[mid:]...),
+		vals: append([]V(nil), l.vals[mid:]...),
 		next: l.next,
 		prev: l,
 	}
@@ -171,7 +177,7 @@ func (t *BTree) splitLeaf(l *leaf) *leaf {
 	return right
 }
 
-func (t *BTree) splitInner(n *inner) (*inner, spi.Key) {
+func (t *BTree[V]) splitInner(n *inner) (*inner, spi.Key) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
 	right := &inner{
@@ -184,7 +190,7 @@ func (t *BTree) splitInner(n *inner) (*inner, spi.Key) {
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-func (t *BTree) Delete(key spi.Key) bool {
+func (t *BTree[V]) Delete(key spi.Key) bool {
 	deleted := t.remove(t.root, key)
 	if deleted {
 		t.size--
@@ -197,15 +203,15 @@ func (t *BTree) Delete(key spi.Key) bool {
 }
 
 // remove deletes key beneath n, rebalancing children that underflow.
-func (t *BTree) remove(n node, key spi.Key) bool {
+func (t *BTree[V]) remove(n node, key spi.Key) bool {
 	switch x := n.(type) {
-	case *leaf:
+	case *leaf[V]:
 		i, found := searchKeys(x.keys, key)
 		if !found {
 			return false
 		}
 		x.keys = append(x.keys[:i], x.keys[i+1:]...)
-		x.vals = append(x.vals[:i], x.vals[i+1:]...)
+		x.vals = slices.Delete(x.vals, i, i+1) // zeroes the vacated slot: no stale *record
 		return true
 	case *inner:
 		ci := childIndex(x.keys, key)
@@ -220,7 +226,7 @@ func (t *BTree) remove(n node, key spi.Key) bool {
 
 // rebalance fixes up x.children[ci] if it underflowed, borrowing from or
 // merging with a sibling.
-func (t *BTree) rebalance(x *inner, ci int) {
+func (t *BTree[V]) rebalance(x *inner, ci int) {
 	child := x.children[ci]
 	if len(child.nkeys()) >= t.minKeys() {
 		return
@@ -241,13 +247,13 @@ func (t *BTree) rebalance(x *inner, ci int) {
 	}
 }
 
-func (t *BTree) borrowLeft(x *inner, ci int) {
+func (t *BTree[V]) borrowLeft(x *inner, ci int) {
 	switch child := x.children[ci].(type) {
-	case *leaf:
-		left := x.children[ci-1].(*leaf)
+	case *leaf[V]:
+		left := x.children[ci-1].(*leaf[V])
 		n := len(left.keys) - 1
 		child.keys = append([]spi.Key{left.keys[n]}, child.keys...)
-		child.vals = append([]spi.Key{left.vals[n]}, child.vals...)
+		child.vals = append([]V{left.vals[n]}, child.vals...)
 		left.keys = left.keys[:n]
 		left.vals = left.vals[:n]
 		x.keys[ci-1] = child.keys[0]
@@ -262,10 +268,10 @@ func (t *BTree) borrowLeft(x *inner, ci int) {
 	}
 }
 
-func (t *BTree) borrowRight(x *inner, ci int) {
+func (t *BTree[V]) borrowRight(x *inner, ci int) {
 	switch child := x.children[ci].(type) {
-	case *leaf:
-		right := x.children[ci+1].(*leaf)
+	case *leaf[V]:
+		right := x.children[ci+1].(*leaf[V])
 		child.keys = append(child.keys, right.keys[0])
 		child.vals = append(child.vals, right.vals[0])
 		right.keys = right.keys[1:]
@@ -282,10 +288,10 @@ func (t *BTree) borrowRight(x *inner, ci int) {
 }
 
 // merge joins x.children[i] and x.children[i+1] into one node.
-func (t *BTree) merge(x *inner, i int) {
+func (t *BTree[V]) merge(x *inner, i int) {
 	switch left := x.children[i].(type) {
-	case *leaf:
-		right := x.children[i+1].(*leaf)
+	case *leaf[V]:
+		right := x.children[i+1].(*leaf[V])
 		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
@@ -305,7 +311,7 @@ func (t *BTree) merge(x *inner, i int) {
 // Ascend visits entries with lo <= key < hi in key order; an empty hi means
 // unbounded. The visitor returns false to stop early. Ascend reports whether
 // the scan ran to completion.
-func (t *BTree) Ascend(lo, hi spi.Key, visit func(key, val spi.Key) bool) bool {
+func (t *BTree[V]) Ascend(lo, hi spi.Key, visit func(key spi.Key, val V) bool) bool {
 	n := t.root
 	for {
 		x, ok := n.(*inner)
@@ -314,7 +320,7 @@ func (t *BTree) Ascend(lo, hi spi.Key, visit func(key, val spi.Key) bool) bool {
 		}
 		n = x.children[childIndex(x.keys, lo)]
 	}
-	l := n.(*leaf)
+	l := n.(*leaf[V])
 	i, _ := searchKeys(l.keys, lo)
 	for l != nil {
 		for ; i < len(l.keys); i++ {
@@ -331,11 +337,6 @@ func (t *BTree) Ascend(lo, hi spi.Key, visit func(key, val spi.Key) bool) bool {
 	return true
 }
 
-// AscendPrefix visits all entries whose key begins with prefix.
-func (t *BTree) AscendPrefix(prefix spi.Key, visit func(key, val spi.Key) bool) bool {
-	return t.Ascend(prefix, prefixEnd(prefix), visit)
-}
-
 // prefixEnd computes the smallest key greater than every key with the given
 // prefix, by incrementing the last non-0xFF byte.
 func prefixEnd(prefix spi.Key) spi.Key {
@@ -350,7 +351,7 @@ func prefixEnd(prefix spi.Key) spi.Key {
 }
 
 // checkInvariants validates B+-tree structural invariants; used by tests.
-func (t *BTree) checkInvariants() error {
+func (t *BTree[V]) checkInvariants() error {
 	count, _, err := t.check(t.root, true, "", "")
 	if err != nil {
 		return err
@@ -361,9 +362,9 @@ func (t *BTree) checkInvariants() error {
 	return nil
 }
 
-func (t *BTree) check(n node, isRoot bool, lo, hi spi.Key) (int, int, error) {
+func (t *BTree[V]) check(n node, isRoot bool, lo, hi spi.Key) (int, int, error) {
 	switch x := n.(type) {
-	case *leaf:
+	case *leaf[V]:
 		if !isRoot && len(x.keys) < t.minKeys() {
 			return 0, 0, errf("leaf underflow: %d keys", len(x.keys))
 		}

@@ -13,7 +13,7 @@ import (
 func intKey(i int) spi.Key { return spi.EncodeKey(spi.I64(int64(i))) }
 
 func TestBTreeBasicSetGetDelete(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree[spi.Key]()
 	if _, ok := bt.Get(intKey(1)); ok {
 		t.Fatal("empty tree returned a value")
 	}
@@ -38,7 +38,7 @@ func TestBTreeBasicSetGetDelete(t *testing.T) {
 }
 
 func TestBTreeAscendOrderAndBounds(t *testing.T) {
-	bt := NewBTreeDegree(3) // small degree forces deep trees
+	bt := NewBTreeDegree[spi.Key](3) // small degree forces deep trees
 	const n = 500
 	perm := rand.New(rand.NewSource(2)).Perm(n)
 	for _, i := range perm {
@@ -79,14 +79,15 @@ func TestBTreeAscendOrderAndBounds(t *testing.T) {
 }
 
 func TestBTreeAscendPrefix(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree[spi.Key]()
 	for d := 1; d <= 3; d++ {
 		for o := 1; o <= 50; o++ {
 			bt.Set(spi.EncodeKey(spi.I64(int64(d)), spi.I64(int64(o))), "v")
 		}
 	}
 	count := 0
-	bt.AscendPrefix(spi.EncodeKey(spi.I64(2)), func(k, _ spi.Key) bool {
+	prefix := spi.EncodeKey(spi.I64(2)) // a prefix scan is [prefix, prefixEnd(prefix))
+	bt.Ascend(prefix, prefixEnd(prefix), func(k, _ spi.Key) bool {
 		count++
 		return true
 	})
@@ -97,7 +98,7 @@ func TestBTreeAscendPrefix(t *testing.T) {
 
 func TestBTreeDeleteRebalancing(t *testing.T) {
 	for _, degree := range []int{2, 3, 4, 16} {
-		bt := NewBTreeDegree(degree)
+		bt := NewBTreeDegree[spi.Key](degree)
 		const n = 800
 		r := rand.New(rand.NewSource(int64(degree)))
 		perm := r.Perm(n)
@@ -133,7 +134,7 @@ func TestBTreeDeleteRebalancing(t *testing.T) {
 }
 
 func TestBTreeDrainToEmpty(t *testing.T) {
-	bt := NewBTreeDegree(2)
+	bt := NewBTreeDegree[spi.Key](2)
 	for i := 0; i < 200; i++ {
 		bt.Set(intKey(i), "v")
 	}
@@ -159,7 +160,7 @@ func TestBTreeDrainToEmpty(t *testing.T) {
 // oracle (property-based).
 func TestBTreeMatchesMapQuick(t *testing.T) {
 	f := func(ops []int16) bool {
-		bt := NewBTreeDegree(3)
+		bt := NewBTreeDegree[spi.Key](3)
 		oracle := make(map[spi.Key]spi.Key)
 		for _, op := range ops {
 			k := intKey(int(op) % 64)
@@ -197,7 +198,7 @@ func TestBTreeDegreePanics(t *testing.T) {
 			t.Fatal("expected panic for degree 1")
 		}
 	}()
-	NewBTreeDegree(1)
+	NewBTreeDegree[spi.Key](1)
 }
 
 func TestPrefixEnd(t *testing.T) {

@@ -1,7 +1,14 @@
 // Package storage implements the default row-store backend of the SPI
-// (accdb/internal/spi): heap tables with hash primary indexes, B+-tree
-// secondary indexes, and per-key version chains for the lock-free read
-// tiers. It registers itself under the backend name "btree".
+// (accdb/internal/spi): heap tables holding one record per primary key —
+// the key, its current row image and its version chain for the lock-free
+// read tiers — behind a hash primary index, with B+-tree secondary indexes
+// whose leaves point at the record they name. It registers itself under the
+// backend name "btree".
+//
+// Row images are immutable values (the spi.Table contract): a write installs
+// a new image and chains the old one, nothing is modified in place, so the
+// table, its chains, its readers and the engine's undo and log records all
+// share one image and no operation here copies a row.
 //
 // The package plays the role that CA-Open Ingres's storage layer played in
 // the paper: it stores tuples and hands out stable item identities that the
@@ -20,6 +27,19 @@ import (
 
 func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
+// record is everything a table holds for one primary key. base is the
+// current row image, nil while the key is absent from the base (deleted, or
+// not inserted yet) but still chained; chain is the key's version chain
+// (version.go), nil when it has none. A record stays in the table exactly as
+// long as it has a base image or a chain, and a key has one record for all
+// that time: a deleted-then-reinserted key reuses it, and every index leaf
+// for the key points at it.
+type record struct {
+	pk    spi.Key
+	base  spi.Row
+	chain []version
+}
+
 // Table is a heap relation with a hash primary index and optional B+-tree
 // secondary indexes. It implements spi.Table.
 //
@@ -31,23 +51,23 @@ type Table struct {
 	schema *spi.Schema
 
 	mu      sync.RWMutex
-	rows    map[spi.Key]spi.Row
+	recs    map[spi.Key]*record
+	live    int // records with a base image: Len
 	indexes []*secondaryIndex
-	// versions holds per-key version chains for the lock-free read tiers
-	// (version.go): ascending CSN order, seeded with the key's pre-image on
-	// first mutation so as-of reads never consult an uncommitted base row.
-	versions map[spi.Key][]version
+	// chained is the set of records carrying a chain, so pruning, resetting
+	// and counting chains walk the keys written lately, not the table.
+	chained map[*record]struct{}
 }
 
 type secondaryIndex struct {
 	def  spi.IndexDef
 	cols []int
-	tree *BTree
+	tree *BTree[*record]
 }
 
 // NewTable creates an empty table for the schema.
 func NewTable(schema *spi.Schema) *Table {
-	return &Table{schema: schema, rows: make(map[spi.Key]spi.Row)}
+	return &Table{schema: schema, recs: make(map[spi.Key]*record)}
 }
 
 // Schema describes the relation; immutable after construction.
@@ -65,9 +85,11 @@ func (t *Table) AddIndex(def spi.IndexDef) error {
 		}
 		cols[i] = c
 	}
-	idx := &secondaryIndex{def: def, cols: cols, tree: NewBTree()}
-	for pk, row := range t.rows {
-		idx.tree.Set(idx.entryKey(row, pk), pk)
+	idx := &secondaryIndex{def: def, cols: cols, tree: NewBTree[*record]()}
+	for pk, rec := range t.recs {
+		if rec.base != nil {
+			idx.tree.Set(idx.entryKey(rec.base, pk), rec)
+		}
 	}
 	t.indexes = append(t.indexes, idx)
 	return nil
@@ -93,29 +115,87 @@ func (ix *secondaryIndex) entryKey(row spi.Row, pk spi.Key) spi.Key {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.live
 }
 
-// Get returns a copy of the row with the given primary key.
+func (t *Table) notFound() error {
+	return fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
+}
+
+// present returns pk's record if the key has a base image, else nil.
+func (t *Table) present(pk spi.Key) *record {
+	if rec := t.recs[pk]; rec != nil && rec.base != nil {
+		return rec
+	}
+	return nil
+}
+
+// Get returns the row with the given primary key: the stored image, shared.
 func (t *Table) Get(pk spi.Key) (spi.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := t.rows[pk]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
+	if rec := t.present(pk); rec != nil {
+		return rec.base, nil
 	}
-	return row.Clone(), nil
+	return nil, t.notFound()
 }
 
 // Exists reports whether a primary key is present.
 func (t *Table) Exists(pk spi.Key) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.rows[pk]
-	return ok
+	return t.present(pk) != nil
 }
 
-// Insert adds a new row; the primary key must not exist.
+// recordLocked returns pk's record, creating an empty one if the key has
+// none. Callers hold t.mu exclusively and give the record a base image or a
+// chain before they release it.
+func (t *Table) recordLocked(pk spi.Key) *record {
+	rec := t.recs[pk]
+	if rec == nil {
+		rec = &record{pk: pk}
+		t.recs[pk] = rec
+	}
+	return rec
+}
+
+// installLocked makes row rec's base image (nil: the key leaves the base) and
+// returns the image it replaced. It is the one place a base image changes:
+// the replaced image seeds the chain first, and each index entry moves only
+// if its key changed. Callers hold t.mu exclusively.
+func (t *Table) installLocked(rec *record, row spi.Row) spi.Row {
+	old := rec.base
+	t.seedVersionLocked(rec, old)
+	rec.base = row
+	switch {
+	case old == nil && row != nil:
+		t.live++
+	case old != nil && row == nil:
+		t.live--
+	}
+	for _, ix := range t.indexes {
+		var oldEntry, newEntry spi.Key // "" is no entry: an entry key ends in pk
+		if old != nil {
+			oldEntry = ix.entryKey(old, rec.pk)
+		}
+		if row != nil {
+			newEntry = ix.entryKey(row, rec.pk)
+		}
+		if oldEntry == newEntry {
+			continue
+		}
+		if old != nil {
+			ix.tree.Delete(oldEntry)
+		}
+		if row != nil {
+			ix.tree.Set(newEntry, rec)
+		}
+	}
+	return old
+}
+
+// Insert adds a new row, which the table keeps; the primary key must not
+// exist.
 func (t *Table) Insert(row spi.Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
@@ -123,20 +203,16 @@ func (t *Table) Insert(row spi.Row) error {
 	pk := t.schema.KeyOf(row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.rows[pk]; ok {
+	if t.present(pk) != nil {
 		return fmt.Errorf("%w: %s %v", spi.ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
 	}
-	t.seedVersionLocked(pk, nil)
-	row = row.Clone()
-	t.rows[pk] = row
-	for _, ix := range t.indexes {
-		ix.tree.Set(ix.entryKey(row, pk), pk)
-	}
+	t.installLocked(t.recordLocked(pk), row)
 	return nil
 }
 
-// Update replaces the row stored under pk. The new row must have the same
-// primary key. It returns the previous image for undo logging.
+// Update replaces the row stored under pk by row, which the table keeps. The
+// new row must have the same primary key. It returns the previous image for
+// undo logging.
 func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
@@ -146,125 +222,81 @@ func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[pk]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
+	rec := t.present(pk)
+	if rec == nil {
+		return nil, t.notFound()
 	}
-	t.seedVersionLocked(pk, old)
-	row = row.Clone()
-	t.rows[pk] = row
-	for _, ix := range t.indexes {
-		oldEntry, newEntry := ix.entryKey(old, pk), ix.entryKey(row, pk)
-		if oldEntry != newEntry {
-			ix.tree.Delete(oldEntry)
-			ix.tree.Set(newEntry, pk)
-		}
-	}
-	return old, nil
+	return t.installLocked(rec, row), nil
 }
 
 // Delete removes the row under pk, returning the removed image for undo.
 func (t *Table) Delete(pk spi.Key) (spi.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[pk]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
+	rec := t.present(pk)
+	if rec == nil {
+		return nil, t.notFound()
 	}
-	t.seedVersionLocked(pk, old)
-	delete(t.rows, pk)
-	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.entryKey(old, pk))
-	}
-	return old, nil
+	return t.installLocked(rec, nil), nil
 }
 
-// Apply installs a row image directly (used by WAL recovery): a nil row
-// deletes pk, otherwise the row is upserted. No index entry is required to
-// pre-exist.
+// Apply installs a row image directly (used by WAL recovery and step undo):
+// a nil row deletes pk, otherwise the row is upserted and the table keeps it.
+// No index entry is required to pre-exist.
 func (t *Table) Apply(pk spi.Key, row spi.Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, had := t.rows[pk]
-	if row == nil {
-		if !had {
-			return
-		}
-		t.seedVersionLocked(pk, old)
-		delete(t.rows, pk)
-		for _, ix := range t.indexes {
-			ix.tree.Delete(ix.entryKey(old, pk))
-		}
+	if row == nil && t.present(pk) == nil {
 		return
 	}
-	if had {
-		t.seedVersionLocked(pk, old)
-	} else {
-		t.seedVersionLocked(pk, nil)
-	}
-	row = row.Clone()
-	t.rows[pk] = row
-	for _, ix := range t.indexes {
-		if had {
-			ix.tree.Delete(ix.entryKey(old, pk))
-		}
-		ix.tree.Set(ix.entryKey(row, pk), pk)
-	}
+	t.installLocked(t.recordLocked(pk), row)
 }
 
-// Scan visits every row (copy) in unspecified order; the visitor returns
-// false to stop. The latch is held in read mode for the whole scan.
+// Scan visits every row in unspecified order; the visitor returns false to
+// stop. The latch is held in read mode for the whole scan.
 func (t *Table) Scan(visit func(pk spi.Key, row spi.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for pk, row := range t.rows {
-		if !visit(pk, row.Clone()) {
+	for pk, rec := range t.recs {
+		if rec.base != nil && !visit(pk, rec.base) {
 			return
 		}
 	}
 }
 
-// IndexScan visits rows whose indexed columns equal eq, in index order.
-func (t *Table) IndexScan(indexName string, eq []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
+// walk hands visit, under the read latch and in index order, the record that
+// each entry of the named index in [lo, hi) points at (empty hi: unbounded).
+// A leaf names a record with a base image — the entry goes when the image
+// does, under the same latch — so a scan costs no probe and no copy per row.
+func (t *Table) walk(indexName string, lo, hi spi.Key, visit func(spi.Key, *record) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	prefix := spi.EncodeKey(eq...)
-	ix.tree.AscendPrefix(prefix, func(_, pk spi.Key) bool {
-		row, ok := t.rows[pk]
-		if !ok {
-			return true // entry/row race is impossible under the latch; defensive
-		}
-		return visit(pk, row.Clone())
-	})
+	ix.tree.Ascend(lo, hi, visit)
 	return nil
+}
+
+// IndexScan visits rows whose indexed columns equal eq, in index order.
+func (t *Table) IndexScan(indexName string, eq []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
+	prefix := spi.EncodeKey(eq...)
+	return t.walk(indexName, prefix, prefixEnd(prefix), func(_ spi.Key, rec *record) bool {
+		return visit(rec.pk, rec.base)
+	})
 }
 
 // IndexRange visits rows whose index entries fall in [lo, hi) where lo and
 // hi are value tuples over the index columns (hi may be nil for unbounded).
 func (t *Table) IndexRange(indexName string, lo, hi []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix := t.index(indexName)
-	if ix == nil {
-		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
-	}
-	loK := spi.EncodeKey(lo...)
 	var hiK spi.Key
 	if hi != nil {
 		hiK = spi.EncodeKey(hi...)
 	}
-	ix.tree.Ascend(loK, hiK, func(_, pk spi.Key) bool {
-		row, ok := t.rows[pk]
-		if !ok {
-			return true
-		}
-		return visit(pk, row.Clone())
+	return t.walk(indexName, spi.EncodeKey(lo...), hiK, func(_ spi.Key, rec *record) bool {
+		return visit(rec.pk, rec.base)
 	})
-	return nil
 }
 
 func (t *Table) index(name string) *secondaryIndex {

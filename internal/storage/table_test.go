@@ -77,18 +77,23 @@ func TestTableCRUD(t *testing.T) {
 	if err != nil || !got.Equal(row) {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
-	// Returned row is a copy.
-	got[3] = spi.I64(0)
-	again, _ := tab.Get(pk)
-	if again[3].Int64() != 500 {
-		t.Fatal("Get aliases stored row")
-	}
-	// Update.
+	// Update: a changed row is a new row; the table keeps it.
 	upd := row.Clone()
 	upd[3] = spi.I64(700)
 	old, err := tab.Update(pk, upd)
 	if err != nil || old[3].Int64() != 500 {
 		t.Fatalf("Update old = %v, %v", old, err)
+	}
+	// The row handed out before the update is shared, not copied, and still
+	// reads as it did: the update installed a new image beside it.
+	if &got[0] != &row[0] || &old[0] != &row[0] {
+		t.Fatal("Get/Update copied the stored image")
+	}
+	if got[3].Int64() != 500 {
+		t.Fatalf("row handed out before the update now reads %v", got)
+	}
+	if again, _ := tab.Get(pk); &again[0] != &upd[0] {
+		t.Fatal("Update copied the row it was given")
 	}
 	// Update cannot change the PK.
 	bad := upd.Clone()
@@ -140,6 +145,7 @@ func TestTableSecondaryIndex(t *testing.T) {
 	// Index maintenance on update: move employee 1 from dept 1 to dept 2.
 	pk := spi.EncodeKey(spi.I64(1))
 	row, _ := tab.Get(pk)
+	row = row.Clone() // the stored image is shared: change a copy
 	row[1] = spi.I64(2)
 	if _, err := tab.Update(pk, row); err != nil {
 		t.Fatal(err)
@@ -287,5 +293,143 @@ func TestCatalog(t *testing.T) {
 	}
 	if len(c.Names()) != 1 {
 		t.Fatal("Names wrong")
+	}
+}
+
+// TestTableOneRecordPerKey: a key has one record for as long as it has a base
+// image or a chain — deleted-then-reinserted it is the same record, absent
+// from the base it is invisible to Len, Scan and the index scans, and it
+// leaves the table when its chain is pruned.
+func TestTableOneRecordPerKey(t *testing.T) {
+	tab := NewTable(testSchema(t))
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}}); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 3; id++ {
+		if err := tab.Insert(empRow(id, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.ResetVersions()
+	pk := tab.Schema().KeyOf(empRow(2, 0))
+	rec := tab.recs[pk]
+
+	if _, err := tab.Delete(pk); err != nil {
+		t.Fatal(err)
+	}
+	if tab.recs[pk] != rec || rec.base != nil || rec.chain == nil {
+		t.Fatalf("deleted key: record %+v, want the same record, base-absent and chained", rec)
+	}
+	if tab.Len() != 2 || tab.Exists(pk) {
+		t.Fatalf("Len = %d, Exists = %v with a base-absent record; want 2, false", tab.Len(), tab.Exists(pk))
+	}
+	dept := []spi.Value{spi.I64(10)}
+	for name, scan := range map[string]func(func(spi.Key, spi.Row) bool){
+		"Scan":          tab.Scan,
+		"IndexScan":     func(v func(spi.Key, spi.Row) bool) { tab.IndexScan("by_dept", dept, v) },
+		"IndexRange":    func(v func(spi.Key, spi.Row) bool) { tab.IndexRange("by_dept", dept, nil, v) },
+		"IndexScanAsOf": func(v func(spi.Key, spi.Row) bool) { tab.IndexScanAsOf("by_dept", dept, spi.MaxCSN, v) },
+	} {
+		n := 0
+		scan(func(k spi.Key, row spi.Row) bool {
+			if k == pk || row == nil {
+				t.Errorf("%s visited the base-absent record (%q, %v)", name, k, row)
+			}
+			n++
+			return true
+		})
+		if n != 2 {
+			t.Errorf("%s visited %d rows, want 2", name, n)
+		}
+	}
+
+	// Reinsert before the chain is collected: the key keeps its record.
+	if err := tab.Insert(empRow(2, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if tab.recs[pk] != rec || len(tab.recs) != 3 || tab.Len() != 3 {
+		t.Fatalf("reinserted key: %d records, Len %d; want the one record back, 3 and 3", len(tab.recs), tab.Len())
+	}
+	n := 0
+	tab.IndexScan("by_dept", dept, func(_ spi.Key, row spi.Row) bool {
+		if row[0].Int64() == 2 && row[3].Int64() != 200 {
+			t.Errorf("index leaf for the reinserted key shows %v", row)
+		}
+		n++
+		return true
+	})
+	if n != 3 {
+		t.Fatalf("IndexScan after reinsert visited %d rows, want 3", n)
+	}
+
+	// Delete again, publish the tombstone, prune past it: chain and record go.
+	old, _ := tab.Delete(pk)
+	tab.PublishVersion(pk, old, nil, 5)
+	if _, dropped := tab.PruneVersions(5); dropped != 1 {
+		t.Fatalf("PruneVersions dropped %d chains, want 1", dropped)
+	}
+	if _, still := tab.recs[pk]; still || len(tab.recs) != 2 || len(tab.chained) != 0 {
+		t.Fatalf("after pruning: %d records (%d chained), key present %v; want 2 (0), false",
+			len(tab.recs), len(tab.chained), still)
+	}
+	// A tombstone published for a key with no record makes one, and
+	// ResetVersions removes it again.
+	tab.PublishVersion(pk, old, nil, 6)
+	if tab.recs[pk] == nil || tab.Len() != 2 {
+		t.Fatalf("tombstone on a recordless key: record %v, Len %d", tab.recs[pk], tab.Len())
+	}
+	tab.ResetVersions()
+	if len(tab.recs) != 2 {
+		t.Fatalf("ResetVersions left %d records, want 2", len(tab.recs))
+	}
+}
+
+// TestTableReadsAllocFree is the CI allocation guard for the read path (run
+// via -run 'AllocFree'): a point read copies nothing and probes once, and an
+// index scan costs the same however many rows it visits — no map probe, no
+// copy per row.
+func TestTableReadsAllocFree(t *testing.T) {
+	tab := NewTable(testSchema(t))
+	tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}})
+	const many = 300
+	for id := int64(1); id <= many; id++ {
+		row := empRow(id, 100)
+		if id == many {
+			row[1] = spi.I64(11) // a department of one
+		}
+		if err := tab.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.ResetVersions()
+	pk := tab.Schema().KeyOf(empRow(7, 0))
+	tab.Update(pk, empRow(7, 150))
+	tab.PublishVersion(pk, empRow(7, 100), empRow(7, 150), 3)
+
+	if n := testing.AllocsPerRun(100, func() { tab.Get(pk) }); n != 0 {
+		t.Errorf("Get: %.1f allocs/op, want 0", n)
+	}
+	for _, asOf := range []spi.CSN{1, 3} { // through the chain, both ends
+		if n := testing.AllocsPerRun(100, func() { tab.GetAsOf(pk, asOf) }); n != 0 {
+			t.Errorf("GetAsOf(%d): %.1f allocs/op, want 0", asOf, n)
+		}
+	}
+	visited := 0
+	visit := func(spi.Key, spi.Row) bool { visited++; return true }
+	one, all := []spi.Value{spi.I64(11)}, []spi.Value{spi.I64(10)}
+	for name, scan := range map[string]func(eq []spi.Value){
+		"IndexScan":     func(eq []spi.Value) { tab.IndexScan("by_dept", eq, visit) },
+		"IndexScanAsOf": func(eq []spi.Value) { tab.IndexScanAsOf("by_dept", eq, 3, visit) },
+	} {
+		visited = 0
+		small := testing.AllocsPerRun(20, func() { scan(one) })
+		large := testing.AllocsPerRun(20, func() { scan(all) })
+		if visited != 21+21*(many-1) {
+			t.Fatalf("%s visited %d rows", name, visited)
+		}
+		if large != small {
+			t.Errorf("%s: %.1f allocs over %d rows against %.1f over one: %.2f per visited row, want 0",
+				name, large, many-1, small, (large-small)/(many-2))
+		}
 	}
 }

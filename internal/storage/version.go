@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"fmt"
-
-	"accdb/internal/spi"
-)
+import "accdb/internal/spi"
 
 // version is one entry of a key's chain. A nil row is a tombstone: the key
 // was absent as of the stamped CSN (the CSN semantics — total order, CSN 0
@@ -14,23 +10,21 @@ type version struct {
 	row spi.Row
 }
 
-// seedVersionLocked starts pk's chain with its pre-image at CSN 0 if no chain
-// exists yet. Callers hold t.mu exclusively and pass the key's current
+// seedVersionLocked starts rec's chain with its pre-image at CSN 0 if it has
+// no chain yet. Callers hold t.mu exclusively and pass the key's current
 // committed value (nil when absent) BEFORE applying their mutation, so a
-// versioned reader never has to consult a base row that a still-uncommitted
-// step may have overwritten: once a key is written, every as-of read resolves
+// versioned reader never has to consult a base image that a still-uncommitted
+// step may have replaced: once a key is written, every as-of read resolves
 // through the chain.
-func (t *Table) seedVersionLocked(pk spi.Key, prior spi.Row) {
-	if _, ok := t.versions[pk]; ok {
+func (t *Table) seedVersionLocked(rec *record, prior spi.Row) {
+	if rec.chain != nil {
 		return
 	}
-	if t.versions == nil {
-		t.versions = make(map[spi.Key][]version)
+	rec.chain = []version{{csn: 0, row: prior}}
+	if t.chained == nil {
+		t.chained = make(map[*record]struct{})
 	}
-	if prior != nil {
-		prior = prior.Clone()
-	}
-	t.versions[pk] = []version{{csn: 0, row: prior}}
+	t.chained[rec] = struct{}{}
 }
 
 // PublishVersion appends a committed (or exposed, at a step boundary) row
@@ -39,50 +33,44 @@ func (t *Table) seedVersionLocked(pk spi.Key, prior spi.Row) {
 // garbage collection dropped the chain since the mutation seeded it, prior
 // re-seeds the chain at CSN 0 first, so snapshots older than csn still find
 // the key's pre-image instead of a hole. The engine serializes publications
-// under its CSN clock mutex, so stamps arrive in non-decreasing order.
+// under its CSN clock mutex, so stamps arrive in non-decreasing order. The
+// chain keeps both images; they are normally the ones the table already
+// holds.
 func (t *Table) PublishVersion(pk spi.Key, prior, row spi.Row, csn spi.CSN) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seedVersionLocked(pk, prior)
-	if row != nil {
-		row = row.Clone()
-	}
-	t.versions[pk] = append(t.versions[pk], version{csn: csn, row: row})
+	rec := t.recordLocked(pk)
+	t.seedVersionLocked(rec, prior)
+	rec.chain = append(rec.chain, version{csn: csn, row: row})
 }
 
-// GetAsOf returns a copy of pk's value as of asOf: the newest chain version
-// stamped ≤ asOf, or — for a key never mutated since load or since its chain
-// was collected — the base row, which is then guaranteed committed and
-// quiescent. A tombstone (or an absent key) returns ErrNotFound.
+// asOf resolves the record as of csn: the newest chain version stamped ≤ csn,
+// or — for a key never mutated since load or since its chain was collected —
+// the base image, which is then guaranteed committed and quiescent. Nil means
+// the key does not exist at csn.
+func (r *record) asOf(csn spi.CSN) spi.Row {
+	if r.chain == nil {
+		return r.base
+	}
+	for i := len(r.chain) - 1; i >= 0; i-- {
+		if r.chain[i].csn <= csn {
+			return r.chain[i].row
+		}
+	}
+	return nil
+}
+
+// GetAsOf returns pk's value as of asOf (record.asOf), shared like every row
+// the table hands out. A tombstone (or an absent key) returns ErrNotFound.
 func (t *Table) GetAsOf(pk spi.Key, asOf spi.CSN) (spi.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := t.rowAsOfLocked(pk, asOf)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
-	}
-	return row, nil
-}
-
-// rowAsOfLocked resolves pk as of asOf under the latch, returning a clone and
-// whether the key exists at that CSN.
-func (t *Table) rowAsOfLocked(pk spi.Key, asOf spi.CSN) (spi.Row, bool) {
-	if chain, ok := t.versions[pk]; ok {
-		for i := len(chain) - 1; i >= 0; i-- {
-			if chain[i].csn <= asOf {
-				if chain[i].row == nil {
-					return nil, false
-				}
-				return chain[i].row.Clone(), true
-			}
+	if rec := t.recs[pk]; rec != nil {
+		if row := rec.asOf(asOf); row != nil {
+			return row, nil
 		}
-		return nil, false
 	}
-	row, ok := t.rows[pk]
-	if !ok {
-		return nil, false
-	}
-	return row.Clone(), true
+	return nil, t.notFound()
 }
 
 // ScanAsOf visits every key that exists as of asOf, in unspecified order,
@@ -92,18 +80,8 @@ func (t *Table) rowAsOfLocked(pk spi.Key, asOf spi.CSN) (spi.Row, bool) {
 func (t *Table) ScanAsOf(asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for pk := range t.rows {
-		if _, chained := t.versions[pk]; chained {
-			continue // resolved through the chain loop below
-		}
-		row, ok := t.rowAsOfLocked(pk, asOf)
-		if ok && !visit(pk, row) {
-			return
-		}
-	}
-	for pk := range t.versions {
-		row, ok := t.rowAsOfLocked(pk, asOf)
-		if ok && !visit(pk, row) {
+	for pk, rec := range t.recs {
+		if row := rec.asOf(asOf); row != nil && !visit(pk, row) {
 			return
 		}
 	}
@@ -117,21 +95,21 @@ func (t *Table) ScanAsOf(asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool)
 // asymmetry; TPC-C's read-only probes are over stable or append-only
 // populations where it is invisible.
 func (t *Table) IndexScanAsOf(indexName string, eq []spi.Value, asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix := t.index(indexName)
-	if ix == nil {
-		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
-	}
 	prefix := spi.EncodeKey(eq...)
-	ix.tree.AscendPrefix(prefix, func(_, pk spi.Key) bool {
-		row, ok := t.rowAsOfLocked(pk, asOf)
-		if !ok {
-			return true
-		}
-		return visit(pk, row)
+	return t.walk(indexName, prefix, prefixEnd(prefix), func(_ spi.Key, rec *record) bool {
+		row := rec.asOf(asOf)
+		return row == nil || visit(rec.pk, row)
 	})
-	return nil
+}
+
+// sameImage reports whether a chain version and a base image are the same
+// value: both absent, or equal rows. The version a commit published is
+// normally the very image the table holds, so identity answers first.
+func sameImage(v, base spi.Row) bool {
+	if v == nil || base == nil {
+		return v == nil && base == nil
+	}
+	return len(v) == len(base) && (&v[0] == &base[0] || v.Equal(base))
 }
 
 // PruneVersions garbage-collects chains against floor, the oldest CSN any
@@ -139,15 +117,17 @@ func (t *Table) IndexScanAsOf(indexName string, eq []spi.Value, asOf spi.CSN, vi
 // stamped ≤ floor (that version still serves the oldest snapshot; everything
 // older is unreachable). A chain whose single surviving version is both ≤
 // floor and value-identical to the current base row is dropped entirely —
-// the key is quiescent, and the next mutation will re-seed it. The
+// the key is quiescent, and the next mutation will re-seed it — and a record
+// left with neither base image nor chain leaves the table. The
 // value-equality condition is what makes dropping safe: it proves no
 // uncommitted base-row overwrite is in flight, because any mutation would
-// have re-seeded a chain first. It returns the number of versions pruned and
-// chains dropped.
+// have re-seeded a chain first. It walks the chained records only, and
+// returns the number of versions pruned and chains dropped.
 func (t *Table) PruneVersions(floor spi.CSN) (pruned, dropped int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for pk, chain := range t.versions {
+	for rec := range t.chained {
+		chain := rec.chain
 		keep := 0 // index of the newest version stamped ≤ floor
 		for i := len(chain) - 1; i >= 0; i-- {
 			if chain[i].csn <= floor {
@@ -158,16 +138,16 @@ func (t *Table) PruneVersions(floor spi.CSN) (pruned, dropped int) {
 		if keep > 0 {
 			pruned += keep
 			chain = chain[keep:]
-			t.versions[pk] = chain
+			rec.chain = chain
 		}
-		if len(chain) == 1 && chain[0].csn <= floor {
-			base, exists := t.rows[pk]
-			v := chain[0].row
-			if (v == nil && !exists) || (v != nil && exists && v.Equal(base)) {
-				delete(t.versions, pk)
-				pruned++
-				dropped++
+		if len(chain) == 1 && chain[0].csn <= floor && sameImage(chain[0].row, rec.base) {
+			rec.chain = nil
+			delete(t.chained, rec)
+			if rec.base == nil {
+				delete(t.recs, rec.pk)
 			}
+			pruned++
+			dropped++
 		}
 	}
 	return pruned, dropped
@@ -179,16 +159,22 @@ func (t *Table) PruneVersions(floor spi.CSN) (pruned, dropped int) {
 func (t *Table) ResetVersions() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.versions = nil
+	for rec := range t.chained {
+		rec.chain = nil
+		if rec.base == nil {
+			delete(t.recs, rec.pk)
+		}
+	}
+	t.chained = nil
 }
 
 // VersionStats reports the table's current version-chain footprint.
 func (t *Table) VersionStats() spi.VersionStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := spi.VersionStats{Chains: len(t.versions)}
-	for _, chain := range t.versions {
-		s.Versions += len(chain)
+	s := spi.VersionStats{Chains: len(t.chained)}
+	for rec := range t.chained {
+		s.Versions += len(rec.chain)
 	}
 	return s
 }
@@ -197,5 +183,8 @@ func (t *Table) VersionStats() spi.VersionStats {
 func (t *Table) ChainLen(pk spi.Key) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.versions[pk])
+	if rec := t.recs[pk]; rec != nil {
+		return len(rec.chain)
+	}
+	return 0
 }

@@ -78,12 +78,11 @@ type Span struct {
 	Type   string
 	Status string
 
-	start   time.Time // wall-clock span start (frame read)
-	mark    time.Time // last stage boundary, advanced by Next
-	engAt   time.Time // EnterEngine timestamp
-	engInner int64    // inner-stage sum snapshot at EnterEngine
-	durs    [NumSpanStages]int64
-	total   int64
+	start    time.Time // wall-clock span start (frame read)
+	mark     time.Time // last stage boundary, advanced by Next
+	engInner int64     // inner-stage sum snapshot at EnterEngine
+	durs     [NumSpanStages]int64
+	total    int64
 
 	events  []SpanEvent
 	dropped uint32
@@ -109,13 +108,13 @@ func (sp *Span) Add(stage SpanStage, d int64) {
 	sp.durs[stage] += d
 }
 
-// EnterEngine marks the handoff into the engine. The decode stage must have
-// been closed with Next first.
+// EnterEngine marks the handoff into the engine. The engine segment starts at
+// the last boundary (the decode stage's Next), not at a second clock reading:
+// a preemption between the two would otherwise belong to no stage.
 func (sp *Span) EnterEngine() {
 	if sp == nil {
 		return
 	}
-	sp.engAt = time.Now()
 	sp.engInner = sp.innerSum()
 }
 
@@ -127,7 +126,7 @@ func (sp *Span) ExitEngine() {
 		return
 	}
 	now := time.Now()
-	exec := int64(now.Sub(sp.engAt)) - (sp.innerSum() - sp.engInner)
+	exec := int64(now.Sub(sp.mark)) - (sp.innerSum() - sp.engInner)
 	if exec > 0 {
 		sp.durs[StageExec] += exec
 	}
@@ -208,7 +207,6 @@ func (sp *Span) reset(a *Anatomy, traceID uint64, at time.Time) {
 	}
 	sp.start = at
 	sp.mark = at
-	sp.engAt = time.Time{}
 	sp.engInner = 0
 	sp.durs = [NumSpanStages]int64{}
 	sp.total = 0

@@ -87,12 +87,8 @@ func TestSpanStagesSumToTotal(t *testing.T) {
 	if rec.Total <= 0 {
 		t.Fatalf("non-positive total %d", rec.Total)
 	}
-	diff := rec.Total - sum
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > rec.Total/20 {
-		t.Errorf("stage sum %d vs total %d: off by more than 5%%", sum, rec.Total)
+	if sum != rec.Total {
+		t.Errorf("stage sum %d vs total %d: the stages are contiguous and must add up exactly", sum, rec.Total)
 	}
 	if rec.Stages[StageQueue] < int64(time.Millisecond) {
 		t.Errorf("queue stage %v, want >= 2ms elapsed", time.Duration(rec.Stages[StageQueue]))
