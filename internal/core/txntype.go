@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"accdb/internal/interference"
 	"accdb/internal/spi"
@@ -135,7 +136,8 @@ func (tt *TxnType) stepsFor(args any) []Step {
 
 // activeAssertions returns the assertions that must be assertionally locked
 // while step j of the given sequence runs: the current step's precondition
-// and the next step's.
+// and the next step's. Where the next step's are among the current step's,
+// as along new-order's order-line steps, that is the current list itself.
 func activeAssertions(steps []Step, j int) []*Assertion {
 	cur := steps[j].Pre
 	if j+1 >= len(steps) {
@@ -145,20 +147,12 @@ func activeAssertions(steps []Step, j int) []*Assertion {
 	if len(cur) == 0 {
 		return next
 	}
-	if len(next) == 0 {
-		return cur
-	}
-	out := make([]*Assertion, 0, len(cur)+len(next))
-	out = append(out, cur...)
+	out := cur
 	for _, a := range next {
-		dup := false
-		for _, c := range cur {
-			if c.ID == a.ID {
-				dup = true
-				break
+		if !slices.ContainsFunc(cur, func(c *Assertion) bool { return c.ID == a.ID }) {
+			if len(out) == len(cur) {
+				out = append(make([]*Assertion, 0, len(cur)+len(next)), cur...)
 			}
-		}
-		if !dup {
 			out = append(out, a)
 		}
 	}

@@ -192,11 +192,7 @@ func (w *waiter) blockers() []*TxnInfo {
 	if w.granted || w.err != nil {
 		return nil
 	}
-	st, ok := sh.items[w.item]
-	if !ok {
-		return nil
-	}
-	return w.m.blockersLocked(w, st)
+	return w.m.blockersLocked(w, w.st)
 }
 
 // blockersLocked computes w's current blockers from its item's state. Caller

@@ -556,6 +556,9 @@ func TestStressManyTxnsNoLeaks(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if err := checkInvariants(m, true); err != nil {
+		t.Fatal(err)
+	}
 	// Everything must be released: a fresh X on every item succeeds at once.
 	probe := NewTxnInfo(999999, 1)
 	for _, it := range items {

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"accdb/internal/interference"
@@ -40,6 +41,7 @@ const (
 // lock, and an exposure mark).
 type grant struct {
 	txn  *TxnInfo
+	st   *lockState // the item's state; the grant is in st.grants
 	kind grantKind
 
 	mode      Mode                     // conventional, retired
@@ -60,7 +62,8 @@ type waiter struct {
 	txn  *TxnInfo
 	req  Request
 	item Item
-	m    *Manager // owns sh; a deadlock walk may reach w from another manager
+	st   *lockState // item's state, never reaped while w is queued
+	m    *Manager   // owns sh; a deadlock walk may reach w from another manager
 	sh   *shard
 	conv bool // conversion request (trace events tag these as upgrades)
 
@@ -77,11 +80,15 @@ type waiter struct {
 }
 
 type lockState struct {
+	item   Item
 	grants []*grant
 	queue  []*waiter
 	// retired counts the kindRetired entries in grants, so a grant on an item
-	// nobody retired a lock on pays nothing for noteRetired.
+	// nobody retired a lock on pays nothing for noteRetired or Retire's fold.
 	retired int
+	// pass is the last release pass that scheduled this state's grant pass
+	// (shard.touch).
+	pass uint64
 }
 
 // Stats aggregates lock-manager counters (spi.LockStats).
@@ -262,6 +269,29 @@ func (st *lockState) findAssertional(txn TxnID, a interference.AssertionID) *gra
 	return nil
 }
 
+// retiredOf returns txn's retired grant on the state, if any.
+func (st *lockState) retiredOf(txn TxnID) *grant {
+	if st.retired == 0 {
+		return nil
+	}
+	for _, g := range st.grants {
+		if g.kind == kindRetired && g.txn.ID == txn {
+			return g
+		}
+	}
+	return nil
+}
+
+// unlink removes g from the state's grant list, keeping the others' order.
+func (st *lockState) unlink(g *grant) {
+	if i := slices.Index(st.grants, g); i >= 0 {
+		st.grants = append(st.grants[:i], st.grants[i+1:]...)
+		if g.kind == kindRetired {
+			st.retired--
+		}
+	}
+}
+
 // Acquire obtains the requested lock on item for txn, blocking until it is
 // granted, the request is chosen as a deadlock victim, the wait is cancelled,
 // or the wait budget expires.
@@ -315,7 +345,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req R
 	}
 
 	if !m.anyGrantConflict(txn, req, st) && !m.anyWaiterConflict(txn, req, st) {
-		m.install(txn, item, sh, st, req)
+		m.install(txn, sh, st, req)
 		sh.mu.Unlock()
 		if m.tracer != nil {
 			m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, req.Mode.String(), 0, "")
@@ -362,30 +392,21 @@ func noteRetired(txn *TxnInfo, mode Mode, st *lockState) {
 	}
 }
 
-// install adds the grant entry for a now-compatible request. Caller holds
-// the item's shard latch.
-func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req Request) {
-	if req.Mode != ModeA {
-		if g := st.findConventional(txn.ID); g != nil {
-			g.mode = sup(g.mode, req.Mode)
-			g.step = req.Step
-			noteRetired(txn, g.mode, st)
-			sh.noteHeld(txn, item)
-			return
-		}
-		noteRetired(txn, req.Mode, st)
-	}
-	g := sh.newGrant()
-	g.txn, g.step, g.stepSeq = txn, req.Step, txn.CompletedSteps()
+// install adds the grant entry for a now-compatible request; a conversion
+// only raises the held grant's mode. Caller holds the item's shard latch.
+func (m *Manager) install(txn *TxnInfo, sh *shard, st *lockState, req Request) {
 	if req.Mode == ModeA {
-		g.kind = kindAssertional
-		g.assertion = req.Assertion
-	} else {
-		g.kind = kindConventional
+		sh.newGrant(txn, st, kindAssertional).assertion = req.Assertion
+		return
+	}
+	g := st.findConventional(txn.ID)
+	if g == nil {
+		g = sh.newGrant(txn, st, kindConventional)
 		g.mode = req.Mode
 	}
-	st.grants = append(st.grants, g)
-	sh.noteHeld(txn, item)
+	g.mode = sup(g.mode, req.Mode)
+	g.step = req.Step
+	noteRetired(txn, g.mode, st)
 }
 
 // blockStage classifies what is blocking the request, for span attribution:
@@ -453,7 +474,7 @@ func spanWaitKind(granted bool, err error) trace.Kind {
 // deadlock detection, and parks until the grant, a victim kill, the wait
 // budget, or ctx. Called with sh.mu held; releases it.
 func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, st *lockState, req Request, conversion bool) error {
-	w := &waiter{txn: txn, req: req, item: item, m: m, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
+	w := &waiter{txn: txn, req: req, item: item, st: st, m: m, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
 	if txn.Span != nil {
 		w.stage, w.blockedBy = m.blockStage(txn, req, st)
 	}
@@ -555,23 +576,20 @@ func (w *waiter) isConversion(st *lockState) bool {
 // removeWaiter unlinks w from its queue and re-examines the queue: waiters
 // ordered behind w may have been blocked only by it. Caller holds sh.mu.
 func (m *Manager) removeWaiter(sh *shard, w *waiter) {
-	st, ok := sh.items[w.item]
-	if !ok {
-		return
-	}
+	st := w.st
 	for i, q := range st.queue {
 		if q == w {
 			st.queue = append(st.queue[:i], st.queue[i+1:]...)
 			break
 		}
 	}
-	m.grantPass(sh, w.item, st)
+	m.grantPass(sh, st)
 }
 
 // grantPass re-examines an item's queue after its state changed, granting
 // every waiter that is now compatible with the grants and with all waiters
 // still ahead of it. Caller holds sh.mu.
-func (m *Manager) grantPass(sh *shard, item Item, st *lockState) {
+func (m *Manager) grantPass(sh *shard, st *lockState) {
 	for i := 0; i < len(st.queue); {
 		w := st.queue[i]
 		if m.anyGrantConflict(w.txn, w.req, st) || m.conflictsAhead(w, st, i) {
@@ -579,14 +597,14 @@ func (m *Manager) grantPass(sh *shard, item Item, st *lockState) {
 			continue
 		}
 		st.queue = append(st.queue[:i], st.queue[i+1:]...)
-		m.install(w.txn, item, sh, st, w.req)
+		m.install(w.txn, sh, st, w.req)
 		w.granted = true
 		w.ch <- struct{}{}
 		// Restart: installing may enable or disable later waiters.
 		i = 0
 	}
 	if len(st.grants) == 0 && len(st.queue) == 0 {
-		sh.reapState(item, st)
+		sh.reapState(st)
 	}
 }
 
@@ -615,10 +633,7 @@ func (m *Manager) AttachExposure(txn *TxnInfo, item Item) {
 			return
 		}
 	}
-	g := sh.newGrant()
-	g.txn, g.kind, g.stepSeq = txn, kindExposure, txn.CompletedSteps()
-	st.grants = append(st.grants, g)
-	sh.noteHeld(txn, item)
+	sh.newGrant(txn, st, kindExposure)
 	sh.mu.Unlock()
 	if m.tracer != nil {
 		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagExposure, 0, "")
@@ -648,23 +663,24 @@ func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.Ste
 			return
 		}
 	}
-	g := sh.newGrant()
-	g.txn, g.kind, g.stepSeq = txn, kindReservation, txn.CompletedSteps()
+	g := sh.newGrant(txn, st, kindReservation)
 	g.csTypes = append(g.csTypes, cs)
-	st.grants = append(st.grants, g)
-	sh.noteHeld(txn, item)
 	sh.mu.Unlock()
 	if m.tracer != nil {
 		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagReservation, 0, "")
 	}
 }
 
-// releaseWhere removes txn's grants matching keep==false and re-runs grant
-// passes on affected items. It visits only the shards the transaction has
-// touched (tracked as a bitmask on TxnInfo), locking one shard at a time;
+// releaseWhere removes the grants of txn that dropLock selects among its
+// conventional and retired grants and dropMark among its A/D/C marks, then
+// re-runs the grant pass of every state that changed, once each. A nil
+// dropLock leaves the locks alone. A nil dropMark keeps every mark but
+// re-examines the waiters on marked items: the holder is at a step boundary,
+// and exposure conflicts depend on its breakpoint. It visits only the shards
+// the transaction has touched (a bitmask on TxnInfo), one latch at a time;
 // the release is not atomic across shards, which is harmless — lock release
 // order within the shrinking phase of 2PL is unconstrained.
-func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*lockState, *grant) bool) {
+func (m *Manager) releaseWhere(txn *TxnInfo, dropLock, dropMark func(*grant) bool) {
 	mask := txn.ShardMask.Load()
 	for i := 0; mask != 0; i++ {
 		bit := uint64(1) << uint(i)
@@ -674,54 +690,39 @@ func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*lockState, *grant) bool)
 		mask &^= bit
 		sh := m.shards[i]
 		sh.mu.Lock()
-		m.releaseInShard(sh, txn, drop)
+		if hs, ok := sh.held[txn.ID]; ok {
+			m.releaseInShard(sh, txn.ID, hs, dropLock, dropMark)
+		}
 		sh.mu.Unlock()
 	}
 }
 
-// releaseInShard applies a release pass to one shard: drop sees each of
-// txn's grants item by item, in grant-list order, with the item's state.
+// releaseInShard applies a release pass to txn's held set in one shard.
 // Caller holds sh.mu.
-func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*lockState, *grant) bool) {
-	hs, ok := sh.held[txn.ID]
-	if !ok {
-		return
+func (m *Manager) releaseInShard(sh *shard, txn TxnID, hs *heldSet, dropLock, dropMark func(*grant) bool) {
+	sh.pass++
+	if dropLock != nil {
+		hs.locks = sh.dropFrom(hs.locks, dropLock)
 	}
-	keep := hs.items[:0]
-	for _, item := range hs.items {
-		st, stOK := sh.items[item]
-		if !stOK {
-			continue
-		}
-		remaining := false
-		out := st.grants[:0]
-		for _, g := range st.grants {
-			if g.txn.ID == txn.ID && drop(st, g) {
-				if g.kind == kindRetired {
-					st.retired--
-				}
-				sh.freeGrant(g)
-				continue
+	if dropMark != nil {
+		hs.marks = sh.dropFrom(hs.marks, dropMark)
+	} else {
+		for _, g := range hs.marks {
+			if len(g.st.queue) > 0 {
+				sh.touch(g.st)
 			}
-			if g.txn.ID == txn.ID {
-				remaining = true
-			}
-			out = append(out, g)
 		}
-		st.grants = out
-		if remaining {
-			keep = append(keep, item)
-		}
-		// Re-examine the queue even if nothing was dropped here: exposure
-		// conflicts depend on the holder's breakpoint, which advances at
-		// exactly the step boundaries where release passes run.
-		m.grantPass(sh, item, st)
 	}
-	hs.items = keep
-	if len(keep) == 0 {
-		sh.dropHeld(txn.ID, hs)
+	for _, st := range sh.touched {
+		m.grantPass(sh, st)
+	}
+	sh.touched = sh.touched[:0]
+	if len(hs.locks) == 0 && len(hs.marks) == 0 {
+		sh.dropHeld(txn, hs)
 	}
 }
+
+func dropEvery(*grant) bool { return true }
 
 // Retire gives up txn's conventional locks at a step boundary (strict 2PL
 // within the step) whose log record ends at lsn, the log being durable
@@ -732,33 +733,25 @@ func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*lockState, 
 // the transaction's last boundary: its assertional, exposure and reservation
 // entries go too, leaving only retired grants for ReleaseAll.
 func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
-	var st *lockState // the item being visited
-	var kept *grant   // txn's retired grant on it, once seen
-	m.releaseWhere(txn, func(cur *lockState, g *grant) bool {
-		if cur != st {
-			st, kept = cur, nil
-		}
+	dropMark := dropEvery
+	if !final {
+		dropMark = nil
+	}
+	m.releaseWhere(txn, func(g *grant) bool {
 		switch {
 		case g.kind == kindRetired:
-			if g.lsn <= durable {
-				return true
-			}
-			kept = g
-			return false
-		case g.kind != kindConventional:
-			return final
+			return g.lsn <= durable
 		case lsn <= durable || g.mode == ModeIS || g.mode == ModeS:
 			return true
-		case kept != nil:
-			kept.mode, kept.lsn = sup(kept.mode, g.mode), lsn
-			return true
-		default:
-			g.kind, g.lsn = kindRetired, lsn
-			st.retired++
-			kept = g
-			return false
 		}
-	})
+		if r := g.st.retiredOf(txn.ID); r != nil {
+			r.mode, r.lsn = sup(r.mode, g.mode), lsn
+			return true
+		}
+		g.kind, g.lsn = kindRetired, lsn
+		g.st.retired++
+		return false
+	}, dropMark)
 }
 
 // ReleaseStepAbort releases txn's conventional locks plus exposure and
@@ -767,18 +760,17 @@ func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
 // steps, which is why a recurring deadlock escalates to compensation.
 func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
 	seq := txn.CompletedSteps()
-	m.releaseWhere(txn, func(_ *lockState, g *grant) bool {
-		if g.kind == kindConventional {
-			return true
-		}
-		return (g.kind == kindExposure || g.kind == kindReservation) && g.stepSeq >= seq
+	m.releaseWhere(txn, func(g *grant) bool {
+		return g.kind == kindConventional
+	}, func(g *grant) bool {
+		return g.kind != kindAssertional && g.stepSeq >= seq
 	})
 }
 
 // ReleaseAssertion drops txn's assertional locks for one assertion type
 // (its precondition has been discharged by the completing step).
 func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
-	m.releaseWhere(txn, func(_ *lockState, g *grant) bool {
+	m.releaseWhere(txn, nil, func(g *grant) bool {
 		return g.kind == kindAssertional && g.assertion == a
 	})
 }
@@ -786,7 +778,7 @@ func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
 // ReleaseAll releases everything txn holds, retired grants included: an
 // abort, or the end of the durability wait that follows the final Retire.
 func (m *Manager) ReleaseAll(txn *TxnInfo) {
-	m.releaseWhere(txn, func(*lockState, *grant) bool { return true })
+	m.releaseWhere(txn, dropEvery, dropEvery)
 }
 
 // HeldItems returns the items on which txn currently holds any entry,
@@ -796,7 +788,11 @@ func (m *Manager) HeldItems(txn TxnID) []Item {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		if hs, ok := sh.held[txn]; ok {
-			out = append(out, hs.items...)
+			for _, g := range slices.Concat(hs.locks, hs.marks) {
+				if !slices.Contains(out, g.st.item) {
+					out = append(out, g.st.item)
+				}
+			}
 		}
 		sh.mu.Unlock()
 	}

@@ -1,0 +1,260 @@
+package lock
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"accdb/internal/interference"
+	"accdb/internal/spi"
+)
+
+// checkInvariants verifies the lock table's bookkeeping. Every invariant is
+// local to one shard, so it checks shard by shard under that shard's latch
+// and may run beside live traffic. With idle set, nothing may be held.
+func checkInvariants(m *Manager, idle bool) error {
+	for _, sh := range m.shards {
+		if err := sh.checkInvariants(idle); err != nil {
+			return fmt.Errorf("shard %d: %w", sh.idx, err)
+		}
+	}
+	return nil
+}
+
+// checkInvariants: every grant a held set lists sits in its state's grant
+// list, under the listing transaction and in the slice its kind belongs to,
+// and every grant of a state is listed exactly once; every state a grant or
+// waiter refers to is in the item map under its own item; a state's retired
+// count is its number of retired grants; emptyStates is the number of empty
+// states the map retains.
+func (sh *shard) checkInvariants(idle bool) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if idle && len(sh.held) > 0 {
+		return fmt.Errorf("%d held sets left with nothing running", len(sh.held))
+	}
+	listed := make(map[*grant]bool)
+	for id, hs := range sh.held {
+		if len(hs.locks)+len(hs.marks) == 0 {
+			return fmt.Errorf("T%d: empty held set kept", id)
+		}
+		for i, g := range slices.Concat(hs.locks, hs.marks) {
+			isLock := g.kind == kindConventional || g.kind == kindRetired
+			switch {
+			case isLock != (i < len(hs.locks)):
+				return fmt.Errorf("T%d: grant of kind %d in the wrong held slice", id, g.kind)
+			case g.txn.ID != id:
+				return fmt.Errorf("T%d lists a grant of T%d", id, g.txn.ID)
+			case listed[g]:
+				return fmt.Errorf("T%d lists a grant twice on %v", id, g.st.item)
+			case sh.items[g.st.item] != g.st:
+				return fmt.Errorf("T%d: grant's state for %v is not in the item map", id, g.st.item)
+			case !slices.Contains(g.st.grants, g):
+				return fmt.Errorf("T%d: listed grant missing from %v's grant list", id, g.st.item)
+			}
+			listed[g] = true
+		}
+	}
+	grants, empty := 0, 0
+	for item, st := range sh.items {
+		if st.item != item {
+			return fmt.Errorf("state of %v filed under %v", st.item, item)
+		}
+		retired := 0
+		for _, g := range st.grants {
+			if g.st != st || !listed[g] {
+				return fmt.Errorf("grant of T%d on %v is not listed in its held set", g.txn.ID, item)
+			}
+			if g.kind == kindRetired {
+				retired++
+			}
+		}
+		if retired != st.retired {
+			return fmt.Errorf("%v: retired = %d, counted %d", item, st.retired, retired)
+		}
+		for _, w := range st.queue {
+			if w.st != st {
+				return fmt.Errorf("waiter of T%d on %v points at another state", w.txn.ID, item)
+			}
+		}
+		grants += len(st.grants)
+		if len(st.grants) == 0 && len(st.queue) == 0 {
+			empty++
+		}
+	}
+	if grants != len(listed) {
+		return fmt.Errorf("%d grants in states, %d listed in held sets", grants, len(listed))
+	}
+	if empty != sh.emptyStates {
+		return fmt.Errorf("emptyStates = %d, map retains %d", sh.emptyStates, empty)
+	}
+	return nil
+}
+
+// TestReleasePassesKeepTableConsistent drives every release path from many
+// goroutines across shards — acquires with conversions and waits, both
+// attach kinds, non-final and final Retire at durable and non-durable log
+// positions (with folds), ReleaseAssertion, ReleaseStepAbort and ReleaseAll
+// — while a checker verifies the table's bookkeeping; at the end nothing is
+// held. A wait that times out is a lost wakeup.
+func TestReleasePassesKeepTableConsistent(t *testing.T) {
+	const (
+		workers = 16
+		txns    = 60
+		seed    = 27
+	)
+	o := newStub()
+	o.setInterferes(2, 1, true) // step type 2 interferes with assertion 1
+	o.setInterferes(9, 2, true) // compensation type 9 with assertion 2
+	o.setInterleave(1, 1, true) // step type 1 may see type-1 exposures
+	m := NewManager(o)
+	m.WaitTimeout = 10 * time.Second
+	tbl := TableItem("t")
+	rows := make([]Item, 48)
+	for i := range rows {
+		rows[i] = RowItem("t", spi.Key(fmt.Sprintf("row-%d", i)))
+	}
+	var lsns, durable atomic.Uint64
+	retire := func(txn *TxnInfo, rng *rand.Rand, final bool) {
+		lsn := lsns.Add(1)
+		if rng.Intn(3) == 0 {
+			for d := durable.Load(); d < lsn && !durable.CompareAndSwap(d, lsn); d = durable.Load() {
+			}
+		}
+		m.Retire(txn, lsn, durable.Load(), final)
+	}
+	// run executes one transaction; false means a lock request failed and
+	// the transaction was released whole.
+	run := func(txn *TxnInfo, rng *rand.Rand) bool {
+		window := rng.Intn(len(rows) - 4) // a few rows, so later steps refold
+		for step, steps := 0, 1+rng.Intn(4); step < steps; step++ {
+			st := interference.StepTypeID(1 + rng.Intn(2))
+			if err := m.Acquire(txn, tbl, Request{Mode: ModeIX, Step: st}); err != nil {
+				return false
+			}
+			for k := 0; k < 3; k++ {
+				row := rows[window+rng.Intn(4)]
+				var err error
+				switch rng.Intn(4) {
+				case 0:
+					err = m.Acquire(txn, row, Request{Mode: ModeS, Step: st})
+				case 1: // S then X: a conversion
+					if err = m.Acquire(txn, row, Request{Mode: ModeS, Step: st}); err == nil {
+						err = m.Acquire(txn, row, Request{Mode: ModeX, Step: st})
+					}
+				case 2:
+					err = m.Acquire(txn, row, Request{Mode: ModeA, Step: st, Assertion: interference.AssertionID(1 + rng.Intn(2))})
+				default:
+					if err = m.Acquire(txn, row, Request{Mode: ModeX, Step: st}); err == nil {
+						m.AttachExposure(txn, row)
+						m.AttachReservation(txn, row, interference.StepTypeID(9+rng.Intn(2)))
+					}
+				}
+				if errors.Is(err, ErrTimeout) {
+					t.Errorf("T%d timed out on %v: a waiter was never re-examined", txn.ID, row)
+				}
+				if err != nil {
+					return false
+				}
+			}
+			switch rng.Intn(8) {
+			case 0: // the step failed: its locks and marks go, assertions stay
+				m.ReleaseStepAbort(txn)
+			case 1: // abort the transaction
+				return false
+			default:
+				txn.AdvanceStep()
+				if rng.Intn(2) == 0 {
+					m.ReleaseAssertion(txn, interference.AssertionID(1+rng.Intn(2)))
+				}
+				retire(txn, rng, step == steps-1)
+			}
+		}
+		return true
+	}
+
+	done := make(chan struct{})
+	checked := make(chan error, 1)
+	go func() {
+		defer close(checked)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := checkInvariants(m, false); err != nil {
+				checked <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	var committed atomic.Int64
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(g)))
+			for i := 0; i < txns; i++ {
+				txn := NewTxnInfo(TxnID(g*1000+i+1), interference.TxnTypeID(1+rng.Intn(2)))
+				if run(txn, rng) {
+					committed.Add(1)
+				}
+				m.ReleaseAll(txn)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-checked; err != nil {
+		t.Fatalf("during the run: %v", err)
+	}
+	if err := checkInvariants(m, true); err != nil {
+		t.Fatalf("after the run: %v", err)
+	}
+	t.Logf("committed %d of %d, %+v", committed.Load(), workers*txns, m.Stats())
+	if committed.Load() == 0 {
+		t.Fatal("no transaction committed: the soak exercised only aborts")
+	}
+}
+
+// TestStepBoundaryAllocFree: in steady state a step — IX on the table, X on
+// a row, both marks, a non-final Retire — and a commit — the same plus the
+// final Retire and ReleaseAll — allocate nothing.
+func TestStepBoundaryAllocFree(t *testing.T) {
+	m := NewManager(newStub())
+	tbl, row := TableItem("t"), RowItem("t", "k")
+	txn := NewTxnInfo(1, 1)
+	var lsn uint64
+	step := func(final bool) {
+		if err := m.Acquire(txn, tbl, conv(ModeIX)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Acquire(txn, row, conv(ModeX)); err != nil {
+			t.Fatal(err)
+		}
+		m.AttachExposure(txn, row)
+		m.AttachReservation(txn, row, 9)
+		txn.AdvanceStep()
+		lsn++
+		m.Retire(txn, lsn, lsn/2, final)
+		if final {
+			m.ReleaseAll(txn)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { step(false) }); n != 0 {
+		t.Errorf("step boundary: %.1f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { step(true) }); n != 0 {
+		t.Errorf("final Retire + ReleaseAll: %.1f allocs/op, want 0", n)
+	}
+	if err := checkInvariants(m, true); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -78,12 +78,14 @@ type shardCounters struct {
 	victimsForComp atomic.Uint64
 }
 
-// heldSet lists the items a transaction holds entries on within one shard.
-// A slice (with linear dedup in noteHeld) beats a map here: transactions
-// hold few items per shard, and the pointer indirection keeps the held map
-// free of per-append reassignments.
+// heldSet indexes the grants a transaction holds within one shard by
+// handle, so a release pass visits exactly those grants and probes no item
+// map. locks are its conventional and retired grants — what a step boundary
+// gives up — and marks its A, D and C entries, which stay to the final
+// boundary. A grant is listed once, when it is created.
 type heldSet struct {
-	items []Item
+	locks []*grant
+	marks []*grant
 }
 
 // shard is one partition of the lock table.
@@ -95,6 +97,11 @@ type shard struct {
 
 	// emptyStates counts empty lock states currently retained in items.
 	emptyStates int
+
+	// pass numbers release passes; touched lists the states the current one
+	// changed, each once (lockState.pass), for their grant passes.
+	pass    uint64
+	touched []*lockState
 
 	// Freelists, guarded by mu.
 	statePool []*lockState
@@ -136,6 +143,7 @@ func (sh *shard) state(item Item) *lockState {
 		} else {
 			st = &lockState{}
 		}
+		st.item = item
 		sh.items[item] = st
 	} else if len(st.grants) == 0 && len(st.queue) == 0 {
 		sh.emptyStates--
@@ -147,12 +155,12 @@ func (sh *shard) state(item Item) *lockState {
 // the empty state in the map (up to maxEmptyStates) so re-locking a hot
 // item performs no map insert; overflow is unlinked and recycled. Caller
 // holds sh.mu.
-func (sh *shard) reapState(item Item, st *lockState) {
+func (sh *shard) reapState(st *lockState) {
 	if sh.emptyStates < maxEmptyStates {
 		sh.emptyStates++
 		return
 	}
-	delete(sh.items, item)
+	delete(sh.items, st.item)
 	if len(sh.statePool) < freelistCap {
 		st.grants = st.grants[:0]
 		st.queue = st.queue[:0]
@@ -160,27 +168,41 @@ func (sh *shard) reapState(item Item, st *lockState) {
 	}
 }
 
-// newGrant returns a zeroed grant from the freelist. Caller holds sh.mu.
-func (sh *shard) newGrant() *grant {
+// newGrant links a fresh grant of the given kind for txn onto st and lists
+// it in txn's held set: a conventional grant with the locks, the A/D/C kinds
+// with the marks. Caller holds sh.mu.
+func (sh *shard) newGrant(txn *TxnInfo, st *lockState, kind grantKind) *grant {
+	var g *grant
 	if n := len(sh.grantPool); n > 0 {
-		g := sh.grantPool[n-1]
+		g = sh.grantPool[n-1]
 		sh.grantPool = sh.grantPool[:n-1]
-		return g
+	} else {
+		g = &grant{}
 	}
-	return &grant{}
+	g.txn, g.st, g.kind, g.stepSeq = txn, st, kind, txn.CompletedSteps()
+	st.grants = append(st.grants, g)
+	hs := sh.heldOf(txn)
+	if kind == kindConventional {
+		hs.locks = append(hs.locks, g)
+	} else {
+		hs.marks = append(hs.marks, g)
+	}
+	return g
 }
 
-// freeGrant recycles a dropped grant. Caller holds sh.mu.
+// freeGrant recycles a dropped grant, keeping its csTypes array for the next
+// reservation. Caller holds sh.mu.
 func (sh *shard) freeGrant(g *grant) {
-	*g = grant{}
+	*g = grant{csTypes: g.csTypes[:0]}
 	if len(sh.grantPool) < freelistCap {
 		sh.grantPool = append(sh.grantPool, g)
 	}
 }
 
-// noteHeld records that txn holds an entry on item in this shard and marks
-// the shard in the transaction's touched-shard set. Caller holds sh.mu.
-func (sh *shard) noteHeld(txn *TxnInfo, item Item) {
+// heldOf returns txn's held set in this shard, creating it — and marking the
+// shard in the transaction's touched-shard set — on first use. Caller holds
+// sh.mu.
+func (sh *shard) heldOf(txn *TxnInfo) *heldSet {
 	hs, ok := sh.held[txn.ID]
 	if !ok {
 		if n := len(sh.heldPool); n > 0 {
@@ -192,21 +214,46 @@ func (sh *shard) noteHeld(txn *TxnInfo, item Item) {
 		sh.held[txn.ID] = hs
 		markShard(txn, sh.bit)
 	}
-	for _, it := range hs.items {
-		if it == item {
-			return
-		}
-	}
-	hs.items = append(hs.items, item)
+	return hs
 }
 
-// dropHeld removes the transaction's held record and recycles it. Caller
-// holds sh.mu.
+// dropHeld removes the transaction's emptied held set and recycles it.
+// Caller holds sh.mu.
 func (sh *shard) dropHeld(txn TxnID, hs *heldSet) {
 	delete(sh.held, txn)
-	hs.items = hs.items[:0]
 	if len(sh.heldPool) < freelistCap {
 		sh.heldPool = append(sh.heldPool, hs)
+	}
+}
+
+// dropFrom unlinks and recycles the grants of a held slice that drop selects
+// and returns the rest. A state that lost a grant, or whose grant drop
+// changed in place (Retire's conversion to retired), gets a grant pass at
+// the end of the release pass. Caller holds sh.mu.
+func (sh *shard) dropFrom(held []*grant, drop func(*grant) bool) []*grant {
+	keep := held[:0]
+	for _, g := range held {
+		kind := g.kind
+		if drop(g) {
+			sh.touch(g.st)
+			g.st.unlink(g)
+			sh.freeGrant(g)
+			continue
+		}
+		if g.kind != kind {
+			sh.touch(g.st)
+		}
+		keep = append(keep, g)
+	}
+	return keep
+}
+
+// touch schedules st's grant pass for the end of the current release pass,
+// once however many of the pass's grants sat on it. Caller holds sh.mu.
+func (sh *shard) touch(st *lockState) {
+	if st.pass != sh.pass {
+		st.pass = sh.pass
+		sh.touched = append(sh.touched, st)
 	}
 }
 

@@ -1,0 +1,55 @@
+package tpcc
+
+import (
+	"slices"
+	"testing"
+
+	"accdb/internal/core"
+	"accdb/internal/spi"
+)
+
+// TestOrderAssertionsCover: A_NO_OPEN's and A_DLV_CLAIM's Covers answer
+// exactly "is the item in the instance's footprint" (Items), over items of
+// the footprint and items that differ from one in table, level or key, and
+// answer a lock request outside an order's granules without building a key.
+func TestOrderAssertionsCover(t *testing.T) {
+	reg := &Registration{Types: &Types{ANoOpen: 1, ADlvClaim: 2}}
+	reg.buildAssertions()
+	key := func(w, d, o int64) spi.Key { return spi.EncodeKey(i64(w), i64(d), i64(o)) }
+	var items []spi.Item
+	for _, table := range []string{TOrders, TNewOrder, TOrderLine, TStock, TCustomer, TDistrict} {
+		for _, k := range []spi.Key{key(1, 3, 7), key(1, 3, 8), key(1, 4, 7), key(2, 3, 7), key(1, 5, 9), ""} {
+			items = append(items, spi.RowItem(table, k), spi.PartitionItem(table, k))
+		}
+		items = append(items, spi.TableItem(table))
+	}
+	for _, c := range []struct {
+		name string
+		a    *core.Assertion
+		args any
+	}{
+		{"A_NO_OPEN", reg.aNoOpen, &NewOrderArgs{WID: 1, DID: 3, ONum: 7}},
+		{"A_NO_OPEN before the order id", reg.aNoOpen, &NewOrderArgs{WID: 1, DID: 3}},
+		{"A_DLV_CLAIM", reg.aDlvClaim, &DeliveryArgs{WID: 1, Claimed: []int64{0, 0, 7, 0, 9}}},
+		{"A_DLV_CLAIM, nothing claimed", reg.aDlvClaim, &DeliveryArgs{WID: 1, Claimed: make([]int64, 10)}},
+	} {
+		footprint := c.a.Items(c.args)
+		matched := 0
+		for _, it := range items {
+			want := slices.Contains(footprint, it)
+			if got := c.a.Covers(c.args, it); got != want {
+				t.Errorf("%s: Covers(%v) = %v, want %v", c.name, it, got, want)
+			}
+			if want {
+				matched++
+			}
+		}
+		if matched != len(footprint) {
+			t.Errorf("%s: %d of the %d footprint items among the probes", c.name, matched, len(footprint))
+		}
+		outside := spi.RowItem(TStock, key(1, 3, 7))
+		if n := testing.AllocsPerRun(100, func() { c.a.Covers(c.args, outside) }); n != 0 {
+			t.Errorf("%s: Covers on a stock row: %.1f allocs/op, want 0", c.name, n)
+		}
+	}
+}

@@ -127,20 +127,12 @@ func (reg *Registration) buildAssertions() {
 		ID:   reg.Types.ANoOpen,
 		Name: "A_NO_OPEN",
 		Covers: func(args any, item spi.Item) bool {
+			if !orderGranule(item, true) {
+				return false
+			}
 			a := args.(*NewOrderArgs)
-			if a.ONum == 0 {
-				return false // order id not assigned yet
-			}
-			key := spi.EncodeKey(i64(a.WID), i64(a.DID), i64(a.ONum))
-			switch {
-			case item.Table == TOrders && item.Level == spi.LevelRow:
-				return item.Key == key
-			case item.Table == TNewOrder && item.Level == spi.LevelRow:
-				return item.Key == key
-			case item.Table == TOrderLine && item.Level == spi.LevelPartition:
-				return item.Key == key
-			}
-			return false
+			// ONum == 0: the order id is not assigned yet.
+			return a.ONum != 0 && item.Key == spi.EncodeKey(i64(a.WID), i64(a.DID), i64(a.ONum))
 		},
 		Items: func(args any) []spi.Item {
 			a := args.(*NewOrderArgs)
@@ -159,16 +151,12 @@ func (reg *Registration) buildAssertions() {
 		ID:   reg.Types.ADlvClaim,
 		Name: "A_DLV_CLAIM",
 		Covers: func(args any, item spi.Item) bool {
+			if !orderGranule(item, false) {
+				return false
+			}
 			a := args.(*DeliveryArgs)
 			for d, o := range a.Claimed {
-				if o == 0 {
-					continue
-				}
-				key := spi.EncodeKey(i64(a.WID), i64(int64(d+1)), i64(o))
-				if item.Table == TOrders && item.Level == spi.LevelRow && item.Key == key {
-					return true
-				}
-				if item.Table == TOrderLine && item.Level == spi.LevelPartition && item.Key == key {
+				if o != 0 && item.Key == spi.EncodeKey(i64(a.WID), i64(int64(d+1)), i64(o)) {
 					return true
 				}
 			}
@@ -189,6 +177,21 @@ func (reg *Registration) buildAssertions() {
 			return out
 		},
 	}
+}
+
+// orderGranule reports whether item is a granule an order's assertions can
+// cover — its orders row, its new_order row when withNewOrder is set, or its
+// order_line partition — so Covers builds an order key only for those.
+func orderGranule(item spi.Item, withNewOrder bool) bool {
+	switch item.Table {
+	case TOrders:
+		return item.Level == spi.LevelRow
+	case TNewOrder:
+		return withNewOrder && item.Level == spi.LevelRow
+	case TOrderLine:
+		return item.Level == spi.LevelPartition
+	}
+	return false
 }
 
 // --- new-order -------------------------------------------------------------
