@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"accdb/internal/spi"
@@ -38,7 +39,6 @@ type DB struct {
 }
 
 type partition struct {
-	cols  []int // ordinals into the schema
 	pkPos []int // position of each partition column within the PK value list
 }
 
@@ -110,7 +110,6 @@ func (db *DB) CreateTable(schema *spi.Schema, partitionBy ...string) (spi.Table,
 	for _, c := range schema.PK {
 		pkSet[c] = true
 	}
-	cols := make([]int, len(partitionBy))
 	pkPos := make([]int, len(partitionBy))
 	for i, name := range partitionBy {
 		c := schema.Col(name)
@@ -120,7 +119,6 @@ func (db *DB) CreateTable(schema *spi.Schema, partitionBy ...string) (spi.Table,
 		if !pkSet[c] {
 			return nil, fmt.Errorf("core: partition column %q of %s must be part of the primary key", name, schema.Name)
 		}
-		cols[i] = c
 		for j, pc := range schema.PK {
 			if pc == c {
 				pkPos[i] = j
@@ -138,25 +136,43 @@ func (db *DB) CreateTable(schema *spi.Schema, partitionBy ...string) (spi.Table,
 		return nil, err
 	}
 	db.mu.Lock()
-	db.parts[schema.Name] = &partition{cols: cols, pkPos: pkPos}
+	db.parts[schema.Name] = &partition{pkPos: pkPos}
 	db.mu.Unlock()
 	return t, nil
 }
 
 // partitionOfKey returns the partition item implied by a full primary-key
-// value list, if the table is partitioned.
+// value list, if the table is partitioned. The partition tuple is encoded
+// straight from keyVals: one allocation.
 func (db *DB) partitionOfKey(table string, keyVals []spi.Value) (spi.Item, bool) {
-	db.mu.RLock()
-	p := db.parts[table]
-	db.mu.RUnlock()
+	p := db.partition(table)
 	if p == nil {
 		return spi.Item{}, false
 	}
-	vals := make([]spi.Value, len(p.pkPos))
-	for i, pos := range p.pkPos {
-		vals[i] = keyVals[pos]
+	n := 0
+	for _, pos := range p.pkPos {
+		n += spi.KeyLen(keyVals[pos])
 	}
-	return spi.PartitionItem(table, spi.EncodeKey(vals...)), true
+	var b strings.Builder
+	b.Grow(n)
+	for _, pos := range p.pkPos {
+		spi.AppendKeyVal(&b, keyVals[pos])
+	}
+	return spi.PartitionItem(table, spi.Key(b.String())), true
+}
+
+// partitionOfPK is partitionOfKey for an encoded primary key; it decodes the
+// key only when the table is partitioned.
+func (db *DB) partitionOfPK(table string, pk spi.Key) (spi.Item, bool, error) {
+	if !db.partitioned(table) {
+		return spi.Item{}, false, nil
+	}
+	keyVals, err := spi.DecodeKey(pk)
+	if err != nil {
+		return spi.Item{}, false, err
+	}
+	part, ok := db.partitionOfKey(table, keyVals)
+	return part, ok, nil
 }
 
 // MustCreateTable is CreateTable that panics; for static schemas.
@@ -168,30 +184,17 @@ func (db *DB) MustCreateTable(schema *spi.Schema, partitionBy ...string) spi.Tab
 	return t
 }
 
-// partitionOfRow returns the partition item of a row, if the table is
-// partitioned.
-func (db *DB) partitionOfRow(table string, schema *spi.Schema, row spi.Row) (spi.Item, bool) {
-	db.mu.RLock()
-	p := db.parts[table]
-	db.mu.RUnlock()
-	if p == nil {
-		return spi.Item{}, false
-	}
-	vals := make([]spi.Value, len(p.cols))
-	for i, c := range p.cols {
-		vals[i] = row[c]
-	}
-	return spi.PartitionItem(table, spi.EncodeKey(vals...)), true
-}
-
 // partitionItem returns the partition item for explicit partition values.
 func (db *DB) partitionItem(table string, vals []spi.Value) spi.Item {
 	return spi.PartitionItem(table, spi.EncodeKey(vals...))
 }
 
-// partitioned reports whether the table has a partition granule.
-func (db *DB) partitioned(table string) bool {
+// partition returns the table's partition declaration, nil if it has none.
+func (db *DB) partition(table string) *partition {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.parts[table] != nil
+	return db.parts[table]
 }
+
+// partitioned reports whether the table has a partition granule.
+func (db *DB) partitioned(table string) bool { return db.partition(table) != nil }

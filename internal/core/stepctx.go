@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"accdb/internal/interference"
 	"accdb/internal/spi"
@@ -19,8 +19,8 @@ import (
 // a deadlock-victim step can be rolled back and retried.
 //
 // Rows are immutable values shared with the store (the spi.Table contract):
-// a row that Get, GetMany, ClaimMin, LookupByIndex or a scan visitor hands a
-// body is read-only, and a row given to Insert is the engine's from then on.
+// a row that Get, ClaimMin, LookupByIndex, or a GetMany or scan visitor hands
+// a body is read-only, and a row given to Insert is the engine's from then on.
 // A body changes a row only inside an Update or UpdateWhere closure, which
 // gets a private copy.
 type Ctx struct {
@@ -266,57 +266,67 @@ func (tc *Ctx) Get(table string, keyVals ...spi.Value) (spi.Row, error) {
 	return row, gerr
 }
 
-// GetMany locks (S) and reads a batch of rows by primary key in a single
-// statement — the engine's stand-in for a join against a key list (used by
-// stock-level). Missing keys are skipped.
-func (tc *Ctx) GetMany(table string, keys [][]spi.Value) ([]spi.Row, error) {
+// GetMany reads, in one statement, the rows under the given encoded primary
+// keys and hands each present row to visit; missing keys are skipped. It is
+// the engine's stand-in for a join against a key list (stock-level's). The
+// keys must be in ascending order, which is the lock order: batched acquirers
+// that lock in key order cannot deadlock against each other. At the locked
+// tier GetMany takes IS on the table, then, key by key, IS on the row's
+// partition (if the table is partitioned) and S on the row; unsorted keys are
+// refused before any lock is taken. A visitor error stops the read and is
+// returned.
+func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) error {
 	t, err := tc.table(table)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	var verr error
 	if tc.versioned() {
 		asOf := tc.asOf()
-		rows := make([]spi.Row, 0, len(keys))
 		tc.stmt(func() {
-			for _, kv := range keys {
-				if row, err := t.GetAsOf(spi.EncodeKey(kv...), asOf); err == nil {
-					rows = append(rows, row)
+			for _, pk := range pks {
+				if row, err := t.GetAsOf(pk, asOf); err == nil {
+					if verr = visit(row); verr != nil {
+						return
+					}
 				}
 			}
 		})
-		return rows, nil
+		return verr
+	}
+	if !slices.IsSorted(pks) {
+		return fmt.Errorf("core: GetMany on %s: keys not in ascending order", table)
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
-		return nil, err
+		return err
 	}
-	// Lock in key order: batched acquirers that sort identically cannot
-	// deadlock against each other. Each key is encoded once.
-	type lockKey struct {
-		pk      spi.Key
-		keyVals []spi.Value
-	}
-	sorted := make([]lockKey, len(keys))
-	for i, kv := range keys {
-		sorted[i] = lockKey{spi.EncodeKey(kv...), kv}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].pk < sorted[j].pk })
-	for _, k := range sorted {
-		if err := tc.lockRead(table, k.keyVals, k.pk); err != nil {
-			return nil, err
+	for _, pk := range pks {
+		part, ok, err := tc.e.db.partitionOfPK(table, pk)
+		if err != nil {
+			return err
+		}
+		if ok {
+			if err := tc.acquire(part, spi.ModeIS); err != nil {
+				return err
+			}
+		}
+		if err := tc.acquire(spi.RowItem(table, pk), spi.ModeS); err != nil {
+			return err
 		}
 	}
-	rows := make([]spi.Row, 0, len(sorted))
 	tc.stmt(func() {
-		for _, k := range sorted {
-			if row, err := t.Get(k.pk); err == nil {
-				rows = append(rows, row)
+		for _, pk := range pks {
+			if row, err := t.Get(pk); err == nil {
+				if verr = visit(row); verr != nil {
+					return
+				}
 			}
 		}
 	})
-	for _, k := range sorted {
-		tc.e.record(tc.txn, table, k.pk, false)
+	for _, pk := range pks {
+		tc.e.record(tc.txn, table, pk, false)
 	}
-	return rows, nil
+	return verr
 }
 
 // queueItem names the granule ClaimMin pops from: the key range eqVals

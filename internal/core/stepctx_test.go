@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,16 +48,32 @@ func newOpSys(t *testing.T) *opSys {
 			}
 		}
 	}
+	s.inv.ResetVersions() // declare the load quiescent: the snapshot tiers see it
 	return s
 }
 
 // run executes body as a single-step transaction.
 func (s *opSys) run(t *testing.T, body func(tc *Ctx) error) error {
 	t.Helper()
+	return s.runAt(t, TierLocked, body)
+}
+
+// runAt is run at the given read tier.
+func (s *opSys) runAt(t *testing.T, tier ReadTier, body func(tc *Ctx) error) error {
+	t.Helper()
 	return s.eng.Exec(context.Background(), Request{Type: &TxnType{
 		Name: "op", ID: s.txn,
 		Steps: []Step{{Name: "op", Type: s.step, Body: body}},
-	}})
+	}, Tier: tier})
+}
+
+// invKeys encodes inventory primary keys from (region, sku) pairs.
+func invKeys(pairs ...[2]int64) []spi.Key {
+	pks := make([]spi.Key, len(pairs))
+	for i, p := range pairs {
+		pks[i] = spi.EncodeKey(spi.I64(p[0]), spi.I64(p[1]))
+	}
+	return pks
 }
 
 func TestCtxGetInsertDelete(t *testing.T) {
@@ -205,16 +222,119 @@ func TestCtxLookupByIndexAndGetMany(t *testing.T) {
 		if len(rows) != 2 { // sku 3 in both regions
 			t.Errorf("by_qty(30) found %d rows", len(rows))
 		}
-		got, err := tc.GetMany("inventory", [][]spi.Value{
-			{spi.I64(1), spi.I64(1)},
-			{spi.I64(2), spi.I64(2)},
-			{spi.I64(9), spi.I64(9)}, // missing: skipped
-		})
+		n := 0
+		err = tc.GetMany("inventory", invKeys([2]int64{1, 1}, [2]int64{2, 2}, [2]int64{9, 9}), // (9, 9) is missing: skipped
+			func(spi.Row) error { n++; return nil })
 		if err != nil {
 			return err
 		}
-		if len(got) != 2 {
-			t.Errorf("GetMany returned %d rows", len(got))
+		if n != 2 {
+			t.Errorf("GetMany visited %d rows", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetManyVisitsPresentKeysInOrder: at both tiers GetMany hands the
+// visitor the present rows in key order and skips the missing ones, and a
+// visitor error stops the read and comes back.
+func TestGetManyVisitsPresentKeysInOrder(t *testing.T) {
+	pks := invKeys([2]int64{1, 2}, [2]int64{1, 4}, [2]int64{1, 9}, [2]int64{2, 1}, [2]int64{2, 3}, [2]int64{3, 1})
+	want := [][2]int64{{1, 2}, {1, 4}, {2, 1}, {2, 3}}
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
+		s := newOpSys(t)
+		err := s.runAt(t, tier, func(tc *Ctx) error {
+			var got [][2]int64
+			err := tc.GetMany("inventory", pks, func(row spi.Row) error {
+				got = append(got, [2]int64{row[0].Int64(), row[1].Int64()})
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%v: visited %v, want %v", tier, got, want)
+			}
+			sentinel := errors.New("enough")
+			n := 0
+			err = tc.GetMany("inventory", pks, func(spi.Row) error { n++; return sentinel })
+			if !errors.Is(err, sentinel) || n != 1 {
+				t.Errorf("%v: visitor error gave %v after %d rows, want it back after 1", tier, err, n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tier, err)
+		}
+	}
+}
+
+// TestGetManyLocks: at the locked tier the keys' order is the lock order, so
+// unsorted keys are refused before any lock is held; sorted keys take IS on
+// the table and on each row's partition granule, and S on each row.
+func TestGetManyLocks(t *testing.T) {
+	s := newOpSys(t)
+	err := s.run(t, func(tc *Ctx) error {
+		id := tc.txn.info.ID
+		if err := tc.GetMany("inventory", invKeys([2]int64{2, 1}, [2]int64{1, 1}),
+			func(spi.Row) error { return nil }); err == nil {
+			t.Error("unsorted keys accepted")
+		}
+		if held := tc.e.lm.HeldItems(id); len(held) != 0 {
+			t.Errorf("refused GetMany left locks: %v", held)
+		}
+		pks := invKeys([2]int64{1, 1}, [2]int64{2, 2})
+		if err := tc.GetMany("inventory", pks, func(spi.Row) error { return nil }); err != nil {
+			return err
+		}
+		for _, want := range []struct {
+			item spi.Item
+			mode spi.Mode
+		}{
+			{spi.TableItem("inventory"), spi.ModeIS},
+			{spi.PartitionItem("inventory", spi.EncodeKey(spi.I64(1))), spi.ModeIS},
+			{spi.PartitionItem("inventory", spi.EncodeKey(spi.I64(2))), spi.ModeIS},
+			{spi.RowItem("inventory", pks[0]), spi.ModeS},
+			{spi.RowItem("inventory", pks[1]), spi.ModeS},
+		} {
+			if !tc.e.lm.HoldsConventional(id, want.item, want.mode) {
+				t.Errorf("%v not held in %v", want.item, want.mode)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetManyAllocFree is the CI allocation guard for the batched read (run
+// via -run 'AllocFree'): at the snapshot tier a GetMany of 100 keys
+// allocates what a GetMany of one does.
+func TestGetManyAllocFree(t *testing.T) {
+	s := newOpSys(t)
+	var pairs [][2]int64
+	for sku := int64(1); sku <= 100; sku++ {
+		if err := s.inv.Insert(spi.Row{spi.I64(3), spi.I64(sku), spi.I64(sku)}); err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, [2]int64{3, sku})
+	}
+	s.inv.ResetVersions()
+	one, hundred := invKeys(pairs[:1]...), invKeys(pairs...)
+	err := s.runAt(t, TierSnapshot, func(tc *Ctx) error {
+		visited := 0
+		visit := func(spi.Row) error { visited++; return nil }
+		small := testing.AllocsPerRun(20, func() { tc.GetMany("inventory", one, visit) })
+		large := testing.AllocsPerRun(20, func() { tc.GetMany("inventory", hundred, visit) })
+		if visited != 21+21*100 {
+			t.Fatalf("visited %d rows", visited)
+		}
+		if large != small {
+			t.Errorf("GetMany: %.1f allocs over 100 keys against %.1f over one, want equal", large, small)
 		}
 		return nil
 	})

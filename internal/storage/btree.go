@@ -337,19 +337,6 @@ func (t *BTree[V]) Ascend(lo, hi spi.Key, visit func(key spi.Key, val V) bool) b
 	return true
 }
 
-// prefixEnd computes the smallest key greater than every key with the given
-// prefix, by incrementing the last non-0xFF byte.
-func prefixEnd(prefix spi.Key) spi.Key {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] < 0xFF {
-			b[i]++
-			return spi.Key(b[:i+1])
-		}
-	}
-	return "" // prefix is all 0xFF: unbounded
-}
-
 // checkInvariants validates B+-tree structural invariants; used by tests.
 func (t *BTree[V]) checkInvariants() error {
 	count, _, err := t.check(t.root, true, "", "")

@@ -281,9 +281,17 @@ func (t *Table) walk(indexName string, lo, hi spi.Key, visit func(spi.Key, *reco
 
 // IndexScan visits rows whose indexed columns equal eq, in index order.
 func (t *Table) IndexScan(indexName string, eq []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
-	prefix := spi.EncodeKey(eq...)
-	return t.walk(indexName, prefix, prefixEnd(prefix), func(_ spi.Key, rec *record) bool {
+	return t.walkPrefix(indexName, spi.EncodeKey(eq...), func(rec *record) bool {
 		return visit(rec.pk, rec.base)
+	})
+}
+
+// walkPrefix is walk over the entries whose key starts with prefix: it starts
+// at prefix and stops at the first entry that does not start with it, so it
+// needs no upper bound.
+func (t *Table) walkPrefix(indexName string, prefix spi.Key, visit func(*record) bool) error {
+	return t.walk(indexName, prefix, "", func(k spi.Key, rec *record) bool {
+		return strings.HasPrefix(string(k), string(prefix)) && visit(rec)
 	})
 }
 

@@ -387,7 +387,7 @@ func TestTableOneRecordPerKey(t *testing.T) {
 // TestTableReadsAllocFree is the CI allocation guard for the read path (run
 // via -run 'AllocFree'): a point read copies nothing and probes once, and an
 // index scan costs the same however many rows it visits — no map probe, no
-// copy per row.
+// copy per row — and allocates only its encoded prefix, no upper bound.
 func TestTableReadsAllocFree(t *testing.T) {
 	tab := NewTable(testSchema(t))
 	tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}})
@@ -430,6 +430,9 @@ func TestTableReadsAllocFree(t *testing.T) {
 		if large != small {
 			t.Errorf("%s: %.1f allocs over %d rows against %.1f over one: %.2f per visited row, want 0",
 				name, large, many-1, small, (large-small)/(many-2))
+		}
+		if small != 1 {
+			t.Errorf("%s: %.1f allocs/op, want 1 (the prefix)", name, small)
 		}
 	}
 }

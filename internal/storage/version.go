@@ -95,8 +95,7 @@ func (t *Table) ScanAsOf(asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool)
 // asymmetry; TPC-C's read-only probes are over stable or append-only
 // populations where it is invisible.
 func (t *Table) IndexScanAsOf(indexName string, eq []spi.Value, asOf spi.CSN, visit func(pk spi.Key, row spi.Row) bool) error {
-	prefix := spi.EncodeKey(eq...)
-	return t.walk(indexName, prefix, prefixEnd(prefix), func(_ spi.Key, rec *record) bool {
+	return t.walkPrefix(indexName, spi.EncodeKey(eq...), func(rec *record) bool {
 		row := rec.asOf(asOf)
 		return row == nil || visit(rec.pk, row)
 	})

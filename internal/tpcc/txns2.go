@@ -2,6 +2,8 @@ package tpcc
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"accdb/internal/core"
 	"accdb/internal/spi"
@@ -229,42 +231,63 @@ func (reg *Registration) stockLevelType() *core.TxnType {
 }
 
 func (reg *Registration) stockLevel(tc *core.Ctx) error {
-	a := tc.Args().(*StockLevelArgs)
+	_, err := stockLevelLow(tc, tc.Args().(*StockLevelArgs))
+	return err // the count is reported to the terminal; nothing stored
+}
+
+// stockLevelLow counts the distinct items of the district's last a.Orders
+// orders whose stock in warehouse a.WID is below a.Threshold. It allocates
+// per order scanned, not per item read: the item ids gather in one slice and
+// are deduplicated by sorting it, and every stock key is encoded into one
+// buffer (stockKeys).
+func stockLevelLow(tc *core.Ctx, a *StockLevelArgs) (int, error) {
 	drow, err := tc.Get(TDistrict, i64(a.WID), i64(a.DID))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	next := drow[colDNext].Int64()
-	lo := next - a.Orders
-	if lo < 1 {
-		lo = 1
+	lo := max(next-a.Orders, 1)
+	items := make([]int64, 0, 16*max(next-lo, 0)) // an order has at most 15 lines
+	collect := func(row spi.Row) error {
+		items = append(items, row[colOLItem].Int64())
+		return nil
 	}
-	items := make(map[int64]bool)
+	part := []spi.Value{i64(a.WID), i64(a.DID), {}}
 	for o := lo; o < next; o++ {
-		err := tc.ScanPartition(TOrderLine,
-			[]spi.Value{i64(a.WID), i64(a.DID), i64(o)},
-			func(row spi.Row) error {
-				items[row[colOLItem].Int64()] = true
-				return nil
-			})
-		if err != nil {
-			return err
+		part[2] = i64(o)
+		if err := tc.ScanPartition(TOrderLine, part, collect); err != nil {
+			return 0, err
 		}
 	}
-	keys := make([][]spi.Value, 0, len(items))
-	for item := range items {
-		keys = append(keys, []spi.Value{i64(a.WID), i64(item)})
-	}
-	rows, err := tc.GetMany(TStock, keys)
-	if err != nil {
-		return err
-	}
+	slices.Sort(items)
+	items = slices.Compact(items)
 	low := 0
-	for _, row := range rows {
+	err = tc.GetMany(TStock, stockKeys(a.WID, items), func(row spi.Row) error {
 		if row[colSQty].Int64() < a.Threshold {
 			low++
 		}
+		return nil
+	})
+	return low, err
+}
+
+// stockKeys encodes the stock primary key (w, item) of each item into one
+// buffer and slices the keys out of it: two allocations for any number of
+// items. Ascending items give ascending keys, since the key encoding
+// preserves order.
+func stockKeys(w int64, items []int64) []spi.Key {
+	wv := i64(w)
+	n := spi.KeyLen(wv) + spi.KeyLen(i64(0))
+	var b strings.Builder
+	b.Grow(n * len(items))
+	for _, item := range items {
+		spi.AppendKeyVal(&b, wv)
+		spi.AppendKeyVal(&b, i64(item))
 	}
-	_ = low // reported to the terminal; nothing stored
-	return nil
+	buf := b.String()
+	keys := make([]spi.Key, len(items))
+	for i := range keys {
+		keys[i] = spi.Key(buf[i*n : (i+1)*n])
+	}
+	return keys
 }
