@@ -30,9 +30,10 @@ func buildAccd(t *testing.T) string {
 	return bin
 }
 
-// refused runs accd to completion and requires a non-zero exit whose stderr
-// mentions every want.
-func refused(t *testing.T, bin string, env []string, args []string, want ...string) {
+// refused runs accd to completion and requires the refusal of a bad
+// configuration: exit status 1, no panic, and stderr mentioning every want.
+// It returns stderr.
+func refused(t *testing.T, bin string, env []string, args []string, want ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	cmd.Env = append(os.Environ(), env...)
@@ -45,18 +46,25 @@ func refused(t *testing.T, bin string, env []string, args []string, want ...stri
 	go func() { done <- cmd.Wait() }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatalf("accd %v %v exited 0; stderr:\n%s", env, args, stderr.String())
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("accd %v %v: want exit status 1, got %v; stderr:\n%s", env, args, err, stderr.String())
 		}
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
+		<-done
 		t.Fatalf("accd %v %v kept running instead of refusing; stderr:\n%s", env, args, stderr.String())
 	}
+	out := stderr.String()
+	if strings.Contains(out, "panic:") {
+		t.Errorf("accd %v %v panicked instead of refusing:\n%s", env, args, out)
+	}
 	for _, w := range want {
-		if !strings.Contains(stderr.String(), w) {
-			t.Errorf("accd %v %v: stderr lacks %q:\n%s", env, args, w, stderr.String())
+		if !strings.Contains(out, w) {
+			t.Errorf("accd %v %v: stderr lacks %q:\n%s", env, args, w, out)
 		}
 	}
+	return out
 }
 
 // TestRefusesBadPartitionCounts: neither the environment variable nor the
@@ -81,6 +89,22 @@ func TestRefusesBadPartitionCounts(t *testing.T) {
 			env = c.env
 		}
 		refused(t, bin, []string{env}, args, c.want)
+	}
+}
+
+// TestRefusesUnknownBackend: a store name the binary does not link — a typo,
+// or a backend that no longer exists — is a one-line configuration error,
+// the way a bad partition count is, not a panic.
+func TestRefusesUnknownBackend(t *testing.T) {
+	bin := buildAccd(t)
+	for _, backend := range []string{"btre", "memstore"} {
+		for _, parts := range []string{"1", "4"} {
+			env := []string{"ACCDB_BACKEND=" + backend, "ACCDB_PARTITIONS="}
+			out := refused(t, bin, env, []string{"-addr", "127.0.0.1:0", "-partitions", parts}, `"`+backend+`"`)
+			if n := strings.Count(strings.TrimSpace(out), "\n") + 1; n != 1 {
+				t.Errorf("%v -partitions %s: want a one-line error, got %d lines:\n%s", env, parts, n, out)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package core
 
-// The engine's own tests exercise whichever backend the registry selects
-// (ACCDB_BACKEND, btree by default) — CI runs them against every registered
-// store. Only test files may import the backends: the package's non-test
-// sources depend solely on accdb/internal/spi, and tools/doccheck -boundary
-// enforces that.
+// The engine's own tests run over the registry's default store. Only test
+// files may import the backends: the package's non-test sources depend
+// solely on accdb/internal/spi, and tools/doccheck -boundary enforces that.
 import (
 	_ "accdb/internal/backends"
 )

@@ -13,10 +13,10 @@
 //
 // The scheduler reaches its backends — the row store and the lock service —
 // only through the interfaces of accdb/internal/spi; the concrete
-// implementations are selected through the SPI registry (see NewDB's
-// WithBackend/WithStore options), and this package imports neither
-// accdb/internal/storage nor accdb/internal/lock. CI enforces that import
-// boundary (tools/doccheck -boundary).
+// implementations come from the SPI registry or from NewDB's WithStore
+// option, and this package imports neither accdb/internal/storage nor
+// accdb/internal/lock. CI enforces that import boundary (tools/doccheck
+// -boundary).
 package core
 
 import (
@@ -50,26 +50,20 @@ const PartIndex = "__part"
 type DBOption func(*dbConfig)
 
 type dbConfig struct {
-	backend string
-	store   spi.Store
+	store spi.Store
 }
 
-// WithBackend selects a registered SPI backend by name (see spi.Backends).
-// The default is spi.DefaultBackend(): the ACCDB_BACKEND environment
-// variable, or the B+-tree heap when unset.
-func WithBackend(name string) DBOption {
-	return func(c *dbConfig) { c.backend = name }
-}
-
-// WithStore supplies a concrete spi.Store instance, bypassing the registry;
-// use it to embed the engine over a custom backend without registering it.
+// WithStore supplies the spi.Store the database runs over; use it to embed
+// the engine over a custom backend without registering it.
 func WithStore(s spi.Store) DBOption {
 	return func(c *dbConfig) { c.store = s }
 }
 
-// NewDB creates an empty database over the configured backend. An unknown
-// backend name panics: the engine cannot run without a store, so this is a
-// wiring bug (or an ACCDB_BACKEND typo) best surfaced at startup.
+// NewDB creates an empty database over the configured store, or over the
+// registry's spi.DefaultBackend() when none is given. An unregistered
+// default panics: the engine cannot run without a store, so this is a wiring
+// bug best surfaced at startup. A caller that can refuse a bad
+// configuration instead opens the store itself and passes WithStore.
 func NewDB(opts ...DBOption) *DB {
 	var c dbConfig
 	for _, apply := range opts {
@@ -77,13 +71,8 @@ func NewDB(opts ...DBOption) *DB {
 	}
 	store := c.store
 	if store == nil {
-		name := c.backend
-		if name == "" {
-			name = spi.DefaultBackend()
-		}
 		var err error
-		store, err = spi.OpenStore(name)
-		if err != nil {
+		if store, err = spi.OpenStore(spi.DefaultBackend()); err != nil {
 			panic(err)
 		}
 	}

@@ -50,7 +50,7 @@ var victimMu sync.Mutex
 
 // blockedOf returns the published blocked request of t's group, if any: t's
 // own, or a sibling's in another lock table. It may already be settled.
-func blockedOf(t *TxnInfo) *waiter {
+func blockedOf(t *spi.Txn) *waiter {
 	w, _ := t.Group.Blocked.Load().(*waiter)
 	return w
 }
@@ -102,10 +102,10 @@ func resolveDeadlock(w *waiter) {
 			victim.txn.Group.Doom(cycleString(cycle))
 		}
 		if victim == w {
-			w.kill(ErrDeadlock)
+			w.kill(spi.ErrDeadlock)
 			return
 		}
-		if victim.kill(ErrAborted) {
+		if victim.kill(spi.ErrAborted) {
 			victim.sh.stats.victimsForComp.Add(1)
 			if vm := victim.m; vm.tracer != nil {
 				vm.emitLock(trace.KindDeadlockVictim, victim.txn.ID, victim.item, victim.sh,
@@ -185,7 +185,7 @@ func cycleString(cycle []*waiter) string {
 // conflicting grants on its item, and earlier conflicting waiters in its
 // queue. It takes (and releases) w's shard latch; a waiter that has already
 // been granted or aborted contributes no edges.
-func (w *waiter) blockers() []*TxnInfo {
+func (w *waiter) blockers() []*spi.Txn {
 	sh := w.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -198,9 +198,9 @@ func (w *waiter) blockers() []*TxnInfo {
 // blockersLocked computes w's current blockers from its item's state. Caller
 // holds w's shard latch. Shared by deadlock detection and the waits-for
 // snapshot (snapshot.go).
-func (m *Manager) blockersLocked(w *waiter, st *lockState) []*TxnInfo {
-	var out []*TxnInfo
-	add := func(t *TxnInfo) {
+func (m *Manager) blockersLocked(w *waiter, st *lockState) []*spi.Txn {
+	var out []*spi.Txn
+	add := func(t *spi.Txn) {
 		if t == w.txn {
 			return
 		}

@@ -1,9 +1,9 @@
 // Package lock implements the multi-granularity lock manager underlying both
 // the baseline strict-2PL scheduler and the assertional concurrency control.
-// It is the default spi.LockService implementation, registered via
+// It is the spi.LockService implementation, registered via
 // spi.RegisterLockService; the scheduler reaches it only through that
-// interface, and the request/item/mode vocabulary lives in accdb/internal/spi
-// (aliased here for the package's own tests and direct users).
+// interface, and the request/item/mode vocabulary it speaks is
+// accdb/internal/spi's, used here directly.
 //
 // Beyond the conventional IS/IX/S/SIX/X modes the manager supports the three
 // lock flavours the paper adds to Open Ingres:
@@ -41,66 +41,18 @@ import (
 	"accdb/internal/spi"
 )
 
-// TxnID identifies a transaction instance.
-type TxnID = spi.TxnID
-
-// Level distinguishes the three granules of the lock hierarchy.
-type Level = spi.Level
-
-// Lock hierarchy levels, re-exported from the SPI.
-const (
-	// LevelTable locks a whole relation.
-	LevelTable = spi.LevelTable
-	// LevelPartition locks a declared key-range of a relation.
-	LevelPartition = spi.LevelPartition
-	// LevelRow locks a single tuple by primary key.
-	LevelRow = spi.LevelRow
-)
-
-// Item names a lockable database item.
-type Item = spi.Item
-
-// Item constructors, re-exported from the SPI.
-var (
-	// TableItem names the table-level item of a relation.
-	TableItem = spi.TableItem
-	// PartitionItem names a partition granule of a relation.
-	PartitionItem = spi.PartitionItem
-	// RowItem names a row granule of a relation.
-	RowItem = spi.RowItem
-)
-
-// Mode is a conventional lock mode.
-type Mode = spi.Mode
-
-// Conventional lock modes plus the assertional mode, re-exported from the SPI.
-const (
-	// ModeIS is intention-shared.
-	ModeIS = spi.ModeIS
-	// ModeIX is intention-exclusive.
-	ModeIX = spi.ModeIX
-	// ModeS is shared.
-	ModeS = spi.ModeS
-	// ModeSIX is shared with intention-exclusive.
-	ModeSIX = spi.ModeSIX
-	// ModeX is exclusive.
-	ModeX = spi.ModeX
-	// ModeA is an assertional lock; requests carry the assertion ID.
-	ModeA = spi.ModeA
-)
-
 // conventionalCompat is the standard multi-granularity compatibility matrix.
-func conventionalCompat(a, b Mode) bool {
+func conventionalCompat(a, b spi.Mode) bool {
 	switch a {
-	case ModeIS:
-		return b != ModeX
-	case ModeIX:
-		return b == ModeIS || b == ModeIX
-	case ModeS:
-		return b == ModeIS || b == ModeS
-	case ModeSIX:
-		return b == ModeIS
-	case ModeX:
+	case spi.ModeIS:
+		return b != spi.ModeX
+	case spi.ModeIX:
+		return b == spi.ModeIS || b == spi.ModeIX
+	case spi.ModeS:
+		return b == spi.ModeIS || b == spi.ModeS
+	case spi.ModeSIX:
+		return b == spi.ModeIS
+	case spi.ModeX:
 		return false
 	}
 	return false
@@ -108,26 +60,26 @@ func conventionalCompat(a, b Mode) bool {
 
 // covers reports whether holding mode `held` already grants the privileges
 // of `want`.
-func covers(held, want Mode) bool {
+func covers(held, want spi.Mode) bool {
 	if held == want {
 		return true
 	}
 	switch held {
-	case ModeX:
+	case spi.ModeX:
 		return true
-	case ModeSIX:
-		return want == ModeS || want == ModeIX || want == ModeIS
-	case ModeS:
-		return want == ModeIS
-	case ModeIX:
-		return want == ModeIS
+	case spi.ModeSIX:
+		return want == spi.ModeS || want == spi.ModeIX || want == spi.ModeIS
+	case spi.ModeS:
+		return want == spi.ModeIS
+	case spi.ModeIX:
+		return want == spi.ModeIS
 	}
 	return false
 }
 
 // sup returns the least mode at least as strong as both arguments (the
 // conversion target when a transaction re-requests an item).
-func sup(a, b Mode) Mode {
+func sup(a, b spi.Mode) spi.Mode {
 	if covers(a, b) {
 		return a
 	}
@@ -136,25 +88,15 @@ func sup(a, b Mode) Mode {
 	}
 	// The only incomparable pairs among {IS,IX,S,SIX,X} are (IX,S) and
 	// (S,IX); their join is SIX.
-	if (a == ModeIX && b == ModeS) || (a == ModeS && b == ModeIX) {
-		return ModeSIX
+	if (a == spi.ModeIX && b == spi.ModeS) || (a == spi.ModeS && b == spi.ModeIX) {
+		return spi.ModeSIX
 	}
-	return ModeX
+	return spi.ModeX
 }
-
-// Oracle answers the design-time interference questions; in production it is
-// *interference.Tables, but tests may stub it.
-type Oracle = spi.Oracle
-
-// TxnInfo is the lock manager's view of a transaction instance (spi.Txn).
-type TxnInfo = spi.Txn
-
-// NewTxnInfo constructs the lock-side descriptor of a transaction.
-var NewTxnInfo = spi.NewTxn
 
 // markShard records that the transaction touched the shard with the given
 // bitmask bit, in the scratch mask spi.Txn reserves for the lock service.
-func markShard(t *TxnInfo, bit uint64) {
+func markShard(t *spi.Txn, bit uint64) {
 	for {
 		old := t.ShardMask.Load()
 		if old&bit != 0 || t.ShardMask.CompareAndSwap(old, old|bit) {
@@ -162,19 +104,3 @@ func markShard(t *TxnInfo, bit uint64) {
 		}
 	}
 }
-
-// Request describes one lock acquisition (spi.LockRequest).
-type Request = spi.LockRequest
-
-// Errors returned by Acquire; identities are shared with the SPI so
-// errors.Is works across the seam.
-var (
-	// ErrDeadlock reports that the request completed a waits-for cycle and
-	// was chosen as the victim. The caller aborts and retries the step.
-	ErrDeadlock = spi.ErrDeadlock
-	// ErrAborted reports that the waiting request was aborted from outside: a
-	// compensating step or an undo shot needed the cycle broken.
-	ErrAborted = spi.ErrAborted
-	// ErrTimeout reports that the configured wait budget elapsed.
-	ErrTimeout = spi.ErrTimeout
-)

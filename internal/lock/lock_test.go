@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accdb/internal/interference"
+	"accdb/internal/spi"
 )
 
 // stubOracle gives tests precise control over interference answers. It is
@@ -54,17 +55,17 @@ func (o *stubOracle) MayInterleave(s interference.StepTypeID, h interference.Txn
 	return o.get(o.interleave, int32(s), int32(h))
 }
 
-func item(name string) Item { return RowItem(name, "k") }
+func item(name string) spi.Item { return spi.RowItem(name, "k") }
 
-func conv(mode Mode) Request { return Request{Mode: mode, Step: 1} }
+func conv(mode spi.Mode) spi.LockRequest { return spi.LockRequest{Mode: mode, Step: 1} }
 
 func TestConventionalCompatMatrix(t *testing.T) {
-	want := map[[2]Mode]bool{
-		{ModeIS, ModeIS}: true, {ModeIS, ModeIX}: true, {ModeIS, ModeS}: true, {ModeIS, ModeSIX}: true, {ModeIS, ModeX}: false,
-		{ModeIX, ModeIS}: true, {ModeIX, ModeIX}: true, {ModeIX, ModeS}: false, {ModeIX, ModeSIX}: false, {ModeIX, ModeX}: false,
-		{ModeS, ModeIS}: true, {ModeS, ModeIX}: false, {ModeS, ModeS}: true, {ModeS, ModeSIX}: false, {ModeS, ModeX}: false,
-		{ModeSIX, ModeIS}: true, {ModeSIX, ModeIX}: false, {ModeSIX, ModeS}: false, {ModeSIX, ModeSIX}: false, {ModeSIX, ModeX}: false,
-		{ModeX, ModeIS}: false, {ModeX, ModeIX}: false, {ModeX, ModeS}: false, {ModeX, ModeSIX}: false, {ModeX, ModeX}: false,
+	want := map[[2]spi.Mode]bool{
+		{spi.ModeIS, spi.ModeIS}: true, {spi.ModeIS, spi.ModeIX}: true, {spi.ModeIS, spi.ModeS}: true, {spi.ModeIS, spi.ModeSIX}: true, {spi.ModeIS, spi.ModeX}: false,
+		{spi.ModeIX, spi.ModeIS}: true, {spi.ModeIX, spi.ModeIX}: true, {spi.ModeIX, spi.ModeS}: false, {spi.ModeIX, spi.ModeSIX}: false, {spi.ModeIX, spi.ModeX}: false,
+		{spi.ModeS, spi.ModeIS}: true, {spi.ModeS, spi.ModeIX}: false, {spi.ModeS, spi.ModeS}: true, {spi.ModeS, spi.ModeSIX}: false, {spi.ModeS, spi.ModeX}: false,
+		{spi.ModeSIX, spi.ModeIS}: true, {spi.ModeSIX, spi.ModeIX}: false, {spi.ModeSIX, spi.ModeS}: false, {spi.ModeSIX, spi.ModeSIX}: false, {spi.ModeSIX, spi.ModeX}: false,
+		{spi.ModeX, spi.ModeIS}: false, {spi.ModeX, spi.ModeIX}: false, {spi.ModeX, spi.ModeS}: false, {spi.ModeX, spi.ModeSIX}: false, {spi.ModeX, spi.ModeX}: false,
 	}
 	for pair, compat := range want {
 		if got := conventionalCompat(pair[0], pair[1]); got != compat {
@@ -75,7 +76,7 @@ func TestConventionalCompatMatrix(t *testing.T) {
 
 // The compatibility matrix must be symmetric.
 func TestConventionalCompatSymmetricQuick(t *testing.T) {
-	modes := []Mode{ModeIS, ModeIX, ModeS, ModeSIX, ModeX}
+	modes := []spi.Mode{spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX}
 	f := func(i, j uint8) bool {
 		a, b := modes[int(i)%len(modes)], modes[int(j)%len(modes)]
 		return conventionalCompat(a, b) == conventionalCompat(b, a)
@@ -87,7 +88,7 @@ func TestConventionalCompatSymmetricQuick(t *testing.T) {
 
 // sup must be an upper bound of both arguments and idempotent.
 func TestSupQuick(t *testing.T) {
-	modes := []Mode{ModeIS, ModeIX, ModeS, ModeSIX, ModeX}
+	modes := []spi.Mode{spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX}
 	f := func(i, j uint8) bool {
 		a, b := modes[int(i)%len(modes)], modes[int(j)%len(modes)]
 		s := sup(a, b)
@@ -100,25 +101,25 @@ func TestSupQuick(t *testing.T) {
 
 func TestSharedGrantsCoexist(t *testing.T) {
 	m := NewManager(newStub())
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("a")
-	if err := m.Acquire(t1, it, conv(ModeS)); err != nil {
+	if err := m.Acquire(t1, it, conv(spi.ModeS)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(t2, it, conv(ModeS)); err != nil {
+	if err := m.Acquire(t2, it, conv(spi.ModeS)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExclusiveBlocksAndReleases(t *testing.T) {
 	m := NewManager(newStub())
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("a")
-	if err := m.Acquire(t1, it, conv(ModeX)); err != nil {
+	if err := m.Acquire(t1, it, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(t2, it, conv(ModeX)) }()
+	go func() { got <- m.Acquire(t2, it, conv(spi.ModeX)) }()
 	select {
 	case err := <-got:
 		t.Fatalf("second X granted while first held: %v", err)
@@ -132,42 +133,42 @@ func TestExclusiveBlocksAndReleases(t *testing.T) {
 
 func TestReentrancyAndConversion(t *testing.T) {
 	m := NewManager(newStub())
-	t1 := NewTxnInfo(1, 1)
+	t1 := spi.NewTxn(1, 1)
 	it := item("a")
 	// S then S: no-op. S then X: conversion. X then S: covered.
-	for _, mode := range []Mode{ModeS, ModeS, ModeX, ModeS, ModeIS, ModeIX} {
+	for _, mode := range []spi.Mode{spi.ModeS, spi.ModeS, spi.ModeX, spi.ModeS, spi.ModeIS, spi.ModeIX} {
 		if err := m.Acquire(t1, it, conv(mode)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
-	if !m.HoldsConventional(1, it, ModeX) {
+	if !m.HoldsConventional(1, it, spi.ModeX) {
 		t.Fatal("conversion to X lost")
 	}
 }
 
 func TestConversionSIX(t *testing.T) {
 	m := NewManager(newStub())
-	t1 := NewTxnInfo(1, 1)
-	tbl := TableItem("t")
-	if err := m.Acquire(t1, tbl, conv(ModeS)); err != nil {
+	t1 := spi.NewTxn(1, 1)
+	tbl := spi.TableItem("t")
+	if err := m.Acquire(t1, tbl, conv(spi.ModeS)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(t1, tbl, conv(ModeIX)); err != nil {
+	if err := m.Acquire(t1, tbl, conv(spi.ModeIX)); err != nil {
 		t.Fatal(err)
 	}
-	if !m.HoldsConventional(1, tbl, ModeSIX) {
+	if !m.HoldsConventional(1, tbl, spi.ModeSIX) {
 		t.Fatal("S + IX should convert to SIX")
 	}
 }
 
 func TestConversionWaitsForOtherReaders(t *testing.T) {
 	m := NewManager(newStub())
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("a")
-	m.Acquire(t1, it, conv(ModeS))
-	m.Acquire(t2, it, conv(ModeS))
+	m.Acquire(t1, it, conv(spi.ModeS))
+	m.Acquire(t2, it, conv(spi.ModeS))
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t1, it, conv(ModeX)) }()
+	go func() { done <- m.Acquire(t1, it, conv(spi.ModeX)) }()
 	select {
 	case <-done:
 		t.Fatal("upgrade granted while another reader held S")
@@ -182,17 +183,17 @@ func TestConversionWaitsForOtherReaders(t *testing.T) {
 func TestFIFOFairnessNoWriterStarvation(t *testing.T) {
 	m := NewManager(newStub())
 	it := item("a")
-	r1 := NewTxnInfo(1, 1)
-	m.Acquire(r1, it, conv(ModeS))
+	r1 := spi.NewTxn(1, 1)
+	m.Acquire(r1, it, conv(spi.ModeS))
 	// Writer queues.
 	wDone := make(chan error, 1)
-	w := NewTxnInfo(2, 1)
-	go func() { wDone <- m.Acquire(w, it, conv(ModeX)) }()
+	w := spi.NewTxn(2, 1)
+	go func() { wDone <- m.Acquire(w, it, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
 	// A later reader must queue behind the writer, not jump it.
 	rDone := make(chan error, 1)
-	r2 := NewTxnInfo(3, 1)
-	go func() { rDone <- m.Acquire(r2, it, conv(ModeS)) }()
+	r2 := spi.NewTxn(3, 1)
+	go func() { rDone <- m.Acquire(r2, it, conv(spi.ModeS)) }()
 	select {
 	case <-rDone:
 		t.Fatal("late reader jumped the queued writer")
@@ -210,17 +211,17 @@ func TestFIFOFairnessNoWriterStarvation(t *testing.T) {
 
 func TestDeadlockVictimIsCycleCloser(t *testing.T) {
 	m := NewManager(newStub())
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	a, b := item("a"), item("b")
-	m.Acquire(t1, a, conv(ModeX))
-	m.Acquire(t2, b, conv(ModeX))
+	m.Acquire(t1, a, conv(spi.ModeX))
+	m.Acquire(t2, b, conv(spi.ModeX))
 	got1 := make(chan error, 1)
-	go func() { got1 <- m.Acquire(t1, b, conv(ModeX)) }()
+	go func() { got1 <- m.Acquire(t1, b, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
 	// t2 closes the cycle and must be the victim.
-	err := m.Acquire(t2, a, conv(ModeX))
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("cycle closer got %v, want ErrDeadlock", err)
+	err := m.Acquire(t2, a, conv(spi.ModeX))
+	if !errors.Is(err, spi.ErrDeadlock) {
+		t.Fatalf("cycle closer got %v, want spi.ErrDeadlock", err)
 	}
 	// t1 is still waiting; releasing t2 frees it.
 	m.ReleaseAll(t2)
@@ -234,19 +235,19 @@ func TestDeadlockVictimIsCycleCloser(t *testing.T) {
 
 func TestCompensatingStepNeverVictim(t *testing.T) {
 	m := NewManager(newStub())
-	cs, fw := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	cs, fw := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	a, b := item("a"), item("b")
-	m.Acquire(cs, a, conv(ModeX))
-	m.Acquire(fw, b, conv(ModeX))
+	m.Acquire(cs, a, conv(spi.ModeX))
+	m.Acquire(fw, b, conv(spi.ModeX))
 	fwDone := make(chan error, 1)
-	go func() { fwDone <- m.Acquire(fw, a, conv(ModeX)) }() // fw waits on cs
+	go func() { fwDone <- m.Acquire(fw, a, conv(spi.ModeX)) }() // fw waits on cs
 	time.Sleep(20 * time.Millisecond)
 	// The compensating step closes the cycle: the forward waiter dies, not it.
-	req := Request{Mode: ModeX, Step: 1, Compensating: true}
+	req := spi.LockRequest{Mode: spi.ModeX, Step: 1, Compensating: true}
 	csDone := make(chan error, 1)
 	go func() { csDone <- m.Acquire(cs, b, req) }()
-	if err := <-fwDone; !errors.Is(err, ErrAborted) {
-		t.Fatalf("forward waiter got %v, want ErrAborted", err)
+	if err := <-fwDone; !errors.Is(err, spi.ErrAborted) {
+		t.Fatalf("forward waiter got %v, want spi.ErrAborted", err)
 	}
 	// After the forward txn releases, the compensating request completes.
 	m.ReleaseAll(fw)
@@ -262,20 +263,20 @@ func TestAssertionalLockBlocksInterferingWriter(t *testing.T) {
 	o := newStub()
 	o.setInterferes(7, 42, true) // step 7 interferes with assertion 42
 	m := NewManager(o)
-	holder, writer := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	holder, writer := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("x")
-	if err := m.Acquire(holder, it, Request{Mode: ModeA, Step: 1, Assertion: 42}); err != nil {
+	if err := m.Acquire(holder, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 42}); err != nil {
 		t.Fatal(err)
 	}
 	// A non-interfering writer passes.
-	ok := NewTxnInfo(3, 1)
-	if err := m.Acquire(ok, it, Request{Mode: ModeX, Step: 9}); err != nil {
+	ok := spi.NewTxn(3, 1)
+	if err := m.Acquire(ok, it, spi.LockRequest{Mode: spi.ModeX, Step: 9}); err != nil {
 		t.Fatalf("non-interfering writer blocked: %v", err)
 	}
 	m.ReleaseAll(ok)
 	// The interfering writer waits until the assertion is released.
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(writer, it, Request{Mode: ModeX, Step: 7}) }()
+	go func() { done <- m.Acquire(writer, it, spi.LockRequest{Mode: spi.ModeX, Step: 7}) }()
 	select {
 	case <-done:
 		t.Fatal("interfering writer not blocked by assertional lock")
@@ -291,15 +292,15 @@ func TestAssertionalLocksNeverConflictWithEachOtherOrReaders(t *testing.T) {
 	o := newStub()
 	o.setInterferes(1, 1, true)
 	m := NewManager(o)
-	t1, t2, t3 := NewTxnInfo(1, 1), NewTxnInfo(2, 1), NewTxnInfo(3, 1)
+	t1, t2, t3 := spi.NewTxn(1, 1), spi.NewTxn(2, 1), spi.NewTxn(3, 1)
 	it := item("x")
-	if err := m.Acquire(t1, it, Request{Mode: ModeA, Step: 1, Assertion: 1}); err != nil {
+	if err := m.Acquire(t1, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(t2, it, Request{Mode: ModeA, Step: 1, Assertion: 2}); err != nil {
+	if err := m.Acquire(t2, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(t3, it, Request{Mode: ModeS, Step: 1}); err != nil {
+	if err := m.Acquire(t3, it, spi.LockRequest{Mode: spi.ModeS, Step: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,20 +309,20 @@ func TestExposureIsolatesUndeclaredSteps(t *testing.T) {
 	o := newStub()
 	o.setInterleave(5, 1, true) // step 5 may see txn type 1's state
 	m := NewManager(o)
-	holder := NewTxnInfo(1, 1) // txn type 1
+	holder := spi.NewTxn(1, 1) // txn type 1
 	it := item("x")
 	m.AttachExposure(holder, it)
 	// Declared step passes.
-	friend := NewTxnInfo(2, 2)
-	if err := m.Acquire(friend, it, Request{Mode: ModeS, Step: 5}); err != nil {
+	friend := spi.NewTxn(2, 2)
+	if err := m.Acquire(friend, it, spi.LockRequest{Mode: spi.ModeS, Step: 5}); err != nil {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(friend)
 	// A legacy step blocks until the holder commits.
-	legacy := NewTxnInfo(3, interference.LegacyTxn)
+	legacy := spi.NewTxn(3, interference.LegacyTxn)
 	done := make(chan error, 1)
 	go func() {
-		done <- m.Acquire(legacy, it, Request{Mode: ModeS, Step: interference.LegacyStep})
+		done <- m.Acquire(legacy, it, spi.LockRequest{Mode: spi.ModeS, Step: interference.LegacyStep})
 	}()
 	select {
 	case <-done:
@@ -336,11 +337,11 @@ func TestExposureIsolatesUndeclaredSteps(t *testing.T) {
 
 func TestExposureIntentionModesPass(t *testing.T) {
 	m := NewManager(newStub())
-	holder := NewTxnInfo(1, 1)
-	it := PartitionItem("t", "p")
+	holder := spi.NewTxn(1, 1)
+	it := spi.PartitionItem("t", "p")
 	m.AttachExposure(holder, it)
-	other := NewTxnInfo(2, 2)
-	if err := m.Acquire(other, it, Request{Mode: ModeIX, Step: 9}); err != nil {
+	other := spi.NewTxn(2, 2)
+	if err := m.Acquire(other, it, spi.LockRequest{Mode: spi.ModeIX, Step: 9}); err != nil {
 		t.Fatal("IX should pass exposure (checked at finer granule)")
 	}
 }
@@ -348,12 +349,12 @@ func TestExposureIntentionModesPass(t *testing.T) {
 func TestExposureBreakpointSensitivity(t *testing.T) {
 	o := newStub()
 	m := NewManager(o)
-	holder := NewTxnInfo(1, 1)
+	holder := spi.NewTxn(1, 1)
 	it := item("x")
 	m.AttachExposure(holder, it)
-	reader := NewTxnInfo(2, 2)
+	reader := spi.NewTxn(2, 2)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(reader, it, Request{Mode: ModeS, Step: 5}) }()
+	go func() { done <- m.Acquire(reader, it, spi.LockRequest{Mode: spi.ModeS, Step: 5}) }()
 	select {
 	case <-done:
 		t.Fatal("reader passed disallowed breakpoint")
@@ -373,13 +374,13 @@ func TestReservationBlocksInterferingAssertion(t *testing.T) {
 	o := newStub()
 	o.setInterferes(99, 7, true) // CS type 99 interferes with assertion 7
 	m := NewManager(o)
-	owner := NewTxnInfo(1, 1)
+	owner := spi.NewTxn(1, 1)
 	it := item("x")
 	m.AttachReservation(owner, it, 99)
 	// Interfering assertional request blocks.
-	other := NewTxnInfo(2, 2)
+	other := spi.NewTxn(2, 2)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(other, it, Request{Mode: ModeA, Step: 3, Assertion: 7}) }()
+	go func() { done <- m.Acquire(other, it, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}) }()
 	select {
 	case <-done:
 		t.Fatal("assertion the compensation would invalidate was granted")
@@ -391,8 +392,8 @@ func TestReservationBlocksInterferingAssertion(t *testing.T) {
 	}
 	// Non-interfering assertion passes.
 	m.AttachReservation(owner, it, 99)
-	third := NewTxnInfo(3, 2)
-	if err := m.Acquire(third, it, Request{Mode: ModeA, Step: 3, Assertion: 8}); err != nil {
+	third := spi.NewTxn(3, 2)
+	if err := m.Acquire(third, it, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -401,18 +402,18 @@ func TestAssertionVsExposurePrefixCheck(t *testing.T) {
 	o := newStub()
 	o.setPrefixSafe(1, 7, true) // txn type 1's prefixes leave assertion 7 true
 	m := NewManager(o)
-	holder := NewTxnInfo(1, 1)
+	holder := spi.NewTxn(1, 1)
 	it := item("x")
 	m.AttachExposure(holder, it)
 	// Safe-prefix assertion is granted over the exposure.
-	safe := NewTxnInfo(2, 2)
-	if err := m.Acquire(safe, it, Request{Mode: ModeA, Step: 3, Assertion: 7}); err != nil {
+	safe := spi.NewTxn(2, 2)
+	if err := m.Acquire(safe, it, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown assertion conservatively blocks.
-	unsafe := NewTxnInfo(3, 2)
+	unsafe := spi.NewTxn(3, 2)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(unsafe, it, Request{Mode: ModeA, Step: 3, Assertion: 8}) }()
+	go func() { done <- m.Acquire(unsafe, it, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}) }()
 	select {
 	case <-done:
 		t.Fatal("assertion locked over interfering prefix")
@@ -424,15 +425,15 @@ func TestAssertionVsExposurePrefixCheck(t *testing.T) {
 
 func TestReleaseStepAbortKeepsAssertionsDropsStepMarks(t *testing.T) {
 	m := NewManager(newStub())
-	txn := NewTxnInfo(1, 1)
+	txn := spi.NewTxn(1, 1)
 	it := item("x")
-	m.Acquire(txn, it, Request{Mode: ModeA, Step: 1, Assertion: 7})
-	m.Acquire(txn, it, conv(ModeX))
+	m.Acquire(txn, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7})
+	m.Acquire(txn, it, conv(spi.ModeX))
 	txn.SetCompletedSteps(2)
 	m.AttachExposure(txn, it) // stepSeq = 2 (current step)
 	m.ReleaseStepAbort(txn)
 	// Conventional and this step's exposure gone; assertional retained.
-	if m.HoldsConventional(1, it, ModeS) {
+	if m.HoldsConventional(1, it, spi.ModeS) {
 		t.Fatal("conventional lock survived step abort")
 	}
 	items := m.HeldItems(1)
@@ -440,14 +441,14 @@ func TestReleaseStepAbortKeepsAssertionsDropsStepMarks(t *testing.T) {
 		t.Fatalf("held items after abort: %v", items)
 	}
 	// Exposure from an earlier step survives a later step's abort.
-	txn2 := NewTxnInfo(2, 1)
+	txn2 := spi.NewTxn(2, 1)
 	m.AttachExposure(txn2, it) // at step 0
 	txn2.SetCompletedSteps(3)
 	m.ReleaseStepAbort(txn2)
-	legacy := NewTxnInfo(9, interference.LegacyTxn)
+	legacy := spi.NewTxn(9, interference.LegacyTxn)
 	done := make(chan error, 1)
 	go func() {
-		done <- m.Acquire(legacy, it, Request{Mode: ModeX, Step: interference.LegacyStep})
+		done <- m.Acquire(legacy, it, spi.LockRequest{Mode: spi.ModeX, Step: interference.LegacyStep})
 	}()
 	select {
 	case <-done:
@@ -461,43 +462,43 @@ func TestReleaseStepAbortKeepsAssertionsDropsStepMarks(t *testing.T) {
 
 // cancelWait kills txn's blocked request, if any, the way deadlock detection
 // kills a victim it chose on a compensation's behalf.
-func cancelWait(txn *TxnInfo) {
+func cancelWait(txn *spi.Txn) {
 	if w := blockedOf(txn); w != nil {
-		w.kill(ErrAborted)
+		w.kill(spi.ErrAborted)
 	}
 }
 
 func TestCancelWait(t *testing.T) {
 	m := NewManager(newStub())
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("x")
-	m.Acquire(t1, it, conv(ModeX))
+	m.Acquire(t1, it, conv(spi.ModeX))
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t2, it, conv(ModeX)) }()
+	go func() { done <- m.Acquire(t2, it, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
 	cancelWait(t2)
-	if err := <-done; !errors.Is(err, ErrAborted) {
-		t.Fatalf("got %v, want ErrAborted", err)
+	if err := <-done; !errors.Is(err, spi.ErrAborted) {
+		t.Fatalf("got %v, want spi.ErrAborted", err)
 	}
 }
 
 func TestWaitTimeout(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = 30 * time.Millisecond
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("x")
-	m.Acquire(t1, it, conv(ModeX))
+	m.Acquire(t1, it, conv(spi.ModeX))
 	start := time.Now()
-	err := m.Acquire(t2, it, conv(ModeX))
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
+	err := m.Acquire(t2, it, conv(spi.ModeX))
+	if !errors.Is(err, spi.ErrTimeout) {
+		t.Fatalf("got %v, want spi.ErrTimeout", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("timeout took too long")
 	}
 	// After the timeout the queue must be clean: release and retry works.
 	m.ReleaseAll(t1)
-	if err := m.Acquire(t2, it, conv(ModeX)); err != nil {
+	if err := m.Acquire(t2, it, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -506,18 +507,18 @@ func TestVictimRemovalUnblocksLaterWaiters(t *testing.T) {
 	// A waiter queued behind a deadlock victim must be re-examined when the
 	// victim is removed (the lost-wakeup regression).
 	m := NewManager(newStub())
-	t1, t2, t3 := NewTxnInfo(1, 1), NewTxnInfo(2, 1), NewTxnInfo(3, 1)
+	t1, t2, t3 := spi.NewTxn(1, 1), spi.NewTxn(2, 1), spi.NewTxn(3, 1)
 	a, b := item("a"), item("b")
-	m.Acquire(t1, a, conv(ModeX))
-	m.Acquire(t2, b, conv(ModeX))
+	m.Acquire(t1, a, conv(spi.ModeX))
+	m.Acquire(t2, b, conv(spi.ModeX))
 	done1 := make(chan error, 1)
-	go func() { done1 <- m.Acquire(t1, b, conv(ModeX)) }() // t1 waits for t2
+	go func() { done1 <- m.Acquire(t1, b, conv(spi.ModeX)) }() // t1 waits for t2
 	time.Sleep(20 * time.Millisecond)
 	done3 := make(chan error, 1)
-	go func() { done3 <- m.Acquire(t3, b, conv(ModeS)) }() // t3 queues behind t1
+	go func() { done3 <- m.Acquire(t3, b, conv(spi.ModeS)) }() // t3 queues behind t1
 	time.Sleep(20 * time.Millisecond)
 	// t2 closes the cycle: victim. t1 still waits; t3 still waits.
-	if err := m.Acquire(t2, a, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
+	if err := m.Acquire(t2, a, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
 		t.Fatal("expected deadlock")
 	}
 	m.ReleaseAll(t2) // t1 gets b, t3 remains behind t1's X
@@ -535,17 +536,17 @@ func TestStressManyTxnsNoLeaks(t *testing.T) {
 	m := NewManager(o)
 	m.WaitTimeout = 5 * time.Second
 	var wg sync.WaitGroup
-	items := []Item{item("a"), item("b"), item("c"), item("d")}
+	items := []spi.Item{item("a"), item("b"), item("c"), item("d")}
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				txn := NewTxnInfo(TxnID(g*1000+i+1), 1)
+				txn := spi.NewTxn(spi.TxnID(g*1000+i+1), 1)
 				for j, it := range items {
-					mode := ModeS
+					mode := spi.ModeS
 					if (g+i+j)%3 == 0 {
-						mode = ModeX
+						mode = spi.ModeX
 					}
 					if err := m.Acquire(txn, it, conv(mode)); err != nil {
 						break // deadlock victim: give up this txn
@@ -560,9 +561,9 @@ func TestStressManyTxnsNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything must be released: a fresh X on every item succeeds at once.
-	probe := NewTxnInfo(999999, 1)
+	probe := spi.NewTxn(999999, 1)
 	for _, it := range items {
-		if err := m.Acquire(probe, it, conv(ModeX)); err != nil {
+		if err := m.Acquire(probe, it, conv(spi.ModeX)); err != nil {
 			t.Fatalf("leaked lock on %v: %v", it, err)
 		}
 	}

@@ -40,11 +40,11 @@ const (
 // of different kinds on the same item (e.g. a conventional X, an assertional
 // lock, and an exposure mark).
 type grant struct {
-	txn  *TxnInfo
+	txn  *spi.Txn
 	st   *lockState // the item's state; the grant is in st.grants
 	kind grantKind
 
-	mode      Mode                     // conventional, retired
+	mode      spi.Mode                 // conventional, retired
 	lsn       uint64                   // retired: log position of the holder's step record
 	step      interference.StepTypeID  // conventional, assertional: acquiring step type
 	assertion interference.AssertionID // assertional
@@ -59,9 +59,9 @@ type grant struct {
 // owning shard's latch (sh.mu); the grantor (grant pass, victim kill) sets
 // exactly one outcome and signals ch exactly once, all under that latch.
 type waiter struct {
-	txn  *TxnInfo
-	req  Request
-	item Item
+	txn  *spi.Txn
+	req  spi.LockRequest
+	item spi.Item
 	st   *lockState // item's state, never reaped while w is queued
 	m    *Manager   // owns sh; a deadlock walk may reach w from another manager
 	sh   *shard
@@ -80,7 +80,7 @@ type waiter struct {
 }
 
 type lockState struct {
-	item   Item
+	item   spi.Item
 	grants []*grant
 	queue  []*waiter
 	// retired counts the kindRetired entries in grants, so a grant on an item
@@ -91,9 +91,6 @@ type lockState struct {
 	pass uint64
 }
 
-// Stats aggregates lock-manager counters (spi.LockStats).
-type Stats = spi.LockStats
-
 // Manager is the lock manager. The lock table is partitioned into shards —
 // the structure of the sharded Ingres lock manager the paper modified —
 // each with its own latch, item map and wait queues, so Acquires on
@@ -101,7 +98,7 @@ type Stats = spi.LockStats
 // channels; a blocked request is published in its transaction's group's
 // Blocked slot, where deadlock detection finds it.
 type Manager struct {
-	oracle Oracle
+	oracle spi.Oracle
 
 	// WaitTimeout bounds each blocking Acquire; zero means wait forever.
 	// It is a safety net for tests and drivers, not a scheduling policy.
@@ -116,21 +113,16 @@ type Manager struct {
 	tracer *trace.Tracer
 }
 
-// ClassStats aggregates wait behaviour for one (table, level, mode) class
-// (spi.ClassStats); the benchmarks use it to attribute contention to
-// specific hot spots.
-type ClassStats = spi.ClassStats
-
 // NewManager creates a lock manager with the default shard count,
 // max(16, 4×GOMAXPROCS) capped at 64, using the given interference oracle.
-func NewManager(oracle Oracle) *Manager {
+func NewManager(oracle spi.Oracle) *Manager {
 	return NewManagerWithShards(oracle, defaultShardCount())
 }
 
 // NewManagerWithShards creates a lock manager with an explicit shard count
 // (rounded up to a power of two, capped at 64). n = 1 degenerates to the
 // single-latch manager, which the shard benchmarks use as their baseline.
-func NewManagerWithShards(oracle Oracle, n int) *Manager {
+func NewManagerWithShards(oracle spi.Oracle, n int) *Manager {
 	if n < 1 {
 		n = 1
 	}
@@ -162,7 +154,7 @@ func (m *Manager) SetWaitTimeout(d time.Duration) { m.WaitTimeout = d }
 
 // emitLock sends one lock-layer event. Callers nil-check m.tracer first so
 // the disabled path never builds the event.
-func (m *Manager) emitLock(kind trace.Kind, txn TxnID, item Item, sh *shard, mode string, dur int64, extra string) {
+func (m *Manager) emitLock(kind trace.Kind, txn spi.TxnID, item spi.Item, sh *shard, mode string, dur int64, extra string) {
 	ev := trace.Ev(kind, uint64(txn))
 	ev.Mode, ev.Item, ev.Shard, ev.Dur, ev.Extra = mode, item.String(), sh.idx, dur, extra
 	m.tracer.Emit(ev)
@@ -170,21 +162,21 @@ func (m *Manager) emitLock(kind trace.Kind, txn TxnID, item Item, sh *shard, mod
 
 // conflictsWithGrant reports whether request (txn, req) conflicts with an
 // existing grant g. Same-transaction entries never conflict.
-func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
+func (m *Manager) conflictsWithGrant(txn *spi.Txn, req spi.LockRequest, g *grant) bool {
 	if g.txn.ID == txn.ID {
 		return false
 	}
 	switch req.Mode {
-	case ModeIS, ModeIX, ModeS, ModeSIX, ModeX:
+	case spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX:
 		switch g.kind {
 		case kindConventional:
 			return !conventionalCompat(req.Mode, g.mode)
 		case kindAssertional:
 			// Only writers can invalidate an assertion.
-			if req.Mode == ModeX || req.Mode == ModeSIX || req.Mode == ModeIX {
+			if req.Mode == spi.ModeX || req.Mode == spi.ModeSIX || req.Mode == spi.ModeIX {
 				// Intention modes do not themselves touch data at this
 				// granule; only the explicit writer modes are checked.
-				if req.Mode == ModeIX {
+				if req.Mode == spi.ModeIX {
 					return false
 				}
 				return m.oracle.Interferes(req.Step, g.assertion)
@@ -195,19 +187,19 @@ func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
 			// the holder's current breakpoint to observe its intermediate
 			// state. Intention modes pass: the real access is checked at the
 			// finer granule.
-			if req.Mode == ModeIS || req.Mode == ModeIX {
+			if req.Mode == spi.ModeIS || req.Mode == spi.ModeIX {
 				return false
 			}
 			return !m.oracle.MayInterleave(req.Step, g.txn.Type, g.txn.CompletedSteps())
 		case kindReservation:
 			return false
 		}
-	case ModeA:
+	case spi.ModeA:
 		switch g.kind {
 		case kindConventional:
 			// A writer currently holds the item; the assertion may be
 			// invalidated by that in-flight step.
-			if g.mode == ModeX || g.mode == ModeSIX {
+			if g.mode == spi.ModeX || g.mode == spi.ModeSIX {
 				return m.oracle.Interferes(g.step, req.Assertion)
 			}
 			return false
@@ -234,13 +226,13 @@ func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
 
 // conflictsWithWaiter reports whether an incoming request must queue behind
 // an earlier waiter (FIFO fairness: treat the earlier request as if granted).
-func (m *Manager) conflictsWithWaiter(txn *TxnInfo, req Request, w *waiter) bool {
+func (m *Manager) conflictsWithWaiter(txn *spi.Txn, req spi.LockRequest, w *waiter) bool {
 	if w.txn.ID == txn.ID {
 		return false
 	}
 	g := &grant{txn: w.txn, mode: w.req.Mode, step: w.req.Step}
 	switch w.req.Mode {
-	case ModeA:
+	case spi.ModeA:
 		g.kind = kindAssertional
 		g.assertion = w.req.Assertion
 	default:
@@ -250,7 +242,7 @@ func (m *Manager) conflictsWithWaiter(txn *TxnInfo, req Request, w *waiter) bool
 }
 
 // findConventional returns txn's conventional grant on the state, if any.
-func (st *lockState) findConventional(txn TxnID) *grant {
+func (st *lockState) findConventional(txn spi.TxnID) *grant {
 	for _, g := range st.grants {
 		if g.kind == kindConventional && g.txn.ID == txn {
 			return g
@@ -260,7 +252,7 @@ func (st *lockState) findConventional(txn TxnID) *grant {
 }
 
 // findAssertional returns txn's assertional grant for an assertion, if any.
-func (st *lockState) findAssertional(txn TxnID, a interference.AssertionID) *grant {
+func (st *lockState) findAssertional(txn spi.TxnID, a interference.AssertionID) *grant {
 	for _, g := range st.grants {
 		if g.kind == kindAssertional && g.txn.ID == txn && g.assertion == a {
 			return g
@@ -270,7 +262,7 @@ func (st *lockState) findAssertional(txn TxnID, a interference.AssertionID) *gra
 }
 
 // retiredOf returns txn's retired grant on the state, if any.
-func (st *lockState) retiredOf(txn TxnID) *grant {
+func (st *lockState) retiredOf(txn spi.TxnID) *grant {
 	if st.retired == 0 {
 		return nil
 	}
@@ -295,7 +287,7 @@ func (st *lockState) unlink(g *grant) {
 // Acquire obtains the requested lock on item for txn, blocking until it is
 // granted, the request is chosen as a deadlock victim, the wait is cancelled,
 // or the wait budget expires.
-func (m *Manager) Acquire(txn *TxnInfo, item Item, req Request) error {
+func (m *Manager) Acquire(txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
 	return m.AcquireCtx(context.Background(), txn, item, req)
 }
 
@@ -304,14 +296,14 @@ func (m *Manager) Acquire(txn *TxnInfo, item Item, req Request) error {
 // (or an expired deadline) stops waiting immediately and the engine can
 // roll the transaction back by compensation. The fast path — the lock is
 // granted without waiting — never consults ctx.
-func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req Request) error {
+func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
 	sh := m.shardOf(item)
 	sh.stats.acquisitions.Add(1)
 	sh.mu.Lock()
 	st := sh.state(item)
 
 	// Reentrant and conversion handling for conventional modes.
-	if req.Mode != ModeA {
+	if req.Mode != spi.ModeA {
 		if g := st.findConventional(txn.ID); g != nil {
 			want := sup(g.mode, req.Mode)
 			if want == g.mode {
@@ -344,7 +336,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req R
 		}
 	}
 
-	if !m.anyGrantConflict(txn, req, st) && !m.anyWaiterConflict(txn, req, st) {
+	if !m.anyGrantConflict(txn, req, st) && !m.anyWaiterConflict(txn, req, st.queue) {
 		m.install(txn, sh, st, req)
 		sh.mu.Unlock()
 		if m.tracer != nil {
@@ -357,7 +349,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req R
 
 // anyGrantConflict reports a conflict between req and any current grant.
 // Caller holds the item's shard latch.
-func (m *Manager) anyGrantConflict(txn *TxnInfo, req Request, st *lockState) bool {
+func (m *Manager) anyGrantConflict(txn *spi.Txn, req spi.LockRequest, st *lockState) bool {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(txn, req, g) {
 			return true
@@ -366,10 +358,11 @@ func (m *Manager) anyGrantConflict(txn *TxnInfo, req Request, st *lockState) boo
 	return false
 }
 
-// anyWaiterConflict reports a conflict between req and any queued waiter.
-// Caller holds the item's shard latch.
-func (m *Manager) anyWaiterConflict(txn *TxnInfo, req Request, st *lockState) bool {
-	for _, w := range st.queue {
+// anyWaiterConflict reports a conflict between req and any of the waiters
+// queued ahead of it: the whole queue for a new request, queue[:i] for the
+// waiter at index i. Caller holds the item's shard latch.
+func (m *Manager) anyWaiterConflict(txn *spi.Txn, req spi.LockRequest, ahead []*waiter) bool {
+	for _, w := range ahead {
 		if m.conflictsWithWaiter(txn, req, w) {
 			return true
 		}
@@ -381,7 +374,7 @@ func (m *Manager) anyWaiterConflict(txn *TxnInfo, req Request, st *lockState) bo
 // given mode would have conflicted with: the holder's record may not be
 // durable yet, and txn is about to see (or overwrite) what it wrote. Caller
 // holds the item's shard latch.
-func noteRetired(txn *TxnInfo, mode Mode, st *lockState) {
+func noteRetired(txn *spi.Txn, mode spi.Mode, st *lockState) {
 	if st.retired == 0 {
 		return
 	}
@@ -394,8 +387,8 @@ func noteRetired(txn *TxnInfo, mode Mode, st *lockState) {
 
 // install adds the grant entry for a now-compatible request; a conversion
 // only raises the held grant's mode. Caller holds the item's shard latch.
-func (m *Manager) install(txn *TxnInfo, sh *shard, st *lockState, req Request) {
-	if req.Mode == ModeA {
+func (m *Manager) install(txn *spi.Txn, sh *shard, st *lockState, req spi.LockRequest) {
+	if req.Mode == spi.ModeA {
 		sh.newGrant(txn, st, kindAssertional).assertion = req.Assertion
 		return
 	}
@@ -415,7 +408,7 @@ func (m *Manager) install(txn *TxnInfo, sh *shard, st *lockState, req Request) {
 // and its mode tag names what was waited on. A request queued only behind
 // earlier waiters classifies by the front waiter's would-be grant. Caller
 // holds the shard latch.
-func (m *Manager) blockStage(txn *TxnInfo, req Request, st *lockState) (trace.SpanStage, string) {
+func (m *Manager) blockStage(txn *spi.Txn, req spi.LockRequest, st *lockState) (trace.SpanStage, string) {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(txn, req, g) {
 			switch g.kind {
@@ -432,7 +425,7 @@ func (m *Manager) blockStage(txn *TxnInfo, req Request, st *lockState) (trace.Sp
 	}
 	for _, qw := range st.queue {
 		if m.conflictsWithWaiter(txn, req, qw) {
-			if qw.req.Mode == ModeA {
+			if qw.req.Mode == spi.ModeA {
 				return trace.StageLockA, "A"
 			}
 			return trace.StageLockConv, qw.req.Mode.String()
@@ -459,9 +452,9 @@ func spanWait(w *waiter, waited time.Duration, kind trace.Kind) {
 // mechanics).
 func spanWaitKind(granted bool, err error) trace.Kind {
 	switch {
-	case err == ErrTimeout:
+	case err == spi.ErrTimeout:
 		return trace.KindLockTimeout
-	case err == ErrDeadlock:
+	case err == spi.ErrDeadlock:
 		return trace.KindDeadlockVictim
 	case err != nil || !granted:
 		return trace.KindLockAbort
@@ -473,7 +466,7 @@ func spanWaitKind(granted bool, err error) trace.Kind {
 // wait enqueues the request, publishes it in its group's Blocked slot, runs
 // deadlock detection, and parks until the grant, a victim kill, the wait
 // budget, or ctx. Called with sh.mu held; releases it.
-func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, st *lockState, req Request, conversion bool) error {
+func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *shard, st *lockState, req spi.LockRequest, conversion bool) error {
 	w := &waiter{txn: txn, req: req, item: item, st: st, m: m, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
 	if txn.Span != nil {
 		w.stage, w.blockedBy = m.blockStage(txn, req, st)
@@ -514,7 +507,7 @@ func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, 
 	select {
 	case <-w.ch:
 	case <-timeout:
-		w.kill(ErrTimeout)
+		w.kill(spi.ErrTimeout)
 		<-w.ch
 	case <-ctx.Done():
 		// The caller gave up: a disconnected session or an expired deadline.
@@ -546,7 +539,7 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 		return err
 	}
 	if !granted {
-		return ErrAborted
+		return spi.ErrAborted
 	}
 	return nil
 }
@@ -557,9 +550,9 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int64) {
 	kind, extra := spanWaitKind(granted, err), ""
 	switch {
-	case err == ErrDeadlock:
+	case err == spi.ErrDeadlock:
 		extra = "self"
-	case err != nil && err != ErrTimeout && err != ErrAborted:
+	case err != nil && err != spi.ErrTimeout && err != spi.ErrAborted:
 		extra = "ctx" // the caller's context
 	case err == nil && granted && w.conv:
 		kind, extra = trace.KindLockUpgrade, "waited"
@@ -570,7 +563,7 @@ func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int
 // isConversion reports whether w is a conversion (its txn already holds a
 // conventional grant on the item). Caller holds the shard latch.
 func (w *waiter) isConversion(st *lockState) bool {
-	return st.findConventional(w.txn.ID) != nil && w.req.Mode != ModeA
+	return st.findConventional(w.txn.ID) != nil && w.req.Mode != spi.ModeA
 }
 
 // removeWaiter unlinks w from its queue and re-examines the queue: waiters
@@ -592,7 +585,7 @@ func (m *Manager) removeWaiter(sh *shard, w *waiter) {
 func (m *Manager) grantPass(sh *shard, st *lockState) {
 	for i := 0; i < len(st.queue); {
 		w := st.queue[i]
-		if m.anyGrantConflict(w.txn, w.req, st) || m.conflictsAhead(w, st, i) {
+		if m.anyGrantConflict(w.txn, w.req, st) || m.anyWaiterConflict(w.txn, w.req, st.queue[:i]) {
 			i++
 			continue
 		}
@@ -608,22 +601,11 @@ func (m *Manager) grantPass(sh *shard, st *lockState) {
 	}
 }
 
-// conflictsAhead reports whether waiter at index i conflicts with any waiter
-// ahead of it. Caller holds the shard latch.
-func (m *Manager) conflictsAhead(w *waiter, st *lockState, i int) bool {
-	for j := 0; j < i; j++ {
-		if m.conflictsWithWaiter(w.txn, w.req, st.queue[j]) {
-			return true
-		}
-	}
-	return false
-}
-
 // AttachExposure marks item as exposed by txn: another transaction's
 // conventional access now requires interleaving permission at txn's current
 // breakpoint. Idempotent per (txn, item); the first step to expose wins, so
 // aborting a later step does not drop an earlier exposure.
-func (m *Manager) AttachExposure(txn *TxnInfo, item Item) {
+func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 	sh := m.shardOf(item)
 	sh.mu.Lock()
 	st := sh.state(item)
@@ -643,7 +625,7 @@ func (m *Manager) AttachExposure(txn *TxnInfo, item Item) {
 // AttachReservation records that a compensating step of type cs may later
 // modify item; assertional locks that cs would interfere with are refused on
 // it (§3.4's "new type of assertional lock").
-func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.StepTypeID) {
+func (m *Manager) AttachReservation(txn *spi.Txn, item spi.Item, cs interference.StepTypeID) {
 	if cs == interference.NoStep {
 		return
 	}
@@ -677,10 +659,10 @@ func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.Ste
 // dropLock leaves the locks alone. A nil dropMark keeps every mark but
 // re-examines the waiters on marked items: the holder is at a step boundary,
 // and exposure conflicts depend on its breakpoint. It visits only the shards
-// the transaction has touched (a bitmask on TxnInfo), one latch at a time;
+// the transaction has touched (a bitmask on spi.Txn), one latch at a time;
 // the release is not atomic across shards, which is harmless — lock release
 // order within the shrinking phase of 2PL is unconstrained.
-func (m *Manager) releaseWhere(txn *TxnInfo, dropLock, dropMark func(*grant) bool) {
+func (m *Manager) releaseWhere(txn *spi.Txn, dropLock, dropMark func(*grant) bool) {
 	mask := txn.ShardMask.Load()
 	for i := 0; mask != 0; i++ {
 		bit := uint64(1) << uint(i)
@@ -699,7 +681,7 @@ func (m *Manager) releaseWhere(txn *TxnInfo, dropLock, dropMark func(*grant) boo
 
 // releaseInShard applies a release pass to txn's held set in one shard.
 // Caller holds sh.mu.
-func (m *Manager) releaseInShard(sh *shard, txn TxnID, hs *heldSet, dropLock, dropMark func(*grant) bool) {
+func (m *Manager) releaseInShard(sh *shard, txn spi.TxnID, hs *heldSet, dropLock, dropMark func(*grant) bool) {
 	sh.pass++
 	if dropLock != nil {
 		hs.locks = sh.dropFrom(hs.locks, dropLock)
@@ -732,7 +714,7 @@ func dropEvery(*grant) bool { return true }
 // retired grants that became durable meanwhile are dropped as well. final is
 // the transaction's last boundary: its assertional, exposure and reservation
 // entries go too, leaving only retired grants for ReleaseAll.
-func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
+func (m *Manager) Retire(txn *spi.Txn, lsn, durable uint64, final bool) {
 	dropMark := dropEvery
 	if !final {
 		dropMark = nil
@@ -741,7 +723,7 @@ func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
 		switch {
 		case g.kind == kindRetired:
 			return g.lsn <= durable
-		case lsn <= durable || g.mode == ModeIS || g.mode == ModeS:
+		case lsn <= durable || g.mode == spi.ModeIS || g.mode == spi.ModeS:
 			return true
 		}
 		if r := g.st.retiredOf(txn.ID); r != nil {
@@ -758,7 +740,7 @@ func (m *Manager) Retire(txn *TxnInfo, lsn, durable uint64, final bool) {
 // reservation marks attached during the aborted step (its writes are being
 // undone). Assertional locks are retained — the paper keeps them between
 // steps, which is why a recurring deadlock escalates to compensation.
-func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
+func (m *Manager) ReleaseStepAbort(txn *spi.Txn) {
 	seq := txn.CompletedSteps()
 	m.releaseWhere(txn, func(g *grant) bool {
 		return g.kind == kindConventional
@@ -769,7 +751,7 @@ func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
 
 // ReleaseAssertion drops txn's assertional locks for one assertion type
 // (its precondition has been discharged by the completing step).
-func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
+func (m *Manager) ReleaseAssertion(txn *spi.Txn, a interference.AssertionID) {
 	m.releaseWhere(txn, nil, func(g *grant) bool {
 		return g.kind == kindAssertional && g.assertion == a
 	})
@@ -777,14 +759,14 @@ func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
 
 // ReleaseAll releases everything txn holds, retired grants included: an
 // abort, or the end of the durability wait that follows the final Retire.
-func (m *Manager) ReleaseAll(txn *TxnInfo) {
+func (m *Manager) ReleaseAll(txn *spi.Txn) {
 	m.releaseWhere(txn, dropEvery, dropEvery)
 }
 
 // HeldItems returns the items on which txn currently holds any entry,
 // useful for tests and debugging.
-func (m *Manager) HeldItems(txn TxnID) []Item {
-	var out []Item
+func (m *Manager) HeldItems(txn spi.TxnID) []spi.Item {
+	var out []spi.Item
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		if hs, ok := sh.held[txn]; ok {
@@ -801,7 +783,7 @@ func (m *Manager) HeldItems(txn TxnID) []Item {
 
 // HoldsConventional reports whether txn holds a conventional lock of at
 // least mode want on item.
-func (m *Manager) HoldsConventional(txn TxnID, item Item, want Mode) bool {
+func (m *Manager) HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode) bool {
 	sh := m.shardOf(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -814,8 +796,8 @@ func (m *Manager) HoldsConventional(txn TxnID, item Item, want Mode) bool {
 }
 
 // ByClass returns the per-class wait tallies, aggregated across shards.
-func (m *Manager) ByClass() map[string]ClassStats {
-	out := make(map[string]ClassStats)
+func (m *Manager) ByClass() map[string]spi.ClassStats {
+	out := make(map[string]spi.ClassStats)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for k, v := range sh.byClass {
@@ -830,11 +812,9 @@ func (m *Manager) ByClass() map[string]ClassStats {
 	return out
 }
 
-// Stats returns the counters, aggregated across shards. (Renamed from
-// Snapshot: Manager.Snapshot now returns the structural lock-table dump in
-// snapshot.go.)
-func (m *Manager) Stats() Stats {
-	var s Stats
+// Stats returns the counters, aggregated across shards.
+func (m *Manager) Stats() spi.LockStats {
+	var s spi.LockStats
 	for _, sh := range m.shards {
 		s.Acquisitions += sh.stats.acquisitions.Load()
 		s.Waits += sh.stats.waits.Load()

@@ -114,13 +114,13 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 	o.setInterleave(1, 1, true) // step type 1 may see type-1 exposures
 	m := NewManager(o)
 	m.WaitTimeout = 10 * time.Second
-	tbl := TableItem("t")
-	rows := make([]Item, 48)
+	tbl := spi.TableItem("t")
+	rows := make([]spi.Item, 48)
 	for i := range rows {
-		rows[i] = RowItem("t", spi.Key(fmt.Sprintf("row-%d", i)))
+		rows[i] = spi.RowItem("t", spi.Key(fmt.Sprintf("row-%d", i)))
 	}
 	var lsns, durable atomic.Uint64
-	retire := func(txn *TxnInfo, rng *rand.Rand, final bool) {
+	retire := func(txn *spi.Txn, rng *rand.Rand, final bool) {
 		lsn := lsns.Add(1)
 		if rng.Intn(3) == 0 {
 			for d := durable.Load(); d < lsn && !durable.CompareAndSwap(d, lsn); d = durable.Load() {
@@ -130,11 +130,11 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 	}
 	// run executes one transaction; false means a lock request failed and
 	// the transaction was released whole.
-	run := func(txn *TxnInfo, rng *rand.Rand) bool {
+	run := func(txn *spi.Txn, rng *rand.Rand) bool {
 		window := rng.Intn(len(rows) - 4) // a few rows, so later steps refold
 		for step, steps := 0, 1+rng.Intn(4); step < steps; step++ {
 			st := interference.StepTypeID(1 + rng.Intn(2))
-			if err := m.Acquire(txn, tbl, Request{Mode: ModeIX, Step: st}); err != nil {
+			if err := m.Acquire(txn, tbl, spi.LockRequest{Mode: spi.ModeIX, Step: st}); err != nil {
 				return false
 			}
 			for k := 0; k < 3; k++ {
@@ -142,20 +142,20 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					err = m.Acquire(txn, row, Request{Mode: ModeS, Step: st})
+					err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeS, Step: st})
 				case 1: // S then X: a conversion
-					if err = m.Acquire(txn, row, Request{Mode: ModeS, Step: st}); err == nil {
-						err = m.Acquire(txn, row, Request{Mode: ModeX, Step: st})
+					if err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeS, Step: st}); err == nil {
+						err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeX, Step: st})
 					}
 				case 2:
-					err = m.Acquire(txn, row, Request{Mode: ModeA, Step: st, Assertion: interference.AssertionID(1 + rng.Intn(2))})
+					err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeA, Step: st, Assertion: interference.AssertionID(1 + rng.Intn(2))})
 				default:
-					if err = m.Acquire(txn, row, Request{Mode: ModeX, Step: st}); err == nil {
+					if err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeX, Step: st}); err == nil {
 						m.AttachExposure(txn, row)
 						m.AttachReservation(txn, row, interference.StepTypeID(9+rng.Intn(2)))
 					}
 				}
-				if errors.Is(err, ErrTimeout) {
+				if errors.Is(err, spi.ErrTimeout) {
 					t.Errorf("T%d timed out on %v: a waiter was never re-examined", txn.ID, row)
 				}
 				if err != nil {
@@ -202,7 +202,7 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(g)))
 			for i := 0; i < txns; i++ {
-				txn := NewTxnInfo(TxnID(g*1000+i+1), interference.TxnTypeID(1+rng.Intn(2)))
+				txn := spi.NewTxn(spi.TxnID(g*1000+i+1), interference.TxnTypeID(1+rng.Intn(2)))
 				if run(txn, rng) {
 					committed.Add(1)
 				}
@@ -229,14 +229,14 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 // final Retire and ReleaseAll — allocate nothing.
 func TestStepBoundaryAllocFree(t *testing.T) {
 	m := NewManager(newStub())
-	tbl, row := TableItem("t"), RowItem("t", "k")
-	txn := NewTxnInfo(1, 1)
+	tbl, row := spi.TableItem("t"), spi.RowItem("t", "k")
+	txn := spi.NewTxn(1, 1)
 	var lsn uint64
 	step := func(final bool) {
-		if err := m.Acquire(txn, tbl, conv(ModeIX)); err != nil {
+		if err := m.Acquire(txn, tbl, conv(spi.ModeIX)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Acquire(txn, row, conv(ModeX)); err != nil {
+		if err := m.Acquire(txn, row, conv(spi.ModeX)); err != nil {
 			t.Fatal(err)
 		}
 		m.AttachExposure(txn, row)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"accdb/internal/spi"
 )
 
 // retiredGrants lists txn's retired entries in the lock-table dump and fails
 // the test if the dump has a waits-for edge that leads to txn.
-func retiredGrants(t *testing.T, m *Manager, txn TxnID) []GrantSnapshot {
+func retiredGrants(t *testing.T, m *Manager, txn spi.TxnID) []spi.GrantSnapshot {
 	t.Helper()
 	snap := m.Snapshot()
 	for _, e := range snap.Edges {
@@ -16,7 +18,7 @@ func retiredGrants(t *testing.T, m *Manager, txn TxnID) []GrantSnapshot {
 			t.Fatalf("waits-for edge to a transaction that only holds retired grants: %+v", e)
 		}
 	}
-	var out []GrantSnapshot
+	var out []spi.GrantSnapshot
 	for _, sh := range snap.Shards {
 		for _, it := range sh.Items {
 			for _, g := range it.Grants {
@@ -35,10 +37,10 @@ func retiredGrants(t *testing.T, m *Manager, txn TxnID) []GrantSnapshot {
 func TestRetiredGrantBlocksNobodyButIsRemembered(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = 5 * time.Second
-	row, part := item("r"), PartitionItem("t", "p")
+	row, part := item("r"), spi.PartitionItem("t", "p")
 
-	w := NewTxnInfo(1, 1)
-	for it, mode := range map[Item]Mode{row: ModeX, part: ModeIX, item("read"): ModeS} {
+	w := spi.NewTxn(1, 1)
+	for it, mode := range map[spi.Item]spi.Mode{row: spi.ModeX, part: spi.ModeIX, item("read"): spi.ModeS} {
 		if err := m.Acquire(w, it, conv(mode)); err != nil {
 			t.Fatal(err)
 		}
@@ -54,24 +56,24 @@ func TestRetiredGrantBlocksNobodyButIsRemembered(t *testing.T) {
 			t.Fatalf("retired grant %+v, want mode X or IX at lsn 100", r)
 		}
 	}
-	if m.HoldsConventional(w.ID, row, ModeX) {
+	if m.HoldsConventional(w.ID, row, spi.ModeX) {
 		t.Fatal("a retired grant still counts as a held lock")
 	}
 
 	for i, c := range []struct {
 		name string
-		it   Item
-		mode Mode
+		it   spi.Item
+		mode spi.Mode
 		dep  uint64
 	}{
-		{"S over retired X", row, ModeS, 100},
-		{"X over retired X", row, ModeX, 100},
-		{"IS over retired IX", part, ModeIS, 0},
-		{"IX over retired IX", part, ModeIX, 0},
-		{"S over retired IX", part, ModeS, 100},
-		{"S where only an S was released", item("read"), ModeS, 0},
+		{"S over retired X", row, spi.ModeS, 100},
+		{"X over retired X", row, spi.ModeX, 100},
+		{"IS over retired IX", part, spi.ModeIS, 0},
+		{"IX over retired IX", part, spi.ModeIX, 0},
+		{"S over retired IX", part, spi.ModeS, 100},
+		{"S where only an S was released", item("read"), spi.ModeS, 0},
 	} {
-		r := NewTxnInfo(TxnID(10+i), 1)
+		r := spi.NewTxn(spi.TxnID(10+i), 1)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		err := m.AcquireCtx(ctx, r, c.it, conv(c.mode))
 		cancel()
@@ -85,11 +87,11 @@ func TestRetiredGrantBlocksNobodyButIsRemembered(t *testing.T) {
 	}
 
 	// A conversion that lands on a retired grant's mode learns it too.
-	r := NewTxnInfo(50, 1)
-	if err := m.Acquire(r, part, conv(ModeIS)); err != nil || r.DepLSN() != 0 {
+	r := spi.NewTxn(50, 1)
+	if err := m.Acquire(r, part, conv(spi.ModeIS)); err != nil || r.DepLSN() != 0 {
 		t.Fatalf("IS: err %v dep %d", err, r.DepLSN())
 	}
-	if err := m.Acquire(r, part, conv(ModeS)); err != nil || r.DepLSN() != 100 {
+	if err := m.Acquire(r, part, conv(spi.ModeS)); err != nil || r.DepLSN() != 100 {
 		t.Fatalf("IS->S over retired IX: err %v dep %d, want 100", err, r.DepLSN())
 	}
 	m.ReleaseAll(r)
@@ -106,13 +108,13 @@ func TestRetiredGrantBlocksNobodyButIsRemembered(t *testing.T) {
 func TestRetireFoldsAndExpires(t *testing.T) {
 	m := NewManager(newStub())
 	row := item("r")
-	w := NewTxnInfo(1, 1)
+	w := spi.NewTxn(1, 1)
 
-	if err := m.Acquire(w, row, conv(ModeIX)); err != nil {
+	if err := m.Acquire(w, row, conv(spi.ModeIX)); err != nil {
 		t.Fatal(err)
 	}
 	m.Retire(w, 100, 0, false)
-	if err := m.Acquire(w, row, conv(ModeX)); err != nil { // its own retired grant does not block it
+	if err := m.Acquire(w, row, conv(spi.ModeX)); err != nil { // its own retired grant does not block it
 		t.Fatal(err)
 	}
 	m.Retire(w, 200, 0, false)
@@ -129,7 +131,7 @@ func TestRetireFoldsAndExpires(t *testing.T) {
 	if snap := m.Snapshot(); snap.GrantCount() != 1 {
 		t.Fatalf("want only the exposure mark left: %s", snap.String())
 	}
-	if err := m.Acquire(w, row, conv(ModeX)); err != nil {
+	if err := m.Acquire(w, row, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 	m.Retire(w, 400, 400, true) // the record is durable already: plain release
@@ -144,12 +146,12 @@ func TestRetireUnblocksWaiter(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = 5 * time.Second
 	row := item("r")
-	w, r := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
-	if err := m.Acquire(w, row, conv(ModeX)); err != nil {
+	w, r := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	if err := m.Acquire(w, row, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(r, row, conv(ModeS)) }()
+	go func() { got <- m.Acquire(r, row, conv(spi.ModeS)) }()
 	for m.Stats().Waits == 0 {
 		time.Sleep(time.Millisecond)
 	}

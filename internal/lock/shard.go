@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"accdb/internal/spi"
 )
 
 // The lock table is partitioned into shards, mirroring the sharded hash
@@ -60,8 +62,8 @@ func ceilPow2(n int) int {
 // allocation-free on the hot path.
 type classKey struct {
 	table string
-	level Level
-	mode  Mode
+	level spi.Level
+	mode  spi.Mode
 }
 
 func (k classKey) String() string {
@@ -91,9 +93,9 @@ type heldSet struct {
 // shard is one partition of the lock table.
 type shard struct {
 	mu      sync.Mutex
-	items   map[Item]*lockState
-	held    map[TxnID]*heldSet
-	byClass map[classKey]*ClassStats // guarded by mu
+	items   map[spi.Item]*lockState
+	held    map[spi.TxnID]*heldSet
+	byClass map[classKey]*spi.ClassStats // guarded by mu
 
 	// emptyStates counts empty lock states currently retained in items.
 	emptyStates int
@@ -122,9 +124,9 @@ type shard struct {
 
 func newShard(i int) *shard {
 	return &shard{
-		items:   make(map[Item]*lockState),
-		held:    make(map[TxnID]*heldSet),
-		byClass: make(map[classKey]*ClassStats),
+		items:   make(map[spi.Item]*lockState),
+		held:    make(map[spi.TxnID]*heldSet),
+		byClass: make(map[classKey]*spi.ClassStats),
 		bit:     1 << uint(i),
 		idx:     int16(i),
 	}
@@ -134,7 +136,7 @@ func newShard(i int) *shard {
 // holds sh.mu. Every caller either finds existing entries or installs a
 // grant/waiter, so a retained-empty state returned here is counted as
 // in-use again.
-func (sh *shard) state(item Item) *lockState {
+func (sh *shard) state(item spi.Item) *lockState {
 	st, ok := sh.items[item]
 	if !ok {
 		if n := len(sh.statePool); n > 0 {
@@ -171,7 +173,7 @@ func (sh *shard) reapState(st *lockState) {
 // newGrant links a fresh grant of the given kind for txn onto st and lists
 // it in txn's held set: a conventional grant with the locks, the A/D/C kinds
 // with the marks. Caller holds sh.mu.
-func (sh *shard) newGrant(txn *TxnInfo, st *lockState, kind grantKind) *grant {
+func (sh *shard) newGrant(txn *spi.Txn, st *lockState, kind grantKind) *grant {
 	var g *grant
 	if n := len(sh.grantPool); n > 0 {
 		g = sh.grantPool[n-1]
@@ -202,7 +204,7 @@ func (sh *shard) freeGrant(g *grant) {
 // heldOf returns txn's held set in this shard, creating it — and marking the
 // shard in the transaction's touched-shard set — on first use. Caller holds
 // sh.mu.
-func (sh *shard) heldOf(txn *TxnInfo) *heldSet {
+func (sh *shard) heldOf(txn *spi.Txn) *heldSet {
 	hs, ok := sh.held[txn.ID]
 	if !ok {
 		if n := len(sh.heldPool); n > 0 {
@@ -219,7 +221,7 @@ func (sh *shard) heldOf(txn *TxnInfo) *heldSet {
 
 // dropHeld removes the transaction's emptied held set and recycles it.
 // Caller holds sh.mu.
-func (sh *shard) dropHeld(txn TxnID, hs *heldSet) {
+func (sh *shard) dropHeld(txn spi.TxnID, hs *heldSet) {
 	delete(sh.held, txn)
 	if len(sh.heldPool) < freelistCap {
 		sh.heldPool = append(sh.heldPool, hs)
@@ -259,13 +261,13 @@ func (sh *shard) touch(st *lockState) {
 
 // recordWait tallies one finished wait (granted, aborted, deadlocked or
 // timed out — every exit path) against the shard and its contention class.
-func (sh *shard) recordWait(item Item, mode Mode, waitedNanos uint64) {
+func (sh *shard) recordWait(item spi.Item, mode spi.Mode, waitedNanos uint64) {
 	sh.stats.waitNanos.Add(waitedNanos)
 	k := classKey{table: item.Table, level: item.Level, mode: mode}
 	sh.mu.Lock()
 	cs, ok := sh.byClass[k]
 	if !ok {
-		cs = &ClassStats{}
+		cs = &spi.ClassStats{}
 		sh.byClass[k] = cs
 	}
 	cs.Waits++
@@ -275,11 +277,11 @@ func (sh *shard) recordWait(item Item, mode Mode, waitedNanos uint64) {
 
 // shardOf routes an item to its shard by an FNV-1a hash of the full item
 // identity (table, level, key).
-func (m *Manager) shardOf(item Item) *shard {
+func (m *Manager) shardOf(item spi.Item) *shard {
 	return m.shards[m.shardIndex(item)]
 }
 
-func (m *Manager) shardIndex(item Item) int {
+func (m *Manager) shardIndex(item spi.Item) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

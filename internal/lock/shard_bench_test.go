@@ -18,9 +18,9 @@ import (
 // this one isolates the lock-manager hot path.
 func BenchmarkLockShards(b *testing.B) {
 	const keySpace = 4096
-	items := make([]Item, keySpace)
+	items := make([]spi.Item, keySpace)
 	for i := range items {
-		items[i] = RowItem("bench", spi.Key(fmt.Sprintf("k%06d", i)))
+		items[i] = spi.RowItem("bench", spi.Key(fmt.Sprintf("k%06d", i)))
 	}
 	for _, dist := range []struct {
 		name string
@@ -52,7 +52,7 @@ func BenchmarkLockShards(b *testing.B) {
 	}
 }
 
-func benchAcquireRelease(b *testing.B, m *Manager, goroutines int, items []Item, skew bool) {
+func benchAcquireRelease(b *testing.B, m *Manager, goroutines int, items []spi.Item, skew bool) {
 	per := b.N/goroutines + 1
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -62,27 +62,27 @@ func benchAcquireRelease(b *testing.B, m *Manager, goroutines int, items []Item,
 			defer wg.Done()
 			// Per-goroutine xorshift PRNG: no shared rand state.
 			rng := uint64(g)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-			base := TxnID(g) * 1_000_000_000
+			base := spi.TxnID(g) * 1_000_000_000
 			for i := 0; i < per; i++ {
 				rng ^= rng << 13
 				rng ^= rng >> 7
 				rng ^= rng << 17
-				var it Item
-				mode := ModeX
+				var it spi.Item
+				mode := spi.ModeX
 				if skew && rng%10 < 9 {
 					// Hot set: mostly readers, occasional writer, so the
 					// bench exercises both grant sharing and real waits.
 					it = items[rng%8]
 					if rng%100 < 5 {
-						mode = ModeX
+						mode = spi.ModeX
 					} else {
-						mode = ModeS
+						mode = spi.ModeS
 					}
 				} else {
 					it = items[rng%uint64(len(items))]
 				}
-				txn := NewTxnInfo(base+TxnID(i)+1, 1)
-				if err := m.Acquire(txn, it, Request{Mode: mode, Step: 1}); err != nil {
+				txn := spi.NewTxn(base+spi.TxnID(i)+1, 1)
+				if err := m.Acquire(txn, it, spi.LockRequest{Mode: mode, Step: 1}); err != nil {
 					b.Error(err)
 					return
 				}

@@ -12,15 +12,15 @@ import (
 
 // itemsInDistinctShards returns n row items that all hash to different
 // shards of m (so the tests provably exercise cross-shard paths).
-func itemsInDistinctShards(t *testing.T, m *Manager, n int) []Item {
+func itemsInDistinctShards(t *testing.T, m *Manager, n int) []spi.Item {
 	t.Helper()
 	if m.ShardCount() < n {
 		t.Fatalf("manager has %d shards, need %d", m.ShardCount(), n)
 	}
 	seen := make(map[int]bool)
-	var out []Item
+	var out []spi.Item
 	for i := 0; len(out) < n && i < 100000; i++ {
-		it := RowItem("t", spi.Key(fmt.Sprintf("key-%d", i)))
+		it := spi.RowItem("t", spi.Key(fmt.Sprintf("key-%d", i)))
 		idx := m.shardIndex(it)
 		if !seen[idx] {
 			seen[idx] = true
@@ -40,7 +40,7 @@ func TestShardRoutingSpreadsItems(t *testing.T) {
 	}
 	counts := make(map[int]int)
 	for i := 0; i < 4096; i++ {
-		counts[m.shardIndex(RowItem("warehouse", spi.Key(fmt.Sprintf("w%d", i))))]++
+		counts[m.shardIndex(spi.RowItem("warehouse", spi.Key(fmt.Sprintf("w%d", i))))]++
 	}
 	if len(counts) < m.ShardCount()/2 {
 		t.Fatalf("4096 keys landed on only %d of %d shards", len(counts), m.ShardCount())
@@ -53,15 +53,15 @@ func TestCrossShardDeadlock(t *testing.T) {
 	m := NewManager(newStub())
 	its := itemsInDistinctShards(t, m, 2)
 	a, b := its[0], its[1]
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
-	m.Acquire(t1, a, conv(ModeX))
-	m.Acquire(t2, b, conv(ModeX))
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	m.Acquire(t1, a, conv(spi.ModeX))
+	m.Acquire(t2, b, conv(spi.ModeX))
 	got1 := make(chan error, 1)
-	go func() { got1 <- m.Acquire(t1, b, conv(ModeX)) }()
+	go func() { got1 <- m.Acquire(t1, b, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
 	// t2 closes the cycle across shard boundaries and must be the victim.
-	if err := m.Acquire(t2, a, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("cross-shard cycle closer got %v, want ErrDeadlock", err)
+	if err := m.Acquire(t2, a, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
+		t.Fatalf("cross-shard cycle closer got %v, want spi.ErrDeadlock", err)
 	}
 	m.ReleaseAll(t2)
 	if err := <-got1; err != nil {
@@ -81,8 +81,8 @@ func TestCrossShardDeadlock(t *testing.T) {
 func TestCrossManagerDeadlock(t *testing.T) {
 	m0, m1 := NewManager(newStub()), NewManager(newStub())
 	doomed := make(chan string, 2)
-	member := func(id TxnID, g *spi.Group) *TxnInfo {
-		txn := NewTxnInfo(id, 1)
+	member := func(id spi.TxnID, g *spi.Group) *spi.Txn {
+		txn := spi.NewTxn(id, 1)
 		txn.Group = g
 		return txn
 	}
@@ -91,13 +91,13 @@ func TestCrossManagerDeadlock(t *testing.T) {
 	home1, shot1 := member(1, g1), member(2, g1) // g1: holds in m0, waits in m1
 	home2, shot2 := member(1, g2), member(2, g2) // g2: holds in m1, waits in m0
 	x, y := item("x"), item("y")
-	m0.Acquire(home1, x, conv(ModeX))
-	m1.Acquire(home2, y, conv(ModeX))
+	m0.Acquire(home1, x, conv(spi.ModeX))
+	m1.Acquire(home2, y, conv(spi.ModeX))
 	got1 := make(chan error, 1)
-	go func() { got1 <- m1.Acquire(shot1, y, conv(ModeX)) }()
+	go func() { got1 <- m1.Acquire(shot1, y, conv(spi.ModeX)) }()
 	waitUntil(t, func() bool { return m1.Snapshot().WaiterCount() == 1 })
-	if err := m0.Acquire(shot2, x, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("cross-manager cycle closer got %v, want ErrDeadlock", err)
+	if err := m0.Acquire(shot2, x, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
+		t.Fatalf("cross-manager cycle closer got %v, want spi.ErrDeadlock", err)
 	}
 	if got := <-doomed; got != "g2 g2->g1->g2" {
 		t.Fatalf("doomed %q, want the closer's group with the cycle", got)
@@ -118,19 +118,19 @@ func TestCrossShardDeadlockThreeWay(t *testing.T) {
 	m := NewManager(newStub())
 	its := itemsInDistinctShards(t, m, 3)
 	a, b, c := its[0], its[1], its[2]
-	t1, t2, t3 := NewTxnInfo(1, 1), NewTxnInfo(2, 1), NewTxnInfo(3, 1)
-	m.Acquire(t1, a, conv(ModeX))
-	m.Acquire(t2, b, conv(ModeX))
-	m.Acquire(t3, c, conv(ModeX))
+	t1, t2, t3 := spi.NewTxn(1, 1), spi.NewTxn(2, 1), spi.NewTxn(3, 1)
+	m.Acquire(t1, a, conv(spi.ModeX))
+	m.Acquire(t2, b, conv(spi.ModeX))
+	m.Acquire(t3, c, conv(spi.ModeX))
 	got1 := make(chan error, 1)
-	go func() { got1 <- m.Acquire(t1, b, conv(ModeX)) }() // t1 → t2
+	go func() { got1 <- m.Acquire(t1, b, conv(spi.ModeX)) }() // t1 → t2
 	time.Sleep(20 * time.Millisecond)
 	got2 := make(chan error, 1)
-	go func() { got2 <- m.Acquire(t2, c, conv(ModeX)) }() // t2 → t3
+	go func() { got2 <- m.Acquire(t2, c, conv(spi.ModeX)) }() // t2 → t3
 	time.Sleep(20 * time.Millisecond)
 	// t3 → t1 closes the three-shard cycle.
-	if err := m.Acquire(t3, a, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("three-way cycle closer got %v, want ErrDeadlock", err)
+	if err := m.Acquire(t3, a, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
+		t.Fatalf("three-way cycle closer got %v, want spi.ErrDeadlock", err)
 	}
 	m.ReleaseAll(t3)
 	if err := <-got2; err != nil {
@@ -150,18 +150,18 @@ func TestCrossShardCompensatingNeverVictim(t *testing.T) {
 	m := NewManager(newStub())
 	its := itemsInDistinctShards(t, m, 2)
 	a, b := its[0], its[1]
-	cs, fw := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
-	m.Acquire(cs, a, conv(ModeX))
-	m.Acquire(fw, b, conv(ModeX))
+	cs, fw := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	m.Acquire(cs, a, conv(spi.ModeX))
+	m.Acquire(fw, b, conv(spi.ModeX))
 	fwDone := make(chan error, 1)
-	go func() { fwDone <- m.Acquire(fw, a, conv(ModeX)) }() // fw waits on cs
+	go func() { fwDone <- m.Acquire(fw, a, conv(spi.ModeX)) }() // fw waits on cs
 	time.Sleep(20 * time.Millisecond)
 	csDone := make(chan error, 1)
 	go func() {
-		csDone <- m.Acquire(cs, b, Request{Mode: ModeX, Step: 1, Compensating: true})
+		csDone <- m.Acquire(cs, b, spi.LockRequest{Mode: spi.ModeX, Step: 1, Compensating: true})
 	}()
-	if err := <-fwDone; !errors.Is(err, ErrAborted) {
-		t.Fatalf("forward waiter got %v, want ErrAborted", err)
+	if err := <-fwDone; !errors.Is(err, spi.ErrAborted) {
+		t.Fatalf("forward waiter got %v, want spi.ErrAborted", err)
 	}
 	m.ReleaseAll(fw)
 	if err := <-csDone; err != nil {
@@ -179,15 +179,15 @@ func TestCancelWaitVsTimeoutRace(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = time.Millisecond
 	it := item("contended")
-	holder := NewTxnInfo(1, 1)
-	if err := m.Acquire(holder, it, conv(ModeX)); err != nil {
+	holder := spi.NewTxn(1, 1)
+	if err := m.Acquire(holder, it, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 300
 	for i := 0; i < rounds; i++ {
-		blocked := NewTxnInfo(TxnID(i+10), 1)
+		blocked := spi.NewTxn(spi.TxnID(i+10), 1)
 		done := make(chan error, 1)
-		go func() { done <- m.Acquire(blocked, it, conv(ModeX)) }()
+		go func() { done <- m.Acquire(blocked, it, conv(spi.ModeX)) }()
 		var wg sync.WaitGroup
 		for c := 0; c < 2; c++ {
 			wg.Add(1)
@@ -201,15 +201,15 @@ func TestCancelWaitVsTimeoutRace(t *testing.T) {
 		if err == nil {
 			t.Fatal("acquired X while another X was held")
 		}
-		if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrAborted) {
+		if !errors.Is(err, spi.ErrTimeout) && !errors.Is(err, spi.ErrAborted) {
 			t.Fatalf("unexpected outcome: %v", err)
 		}
 	}
 	// Whatever interleavings occurred, the queue must be clean: releasing
 	// the holder lets a fresh acquirer through immediately.
 	m.ReleaseAll(holder)
-	probe := NewTxnInfo(999999, 1)
-	if err := m.Acquire(probe, it, conv(ModeX)); err != nil {
+	probe := spi.NewTxn(999999, 1)
+	if err := m.Acquire(probe, it, conv(spi.ModeX)); err != nil {
 		t.Fatalf("queue not clean after race rounds: %v", err)
 	}
 	st := m.Stats()
@@ -224,18 +224,18 @@ func TestTimedOutWaitsAttributed(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = 5 * time.Millisecond
 	it := item("hot")
-	holder := NewTxnInfo(1, 1)
-	m.Acquire(holder, it, conv(ModeX))
-	w := NewTxnInfo(2, 1)
-	if err := m.Acquire(w, it, conv(ModeX)); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
+	holder := spi.NewTxn(1, 1)
+	m.Acquire(holder, it, conv(spi.ModeX))
+	w := spi.NewTxn(2, 1)
+	if err := m.Acquire(w, it, conv(spi.ModeX)); !errors.Is(err, spi.ErrTimeout) {
+		t.Fatalf("got %v, want spi.ErrTimeout", err)
 	}
 	st := m.Stats()
 	if st.WaitNanos == 0 {
 		t.Fatal("timed-out wait missing from WaitNanos")
 	}
 	classes := m.ByClass()
-	cs, ok := classes[it.Table+"/"+it.Level.String()+"/"+ModeX.String()]
+	cs, ok := classes[it.Table+"/"+it.Level.String()+"/"+spi.ModeX.String()]
 	if !ok || cs.Waits != 1 || cs.WaitNanos == 0 {
 		t.Fatalf("timed-out wait missing from per-class stats: %+v", classes)
 	}
@@ -252,9 +252,9 @@ func TestParallelAcquireAcrossShards(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				txn := NewTxnInfo(TxnID(g*1000+i+1), 1)
-				it := RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i%37)))
-				if err := m.Acquire(txn, it, conv(ModeX)); err != nil {
+				txn := spi.NewTxn(spi.TxnID(g*1000+i+1), 1)
+				it := spi.RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i%37)))
+				if err := m.Acquire(txn, it, conv(spi.ModeX)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -263,11 +263,11 @@ func TestParallelAcquireAcrossShards(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	probe := NewTxnInfo(777777, 1)
+	probe := spi.NewTxn(777777, 1)
 	for g := 0; g < 8; g++ {
 		for i := 0; i < 37; i++ {
-			it := RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i)))
-			if err := m.Acquire(probe, it, conv(ModeX)); err != nil {
+			it := spi.RowItem("t", spi.Key(fmt.Sprintf("g%d-k%d", g, i)))
+			if err := m.Acquire(probe, it, conv(spi.ModeX)); err != nil {
 				t.Fatalf("leaked lock on %v: %v", it, err)
 			}
 		}

@@ -14,39 +14,21 @@ import (
 // itself settles for. The dump's data types and renderers live in the SPI
 // (spi/locksnap.go) so any LockService implementation can produce them.
 
-// TableSnapshot is a point-in-time structural dump of the lock table.
-type TableSnapshot = spi.TableSnapshot
-
-// ShardSnapshot dumps one lock-table partition.
-type ShardSnapshot = spi.ShardSnapshot
-
-// ItemSnapshot dumps one item's grant list and wait queue.
-type ItemSnapshot = spi.ItemSnapshot
-
-// GrantSnapshot describes one held entry (see spi.GrantSnapshot).
-type GrantSnapshot = spi.GrantSnapshot
-
-// WaitSnapshot describes one queued (still blocked) request.
-type WaitSnapshot = spi.WaitSnapshot
-
-// WaitEdge is one waits-for edge, annotated with the contested item.
-type WaitEdge = spi.WaitEdge
-
 // Snapshot dumps the lock table's current structure. It takes each shard
 // latch in turn (never two at once) and recomputes waits-for edges with the
 // same blockersLocked pass deadlock detection uses, so the dump shows the
 // graph as the detector would see it.
-func (m *Manager) Snapshot() *TableSnapshot {
-	snap := &TableSnapshot{}
+func (m *Manager) Snapshot() *spi.TableSnapshot {
+	snap := &spi.TableSnapshot{}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		var ss ShardSnapshot
+		var ss spi.ShardSnapshot
 		ss.Index = int(sh.idx)
 		for item, st := range sh.items {
 			if len(st.grants) == 0 && len(st.queue) == 0 {
 				continue // retained-empty state
 			}
-			is := ItemSnapshot{Item: item}
+			is := spi.ItemSnapshot{Item: item}
 			for _, g := range st.grants {
 				is.Grants = append(is.Grants, snapGrant(g))
 			}
@@ -54,14 +36,14 @@ func (m *Manager) Snapshot() *TableSnapshot {
 				if w.granted || w.err != nil {
 					continue
 				}
-				is.Queue = append(is.Queue, WaitSnapshot{
+				is.Queue = append(is.Queue, spi.WaitSnapshot{
 					Txn:          w.txn.ID,
 					Mode:         w.req.Mode.String(),
 					Compensating: w.req.Compensating,
 					Conversion:   w.conv,
 				})
 				for _, b := range m.blockersLocked(w, st) {
-					snap.Edges = append(snap.Edges, WaitEdge{From: w.txn.ID, To: b.ID,
+					snap.Edges = append(snap.Edges, spi.WaitEdge{From: w.txn.ID, To: b.ID,
 						FromGroup: w.txn.Group.ID, ToGroup: b.Group.ID, Item: item})
 				}
 			}
@@ -92,8 +74,8 @@ func (m *Manager) Snapshot() *TableSnapshot {
 	return snap
 }
 
-func snapGrant(g *grant) GrantSnapshot {
-	gs := GrantSnapshot{Txn: g.txn.ID, Assertion: -1}
+func snapGrant(g *grant) spi.GrantSnapshot {
+	gs := spi.GrantSnapshot{Txn: g.txn.ID, Assertion: -1}
 	switch g.kind {
 	case kindConventional:
 		gs.Kind = "lock"

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accdb/internal/spi"
 	"accdb/internal/trace"
 )
 
@@ -27,20 +28,20 @@ func TestTraceLockLifecycleEvents(t *testing.T) {
 	m := NewManager(newStub())
 	m.SetTracer(tr)
 
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("a")
 
 	// Immediate grant.
-	if err := m.Acquire(t1, it, conv(ModeS)); err != nil {
+	if err := m.Acquire(t1, it, conv(spi.ModeS)); err != nil {
 		t.Fatal(err)
 	}
 	// Immediate conversion S→X.
-	if err := m.Acquire(t1, it, conv(ModeX)); err != nil {
+	if err := m.Acquire(t1, it, conv(spi.ModeX)); err != nil {
 		t.Fatal(err)
 	}
 	// Contended request: wait then grant.
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t2, it, conv(ModeS)) }()
+	go func() { done <- m.Acquire(t2, it, conv(spi.ModeS)) }()
 	time.Sleep(20 * time.Millisecond)
 	m.ReleaseAll(t1)
 	if err := <-done; err != nil {
@@ -77,24 +78,24 @@ func TestTraceDeadlockVictimAndADCModes(t *testing.T) {
 	m.SetTracer(tr)
 
 	// A/D/C attachments carry the paper's mode tags.
-	holder := NewTxnInfo(1, 1)
+	holder := spi.NewTxn(1, 1)
 	it := item("x")
-	if err := m.Acquire(holder, it, Request{Mode: ModeA, Step: 1, Assertion: 7}); err != nil {
+	if err := m.Acquire(holder, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7}); err != nil {
 		t.Fatal(err)
 	}
 	m.AttachExposure(holder, it)
 	m.AttachReservation(holder, it, 99)
 
 	// Self-victim deadlock: t2 closes the cycle with t3.
-	t2, t3 := NewTxnInfo(2, 1), NewTxnInfo(3, 1)
+	t2, t3 := spi.NewTxn(2, 1), spi.NewTxn(3, 1)
 	a, b := item("a"), item("b")
-	m.Acquire(t2, a, conv(ModeX))
-	m.Acquire(t3, b, conv(ModeX))
+	m.Acquire(t2, a, conv(spi.ModeX))
+	m.Acquire(t3, b, conv(spi.ModeX))
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(t2, b, conv(ModeX)) }()
+	go func() { got <- m.Acquire(t2, b, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
-	if err := m.Acquire(t3, a, conv(ModeX)); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("got %v, want ErrDeadlock", err)
+	if err := m.Acquire(t3, a, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
+		t.Fatalf("got %v, want spi.ErrDeadlock", err)
 	}
 	m.ReleaseAll(t3)
 	if err := <-got; err != nil {
@@ -128,18 +129,18 @@ func TestTraceTimeoutAndCancelEvents(t *testing.T) {
 	m.SetTracer(tr)
 	m.WaitTimeout = 30 * time.Millisecond
 
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 1)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	it := item("x")
-	m.Acquire(t1, it, conv(ModeX))
-	if err := m.Acquire(t2, it, conv(ModeX)); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
+	m.Acquire(t1, it, conv(spi.ModeX))
+	if err := m.Acquire(t2, it, conv(spi.ModeX)); !errors.Is(err, spi.ErrTimeout) {
+		t.Fatalf("got %v, want spi.ErrTimeout", err)
 	}
 
 	m.WaitTimeout = 0
-	t3 := NewTxnInfo(3, 1)
+	t3 := spi.NewTxn(3, 1)
 	done := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { done <- m.AcquireCtx(ctx, t3, it, conv(ModeX)) }()
+	go func() { done <- m.AcquireCtx(ctx, t3, it, conv(spi.ModeX)) }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -166,16 +167,16 @@ func TestTraceTimeoutAndCancelEvents(t *testing.T) {
 func TestSnapshotDumpsGrantsWaitersAndEdges(t *testing.T) {
 	o := newStub()
 	m := NewManager(o)
-	t1, t2 := NewTxnInfo(1, 1), NewTxnInfo(2, 2)
+	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 2)
 	it := item("hot")
 
-	m.Acquire(t1, it, conv(ModeX))
-	m.Acquire(t1, it, Request{Mode: ModeA, Step: 1, Assertion: 7})
+	m.Acquire(t1, it, conv(spi.ModeX))
+	m.Acquire(t1, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7})
 	m.AttachExposure(t1, it)
 	m.AttachReservation(t1, it, 99)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t2, it, conv(ModeS)) }()
+	go func() { done <- m.Acquire(t2, it, conv(spi.ModeS)) }()
 	waitUntil(t, func() bool { return m.Snapshot().WaiterCount() == 1 })
 
 	snap := m.Snapshot()
@@ -256,9 +257,9 @@ func waitUntil(t *testing.T, cond func() bool) {
 // BenchmarkTraceEnabled to see the enabled-path cost.
 func BenchmarkTraceDisabled(b *testing.B) {
 	m := NewManager(newStub())
-	txn := NewTxnInfo(1, 1)
+	txn := spi.NewTxn(1, 1)
 	it := item("bench")
-	req := conv(ModeS)
+	req := conv(spi.ModeS)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,9 +276,9 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	defer tr.Close()
 	m := NewManager(newStub())
 	m.SetTracer(tr)
-	txn := NewTxnInfo(1, 1)
+	txn := spi.NewTxn(1, 1)
 	it := item("bench")
-	req := conv(ModeS)
+	req := conv(spi.ModeS)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

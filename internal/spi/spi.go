@@ -3,14 +3,13 @@
 // store that holds tuples and version chains, and the lock service that
 // grants the conventional and A/D/C lock flavours of the paper. The
 // scheduler depends only on this package; internal/storage (the B+-tree
-// heap) and internal/lock (the sharded lock manager) are the default
-// adapters, and internal/memstore is a deliberately simple second backend
-// proving the seam carries no hidden dependencies.
+// heap) and internal/lock (the sharded lock manager) are the adapters.
 //
 // The package also owns the pure data model both sides speak — Value, Row,
-// Key, Schema, CSN — and a backend registry through which composition roots
-// select an implementation without the scheduler importing one. Importing
-// accdb/internal/backends (blank) registers the in-tree defaults.
+// Key, Schema, CSN — and a registry through which composition roots open the
+// store and lock service without the scheduler importing either. Importing
+// accdb/internal/backends (blank) registers them. A program with its own
+// store passes it to core.WithStore instead.
 //
 // The contract an adapter must honour is specified method-by-method on the
 // Store, Table and LockService interfaces and is executable: the
@@ -26,9 +25,10 @@ import (
 	"sync"
 )
 
-// EnvBackend is the environment variable consulted by DefaultBackend; it
-// lets CI run the whole engine test matrix against an alternate store
-// without code changes.
+// EnvBackend is the environment variable consulted by DefaultBackend. It is
+// a test hook: a test registers a wrapping backend (spitest.FrozenBackend)
+// and selects it here, so every store a whole system opens by name is the
+// wrapped one.
 const EnvBackend = "ACCDB_BACKEND"
 
 // DefaultBackendName is the backend DefaultBackend falls back to when

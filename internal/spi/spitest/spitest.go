@@ -10,10 +10,11 @@
 // pre-image capture, the sentinel errors, secondary-index ordering, and the
 // full version-chain protocol behind the lock-free read tiers (seeding,
 // publication, as-of resolution, pruning), and that a row handed out never
-// changes — but deliberately nothing more:
-// anything not tested here is not part of the contract, and a backend is
-// free to implement it any way it likes. Both bundled backends (storage,
-// memstore) pass this suite verbatim.
+// changes — but deliberately nothing more: anything not tested here is not
+// part of the contract, and a backend is free to implement it any way it
+// likes. The bundled B+-tree store (internal/storage) passes it verbatim;
+// Frozen and FrozenBackend check the same row contract under a running
+// engine.
 package spitest
 
 import (

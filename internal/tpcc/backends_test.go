@@ -1,8 +1,7 @@
 package tpcc
 
-// The TPC-C battery — including the full consistency checks — runs over
-// whichever backend the registry selects (ACCDB_BACKEND, btree by default);
-// CI's backend matrix exercises every registered store.
+// The TPC-C battery — including the full consistency checks — runs over the
+// registry's default store.
 import (
 	_ "accdb/internal/backends"
 )

@@ -6,6 +6,7 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/partition"
+	"accdb/internal/spi"
 	"accdb/internal/wal"
 )
 
@@ -47,9 +48,11 @@ type Stack struct {
 	opened []*wal.Log
 }
 
-// NewStack builds the deployment: per partition, schema, the partition's
-// share of the initial database, its log, its engine and the transaction
-// types; then the set and its TPC-C routes.
+// NewStack builds the deployment: per partition, a store from the
+// registry's default backend, schema, the partition's share of the initial
+// database, its log, its engine and the transaction types; then the set and
+// its TPC-C routes. A default backend that is not registered (a mistyped
+// ACCDB_BACKEND) is an error, not a panic.
 func NewStack(cfg StackConfig) (*Stack, error) {
 	st := &Stack{Scale: cfg.Scale}
 	if st.Scale.Warehouses < cfg.Partitions {
@@ -61,7 +64,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		apply(&eopt)
 	}
 	set, err := partition.New(cfg.Partitions, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
+		store, err := spi.OpenStore(spi.DefaultBackend())
+		if err != nil {
+			return nil, err
+		}
+		db := core.NewDB(core.WithStore(store))
 		if err := CreateSchema(db); err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,6 +163,22 @@ func TestStackRejectsBadPartitionCounts(t *testing.T) {
 		if st, err := NewStack(StackConfig{Partitions: n, Scale: smallScale(), Seed: 1}); err == nil {
 			st.Close()
 			t.Errorf("NewStack accepted %d partitions", n)
+		}
+	}
+}
+
+// TestStackRefusesUnknownBackend: a default backend nobody registered is an
+// error naming it, returned to the caller rather than a panic mid-build.
+func TestStackRefusesUnknownBackend(t *testing.T) {
+	t.Setenv(spi.EnvBackend, "no-such-store")
+	for _, n := range []int{1, 4} {
+		st, err := NewStack(StackConfig{Partitions: n, Scale: smallScale(), Seed: 1})
+		if err == nil {
+			st.Close()
+			t.Fatalf("NewStack opened %d partitions over an unregistered backend", n)
+		}
+		if !strings.Contains(err.Error(), `"no-such-store"`) {
+			t.Errorf("error does not name the backend: %v", err)
 		}
 	}
 }

@@ -33,12 +33,11 @@
 package acc
 
 import (
-	// Importing the facade links in the default backends (the "btree" heap
-	// store, the "memstore" ordered map, the sharded lock manager), so the
-	// zero-config NewDB() path works out of the box.
+	// Importing the facade links in the backends (the B+-tree heap store and
+	// the sharded lock manager), so the zero-config NewDB() path works out of
+	// the box.
 	_ "accdb/internal/backends"
 	"accdb/internal/core"
-	"accdb/internal/spi"
 )
 
 // Engine schedules registered transaction types over a DB. It is an alias of
@@ -48,26 +47,18 @@ type Engine = core.Engine
 // DB is the partitioned in-memory database the engine schedules over.
 type DB = core.DB
 
-// DBOption configures NewDB. See WithBackend and WithStorage.
+// DBOption configures NewDB. See WithStorage.
 type DBOption = core.DBOption
 
-// NewDB creates an empty database. With no options it opens the backend
-// named by the ACCDB_BACKEND environment variable, defaulting to the
+// NewDB creates an empty database. With no options it runs over the
 // built-in B+-tree heap store.
 func NewDB(opts ...DBOption) *DB { return core.NewDB(opts...) }
 
-// WithBackend selects a registered storage backend by name; see Backends
-// for the names linked into this binary.
-func WithBackend(name string) DBOption { return core.WithBackend(name) }
-
-// WithStorage supplies a caller-constructed Storage implementation,
-// bypassing the registry — the "bring your own backend" path. The Storage,
-// Table, and value types re-exported below are the complete vocabulary a
-// backend has to implement.
+// WithStorage supplies a caller-constructed Storage implementation — the
+// "bring your own backend" path. The Storage, Table, and value types
+// re-exported in backend.go are the complete vocabulary a backend has to
+// implement.
 func WithStorage(s Storage) DBOption { return core.WithStore(s) }
-
-// Backends lists the storage backends registered in this binary.
-func Backends() []string { return spi.Backends() }
 
 // New creates an engine over db using the design-time interference tables,
 // configured by functional options. See the With* options.

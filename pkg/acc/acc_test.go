@@ -13,7 +13,8 @@ import (
 
 // moveSys is a minimal two-step system built through the public facade: a
 // "move" transaction journals its intent (step 1), then updates an account
-// row (step 2); compensation deletes the journal entry.
+// row (step 2); compensation deletes the journal entry. A one-step "tally"
+// reads both tables.
 type moveSys struct {
 	eng  *acc.Engine
 	comp interference.StepTypeID
@@ -24,11 +25,19 @@ type moveArgs struct {
 	Account int64
 	// BeforeUpdate runs at the top of step 2, after step 1 is durable.
 	BeforeUpdate func()
+	// Abort makes step 2 request a rollback instead of updating.
+	Abort bool
 }
 
-func newMoveSys(t *testing.T) *moveSys {
+// tallyArgs receives what a tally read: the journal's size and the sum of
+// the balances.
+type tallyArgs struct {
+	Journal, Balance int64
+}
+
+func newMoveSys(t *testing.T, opts ...acc.DBOption) *moveSys {
 	t.Helper()
-	db := acc.NewDB()
+	db := acc.NewDB(opts...)
 	accounts := db.MustCreateTable(spi.MustSchema("accounts", []spi.Column{
 		{Name: "id", Kind: spi.KindInt},
 		{Name: "balance", Kind: spi.KindInt},
@@ -48,6 +57,8 @@ func newMoveSys(t *testing.T) *moveSys {
 	stJournal := b.StepType("journal")
 	stUpdate := b.StepType("update")
 	stComp := b.StepType("comp")
+	txnTally := b.TxnType("tally", 1)
+	stTally := b.StepType("tally")
 
 	s := &moveSys{comp: stComp}
 	s.eng = acc.New(db, b.Build(),
@@ -74,6 +85,9 @@ func newMoveSys(t *testing.T) *moveSys {
 					if a.BeforeUpdate != nil {
 						a.BeforeUpdate()
 					}
+					if a.Abort {
+						return acc.ErrUserAbort
+					}
 					return tc.Update("accounts", []spi.Value{spi.I64(a.Account)},
 						func(row spi.Row) error {
 							row[1] = spi.I64(row[1].Int64() + 1)
@@ -92,6 +106,27 @@ func newMoveSys(t *testing.T) *moveSys {
 				return nil
 			},
 		},
+	})
+	s.eng.MustRegister(&acc.TxnType{
+		Name: "tally",
+		ID:   txnTally,
+		Steps: []acc.Step{{
+			Name: "tally", Type: stTally,
+			Body: func(tc *acc.Ctx) error {
+				a := tc.Args().(*tallyArgs)
+				*a = tallyArgs{}
+				if err := tc.Scan("journal", func(spi.Row) error {
+					a.Journal++
+					return nil
+				}); err != nil {
+					return err
+				}
+				return tc.Scan("accounts", func(row spi.Row) error {
+					a.Balance += row[1].Int64()
+					return nil
+				})
+			},
+		}},
 	})
 	return s
 }

@@ -1,11 +1,10 @@
 // Backend vocabulary: the types a program needs to implement its own
 // storage backend (or simply to build rows and schemas). These are aliases
 // of the accdb/internal/spi service-provider interface, so a Storage built
-// against this package plugs straight into NewDB via WithStorage — or into
-// the registry, if the backend package registers itself and the program
-// selects it with WithBackend / ACCDB_BACKEND. The behavioural contract is
-// documented on the interfaces and in DESIGN.md §15; the conformance suite
-// under internal/spi/spitest is the executable version of that contract.
+// against this package plugs straight into NewDB via WithStorage. The
+// behavioural contract is documented on the interfaces and in DESIGN.md §15;
+// the conformance suite under internal/spi/spitest is the executable
+// version of that contract.
 package acc
 
 import (

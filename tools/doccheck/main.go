@@ -83,7 +83,6 @@ func main() {
 			"internal/partition=only:accdb/internal/spi;accdb/internal/core;accdb/internal/wal;accdb/internal/trace;accdb/internal/fault,"+
 			"internal/storage=accdb/internal/partition,"+
 			"internal/lock=accdb/internal/partition,"+
-			"internal/memstore=accdb/internal/partition,"+
 			"internal/backends=accdb/internal/partition",
 		"comma-separated import-boundary rules, dir=forbidden;forbidden or dir=only:allowed;allowed (non-test files only)")
 	flag.Parse()
