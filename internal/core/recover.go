@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"accdb/internal/interference"
 	"accdb/internal/spi"
 	"accdb/internal/wal"
 )
@@ -24,8 +23,8 @@ import (
 //  2. Redo (Analysis.Apply) reapplies, in log order, the writes of every
 //     completed step and completed compensation over the loaded base state.
 //  3. Undo-by-compensation: for each transaction with exposed interstep
-//     state, the engine re-acquires its D-locks (exposure marks) and C-locks
-//     (compensation reservations) on the items its completed steps wrote,
+//     state, the engine re-attaches its D/C marks (exposure marks carrying
+//     the compensation reservation) to the items its completed steps wrote,
 //     then runs the compensating step under them — so transactions admitted
 //     after recovery observe exactly the protocol a live compensation gives.
 
@@ -121,22 +120,16 @@ func (e *Engine) Recover(logData []byte) (*RecoverResult, error) {
 		txn := &txnState{
 			tt:     tt,
 			args:   args,
-			info:   spi.NewTxn(spi.TxnID(pending.ID), tt.ID),
+			info:   tt.lockTxn(spi.TxnID(pending.ID), tt.ID),
 			logged: true,
 		}
 		txn.info.SetCompletedSteps(pending.CompletedSteps)
-		// Re-acquire the D- and C-locks the crash dissolved: the completed
-		// steps' written items are in exposed interstep state until the
-		// compensation commits, and the reservation is what guarantees the
-		// compensating step cannot deadlock against post-recovery traffic.
-		compType := interference.NoStep
-		if tt.Comp != nil {
-			compType = tt.Comp.Type
-		}
+		// Re-acquire the D/C marks the crash dissolved: the completed steps'
+		// written items are in exposed interstep state until the compensation
+		// commits, and the reservation is what guarantees the compensating
+		// step cannot deadlock against post-recovery traffic.
 		for _, w := range pending.Written {
-			item := spi.RowItem(w.Table, w.PK)
-			e.lm.AttachExposure(txn.info, item)
-			e.lm.AttachReservation(txn.info, item, compType)
+			e.lm.AttachExposure(txn.info, spi.RowItem(w.Table, w.PK))
 		}
 		if err := e.compensate(txn, pending.CompletedSteps); err != nil {
 			return nil, err

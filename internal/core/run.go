@@ -227,7 +227,7 @@ func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, typ interf
 		args:  args,
 		ctx:   ctx,
 		steps: tt.stepsFor(args),
-		info:  spi.NewTxn(spi.TxnID(e.nextTxn.Add(1)), typ),
+		info:  tt.lockTxn(spi.TxnID(e.nextTxn.Add(1)), typ),
 		span:  sp,
 	}
 	// The lock manager charges this transaction's blocked time to the span's
@@ -479,8 +479,8 @@ func (e *Engine) stepPrologue(tc *Ctx, j int) error {
 	return nil
 }
 
-// finishStep performs the end-of-step processing: exposure and reservation
-// marks on written items, the end-of-step record with the saved work area,
+// finishStep performs the end-of-step processing: one D/C mark on each
+// written item, the end-of-step record with the saved work area,
 // publication of the step's writes, breakpoint advance, and release of the
 // step's conventional locks and of the completed precondition's assertional
 // locks — all at the append; nothing here waits for the disk. The final step
@@ -492,13 +492,8 @@ func (e *Engine) finishStep(txn *txnState, tc *Ctx, j int) {
 		txn.info.AdvanceStep()
 		return
 	}
-	compType := interference.NoStep
-	if txn.tt.Comp != nil {
-		compType = txn.tt.Comp.Type
-	}
-	for item := range tc.wroteItems {
+	for _, item := range tc.wroteItems {
 		e.lm.AttachExposure(txn.info, item)
-		e.lm.AttachReservation(txn.info, item, compType)
 	}
 	e.appendBoundary(txn, wal.Record{Type: wal.TEndOfStep, Txn: uint64(txn.info.ID), Step: int32(j)}, true)
 	// The end-of-step append is this step's exposure point (§2): publish its

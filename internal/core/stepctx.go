@@ -38,8 +38,10 @@ type Ctx struct {
 	readTier ReadTier
 	readCSN  spi.CSN
 
-	writes     []writeRec
-	wroteItems map[spi.Item]bool
+	writes []writeRec
+	// wroteItems lists the items the step wrote, in write order, for their
+	// D/C marks at step end; a repeat is harmless (the mark is idempotent).
+	wroteItems []spi.Item
 	stmts      int
 }
 
@@ -223,7 +225,7 @@ func (tc *Ctx) table(name string) (spi.Table, error) {
 }
 
 // recordWrite logs the mutation, saves the undo image, and remembers the
-// written items for exposure and reservation marking at step end.
+// written items for their D/C marks at step end.
 func (tc *Ctx) recordWrite(table string, keyVals []spi.Value, pk spi.Key, before, after spi.Row) {
 	tc.writes = append(tc.writes, writeRec{table: table, pk: pk, before: before, after: after})
 	tc.e.ensureLogged(tc.txn)
@@ -231,14 +233,11 @@ func (tc *Ctx) recordWrite(table string, keyVals []spi.Value, pk spi.Key, before
 		Type: wal.TWrite, Txn: uint64(tc.txn.info.ID),
 		Table: table, PK: pk, Before: before, After: after,
 	})
-	if tc.wroteItems == nil {
-		tc.wroteItems = make(map[spi.Item]bool)
-	}
-	tc.wroteItems[spi.RowItem(table, pk)] = true
+	tc.wroteItems = append(tc.wroteItems, spi.RowItem(table, pk))
 	structural := before == nil || after == nil
 	if structural {
 		if part, ok := tc.e.db.partitionOfKey(table, keyVals); ok {
-			tc.wroteItems[part] = true
+			tc.wroteItems = append(tc.wroteItems, part)
 		}
 	}
 	tc.e.record(tc.txn, table, pk, true)
@@ -389,7 +388,7 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 		}
 		keyVals := t.Schema().PKOf(old)
 		tc.recordWrite(table, keyVals, headPK, old, nil)
-		tc.wroteItems[queue] = true
+		tc.wroteItems = append(tc.wroteItems, queue)
 		return old, nil
 	}
 }

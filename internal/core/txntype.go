@@ -126,6 +126,17 @@ func (tt *TxnType) validate() error {
 	return nil
 }
 
+// lockTxn builds the lock-side descriptor of an instance running as typ
+// (tt.ID, or LegacyTxn under the baseline scheduler): its marks reserve the
+// items they cover for tt's compensating step.
+func (tt *TxnType) lockTxn(id spi.TxnID, typ interference.TxnTypeID) *spi.Txn {
+	t := spi.NewTxn(id, typ)
+	if tt.Comp != nil {
+		t.Comp = tt.Comp.Type
+	}
+	return t
+}
+
 // stepsFor resolves the instance's step sequence.
 func (tt *TxnType) stepsFor(args any) []Step {
 	if tt.MakeSteps != nil {

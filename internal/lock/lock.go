@@ -20,7 +20,8 @@
 //     modified; they prevent other transactions from assertionally locking
 //     those items with assertions the compensating step would interfere
 //     with, which guarantees a compensating step never waits on an
-//     assertional lock.
+//     assertional lock. A written item's reservation and exposure mark are
+//     one grant (AttachExposure), told apart wherever they can be seen.
 //
 // Deadlocks are detected by cycle search in the waits-for graph at block
 // time; a cycle may pass through other partitions' managers by way of a
@@ -30,7 +31,7 @@
 // compensation can proceed.
 //
 // The lock table is partitioned into shards — max(16, 4×GOMAXPROCS),
-// capped at 64 — each with its own latch, item map and wait queues, like
+// capped at 64 — each with its own latch, lock chains and wait queues, like
 // the sharded hash table of lock chains in the Ingres lock manager the
 // paper modified. A blocked request is additionally published in its
 // transaction's group (a scratch slot the SPI reserves) so deadlock

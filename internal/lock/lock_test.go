@@ -373,10 +373,13 @@ func TestExposureBreakpointSensitivity(t *testing.T) {
 func TestReservationBlocksInterferingAssertion(t *testing.T) {
 	o := newStub()
 	o.setInterferes(99, 7, true) // CS type 99 interferes with assertion 7
+	o.setPrefixSafe(1, 7, true)  // the exposure half refuses neither
+	o.setPrefixSafe(1, 8, true)
 	m := NewManager(o)
 	owner := spi.NewTxn(1, 1)
+	owner.Comp = 99
 	it := item("x")
-	m.AttachReservation(owner, it, 99)
+	m.AttachExposure(owner, it)
 	// Interfering assertional request blocks.
 	other := spi.NewTxn(2, 2)
 	done := make(chan error, 1)
@@ -391,7 +394,7 @@ func TestReservationBlocksInterferingAssertion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Non-interfering assertion passes.
-	m.AttachReservation(owner, it, 99)
+	m.AttachExposure(owner, it)
 	third := spi.NewTxn(3, 2)
 	if err := m.Acquire(third, it, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ func init() {
 }
 
 // Mode tags for the paper's non-conventional entry kinds, as they appear in
-// trace events and snapshots: A = assertional lock, D = displayed (exposed)
-// intermediate state mark, C = compensation reservation.
+// trace events, span stages and snapshots: A = assertional lock, D =
+// displayed (exposed) intermediate state mark, C = compensation reservation.
 const (
 	tagExposure    = "D"
 	tagReservation = "C"
@@ -27,8 +27,12 @@ type grantKind uint8
 const (
 	kindConventional grantKind = iota + 1
 	kindAssertional
+	// kindExposure is a written item's mark: its D mark (exposure, §3.3)
+	// and, when the holder's type has a compensating step (spi.Txn.Comp),
+	// also its C reservation for that step (§3.4). The two always go on the
+	// same items at the same boundary and fall together, so they are one
+	// grant; everything observable still tells them apart.
 	kindExposure
-	kindReservation
 	// kindRetired is a conventional write-mode grant its holder gave up
 	// before the log record of the step that held it was durable (Retire).
 	// conflictsWithGrant has no case for it, so it blocks nobody and makes
@@ -48,7 +52,6 @@ type grant struct {
 	lsn       uint64                   // retired: log position of the holder's step record
 	step      interference.StepTypeID  // conventional, assertional: acquiring step type
 	assertion interference.AssertionID // assertional
-	csTypes   []interference.StepTypeID
 
 	// stepSeq is the holder's CompletedSteps value when the entry was
 	// attached; step aborts remove entries attached during the failed step.
@@ -80,7 +83,10 @@ type waiter struct {
 }
 
 type lockState struct {
-	item   spi.Item
+	item spi.Item
+	hash uint64     // itemHash(item)
+	next *lockState // the bucket's chain
+	// Outside its shard latch a linked state has a grant or a waiter.
 	grants []*grant
 	queue  []*waiter
 	// retired counts the kindRetired entries in grants, so a grant on an item
@@ -93,7 +99,7 @@ type lockState struct {
 
 // Manager is the lock manager. The lock table is partitioned into shards —
 // the structure of the sharded Ingres lock manager the paper modified —
-// each with its own latch, item map and wait queues, so Acquires on
+// each with its own latch, lock chains and wait queues, so Acquires on
 // unrelated items proceed in parallel. Wait queues park on per-waiter
 // channels; a blocked request is published in its transaction's group's
 // Blocked slot, where deadlock detection finds it.
@@ -191,8 +197,6 @@ func (m *Manager) conflictsWithGrant(txn *spi.Txn, req spi.LockRequest, g *grant
 				return false
 			}
 			return !m.oracle.MayInterleave(req.Step, g.txn.Type, g.txn.CompletedSteps())
-		case kindReservation:
-			return false
 		}
 	case spi.ModeA:
 		switch g.kind {
@@ -206,22 +210,21 @@ func (m *Manager) conflictsWithGrant(txn *spi.Txn, req spi.LockRequest, g *grant
 		case kindAssertional:
 			return false
 		case kindExposure:
-			// The holder exposed an intermediate value of this item; the
-			// assertion may be locked only if the holder's executed prefix
-			// provably leaves it true (§3.3, "Request A(pre(S_{i,1})) locks").
-			return m.oracle.PrefixInterferes(g.txn.Type, g.txn.CompletedSteps(), req.Assertion)
-		case kindReservation:
-			// Guarantee that a future compensating step of the holder will
-			// not be delayed by this assertional lock (§3.4).
-			for _, cs := range g.csTypes {
-				if m.oracle.Interferes(cs, req.Assertion) {
-					return true
-				}
-			}
-			return false
+			// The C half: the holder's compensating step may later modify the
+			// item and must not be delayed by this assertional lock (§3.4).
+			return m.exposureRefuses(g, req.Assertion) ||
+				g.txn.Comp != spi.NoStep && m.oracle.Interferes(g.txn.Comp, req.Assertion)
 		}
 	}
 	return false
+}
+
+// exposureRefuses is the D half of a mark against an assertional request:
+// the holder exposed an intermediate value of this item, so the assertion may
+// be locked only if the holder's executed prefix provably leaves it true
+// (§3.3, "Request A(pre(S_{i,1})) locks").
+func (m *Manager) exposureRefuses(g *grant, a interference.AssertionID) bool {
+	return m.oracle.PrefixInterferes(g.txn.Type, g.txn.CompletedSteps(), a)
 }
 
 // conflictsWithWaiter reports whether an incoming request must queue behind
@@ -297,10 +300,10 @@ func (m *Manager) Acquire(txn *spi.Txn, item spi.Item, req spi.LockRequest) erro
 // roll the transaction back by compensation. The fast path — the lock is
 // granted without waiting — never consults ctx.
 func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
-	sh := m.shardOf(item)
+	sh, h := m.shardOf(item)
 	sh.stats.acquisitions.Add(1)
 	sh.mu.Lock()
-	st := sh.state(item)
+	st := sh.state(item, h)
 
 	// Reentrant and conversion handling for conventional modes.
 	if req.Mode != spi.ModeA {
@@ -405,9 +408,10 @@ func (m *Manager) install(txn *spi.Txn, sh *shard, st *lockState, req spi.LockRe
 // blockStage classifies what is blocking the request, for span attribution:
 // the first conflicting grant's kind selects the per-mode lock-wait stage
 // (A/D/C tagged as in DESIGN.md §9; anything else is a conventional wait),
-// and its mode tag names what was waited on. A request queued only behind
-// earlier waiters classifies by the front waiter's would-be grant. Caller
-// holds the shard latch.
+// and its mode tag names what was waited on. A mark blocks as D unless only
+// its reservation refused an assertional request. A request queued only
+// behind earlier waiters classifies by the front waiter's would-be grant.
+// Caller holds the shard latch.
 func (m *Manager) blockStage(txn *spi.Txn, req spi.LockRequest, st *lockState) (trace.SpanStage, string) {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(txn, req, g) {
@@ -415,9 +419,10 @@ func (m *Manager) blockStage(txn *spi.Txn, req spi.LockRequest, st *lockState) (
 			case kindAssertional:
 				return trace.StageLockA, "A"
 			case kindExposure:
+				if req.Mode == spi.ModeA && !m.exposureRefuses(g, req.Assertion) {
+					return trace.StageLockC, tagReservation
+				}
 				return trace.StageLockD, tagExposure
-			case kindReservation:
-				return trace.StageLockC, tagReservation
 			default:
 				return trace.StageLockConv, g.mode.String()
 			}
@@ -601,14 +606,17 @@ func (m *Manager) grantPass(sh *shard, st *lockState) {
 	}
 }
 
-// AttachExposure marks item as exposed by txn: another transaction's
-// conventional access now requires interleaving permission at txn's current
-// breakpoint. Idempotent per (txn, item); the first step to expose wins, so
-// aborting a later step does not drop an earlier exposure.
+// AttachExposure marks item as written by txn with one grant that is both
+// its D mark — another transaction's conventional access now requires
+// interleaving permission at txn's current breakpoint — and, unless txn.Comp
+// is NoStep, its C reservation: assertional locks txn's compensating step
+// would interfere with are refused on it (§3.4's "new type of assertional
+// lock"). Idempotent per (txn, item); the first step to mark wins, so
+// aborting a later step does not drop an earlier mark.
 func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
-	sh := m.shardOf(item)
+	sh, h := m.shardOf(item)
 	sh.mu.Lock()
-	st := sh.state(item)
+	st := sh.state(item, h)
 	for _, g := range st.grants {
 		if g.kind == kindExposure && g.txn.ID == txn.ID {
 			sh.mu.Unlock()
@@ -619,44 +627,16 @@ func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 	sh.mu.Unlock()
 	if m.tracer != nil {
 		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagExposure, 0, "")
-	}
-}
-
-// AttachReservation records that a compensating step of type cs may later
-// modify item; assertional locks that cs would interfere with are refused on
-// it (§3.4's "new type of assertional lock").
-func (m *Manager) AttachReservation(txn *spi.Txn, item spi.Item, cs interference.StepTypeID) {
-	if cs == interference.NoStep {
-		return
-	}
-	sh := m.shardOf(item)
-	sh.mu.Lock()
-	st := sh.state(item)
-	for _, g := range st.grants {
-		if g.kind == kindReservation && g.txn.ID == txn.ID {
-			for _, have := range g.csTypes {
-				if have == cs {
-					sh.mu.Unlock()
-					return
-				}
-			}
-			g.csTypes = append(g.csTypes, cs)
-			sh.mu.Unlock()
-			return
+		if txn.Comp != spi.NoStep {
+			m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagReservation, 0, "")
 		}
-	}
-	g := sh.newGrant(txn, st, kindReservation)
-	g.csTypes = append(g.csTypes, cs)
-	sh.mu.Unlock()
-	if m.tracer != nil {
-		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagReservation, 0, "")
 	}
 }
 
 // releaseWhere removes the grants of txn that dropLock selects among its
-// conventional and retired grants and dropMark among its A/D/C marks, then
-// re-runs the grant pass of every state that changed, once each. A nil
-// dropLock leaves the locks alone. A nil dropMark keeps every mark but
+// conventional and retired grants and dropMark among its A entries and D/C
+// marks, then re-runs the grant pass of every state that changed, once each.
+// A nil dropLock leaves the locks alone. A nil dropMark keeps every mark but
 // re-examines the waiters on marked items: the holder is at a step boundary,
 // and exposure conflicts depend on its breakpoint. It visits only the shards
 // the transaction has touched (a bitmask on spi.Txn), one latch at a time;
@@ -712,8 +692,8 @@ func dropEvery(*grant) bool { return true }
 // retired grants stamped lsn — one per item, a later boundary's grant on the
 // same item folds into it — unless lsn is already durable; txn's earlier
 // retired grants that became durable meanwhile are dropped as well. final is
-// the transaction's last boundary: its assertional, exposure and reservation
-// entries go too, leaving only retired grants for ReleaseAll.
+// the transaction's last boundary: its assertional entries and D/C marks go
+// too, leaving only retired grants for ReleaseAll.
 func (m *Manager) Retire(txn *spi.Txn, lsn, durable uint64, final bool) {
 	dropMark := dropEvery
 	if !final {
@@ -736,10 +716,10 @@ func (m *Manager) Retire(txn *spi.Txn, lsn, durable uint64, final bool) {
 	}, dropMark)
 }
 
-// ReleaseStepAbort releases txn's conventional locks plus exposure and
-// reservation marks attached during the aborted step (its writes are being
-// undone). Assertional locks are retained — the paper keeps them between
-// steps, which is why a recurring deadlock escalates to compensation.
+// ReleaseStepAbort releases txn's conventional locks plus the D/C marks
+// attached during the aborted step (its writes are being undone).
+// Assertional locks are retained — the paper keeps them between steps, which
+// is why a recurring deadlock escalates to compensation.
 func (m *Manager) ReleaseStepAbort(txn *spi.Txn) {
 	seq := txn.CompletedSteps()
 	m.releaseWhere(txn, func(g *grant) bool {
@@ -784,11 +764,11 @@ func (m *Manager) HeldItems(txn spi.TxnID) []spi.Item {
 // HoldsConventional reports whether txn holds a conventional lock of at
 // least mode want on item.
 func (m *Manager) HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode) bool {
-	sh := m.shardOf(item)
+	sh, h := m.shardOf(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st, ok := sh.items[item]
-	if !ok {
+	st := sh.find(item, h)
+	if st == nil {
 		return false
 	}
 	g := st.findConventional(txn)

@@ -26,17 +26,40 @@ func checkInvariants(m *Manager, idle bool) error {
 	return nil
 }
 
-// checkInvariants: every grant a held set lists sits in its state's grant
-// list, under the listing transaction and in the slice its kind belongs to,
-// and every grant of a state is listed exactly once; every state a grant or
-// waiter refers to is in the item map under its own item; a state's retired
-// count is its number of retired grants; emptyStates is the number of empty
-// states the map retains.
+// checkInvariants: every state is linked exactly once, in the bucket of its
+// item's hash, and none is linked empty — with idle set, none is linked at
+// all; a pooled state names no item and holds nothing; every grant a held set
+// lists sits in a linked state's grant list, under the listing transaction
+// and in the slice its kind belongs to, and every grant of a state is listed
+// exactly once; every waiter points at the state it is queued on; a state's
+// retired count is its number of retired grants.
 func (sh *shard) checkInvariants(idle bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if idle && len(sh.held) > 0 {
 		return fmt.Errorf("%d held sets left with nothing running", len(sh.held))
+	}
+	linked := make(map[*lockState]bool)
+	for b := range sh.buckets {
+		for st := sh.buckets[b]; st != nil; st = st.next {
+			switch {
+			case linked[st]:
+				return fmt.Errorf("state of %v linked twice", st.item)
+			case st.hash != itemHash(st.item) || bucketOf(st.hash) != uint64(b):
+				return fmt.Errorf("state of %v linked in bucket %d, its hash names %d", st.item, b, bucketOf(itemHash(st.item)))
+			case len(st.grants) == 0 && len(st.queue) == 0:
+				return fmt.Errorf("empty state of %v left linked", st.item)
+			case idle:
+				return fmt.Errorf("state of %v linked with nothing running", st.item)
+			}
+			linked[st] = true
+		}
+	}
+	for _, st := range sh.statePool {
+		stale := slices.ContainsFunc(st.queue[:cap(st.queue)], func(w *waiter) bool { return w != nil })
+		if st.item != (spi.Item{}) || stale || len(st.grants)+len(st.queue) != 0 || st.next != nil || linked[st] {
+			return fmt.Errorf("pooled state still names %v, a dequeued waiter or entries", st.item)
+		}
 	}
 	listed := make(map[*grant]bool)
 	for id, hs := range sh.held {
@@ -52,19 +75,17 @@ func (sh *shard) checkInvariants(idle bool) error {
 				return fmt.Errorf("T%d lists a grant of T%d", id, g.txn.ID)
 			case listed[g]:
 				return fmt.Errorf("T%d lists a grant twice on %v", id, g.st.item)
-			case sh.items[g.st.item] != g.st:
-				return fmt.Errorf("T%d: grant's state for %v is not in the item map", id, g.st.item)
+			case !linked[g.st]:
+				return fmt.Errorf("T%d: grant's state for %v is not linked", id, g.st.item)
 			case !slices.Contains(g.st.grants, g):
 				return fmt.Errorf("T%d: listed grant missing from %v's grant list", id, g.st.item)
 			}
 			listed[g] = true
 		}
 	}
-	grants, empty := 0, 0
-	for item, st := range sh.items {
-		if st.item != item {
-			return fmt.Errorf("state of %v filed under %v", st.item, item)
-		}
+	grants := 0
+	for st := range linked {
+		item := st.item
 		retired := 0
 		for _, g := range st.grants {
 			if g.st != st || !listed[g] {
@@ -83,22 +104,16 @@ func (sh *shard) checkInvariants(idle bool) error {
 			}
 		}
 		grants += len(st.grants)
-		if len(st.grants) == 0 && len(st.queue) == 0 {
-			empty++
-		}
 	}
 	if grants != len(listed) {
 		return fmt.Errorf("%d grants in states, %d listed in held sets", grants, len(listed))
-	}
-	if empty != sh.emptyStates {
-		return fmt.Errorf("emptyStates = %d, map retains %d", sh.emptyStates, empty)
 	}
 	return nil
 }
 
 // TestReleasePassesKeepTableConsistent drives every release path from many
-// goroutines across shards — acquires with conversions and waits, both
-// attach kinds, non-final and final Retire at durable and non-durable log
+// goroutines across shards — acquires with conversions and waits, marks with
+// and without a reservation, non-final and final Retire at durable and non-durable log
 // positions (with folds), ReleaseAssertion, ReleaseStepAbort and ReleaseAll
 // — while a checker verifies the table's bookkeeping; at the end nothing is
 // held. A wait that times out is a lost wakeup.
@@ -152,7 +167,6 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 				default:
 					if err = m.Acquire(txn, row, spi.LockRequest{Mode: spi.ModeX, Step: st}); err == nil {
 						m.AttachExposure(txn, row)
-						m.AttachReservation(txn, row, interference.StepTypeID(9+rng.Intn(2)))
 					}
 				}
 				if errors.Is(err, spi.ErrTimeout) {
@@ -203,6 +217,9 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + int64(g)))
 			for i := 0; i < txns; i++ {
 				txn := spi.NewTxn(spi.TxnID(g*1000+i+1), interference.TxnTypeID(1+rng.Intn(2)))
+				// Compensation type 9, 10, or none: marks with and without a
+				// reservation.
+				txn.Comp = []interference.StepTypeID{9, 10, spi.NoStep}[rng.Intn(3)]
 				if run(txn, rng) {
 					committed.Add(1)
 				}
@@ -224,15 +241,13 @@ func TestReleasePassesKeepTableConsistent(t *testing.T) {
 	}
 }
 
-// TestStepBoundaryAllocFree: in steady state a step — IX on the table, X on
-// a row, both marks, a non-final Retire — and a commit — the same plus the
-// final Retire and ReleaseAll — allocate nothing.
-func TestStepBoundaryAllocFree(t *testing.T) {
-	m := NewManager(newStub())
-	tbl, row := spi.TableItem("t"), spi.RowItem("t", "k")
-	txn := spi.NewTxn(1, 1)
+// stepOver returns one step of a transaction that writes a row: IX on the
+// table, X on the row, the row's D/C mark, a non-final Retire — or, final, a
+// commit: the same plus the final Retire and ReleaseAll.
+func stepOver(t *testing.T, m *Manager, txn *spi.Txn) func(row spi.Item, final bool) {
+	tbl := spi.TableItem("t")
 	var lsn uint64
-	step := func(final bool) {
+	return func(row spi.Item, final bool) {
 		if err := m.Acquire(txn, tbl, conv(spi.ModeIX)); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +255,6 @@ func TestStepBoundaryAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.AttachExposure(txn, row)
-		m.AttachReservation(txn, row, 9)
 		txn.AdvanceStep()
 		lsn++
 		m.Retire(txn, lsn, lsn/2, final)
@@ -248,11 +262,64 @@ func TestStepBoundaryAllocFree(t *testing.T) {
 			m.ReleaseAll(txn)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { step(false) }); n != 0 {
+}
+
+// TestStepBoundaryAllocFree: in steady state a step and a commit on the same
+// row allocate nothing.
+func TestStepBoundaryAllocFree(t *testing.T) {
+	m := NewManager(newStub())
+	txn := spi.NewTxn(1, 1)
+	txn.Comp = 9
+	step, row := stepOver(t, m, txn), spi.RowItem("t", "k")
+	if n := testing.AllocsPerRun(100, func() { step(row, false) }); n != 0 {
 		t.Errorf("step boundary: %.1f allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { step(true) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { step(row, true) }); n != 0 {
 		t.Errorf("final Retire + ReleaseAll: %.1f allocs/op, want 0", n)
+	}
+	if err := checkInvariants(m, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreshItemsAllocFree: TPC-C's pattern — every step and commit on a row
+// nobody holds, so each acquire links a fresh state and each release unlinks
+// one — allocates nothing either, and leaves no state linked and no pooled
+// state naming an item.
+func TestFreshItemsAllocFree(t *testing.T) {
+	m := NewManager(newStub())
+	txn := spi.NewTxn(1, 1)
+	txn.Comp = 9
+	step := stepOver(t, m, txn)
+	rows := make([]spi.Item, 10000)
+	for i := range rows {
+		rows[i] = spi.RowItem("t", spi.Key(fmt.Sprintf("row-%05d", i)))
+	}
+	i := 0
+	next := func() spi.Item { i++; return rows[i%len(rows)] }
+	if n := testing.AllocsPerRun(len(rows), func() { step(next(), false); step(next(), true) }); n != 0 {
+		t.Errorf("step and commit over fresh rows: %.1f allocs/op, want 0", n)
+	}
+	if err := checkInvariants(m, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleasedStatesNameNoItem: after ReleaseAll no linked or pooled state
+// keeps its last item's key alive (checkInvariants), with the freelist full.
+func TestReleasedStatesNameNoItem(t *testing.T) {
+	m := NewManagerWithShards(newStub(), 1)
+	txn := spi.NewTxn(1, 1)
+	for i := 0; i < 2*freelistCap; i++ {
+		row := spi.RowItem("t", spi.Key(fmt.Sprintf("row-%d", i)))
+		if err := m.Acquire(txn, row, conv(spi.ModeX)); err != nil {
+			t.Fatal(err)
+		}
+		m.AttachExposure(txn, row)
+	}
+	m.ReleaseAll(txn)
+	if n := len(m.shards[0].statePool); n != freelistCap {
+		t.Fatalf("%d pooled states, want a full freelist of %d", n, freelistCap)
 	}
 	if err := checkInvariants(m, true); err != nil {
 		t.Fatal(err)

@@ -40,8 +40,11 @@ func TestRetiredGrantBlocksNobodyButIsRemembered(t *testing.T) {
 	row, part := item("r"), spi.PartitionItem("t", "p")
 
 	w := spi.NewTxn(1, 1)
-	for it, mode := range map[spi.Item]spi.Mode{row: spi.ModeX, part: spi.ModeIX, item("read"): spi.ModeS} {
-		if err := m.Acquire(w, it, conv(mode)); err != nil {
+	for _, l := range []struct {
+		it   spi.Item
+		mode spi.Mode
+	}{{row, spi.ModeX}, {part, spi.ModeIX}, {item("read"), spi.ModeS}} {
+		if err := m.Acquire(w, l.it, conv(l.mode)); err != nil {
 			t.Fatal(err)
 		}
 	}

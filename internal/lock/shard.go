@@ -1,6 +1,8 @@
 package lock
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,9 +10,11 @@ import (
 	"accdb/internal/spi"
 )
 
-// The lock table is partitioned into shards, mirroring the sharded hash
-// table of lock chains inside the Ingres lock manager the paper modified.
-// Each shard owns its own latch, item map, wait queues, held-set index and
+// The lock table is the sharded hash table of lock chains inside the Ingres
+// lock manager the paper modified. An item is hashed once (itemHash): the
+// hash's low bits pick the shard, its next bits a bucket of that shard, and
+// the bucket chains the item's lock state with the others that hash there.
+// Each shard owns its own latch, buckets, wait queues, held-set index and
 // counters, so Acquires on unrelated items proceed in parallel.
 //
 // Invariant: a goroutine never holds two shard latches at once — of this
@@ -18,23 +22,39 @@ import (
 // (deadlock detection, multi-item release, stats aggregation) works one
 // shard at a time.
 //
-// Each shard recycles its lock-chain machinery — lock states, grant
-// entries and per-transaction held lists — through small freelists guarded
-// by the shard latch, and retains a bounded number of empty lock states in
-// the item map, so the grant/release hot path performs no allocations and
-// no map inserts/deletes in steady state.
+// A state is linked while it has a grant or a waiter: the pass that empties
+// it unlinks it at once. Each shard recycles its lock-chain machinery — lock
+// states, grant entries and per-transaction held lists — through small
+// freelists guarded by the shard latch, so the grant/release hot path
+// performs no allocations in steady state, however many distinct items pass
+// through.
 
-// maxShards caps the shard count so a transaction's touched-shard set fits
-// in one atomic bitmask word (spi.Txn.ShardMask).
-const maxShards = 64
+// shardBits is how many low hash bits may pick a shard; maxShards caps the
+// shard count so a transaction's touched-shard set fits in one atomic bitmask
+// word (spi.Txn.ShardMask).
+const (
+	shardBits = 6
+	maxShards = 1 << shardBits
+)
 
-// maxEmptyStates bounds how many item-less lock states a shard retains in
-// its map to keep hot items' chains warm; beyond it, empties are unlinked
-// and recycled through the freelist.
-const maxEmptyStates = 1024
+// bucketCount is the number of lock chains per shard, a power of two.
+const bucketCount = 1024
 
 // freelistCap bounds each shard's recycling freelists.
 const freelistCap = 256
+
+// itemSeed keys itemHash for the life of the process.
+var itemSeed = maphash.MakeSeed()
+
+// itemHash is the one hash of an item's identity (table, level, key) that
+// routes it to its shard and bucket.
+func itemHash(it spi.Item) uint64 {
+	t := maphash.String(itemSeed, it.Table) + uint64(it.Level)
+	return maphash.String(itemSeed, string(it.Key)) ^ bits.RotateLeft64(t*0x9E3779B97F4A7C15, 32)
+}
+
+// bucketOf is the bucket index of hash h within its shard.
+func bucketOf(h uint64) uint64 { return (h >> shardBits) & (bucketCount - 1) }
 
 // defaultShardCount picks N = max(16, 4×GOMAXPROCS), rounded up to a power
 // of two and capped at maxShards.
@@ -81,9 +101,9 @@ type shardCounters struct {
 }
 
 // heldSet indexes the grants a transaction holds within one shard by
-// handle, so a release pass visits exactly those grants and probes no item
-// map. locks are its conventional and retired grants — what a step boundary
-// gives up — and marks its A, D and C entries, which stay to the final
+// handle, so a release pass visits exactly those grants and hashes no item.
+// locks are its conventional and retired grants — what a step boundary
+// gives up — and marks its A entries and D/C marks, which stay to the final
 // boundary. A grant is listed once, when it is created.
 type heldSet struct {
 	locks []*grant
@@ -93,12 +113,9 @@ type heldSet struct {
 // shard is one partition of the lock table.
 type shard struct {
 	mu      sync.Mutex
-	items   map[spi.Item]*lockState
+	buckets [bucketCount]*lockState // chains through lockState.next
 	held    map[spi.TxnID]*heldSet
 	byClass map[classKey]*spi.ClassStats // guarded by mu
-
-	// emptyStates counts empty lock states currently retained in items.
-	emptyStates int
 
 	// pass numbers release passes; touched lists the states the current one
 	// changed, each once (lockState.pass), for their grant passes.
@@ -124,7 +141,6 @@ type shard struct {
 
 func newShard(i int) *shard {
 	return &shard{
-		items:   make(map[spi.Item]*lockState),
 		held:    make(map[spi.TxnID]*heldSet),
 		byClass: make(map[classKey]*spi.ClassStats),
 		bit:     1 << uint(i),
@@ -132,47 +148,58 @@ func newShard(i int) *shard {
 	}
 }
 
-// state returns the lock state for item, creating it if needed. Caller
-// holds sh.mu. Every caller either finds existing entries or installs a
-// grant/waiter, so a retained-empty state returned here is counted as
-// in-use again.
-func (sh *shard) state(item spi.Item) *lockState {
-	st, ok := sh.items[item]
-	if !ok {
-		if n := len(sh.statePool); n > 0 {
-			st = sh.statePool[n-1]
-			sh.statePool = sh.statePool[:n-1]
-		} else {
-			st = &lockState{}
+// find returns item's linked lock state, or nil; h is itemHash(item). Caller
+// holds sh.mu.
+func (sh *shard) find(item spi.Item, h uint64) *lockState {
+	for st := sh.buckets[bucketOf(h)]; st != nil; st = st.next {
+		if st.hash == h && st.item == item {
+			return st
 		}
-		st.item = item
-		sh.items[item] = st
-	} else if len(st.grants) == 0 && len(st.queue) == 0 {
-		sh.emptyStates--
 	}
+	return nil
+}
+
+// state returns item's lock state, linking a fresh one at the head of its
+// chain if it has none; h is itemHash(item). Every caller installs a grant or
+// a waiter on a fresh state before it lets go of the latch. Caller holds
+// sh.mu.
+func (sh *shard) state(item spi.Item, h uint64) *lockState {
+	if st := sh.find(item, h); st != nil {
+		return st
+	}
+	var st *lockState
+	if n := len(sh.statePool); n > 0 {
+		st = sh.statePool[n-1]
+		sh.statePool = sh.statePool[:n-1]
+	} else {
+		st = &lockState{}
+	}
+	b := &sh.buckets[bucketOf(h)]
+	st.item, st.hash, st.next = item, h, *b
+	*b = st
 	return st
 }
 
-// reapState is called after an item's grants and queue emptied. It retains
-// the empty state in the map (up to maxEmptyStates) so re-locking a hot
-// item performs no map insert; overflow is unlinked and recycled. Caller
-// holds sh.mu.
+// reapState unlinks a state whose grants and queue emptied and recycles it
+// without its item, so a pooled state keeps no key alive. Caller holds
+// sh.mu.
 func (sh *shard) reapState(st *lockState) {
-	if sh.emptyStates < maxEmptyStates {
-		sh.emptyStates++
-		return
+	for p := &sh.buckets[bucketOf(st.hash)]; *p != nil; p = &(*p).next {
+		if *p == st {
+			*p = st.next
+			break
+		}
 	}
-	delete(sh.items, st.item)
+	clear(st.queue[:cap(st.queue)]) // dequeued waiters name their items
+	*st = lockState{grants: st.grants[:0], queue: st.queue[:0]}
 	if len(sh.statePool) < freelistCap {
-		st.grants = st.grants[:0]
-		st.queue = st.queue[:0]
 		sh.statePool = append(sh.statePool, st)
 	}
 }
 
 // newGrant links a fresh grant of the given kind for txn onto st and lists
-// it in txn's held set: a conventional grant with the locks, the A/D/C kinds
-// with the marks. Caller holds sh.mu.
+// it in txn's held set: a conventional grant with the locks, an A entry or a
+// D/C mark with the marks. Caller holds sh.mu.
 func (sh *shard) newGrant(txn *spi.Txn, st *lockState, kind grantKind) *grant {
 	var g *grant
 	if n := len(sh.grantPool); n > 0 {
@@ -192,10 +219,9 @@ func (sh *shard) newGrant(txn *spi.Txn, st *lockState, kind grantKind) *grant {
 	return g
 }
 
-// freeGrant recycles a dropped grant, keeping its csTypes array for the next
-// reservation. Caller holds sh.mu.
+// freeGrant recycles a dropped grant. Caller holds sh.mu.
 func (sh *shard) freeGrant(g *grant) {
-	*g = grant{csTypes: g.csTypes[:0]}
+	*g = grant{}
 	if len(sh.grantPool) < freelistCap {
 		sh.grantPool = append(sh.grantPool, g)
 	}
@@ -275,24 +301,9 @@ func (sh *shard) recordWait(item spi.Item, mode spi.Mode, waitedNanos uint64) {
 	sh.mu.Unlock()
 }
 
-// shardOf routes an item to its shard by an FNV-1a hash of the full item
-// identity (table, level, key).
-func (m *Manager) shardOf(item spi.Item) *shard {
-	return m.shards[m.shardIndex(item)]
-}
-
-func (m *Manager) shardIndex(item spi.Item) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(item.Table); i++ {
-		h = (h ^ uint64(item.Table[i])) * prime64
-	}
-	h = (h ^ uint64(item.Level)) * prime64
-	for i := 0; i < len(item.Key); i++ {
-		h = (h ^ uint64(item.Key[i])) * prime64
-	}
-	return int(h & m.shardMask)
+// shardOf hashes item once and returns its shard and the hash, which then
+// picks the item's bucket there.
+func (m *Manager) shardOf(item spi.Item) (*shard, uint64) {
+	h := itemHash(item)
+	return m.shards[h&m.shardMask], h
 }

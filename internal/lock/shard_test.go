@@ -17,13 +17,13 @@ func itemsInDistinctShards(t *testing.T, m *Manager, n int) []spi.Item {
 	if m.ShardCount() < n {
 		t.Fatalf("manager has %d shards, need %d", m.ShardCount(), n)
 	}
-	seen := make(map[int]bool)
+	seen := make(map[*shard]bool)
 	var out []spi.Item
 	for i := 0; len(out) < n && i < 100000; i++ {
 		it := spi.RowItem("t", spi.Key(fmt.Sprintf("key-%d", i)))
-		idx := m.shardIndex(it)
-		if !seen[idx] {
-			seen[idx] = true
+		sh, _ := m.shardOf(it)
+		if !seen[sh] {
+			seen[sh] = true
 			out = append(out, it)
 		}
 	}
@@ -33,17 +33,26 @@ func itemsInDistinctShards(t *testing.T, m *Manager, n int) []spi.Item {
 	return out
 }
 
+// TestShardRoutingSpreadsItems: the one item hash spreads keys over the
+// shards and, within a shard, over its buckets.
 func TestShardRoutingSpreadsItems(t *testing.T) {
 	m := NewManager(newStub())
 	if m.ShardCount() < 16 {
 		t.Fatalf("default shard count %d < 16", m.ShardCount())
 	}
-	counts := make(map[int]int)
+	shards := make(map[*shard]int)
+	buckets := make(map[uint64]int)
 	for i := 0; i < 4096; i++ {
-		counts[m.shardIndex(spi.RowItem("warehouse", spi.Key(fmt.Sprintf("w%d", i))))]++
+		it := spi.RowItem("warehouse", spi.Key(fmt.Sprintf("w%d", i)))
+		sh, h := m.shardOf(it)
+		shards[sh]++
+		buckets[bucketOf(h)]++
 	}
-	if len(counts) < m.ShardCount()/2 {
-		t.Fatalf("4096 keys landed on only %d of %d shards", len(counts), m.ShardCount())
+	if len(shards) < m.ShardCount()/2 {
+		t.Fatalf("4096 keys landed on only %d of %d shards", len(shards), m.ShardCount())
+	}
+	if len(buckets) < bucketCount/2 {
+		t.Fatalf("4096 keys landed in only %d of %d bucket positions", len(buckets), bucketCount)
 	}
 }
 

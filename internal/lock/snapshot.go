@@ -24,34 +24,33 @@ func (m *Manager) Snapshot() *spi.TableSnapshot {
 		sh.mu.Lock()
 		var ss spi.ShardSnapshot
 		ss.Index = int(sh.idx)
-		for item, st := range sh.items {
-			if len(st.grants) == 0 && len(st.queue) == 0 {
-				continue // retained-empty state
-			}
-			is := spi.ItemSnapshot{Item: item}
-			for _, g := range st.grants {
-				is.Grants = append(is.Grants, snapGrant(g))
-			}
-			for _, w := range st.queue {
-				if w.granted || w.err != nil {
-					continue
+		for _, head := range &sh.buckets {
+			for st := head; st != nil; st = st.next {
+				is := spi.ItemSnapshot{Item: st.item}
+				for _, g := range st.grants {
+					is.Grants = appendGrant(is.Grants, g)
 				}
-				is.Queue = append(is.Queue, spi.WaitSnapshot{
-					Txn:          w.txn.ID,
-					Mode:         w.req.Mode.String(),
-					Compensating: w.req.Compensating,
-					Conversion:   w.conv,
-				})
-				for _, b := range m.blockersLocked(w, st) {
-					snap.Edges = append(snap.Edges, spi.WaitEdge{From: w.txn.ID, To: b.ID,
-						FromGroup: w.txn.Group.ID, ToGroup: b.Group.ID, Item: item})
+				for _, w := range st.queue {
+					if w.granted || w.err != nil {
+						continue
+					}
+					is.Queue = append(is.Queue, spi.WaitSnapshot{
+						Txn:          w.txn.ID,
+						Mode:         w.req.Mode.String(),
+						Compensating: w.req.Compensating,
+						Conversion:   w.conv,
+					})
+					for _, b := range m.blockersLocked(w, st) {
+						snap.Edges = append(snap.Edges, spi.WaitEdge{From: w.txn.ID, To: b.ID,
+							FromGroup: w.txn.Group.ID, ToGroup: b.Group.ID, Item: st.item})
+					}
 				}
+				ss.Items = append(ss.Items, is)
 			}
-			ss.Items = append(ss.Items, is)
 		}
 		sh.mu.Unlock()
 		if len(ss.Items) > 0 {
-			// Map iteration order is random; sort for stable output.
+			// Chains are in hash order; sort for stable output.
 			sort.Slice(ss.Items, func(i, j int) bool {
 				a, b := ss.Items[i].Item, ss.Items[j].Item
 				if a.Table != b.Table {
@@ -74,7 +73,9 @@ func (m *Manager) Snapshot() *spi.TableSnapshot {
 	return snap
 }
 
-func snapGrant(g *grant) spi.GrantSnapshot {
+// appendGrant renders g; a mark that carries a reservation renders as the D
+// grant and the C grant it stands for.
+func appendGrant(out []spi.GrantSnapshot, g *grant) []spi.GrantSnapshot {
 	gs := spi.GrantSnapshot{Txn: g.txn.ID, Assertion: -1}
 	switch g.kind {
 	case kindConventional:
@@ -87,13 +88,15 @@ func snapGrant(g *grant) spi.GrantSnapshot {
 	case kindExposure:
 		gs.Kind = tagExposure
 		gs.Mode = tagExposure
-	case kindReservation:
-		gs.Kind = tagReservation
-		gs.Mode = tagReservation
+		if g.txn.Comp != spi.NoStep {
+			out = append(out, gs)
+			gs.Kind = tagReservation
+			gs.Mode = tagReservation
+		}
 	case kindRetired:
 		gs.Kind = "retired"
 		gs.Mode = g.mode.String()
 		gs.LSN = g.lsn
 	}
-	return gs
+	return append(out, gs)
 }

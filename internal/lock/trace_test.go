@@ -83,8 +83,8 @@ func TestTraceDeadlockVictimAndADCModes(t *testing.T) {
 	if err := m.Acquire(holder, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7}); err != nil {
 		t.Fatal(err)
 	}
+	holder.Comp = 99
 	m.AttachExposure(holder, it)
-	m.AttachReservation(holder, it, 99)
 
 	// Self-victim deadlock: t2 closes the cycle with t3.
 	t2, t3 := spi.NewTxn(2, 1), spi.NewTxn(3, 1)
@@ -172,8 +172,8 @@ func TestSnapshotDumpsGrantsWaitersAndEdges(t *testing.T) {
 
 	m.Acquire(t1, it, conv(spi.ModeX))
 	m.Acquire(t1, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7})
+	t1.Comp = 99
 	m.AttachExposure(t1, it)
-	m.AttachReservation(t1, it, 99)
 
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(t2, it, conv(spi.ModeS)) }()
@@ -236,6 +236,102 @@ func TestSnapshotDumpsGrantsWaitersAndEdges(t *testing.T) {
 	if !strings.Contains(empty.DOT(), "digraph waitsfor") {
 		t.Fatal("empty DOT not a valid digraph")
 	}
+}
+
+// TestMarkKeepsDAndCApart: one grant is both an item's D mark and its C
+// reservation, yet the wait stage, the trace and the snapshot still say which
+// of the two refused a request or is held; without a compensating step the
+// mark is an exposure only; a step abort drops only that step's marks.
+func TestMarkKeepsDAndCApart(t *testing.T) {
+	o := newStub()
+	o.setInterferes(99, 7, true) // the holder's compensation interferes with assertion 7,
+	o.setPrefixSafe(1, 7, true)  // which its executed prefix leaves true
+	sink := trace.NewMemorySink(64)
+	tr := trace.New(sink)
+	defer tr.Close()
+	m := NewManager(o)
+	m.SetTracer(tr)
+	holder, plain := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	holder.Comp = 99
+	reserved, exposed := item("reserved"), item("exposed")
+	m.AttachExposure(holder, reserved)
+	m.AttachExposure(holder, reserved) // idempotent
+	m.AttachExposure(plain, exposed)
+
+	for i, c := range []struct {
+		name string
+		req  spi.LockRequest
+		want trace.SpanStage
+	}{
+		{"A refused only by the reservation", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}, trace.StageLockC},
+		{"A refused by the holder's prefix", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}, trace.StageLockD},
+		{"a conventional reader", spi.LockRequest{Mode: spi.ModeS, Step: 5}, trace.StageLockD},
+	} {
+		if got := blockedStage(t, m, spi.TxnID(10+i), reserved, c.req); got != c.want {
+			t.Errorf("%s: waited under %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Without a reservation the same assertion passes the mark.
+	if err := m.Acquire(spi.NewTxn(20, 2), exposed, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}); err != nil {
+		t.Fatalf("A refused by a mark without a reservation: %v", err)
+	}
+
+	kinds := make(map[spi.TxnID][]string)
+	for _, sh := range m.Snapshot().Shards {
+		for _, is := range sh.Items {
+			for _, g := range is.Grants {
+				kinds[g.Txn] = append(kinds[g.Txn], g.Kind)
+			}
+		}
+	}
+	tagged := make(map[string][]string)
+	for _, ev := range collect(tr, sink)[trace.KindLockAcquire] {
+		if ev.Mode == "D" || ev.Mode == "C" {
+			tagged[ev.Item] = append(tagged[ev.Item], ev.Mode)
+		}
+	}
+	for _, c := range []struct {
+		txn  spi.TxnID
+		it   spi.Item
+		want string
+	}{{holder.ID, reserved, "D C"}, {plain.ID, exposed, "D"}} {
+		if got := strings.Join(kinds[c.txn], " "); got != c.want {
+			t.Errorf("T%d's snapshot grants: %q, want %q", c.txn, got, c.want)
+		}
+		if got := strings.Join(tagged[c.it.String()], " "); got != c.want {
+			t.Errorf("trace modes on %v: %q, want %q", c.it, got, c.want)
+		}
+	}
+
+	holder.AdvanceStep()
+	m.AttachExposure(holder, item("later"))
+	m.ReleaseStepAbort(holder)
+	if held := m.HeldItems(holder.ID); len(held) != 1 || held[0] != reserved {
+		t.Fatalf("after the later step's abort T1 holds %v, want only the earlier step's mark", held)
+	}
+}
+
+// blockedStage runs req for a fresh transaction until it blocks on it,
+// withdraws it, and returns the lock-wait stage its span was charged.
+func blockedStage(t *testing.T, m *Manager, id spi.TxnID, it spi.Item, req spi.LockRequest) trace.SpanStage {
+	t.Helper()
+	txn := spi.NewTxn(id, 2)
+	txn.Span = &trace.Span{}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- m.AcquireCtx(ctx, txn, it, req) }()
+	waitUntil(t, func() bool { return blockedOf(txn) != nil })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("T%d: got %v, want the withdrawn wait", id, err)
+	}
+	for _, s := range []trace.SpanStage{trace.StageLockConv, trace.StageLockA, trace.StageLockD, trace.StageLockC} {
+		if txn.Span.Stage(s) > 0 {
+			return s
+		}
+	}
+	t.Fatalf("T%d: no lock-wait stage charged", id)
+	return 0
 }
 
 // waitUntil polls cond for up to a second; the snapshot of a concurrent

@@ -123,6 +123,10 @@ type Oracle interface {
 type Txn struct {
 	ID   TxnID
 	Type TxnTypeID
+	// Comp is the type's compensating step type, NoStep if it has none: what
+	// the C reservation on every item the transaction marks (AttachExposure)
+	// reserves the item for.
+	Comp StepTypeID
 
 	// Span, when non-nil, is the transaction's latency-anatomy span: the
 	// lock service charges blocked time to the per-mode lock-wait stages and
@@ -271,8 +275,9 @@ type ClassStats struct {
 
 // LockService is the scheduler's contract with a lock manager: the
 // conventional multi-granularity modes plus the paper's three flavours —
-// assertional locks (§3.2, requested as ModeA), exposure marks (§3.3,
-// AttachExposure) and compensation reservations (§3.4, AttachReservation).
+// assertional locks (§3.2, requested as ModeA), exposure marks (§3.3) and
+// compensation reservations (§3.4). A written item gets its exposure mark and
+// its reservation (for Txn.Comp) together, from one AttachExposure call.
 //
 // Obligations on an implementation:
 //
@@ -283,9 +288,12 @@ type ClassStats struct {
 //     behind plain requests on the same item — queue-jumping avoids the
 //     classic convoy). Requests with Compensating set must never be chosen
 //     as deadlock victims; the cycle is broken by aborting a forward waiter.
-//   - Attach* are idempotent per (txn, item); entries carry the holder's
+//   - AttachExposure is idempotent per (txn, item); marks carry the holder's
 //     CompletedSteps at attach time so ReleaseStepAbort can drop exactly the
-//     aborted step's marks.
+//     aborted step's marks. An exposure mark refuses a conventional request
+//     whose step may not interleave at the holder's breakpoint, and an
+//     assertional one the holder's executed prefix may have invalidated; the
+//     reservation refuses an assertional request Txn.Comp interferes with.
 //   - Retire gives up the conventional grants at a step boundary whose log
 //     record is appended but not yet durable (controlled lock violation):
 //     read-mode grants are dropped; write-mode grants (IX, SIX, X) stay on
@@ -294,14 +302,14 @@ type ClassStats struct {
 //     to HoldsConventional, but a request granted in a mode that would have
 //     conflicted with it notes the stamp in the requester (Txn.NoteDep), so
 //     a reader waits for exactly the records it saw. A grant retired at or
-//     below the durable watermark is simply dropped. Assertional, exposure
-//     and reservation entries persist to the final Retire and fall with it;
-//     retired grants fall with ReleaseAll, which the holder calls once its
-//     own durability wait returned. ReleaseAssertion drops one assertion's
-//     A-locks.
-//   - The waits-for membership of a blocked request must be visible to
-//     CancelWait, and Snapshot must render grants, queues and waits-for
-//     edges as deadlock detection would see them.
+//     below the durable watermark is simply dropped. Assertional entries,
+//     exposure marks and reservations persist to the final Retire and fall
+//     with it; retired grants fall with ReleaseAll, which the holder calls
+//     once its own durability wait returned. ReleaseAssertion drops one
+//     assertion's A-locks.
+//   - Snapshot must render grants, queues and waits-for edges as deadlock
+//     detection would see them, an item's exposure mark and reservation as
+//     a "D" and a "C" grant.
 type LockService interface {
 	// SetWaitTimeout bounds each blocking AcquireCtx; zero waits forever.
 	SetWaitTimeout(d time.Duration)
@@ -312,14 +320,11 @@ type LockService interface {
 	// AcquireCtx obtains the requested lock on item for txn (see the
 	// interface comment for the blocking and conversion contract).
 	AcquireCtx(ctx context.Context, txn *Txn, item Item, req LockRequest) error
-	// AttachExposure marks item as exposed by txn: another transaction's
-	// conventional access now requires interleaving permission at txn's
-	// current breakpoint.
+	// AttachExposure marks item as written by txn: exposed — another
+	// transaction's conventional access now requires interleaving permission
+	// at txn's current breakpoint — and, unless txn.Comp is NoStep, reserved
+	// for that compensating step.
 	AttachExposure(txn *Txn, item Item)
-	// AttachReservation records that a compensating step of type cs may
-	// later modify item; assertional locks that cs would interfere with are
-	// refused on it. A NoStep cs is a no-op.
-	AttachReservation(txn *Txn, item Item, cs StepTypeID)
 
 	// Retire gives up txn's conventional locks at a step boundary whose log
 	// record ends at lsn, with the log durable through durable (see the
@@ -327,8 +332,8 @@ type LockService interface {
 	// commit or compensation end — where the A/D/C entries are dropped too
 	// and only retired grants remain.
 	Retire(txn *Txn, lsn, durable uint64, final bool)
-	// ReleaseStepAbort releases txn's conventional locks plus exposure and
-	// reservation marks attached during the aborted step.
+	// ReleaseStepAbort releases txn's conventional locks plus the exposure
+	// marks (with their reservations) attached during the aborted step.
 	ReleaseStepAbort(txn *Txn)
 	// ReleaseAssertion drops txn's assertional locks for one assertion type.
 	ReleaseAssertion(txn *Txn, a AssertionID)
