@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation (§5). One benchmark per
-// figure plus the server-count experiment described in the text and the
-// ablations DESIGN.md calls out. Each benchmark runs a shortened version of
-// the corresponding accbench experiment (cmd/accbench regenerates the full
-// curves) and reports the paper's ratio as a custom metric:
+// figure plus the server-count experiment described in the text. Each
+// benchmark runs a shortened version of the corresponding accbench
+// experiment (cmd/accbench regenerates the full curves) and reports the
+// paper's ratio as a custom metric:
 //
 //	ratio/resp   baseline mean response time / ACC mean response time
 //	             (>1: the ACC is faster — the ordinate of Figures 2-4)
@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"accdb/internal/core"
 	"accdb/internal/experiment"
 )
 
@@ -94,8 +93,9 @@ func BenchmarkFig3ComputeTime(b *testing.B) {
 
 // BenchmarkFig4Throughput regenerates Figure 4 (response time and
 // throughput) at three points of the terminal sweep: below the crossover
-// (ratio < 1: the ACC's per-step log forces cost more than contention
-// saves), near it, and above it (ratio > 1, throughput ratio < 1).
+// (ratio < 1: the ACC's end-of-step processing, one server CPU charge per
+// end-of-step record, costs more than contention saves), near it, and above
+// it (ratio > 1, throughput ratio < 1).
 func BenchmarkFig4Throughput(b *testing.B) {
 	for _, terminals := range []int{8, 24, 48} {
 		b.Run(map[int]string{8: "low-8term", 24: "mid-24term", 48: "high-48term"}[terminals],
@@ -120,66 +120,5 @@ func BenchmarkExp4Servers(b *testing.B) {
 				cfg.Servers = servers
 				comparePoint(b, cfg)
 			})
-	}
-}
-
-// BenchmarkAblationTwoLevel compares the one-level ACC with the earlier
-// two-level design (§3.2): without run-time item identity the dispatcher
-// pays false conflicts, so the two-level scheduler loses throughput.
-func BenchmarkAblationTwoLevel(b *testing.B) {
-	for _, sub := range []struct {
-		name string
-		mode core.Mode
-	}{
-		{"one-level", core.ModeACC},
-		{"two-level", core.ModeTwoLevel},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Terminals = 32
-			cfg.Mode = sub.mode
-			var last *experiment.RunResult
-			for i := 0; i < b.N; i++ {
-				r, err := experiment.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Consistent {
-					b.Fatalf("inconsistent state: %v", r.Violations[0])
-				}
-				last = r
-			}
-			b.ReportMetric(last.Throughput, "txn/s")
-			b.ReportMetric(float64(last.Mean.Microseconds())/1000, "mean-ms")
-		})
-	}
-}
-
-// BenchmarkAblationEagerLocks compares the implemented dynamic assertional
-// locking against the simplified §3.3 algorithm that locks an assertion's
-// whole footprint before each step.
-func BenchmarkAblationEagerLocks(b *testing.B) {
-	for _, sub := range []struct {
-		name  string
-		eager bool
-	}{
-		{"dynamic", false},
-		{"eager", true},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Terminals = 32
-			cfg.EagerAssertionLocks = sub.eager
-			var last *experiment.RunResult
-			for i := 0; i < b.N; i++ {
-				r, err := experiment.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(last.Throughput, "txn/s")
-			b.ReportMetric(float64(last.Mean.Microseconds())/1000, "mean-ms")
-		})
 	}
 }

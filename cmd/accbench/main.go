@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	accbench -experiment fig2|fig3|fig4|servers|ablation|all [flags]
+//	accbench -experiment fig2|fig3|fig4|servers|all [flags]
 //
 // The defaults reproduce the paper's operating region at laptop scale; see
 // EXPERIMENTS.md for recorded results.
@@ -29,7 +29,7 @@ import (
 )
 
 // experiments names the runs -experiment selects from; "all" runs each.
-var experiments = []string{"fig2", "fig3", "fig4", "servers", "ablation"}
+var experiments = []string{"fig2", "fig3", "fig4", "servers"}
 
 // checkExperiment rejects a name -experiment would match nothing with: a
 // typo must not print nothing and exit 0, or a CI step passes without
@@ -220,10 +220,6 @@ func main() {
 			detail(p, *verbose)
 		}
 	}
-	if run("ablation") {
-		fmt.Println("== Ablation: one-level vs two-level vs eager locking ==")
-		ablation(cfg, *verbose)
-	}
 }
 
 func sweepAndPrint(cfg experiment.Config, terminals []int, verbose bool) {
@@ -277,47 +273,6 @@ func detail(p *experiment.Point, verbose bool) {
 		fmt.Printf("%10s   %-12s base n=%-5d mean=%-12v | acc n=%-5d mean=%v\n", "",
 			name, b.Count, b.Mean.Round(time.Microsecond), a.Count, a.Mean.Round(time.Microsecond))
 	}
-}
-
-func ablation(cfg experiment.Config, verbose bool) {
-	cfg.Terminals = 32
-	base, err := experiment.Run(withMode(cfg, core.ModeBaseline))
-	if err != nil {
-		fatal(err)
-	}
-	onelevel, err := experiment.Run(withMode(cfg, core.ModeACC))
-	if err != nil {
-		fatal(err)
-	}
-	twolevel, err := experiment.Run(withMode(cfg, core.ModeTwoLevel))
-	if err != nil {
-		fatal(err)
-	}
-	eager := withMode(cfg, core.ModeACC)
-	eager.EagerAssertionLocks = true
-	eagerRes, err := experiment.Run(eager)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%-22s %14s %12s\n", "scheduler", "mean resp", "tput/s")
-	for _, row := range []struct {
-		name string
-		r    *experiment.RunResult
-	}{
-		{"baseline (strict 2PL)", base},
-		{"ACC one-level", onelevel},
-		{"ACC two-level", twolevel},
-		{"ACC eager (simplified)", eagerRes},
-	} {
-		fmt.Printf("%-22s %14v %12.1f\n", row.name,
-			row.r.Mean.Round(time.Microsecond), row.r.Throughput)
-	}
-	_ = verbose
-}
-
-func withMode(cfg experiment.Config, mode core.Mode) experiment.Config {
-	cfg.Mode = mode
-	return cfg
 }
 
 func fatal(err error) {

@@ -10,9 +10,10 @@ func TestCheckExperiment(t *testing.T) {
 		ok   bool
 	}{
 		{"all", true}, {"fig2", true}, {"fig3", true}, {"fig4", true},
-		{"servers", true}, {"ablation", true},
+		{"servers", true},
 		{"", false}, {"fig", false}, {"fig5", false}, {"Fig2", false},
 		{"fig2 ", false}, {"fig2,fig3", false}, {"ledger", false},
+		{"ablation", false},
 	} {
 		if err := checkExperiment(c.name); (err == nil) != c.ok {
 			t.Errorf("checkExperiment(%q) = %v, want ok=%v", c.name, err, c.ok)

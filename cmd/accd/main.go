@@ -55,7 +55,7 @@ func main() {
 	}
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7654", "listen address for the wire protocol")
-		mode         = flag.String("mode", "acc", "scheduler: acc | baseline | two-level")
+		mode         = flag.String("mode", "acc", "scheduler: acc | baseline")
 		maxInFlight  = flag.Int("max-inflight", server.DefaultMaxInFlight, "admission bound on concurrently executing requests")
 		waitTimeout  = flag.Duration("wait-timeout", 10*time.Second, "lock-wait safety net")
 		force        = flag.Duration("force", 0, "simulated log force latency (memory log)")
@@ -79,8 +79,6 @@ func main() {
 		m = core.ModeACC
 	case "baseline":
 		m = core.ModeBaseline
-	case "two-level":
-		m = core.ModeTwoLevel
 	default:
 		fatal(fmt.Errorf("unknown -mode %q", *mode))
 	}

@@ -108,6 +108,18 @@ func TestRefusesUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestRefusesUnknownMode: -mode serves the paper's two schedulers, acc and
+// baseline. The two-level dispatcher of the paper's earlier design is not one
+// of them, and a name that never was, such as 2pl, is refused the same way.
+func TestRefusesUnknownMode(t *testing.T) {
+	bin := buildAccd(t)
+	for _, mode := range []string{"two-level", "2pl"} {
+		t.Run(mode, func(t *testing.T) {
+			refused(t, bin, []string{"ACCDB_PARTITIONS="}, []string{"-addr", "127.0.0.1:0", "-mode", mode}, "unknown -mode", `"`+mode+`"`)
+		})
+	}
+}
+
 // serve starts accd with args (which name ready as the -ready-fd file) and
 // returns once it listens: the process, its address and its stderr so far.
 // The process is killed when the test ends, if it has not exited by then.

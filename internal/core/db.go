@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: the one-level
 // assertional concurrency control (ACC), together with the baseline
-// strict-2PL scheduler (the "unmodified system" of §5) and a conservative
-// two-level dispatcher (§3.2's earlier design) used for ablation.
+// strict-2PL scheduler (the "unmodified system" of §5) it is measured
+// against.
 //
 // The engine executes transactions that were decomposed at design time into
 // steps (§3.1). Within a step it uses strict two-phase locking on a

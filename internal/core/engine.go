@@ -24,13 +24,9 @@ const (
 	// to commit.
 	ModeACC Mode = iota
 	// ModeBaseline is the unmodified system of §5: the whole transaction is
-	// a single strict-2PL unit, serializable, one forced commit record.
+	// a single strict-2PL unit, serializable, with one commit record that
+	// its reply waits to be durable.
 	ModeBaseline
-	// ModeTwoLevel is the earlier two-level design of [5] (§3.2): a
-	// dispatcher blocks steps on step-type/assertion interference without
-	// run-time item identity, so false conflicts delay transactions that
-	// touch disjoint data. Kept for the ablation benchmarks.
-	ModeTwoLevel
 )
 
 // String names the mode.
@@ -40,8 +36,6 @@ func (m Mode) String() string {
 		return "acc"
 	case ModeBaseline:
 		return "baseline"
-	case ModeTwoLevel:
-		return "two-level"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -70,8 +64,9 @@ type Options struct {
 	Mode Mode
 	// WaitTimeout bounds individual lock waits (safety net; 0 = forever).
 	WaitTimeout time.Duration
-	// ForceLatency is the simulated log-force I/O time. The ACC pays it per
-	// end-of-step record; the baseline once per commit.
+	// ForceLatency is the simulated log-force I/O time. Neither scheduler
+	// forces at a step boundary: a writing transaction pays it at most once,
+	// in the durability wait before its reply.
 	ForceLatency time.Duration
 	// MaxStepRetries is how many times a deadlock-victim step restarts
 	// before the transaction is rolled back by compensation. The paper's
@@ -79,10 +74,6 @@ type Options struct {
 	MaxStepRetries int
 	// MaxTxnRetries bounds whole-transaction restarts in baseline mode.
 	MaxTxnRetries int
-	// EagerAssertionLocks selects the simplified §3.3 algorithm that locks
-	// an assertion's whole footprint before the step runs (requires
-	// Assertion.Items); the default is the implemented dynamic variant.
-	EagerAssertionLocks bool
 	// Env injects execution costs; nil executes inline.
 	Env ExecEnv
 	// RecordHistory captures a conflict-checkable access history (tests).
@@ -135,7 +126,6 @@ type Stats struct {
 type Engine struct {
 	opt     Options
 	db      *DB
-	tables  *interference.Tables
 	lm      spi.LockService
 	log     *wal.Log
 	env     ExecEnv
@@ -216,7 +206,6 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 	e := &Engine{
 		opt:     opt,
 		db:      db,
-		tables:  tables,
 		lm:      lm,
 		log:     log,
 		env:     env,

@@ -38,7 +38,7 @@ type transferArgs struct {
 	FailCredit   error
 }
 
-func newTestSys(t testing.TB, mode Mode, opts ...func(*Options)) *testSys {
+func newTestSys(t testing.TB, mode Mode, opts ...Option) *testSys {
 	t.Helper()
 	s := &testSys{db: NewDB()}
 	acc := s.db.MustCreateTable(spi.MustSchema("accounts", []spi.Column{
@@ -73,11 +73,8 @@ func newTestSys(t testing.TB, mode Mode, opts ...func(*Options)) *testSys {
 	b.PrefixSafe(s.txnTransfer, 2, s.aInFlight)
 	tables := b.Build()
 
-	o := Options{Mode: mode, WaitTimeout: 10 * time.Second, RecordHistory: true}
-	for _, f := range opts {
-		f(&o)
-	}
-	s.eng = New(s.db, tables, WithOptions(o))
+	base := []Option{WithMode(mode), WithWaitTimeout(10 * time.Second), WithRecordHistory(true)}
+	s.eng = New(s.db, tables, append(base, opts...)...)
 
 	s.assertion = &Assertion{
 		ID:   s.aInFlight,
@@ -86,10 +83,6 @@ func newTestSys(t testing.TB, mode Mode, opts ...func(*Options)) *testSys {
 			a := args.(*transferArgs)
 			return item.Table == "accounts" && item.Level == spi.LevelRow &&
 				item.Key == spi.EncodeKey(spi.I64(a.From))
-		},
-		Items: func(args any) []spi.Item {
-			a := args.(*transferArgs)
-			return []spi.Item{spi.RowItem("accounts", spi.EncodeKey(spi.I64(a.From)))}
 		},
 	}
 
@@ -177,7 +170,7 @@ func (s *testSys) total(t *testing.T) int64 {
 }
 
 func TestCommitBothModes(t *testing.T) {
-	for _, mode := range []Mode{ModeACC, ModeBaseline, ModeTwoLevel} {
+	for _, mode := range []Mode{ModeACC, ModeBaseline} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := newTestSys(t, mode)
 			if err := s.eng.Run("transfer", &transferArgs{From: 1, To: 2, Amount: 30}); err != nil {
@@ -465,16 +458,6 @@ func TestACCMassConcurrencyPreservesInvariant(t *testing.T) {
 	wg.Wait()
 	if s.total(t) != 600 {
 		t.Fatalf("invariant violated: total = %d", s.total(t))
-	}
-}
-
-func TestEagerAssertionLocks(t *testing.T) {
-	s := newTestSys(t, ModeACC, func(o *Options) { o.EagerAssertionLocks = true })
-	if err := s.eng.Run("transfer", &transferArgs{From: 1, To: 2, Amount: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if s.balance(t, 2) != 110 {
-		t.Fatal("eager mode broke execution")
 	}
 }
 

@@ -8,12 +8,10 @@ import (
 )
 
 // Option configures an Engine at construction. New applies options in order
-// over the zero Options value, so later options win; WithOptions replaces
-// the whole record at once for callers that assemble an Options struct from
-// external configuration.
+// over the zero Options value, so later options win.
 type Option func(*Options)
 
-// WithMode selects the scheduler (ModeACC, ModeBaseline, ModeTwoLevel).
+// WithMode selects the scheduler (ModeACC or ModeBaseline).
 func WithMode(m Mode) Option {
 	return func(o *Options) { o.Mode = m }
 }
@@ -23,8 +21,9 @@ func WithWaitTimeout(d time.Duration) Option {
 	return func(o *Options) { o.WaitTimeout = d }
 }
 
-// WithForceLatency sets the simulated log-force I/O time paid per forced
-// record (per end-of-step under the ACC; per commit in the baseline).
+// WithForceLatency sets the simulated log-force I/O time. Neither scheduler
+// forces at a step boundary; a writing transaction pays it at most once,
+// before its reply.
 func WithForceLatency(d time.Duration) Option {
 	return func(o *Options) { o.ForceLatency = d }
 }
@@ -39,13 +38,6 @@ func WithMaxStepRetries(n int) Option {
 // WithMaxTxnRetries bounds whole-transaction restarts.
 func WithMaxTxnRetries(n int) Option {
 	return func(o *Options) { o.MaxTxnRetries = n }
-}
-
-// WithEagerAssertionLocks selects the simplified §3.3 algorithm that locks
-// an assertion's whole footprint before the step runs (requires
-// Assertion.Items).
-func WithEagerAssertionLocks(eager bool) Option {
-	return func(o *Options) { o.EagerAssertionLocks = eager }
 }
 
 // WithEnv injects execution costs (the simulation testbed's server pool);
@@ -92,11 +84,4 @@ func WithEngineLabel(label string) Option {
 // the reaper so tests can drive ReapVersions deterministically.
 func WithVersionGCInterval(d time.Duration) Option {
 	return func(o *Options) { o.VersionGCInterval = d }
-}
-
-// WithOptions replaces the entire Options record. It exists for callers
-// that build configuration dynamically (the experiment harness, tests) and
-// composes with the targeted options: later options still override fields.
-func WithOptions(o Options) Option {
-	return func(dst *Options) { *dst = o }
 }

@@ -188,10 +188,10 @@ func (e *Engine) RunLegacy(name string, body func(tc *Ctx) error) error {
 	}})
 }
 
-// runDecomposed executes tt under the ACC (or two-level) scheduler. A
-// scheduling abort before any step has completed restarts the whole
-// transaction (nothing was exposed, so a restart is free); once a step has
-// completed, rollback goes through compensation instead.
+// runDecomposed executes tt under the ACC scheduler. A scheduling abort
+// before any step has completed restarts the whole transaction (nothing was
+// exposed, so a restart is free); once a step has completed, rollback goes
+// through compensation instead.
 func (e *Engine) runDecomposed(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
 	for attempt := 0; ; attempt++ {
 		err := e.runDecomposedOnce(ctx, tt, args, sp)
@@ -364,10 +364,10 @@ func (e *Engine) awaitDurable(need wal.LSN, sp *trace.Span) error {
 	return nil
 }
 
-// commit is the one commit tail the ACC, two-level and baseline schedulers
-// share: the commit record (which is also the final step's end-of-step
-// record) is appended, the final writes are published, every lock is given
-// up, and only then does the request wait for the disk.
+// commit is the one commit tail the ACC and baseline schedulers share: the
+// commit record (which is also the final step's end-of-step record) is
+// appended, the final writes are published, every lock is given up, and only
+// then does the request wait for the disk.
 func (e *Engine) commit(txn *txnState, writes []writeRec, start time.Time) error {
 	// A committed remote shot can still be compensated by its coordinator,
 	// from the work area its commit record saved.
@@ -422,10 +422,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 			stepType: txn.steps[j].Type,
 			active:   activeAssertions(txn.steps, j),
 		}
-		err := e.stepPrologue(tc, j)
-		if err == nil {
-			err = txn.steps[j].Body(tc)
-		}
+		err := txn.steps[j].Body(tc)
 		if err == nil {
 			e.finishStep(txn, tc, j)
 			e.announce(trace.KindStepEnd, txn, j, txn.steps[j].Name, int64(time.Since(stepStart)), "")
@@ -445,38 +442,6 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		}
 		return err
 	}
-}
-
-// stepPrologue performs mode-specific work before the body runs: eager
-// assertional locking (simplified §3.3) and the two-level dispatcher's
-// assertion-type gate.
-func (e *Engine) stepPrologue(tc *Ctx, j int) error {
-	if e.opt.Mode == ModeTwoLevel {
-		if err := e.twoLevelGate(tc, j); err != nil {
-			return err
-		}
-	}
-	if e.opt.Mode == ModeACC && e.opt.EagerAssertionLocks {
-		for _, a := range tc.active {
-			if a.Items == nil {
-				continue
-			}
-			for _, item := range a.Items(tc.txn.args) {
-				req := spi.LockRequest{
-					Mode: spi.ModeA, Step: tc.stepType,
-					Assertion: a.ID, Compensating: tc.compensating,
-				}
-				if err := e.lm.AcquireCtx(tc.lockCtx(), tc.txn.info, item, req); err != nil {
-					return err
-				}
-				if e.tracer != nil {
-					e.emitTxn(trace.KindAssertCheck, tc.txn,
-						j, item.String(), 0, a.Name)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // finishStep performs the end-of-step processing: one D/C mark on each

@@ -29,8 +29,8 @@ type ShotTag struct {
 type shotTagKey struct{}
 
 // WithShotTag returns a context that stamps transactions run under it with
-// the given shot identity. The stamp applies to decomposed (ACC/two-level)
-// runs; baseline mode has no multi-shot protocol.
+// the given shot identity. The stamp applies to decomposed (ACC) runs;
+// baseline mode has no multi-shot protocol.
 func WithShotTag(ctx context.Context, tag ShotTag) context.Context {
 	return context.WithValue(ctx, shotTagKey{}, tag)
 }

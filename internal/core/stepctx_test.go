@@ -539,120 +539,75 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-func TestTwoLevelGateSerializesFalseConflicts(t *testing.T) {
-	// Two instances touching disjoint rows: the one-level ACC runs them
-	// concurrently; the two-level dispatcher serializes them through the
-	// assertion-type item (the paper's false conflict).
-	build := func(mode Mode) (*Engine, *Assertion, interference.TxnTypeID, interference.StepTypeID, interference.StepTypeID) {
-		db := NewDB()
-		tab := db.MustCreateTable(spi.MustSchema("t", []spi.Column{
-			{Name: "id", Kind: spi.KindInt},
-			{Name: "v", Kind: spi.KindInt},
-		}, "id"))
-		for i := int64(1); i <= 4; i++ {
-			tab.Insert(spi.Row{spi.I64(i), spi.I64(0)})
-		}
-		b := interference.NewBuilder()
-		txn := b.TxnType("w", 2)
-		s1 := b.StepType("w1")
-		s2 := b.StepType("w2")
-		cs := b.StepType("cs")
-		a := b.Assertion("mine-stable")
-		// w1 interferes with the assertion *type* (another instance could,
-		// in principle, touch the same row — only item identity disproves it).
-		b.NoInterference(s2, a)
-		b.NoInterference(cs, a)
-		for _, st := range []interference.StepTypeID{s1, s2, cs} {
-			b.AllowInterleaveEverywhere(st, txn)
-		}
-		b.PrefixSafe(txn, 1, a)
-		eng := New(db, b.Build(), WithMode(mode), WithWaitTimeout(5*time.Second))
-		assert := &Assertion{
-			ID: a, Name: "mine-stable",
-			Covers: func(args any, item spi.Item) bool {
-				id := args.(int64)
-				return item.Table == "t" && item.Level == spi.LevelRow &&
-					item.Key == spi.EncodeKey(spi.I64(id))
-			},
-		}
-		return eng, assert, txn, s1, s2
+// TestOneLevelAdmitsDisjointInstances is the paper's §3.2 point: with run-time
+// item identity the one-level ACC lets two instances that touch disjoint rows
+// sit between steps together, although their step type interferes with the
+// assertion *type* — a design without item identity would have to serialize
+// them on that false conflict.
+func TestOneLevelAdmitsDisjointInstances(t *testing.T) {
+	db := NewDB()
+	tab := db.MustCreateTable(spi.MustSchema("t", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "v", Kind: spi.KindInt},
+	}, "id"))
+	for i := int64(1); i <= 4; i++ {
+		tab.Insert(spi.Row{spi.I64(i), spi.I64(0)})
 	}
-	type gates struct {
-		arrive  chan struct{}
-		release chan struct{}
+	b := interference.NewBuilder()
+	txn := b.TxnType("w", 2)
+	s1 := b.StepType("w1")
+	s2 := b.StepType("w2")
+	cs := b.StepType("cs")
+	a := b.Assertion("mine-stable")
+	// w1 interferes with the assertion type (another instance could, in
+	// principle, touch the same row — only item identity disproves it).
+	b.NoInterference(s2, a)
+	b.NoInterference(cs, a)
+	for _, st := range []interference.StepTypeID{s1, s2, cs} {
+		b.AllowInterleaveEverywhere(st, txn)
 	}
-	mkType := func(eng *Engine, assert *Assertion, txn interference.TxnTypeID, s1, s2 interference.StepTypeID, g *gates) *TxnType {
-		return &TxnType{
-			Name: "w", ID: txn,
-			Steps: []Step{
-				{Name: "w1", Type: s1, Body: func(tc *Ctx) error {
-					id := tc.Args().(int64)
-					return tc.Update("t", []spi.Value{spi.I64(id)}, func(row spi.Row) error {
-						row[1] = spi.I64(1)
-						return nil
-					})
-				}},
-				{Name: "w2", Type: s2, Pre: []*Assertion{assert}, Body: func(tc *Ctx) error {
-					if g != nil {
-						g.arrive <- struct{}{}
-						<-g.release
-					}
+	b.PrefixSafe(txn, 1, a)
+	eng := New(db, b.Build(), WithMode(ModeACC), WithWaitTimeout(5*time.Second))
+	assert := &Assertion{
+		ID: a, Name: "mine-stable",
+		Covers: func(args any, item spi.Item) bool {
+			id := args.(int64)
+			return item.Table == "t" && item.Level == spi.LevelRow &&
+				item.Key == spi.EncodeKey(spi.I64(id))
+		},
+	}
+	arrive, release := make(chan struct{}, 2), make(chan struct{})
+	eng.MustRegister(&TxnType{
+		Name: "w", ID: txn,
+		Steps: []Step{
+			{Name: "w1", Type: s1, Body: func(tc *Ctx) error {
+				id := tc.Args().(int64)
+				return tc.Update("t", []spi.Value{spi.I64(id)}, func(row spi.Row) error {
+					row[1] = spi.I64(1)
 					return nil
-				}},
-			},
-			Comp: &Compensation{Type: s2, Body: func(*Ctx, int) error { return nil }},
-		}
-	}
-	// One-level: both transactions can sit between steps simultaneously.
-	eng, assert, txn, s1, s2 := build(ModeACC)
-	g := &gates{arrive: make(chan struct{}, 2), release: make(chan struct{})}
-	eng.MustRegister(mkType(eng, assert, txn, s1, s2, g))
+				})
+			}},
+			{Name: "w2", Type: s2, Pre: []*Assertion{assert}, Body: func(tc *Ctx) error {
+				arrive <- struct{}{}
+				<-release
+				return nil
+			}},
+		},
+		Comp: &Compensation{Type: cs, Body: func(*Ctx, int) error { return nil }},
+	})
 	errs := make(chan error, 2)
 	go func() { errs <- eng.Run("w", int64(1)) }()
 	go func() { errs <- eng.Run("w", int64(2)) }()
 	for i := 0; i < 2; i++ {
 		select {
-		case <-g.arrive:
+		case <-arrive:
 		case <-time.After(2 * time.Second):
 			t.Fatal("one-level ACC serialized disjoint instances")
 		}
 	}
-	close(g.release)
+	close(release)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two-level: the second instance cannot reach its w2 gate while the
-	// first holds the assertion type (w1 of instance 2 X-locks the
-	// assertion-type item, which instance 1's A lock blocks).
-	eng2, assert2, txn2, s21, s22 := build(ModeTwoLevel)
-	g2 := &gates{arrive: make(chan struct{}, 2), release: make(chan struct{}, 2)}
-	eng2.MustRegister(mkType(eng2, assert2, txn2, s21, s22, g2))
-	errs2 := make(chan error, 2)
-	go func() { errs2 <- eng2.Run("w", int64(1)) }()
-	go func() { errs2 <- eng2.Run("w", int64(2)) }()
-	select {
-	case <-g2.arrive:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no instance reached the gate")
-	}
-	// The second must NOT arrive while the first is paused: its w1 X-locks
-	// the assertion-type item, which the first's A lock blocks.
-	select {
-	case <-g2.arrive:
-		t.Fatal("two-level dispatcher allowed both instances between steps")
-	case <-time.After(150 * time.Millisecond):
-	}
-	g2.release <- struct{}{} // release the first
-	select {
-	case <-g2.arrive: // second finally arrives
-		g2.release <- struct{}{}
-	case <-time.After(2 * time.Second):
-		t.Fatal("second instance never proceeded")
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs2; err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,10 +25,6 @@ type Assertion struct {
 	// whenever the owning transaction conventionally locks a covered item,
 	// an A lock is attached to it.
 	Covers func(args any, item spi.Item) bool
-	// Items enumerates the complete footprint up front. It is required only
-	// by the simplified §3.3 algorithm (Options.EagerAssertionLocks), which
-	// locks every referenced item before the step begins.
-	Items func(args any) []spi.Item
 	// Eval checks the assertion against a quiescent database; optional,
 	// used by correctness tests, never by the scheduler.
 	Eval func(db *DB, args any) bool

@@ -35,8 +35,9 @@ type Config struct {
 	ComputeTime time.Duration
 	// ThinkTime is the mean exponential terminal think time.
 	ThinkTime time.Duration
-	// ForceLatency is the simulated log-force I/O time — the ACC pays one
-	// per interior step boundary, the baseline one per commit.
+	// ForceLatency is the simulated log-force I/O time. Neither scheduler
+	// forces at a step boundary: a writing transaction pays it at most once,
+	// before its reply.
 	ForceLatency time.Duration
 	// Skew is the extra probability mass on district 1 (Figure 2's
 	// "Skewed" curve).
@@ -54,9 +55,6 @@ type Config struct {
 	Duration time.Duration
 	Warmup   time.Duration
 	Seed     int64
-
-	// EagerAssertionLocks selects the simplified §3.3 variant (ablation).
-	EagerAssertionLocks bool
 
 	// RollbackPercent overrides the share of new-orders that abort via an
 	// unused item number; zero means the benchmark default (1%). Raising it
@@ -135,7 +133,6 @@ func Run(cfg Config) (*RunResult, error) {
 			core.WithWaitTimeout(30 * time.Second),
 			core.WithForceLatency(cfg.ForceLatency),
 			core.WithEnv(sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
-			core.WithEagerAssertionLocks(cfg.EagerAssertionLocks),
 			core.WithTracer(cfg.Tracer),
 			core.WithAnatomy(cfg.Anatomy),
 		},

@@ -150,18 +150,6 @@ func (t *Tables) AssertionName(id AssertionID) string {
 // Steps returns the number of forward steps of a transaction type.
 func (t *Tables) Steps(txn TxnTypeID) int { return t.txnSteps[txn] }
 
-// AssertionIDs returns every registered assertion type, in ID order. The
-// two-level dispatcher uses it to gate steps on assertion-type interference
-// without run-time item identity.
-func (t *Tables) AssertionIDs() []AssertionID {
-	out := make([]AssertionID, 0, len(t.assertNames))
-	for id := range t.assertNames {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // String dumps the tables for documentation and debugging.
 func (t *Tables) String() string {
 	var b strings.Builder

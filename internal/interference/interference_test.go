@@ -95,17 +95,6 @@ func TestAllowInterleaveEverywhere(t *testing.T) {
 	}
 }
 
-func TestAssertionIDs(t *testing.T) {
-	b := NewBuilder()
-	a1 := b.Assertion("x")
-	a2 := b.Assertion("y")
-	tab := b.Build()
-	ids := tab.AssertionIDs()
-	if len(ids) != 2 || ids[0] != a1 || ids[1] != a2 {
-		t.Fatalf("AssertionIDs = %v", ids)
-	}
-}
-
 func TestStringDump(t *testing.T) {
 	b := NewBuilder()
 	s := b.StepType("pay")

@@ -627,8 +627,8 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 // TestGroupCommitAcrossSessions is the cross-session group-commit
 // acceptance check: many concurrent client sessions commit against a
 // WAL-backed engine with a group window, and one leader's force must cover
-// whole windows of them — WAL syncs per commit well under 0.25, versus ~3
-// forced records per transaction (two end-of-step, one commit) ungrouped.
+// whole windows of them — WAL syncs per commit well under 0.25, versus up to
+// one sync per commit ungrouped.
 func TestGroupCommitAcrossSessions(t *testing.T) {
 	l := wal.New(0)
 	l.SetGroupWindow(2 * time.Millisecond)

@@ -94,9 +94,3 @@ func TestConcurrentMixBaseline(t *testing.T) {
 	runMix(t, eng, w, 8, 80, 13)
 	checkAll(t, eng, w)
 }
-
-func TestConcurrentMixTwoLevel(t *testing.T) {
-	eng, w := testSystem(t, core.ModeTwoLevel, smallScale())
-	runMix(t, eng, w, 6, 40, 17)
-	checkAll(t, eng, w)
-}

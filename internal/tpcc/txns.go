@@ -134,18 +134,6 @@ func (reg *Registration) buildAssertions() {
 			// ONum == 0: the order id is not assigned yet.
 			return a.ONum != 0 && item.Key == spi.EncodeKey(i64(a.WID), i64(a.DID), i64(a.ONum))
 		},
-		Items: func(args any) []spi.Item {
-			a := args.(*NewOrderArgs)
-			if a.ONum == 0 {
-				return nil // the §3.2 false-conflict case: identity unknown
-			}
-			key := spi.EncodeKey(i64(a.WID), i64(a.DID), i64(a.ONum))
-			return []spi.Item{
-				spi.RowItem(TOrders, key),
-				spi.RowItem(TNewOrder, key),
-				spi.PartitionItem(TOrderLine, key),
-			}
-		},
 	}
 	reg.aDlvClaim = &core.Assertion{
 		ID:   reg.Types.ADlvClaim,
@@ -161,20 +149,6 @@ func (reg *Registration) buildAssertions() {
 				}
 			}
 			return false
-		},
-		Items: func(args any) []spi.Item {
-			a := args.(*DeliveryArgs)
-			var out []spi.Item
-			for d, o := range a.Claimed {
-				if o == 0 {
-					continue
-				}
-				key := spi.EncodeKey(i64(a.WID), i64(int64(d+1)), i64(o))
-				out = append(out,
-					spi.RowItem(TOrders, key),
-					spi.PartitionItem(TOrderLine, key))
-			}
-			return out
 		},
 	}
 }

@@ -67,9 +67,8 @@ var New = core.New
 // Option configures an Engine at construction.
 type Option = core.Option
 
-// Options is the full configuration record; most callers use the targeted
-// With* options instead and reach for WithOptions only when assembling
-// configuration dynamically.
+// Options is the configuration record the With* options fill in; New
+// applies them in order, so later options win.
 type Options = core.Options
 
 // Mode selects the scheduler.
@@ -81,8 +80,6 @@ const (
 	ModeACC = core.ModeACC
 	// ModeBaseline treats the whole transaction as one strict-2PL unit.
 	ModeBaseline = core.ModeBaseline
-	// ModeTwoLevel is the earlier two-level design kept for ablations.
-	ModeTwoLevel = core.ModeTwoLevel
 )
 
 // Functional options re-exported from the engine.
@@ -97,8 +94,6 @@ var (
 	WithMaxStepRetries = core.WithMaxStepRetries
 	// WithMaxTxnRetries bounds whole-transaction restarts.
 	WithMaxTxnRetries = core.WithMaxTxnRetries
-	// WithEagerAssertionLocks selects the simplified §3.3 algorithm.
-	WithEagerAssertionLocks = core.WithEagerAssertionLocks
 	// WithEnv injects execution costs.
 	WithEnv = core.WithEnv
 	// WithRecordHistory captures a conflict-checkable access history.
@@ -110,8 +105,6 @@ var (
 	// WithVersionGCInterval sets the version-chain reaper cadence (zero:
 	// 100ms default; negative: disabled).
 	WithVersionGCInterval = core.WithVersionGCInterval
-	// WithOptions replaces the entire Options record at once.
-	WithOptions = core.WithOptions
 )
 
 // Request is one transaction to execute: a type (by name, or resolved), its
