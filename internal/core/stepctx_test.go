@@ -283,7 +283,7 @@ func TestGetManyLocks(t *testing.T) {
 			func(spi.Row) error { return nil }); err == nil {
 			t.Error("unsorted keys accepted")
 		}
-		if held := tc.e.lm.HeldItems(id); len(held) != 0 {
+		if held := tc.e.lm.HeldItems(tc.txn.info); len(held) != 0 {
 			t.Errorf("refused GetMany left locks: %v", held)
 		}
 		pks := invKeys([2]int64{1, 1}, [2]int64{2, 2})

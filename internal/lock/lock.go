@@ -94,14 +94,3 @@ func sup(a, b spi.Mode) spi.Mode {
 	}
 	return spi.ModeX
 }
-
-// markShard records that the transaction touched the shard with the given
-// bitmask bit, in the scratch mask spi.Txn reserves for the lock service.
-func markShard(t *spi.Txn, bit uint64) {
-	for {
-		old := t.ShardMask.Load()
-		if old&bit != 0 || t.ShardMask.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}

@@ -15,17 +15,19 @@ import (
 // mutex-guarded because tests flip answers while concurrent Acquires are
 // blocked on the manager.
 type stubOracle struct {
-	mu         sync.Mutex
-	interferes map[[2]int32]bool // (step, assertion)
-	prefixSafe map[[2]int32]bool // (txnType, assertion) ignoring step count
-	interleave map[[2]int32]bool // (step, holderType)
+	mu           sync.Mutex
+	interferes   map[[2]int32]bool // (step, assertion)
+	prefixSafe   map[[2]int32]bool // (txnType, assertion) ignoring step count
+	interleave   map[[2]int32]bool // (step, holderType) at every breakpoint
+	interleaveAt map[[3]int32]bool // (step, holderType, breakpoint)
 }
 
 func newStub() *stubOracle {
 	return &stubOracle{
-		interferes: map[[2]int32]bool{},
-		prefixSafe: map[[2]int32]bool{},
-		interleave: map[[2]int32]bool{},
+		interferes:   map[[2]int32]bool{},
+		prefixSafe:   map[[2]int32]bool{},
+		interleave:   map[[2]int32]bool{},
+		interleaveAt: map[[3]int32]bool{},
 	}
 }
 
@@ -39,6 +41,14 @@ func (o *stubOracle) setInterferes(s, a int32, v bool) { o.set(o.interferes, s, 
 func (o *stubOracle) setPrefixSafe(t, a int32, v bool) { o.set(o.prefixSafe, t, a, v) }
 func (o *stubOracle) setInterleave(s, h int32, v bool) { o.set(o.interleave, s, h, v) }
 
+// setInterleaveAt allows step type s to interleave with holder type h at
+// breakpoint b only.
+func (o *stubOracle) setInterleaveAt(s, h, b int32) {
+	o.mu.Lock()
+	o.interleaveAt[[3]int32{s, h, b}] = true
+	o.mu.Unlock()
+}
+
 func (o *stubOracle) get(m map[[2]int32]bool, a, b int32) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -51,8 +61,10 @@ func (o *stubOracle) Interferes(s interference.StepTypeID, a interference.Assert
 func (o *stubOracle) PrefixInterferes(t interference.TxnTypeID, _ int, a interference.AssertionID) bool {
 	return !o.get(o.prefixSafe, int32(t), int32(a))
 }
-func (o *stubOracle) MayInterleave(s interference.StepTypeID, h interference.TxnTypeID, _ int) bool {
-	return o.get(o.interleave, int32(s), int32(h))
+func (o *stubOracle) MayInterleave(s interference.StepTypeID, h interference.TxnTypeID, b int) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.interleave[[2]int32{int32(s), int32(h)}] || o.interleaveAt[[3]int32{int32(s), int32(h), int32(b)}]
 }
 
 func item(name string) spi.Item { return spi.RowItem(name, "k") }
@@ -346,27 +358,156 @@ func TestExposureIntentionModesPass(t *testing.T) {
 	}
 }
 
-func TestExposureBreakpointSensitivity(t *testing.T) {
-	o := newStub()
-	m := NewManager(o)
-	holder := spi.NewTxn(1, 1)
-	it := item("x")
-	m.AttachExposure(holder, it)
-	reader := spi.NewTxn(2, 2)
+// acquireAsync issues a request that must wait, on its own goroutine,
+// returns once it is queued, and hands back its outcome's channel.
+func acquireAsync(t *testing.T, m *Manager, txn *spi.Txn, it spi.Item, req spi.LockRequest) <-chan error {
+	t.Helper()
+	queued := m.Snapshot().WaiterCount()
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(reader, it, spi.LockRequest{Mode: spi.ModeS, Step: 5}) }()
+	go func() { done <- m.Acquire(txn, it, req) }()
+	for m.Snapshot().WaiterCount() == queued {
+		select {
+		case err := <-done:
+			t.Fatalf("T%d's request returned (%v) instead of waiting", txn.ID, err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return done
+}
+
+// stillBlocked fails unless the request behind done is still waiting.
+func stillBlocked(t *testing.T, done <-chan error, what string) {
+	t.Helper()
 	select {
-	case <-done:
-		t.Fatal("reader passed disallowed breakpoint")
+	case err := <-done:
+		t.Fatalf("%s: the waiter returned (%v)", what, err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	// Allow interleaving (as if the next breakpoint's table entry differed),
-	// advance the holder, and release a step: the waiter must be re-examined.
-	o.setInterleave(5, 1, true)
-	holder.AdvanceStep()
-	m.Retire(holder, 0, 0, false) // triggers the grant pass at step boundary
-	if err := <-done; err != nil {
-		t.Fatal(err)
+}
+
+// TestExposureBreakpointSensitivity: a request an exposure mark refuses is
+// re-examined at the holder's next step boundary, and at every one after as
+// long as it waits, however the waiter and the mark met: a non-final Retire
+// revisits exactly the holder's contested marks. A mark that falls with its
+// aborted step leaves no contested entry behind. The holder is of type 1, the
+// waiter's step of type 5; each case ends with the table checked and empty.
+func TestExposureBreakpointSensitivity(t *testing.T) {
+	read := spi.LockRequest{Mode: spi.ModeS, Step: 5}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn)
+	}{
+		{"after_mark", func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn) {
+			it := item("x")
+			m.AttachExposure(holder, it)
+			done := acquireAsync(t, m, others(), it, read)
+			stillBlocked(t, done, "disallowed breakpoint")
+			o.setInterleave(5, 1, true)
+			holder.AdvanceStep()
+			m.Retire(holder, 0, 0, false)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A waiter queues before the holder marks the item.
+		{"before_mark", func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn) {
+			it := item("x")
+			if err := m.Acquire(holder, it, conv(spi.ModeX)); err != nil {
+				t.Fatal(err)
+			}
+			done := acquireAsync(t, m, others(), it, read)
+			stillBlocked(t, done, "holder's X")
+			m.AttachExposure(holder, it) // the state already has a waiter
+			holder.AdvanceStep()
+			m.Retire(holder, 1, 1, false) // the X goes; the mark refuses
+			stillBlocked(t, done, "the mark at breakpoint 1")
+			if err := checkInvariants(m, false); err != nil {
+				t.Fatal(err)
+			}
+			o.setInterleave(5, 1, true)
+			holder.AdvanceStep()
+			m.Retire(holder, 2, 2, false) // only the mark can be revisited now
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A waiter blocked first by a third X, then by the mark alone.
+		{"third_x", func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn) {
+			it := item("x")
+			third := others()
+			if err := m.Acquire(third, it, conv(spi.ModeX)); err != nil {
+				t.Fatal(err)
+			}
+			m.AttachExposure(holder, it) // no waiter yet
+			done := acquireAsync(t, m, others(), it, read)
+			stillBlocked(t, done, "third's X")
+			m.ReleaseAll(third)
+			stillBlocked(t, done, "the mark alone")
+			o.setInterleave(5, 1, true)
+			holder.AdvanceStep()
+			m.Retire(holder, 0, 0, false)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Refused at the next boundary, granted at the one after.
+		{"breakpoint_2", func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn) {
+			it := item("x")
+			o.setInterleaveAt(5, 1, 2)
+			m.AttachExposure(holder, it)
+			done := acquireAsync(t, m, others(), it, read)
+			stillBlocked(t, done, "breakpoint 0")
+			holder.AdvanceStep()
+			m.Retire(holder, 0, 0, false)
+			stillBlocked(t, done, "breakpoint 1")
+			if err := checkInvariants(m, false); err != nil {
+				t.Fatal(err)
+			}
+			holder.AdvanceStep()
+			m.Retire(holder, 0, 0, false)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The mark falls with its step; no contested entry dangles.
+		{"step_abort", func(t *testing.T, m *Manager, o *stubOracle, holder *spi.Txn, others func() *spi.Txn) {
+			it := item("x")
+			// An A entry the abort keeps holds the holder's set in the shard.
+			if err := m.Acquire(holder, item("y"), spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7}); err != nil {
+				t.Fatal(err)
+			}
+			holder.AdvanceStep()
+			m.AttachExposure(holder, it) // the step that then fails
+			done := acquireAsync(t, m, others(), it, read)
+			stillBlocked(t, done, "the mark")
+			m.ReleaseStepAbort(holder)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := checkInvariants(m, false); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := newStub()
+			m := NewManagerWithShards(o, 1) // one shard: every entry in one held set
+			m.WaitTimeout = 5 * time.Second
+			holder := spi.NewTxn(1, 1)
+			txns := []*spi.Txn{holder}
+			others := func() *spi.Txn {
+				txns = append(txns, spi.NewTxn(spi.TxnID(len(txns)+1), 2))
+				return txns[len(txns)-1]
+			}
+			c.run(t, m, o, holder, others)
+			for _, txn := range txns {
+				m.ReleaseAll(txn)
+			}
+			if err := checkInvariants(m, true); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -439,7 +580,7 @@ func TestReleaseStepAbortKeepsAssertionsDropsStepMarks(t *testing.T) {
 	if m.HoldsConventional(1, it, spi.ModeS) {
 		t.Fatal("conventional lock survived step abort")
 	}
-	items := m.HeldItems(1)
+	items := m.HeldItems(txn)
 	if len(items) != 1 {
 		t.Fatalf("held items after abort: %v", items)
 	}

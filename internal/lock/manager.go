@@ -2,7 +2,9 @@ package lock
 
 import (
 	"context"
+	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"accdb/internal/interference"
@@ -45,8 +47,11 @@ const (
 // lock, and an exposure mark).
 type grant struct {
 	txn  *spi.Txn
-	st   *lockState // the item's state; the grant is in st.grants
+	st   *lockState // the item's state; the grant is st.grants[idx]
+	idx  int
 	kind grantKind
+	// contested flags a D/C mark listed in its holder's heldSet.contested.
+	contested bool
 
 	mode      spi.Mode                 // conventional, retired
 	lsn       uint64                   // retired: log position of the holder's step record
@@ -86,7 +91,9 @@ type lockState struct {
 	item spi.Item
 	hash uint64     // itemHash(item)
 	next *lockState // the bucket's chain
-	// Outside its shard latch a linked state has a grant or a waiter.
+	// Outside its shard latch a linked state has a grant or a waiter. The
+	// order of grants means nothing — unlink moves the last grant into the
+	// slot it frees — and FIFO order lives in queue.
 	grants []*grant
 	queue  []*waiter
 	// retired counts the kindRetired entries in grants, so a grant on an item
@@ -112,6 +119,11 @@ type Manager struct {
 
 	shards    []*shard
 	shardMask uint64
+
+	// locksMu guards locksPool, the recycled held sets of transactions that
+	// hold nothing any more (txnLocks).
+	locksMu   sync.Mutex
+	locksPool []*txnLocks
 
 	// tracer is the structured event bus; nil disables tracing. Every emit
 	// site nil-checks first, so the disabled cost is one predictable branch
@@ -277,14 +289,48 @@ func (st *lockState) retiredOf(txn spi.TxnID) *grant {
 	return nil
 }
 
-// unlink removes g from the state's grant list, keeping the others' order.
+// unlink removes g from the state's grant list in O(1): the last grant
+// moves into g's slot.
 func (st *lockState) unlink(g *grant) {
-	if i := slices.Index(st.grants, g); i >= 0 {
-		st.grants = append(st.grants[:i], st.grants[i+1:]...)
-		if g.kind == kindRetired {
-			st.retired--
-		}
+	last := len(st.grants) - 1
+	moved := st.grants[last]
+	st.grants[g.idx], moved.idx = moved, g.idx
+	st.grants[last] = nil
+	st.grants = st.grants[:last]
+	if g.kind == kindRetired {
+		st.retired--
 	}
+}
+
+// attach hangs held sets on txn unless it has them, recycled if the
+// freelist has some. It runs on the transaction's own goroutine before any
+// latch, so a grantor acting for its parked waiter only indexes them.
+func (m *Manager) attach(txn *spi.Txn) {
+	if txn.Locks != nil {
+		return
+	}
+	var tl *txnLocks
+	m.locksMu.Lock()
+	if n := len(m.locksPool); n > 0 {
+		tl = m.locksPool[n-1]
+		m.locksPool = m.locksPool[:n-1]
+	}
+	m.locksMu.Unlock()
+	if tl == nil {
+		tl = &txnLocks{sets: make([]heldSet, len(m.shards))}
+	}
+	txn.Locks = tl
+}
+
+// detach takes the held sets off a transaction that holds nothing and
+// recycles them.
+func (m *Manager) detach(txn *spi.Txn, tl *txnLocks) {
+	txn.Locks = nil
+	m.locksMu.Lock()
+	if len(m.locksPool) < freelistCap {
+		m.locksPool = append(m.locksPool, tl)
+	}
+	m.locksMu.Unlock()
 }
 
 // Acquire obtains the requested lock on item for txn, blocking until it is
@@ -300,6 +346,7 @@ func (m *Manager) Acquire(txn *spi.Txn, item spi.Item, req spi.LockRequest) erro
 // roll the transaction back by compensation. The fast path — the lock is
 // granted without waiting — never consults ctx.
 func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
+	m.attach(txn)
 	sh, h := m.shardOf(item)
 	sh.stats.acquisitions.Add(1)
 	sh.mu.Lock()
@@ -489,6 +536,11 @@ func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *sha
 	} else {
 		st.queue = append(st.queue, w)
 	}
+	// The holders' marks here now have a waiter whose exposure conflict may
+	// change at their next boundary.
+	for _, g := range st.grants {
+		sh.contest(g)
+	}
 	sh.stats.waits.Add(1)
 	sh.mu.Unlock()
 	if m.tracer != nil {
@@ -577,7 +629,7 @@ func (m *Manager) removeWaiter(sh *shard, w *waiter) {
 	st := w.st
 	for i, q := range st.queue {
 		if q == w {
-			st.queue = append(st.queue[:i], st.queue[i+1:]...)
+			st.queue = slices.Delete(st.queue, i, i+1)
 			break
 		}
 	}
@@ -594,7 +646,7 @@ func (m *Manager) grantPass(sh *shard, st *lockState) {
 			i++
 			continue
 		}
-		st.queue = append(st.queue[:i], st.queue[i+1:]...)
+		st.queue = slices.Delete(st.queue, i, i+1)
 		m.install(w.txn, sh, st, w.req)
 		w.granted = true
 		w.ch <- struct{}{}
@@ -614,6 +666,7 @@ func (m *Manager) grantPass(sh *shard, st *lockState) {
 // lock"). Idempotent per (txn, item); the first step to mark wins, so
 // aborting a later step does not drop an earlier mark.
 func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
+	m.attach(txn)
 	sh, h := m.shardOf(item)
 	sh.mu.Lock()
 	st := sh.state(item, h)
@@ -623,7 +676,10 @@ func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 			return
 		}
 	}
-	sh.newGrant(txn, st, kindExposure)
+	g := sh.newGrant(txn, st, kindExposure)
+	if len(st.queue) > 0 {
+		sh.contest(g)
+	}
 	sh.mu.Unlock()
 	if m.tracer != nil {
 		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagExposure, 0, "")
@@ -637,54 +693,69 @@ func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 // conventional and retired grants and dropMark among its A entries and D/C
 // marks, then re-runs the grant pass of every state that changed, once each.
 // A nil dropLock leaves the locks alone. A nil dropMark keeps every mark but
-// re-examines the waiters on marked items: the holder is at a step boundary,
-// and exposure conflicts depend on its breakpoint. It visits only the shards
-// the transaction has touched (a bitmask on spi.Txn), one latch at a time;
-// the release is not atomic across shards, which is harmless — lock release
-// order within the shrinking phase of 2PL is unconstrained.
+// re-examines the waiters behind its contested ones: the holder is at a step
+// boundary, and exposure conflicts depend on its breakpoint. It visits only
+// the shards where the transaction holds something (txnLocks.mask), one
+// latch at a time; the release is not atomic across shards, which is
+// harmless — lock release order within the shrinking phase of 2PL is
+// unconstrained. A transaction left holding nothing gives its held sets back.
 func (m *Manager) releaseWhere(txn *spi.Txn, dropLock, dropMark func(*grant) bool) {
-	mask := txn.ShardMask.Load()
-	for i := 0; mask != 0; i++ {
-		bit := uint64(1) << uint(i)
-		if mask&bit == 0 {
-			continue
-		}
-		mask &^= bit
-		sh := m.shards[i]
+	tl, _ := txn.Locks.(*txnLocks)
+	if tl == nil {
+		return
+	}
+	for mask := tl.mask; mask != 0; mask &= mask - 1 {
+		sh := m.shards[bits.TrailingZeros64(mask)]
 		sh.mu.Lock()
-		if hs, ok := sh.held[txn.ID]; ok {
-			m.releaseInShard(sh, txn.ID, hs, dropLock, dropMark)
-		}
+		m.releaseInShard(sh, tl, dropLock, dropMark)
 		sh.mu.Unlock()
+	}
+	if tl.mask == 0 {
+		m.detach(txn, tl)
 	}
 }
 
-// releaseInShard applies a release pass to txn's held set in one shard.
-// Caller holds sh.mu.
-func (m *Manager) releaseInShard(sh *shard, txn spi.TxnID, hs *heldSet, dropLock, dropMark func(*grant) bool) {
+// releaseInShard applies a release pass to the transaction's held set in one
+// shard. Marks that drop leave its contested list before their grants are
+// recycled; a boundary that keeps the marks keeps listed only those whose
+// state still has waiters. Caller holds sh.mu.
+func (m *Manager) releaseInShard(sh *shard, tl *txnLocks, dropLock, dropMark func(*grant) bool) {
+	hs := &tl.sets[sh.idx]
 	sh.pass++
 	if dropLock != nil {
 		hs.locks = sh.dropFrom(hs.locks, dropLock)
 	}
 	if dropMark != nil {
+		hs.contested = slices.DeleteFunc(hs.contested, dropMark)
 		hs.marks = sh.dropFrom(hs.marks, dropMark)
 	} else {
-		for _, g := range hs.marks {
-			if len(g.st.queue) > 0 {
-				sh.touch(g.st)
-			}
+		for _, g := range hs.contested {
+			sh.touch(g.st)
 		}
 	}
 	for _, st := range sh.touched {
 		m.grantPass(sh, st)
 	}
 	sh.touched = sh.touched[:0]
+	if dropMark == nil {
+		hs.contested = slices.DeleteFunc(hs.contested, uncontested)
+	}
 	if len(hs.locks) == 0 && len(hs.marks) == 0 {
-		sh.dropHeld(txn, hs)
+		tl.mask &^= sh.bit
 	}
 }
 
 func dropEvery(*grant) bool { return true }
+
+// uncontested reports whether a contested mark's state has no waiter left,
+// and if so unflags the mark. Caller holds the shard latch.
+func uncontested(g *grant) bool {
+	if len(g.st.queue) > 0 {
+		return false
+	}
+	g.contested = false
+	return true
+}
 
 // Retire gives up txn's conventional locks at a step boundary (strict 2PL
 // within the step) whose log record ends at lsn, the log being durable
@@ -744,16 +815,20 @@ func (m *Manager) ReleaseAll(txn *spi.Txn) {
 }
 
 // HeldItems returns the items on which txn currently holds any entry,
-// useful for tests and debugging.
-func (m *Manager) HeldItems(txn spi.TxnID) []spi.Item {
+// useful for tests and debugging. Call it on the transaction's goroutine or
+// while the transaction is idle.
+func (m *Manager) HeldItems(txn *spi.Txn) []spi.Item {
+	tl, _ := txn.Locks.(*txnLocks)
+	if tl == nil {
+		return nil
+	}
 	var out []spi.Item
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		if hs, ok := sh.held[txn]; ok {
-			for _, g := range slices.Concat(hs.locks, hs.marks) {
-				if !slices.Contains(out, g.st.item) {
-					out = append(out, g.st.item)
-				}
+		hs := &tl.sets[sh.idx]
+		for _, g := range slices.Concat(hs.locks, hs.marks) {
+			if !slices.Contains(out, g.st.item) {
+				out = append(out, g.st.item)
 			}
 		}
 		sh.mu.Unlock()

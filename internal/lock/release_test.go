@@ -16,11 +16,24 @@ import (
 
 // checkInvariants verifies the lock table's bookkeeping. Every invariant is
 // local to one shard, so it checks shard by shard under that shard's latch
-// and may run beside live traffic. With idle set, nothing may be held.
+// and may run beside live traffic. With idle set, nothing may be held, and
+// every recycled txnLocks on the manager's freelist must be empty.
 func checkInvariants(m *Manager, idle bool) error {
 	for _, sh := range m.shards {
 		if err := sh.checkInvariants(idle); err != nil {
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
+		}
+	}
+	if !idle {
+		return nil
+	}
+	m.locksMu.Lock()
+	defer m.locksMu.Unlock()
+	for _, tl := range m.locksPool {
+		for i, hs := range tl.sets {
+			if len(hs.locks)+len(hs.marks)+len(hs.contested) != 0 {
+				return fmt.Errorf("pooled held sets keep entries in shard %d", i)
+			}
 		}
 	}
 	return nil
@@ -28,17 +41,18 @@ func checkInvariants(m *Manager, idle bool) error {
 
 // checkInvariants: every state is linked exactly once, in the bucket of its
 // item's hash, and none is linked empty — with idle set, none is linked at
-// all; a pooled state names no item and holds nothing; every grant a held set
-// lists sits in a linked state's grant list, under the listing transaction
-// and in the slice its kind belongs to, and every grant of a state is listed
-// exactly once; every waiter points at the state it is queued on; a state's
-// retired count is its number of retired grants.
+// all; a pooled state names no item and holds nothing; every grant sits at
+// the index it records in its state's grant list; every D/C mark on a state
+// with waiters is flagged contested; every grant of a linked state appears
+// exactly once in its holder's held set for this shard (Txn.Locks), in the
+// slice its kind belongs to, and those sets list nothing else; a holder's
+// contested list holds exactly its flagged marks, once each; every waiter
+// points at the state it is queued on; a state's retired count is its number
+// of retired grants. It never reads txnLocks.mask, which other shards'
+// release passes write under their own latches.
 func (sh *shard) checkInvariants(idle bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if idle && len(sh.held) > 0 {
-		return fmt.Errorf("%d held sets left with nothing running", len(sh.held))
-	}
 	linked := make(map[*lockState]bool)
 	for b := range sh.buckets {
 		for st := sh.buckets[b]; st != nil; st = st.next {
@@ -61,39 +75,24 @@ func (sh *shard) checkInvariants(idle bool) error {
 			return fmt.Errorf("pooled state still names %v, a dequeued waiter or entries", st.item)
 		}
 	}
-	listed := make(map[*grant]bool)
-	for id, hs := range sh.held {
-		if len(hs.locks)+len(hs.marks) == 0 {
-			return fmt.Errorf("T%d: empty held set kept", id)
-		}
-		for i, g := range slices.Concat(hs.locks, hs.marks) {
-			isLock := g.kind == kindConventional || g.kind == kindRetired
-			switch {
-			case isLock != (i < len(hs.locks)):
-				return fmt.Errorf("T%d: grant of kind %d in the wrong held slice", id, g.kind)
-			case g.txn.ID != id:
-				return fmt.Errorf("T%d lists a grant of T%d", id, g.txn.ID)
-			case listed[g]:
-				return fmt.Errorf("T%d lists a grant twice on %v", id, g.st.item)
-			case !linked[g.st]:
-				return fmt.Errorf("T%d: grant's state for %v is not linked", id, g.st.item)
-			case !slices.Contains(g.st.grants, g):
-				return fmt.Errorf("T%d: listed grant missing from %v's grant list", id, g.st.item)
-			}
-			listed[g] = true
-		}
-	}
+	holders := make(map[*spi.Txn]*heldSet)
 	grants := 0
 	for st := range linked {
 		item := st.item
 		retired := 0
-		for _, g := range st.grants {
-			if g.st != st || !listed[g] {
-				return fmt.Errorf("grant of T%d on %v is not listed in its held set", g.txn.ID, item)
+		for i, g := range st.grants {
+			switch {
+			case g.st != st:
+				return fmt.Errorf("grant of T%d on %v points at another state", g.txn.ID, item)
+			case g.idx != i:
+				return fmt.Errorf("grant of T%d on %v sits at %d, records %d", g.txn.ID, item, i, g.idx)
+			case g.kind == kindExposure && len(st.queue) > 0 && !g.contested:
+				return fmt.Errorf("mark of T%d on %v has waiters but is not contested", g.txn.ID, item)
 			}
 			if g.kind == kindRetired {
 				retired++
 			}
+			holders[g.txn] = sh.heldOf(g.txn)
 		}
 		if retired != st.retired {
 			return fmt.Errorf("%v: retired = %d, counted %d", item, st.retired, retired)
@@ -104,6 +103,39 @@ func (sh *shard) checkInvariants(idle bool) error {
 			}
 		}
 		grants += len(st.grants)
+	}
+	listed := make(map[*grant]bool)
+	for txn, hs := range holders {
+		id := txn.ID
+		for i, g := range slices.Concat(hs.locks, hs.marks) {
+			isLock := g.kind == kindConventional || g.kind == kindRetired
+			switch {
+			case isLock != (i < len(hs.locks)):
+				return fmt.Errorf("T%d: grant of kind %d in the wrong held slice", id, g.kind)
+			case g.txn != txn:
+				return fmt.Errorf("T%d lists a grant it does not hold", id)
+			case listed[g]:
+				return fmt.Errorf("T%d lists a grant twice on %v", id, g.st.item)
+			case !linked[g.st] || g.idx >= len(g.st.grants) || g.st.grants[g.idx] != g:
+				return fmt.Errorf("T%d: listed grant is not in a linked state's grant list", id)
+			}
+			listed[g] = true
+		}
+		contested := make(map[*grant]bool)
+		for _, g := range hs.contested {
+			switch {
+			case g.txn != txn || g.kind != kindExposure || !g.contested || !listed[g]:
+				return fmt.Errorf("T%d: contested entry is not a flagged mark it holds", id)
+			case contested[g]:
+				return fmt.Errorf("T%d: mark on %v contested twice", id, g.st.item)
+			}
+			contested[g] = true
+		}
+		for _, g := range hs.marks {
+			if g.contested && !contested[g] {
+				return fmt.Errorf("T%d: flagged mark on %v missing from its contested list", id, g.st.item)
+			}
+		}
 	}
 	if grants != len(listed) {
 		return fmt.Errorf("%d grants in states, %d listed in held sets", grants, len(listed))

@@ -14,8 +14,11 @@ import (
 // lock manager the paper modified. An item is hashed once (itemHash): the
 // hash's low bits pick the shard, its next bits a bucket of that shard, and
 // the bucket chains the item's lock state with the others that hash there.
-// Each shard owns its own latch, buckets, wait queues, held-set index and
-// counters, so Acquires on unrelated items proceed in parallel.
+// Each shard owns its own latch, buckets, wait queues and counters, so
+// Acquires on unrelated items proceed in parallel. What a transaction holds
+// in a shard is indexed on the transaction itself (txnLocks, in
+// spi.Txn.Locks), one held set per shard, read and written under that
+// shard's latch.
 //
 // Invariant: a goroutine never holds two shard latches at once — of this
 // manager or, on a deadlock walk, of any other. Everything cross-shard
@@ -24,14 +27,14 @@ import (
 //
 // A state is linked while it has a grant or a waiter: the pass that empties
 // it unlinks it at once. Each shard recycles its lock-chain machinery — lock
-// states, grant entries and per-transaction held lists — through small
-// freelists guarded by the shard latch, so the grant/release hot path
-// performs no allocations in steady state, however many distinct items pass
-// through.
+// states and grant entries — through small freelists guarded by the shard
+// latch, and the manager recycles transactions' held sets through one of its
+// own, so the grant/release hot path performs no allocations in steady
+// state, however many distinct items pass through.
 
 // shardBits is how many low hash bits may pick a shard; maxShards caps the
-// shard count so a transaction's touched-shard set fits in one atomic bitmask
-// word (spi.Txn.ShardMask).
+// shard count so a transaction's touched-shard set fits in one bitmask word
+// (txnLocks.mask).
 const (
 	shardBits = 6
 	maxShards = 1 << shardBits
@@ -40,7 +43,7 @@ const (
 // bucketCount is the number of lock chains per shard, a power of two.
 const bucketCount = 1024
 
-// freelistCap bounds each shard's recycling freelists.
+// freelistCap bounds each recycling freelist.
 const freelistCap = 256
 
 // itemSeed keys itemHash for the life of the process.
@@ -104,17 +107,31 @@ type shardCounters struct {
 // handle, so a release pass visits exactly those grants and hashes no item.
 // locks are its conventional and retired grants — what a step boundary
 // gives up — and marks its A entries and D/C marks, which stay to the final
-// boundary. A grant is listed once, when it is created.
+// boundary. A grant is listed once, when it is created. contested lists the
+// D/C marks (each flagged grant.contested) whose state has had a waiter since
+// the holder's last boundary: the only marks a non-final boundary revisits,
+// because only their waiters' exposure conflicts hang on the holder's
+// breakpoint. Guarded by the shard's latch.
 type heldSet struct {
-	locks []*grant
-	marks []*grant
+	locks     []*grant
+	marks     []*grant
+	contested []*grant
+}
+
+// txnLocks is what the manager keeps in spi.Txn.Locks: the transaction's held
+// set in every shard, indexed by shard, and mask, the shards whose set is not
+// empty. A set is guarded by its shard's latch. mask is written under each
+// shard's latch in turn, and only by whoever acts for the transaction — its
+// own goroutine, or the grantor of its parked waiter — so only they read it.
+type txnLocks struct {
+	mask uint64
+	sets []heldSet
 }
 
 // shard is one partition of the lock table.
 type shard struct {
 	mu      sync.Mutex
-	buckets [bucketCount]*lockState // chains through lockState.next
-	held    map[spi.TxnID]*heldSet
+	buckets [bucketCount]*lockState      // chains through lockState.next
 	byClass map[classKey]*spi.ClassStats // guarded by mu
 
 	// pass numbers release passes; touched lists the states the current one
@@ -125,11 +142,10 @@ type shard struct {
 	// Freelists, guarded by mu.
 	statePool []*lockState
 	grantPool []*grant
-	heldPool  []*heldSet
 
 	stats shardCounters
 
-	// bit is this shard's position in spi.Txn.ShardMask.
+	// bit is this shard's position in txnLocks.mask.
 	bit uint64
 	// idx is the shard's index, tagged onto trace events and snapshots.
 	idx int16
@@ -141,7 +157,6 @@ type shard struct {
 
 func newShard(i int) *shard {
 	return &shard{
-		held:    make(map[spi.TxnID]*heldSet),
 		byClass: make(map[classKey]*spi.ClassStats),
 		bit:     1 << uint(i),
 		idx:     int16(i),
@@ -181,8 +196,9 @@ func (sh *shard) state(item spi.Item, h uint64) *lockState {
 }
 
 // reapState unlinks a state whose grants and queue emptied and recycles it
-// without its item, so a pooled state keeps no key alive. Caller holds
-// sh.mu.
+// without its item, so a pooled state keeps no key alive; every removal from
+// the grant list and the queue zeroed the slot it vacated, so neither pins a
+// dequeued waiter or a dropped grant. Caller holds sh.mu.
 func (sh *shard) reapState(st *lockState) {
 	for p := &sh.buckets[bucketOf(st.hash)]; *p != nil; p = &(*p).next {
 		if *p == st {
@@ -190,16 +206,16 @@ func (sh *shard) reapState(st *lockState) {
 			break
 		}
 	}
-	clear(st.queue[:cap(st.queue)]) // dequeued waiters name their items
 	*st = lockState{grants: st.grants[:0], queue: st.queue[:0]}
 	if len(sh.statePool) < freelistCap {
 		sh.statePool = append(sh.statePool, st)
 	}
 }
 
-// newGrant links a fresh grant of the given kind for txn onto st and lists
-// it in txn's held set: a conventional grant with the locks, an A entry or a
-// D/C mark with the marks. Caller holds sh.mu.
+// newGrant links a fresh grant of the given kind for txn onto st, at the end
+// of its grant list, and lists it in txn's held set: a conventional grant
+// with the locks, an A entry or a D/C mark with the marks. Caller holds
+// sh.mu and acts for txn.
 func (sh *shard) newGrant(txn *spi.Txn, st *lockState, kind grantKind) *grant {
 	var g *grant
 	if n := len(sh.grantPool); n > 0 {
@@ -208,9 +224,11 @@ func (sh *shard) newGrant(txn *spi.Txn, st *lockState, kind grantKind) *grant {
 	} else {
 		g = &grant{}
 	}
-	g.txn, g.st, g.kind, g.stepSeq = txn, st, kind, txn.CompletedSteps()
+	g.txn, g.st, g.kind, g.stepSeq, g.idx = txn, st, kind, txn.CompletedSteps(), len(st.grants)
 	st.grants = append(st.grants, g)
-	hs := sh.heldOf(txn)
+	tl := txn.Locks.(*txnLocks)
+	tl.mask |= sh.bit
+	hs := &tl.sets[sh.idx]
 	if kind == kindConventional {
 		hs.locks = append(hs.locks, g)
 	} else {
@@ -227,30 +245,19 @@ func (sh *shard) freeGrant(g *grant) {
 	}
 }
 
-// heldOf returns txn's held set in this shard, creating it — and marking the
-// shard in the transaction's touched-shard set — on first use. Caller holds
-// sh.mu.
+// heldOf returns the held set in this shard of txn, which holds a grant here
+// or has a waiter on its behalf. Caller holds sh.mu.
 func (sh *shard) heldOf(txn *spi.Txn) *heldSet {
-	hs, ok := sh.held[txn.ID]
-	if !ok {
-		if n := len(sh.heldPool); n > 0 {
-			hs = sh.heldPool[n-1]
-			sh.heldPool = sh.heldPool[:n-1]
-		} else {
-			hs = &heldSet{}
-		}
-		sh.held[txn.ID] = hs
-		markShard(txn, sh.bit)
-	}
-	return hs
+	return &txn.Locks.(*txnLocks).sets[sh.idx]
 }
 
-// dropHeld removes the transaction's emptied held set and recycles it.
-// Caller holds sh.mu.
-func (sh *shard) dropHeld(txn spi.TxnID, hs *heldSet) {
-	delete(sh.held, txn)
-	if len(sh.heldPool) < freelistCap {
-		sh.heldPool = append(sh.heldPool, hs)
+// contest lists g in its holder's contested marks, once, if it is a D/C
+// mark: a waiter has queued on its state. Caller holds sh.mu.
+func (sh *shard) contest(g *grant) {
+	if g.kind == kindExposure && !g.contested {
+		g.contested = true
+		hs := sh.heldOf(g.txn)
+		hs.contested = append(hs.contested, g)
 	}
 }
 

@@ -306,7 +306,7 @@ func TestMarkKeepsDAndCApart(t *testing.T) {
 	holder.AdvanceStep()
 	m.AttachExposure(holder, item("later"))
 	m.ReleaseStepAbort(holder)
-	if held := m.HeldItems(holder.ID); len(held) != 1 || held[0] != reserved {
+	if held := m.HeldItems(holder); len(held) != 1 || held[0] != reserved {
 		t.Fatalf("after the later step's abort T1 holds %v, want only the earlier step's mark", held)
 	}
 }

@@ -134,12 +134,12 @@ type Txn struct {
 	// own goroutine reads the field, so it needs no synchronization.
 	Span *trace.Span
 
-	// ShardMask is scratch space reserved for the lock service: a bitmask of
-	// lock-table shards on which this transaction holds (or has held)
-	// entries, so release passes visit only those shards. The engine never
-	// reads or writes it; an implementation without internal sharding may
-	// ignore it.
-	ShardMask atomic.Uint64
+	// Locks is scratch space reserved for the lock service: its index of the
+	// entries this transaction holds, so a release pass finds them without a
+	// lookup. The lock service sets it on the transaction's own goroutine and
+	// clears it once nothing is held. The engine never reads or writes it; an
+	// implementation may leave it nil.
+	Locks any
 
 	// Group is the transaction's vertex in the waits-for graph: its own — a
 	// group of one — until the engine, before the first lock request, joins
@@ -209,7 +209,7 @@ type Group struct {
 	Undoing atomic.Bool
 
 	// Blocked is scratch space reserved for the lock service, like
-	// Txn.ShardMask: the group's currently blocked request, which deadlock
+	// Txn.Locks: the group's currently blocked request, which deadlock
 	// detection resolves a blocker to.
 	Blocked atomic.Value
 }
@@ -342,7 +342,7 @@ type LockService interface {
 	ReleaseAll(txn *Txn)
 
 	// HeldItems returns the items on which txn currently holds any entry.
-	HeldItems(txn TxnID) []Item
+	HeldItems(txn *Txn) []Item
 	// HoldsConventional reports whether txn holds a conventional lock of at
 	// least mode want on item.
 	HoldsConventional(txn TxnID, item Item, want Mode) bool
