@@ -21,25 +21,25 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"accdb/internal/spi"
 )
 
 // DB is a database: an SPI row store plus the partition declarations that
 // define the middle granule of the lock hierarchy (the stand-in for Ingres
-// page locks). Partition columns must be a subset of the primary key so that
-// both point accesses and inserts can derive the partition of a row.
+// page locks). Partition columns must be the leading primary-key columns, so
+// a row's partition granule is a prefix of its encoded primary key.
 type DB struct {
 	store spi.Store
 
-	mu    sync.RWMutex
-	parts map[string]*partition
-}
-
-type partition struct {
-	pkPos []int // position of each partition column within the PK value list
+	// parts maps each partitioned table to its count of partition columns. It
+	// is copied on write: CreateTable publishes a new map under mu, and every
+	// lookup on the statement path is one atomic load.
+	mu    sync.Mutex
+	parts atomic.Pointer[map[string]int]
 }
 
 // PartIndex is the name of the automatically created ordered index over a
@@ -76,7 +76,9 @@ func NewDB(opts ...DBOption) *DB {
 			panic(err)
 		}
 	}
-	return &DB{store: store, parts: make(map[string]*partition)}
+	db := &DB{store: store}
+	db.parts.Store(&map[string]int{})
+	return db
 }
 
 // Store returns the underlying SPI row store.
@@ -89,29 +91,21 @@ func (db *DB) Table(name string) spi.Table { return db.store.Table(name) }
 // the table's partition granule: scans of a partition take a shared
 // partition lock and inserts/deletes take an exclusive one, which both
 // serializes structural changes the way page locks did in Ingres and closes
-// the phantom window for assertions that quantify over a partition. An
-// ordered index named PartIndex over the partition columns is created
-// automatically.
+// the phantom window for assertions that quantify over a partition. The
+// partition columns must be the leading primary-key columns, in key order:
+// a row's granule is then the prefix of its encoded primary key, and the
+// engine slices it from the key instead of encoding it. An ordered index
+// named PartIndex over the partition columns is created automatically.
 func (db *DB) CreateTable(schema *spi.Schema, partitionBy ...string) (spi.Table, error) {
 	// Validate the partition declaration before touching the store, so a
 	// bad declaration does not leave a half-created table behind.
-	pkSet := make(map[int]bool, len(schema.PK))
-	for _, c := range schema.PK {
-		pkSet[c] = true
-	}
-	pkPos := make([]int, len(partitionBy))
 	for i, name := range partitionBy {
 		c := schema.Col(name)
 		if c < 0 {
 			return nil, fmt.Errorf("core: partition column %q not in %s", name, schema.Name)
 		}
-		if !pkSet[c] {
-			return nil, fmt.Errorf("core: partition column %q of %s must be part of the primary key", name, schema.Name)
-		}
-		for j, pc := range schema.PK {
-			if pc == c {
-				pkPos[i] = j
-			}
+		if i >= len(schema.PK) || schema.PK[i] != c {
+			return nil, fmt.Errorf("core: partition column %q of %s must be primary-key column %d: partition columns are the leading primary-key columns", name, schema.Name, i+1)
 		}
 	}
 	t, err := db.store.Create(schema)
@@ -125,43 +119,22 @@ func (db *DB) CreateTable(schema *spi.Schema, partitionBy ...string) (spi.Table,
 		return nil, err
 	}
 	db.mu.Lock()
-	db.parts[schema.Name] = &partition{pkPos: pkPos}
+	parts := maps.Clone(*db.parts.Load())
+	parts[schema.Name] = len(partitionBy)
+	db.parts.Store(&parts)
 	db.mu.Unlock()
 	return t, nil
 }
 
-// partitionOfKey returns the partition item implied by a full primary-key
-// value list, if the table is partitioned. The partition tuple is encoded
-// straight from keyVals: one allocation.
-func (db *DB) partitionOfKey(table string, keyVals []spi.Value) (spi.Item, bool) {
-	p := db.partition(table)
-	if p == nil {
+// partitionOf returns the partition item of the row under pk, if the table
+// is partitioned: the encoding of pk's leading partition columns, sliced
+// from pk.
+func (db *DB) partitionOf(table string, pk spi.Key) (spi.Item, bool) {
+	n := (*db.parts.Load())[table]
+	if n == 0 {
 		return spi.Item{}, false
 	}
-	n := 0
-	for _, pos := range p.pkPos {
-		n += spi.KeyLen(keyVals[pos])
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, pos := range p.pkPos {
-		spi.AppendKeyVal(&b, keyVals[pos])
-	}
-	return spi.PartitionItem(table, spi.Key(b.String())), true
-}
-
-// partitionOfPK is partitionOfKey for an encoded primary key; it decodes the
-// key only when the table is partitioned.
-func (db *DB) partitionOfPK(table string, pk spi.Key) (spi.Item, bool, error) {
-	if !db.partitioned(table) {
-		return spi.Item{}, false, nil
-	}
-	keyVals, err := spi.DecodeKey(pk)
-	if err != nil {
-		return spi.Item{}, false, err
-	}
-	part, ok := db.partitionOfKey(table, keyVals)
-	return part, ok, nil
+	return spi.PartitionItem(table, spi.KeyPrefix(pk, n)), true
 }
 
 // MustCreateTable is CreateTable that panics; for static schemas.
@@ -173,17 +146,5 @@ func (db *DB) MustCreateTable(schema *spi.Schema, partitionBy ...string) spi.Tab
 	return t
 }
 
-// partitionItem returns the partition item for explicit partition values.
-func (db *DB) partitionItem(table string, vals []spi.Value) spi.Item {
-	return spi.PartitionItem(table, spi.EncodeKey(vals...))
-}
-
-// partition returns the table's partition declaration, nil if it has none.
-func (db *DB) partition(table string) *partition {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.parts[table]
-}
-
 // partitioned reports whether the table has a partition granule.
-func (db *DB) partitioned(table string) bool { return db.partition(table) != nil }
+func (db *DB) partitioned(table string) bool { return (*db.parts.Load())[table] > 0 }

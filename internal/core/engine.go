@@ -44,11 +44,20 @@ func (m Mode) String() string {
 // ExecEnv models the execution environment's costs. The simulation package
 // provides an implementation with a server pool, per-statement service time
 // and inter-statement compute time; the zero environment executes inline.
+//
+// A statement is a bracket, not a callback: the engine calls BeginStatement,
+// runs the statement's data operation itself, then calls EndStatement, so
+// the statement path hands the environment no closure and moves none of its
+// results to the heap. Every BeginStatement is matched by one EndStatement
+// on the same goroutine, and lock waits happen outside the bracket.
 type ExecEnv interface {
-	// Statement brackets the CPU phase of one SQL statement: the
-	// implementation acquires a database server, charges the service time,
-	// runs work, and releases the server. Lock waits happen outside it.
-	Statement(work func())
+	// BeginStatement opens the CPU phase of one SQL statement: the
+	// implementation acquires a database server and charges the service
+	// time.
+	BeginStatement()
+	// EndStatement closes the statement BeginStatement opened and releases
+	// its server.
+	EndStatement()
 	// Compute charges the application's compute time between successive
 	// statements of a transaction (Figure 3's knob). Locks remain held.
 	Compute()
@@ -56,8 +65,9 @@ type ExecEnv interface {
 
 type inlineEnv struct{}
 
-func (inlineEnv) Statement(work func()) { work() }
-func (inlineEnv) Compute()              {}
+func (inlineEnv) BeginStatement() {}
+func (inlineEnv) EndStatement()   {}
+func (inlineEnv) Compute()        {}
 
 // Options configures an Engine.
 type Options struct {

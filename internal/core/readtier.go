@@ -128,7 +128,7 @@ func (e *Engine) publishWrites(writes []writeRec, lsn wal.LSN) spi.CSN {
 		w := &writes[i]
 		first := true
 		for j := range writes[:i] {
-			if writes[j].table == w.table && writes[j].pk == w.pk {
+			if writes[j].t == w.t && writes[j].pk == w.pk {
 				first = false
 				break
 			}
@@ -138,14 +138,12 @@ func (e *Engine) publishWrites(writes []writeRec, lsn wal.LSN) spi.CSN {
 		}
 		after := w.after
 		for j := i + 1; j < len(writes); j++ {
-			if writes[j].table == w.table && writes[j].pk == w.pk {
+			if writes[j].t == w.t && writes[j].pk == w.pk {
 				after = writes[j].after
 			}
 		}
-		if t := e.db.Table(w.table); t != nil {
-			t.PublishVersion(w.pk, w.before, after, csn)
-			e.versionsPublished.Add(1)
-		}
+		w.t.PublishVersion(w.pk, w.before, after, csn)
+		e.versionsPublished.Add(1)
 	}
 	e.csnClock.Store(uint64(csn))
 	e.pubMu.Unlock()
@@ -404,7 +402,8 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
 	start := time.Now()
 	txn.span.Event(trace.KindTxnBegin, tier.String(), tt.Name, 0)
-	tc := &Ctx{e: e, txn: txn, readTier: tier, readCSN: asOf}
+	tc := e.stepCtx(txn, 0, 0, nil, false)
+	tc.readTier, tc.readCSN = tier, asOf
 	for j := range txn.steps {
 		if err := ctx.Err(); err != nil {
 			e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)

@@ -299,7 +299,8 @@ func (e *Engine) appendBoundary(txn *txnState, rec wal.Record, withArea bool) {
 	case wal.TCompDone:
 		e.crashPoint("core.comp.force.crash")
 	}
-	e.env.Statement(func() {})
+	e.env.BeginStatement()
+	e.env.EndStatement()
 	if withArea && txn.tt.AppendArgs != nil {
 		// The work area is serialized into a pooled scratch. Append copies it
 		// into the log synchronously, so the buffer is free again as soon as
@@ -417,11 +418,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)})
 		e.announce(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
 		stepStart := time.Now()
-		tc := &Ctx{
-			e: e, txn: txn, stepIdx: j,
-			stepType: txn.steps[j].Type,
-			active:   activeAssertions(txn.steps, j),
-		}
+		tc := e.stepCtx(txn, j, txn.steps[j].Type, activeAssertions(txn.steps, j), false)
 		err := txn.steps[j].Body(tc)
 		if err == nil {
 			e.finishStep(txn, tc, j)
@@ -546,12 +543,7 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 		// Step carries the number of completed forward steps being undone.
 		e.announce(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
 		compStart := time.Now()
-		tc := &Ctx{
-			e: e, txn: txn,
-			stepIdx:      completed,
-			stepType:     tt.Comp.Type,
-			compensating: true,
-		}
+		tc := e.stepCtx(txn, completed, tt.Comp.Type, nil, true)
 		err := tt.Comp.Body(tc, completed)
 		if err == nil {
 			e.appendBoundary(txn, wal.Record{Type: wal.TCompDone, Txn: uint64(txn.info.ID)}, false)
@@ -602,9 +594,10 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 		txn := e.beginTxn(ctx, tt, args, interference.LegacyTxn, sp)
 		start := time.Now()
 		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: 0})
-		tc := &Ctx{e: e, txn: txn, stepType: interference.LegacyStep}
+		tc := e.stepCtx(txn, 0, interference.LegacyStep, nil, false)
 		var err error
 		for j := range txn.steps {
+			tc.stepIdx = j // one unit, but a shared body still reads its step
 			if txn.steps[j].Body != nil {
 				if err = txn.steps[j].Body(tc); err != nil {
 					break

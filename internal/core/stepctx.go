@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -14,9 +15,15 @@ import (
 // Ctx is the data-access surface handed to step bodies (the engine's "SQL
 // connection"). Every operation acquires the hierarchy of conventional
 // locks, attaches assertional locks for the transaction's active assertions
-// (the implemented one-level ACC acquires them dynamically, §3.3), executes
-// the statement's CPU phase through the ExecEnv, and records undo images so
-// a deadlock-victim step can be rolled back and retried.
+// (the implemented one-level ACC acquires them dynamically, §3.3), brackets
+// the statement's CPU phase with the ExecEnv, and records undo images so a
+// deadlock-victim step can be rolled back and retried.
+//
+// A transaction attempt has one Ctx, reset for each step and for the
+// compensation: a body must not keep it past its return. The write lists
+// keep their backing arrays across those resets, so a statement allocates
+// only what it keeps — the key it encodes, the row copy an Update writes,
+// the version chain the store grows.
 //
 // Rows are immutable values shared with the store (the spi.Table contract):
 // a row that Get, ClaimMin, LookupByIndex, or a GetMany or scan visitor hands
@@ -45,8 +52,11 @@ type Ctx struct {
 	stmts      int
 }
 
+// writeRec is one write of a step: its table handle, so publishing and undo
+// look nothing up — a store hands out one handle per table, so handles
+// compare like names — and its before and after images.
 type writeRec struct {
-	table  string
+	t      spi.Table
 	pk     spi.Key
 	before spi.Row // nil: row was inserted
 	after  spi.Row // nil: row was deleted
@@ -58,6 +68,8 @@ type txnState struct {
 	args  any
 	steps []Step
 	info  *spi.Txn
+	// tc is the attempt's one step context (stepCtx).
+	tc Ctx
 	// pending holds the final step's writes until the commit record — that
 	// step's end-of-step record — is appended and publishes them as one
 	// version batch (readtier.go).
@@ -79,8 +91,27 @@ type txnState struct {
 	span *trace.Span
 }
 
+// stepCtx readies txn's one Ctx for step j of type typ — for the
+// compensation when compensating is set, stepIdx then being the number of
+// completed forward steps — and returns it. Everything else resets; the
+// write lists keep their backing arrays.
+func (e *Engine) stepCtx(txn *txnState, j int, typ interference.StepTypeID, active []*Assertion, compensating bool) *Ctx {
+	tc := &txn.tc
+	*tc = Ctx{
+		e: e, txn: txn, stepIdx: j, stepType: typ, active: active, compensating: compensating,
+		writes: tc.writes[:0], wroteItems: tc.wroteItems[:0],
+	}
+	return tc
+}
+
 // Args returns the transaction's argument value (its work area).
 func (tc *Ctx) Args() any { return tc.txn.args }
+
+// Step returns the index of the running step in the instance's step
+// sequence — in a compensation, the number of completed forward steps it
+// undoes. Steps that share one body, such as new-order's line steps, tell
+// their instances apart by it.
+func (tc *Ctx) Step() int { return tc.stepIdx }
 
 // Context returns the caller context the transaction runs under, never nil.
 // A step body that coordinates work outside this engine — the partition
@@ -102,16 +133,20 @@ func (tc *Ctx) Abort(cause string) error {
 	return fmt.Errorf("%s: %w", cause, ErrUserAbort)
 }
 
-// stmt brackets one statement: CPU phase through the environment, then the
-// inter-statement compute time (for every statement but the first, matching
-// "compute time between successive SQL statements").
-func (tc *Ctx) stmt(work func()) {
+// begin opens one statement: the inter-statement compute time (for every
+// statement of the step but the first, matching "compute time between
+// successive SQL statements"), then the environment's CPU phase, which end
+// closes.
+func (tc *Ctx) begin() {
 	if tc.stmts > 0 && tc.txn.tt.InterStatementCompute {
 		tc.e.env.Compute()
 	}
 	tc.stmts++
-	tc.e.env.Statement(work)
+	tc.e.env.BeginStatement()
 }
+
+// end closes the statement begin opened.
+func (tc *Ctx) end() { tc.e.env.EndStatement() }
 
 // versioned reports whether this context reads through the version chains
 // instead of the lock manager (Exec at a non-locked tier).
@@ -173,47 +208,25 @@ func (tc *Ctx) acquire(item spi.Item, mode spi.Mode) error {
 	return nil
 }
 
-// lockRead acquires the read hierarchy for a row: IS table, IS partition,
-// S row.
-func (tc *Ctx) lockRead(table string, keyVals []spi.Value, pk spi.Key) error {
-	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
+// lockRow acquires the hierarchy for one row: intention on the table, part
+// on the row's partition granule if the table has one, then row on the row.
+// A read takes IS/IS/S, an update IX/IX/X, and an insert or delete IX/X/X —
+// the exclusive partition lock serializes structural change within the
+// partition, the page lock analogue.
+func (tc *Ctx) lockRow(table string, pk spi.Key, part, row spi.Mode) error {
+	intent := spi.ModeIS
+	if row == spi.ModeX {
+		intent = spi.ModeIX
+	}
+	if err := tc.acquire(spi.TableItem(table), intent); err != nil {
 		return err
 	}
-	if part, ok := tc.e.db.partitionOfKey(table, keyVals); ok {
-		if err := tc.acquire(part, spi.ModeIS); err != nil {
+	if item, ok := tc.e.db.partitionOf(table, pk); ok {
+		if err := tc.acquire(item, part); err != nil {
 			return err
 		}
 	}
-	return tc.acquire(spi.RowItem(table, pk), spi.ModeS)
-}
-
-// lockWrite acquires the update hierarchy for an existing row: IX table,
-// IX partition, X row.
-func (tc *Ctx) lockWrite(table string, keyVals []spi.Value, pk spi.Key) error {
-	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
-		return err
-	}
-	if part, ok := tc.e.db.partitionOfKey(table, keyVals); ok {
-		if err := tc.acquire(part, spi.ModeIX); err != nil {
-			return err
-		}
-	}
-	return tc.acquire(spi.RowItem(table, pk), spi.ModeX)
-}
-
-// lockStructural acquires the hierarchy for inserts and deletes: IX table,
-// X partition (serializing structural change within the partition, the page
-// lock analogue), X row.
-func (tc *Ctx) lockStructural(table string, keyVals []spi.Value, pk spi.Key) error {
-	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
-		return err
-	}
-	if part, ok := tc.e.db.partitionOfKey(table, keyVals); ok {
-		if err := tc.acquire(part, spi.ModeX); err != nil {
-			return err
-		}
-	}
-	return tc.acquire(spi.RowItem(table, pk), spi.ModeX)
+	return tc.acquire(spi.RowItem(table, pk), row)
 }
 
 func (tc *Ctx) table(name string) (spi.Table, error) {
@@ -225,18 +238,18 @@ func (tc *Ctx) table(name string) (spi.Table, error) {
 }
 
 // recordWrite logs the mutation, saves the undo image, and remembers the
-// written items for their D/C marks at step end.
-func (tc *Ctx) recordWrite(table string, keyVals []spi.Value, pk spi.Key, before, after spi.Row) {
-	tc.writes = append(tc.writes, writeRec{table: table, pk: pk, before: before, after: after})
+// written items for their D/C marks at step end: the row, and for an insert
+// or delete its partition granule.
+func (tc *Ctx) recordWrite(t spi.Table, table string, pk spi.Key, before, after spi.Row) {
+	tc.writes = append(tc.writes, writeRec{t: t, pk: pk, before: before, after: after})
 	tc.e.ensureLogged(tc.txn)
 	tc.e.append(tc.txn, wal.Record{
 		Type: wal.TWrite, Txn: uint64(tc.txn.info.ID),
 		Table: table, PK: pk, Before: before, After: after,
 	})
 	tc.wroteItems = append(tc.wroteItems, spi.RowItem(table, pk))
-	structural := before == nil || after == nil
-	if structural {
-		if part, ok := tc.e.db.partitionOfKey(table, keyVals); ok {
+	if before == nil || after == nil {
+		if part, ok := tc.e.db.partitionOf(table, pk); ok {
 			tc.wroteItems = append(tc.wroteItems, part)
 		}
 	}
@@ -251,18 +264,20 @@ func (tc *Ctx) Get(table string, keyVals ...spi.Value) (spi.Row, error) {
 		return nil, err
 	}
 	pk := spi.EncodeKey(keyVals...)
-	var row spi.Row
-	var gerr error
 	if tc.versioned() {
-		tc.stmt(func() { row, gerr = t.GetAsOf(pk, tc.asOf()) })
-		return row, gerr
+		tc.begin()
+		row, err := t.GetAsOf(pk, tc.asOf())
+		tc.end()
+		return row, err
 	}
-	if err := tc.lockRead(table, keyVals, pk); err != nil {
+	if err := tc.lockRow(table, pk, spi.ModeIS, spi.ModeS); err != nil {
 		return nil, err
 	}
-	tc.stmt(func() { row, gerr = t.Get(pk) })
+	tc.begin()
+	row, err := t.Get(pk)
+	tc.end()
 	tc.e.record(tc.txn, table, pk, false)
-	return row, gerr
+	return row, err
 }
 
 // GetMany reads, in one statement, the rows under the given encoded primary
@@ -282,15 +297,15 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 	var verr error
 	if tc.versioned() {
 		asOf := tc.asOf()
-		tc.stmt(func() {
-			for _, pk := range pks {
-				if row, err := t.GetAsOf(pk, asOf); err == nil {
-					if verr = visit(row); verr != nil {
-						return
-					}
+		tc.begin()
+		for _, pk := range pks {
+			if row, err := t.GetAsOf(pk, asOf); err == nil {
+				if verr = visit(row); verr != nil {
+					break
 				}
 			}
-		})
+		}
+		tc.end()
 		return verr
 	}
 	if !slices.IsSorted(pks) {
@@ -300,11 +315,7 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 		return err
 	}
 	for _, pk := range pks {
-		part, ok, err := tc.e.db.partitionOfPK(table, pk)
-		if err != nil {
-			return err
-		}
-		if ok {
+		if part, ok := tc.e.db.partitionOf(table, pk); ok {
 			if err := tc.acquire(part, spi.ModeIS); err != nil {
 				return err
 			}
@@ -313,15 +324,15 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 			return err
 		}
 	}
-	tc.stmt(func() {
-		for _, pk := range pks {
-			if row, err := t.Get(pk); err == nil {
-				if verr = visit(row); verr != nil {
-					return
-				}
+	tc.begin()
+	for _, pk := range pks {
+		if row, err := t.Get(pk); err == nil {
+			if verr = visit(row); verr != nil {
+				break
 			}
 		}
-	})
+	}
+	tc.end()
 	for _, pk := range pks {
 		tc.e.record(tc.txn, table, pk, false)
 	}
@@ -364,30 +375,27 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 		return nil, err
 	}
 	for {
-		var headPK spi.Key
-		found := false
-		tc.stmt(func() {
-			t.IndexScan(index, eqVals, func(pk spi.Key, _ spi.Row) bool {
-				headPK = pk
-				found = true
-				return false
-			})
+		var headPK spi.Key // an encoded key is never empty
+		tc.begin()
+		t.IndexScan(index, eqVals, func(pk spi.Key, _ spi.Row) bool {
+			headPK = pk
+			return false
 		})
-		if !found {
+		tc.end()
+		if headPK == "" {
 			tc.e.record(tc.txn, table, "", false)
 			return nil, nil
 		}
 		if err := tc.acquire(spi.RowItem(table, headPK), spi.ModeX); err != nil {
 			return nil, err
 		}
-		var old spi.Row
-		var derr error
-		tc.stmt(func() { old, derr = t.Delete(headPK) })
-		if derr != nil {
+		tc.begin()
+		old, err := t.Delete(headPK)
+		tc.end()
+		if err != nil {
 			continue // the head went between probe and grant; re-probe
 		}
-		keyVals := t.Schema().PKOf(old)
-		tc.recordWrite(table, keyVals, headPK, old, nil)
+		tc.recordWrite(t, table, headPK, old, nil)
 		tc.wroteItems = append(tc.wroteItems, queue)
 		return old, nil
 	}
@@ -407,17 +415,17 @@ func (tc *Ctx) Insert(table string, row spi.Row) error {
 	if err := t.Schema().CheckRow(row); err != nil {
 		return err
 	}
-	keyVals := t.Schema().PKOf(row)
-	pk := spi.EncodeKey(keyVals...)
-	if err := tc.lockStructural(table, keyVals, pk); err != nil {
+	pk := t.Schema().KeyOf(row)
+	if err := tc.lockRow(table, pk, spi.ModeX, spi.ModeX); err != nil {
 		return err
 	}
-	var ierr error
-	tc.stmt(func() { ierr = t.Insert(row) })
-	if ierr != nil {
-		return ierr
+	tc.begin()
+	err = t.Insert(row)
+	tc.end()
+	if err != nil {
+		return err
 	}
-	tc.recordWrite(table, keyVals, pk, nil, row)
+	tc.recordWrite(t, table, pk, nil, row)
 	return nil
 }
 
@@ -431,16 +439,16 @@ func (tc *Ctx) Delete(table string, keyVals ...spi.Value) error {
 		return err
 	}
 	pk := spi.EncodeKey(keyVals...)
-	if err := tc.lockStructural(table, keyVals, pk); err != nil {
+	if err := tc.lockRow(table, pk, spi.ModeX, spi.ModeX); err != nil {
 		return err
 	}
-	var old spi.Row
-	var derr error
-	tc.stmt(func() { old, derr = t.Delete(pk) })
-	if derr != nil {
-		return derr
+	tc.begin()
+	old, err := t.Delete(pk)
+	tc.end()
+	if err != nil {
+		return err
 	}
-	tc.recordWrite(table, keyVals, pk, old, nil)
+	tc.recordWrite(t, table, pk, old, nil)
 	return nil
 }
 
@@ -448,7 +456,8 @@ func (tc *Ctx) Delete(table string, keyVals ...spi.Value) error {
 // stores the result: mutate may change its argument in place, but not its
 // primary-key columns, and not after it returns. The copy is the one a write
 // needs — the table, the step's undo image, the log record and the published
-// version then share it.
+// version then share it. Neither keyVals nor mutate is retained, so a caller
+// may build both on its stack.
 func (tc *Ctx) Update(table string, keyVals []spi.Value, mutate func(spi.Row) error) error {
 	if tc.versioned() {
 		return ErrReadOnly
@@ -458,27 +467,39 @@ func (tc *Ctx) Update(table string, keyVals []spi.Value, mutate func(spi.Row) er
 		return err
 	}
 	pk := spi.EncodeKey(keyVals...)
-	if err := tc.lockWrite(table, keyVals, pk); err != nil {
+	if err := tc.lockRow(table, pk, spi.ModeIX, spi.ModeX); err != nil {
 		return err
 	}
-	var uerr error
-	var before spi.Row
-	tc.stmt(func() {
-		var row spi.Row
-		row, uerr = t.Get(pk)
-		if uerr != nil {
-			return
+	tc.begin()
+	defer tc.end()
+	row, err := t.Get(pk)
+	if err != nil {
+		return err
+	}
+	row = row.Clone()
+	if err := mutate(row); err != nil {
+		return err
+	}
+	before, err := t.Update(pk, row)
+	if err != nil {
+		return err
+	}
+	tc.recordWrite(t, table, pk, before, row)
+	return nil
+}
+
+// visitRows adapts a row visitor to a storage scan's callback: a visitor
+// error ends the scan and, unless it is ErrStopScan, is kept in *verr.
+func visitRows(visit func(spi.Row) error, verr *error) func(spi.Key, spi.Row) bool {
+	return func(_ spi.Key, row spi.Row) bool {
+		if err := visit(row); err != nil {
+			if err != ErrStopScan {
+				*verr = err
+			}
+			return false
 		}
-		row = row.Clone()
-		if uerr = mutate(row); uerr != nil {
-			return
-		}
-		before, uerr = t.Update(pk, row)
-		if uerr == nil {
-			tc.recordWrite(table, keyVals, pk, before, row)
-		}
-	})
-	return uerr
+		return true
+	}
 }
 
 // ScanPartition visits, in primary-key-within-partition order, every row of
@@ -493,42 +514,26 @@ func (tc *Ctx) ScanPartition(table string, partVals []spi.Value, visit func(spi.
 	if !tc.e.db.partitioned(table) {
 		return fmt.Errorf("core: table %q is not partitioned", table)
 	}
-	var serr error
+	var verr error
 	if tc.versioned() {
 		asOf := tc.asOf()
-		tc.stmt(func() {
-			serr = t.IndexScanAsOf(PartIndex, partVals, asOf, func(pk spi.Key, row spi.Row) bool {
-				if err := visit(row); err != nil {
-					if err != ErrStopScan {
-						serr = err
-					}
-					return false
-				}
-				return true
-			})
-		})
-		return serr
+		tc.begin()
+		err = t.IndexScanAsOf(PartIndex, partVals, asOf, visitRows(visit, &verr))
+		tc.end()
+		return cmp.Or(err, verr)
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
 		return err
 	}
-	part := tc.e.db.partitionItem(table, partVals)
+	part := spi.PartitionItem(table, spi.EncodeKey(partVals...))
 	if err := tc.acquire(part, spi.ModeS); err != nil {
 		return err
 	}
-	tc.stmt(func() {
-		serr = t.IndexScan(PartIndex, partVals, func(pk spi.Key, row spi.Row) bool {
-			if err := visit(row); err != nil {
-				if err != ErrStopScan {
-					serr = err
-				}
-				return false
-			}
-			return true
-		})
-	})
+	tc.begin()
+	err = t.IndexScan(PartIndex, partVals, visitRows(visit, &verr))
+	tc.end()
 	tc.e.record(tc.txn, table, part.Key, false)
-	return serr
+	return cmp.Or(err, verr)
 }
 
 // UpdateWhere visits every row of a partition under an exclusive partition
@@ -550,57 +555,51 @@ func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.R
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
 		return err
 	}
-	part := tc.e.db.partitionItem(table, partVals)
+	part := spi.PartitionItem(table, spi.EncodeKey(partVals...))
 	if err := tc.acquire(part, spi.ModeX); err != nil {
 		return err
 	}
 	type change struct {
-		pk      spi.Key
-		keyVals []spi.Value
-		after   spi.Row // nil: delete
+		pk    spi.Key
+		after spi.Row // nil: delete
 	}
 	var changes []change
-	var serr error
-	tc.stmt(func() {
-		serr = t.IndexScan(PartIndex, partVals, func(pk spi.Key, row spi.Row) bool {
-			after, err := mutate(row.Clone())
-			if err == ErrDeleteRow {
-				changes = append(changes, change{pk, t.Schema().PKOf(row), nil})
-				return true
-			}
-			if err != nil {
-				if err != ErrStopScan {
-					serr = err
-				}
-				return false
-			}
-			if after != nil {
-				changes = append(changes, change{pk, t.Schema().PKOf(after), after})
-			}
+	var merr error
+	tc.begin()
+	defer tc.end()
+	err = t.IndexScan(PartIndex, partVals, func(pk spi.Key, row spi.Row) bool {
+		after, err := mutate(row.Clone())
+		if err == ErrDeleteRow {
+			changes = append(changes, change{pk, nil})
 			return true
-		})
-		if serr != nil {
-			return
 		}
-		for _, ch := range changes {
-			if ch.after == nil {
-				old, err := t.Delete(ch.pk)
-				if err != nil {
-					serr = err
-					return
-				}
-				tc.recordWrite(table, ch.keyVals, ch.pk, old, nil)
-				continue
+		if err != nil {
+			if err != ErrStopScan {
+				merr = err
 			}
-			old, err := t.Update(ch.pk, ch.after)
-			if err != nil {
-				serr = err
-				return
-			}
-			tc.recordWrite(table, ch.keyVals, ch.pk, old, ch.after)
+			return false
 		}
+		if after != nil {
+			changes = append(changes, change{pk, after})
+		}
+		return true
 	})
-	return serr
+	if err = cmp.Or(err, merr); err != nil {
+		return err
+	}
+	for _, ch := range changes {
+		var old spi.Row
+		if ch.after == nil {
+			old, err = t.Delete(ch.pk)
+		} else {
+			old, err = t.Update(ch.pk, ch.after)
+		}
+		if err != nil {
+			return err
+		}
+		tc.recordWrite(t, table, ch.pk, old, ch.after)
+	}
+	return nil
 }
 
 // LookupByIndex returns, in index order, every row whose indexed
@@ -616,28 +615,26 @@ func (tc *Ctx) LookupByIndex(table, index string, eqVals []spi.Value) ([]spi.Row
 	if tc.versioned() {
 		asOf := tc.asOf()
 		var rows []spi.Row
-		var serr error
-		tc.stmt(func() {
-			serr = t.IndexScanAsOf(index, eqVals, asOf, func(_ spi.Key, row spi.Row) bool {
-				rows = append(rows, row)
-				return true
-			})
+		tc.begin()
+		err = t.IndexScanAsOf(index, eqVals, asOf, func(_ spi.Key, row spi.Row) bool {
+			rows = append(rows, row)
+			return true
 		})
-		return rows, serr
+		tc.end()
+		return rows, err
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
 		return nil, err
 	}
 	var pks []spi.Key
-	var serr error
-	tc.stmt(func() {
-		serr = t.IndexScan(index, eqVals, func(pk spi.Key, _ spi.Row) bool {
-			pks = append(pks, pk)
-			return true
-		})
+	tc.begin()
+	err = t.IndexScan(index, eqVals, func(pk spi.Key, _ spi.Row) bool {
+		pks = append(pks, pk)
+		return true
 	})
-	if serr != nil {
-		return nil, serr
+	tc.end()
+	if err != nil {
+		return nil, err
 	}
 	rows := make([]spi.Row, 0, len(pks))
 	for _, pk := range pks {
@@ -662,38 +659,22 @@ func (tc *Ctx) Scan(table string, visit func(spi.Row) error) error {
 	if err != nil {
 		return err
 	}
-	var serr error
+	var verr error
 	if tc.versioned() {
 		asOf := tc.asOf()
-		tc.stmt(func() {
-			t.ScanAsOf(asOf, func(_ spi.Key, row spi.Row) bool {
-				if err := visit(row); err != nil {
-					if err != ErrStopScan {
-						serr = err
-					}
-					return false
-				}
-				return true
-			})
-		})
-		return serr
+		tc.begin()
+		t.ScanAsOf(asOf, visitRows(visit, &verr))
+		tc.end()
+		return verr
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeS); err != nil {
 		return err
 	}
-	tc.stmt(func() {
-		t.Scan(func(pk spi.Key, row spi.Row) bool {
-			if err := visit(row); err != nil {
-				if err != ErrStopScan {
-					serr = err
-				}
-				return false
-			}
-			return true
-		})
-	})
+	tc.begin()
+	t.Scan(visitRows(visit, &verr))
+	tc.end()
 	tc.e.record(tc.txn, table, "", false)
-	return serr
+	return verr
 }
 
 // Sentinel errors for scan visitors.
@@ -708,10 +689,9 @@ var (
 // Safe because the step still holds exclusive locks on everything it wrote.
 func (tc *Ctx) undo() {
 	for i := len(tc.writes) - 1; i >= 0; i-- {
-		w := tc.writes[i]
-		t := tc.e.db.Table(w.table)
-		t.Apply(w.pk, w.before)
+		w := &tc.writes[i]
+		w.t.Apply(w.pk, w.before)
 	}
-	tc.writes = nil
-	tc.wroteItems = nil
+	tc.writes = tc.writes[:0]
+	tc.wroteItems = tc.wroteItems[:0]
 }

@@ -343,6 +343,53 @@ func TestGetManyAllocFree(t *testing.T) {
 	}
 }
 
+// TestCtxStatementsAllocFree is the CI allocation guard for the statement
+// path (run via -run 'AllocFree'): Get, Update and Insert allocate only what
+// they keep — no closure for the environment, no result moved to the heap,
+// no partition key encoded. A Get keeps its key. An Update of a row the step
+// already wrote, leaving its indexed columns alone, keeps its key and its
+// row copy. An Insert of a new row into an unindexed table keeps its key —
+// still encoded on both sides of the SPI — the table's record and version
+// chain for it, and the lock table's state and grant (two objects) for its
+// row.
+func TestCtxStatementsAllocFree(t *testing.T) {
+	s := newOpSys(t)
+	flat := s.db.MustCreateTable(spi.MustSchema("flat", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "v", Kind: spi.KindInt},
+	}, "id"))
+	const runs = 100
+	rows := make([]spi.Row, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range rows {
+		rows[i] = spi.Row{spi.I64(int64(i + 1)), spi.I64(0)}
+	}
+	err := s.run(t, func(tc *Ctx) error {
+		key := []spi.Value{spi.I64(1), spi.I64(2)}
+		same := func(spi.Row) error { return nil }
+		next := 0
+		for _, c := range []struct {
+			name string
+			max  float64
+			op   func()
+		}{
+			{"Get", 1, func() { tc.Get("inventory", spi.I64(1), spi.I64(3)) }},
+			{"Update", 2, func() { tc.Update("inventory", key, same) }},
+			{"Insert", 7, func() { tc.Insert("flat", rows[next]); next++ }},
+		} {
+			if n := testing.AllocsPerRun(runs, c.op); n > c.max {
+				t.Errorf("%s: %.1f allocs/op, want at most %.0f", c.name, n, c.max)
+			}
+		}
+		if next != runs+1 || flat.Len() != runs+1 {
+			t.Errorf("inserted %d rows, table holds %d; want %d", next, flat.Len(), runs+1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCtxClaimMin(t *testing.T) {
 	s := newOpSys(t)
 	var first, second int64
@@ -531,11 +578,98 @@ func TestPartitionValidation(t *testing.T) {
 	if _, err := db.CreateTable(schema, "b"); err == nil {
 		t.Fatal("non-PK partition column accepted")
 	}
+	// Partition columns are the leading primary-key columns, in key order: a
+	// key column that is not a leading one is refused like a non-key column.
+	pair := spi.MustSchema("pair", []spi.Column{
+		{Name: "a", Kind: spi.KindInt},
+		{Name: "b", Kind: spi.KindInt},
+		{Name: "c", Kind: spi.KindInt},
+	}, "a", "b")
+	for _, by := range [][]string{{"b"}, {"b", "a"}, {"a", "c"}} {
+		if _, err := db.CreateTable(pair, by...); err == nil {
+			t.Fatalf("partition by %v of primary key (a, b) accepted", by)
+		}
+	}
+	if db.Table("pair") != nil {
+		t.Fatal("a refused declaration left a table behind")
+	}
+	if _, err := db.CreateTable(pair, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.CreateTable(schema, "a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.CreateTable(schema, "a"); err == nil {
 		t.Fatal("duplicate table accepted")
+	}
+}
+
+// TestPartitionItemIsEncodedPartitionValues: the partition granule sliced
+// from a primary key is the item encoding the partition values gives — the
+// lock identity every earlier release used — over a string column whose
+// payload holds the escaped NUL. A structural write locks it X and marks it,
+// an update locks it IX, a read IS.
+func TestPartitionItemIsEncodedPartitionValues(t *testing.T) {
+	db := NewDB()
+	tab := db.MustCreateTable(spi.MustSchema("zoned", []spi.Column{
+		{Name: "region", Kind: spi.KindString},
+		{Name: "zone", Kind: spi.KindInt},
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "v", Kind: spi.KindInt},
+	}, "region", "zone", "id"), "region", "zone")
+	row := func(region string, zone, id int64) spi.Row {
+		return spi.Row{spi.Str(region), spi.I64(zone), spi.I64(id), spi.I64(0)}
+	}
+	for _, r := range []spi.Row{row("n\x00rth", 7, 1), row("south", 1, 1), row("east", 2, 1)} {
+		if err := tab.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := interference.NewBuilder()
+	txn, step := b.TxnType("op", 1), b.StepType("op")
+	b.AllowInterleaveEverywhere(step, txn)
+	eng := New(db, b.Build(), WithWaitTimeout(5*time.Second))
+	part := func(region string, zone int64) spi.Item {
+		return spi.PartitionItem("zoned", spi.EncodeKey(spi.Str(region), spi.I64(zone)))
+	}
+	err := eng.Exec(context.Background(), Request{Type: &TxnType{
+		Name: "op", ID: txn,
+		Steps: []Step{{Name: "op", Type: step, Body: func(tc *Ctx) error {
+			if err := tc.Insert("zoned", row("n\x00rth", 7, 2)); err != nil {
+				return err
+			}
+			if err := tc.Delete("zoned", spi.Str("south"), spi.I64(1), spi.I64(1)); err != nil {
+				return err
+			}
+			if err := tc.Update("zoned", []spi.Value{spi.Str("east"), spi.I64(2), spi.I64(1)},
+				func(spi.Row) error { return nil }); err != nil {
+				return err
+			}
+			if _, err := tc.Get("zoned", spi.Str("n\x00rth"), spi.I64(7), spi.I64(1)); err != nil {
+				return err
+			}
+			id := tc.txn.info.ID
+			for _, want := range []struct {
+				item   spi.Item
+				mode   spi.Mode
+				marked bool
+			}{
+				{part("n\x00rth", 7), spi.ModeX, true},
+				{part("south", 1), spi.ModeX, true},
+				{part("east", 2), spi.ModeIX, false},
+			} {
+				if !tc.e.lm.HoldsConventional(id, want.item, want.mode) {
+					t.Errorf("%v not held in %v", want.item, want.mode)
+				}
+				if got := slices.Contains(tc.wroteItems, want.item); got != want.marked {
+					t.Errorf("%v among the step's marked items: %v, want %v", want.item, got, want.marked)
+				}
+			}
+			return nil
+		}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

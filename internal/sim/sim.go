@@ -49,21 +49,27 @@ func NewEnv(servers int, service, compute time.Duration) *Env {
 	return e
 }
 
-// Statement runs one statement's CPU phase on a server: it acquires a
-// server token, holds it for the service time, runs the data operation, and
-// releases the token. The service time is slept, not spun: the token pool is
-// what models server occupancy, and sleeping keeps the simulation honest on
-// hosts with fewer cores than simulated servers.
-func (e *Env) Statement(work func()) {
+// BeginStatement opens one statement's CPU phase on a server: it counts the
+// statement, acquires a server token and holds it for the service time; the
+// engine then runs the data operation and calls EndStatement. The service
+// time is slept, not spun: the token pool is what models server occupancy,
+// and sleeping keeps the simulation honest on hosts with fewer cores than
+// simulated servers.
+func (e *Env) BeginStatement() {
 	e.statements.Add(1)
 	if e.tokens != nil {
 		<-e.tokens
-		defer func() { e.tokens <- struct{}{} }()
 	}
 	if e.service > 0 {
 		time.Sleep(e.service)
 	}
-	work()
+}
+
+// EndStatement returns the server token BeginStatement took.
+func (e *Env) EndStatement() {
+	if e.tokens != nil {
+		e.tokens <- struct{}{}
+	}
 }
 
 // Compute charges the application's inter-statement compute time. It does

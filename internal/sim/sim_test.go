@@ -13,8 +13,11 @@ import (
 func TestEnvStatementCountsAndServes(t *testing.T) {
 	env := NewEnv(2, 0, 0)
 	ran := 0
-	env.Statement(func() { ran++ })
-	env.Statement(func() { ran++ })
+	for i := 0; i < 2; i++ {
+		env.BeginStatement()
+		ran++
+		env.EndStatement()
+	}
 	if ran != 2 || env.Statements() != 2 {
 		t.Fatalf("ran=%d statements=%d", ran, env.Statements())
 	}
@@ -28,17 +31,17 @@ func TestEnvServerPoolLimitsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			env.Statement(func() {
-				n := active.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
+			env.BeginStatement()
+			n := active.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
 				}
-				time.Sleep(10 * time.Millisecond)
-				active.Add(-1)
-			})
+			}
+			time.Sleep(10 * time.Millisecond)
+			active.Add(-1)
+			env.EndStatement()
 		}()
 	}
 	wg.Wait()
@@ -50,7 +53,8 @@ func TestEnvServerPoolLimitsConcurrency(t *testing.T) {
 func TestEnvServiceTimeCharged(t *testing.T) {
 	env := NewEnv(1, 20*time.Millisecond, 30*time.Millisecond)
 	start := time.Now()
-	env.Statement(func() {})
+	env.BeginStatement()
+	env.EndStatement()
 	if time.Since(start) < 15*time.Millisecond {
 		t.Fatal("service time not charged")
 	}
@@ -62,12 +66,13 @@ func TestEnvServiceTimeCharged(t *testing.T) {
 }
 
 func TestZeroEnvIsInline(t *testing.T) {
-	var env Env // zero value
-	done := false
-	env.Statement(func() { done = true })
+	var env Env // zero value: no server pool, no service time
+	start := time.Now()
+	env.BeginStatement()
+	env.EndStatement()
 	env.Compute()
-	if !done {
-		t.Fatal("zero env did not run work")
+	if env.Statements() != 1 || time.Since(start) > time.Second {
+		t.Fatalf("zero env: %d statements in %v", env.Statements(), time.Since(start))
 	}
 }
 

@@ -123,7 +123,9 @@ type Store interface {
 	// Create adds a table for schema; the name must be new.
 	Create(schema *Schema) (Table, error)
 	// Table returns the named table, or nil (an untyped nil interface, not
-	// a typed-nil pointer) when absent.
+	// a typed-nil pointer) when absent. Every call for one table returns the
+	// same comparable handle: the engine tells a step's writes apart by
+	// handle and key.
 	Table(name string) Table
 	// Names returns the table names in unspecified order.
 	Names() []string

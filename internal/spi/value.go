@@ -225,6 +225,23 @@ func AppendKeyVal(b *strings.Builder, v Value) {
 	}
 }
 
+// KeyPrefix returns the encoding of k's first n values — the bytes EncodeKey
+// gives those values — sliced from k with no allocation: every value's
+// encoding delimits itself. A k of fewer than n values is returned whole.
+func KeyPrefix(k Key, n int) Key {
+	i := 0
+	for ; n > 0 && i < len(k); n-- {
+		if Kind(k[i]) != KindString {
+			i += 9
+		} else if end := strings.Index(string(k[i+1:]), "\x00\x00"); end >= 0 {
+			i += end + 3 // a payload NUL is 0x00 0xFF: the first 0x00 0x00 ends it
+		} else {
+			return k
+		}
+	}
+	return k[:min(i, len(k))]
+}
+
 // DecodeKey reverses EncodeKey. It returns an error on malformed input so
 // that log-recovery paths can surface corruption instead of panicking.
 func DecodeKey(k Key) ([]Value, error) {

@@ -19,8 +19,11 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"accdb/internal/spi"
 )
@@ -162,7 +165,8 @@ func (t *Table) recordLocked(pk spi.Key) *record {
 // installLocked makes row rec's base image (nil: the key leaves the base) and
 // returns the image it replaced. It is the one place a base image changes:
 // the replaced image seeds the chain first, and each index entry moves only
-// if its key changed. Callers hold t.mu exclusively.
+// if its key changed — an index whose columns an update left alone is
+// skipped before any entry key is built. Callers hold t.mu exclusively.
 func (t *Table) installLocked(rec *record, row spi.Row) spi.Row {
 	old := rec.base
 	t.seedVersionLocked(rec, old)
@@ -174,6 +178,9 @@ func (t *Table) installLocked(rec *record, row spi.Row) spi.Row {
 		t.live--
 	}
 	for _, ix := range t.indexes {
+		if old != nil && row != nil && sameCols(old, row, ix.cols) {
+			continue
+		}
 		var oldEntry, newEntry spi.Key // "" is no entry: an entry key ends in pk
 		if old != nil {
 			oldEntry = ix.entryKey(old, rec.pk)
@@ -194,8 +201,25 @@ func (t *Table) installLocked(rec *record, row spi.Row) spi.Row {
 	return old
 }
 
+// sameCols reports whether two images of a row agree on the given columns
+// exactly as their key encodings would: floats bit for bit, so -0 and +0
+// differ and a NaN equals itself.
+func sameCols(a, b spi.Row, cols []int) bool {
+	for _, c := range cols {
+		x, y := a[c], b[c]
+		if x.K == spi.KindFloat && y.K == spi.KindFloat {
+			if math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return false
+			}
+		} else if !x.Equal(y) {
+			return false
+		}
+	}
+	return true
+}
+
 // Insert adds a new row, which the table keeps; the primary key must not
-// exist.
+// exist. The primary map is probed once.
 func (t *Table) Insert(row spi.Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
@@ -203,28 +227,29 @@ func (t *Table) Insert(row spi.Row) error {
 	pk := t.schema.KeyOf(row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.present(pk) != nil {
+	rec := t.recordLocked(pk)
+	if rec.base != nil {
 		return fmt.Errorf("%w: %s %v", spi.ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
 	}
-	t.installLocked(t.recordLocked(pk), row)
+	t.installLocked(rec, row)
 	return nil
 }
 
 // Update replaces the row stored under pk by row, which the table keeps. The
-// new row must have the same primary key. It returns the previous image for
-// undo logging.
+// new row must have the same primary key, which is checked against the stored
+// image's key columns. It returns the previous image for undo logging.
 func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
-	}
-	if t.schema.KeyOf(row) != pk {
-		return nil, fmt.Errorf("storage: update changes primary key of %s", t.schema.Name)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec := t.present(pk)
 	if rec == nil {
 		return nil, t.notFound()
+	}
+	if !sameCols(rec.base, row, t.schema.PK) {
+		return nil, fmt.Errorf("storage: update changes primary key of %s", t.schema.Name)
 	}
 	return t.installLocked(rec, row), nil
 }
@@ -316,87 +341,53 @@ func (t *Table) index(name string) *secondaryIndex {
 	return nil
 }
 
-// Catalog is the set of tables comprising a database.
-type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*Table)} }
-
-// Create adds a table for schema; the name must be new.
-func (c *Catalog) Create(schema *spi.Schema) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[schema.Name]; ok {
-		return nil, fmt.Errorf("storage: table %q already exists", schema.Name)
-	}
-	t := NewTable(schema)
-	c.tables[schema.Name] = t
-	return t, nil
-}
-
-// MustCreate is Create that panics; for statically known schemas.
-func (c *Catalog) MustCreate(schema *spi.Schema) *Table {
-	t, err := c.Create(schema)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Table returns the named table, or nil.
-func (c *Catalog) Table(name string) *Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tables[name]
-}
-
-// Names returns the table names in unspecified order.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Store wraps a Catalog as an spi.Store: Create returns the interface type
-// and Table converts the catalog's typed nil into an untyped nil interface,
-// per the SPI contract.
+// Store is the default backend's spi.Store: the set of tables comprising a
+// database. The name map is copied on write: Create publishes a new map under
+// mu, and a lookup — every statement makes one — is an atomic load.
 type Store struct {
-	cat Catalog
+	mu     sync.Mutex
+	tables atomic.Pointer[map[string]*Table]
 }
 
 // NewStore returns an empty B+-tree-backed store.
-func NewStore() *Store { return &Store{cat: Catalog{tables: make(map[string]*Table)}} }
-
-// Catalog exposes the underlying typed catalog for code that works with the
-// default backend directly (its own tests, the recovery CLI).
-func (s *Store) Catalog() *Catalog { return &s.cat }
+func NewStore() *Store {
+	s := &Store{}
+	s.tables.Store(&map[string]*Table{})
+	return s
+}
 
 // Create adds a table for schema; the name must be new.
 func (s *Store) Create(schema *spi.Schema) (spi.Table, error) {
-	t, err := s.cat.Create(schema)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := (*s.tables.Load())[schema.Name]; ok {
+		return nil, fmt.Errorf("storage: table %q already exists", schema.Name)
 	}
+	t := NewTable(schema)
+	tables := maps.Clone(*s.tables.Load())
+	tables[schema.Name] = t
+	s.tables.Store(&tables)
 	return t, nil
 }
 
-// Table returns the named table, or nil.
+// Table returns the named table, or an untyped nil interface when absent (the
+// SPI contract).
 func (s *Store) Table(name string) spi.Table {
-	if t := s.cat.Table(name); t != nil {
+	if t := (*s.tables.Load())[name]; t != nil {
 		return t
 	}
 	return nil
 }
 
 // Names returns the table names in unspecified order.
-func (s *Store) Names() []string { return s.cat.Names() }
+func (s *Store) Names() []string {
+	tables := *s.tables.Load()
+	out := make([]string, 0, len(tables))
+	for n := range tables {
+		out = append(out, n)
+	}
+	return out
+}
 
 func init() {
 	spi.Register("btree", func() spi.Store { return NewStore() })

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -277,7 +278,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 }
 
 func TestCatalog(t *testing.T) {
-	c := NewCatalog()
+	c := NewStore()
 	s := testSchema(t)
 	if _, err := c.Create(s); err != nil {
 		t.Fatal(err)
@@ -434,5 +435,53 @@ func TestTableReadsAllocFree(t *testing.T) {
 		if small != 1 {
 			t.Errorf("%s: %.1f allocs/op, want 1 (the prefix)", name, small)
 		}
+	}
+}
+
+// TestTableUpdateAllocFree is the CI allocation guard for the write path (run
+// via -run 'AllocFree'): once a key has its chain, an Update that leaves every
+// indexed column alone allocates nothing — the primary key is checked against
+// the stored image's key columns instead of being re-encoded, and no index
+// entry key is built. An Update that changes the primary key is still
+// refused, by value and by a float key's sign of zero, which encodes
+// differently although the two compare equal.
+func TestTableUpdateAllocFree(t *testing.T) {
+	tab := NewTable(testSchema(t))
+	tab.AddIndex(spi.IndexDef{Name: "by_dept", Columns: []string{"dept"}})
+	for id := int64(1); id <= 3; id++ {
+		if err := tab.Insert(empRow(id, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pk := tab.Schema().KeyOf(empRow(2, 0))
+	images := []spi.Row{empRow(2, 150), empRow(2, 200)}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { tab.Update(pk, images[i%2]); i++ }); n != 0 {
+		t.Errorf("Update leaving the indexed columns: %.1f allocs/op, want 0", n)
+	}
+	if got, _ := tab.Get(pk); got[3].Int64() != images[(i-1)%2][3].Int64() {
+		t.Fatalf("Update not applied: %v", got)
+	}
+
+	if _, err := tab.Update(pk, empRow(3, 150)); err == nil {
+		t.Error("Update to another primary key accepted")
+	}
+	if got, _ := tab.Get(pk); got[0].Int64() != 2 {
+		t.Errorf("refused Update changed the row: %v", got)
+	}
+	fs := spi.MustSchema("f", []spi.Column{
+		{Name: "x", Kind: spi.KindFloat},
+		{Name: "v", Kind: spi.KindInt},
+	}, "x")
+	ft := NewTable(fs)
+	if err := ft.Insert(spi.Row{spi.F64(0), spi.I64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	fpk := fs.KeyOf(spi.Row{spi.F64(0), spi.I64(0)})
+	if _, err := ft.Update(fpk, spi.Row{spi.F64(math.Copysign(0, -1)), spi.I64(2)}); err == nil {
+		t.Error("Update from +0 to -0 in a float primary key accepted")
+	}
+	if _, err := ft.Update(fpk, spi.Row{spi.F64(0), spi.I64(2)}); err != nil {
+		t.Errorf("Update keeping a float primary key refused: %v", err)
 	}
 }

@@ -20,7 +20,10 @@ func (t *Table) seedVersionLocked(rec *record, prior spi.Row) {
 	if rec.chain != nil {
 		return
 	}
-	rec.chain = []version{{csn: 0, row: prior}}
+	// Room for the version the writer publishes next, so that publish does
+	// not regrow the chain.
+	rec.chain = make([]version, 1, 2)
+	rec.chain[0] = version{csn: 0, row: prior}
 	if t.chained == nil {
 		t.chained = make(map[*record]struct{})
 	}

@@ -19,11 +19,11 @@ var txnAllocBudget = []struct {
 	max  float64
 	draw func(w *Workload, r *rand.Rand) any
 }{
-	{"new_order", 435, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
-	{"payment", 54, func(w *Workload, r *rand.Rand) any { return w.PaymentArgs(r) }},
-	{"delivery", 261, func(w *Workload, r *rand.Rand) any { return w.DeliveryArgs(r) }},
-	{"order_status", 26, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
-	{"stock_level", 67, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
+	{"new_order", 136, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
+	{"payment", 21, func(w *Workload, r *rand.Rand) any { return w.PaymentArgs(r) }},
+	{"delivery", 115, func(w *Workload, r *rand.Rand) any { return w.DeliveryArgs(r) }},
+	{"order_status", 18, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
+	{"stock_level", 49, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
 }
 
 // TestTxnAllocBudget pins the allocations of one whole transaction per TPC-C

@@ -6,6 +6,8 @@ package tpcc
 // serializes them — into the end-of-step records so crash recovery can
 // compensate, and identically wherever else a record leaves the process.
 
+import "accdb/internal/spi"
+
 // OrderLineReq is one requested line of a new-order.
 type OrderLineReq struct {
 	ItemID   int64
@@ -36,6 +38,22 @@ type NewOrderArgs struct {
 	Filled    []int64 // per line: stock quantity deducted
 	Amounts   []int64 // per line: ol_amount
 	Total     int64
+
+	oKey cachedOrderKey // A_NO_OPEN's Covers; not work area, so not encoded
+}
+
+// cachedOrderKey is the primary key of order (w, d, o) for an assertion's
+// Covers, built once per order number o (never 0) instead of per lock request.
+type cachedOrderKey struct {
+	o   int64
+	key spi.Key
+}
+
+func (k *cachedOrderKey) of(w, d, o int64) spi.Key {
+	if k.o != o {
+		k.o, k.key = o, spi.EncodeKey(i64(w), i64(d), i64(o))
+	}
+	return k.key
 }
 
 // PaymentArgs parameterizes a payment transaction. The customer is selected
@@ -65,6 +83,8 @@ type DeliveryArgs struct {
 	Claimed   []int64 // claimed o_id, 0 = district had no pending order
 	Amounts   []int64 // order total credited to the customer
 	Customers []int64 // customer of the claimed order
+
+	claimKeys []cachedOrderKey // per district, A_DLV_CLAIM's Covers; not work area
 }
 
 func (a *DeliveryArgs) districts() int { return len(a.Claimed) }

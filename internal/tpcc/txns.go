@@ -1,9 +1,11 @@
 package tpcc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"accdb/internal/core"
 	"accdb/internal/spi"
@@ -132,7 +134,7 @@ func (reg *Registration) buildAssertions() {
 			}
 			a := args.(*NewOrderArgs)
 			// ONum == 0: the order id is not assigned yet.
-			return a.ONum != 0 && item.Key == spi.EncodeKey(i64(a.WID), i64(a.DID), i64(a.ONum))
+			return a.ONum != 0 && item.Key == a.oKey.of(a.WID, a.DID, a.ONum)
 		},
 	}
 	reg.aDlvClaim = &core.Assertion{
@@ -143,8 +145,11 @@ func (reg *Registration) buildAssertions() {
 				return false
 			}
 			a := args.(*DeliveryArgs)
+			if len(a.claimKeys) != len(a.Claimed) {
+				a.claimKeys = make([]cachedOrderKey, len(a.Claimed))
+			}
 			for d, o := range a.Claimed {
-				if o != 0 && item.Key == spi.EncodeKey(i64(a.WID), i64(int64(d+1)), i64(o)) {
+				if o != 0 && item.Key == a.claimKeys[d].of(a.WID, int64(d+1), o) {
 					return true
 				}
 			}
@@ -155,7 +160,7 @@ func (reg *Registration) buildAssertions() {
 
 // orderGranule reports whether item is a granule an order's assertions can
 // cover — its orders row, its new_order row when withNewOrder is set, or its
-// order_line partition — so Covers builds an order key only for those.
+// order_line partition — so Covers looks at an order key only for those.
 func orderGranule(item spi.Item, withNewOrder bool) bool {
 	switch item.Table {
 	case TOrders:
@@ -170,8 +175,25 @@ func orderGranule(item spi.Item, withNewOrder bool) bool {
 
 // --- new-order -------------------------------------------------------------
 
+// maxOrderLines is the most lines a TPC-C order has (§2.4.1.3).
+const maxOrderLines = 15
+
+// noLineNames names the line steps of an order of up to maxOrderLines lines.
+var noLineNames = func() (names [maxOrderLines]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("NO2[%d]", i+1)
+	}
+	return names
+}()
+
+// newOrderType declares new-order. What its steps share — the bodies, the
+// precondition list, the line steps' names — is built here once, so MakeSteps
+// allocates only the step slice; only an order longer than maxOrderLines, which
+// no TPC-C draw makes, formats its extra names.
 func (reg *Registration) newOrderType() *core.TxnType {
 	t := reg.Types
+	pre := []*core.Assertion{reg.aNoOpen}
+	setup, line, hook, finish := reg.noSetup, reg.noLine, reg.noRemote, reg.noFinalize
 	return &core.TxnType{
 		Name:                  "new_order",
 		ID:                    t.NewOrder,
@@ -179,35 +201,27 @@ func (reg *Registration) newOrderType() *core.TxnType {
 		MakeSteps: func(args any) []core.Step {
 			a := args.(*NewOrderArgs)
 			steps := make([]core.Step, 0, len(a.Lines)+3)
-			steps = append(steps, core.Step{
-				Name: "NO1", Type: t.NO1, Body: reg.noSetup,
-			})
+			steps = append(steps, core.Step{Name: "NO1", Type: t.NO1, Body: setup})
 			remote := false
 			for i := range a.Lines {
 				if !reg.isLocal(a.WID, a.Lines[i].SupplyW) {
 					remote = true
 				}
-				steps = append(steps, core.Step{
-					Name: fmt.Sprintf("NO2[%d]", i+1), Type: t.NO2,
-					Pre:  []*core.Assertion{reg.aNoOpen},
-					Body: reg.noLine(i),
-				})
+				step := core.Step{Type: t.NO2, Pre: pre, Body: line}
+				if i < maxOrderLines {
+					step.Name = noLineNames[i]
+				} else {
+					step.Name = fmt.Sprintf("NO2[%d]", i+1)
+				}
+				steps = append(steps, step)
 			}
 			if remote {
 				// Only instances that actually cross partitions pay for the
 				// hook step (and its end-of-step force): the single-partition
 				// hot path keeps the exact step sequence it always had.
-				steps = append(steps, core.Step{
-					Name: "NOR", Type: t.NOR,
-					Pre:  []*core.Assertion{reg.aNoOpen},
-					Body: reg.noRemote,
-				})
+				steps = append(steps, core.Step{Name: "NOR", Type: t.NOR, Pre: pre, Body: hook})
 			}
-			steps = append(steps, core.Step{
-				Name: "NOF", Type: t.NOF,
-				Pre:  []*core.Assertion{reg.aNoOpen},
-				Body: reg.noFinalize,
-			})
+			steps = append(steps, core.Step{Name: "NOF", Type: t.NOF, Pre: pre, Body: finish})
 			return steps
 		},
 		Comp: &core.Compensation{
@@ -256,55 +270,56 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 // TPC-C rule, and enter the line. The benchmark's 1% rollback fires here on
 // the final line via an unused item number (§2.4.1.4), after earlier lines'
 // steps completed — which is exactly what forces compensation under the ACC.
-func (reg *Registration) noLine(i int) func(*core.Ctx) error {
-	return func(tc *core.Ctx) error {
-		a := tc.Args().(*NewOrderArgs)
-		l := a.Lines[i]
-		irow, err := tc.Get(TItem, i64(l.ItemID))
-		if err != nil {
-			if errors.Is(err, spi.ErrNotFound) {
-				return tc.Abort("unused item number")
-			}
-			return err
+// Every line step runs this one body; the step's index names its line (NO1 is
+// step 0, so line i is step i+1).
+func (reg *Registration) noLine(tc *core.Ctx) error {
+	a := tc.Args().(*NewOrderArgs)
+	i := tc.Step() - 1
+	l := a.Lines[i]
+	irow, err := tc.Get(TItem, i64(l.ItemID))
+	if err != nil {
+		if errors.Is(err, spi.ErrNotFound) {
+			return tc.Abort("unused item number")
 		}
-		price := irow[colIPrice].Int64()
-		if reg.isLocal(a.WID, l.SupplyW) {
-			var taken int64
-			err = tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
-				q := row[colSQty].Int64()
-				var nq int64
-				if q >= l.Quantity+10 {
-					nq = q - l.Quantity
-				} else {
-					nq = q - l.Quantity + 91
-				}
-				taken = q - nq
-				row[colSQty] = i64(nq)
-				row[colSYTD] = i64(row[colSYTD].Int64() + l.Quantity)
-				row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() + 1)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			a.Filled[i] = taken
-		}
-		// A remote-partition supply line defers its stock update to the
-		// no_stock shot the NOR step runs on the owning partition; the item
-		// price comes from the local replica (items are loaded identically
-		// into every partition), and the order line itself always lives with
-		// the order.
-		amount := l.Quantity * price
-		if err := tc.Insert(TOrderLine, spi.Row{
-			i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
-			i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
-			spi.Str(""),
-		}); err != nil {
-			return err
-		}
-		a.Amounts[i] = amount
-		return nil
+		return err
 	}
+	price := irow[colIPrice].Int64()
+	if reg.isLocal(a.WID, l.SupplyW) {
+		var taken int64
+		err = tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
+			q := row[colSQty].Int64()
+			var nq int64
+			if q >= l.Quantity+10 {
+				nq = q - l.Quantity
+			} else {
+				nq = q - l.Quantity + 91
+			}
+			taken = q - nq
+			row[colSQty] = i64(nq)
+			row[colSYTD] = i64(row[colSYTD].Int64() + l.Quantity)
+			row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() + 1)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		a.Filled[i] = taken
+	}
+	// A remote-partition supply line defers its stock update to the
+	// no_stock shot the NOR step runs on the owning partition; the item
+	// price comes from the local replica (items are loaded identically
+	// into every partition), and the order line itself always lives with
+	// the order.
+	amount := l.Quantity * price
+	if err := tc.Insert(TOrderLine, spi.Row{
+		i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
+		i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
+		spi.Str(""),
+	}); err != nil {
+		return err
+	}
+	a.Amounts[i] = amount
+	return nil
 }
 
 // noFinalize is NOF: total the lines and apply discount and taxes — the step
@@ -351,8 +366,8 @@ func (reg *Registration) noCompensate(tc *core.Ctx, completed int) error {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return a.Lines[order[x]].ItemID < a.Lines[order[y]].ItemID
+	slices.SortFunc(order, func(x, y int) int {
+		return cmp.Compare(a.Lines[x].ItemID, a.Lines[y].ItemID)
 	})
 	for _, i := range order {
 		l := a.Lines[i]
@@ -444,8 +459,8 @@ func resolveCustomer(tc *core.Ctx, wid, did int64, cid int64, clast string) (int
 	if len(rows) == 0 {
 		return cid, nil // fall back to the id the generator always supplies
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		return rows[i][colCFirst].Text() < rows[j][colCFirst].Text()
+	slices.SortFunc(rows, func(x, y spi.Row) int {
+		return strings.Compare(x[colCFirst].Text(), y[colCFirst].Text())
 	})
 	return rows[len(rows)/2][colCID].Int64(), nil
 }

@@ -209,7 +209,7 @@ func (w *Workload) NewOrderArgs(r *rand.Rand) *NewOrderArgs {
 	a := &NewOrderArgs{
 		WID: w.warehouse(r), DID: w.district(r), CID: w.customer(r),
 	}
-	n := randRange(r, 5, 15)
+	n := randRange(r, 5, maxOrderLines)
 	a.Lines = make([]OrderLineReq, n)
 	for i := range a.Lines {
 		a.Lines[i] = OrderLineReq{
