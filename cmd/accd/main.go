@@ -39,7 +39,6 @@ import (
 	_ "accdb/internal/backends"
 	"accdb/internal/core"
 	"accdb/internal/debughttp"
-	"accdb/internal/partition"
 	"accdb/internal/server"
 	"accdb/internal/tpcc"
 	"accdb/internal/trace"
@@ -47,18 +46,12 @@ import (
 )
 
 func main() {
-	// A bad ACCDB_PARTITIONS is refused even when -partitions overrides it:
-	// the deployment's configuration is wrong either way.
-	envPartitions, err := partition.EnvPartitions()
-	if err != nil {
-		fatal(err)
-	}
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7654", "listen address for the wire protocol")
 		mode         = flag.String("mode", "acc", "scheduler: acc | baseline")
 		maxInFlight  = flag.Int("max-inflight", server.DefaultMaxInFlight, "admission bound on concurrently executing requests")
 		waitTimeout  = flag.Duration("wait-timeout", 10*time.Second, "lock-wait safety net")
-		force        = flag.Duration("force", 0, "simulated log force latency (memory log)")
+		force        = flag.Duration("force", 0, "simulated log force latency (with -wal-dir, on top of the fsync)")
 		walDir       = flag.String("wal-dir", "", "back the log with segment files in this directory")
 		groupCommit  = flag.Duration("group-commit", 0, "cross-session group-commit window: a force leader waits this long so concurrent commits share one log sync (0 disables)")
 		seed         = flag.Int64("seed", 1, "TPC-C load seed")
@@ -69,7 +62,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain; in-flight work past it is cancelled (and compensated)")
 		check        = flag.Bool("check", true, "verify TPC-C consistency after the drain; violations exit non-zero")
 		ready        = flag.String("ready-fd", "", "write one line with the bound address to this file once listening (harness handshake)")
-		partitions   = flag.Int("partitions", envPartitions, "partition count: >1 shards warehouses across independent engines behind the multi-shot coordinator (default from ACCDB_PARTITIONS)")
+		partitions   = flag.Int("partitions", 1, "partition count: >1 shards warehouses across independent engines behind the multi-shot coordinator")
 	)
 	flag.Parse()
 
@@ -112,7 +105,6 @@ func main() {
 		Engine: []core.Option{
 			core.WithMode(m),
 			core.WithWaitTimeout(*waitTimeout),
-			core.WithForceLatency(*force),
 			core.WithTracer(tr),
 		},
 	})

@@ -32,11 +32,9 @@ func buildAccd(t *testing.T) string {
 
 // refused runs accd to completion and requires the refusal of a bad
 // configuration: exit status 1, no panic, and stderr mentioning every want.
-// It returns stderr.
-func refused(t *testing.T, bin string, env []string, args []string, want ...string) string {
+func refused(t *testing.T, bin string, args []string, want ...string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), env...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	done := make(chan error, 1)
@@ -48,63 +46,50 @@ func refused(t *testing.T, bin string, env []string, args []string, want ...stri
 	case err := <-done:
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("accd %v %v: want exit status 1, got %v; stderr:\n%s", env, args, err, stderr.String())
+			t.Fatalf("accd %v: want exit status 1, got %v; stderr:\n%s", args, err, stderr.String())
 		}
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
 		<-done
-		t.Fatalf("accd %v %v kept running instead of refusing; stderr:\n%s", env, args, stderr.String())
+		t.Fatalf("accd %v kept running instead of refusing; stderr:\n%s", args, stderr.String())
 	}
 	out := stderr.String()
 	if strings.Contains(out, "panic:") {
-		t.Errorf("accd %v %v panicked instead of refusing:\n%s", env, args, out)
+		t.Errorf("accd %v panicked instead of refusing:\n%s", args, out)
 	}
 	for _, w := range want {
 		if !strings.Contains(out, w) {
-			t.Errorf("accd %v %v: stderr lacks %q:\n%s", env, args, w, out)
+			t.Errorf("accd %v: stderr lacks %q:\n%s", args, w, out)
 		}
 	}
-	return out
 }
 
-// TestRefusesBadPartitionCounts: neither the environment variable nor the
-// flag is coerced to a one-partition deployment.
+// TestRefusesBadPartitionCounts: the flag is not coerced to a one-partition
+// deployment.
 func TestRefusesBadPartitionCounts(t *testing.T) {
 	bin := buildAccd(t)
-	for _, c := range []struct {
-		env, flag, want string
-	}{
-		{env: "ACCDB_PARTITIONS=abc", want: "ACCDB_PARTITIONS"},
-		{env: "ACCDB_PARTITIONS=0", want: "ACCDB_PARTITIONS"},
-		{env: "ACCDB_PARTITIONS=abc", flag: "2", want: "ACCDB_PARTITIONS"},
-		{flag: "0", want: "at least one partition"},
-		{flag: "-1", want: "at least one partition"},
-	} {
-		args := []string{"-addr", "127.0.0.1:0"}
-		if c.flag != "" {
-			args = append(args, "-partitions", c.flag)
-		}
-		env := "ACCDB_PARTITIONS=" // unset, whatever the test's own environment says
-		if c.env != "" {
-			env = c.env
-		}
-		refused(t, bin, []string{env}, args, c.want)
+	for _, n := range []string{"0", "-1"} {
+		refused(t, bin, []string{"-addr", "127.0.0.1:0", "-partitions", n}, "at least one partition")
 	}
 }
 
-// TestRefusesUnknownBackend: a store name the binary does not link — a typo,
-// or a backend that no longer exists — is a one-line configuration error,
-// the way a bad partition count is, not a panic.
-func TestRefusesUnknownBackend(t *testing.T) {
-	bin := buildAccd(t)
-	for _, backend := range []string{"btre", "memstore"} {
-		for _, parts := range []string{"1", "4"} {
-			env := []string{"ACCDB_BACKEND=" + backend, "ACCDB_PARTITIONS="}
-			out := refused(t, bin, env, []string{"-addr", "127.0.0.1:0", "-partitions", parts}, `"`+backend+`"`)
-			if n := strings.Count(strings.TrimSpace(out), "\n") + 1; n != 1 {
-				t.Errorf("%v -partitions %s: want a one-line error, got %d lines:\n%s", env, parts, n, out)
-			}
-		}
+// TestIgnoresEnvironment: flags are accd's only configuration. Variables that
+// once chose the partition count (ACCDB_PARTITIONS) and the store
+// (ACCDB_BACKEND) are not read, not even to refuse garbage in them: accd
+// serves one partition and drains clean.
+func TestIgnoresEnvironment(t *testing.T) {
+	t.Setenv("ACCDB_PARTITIONS", "abc")
+	t.Setenv("ACCDB_BACKEND", "nope")
+	ready := filepath.Join(t.TempDir(), "ready")
+	cmd, _, stderr := serve(t, buildAccd(t), ready, []string{"-addr", "127.0.0.1:0", "-ready-fd", ready})
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit %v; stderr:\n%s", err, stderr.String())
+	}
+	if out := stderr.String(); !strings.Contains(out, "partitions 1)") || !strings.Contains(out, "consistency check passed") {
+		t.Errorf("want one partition served and a clean drain; stderr:\n%s", out)
 	}
 }
 
@@ -115,7 +100,7 @@ func TestRefusesUnknownMode(t *testing.T) {
 	bin := buildAccd(t)
 	for _, mode := range []string{"two-level", "2pl"} {
 		t.Run(mode, func(t *testing.T) {
-			refused(t, bin, []string{"ACCDB_PARTITIONS="}, []string{"-addr", "127.0.0.1:0", "-mode", mode}, "unknown -mode", `"`+mode+`"`)
+			refused(t, bin, []string{"-addr", "127.0.0.1:0", "-mode", mode}, "unknown -mode", `"`+mode+`"`)
 		})
 	}
 }
@@ -126,7 +111,6 @@ func TestRefusesUnknownMode(t *testing.T) {
 func serve(t *testing.T, bin, ready string, args []string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "ACCDB_PARTITIONS=")
 	stderr := &bytes.Buffer{}
 	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
@@ -211,7 +195,7 @@ func TestRefusesUsedWALDir(t *testing.T) {
 		t.Fatalf("no segment files under %s/p0", walDir)
 	}
 
-	refused(t, bin, []string{"ACCDB_PARTITIONS="}, args, walDir, "examples/recovery")
+	refused(t, bin, args, walDir, "examples/recovery")
 }
 
 // TestShortDeliveryFrame: a delivery whose work area is sized for no district

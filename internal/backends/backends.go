@@ -1,6 +1,7 @@
 // Package backends links the SPI backend implementations into a binary.
-// Importing it for side effect registers the B+-tree heap store ("btree")
-// and the sharded lock manager with the accdb/internal/spi registry:
+// Importing it for side effect fills the two accdb/internal/spi factory
+// slots: the store (the B+-tree heap) and the lock service (the sharded lock
+// manager):
 //
 //	import _ "accdb/internal/backends"
 //
@@ -13,5 +14,5 @@ package backends
 
 import (
 	_ "accdb/internal/lock"    // registers the spi.LockService
-	_ "accdb/internal/storage" // registers the "btree" row store
+	_ "accdb/internal/storage" // registers the B+-tree row store
 )

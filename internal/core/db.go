@@ -59,11 +59,10 @@ func WithStore(s spi.Store) DBOption {
 	return func(c *dbConfig) { c.store = s }
 }
 
-// NewDB creates an empty database over the configured store, or over the
-// registry's spi.DefaultBackend() when none is given. An unregistered
-// default panics: the engine cannot run without a store, so this is a wiring
-// bug best surfaced at startup. A caller that can refuse a bad
-// configuration instead opens the store itself and passes WithStore.
+// NewDB creates an empty database over the configured store, or over a
+// store from the registered factory (spi.NewStore) when none is given;
+// with no factory registered it panics, as the engine cannot run without a
+// store.
 func NewDB(opts ...DBOption) *DB {
 	var c dbConfig
 	for _, apply := range opts {
@@ -71,10 +70,7 @@ func NewDB(opts ...DBOption) *DB {
 	}
 	store := c.store
 	if store == nil {
-		var err error
-		if store, err = spi.OpenStore(spi.DefaultBackend()); err != nil {
-			panic(err)
-		}
+		store = spi.NewStore()
 	}
 	db := &DB{store: store}
 	db.parts.Store(&map[string]int{})

@@ -21,9 +21,10 @@ func WithWaitTimeout(d time.Duration) Option {
 	return func(o *Options) { o.WaitTimeout = d }
 }
 
-// WithForceLatency sets the simulated log-force I/O time. Neither scheduler
-// forces at a step boundary; a writing transaction pays it at most once,
-// before its reply.
+// WithForceLatency sets the simulated log-force I/O time of the memory log
+// New builds when WithWAL supplies none; a supplied log carries its own (a
+// tpcc stack sets it in StackConfig.WAL). Neither scheduler forces at a step
+// boundary; a writing transaction pays it at most once, before its reply.
 func WithForceLatency(d time.Duration) Option {
 	return func(o *Options) { o.ForceLatency = d }
 }

@@ -6,12 +6,8 @@ import (
 	"testing"
 
 	"accdb/internal/fault"
-	"accdb/internal/spi"
 	"accdb/internal/spi/spitest"
 )
-
-// frozenBackend is the selected backend behind spitest.Frozen.
-var frozenBackend, verifyFrozen = spitest.FrozenBackend(spi.DefaultBackend())
 
 // TestCrashMatrix is the recovery acceptance test: for EVERY registered fault
 // injection point, crash a TPC-C run there, recover through Set.Recover, and
@@ -29,7 +25,7 @@ var frozenBackend, verifyFrozen = spitest.FrozenBackend(spi.DefaultBackend())
 // run, recovery's redo and undo and the re-run share row images with the
 // store, and none may change after it crossed the seam.
 func TestCrashMatrix(t *testing.T) {
-	t.Setenv(spi.EnvBackend, frozenBackend)
+	verifyFrozen := spitest.FrozenStores(t)
 	points := fault.Points()
 	if len(points) < 15 {
 		t.Fatalf("expected the full fault-point catalog, found %d: %v", len(points), points)

@@ -131,7 +131,6 @@ func Run(cfg Config) (*RunResult, error) {
 		Engine: []core.Option{
 			core.WithMode(cfg.Mode),
 			core.WithWaitTimeout(30 * time.Second),
-			core.WithForceLatency(cfg.ForceLatency),
 			core.WithEnv(sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
 			core.WithTracer(cfg.Tracer),
 			core.WithAnatomy(cfg.Anatomy),

@@ -30,8 +30,6 @@ package partition
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -117,23 +115,6 @@ type Option func(*Set)
 // (coord.*/shot.* kinds); the per-partition engines carry their own tracers.
 func WithTracer(t *trace.Tracer) Option {
 	return func(s *Set) { s.tracer = t }
-}
-
-// EnvPartitions reads the ACCDB_PARTITIONS environment variable: the
-// partition count accd and acc.NewCluster default to. Unset or empty means 1;
-// anything that is not a positive integer is an error, never a silent 1 — a
-// deployment that asked for four partitions and got one would pass every
-// smoke test while measuring something else.
-func EnvPartitions() (int, error) {
-	v := os.Getenv("ACCDB_PARTITIONS")
-	if v == "" {
-		return 1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("partition: ACCDB_PARTITIONS=%q: want a positive integer", v)
-	}
-	return n, nil
 }
 
 // New builds a Set of n partitions, constructing each engine with build.

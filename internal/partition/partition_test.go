@@ -900,35 +900,6 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 	})
 }
 
-// TestEnvPartitions: ACCDB_PARTITIONS is a positive integer or unset;
-// everything else is an error, never a silent one-partition deployment.
-func TestEnvPartitions(t *testing.T) {
-	for _, c := range []struct {
-		env  string
-		want int // 0: an error
-	}{
-		{"", 1}, {"1", 1}, {"4", 4},
-		{"0", 0}, {"-2", 0}, {"abc", 0}, {"4x", 0}, {" 4", 0}, {"1.5", 0},
-	} {
-		t.Setenv("ACCDB_PARTITIONS", c.env)
-		got, err := partition.EnvPartitions()
-		if c.want == 0 {
-			if err == nil {
-				t.Errorf("ACCDB_PARTITIONS=%q accepted as %d", c.env, got)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ACCDB_PARTITIONS=%q = %d, %v; want %d", c.env, got, err, c.want)
-		}
-	}
-	for _, n := range []int{0, -1} {
-		if _, err := partition.New(n, nil); err == nil {
-			t.Errorf("partition.New(%d) accepted", n)
-		}
-	}
-}
-
 // TestSetExec: the Set's entry point keeps the engine's contract — unknown
 // name, closed, cancelled — and runs a versioned-tier read on the instance's
 // home partition without counting it as routed work or splitting it.

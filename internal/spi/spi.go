@@ -6,10 +6,11 @@
 // heap) and internal/lock (the sharded lock manager) are the adapters.
 //
 // The package also owns the pure data model both sides speak — Value, Row,
-// Key, Schema, CSN — and a registry through which composition roots open the
-// store and lock service without the scheduler importing either. Importing
-// accdb/internal/backends (blank) registers them. A program with its own
-// store passes it to core.WithStore instead.
+// Key, Schema, CSN — and two factory slots, one for the store and one for
+// the lock service, through which composition roots open both without the
+// scheduler importing either. Importing accdb/internal/backends (blank)
+// fills them. A program with its own store passes it to core.WithStore
+// instead.
 //
 // The contract an adapter must honour is specified method-by-method on the
 // Store, Table and LockService interfaces and is executable: the
@@ -18,73 +19,36 @@
 // against any Store. DESIGN.md §15 is the prose companion.
 package spi
 
-import (
-	"fmt"
-	"os"
-	"sort"
-	"sync"
-)
-
-// EnvBackend is the environment variable consulted by DefaultBackend. It is
-// a test hook: a test registers a wrapping backend (spitest.FrozenBackend)
-// and selects it here, so every store a whole system opens by name is the
-// wrapped one.
-const EnvBackend = "ACCDB_BACKEND"
-
-// DefaultBackendName is the backend DefaultBackend falls back to when
-// EnvBackend is unset: the B+-tree heap of internal/storage.
-const DefaultBackendName = "btree"
+import "sync"
 
 var (
-	regMu    sync.RWMutex
-	backends = map[string]func() Store{}
-	lockSvc  func(Oracle) LockService
+	regMu   sync.RWMutex
+	storeFn func() Store
+	lockSvc func(Oracle) LockService
 )
 
-// Register installs a named Store factory. Backends call it from init();
-// registering a duplicate name panics, as that is always a wiring bug.
-func Register(name string, open func() Store) {
+// RegisterStore installs the store factory and returns the one it replaced
+// (nil the first time). The B+-tree heap of internal/storage installs itself
+// from init(); a test that checks every store a whole system opens wraps the
+// installed factory and restores it afterwards (spitest.FrozenStores).
+func RegisterStore(open func() Store) (prev func() Store) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("spi: backend %q registered twice", name))
-	}
-	backends[name] = open
+	prev, storeFn = storeFn, open
+	return prev
 }
 
-// OpenStore instantiates the named backend, or errors with the registered
-// alternatives (an empty list means the caller forgot the blank import of
-// accdb/internal/backends).
-func OpenStore(name string) (Store, error) {
+// NewStore opens a store from the registered factory. It panics when none is
+// registered — the engine cannot run without a store, so this is a wiring
+// bug, fixed by blank-importing accdb/internal/backends.
+func NewStore() Store {
 	regMu.RLock()
-	open := backends[name]
+	open := storeFn
 	regMu.RUnlock()
 	if open == nil {
-		return nil, fmt.Errorf("spi: no backend %q registered (have %v; blank-import accdb/internal/backends for the defaults)",
-			name, Backends())
+		panic("spi: no store registered (blank-import accdb/internal/backends)")
 	}
-	return open(), nil
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DefaultBackend returns the backend name selected by the EnvBackend
-// environment variable, or DefaultBackendName when unset.
-func DefaultBackend() string {
-	if name := os.Getenv(EnvBackend); name != "" {
-		return name
-	}
-	return DefaultBackendName
+	return open()
 }
 
 // RegisterLockService installs the lock-service factory. The in-tree

@@ -2,11 +2,13 @@ package spitest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
+	"testing"
 
 	"accdb/internal/spi"
 )
@@ -178,28 +180,38 @@ func (t *frozenTable) IndexScanAsOf(index string, eq []spi.Value, asOf spi.CSN, 
 	return t.Table.IndexScanAsOf(index, eq, asOf, t.noting(visit))
 }
 
-// FrozenBackend registers the backend "frozen-<inner>" — the registered
-// backend inner's stores, each wrapped by Frozen — for a test that runs a
-// system which opens its stores by name (a TPC-C stack, the crash harness):
-// select it with t.Setenv(spi.EnvBackend, name). verify checks, and then
-// forgets, every store opened through it so far. Once per test binary.
-func FrozenBackend(inner string) (name string, verify func() error) {
-	var mu sync.Mutex
-	var opened []*FrozenStore
-	name = "frozen-" + inner
-	spi.Register(name, func() spi.Store {
-		s, err := spi.OpenStore(inner)
-		if err != nil {
-			panic(err)
-		}
+// FrozenStores wraps the registered store factory for the rest of test t —
+// every store spi.NewStore opens is the factory's own wrapped by Frozen — and
+// restores it when t ends. It is for a test that runs a whole system opening
+// its stores itself (a TPC-C stack, the crash harness). Like t.Setenv it
+// changes the whole process, so t must not run in parallel with others.
+// verify checks, and then forgets, every store opened through it since the
+// last call; a call that finds none is an error, because a wrapper nothing
+// went through checked nothing.
+func FrozenStores(t testing.TB) (verify func() error) {
+	t.Helper()
+	var (
+		mu     sync.Mutex
+		opened []*FrozenStore
+		inner  func() spi.Store
+	)
+	inner = spi.RegisterStore(func() spi.Store {
+		f := Frozen(inner())
 		mu.Lock()
 		defer mu.Unlock()
-		opened = append(opened, Frozen(s))
-		return opened[len(opened)-1]
+		opened = append(opened, f)
+		return f
 	})
-	return name, func() error {
+	t.Cleanup(func() { spi.RegisterStore(inner) })
+	if inner == nil {
+		t.Fatal("spitest: no store registered to wrap (blank-import accdb/internal/backends)")
+	}
+	return func() error {
 		mu.Lock()
 		defer mu.Unlock()
+		if len(opened) == 0 {
+			return errors.New("spitest: no store was opened through FrozenStores")
+		}
 		for _, f := range opened {
 			if err := f.Verify(); err != nil {
 				return err

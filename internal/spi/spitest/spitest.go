@@ -13,7 +13,7 @@
 // changes — but deliberately nothing more: anything not tested here is not
 // part of the contract, and a backend is free to implement it any way it
 // likes. The bundled B+-tree store (internal/storage) passes it verbatim;
-// Frozen and FrozenBackend check the same row contract under a running
+// Frozen and FrozenStores check the same row contract under a running
 // engine.
 package spitest
 

@@ -2,8 +2,8 @@
 // (accdb/internal/spi): heap tables holding one record per primary key —
 // the key, its current row image and its version chain for the lock-free
 // read tiers — behind a hash primary index, with B+-tree secondary indexes
-// whose leaves point at the record they name. It registers itself under the
-// backend name "btree".
+// whose leaves point at the record they name. It installs itself as the
+// spi store factory (spi.RegisterStore).
 //
 // Row images are immutable values (the spi.Table contract): a write installs
 // a new image and chains the old one, nothing is modified in place, so the
@@ -390,5 +390,5 @@ func (s *Store) Names() []string {
 }
 
 func init() {
-	spi.Register("btree", func() spi.Store { return NewStore() })
+	spi.RegisterStore(func() spi.Store { return NewStore() })
 }

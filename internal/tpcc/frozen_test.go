@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/spi"
 	"accdb/internal/spi/spitest"
 )
-
-// frozenBackend is the selected backend behind spitest.Frozen.
-var frozenBackend, verifyFrozen = spitest.FrozenBackend(spi.DefaultBackend())
 
 // TestFrozenRows runs the five TPC-C types — compensated new-orders,
 // deadlock-victim step undos and snapshot-tier readers among them — over
@@ -20,7 +16,7 @@ var frozenBackend, verifyFrozen = spitest.FrozenBackend(spi.DefaultBackend())
 // changes a row only inside an Update/UpdateWhere closure, on its private
 // copy. Under -race a violation is a reported race as well.
 func TestFrozenRows(t *testing.T) {
-	t.Setenv(spi.EnvBackend, frozenBackend)
+	verifyFrozen := spitest.FrozenStores(t)
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
 			st, err := NewStack(StackConfig{

@@ -6,7 +6,6 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/partition"
-	"accdb/internal/spi"
 	"accdb/internal/wal"
 )
 
@@ -25,9 +24,12 @@ type StackConfig struct {
 	Seed int64
 	// WALDir, when non-empty, backs partition p's log with segment files
 	// under WALDir/p<p> — one layout for every partition count, one included
-	// — opened with WAL. Empty keeps each engine's memory log.
+	// — opened with WAL. Empty gives each partition a memory log.
 	WALDir string
-	WAL    wal.Options
+	// WAL configures every partition's log, memory or disk: its
+	// ForceLatency is the stack's simulated force time, set here once (the
+	// stack's logs ignore core.WithForceLatency).
+	WAL wal.Options
 	// Engine is applied to every partition's engine; the stack adds the
 	// engine's own log and its "partition <p>" label.
 	Engine []core.Option
@@ -49,10 +51,9 @@ type Stack struct {
 }
 
 // NewStack builds the deployment: per partition, a store from the
-// registry's default backend, schema, the partition's share of the initial
-// database, its log, its engine and the transaction types; then the set and
-// its TPC-C routes. A default backend that is not registered (a mistyped
-// ACCDB_BACKEND) is an error, not a panic.
+// registered factory (spi.NewStore, through core.NewDB), schema, the
+// partition's share of the initial database, its log, its engine and the
+// transaction types; then the set and its TPC-C routes.
 func NewStack(cfg StackConfig) (*Stack, error) {
 	st := &Stack{Scale: cfg.Scale}
 	if st.Scale.Warehouses < cfg.Partitions {
@@ -64,30 +65,29 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		apply(&eopt)
 	}
 	set, err := partition.New(cfg.Partitions, func(p int) (*core.Engine, error) {
-		store, err := spi.OpenStore(spi.DefaultBackend())
-		if err != nil {
-			return nil, err
-		}
-		db := core.NewDB(core.WithStore(store))
+		db := core.NewDB()
 		if err := CreateSchema(db); err != nil {
 			return nil, err
 		}
 		if err := LoadPartition(db, st.Scale, cfg.Seed, p, cfg.Partitions); err != nil {
 			return nil, err
 		}
-		opts := append(append([]core.Option(nil), cfg.Engine...), core.WithEngineLabel(fmt.Sprintf("partition %d", p)))
-		if cfg.WALDir != "" {
+		var l *wal.Log
+		if cfg.WALDir == "" {
+			l = wal.New(cfg.WAL.ForceLatency)
+		} else {
 			dir := filepath.Join(cfg.WALDir, fmt.Sprintf("p%d", p))
-			l, err := wal.Open(dir, cfg.WAL)
-			if err != nil {
+			var err error
+			if l, err = wal.Open(dir, cfg.WAL); err != nil {
 				return nil, err
 			}
 			st.opened = append(st.opened, l)
 			if len(l.Recovered()) > 0 {
 				st.Used = append(st.Used, dir)
 			}
-			opts = append(opts, core.WithWAL(l))
 		}
+		opts := append(append([]core.Option(nil), cfg.Engine...),
+			core.WithEngineLabel(fmt.Sprintf("partition %d", p)), core.WithWAL(l))
 		types := BuildTypes()
 		eng := core.New(db, types.Tables, opts...)
 		if _, err := RegisterPartitioned(eng, types, st.Scale, cfg.Partitions); err != nil {
@@ -106,7 +106,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 }
 
 // Logs returns every partition's log in partition order: the disk logs under
-// WALDir, or the engines' memory logs.
+// WALDir, or the memory logs.
 func (st *Stack) Logs() []*wal.Log {
 	logs := make([]*wal.Log, st.Set.Partitions())
 	for p := range logs {

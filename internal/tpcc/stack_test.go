@@ -6,13 +6,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"accdb/internal/core"
 	"accdb/internal/metrics"
 	"accdb/internal/spi"
+	"accdb/internal/wal"
 )
 
 // dumpTables renders every row of every table, keyed table/primary-key, so
@@ -167,18 +167,22 @@ func TestStackRejectsBadPartitionCounts(t *testing.T) {
 	}
 }
 
-// TestStackRefusesUnknownBackend: a default backend nobody registered is an
-// error naming it, returned to the caller rather than a panic mid-build.
-func TestStackRefusesUnknownBackend(t *testing.T) {
-	t.Setenv(spi.EnvBackend, "no-such-store")
+// TestStackForceLatencyReachesEveryLog: StackConfig.WAL sets the simulated
+// force time of every partition's memory log, not only of disk logs — the
+// paper's testbed (experiment.Run) sets it there and nowhere else, so a
+// dropped force would read as a speedup.
+func TestStackForceLatencyReachesEveryLog(t *testing.T) {
+	const d = 100 * time.Microsecond
 	for _, n := range []int{1, 4} {
-		st, err := NewStack(StackConfig{Partitions: n, Scale: smallScale(), Seed: 1})
-		if err == nil {
-			st.Close()
-			t.Fatalf("NewStack opened %d partitions over an unregistered backend", n)
+		st, err := NewStack(StackConfig{Partitions: n, Scale: smallScale(), Seed: 1, WAL: wal.Options{ForceLatency: d}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), `"no-such-store"`) {
-			t.Errorf("error does not name the backend: %v", err)
+		for p, l := range st.Logs() {
+			if l.ForceLatency != d {
+				t.Errorf("%d partitions: partition %d forces in %v, want %v", n, p, l.ForceLatency, d)
+			}
 		}
+		st.Close()
 	}
 }

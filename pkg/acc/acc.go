@@ -19,6 +19,10 @@
 // Cluster.Run are Exec under context.Background() for callers with nothing
 // to cancel.
 //
+// Every setting is an option passed to a constructor; nothing is read from
+// the process environment. A Cluster has the WithPartitions count, 1 without
+// it.
+//
 // Exec propagates ctx into every lock wait: cancelling the context
 // aborts the wait, rolls the transaction back (compensating completed steps
 // per §3.4 of the paper), and returns an error wrapping ctx.Err().
@@ -88,7 +92,8 @@ var (
 	WithMode = core.WithMode
 	// WithWaitTimeout bounds individual lock waits.
 	WithWaitTimeout = core.WithWaitTimeout
-	// WithForceLatency sets the simulated log-force I/O time.
+	// WithForceLatency sets the simulated log-force I/O time of the memory
+	// log an engine builds when WithWAL supplies none.
 	WithForceLatency = core.WithForceLatency
 	// WithMaxStepRetries bounds deadlock-victim step restarts.
 	WithMaxStepRetries = core.WithMaxStepRetries

@@ -96,32 +96,24 @@ func TestClusterRouting(t *testing.T) {
 	}
 }
 
-// TestClusterEnvPartitions pins the ACCDB_PARTITIONS default path: without
-// WithPartitions the cluster sizes itself from the environment.
-func TestClusterEnvPartitions(t *testing.T) {
+// TestClusterDefaultsToOnePartition: WithPartitions is the one way to size
+// a cluster. Without it NewCluster builds one partition, whatever the process
+// environment says (ACCDB_PARTITIONS once sized it), and a count below one is
+// refused, never coerced.
+func TestClusterDefaultsToOnePartition(t *testing.T) {
 	t.Setenv("ACCDB_PARTITIONS", "3")
-	if got, err := acc.EnvPartitions(); err != nil || got != 3 {
-		t.Fatalf("EnvPartitions = %d, %v, want 3", got, err)
-	}
 	c, err := acc.NewCluster(buildBump(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Partitions(); got != 3 {
-		t.Fatalf("partitions = %d, want 3 from ACCDB_PARTITIONS", got)
+	if got := c.Partitions(); got != 1 {
+		t.Errorf("partitions = %d, want 1", got)
 	}
 	c.Close()
-
-	// Garbage is an error for whoever consults the variable, never a silent
-	// one-partition system — and not for a caller that sized the cluster
-	// itself.
-	t.Setenv("ACCDB_PARTITIONS", "not-a-number")
-	if _, err := acc.NewCluster(buildBump(t)); err == nil {
-		t.Fatal("NewCluster accepted ACCDB_PARTITIONS=not-a-number")
+	for _, n := range []int{0, -1} {
+		if c, err := acc.NewCluster(buildBump(t), acc.WithPartitions(n)); err == nil {
+			c.Close()
+			t.Errorf("WithPartitions(%d) accepted", n)
+		}
 	}
-	c, err = acc.NewCluster(buildBump(t), acc.WithPartitions(1))
-	if err != nil {
-		t.Fatalf("WithPartitions(1) under a bad ACCDB_PARTITIONS: %v", err)
-	}
-	c.Close()
 }

@@ -1,8 +1,7 @@
 // Scale-out vocabulary: the public surface over internal/partition. A
 // Cluster is n independent engines behind a deterministic router and a
 // multi-shot commit coordinator (DESIGN.md §16); NewCluster builds one from
-// the same BuildFunc loop accd uses, sized by WithPartitions or the
-// ACCDB_PARTITIONS environment variable.
+// the same BuildFunc loop accd uses, sized by WithPartitions.
 package acc
 
 import (
@@ -46,9 +45,8 @@ type clusterConfig struct {
 	opts []partition.Option
 }
 
-// WithPartitions sets the partition count. Without it, NewCluster sizes
-// the cluster from the ACCDB_PARTITIONS environment variable (unset means
-// one partition; an invalid value is an error).
+// WithPartitions sets the partition count, at least 1. Without it,
+// NewCluster builds one partition.
 func WithPartitions(n int) ClusterOption {
 	return func(c *clusterConfig) { c.n = n }
 }
@@ -62,25 +60,14 @@ func WithClusterTracer(t *trace.Tracer) ClusterOption {
 	}
 }
 
-// EnvPartitions reads ACCDB_PARTITIONS: the partition count NewCluster and
-// accd default to. Unset or empty means 1; anything but a positive integer
-// is an error.
-func EnvPartitions() (int, error) { return partition.EnvPartitions() }
-
 // NewCluster builds a Cluster, constructing each partition's engine with
-// build. The partition count comes from WithPartitions, or failing that
-// from ACCDB_PARTITIONS. A one-partition Cluster is the default deployment:
-// every transaction takes the direct path to its one engine.
+// build. The partition count comes from WithPartitions, 1 without it: a
+// one-partition Cluster is the default deployment, where every transaction
+// takes the direct path to its one engine.
 func NewCluster(build BuildFunc, opts ...ClusterOption) (*Cluster, error) {
-	n, envErr := partition.EnvPartitions()
-	cfg := clusterConfig{n: n}
+	cfg := clusterConfig{n: 1}
 	for _, apply := range opts {
 		apply(&cfg)
-	}
-	if cfg.n == 0 && envErr != nil {
-		// Nothing overrode the (zero) count a bad ACCDB_PARTITIONS left; a
-		// caller that sized the cluster itself never sees this error.
-		return nil, envErr
 	}
 	return partition.New(cfg.n, build, cfg.opts...)
 }
