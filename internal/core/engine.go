@@ -69,6 +69,15 @@ func (inlineEnv) BeginStatement() {}
 func (inlineEnv) EndStatement()   {}
 func (inlineEnv) Compute()        {}
 
+// The restart budgets. A deadlock-victim step restarts maxStepRetries times
+// before the transaction is rolled back by compensation: the paper's policy,
+// "if the deadlock recurs ... rollback". A transaction that scheduling
+// aborted cleanly (Retryable) restarts whole at most maxTxnRetries times.
+const (
+	maxStepRetries = 1
+	maxTxnRetries  = 100
+)
+
 // Options configures an Engine.
 type Options struct {
 	Mode Mode
@@ -78,12 +87,6 @@ type Options struct {
 	// forces at a step boundary: a writing transaction pays it at most once,
 	// in the durability wait before its reply.
 	ForceLatency time.Duration
-	// MaxStepRetries is how many times a deadlock-victim step restarts
-	// before the transaction is rolled back by compensation. The paper's
-	// policy ("if the deadlock recurs ... rollback") is 1.
-	MaxStepRetries int
-	// MaxTxnRetries bounds whole-transaction restarts in baseline mode.
-	MaxTxnRetries int
 	// Env injects execution costs; nil executes inline.
 	Env ExecEnv
 	// RecordHistory captures a conflict-checkable access history (tests).
@@ -192,12 +195,6 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 	var opt Options
 	for _, apply := range opts {
 		apply(&opt)
-	}
-	if opt.MaxStepRetries == 0 {
-		opt.MaxStepRetries = 1 // the paper's recurrence rule
-	}
-	if opt.MaxTxnRetries == 0 {
-		opt.MaxTxnRetries = 100
 	}
 	env := opt.Env
 	if env == nil {

@@ -29,18 +29,6 @@ func WithForceLatency(d time.Duration) Option {
 	return func(o *Options) { o.ForceLatency = d }
 }
 
-// WithMaxStepRetries sets how many times a deadlock-victim step restarts
-// before the transaction is rolled back by compensation (the paper's
-// recurrence rule is 1, the default).
-func WithMaxStepRetries(n int) Option {
-	return func(o *Options) { o.MaxStepRetries = n }
-}
-
-// WithMaxTxnRetries bounds whole-transaction restarts.
-func WithMaxTxnRetries(n int) Option {
-	return func(o *Options) { o.MaxTxnRetries = n }
-}
-
 // WithEnv injects execution costs (the simulation testbed's server pool);
 // nil executes inline.
 func WithEnv(env ExecEnv) Option {

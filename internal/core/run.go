@@ -199,7 +199,7 @@ func (e *Engine) runDecomposed(ctx context.Context, tt *TxnType, args any, sp *t
 		// exposed, everything undone in place): a compensated rollback is a
 		// final outcome, a failed compensation is never retried, and a
 		// cancelled caller gets its cancellation back, not another attempt.
-		if Retryable(err) && ctx.Err() == nil && attempt < e.opt.MaxTxnRetries {
+		if Retryable(err) && ctx.Err() == nil && attempt < maxTxnRetries {
 			e.txnRetries.Add(1)
 			retryBackoff(attempt, e.nextTxn.Load())
 			continue
@@ -427,7 +427,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		}
 		tc.undo()
 		e.lm.ReleaseStepAbort(txn.info)
-		if Retryable(err) && attempt < e.opt.MaxStepRetries {
+		if Retryable(err) && attempt < maxStepRetries {
 			e.stepRetries.Add(1)
 			// The one transition whose two observers differ: the bus carries
 			// the cause, and formatting it stays behind the check.
@@ -614,7 +614,7 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 		}
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(err) {
-			if ctx.Err() == nil && attempt < e.opt.MaxTxnRetries {
+			if ctx.Err() == nil && attempt < maxTxnRetries {
 				e.txnRetries.Add(1)
 				e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "scheduling")
 				retryBackoff(attempt, uint64(txn.info.ID))

@@ -21,6 +21,16 @@ type opSys struct {
 	step interference.StepTypeID
 }
 
+// heldLocks is what these tests read off the engine's lock manager beyond
+// spi.LockService; the lock package's manager has both methods.
+type heldLocks interface {
+	HeldItems(txn *spi.Txn) []spi.Item
+	HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode) bool
+}
+
+// locksOf returns the lock manager of tc's engine as a heldLocks.
+func locksOf(tc *Ctx) heldLocks { return tc.e.lm.(heldLocks) }
+
 func newOpSys(t *testing.T) *opSys {
 	t.Helper()
 	s := &opSys{db: NewDB()}
@@ -283,7 +293,7 @@ func TestGetManyLocks(t *testing.T) {
 			func(spi.Row) error { return nil }); err == nil {
 			t.Error("unsorted keys accepted")
 		}
-		if held := tc.e.lm.HeldItems(tc.txn.info); len(held) != 0 {
+		if held := locksOf(tc).HeldItems(tc.txn.info); len(held) != 0 {
 			t.Errorf("refused GetMany left locks: %v", held)
 		}
 		pks := invKeys([2]int64{1, 1}, [2]int64{2, 2})
@@ -300,7 +310,7 @@ func TestGetManyLocks(t *testing.T) {
 			{spi.RowItem("inventory", pks[0]), spi.ModeS},
 			{spi.RowItem("inventory", pks[1]), spi.ModeS},
 		} {
-			if !tc.e.lm.HoldsConventional(id, want.item, want.mode) {
+			if !locksOf(tc).HoldsConventional(id, want.item, want.mode) {
 				t.Errorf("%v not held in %v", want.item, want.mode)
 			}
 		}
@@ -658,7 +668,7 @@ func TestPartitionItemIsEncodedPartitionValues(t *testing.T) {
 				{part("south", 1), spi.ModeX, true},
 				{part("east", 2), spi.ModeIX, false},
 			} {
-				if !tc.e.lm.HoldsConventional(id, want.item, want.mode) {
+				if !locksOf(tc).HoldsConventional(id, want.item, want.mode) {
 					t.Errorf("%v not held in %v", want.item, want.mode)
 				}
 				if got := slices.Contains(tc.wroteItems, want.item); got != want.marked {

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -182,9 +183,9 @@ func cycleString(cycle []*waiter) string {
 }
 
 // blockers lists the transactions w currently waits for: holders of
-// conflicting grants on its item, and earlier conflicting waiters in its
-// queue. It takes (and releases) w's shard latch; a waiter that has already
-// been granted or aborted contributes no edges.
+// grants that refuse it on its item, and earlier waiters in its queue whose
+// would-be grants refuse it. It takes (and releases) w's shard latch; a
+// waiter that has already been granted or aborted contributes no edges.
 func (w *waiter) blockers() []*spi.Txn {
 	sh := w.sh
 	sh.mu.Lock()
@@ -192,37 +193,29 @@ func (w *waiter) blockers() []*spi.Txn {
 	if w.granted || w.err != nil {
 		return nil
 	}
-	return w.m.blockersLocked(w, w.st)
+	return w.m.blockersLocked(w)
 }
 
-// blockersLocked computes w's current blockers from its item's state. Caller
-// holds w's shard latch. Shared by deadlock detection and the waits-for
-// snapshot (snapshot.go).
-func (m *Manager) blockersLocked(w *waiter, st *lockState) []*spi.Txn {
+// blockersLocked computes w's current blockers from its item's state with
+// the predicate that grants and queues requests (refuses). Every waiter in
+// the queue is still waiting: a grant or a kill dequeues it under the same
+// latch. Caller holds w's shard latch. Shared by deadlock detection and the
+// waits-for snapshot (snapshot.go).
+func (m *Manager) blockersLocked(w *waiter) []*spi.Txn {
 	var out []*spi.Txn
-	add := func(t *spi.Txn) {
-		if t == w.txn {
-			return
-		}
-		for _, have := range out {
-			if have == t {
-				return
-			}
-		}
-		out = append(out, t)
-	}
-	for _, g := range st.grants {
-		if m.conflictsWithGrant(w.txn, w.req, g) {
-			add(g.txn)
+	add := func(e *grant) {
+		if m.refuses(w.txn, w.req, e) != clauseNone && !slices.Contains(out, e.txn) {
+			out = append(out, e.txn)
 		}
 	}
-	for _, q := range st.queue {
+	for _, g := range w.st.grants {
+		add(g)
+	}
+	for _, q := range w.st.queue {
 		if q == w {
 			break
 		}
-		if q.err == nil && !q.granted && m.conflictsWithWaiter(w.txn, w.req, q) {
-			add(q.txn)
-		}
+		add(&q.would)
 	}
 	return out
 }

@@ -37,10 +37,44 @@ const (
 	kindExposure
 	// kindRetired is a conventional write-mode grant its holder gave up
 	// before the log record of the step that held it was durable (Retire).
-	// conflictsWithGrant has no case for it, so it blocks nobody and makes
-	// no waits-for edge; noteRetired is where it still counts.
+	// refuses has no case for it, so it blocks nobody and makes no
+	// waits-for edge; noteRetired is where it still counts.
 	kindRetired
 )
+
+// clause names what in a lock-table entry makes a request wait: its
+// conventional mode, its assertion (A), or a mark's D or C half. It picks
+// the lock-wait span stage the wait is charged to.
+type clause uint8
+
+const (
+	clauseNone clause = iota
+	clauseConv
+	clauseA
+	clauseD
+	clauseC
+)
+
+var clauseStages = [...]trace.SpanStage{
+	clauseConv: trace.StageLockConv,
+	clauseA:    trace.StageLockA,
+	clauseD:    trace.StageLockD,
+	clauseC:    trace.StageLockC,
+}
+
+// tag names the refusing entry e in span events: the mode of a
+// conventional lock, else the clause's mode tag.
+func (c clause) tag(e *grant) string {
+	switch c {
+	case clauseA:
+		return "A"
+	case clauseD:
+		return tagExposure
+	case clauseC:
+		return tagReservation
+	}
+	return e.mode.String()
+}
 
 // grant is one held entry on an item. A transaction may hold several entries
 // of different kinds on the same item (e.g. a conventional X, an assertional
@@ -74,11 +108,13 @@ type waiter struct {
 	m    *Manager   // owns sh; a deadlock walk may reach w from another manager
 	sh   *shard
 	conv bool // conversion request (trace events tag these as upgrades)
+	// would is the grant the request would install, what requests queued
+	// behind it are checked against.
+	would grant
 
 	// stage and blockedBy classify the wait for latency-anatomy spans: the
 	// per-mode lock-wait stage and the mode tag of the entry that blocked
-	// the request, both fixed at block time under the shard latch. Only set
-	// when txn.Span is non-nil.
+	// the request, both fixed at block time under the shard latch.
 	stage     trace.SpanStage
 	blockedBy string
 
@@ -178,111 +214,88 @@ func (m *Manager) emitLock(kind trace.Kind, txn spi.TxnID, item spi.Item, sh *sh
 	m.tracer.Emit(ev)
 }
 
-// conflictsWithGrant reports whether request (txn, req) conflicts with an
-// existing grant g. Same-transaction entries never conflict.
-func (m *Manager) conflictsWithGrant(txn *spi.Txn, req spi.LockRequest, g *grant) bool {
-	if g.txn.ID == txn.ID {
-		return false
+// refuses is the lock table's one question (§3.2–3.4): which clause of the
+// entry e, if any, makes request (txn, req) wait. e is a grant or a queued
+// waiter's would-be grant. A transaction's own entries never refuse it, and
+// a retired grant refuses nobody.
+func (m *Manager) refuses(txn *spi.Txn, req spi.LockRequest, e *grant) clause {
+	if e.txn.ID == txn.ID {
+		return clauseNone
 	}
-	switch req.Mode {
-	case spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX:
-		switch g.kind {
-		case kindConventional:
-			return !conventionalCompat(req.Mode, g.mode)
-		case kindAssertional:
-			// Only writers can invalidate an assertion.
-			if req.Mode == spi.ModeX || req.Mode == spi.ModeSIX || req.Mode == spi.ModeIX {
-				// Intention modes do not themselves touch data at this
-				// granule; only the explicit writer modes are checked.
-				if req.Mode == spi.ModeIX {
-					return false
-				}
-				return m.oracle.Interferes(req.Step, g.assertion)
+	switch e.kind {
+	case kindConventional:
+		if req.Mode != spi.ModeA {
+			if !conventionalCompat(req.Mode, e.mode) {
+				return clauseConv
 			}
-			return false
-		case kindExposure:
+		} else if (e.mode == spi.ModeX || e.mode == spi.ModeSIX) && m.oracle.Interferes(e.step, req.Assertion) {
+			// A writer holds the item; its in-flight step may invalidate
+			// the assertion.
+			return clauseConv
+		}
+	case kindAssertional:
+		// Only writers can invalidate an assertion, and of those only the
+		// explicit writer modes: IX touches no data at this granule.
+		if (req.Mode == spi.ModeX || req.Mode == spi.ModeSIX) && m.oracle.Interferes(req.Step, e.assertion) {
+			return clauseA
+		}
+	case kindExposure:
+		switch req.Mode {
+		case spi.ModeIS, spi.ModeIX:
+			// Intention modes pass: the real access is checked at the finer
+			// granule.
+		case spi.ModeA:
+			// D: the holder exposed an intermediate value of the item, so
+			// the assertion may be locked only if the holder's executed
+			// prefix provably leaves it true (§3.3, "Request
+			// A(pre(S_{i,1})) locks"). C: the holder's compensating step
+			// may later modify the item and must not be delayed by this
+			// assertional lock (§3.4).
+			if m.oracle.PrefixInterferes(e.txn.Type, e.txn.CompletedSteps(), req.Assertion) {
+				return clauseD
+			}
+			if e.txn.Comp != spi.NoStep && m.oracle.Interferes(e.txn.Comp, req.Assertion) {
+				return clauseC
+			}
+		default:
 			// Readers and writers alike must be declared interleavable at
 			// the holder's current breakpoint to observe its intermediate
-			// state. Intention modes pass: the real access is checked at the
-			// finer granule.
-			if req.Mode == spi.ModeIS || req.Mode == spi.ModeIX {
-				return false
+			// state.
+			if !m.oracle.MayInterleave(req.Step, e.txn.Type, e.txn.CompletedSteps()) {
+				return clauseD
 			}
-			return !m.oracle.MayInterleave(req.Step, g.txn.Type, g.txn.CompletedSteps())
-		}
-	case spi.ModeA:
-		switch g.kind {
-		case kindConventional:
-			// A writer currently holds the item; the assertion may be
-			// invalidated by that in-flight step.
-			if g.mode == spi.ModeX || g.mode == spi.ModeSIX {
-				return m.oracle.Interferes(g.step, req.Assertion)
-			}
-			return false
-		case kindAssertional:
-			return false
-		case kindExposure:
-			// The C half: the holder's compensating step may later modify the
-			// item and must not be delayed by this assertional lock (§3.4).
-			return m.exposureRefuses(g, req.Assertion) ||
-				g.txn.Comp != spi.NoStep && m.oracle.Interferes(g.txn.Comp, req.Assertion)
 		}
 	}
-	return false
+	return clauseNone
 }
 
-// exposureRefuses is the D half of a mark against an assertional request:
-// the holder exposed an intermediate value of this item, so the assertion may
-// be locked only if the holder's executed prefix provably leaves it true
-// (§3.3, "Request A(pre(S_{i,1})) locks").
-func (m *Manager) exposureRefuses(g *grant, a interference.AssertionID) bool {
-	return m.oracle.PrefixInterferes(g.txn.Type, g.txn.CompletedSteps(), a)
-}
-
-// conflictsWithWaiter reports whether an incoming request must queue behind
-// an earlier waiter (FIFO fairness: treat the earlier request as if granted).
-func (m *Manager) conflictsWithWaiter(txn *spi.Txn, req spi.LockRequest, w *waiter) bool {
-	if w.txn.ID == txn.ID {
-		return false
-	}
-	g := &grant{txn: w.txn, mode: w.req.Mode, step: w.req.Step}
-	switch w.req.Mode {
-	case spi.ModeA:
-		g.kind = kindAssertional
-		g.assertion = w.req.Assertion
-	default:
-		g.kind = kindConventional
-	}
-	return m.conflictsWithGrant(txn, req, g)
-}
-
-// findConventional returns txn's conventional grant on the state, if any.
-func (st *lockState) findConventional(txn spi.TxnID) *grant {
+// blocker is the one scan behind every grant decision: the first entry that
+// refuses (txn, req) among st's grants and then the would-be grants of the
+// waiters ahead of it — the whole queue for a new request, none for a
+// conversion, queue[:i] for the waiter at index i — and the clause that
+// refuses, or clauseNone. Caller holds the item's shard latch.
+func (m *Manager) blocker(txn *spi.Txn, req spi.LockRequest, st *lockState, ahead []*waiter) (clause, *grant) {
 	for _, g := range st.grants {
-		if g.kind == kindConventional && g.txn.ID == txn {
-			return g
+		if c := m.refuses(txn, req, g); c != clauseNone {
+			return c, g
 		}
 	}
-	return nil
-}
-
-// findAssertional returns txn's assertional grant for an assertion, if any.
-func (st *lockState) findAssertional(txn spi.TxnID, a interference.AssertionID) *grant {
-	for _, g := range st.grants {
-		if g.kind == kindAssertional && g.txn.ID == txn && g.assertion == a {
-			return g
+	for _, w := range ahead {
+		if c := m.refuses(txn, req, &w.would); c != clauseNone {
+			return c, &w.would
 		}
 	}
-	return nil
+	return clauseNone, nil
 }
 
-// retiredOf returns txn's retired grant on the state, if any.
-func (st *lockState) retiredOf(txn spi.TxnID) *grant {
-	if st.retired == 0 {
+// entry returns txn's grant of the given kind on the state — for an A
+// entry, the one for assertion a — or nil. Caller holds the shard latch.
+func (st *lockState) entry(txn spi.TxnID, kind grantKind, a interference.AssertionID) *grant {
+	if kind == kindRetired && st.retired == 0 {
 		return nil
 	}
 	for _, g := range st.grants {
-		if g.kind == kindRetired && g.txn.ID == txn {
+		if g.kind == kind && g.txn.ID == txn && (kind != kindAssertional || g.assertion == a) {
 			return g
 		}
 	}
@@ -354,7 +367,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 
 	// Reentrant and conversion handling for conventional modes.
 	if req.Mode != spi.ModeA {
-		if g := st.findConventional(txn.ID); g != nil {
+		if g := st.entry(txn.ID, kindConventional, 0); g != nil {
 			want := sup(g.mode, req.Mode)
 			if want == g.mode {
 				sh.mu.Unlock()
@@ -365,7 +378,8 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 			// waits at the head of the queue (ahead of plain requests).
 			conv := req
 			conv.Mode = want
-			if !m.anyGrantConflict(txn, conv, st) {
+			c, by := m.blocker(txn, conv, st, nil)
+			if c == clauseNone {
 				old := g.mode
 				g.mode = want
 				g.step = req.Step
@@ -377,16 +391,15 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 				}
 				return nil
 			}
-			return m.wait(ctx, txn, item, sh, st, conv, true)
+			return m.wait(ctx, txn, item, sh, st, conv, true, c, by)
 		}
-	} else {
-		if st.findAssertional(txn.ID, req.Assertion) != nil {
-			sh.mu.Unlock()
-			return nil
-		}
+	} else if st.entry(txn.ID, kindAssertional, req.Assertion) != nil {
+		sh.mu.Unlock()
+		return nil
 	}
 
-	if !m.anyGrantConflict(txn, req, st) && !m.anyWaiterConflict(txn, req, st.queue) {
+	c, by := m.blocker(txn, req, st, st.queue)
+	if c == clauseNone {
 		m.install(txn, sh, st, req)
 		sh.mu.Unlock()
 		if m.tracer != nil {
@@ -394,30 +407,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 		}
 		return nil
 	}
-	return m.wait(ctx, txn, item, sh, st, req, false)
-}
-
-// anyGrantConflict reports a conflict between req and any current grant.
-// Caller holds the item's shard latch.
-func (m *Manager) anyGrantConflict(txn *spi.Txn, req spi.LockRequest, st *lockState) bool {
-	for _, g := range st.grants {
-		if m.conflictsWithGrant(txn, req, g) {
-			return true
-		}
-	}
-	return false
-}
-
-// anyWaiterConflict reports a conflict between req and any of the waiters
-// queued ahead of it: the whole queue for a new request, queue[:i] for the
-// waiter at index i. Caller holds the item's shard latch.
-func (m *Manager) anyWaiterConflict(txn *spi.Txn, req spi.LockRequest, ahead []*waiter) bool {
-	for _, w := range ahead {
-		if m.conflictsWithWaiter(txn, req, w) {
-			return true
-		}
-	}
-	return false
+	return m.wait(ctx, txn, item, sh, st, req, false, c, by)
 }
 
 // noteRetired records in txn the retired grants a conventional grant of the
@@ -442,7 +432,7 @@ func (m *Manager) install(txn *spi.Txn, sh *shard, st *lockState, req spi.LockRe
 		sh.newGrant(txn, st, kindAssertional).assertion = req.Assertion
 		return
 	}
-	g := st.findConventional(txn.ID)
+	g := st.entry(txn.ID, kindConventional, 0)
 	if g == nil {
 		g = sh.newGrant(txn, st, kindConventional)
 		g.mode = req.Mode
@@ -450,40 +440,6 @@ func (m *Manager) install(txn *spi.Txn, sh *shard, st *lockState, req spi.LockRe
 	g.mode = sup(g.mode, req.Mode)
 	g.step = req.Step
 	noteRetired(txn, g.mode, st)
-}
-
-// blockStage classifies what is blocking the request, for span attribution:
-// the first conflicting grant's kind selects the per-mode lock-wait stage
-// (A/D/C tagged as in DESIGN.md §9; anything else is a conventional wait),
-// and its mode tag names what was waited on. A mark blocks as D unless only
-// its reservation refused an assertional request. A request queued only
-// behind earlier waiters classifies by the front waiter's would-be grant.
-// Caller holds the shard latch.
-func (m *Manager) blockStage(txn *spi.Txn, req spi.LockRequest, st *lockState) (trace.SpanStage, string) {
-	for _, g := range st.grants {
-		if m.conflictsWithGrant(txn, req, g) {
-			switch g.kind {
-			case kindAssertional:
-				return trace.StageLockA, "A"
-			case kindExposure:
-				if req.Mode == spi.ModeA && !m.exposureRefuses(g, req.Assertion) {
-					return trace.StageLockC, tagReservation
-				}
-				return trace.StageLockD, tagExposure
-			default:
-				return trace.StageLockConv, g.mode.String()
-			}
-		}
-	}
-	for _, qw := range st.queue {
-		if m.conflictsWithWaiter(txn, req, qw) {
-			if qw.req.Mode == spi.ModeA {
-				return trace.StageLockA, "A"
-			}
-			return trace.StageLockConv, qw.req.Mode.String()
-		}
-	}
-	return trace.StageLockConv, ""
 }
 
 // spanWait charges a finished wait to the waiter's lock stage and appends it
@@ -515,19 +471,22 @@ func spanWaitKind(granted bool, err error) trace.Kind {
 	}
 }
 
-// wait enqueues the request, publishes it in its group's Blocked slot, runs
-// deadlock detection, and parks until the grant, a victim kill, the wait
-// budget, or ctx. Called with sh.mu held; releases it.
-func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *shard, st *lockState, req spi.LockRequest, conversion bool) error {
-	w := &waiter{txn: txn, req: req, item: item, st: st, m: m, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
-	if txn.Span != nil {
-		w.stage, w.blockedBy = m.blockStage(txn, req, st)
+// wait enqueues the request, which clause c of entry by refused, publishes
+// it in its group's Blocked slot, runs deadlock detection, and parks until
+// the grant, a victim kill, the wait budget, or ctx. Called with sh.mu held;
+// releases it.
+func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *shard, st *lockState, req spi.LockRequest, conversion bool, c clause, by *grant) error {
+	w := &waiter{txn: txn, req: req, item: item, st: st, m: m, sh: sh, conv: conversion,
+		stage: clauseStages[c], blockedBy: c.tag(by), ch: make(chan struct{}, 1)}
+	w.would = grant{txn: txn, kind: kindConventional, mode: req.Mode, step: req.Step}
+	if req.Mode == spi.ModeA {
+		w.would.kind, w.would.assertion = kindAssertional, req.Assertion
 	}
 	if conversion {
 		// Conversions go ahead of plain requests (behind other conversions)
 		// to avoid the classic convoy behind a full queue.
 		i := 0
-		for i < len(st.queue) && st.queue[i].isConversion(st) {
+		for i < len(st.queue) && st.queue[i].conv {
 			i++
 		}
 		st.queue = append(st.queue, nil)
@@ -617,12 +576,6 @@ func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int
 	m.emitLock(kind, w.txn.ID, w.item, w.sh, w.req.Mode.String(), waited, extra)
 }
 
-// isConversion reports whether w is a conversion (its txn already holds a
-// conventional grant on the item). Caller holds the shard latch.
-func (w *waiter) isConversion(st *lockState) bool {
-	return st.findConventional(w.txn.ID) != nil && w.req.Mode != spi.ModeA
-}
-
 // removeWaiter unlinks w from its queue and re-examines the queue: waiters
 // ordered behind w may have been blocked only by it. Caller holds sh.mu.
 func (m *Manager) removeWaiter(sh *shard, w *waiter) {
@@ -642,7 +595,7 @@ func (m *Manager) removeWaiter(sh *shard, w *waiter) {
 func (m *Manager) grantPass(sh *shard, st *lockState) {
 	for i := 0; i < len(st.queue); {
 		w := st.queue[i]
-		if m.anyGrantConflict(w.txn, w.req, st) || m.anyWaiterConflict(w.txn, w.req, st.queue[:i]) {
+		if c, _ := m.blocker(w.txn, w.req, st, st.queue[:i]); c != clauseNone {
 			i++
 			continue
 		}
@@ -670,11 +623,9 @@ func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 	sh, h := m.shardOf(item)
 	sh.mu.Lock()
 	st := sh.state(item, h)
-	for _, g := range st.grants {
-		if g.kind == kindExposure && g.txn.ID == txn.ID {
-			sh.mu.Unlock()
-			return
-		}
+	if st.entry(txn.ID, kindExposure, 0) != nil {
+		sh.mu.Unlock()
+		return
 	}
 	g := sh.newGrant(txn, st, kindExposure)
 	if len(st.queue) > 0 {
@@ -777,7 +728,7 @@ func (m *Manager) Retire(txn *spi.Txn, lsn, durable uint64, final bool) {
 		case lsn <= durable || g.mode == spi.ModeIS || g.mode == spi.ModeS:
 			return true
 		}
-		if r := g.st.retiredOf(txn.ID); r != nil {
+		if r := g.st.entry(txn.ID, kindRetired, 0); r != nil {
 			r.mode, r.lsn = sup(r.mode, g.mode), lsn
 			return true
 		}
@@ -846,7 +797,7 @@ func (m *Manager) HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode)
 	if st == nil {
 		return false
 	}
-	g := st.findConventional(txn)
+	g := st.entry(txn, kindConventional, 0)
 	return g != nil && covers(g.mode, want)
 }
 

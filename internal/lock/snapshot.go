@@ -31,16 +31,13 @@ func (m *Manager) Snapshot() *spi.TableSnapshot {
 					is.Grants = appendGrant(is.Grants, g)
 				}
 				for _, w := range st.queue {
-					if w.granted || w.err != nil {
-						continue
-					}
 					is.Queue = append(is.Queue, spi.WaitSnapshot{
 						Txn:          w.txn.ID,
 						Mode:         w.req.Mode.String(),
 						Compensating: w.req.Compensating,
 						Conversion:   w.conv,
 					})
-					for _, b := range m.blockersLocked(w, st) {
+					for _, b := range m.blockersLocked(w) {
 						snap.Edges = append(snap.Edges, spi.WaitEdge{From: w.txn.ID, To: b.ID,
 							FromGroup: w.txn.Group.ID, ToGroup: b.Group.ID, Item: st.item})
 					}

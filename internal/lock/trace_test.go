@@ -3,10 +3,12 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"accdb/internal/interference"
 	"accdb/internal/spi"
 	"accdb/internal/trace"
 )
@@ -261,14 +263,14 @@ func TestMarkKeepsDAndCApart(t *testing.T) {
 	for i, c := range []struct {
 		name string
 		req  spi.LockRequest
-		want trace.SpanStage
+		want string
 	}{
-		{"A refused only by the reservation", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}, trace.StageLockC},
-		{"A refused by the holder's prefix", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}, trace.StageLockD},
-		{"a conventional reader", spi.LockRequest{Mode: spi.ModeS, Step: 5}, trace.StageLockD},
+		{"A refused only by the reservation", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}, "lock_c C [1]"},
+		{"A refused by the holder's prefix", spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 8}, "lock_d D [1]"},
+		{"a conventional reader", spi.LockRequest{Mode: spi.ModeS, Step: 5}, "lock_d D [1]"},
 	} {
-		if got := blockedStage(t, m, spi.TxnID(10+i), reserved, c.req); got != c.want {
-			t.Errorf("%s: waited under %v, want %v", c.name, got, c.want)
+		if got := refusal(t, m, spi.TxnID(10+i), reserved, c.req); got != c.want {
+			t.Errorf("%s: %s, want %s", c.name, got, c.want)
 		}
 	}
 	// Without a reservation the same assertion passes the mark.
@@ -311,27 +313,148 @@ func TestMarkKeepsDAndCApart(t *testing.T) {
 	}
 }
 
-// blockedStage runs req for a fresh transaction until it blocks on it,
-// withdraws it, and returns the lock-wait stage its span was charged.
-func blockedStage(t *testing.T, m *Manager, id spi.TxnID, it spi.Item, req spi.LockRequest) trace.SpanStage {
+// TestRefusalMatrix pins, for every request mode against every kind of
+// lock-table entry, whether the request is granted at once or waits, and if
+// it waits, the lock-wait stage its span is charged, the tag of the entry
+// that refused it, and the transactions its waits-for edges point at. T1
+// holds the entry. A queued waiter is T2's, held up by T3: by an X or S lock
+// for the intention modes, which nothing else holds up, and otherwise by a D
+// mark every request here passes, so that the first refusal a request meets
+// there is the waiter's.
+func TestRefusalMatrix(t *testing.T) {
+	o := newStub()
+	o.setInterferes(2, 8, true)  // the entries' step 2 invalidates the requests' assertion 8;
+	o.setInterferes(1, 7, true)  // the requests' step 1 invalidates the entries' assertion 7;
+	o.setPrefixSafe(5, 8, true)  // a type-5 holder's prefix leaves assertion 8 true, and
+	o.setInterferes(99, 8, true) // its compensating step 99 does not;
+	o.setInterleave(1, 6, true)  // T3's type-6 mark admits the requests' step 1,
+	o.setPrefixSafe(6, 8, true)  // and assertion 8, but not step 2 or assertion 7.
+	held := func(mode spi.Mode) spi.LockRequest { return spi.LockRequest{Mode: mode, Step: 2} }
+	heldA := spi.LockRequest{Mode: spi.ModeA, Step: 2, Assertion: 7}
+	mark := func(typ interference.TxnTypeID, comp interference.StepTypeID) func(*testing.T, *Manager, spi.Item) {
+		return func(_ *testing.T, m *Manager, it spi.Item) {
+			txn := spi.NewTxn(1, typ)
+			txn.Comp = comp
+			m.AttachExposure(txn, it)
+		}
+	}
+	lock := func(req spi.LockRequest) func(*testing.T, *Manager, spi.Item) {
+		return func(t *testing.T, m *Manager, it spi.Item) {
+			if err := m.Acquire(spi.NewTxn(1, 1), it, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// queued parks T2's req behind T3's blocker on the item.
+	queued := func(blocker func(*Manager, spi.Item), req spi.LockRequest) func(*testing.T, *Manager, spi.Item) {
+		return func(t *testing.T, m *Manager, it spi.Item) {
+			blocker(m, it)
+			w := spi.NewTxn(2, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- m.AcquireCtx(ctx, w, it, req) }()
+			waitUntil(t, func() bool { return blockedOf(w) != nil })
+			t.Cleanup(func() { cancel(); <-done })
+		}
+	}
+	byLock := func(mode spi.Mode) func(*Manager, spi.Item) {
+		return func(m *Manager, it spi.Item) { m.Acquire(spi.NewTxn(3, 1), it, spi.LockRequest{Mode: mode, Step: 3}) }
+	}
+	byMark := func(m *Manager, it spi.Item) { m.AttachExposure(spi.NewTxn(3, 6), it) }
+
+	const g = "granted"
+	requests := []spi.LockRequest{conv(spi.ModeIS), conv(spi.ModeIX), conv(spi.ModeS), conv(spi.ModeSIX), conv(spi.ModeX),
+		{Mode: spi.ModeA, Step: 1, Assertion: 8}}
+	for _, row := range []struct {
+		entry string
+		setup func(*testing.T, *Manager, spi.Item)
+		want  [6]string // IS, IX, S, SIX, X, A
+	}{
+		{"IS", lock(held(spi.ModeIS)), [6]string{g, g, g, g, "lock_conv IS [1]", g}},
+		{"IX", lock(held(spi.ModeIX)), [6]string{g, g, "lock_conv IX [1]", "lock_conv IX [1]", "lock_conv IX [1]", g}},
+		{"S", lock(held(spi.ModeS)), [6]string{g, "lock_conv S [1]", g, "lock_conv S [1]", "lock_conv S [1]", g}},
+		{"SIX", lock(held(spi.ModeSIX)), [6]string{g, "lock_conv SIX [1]", "lock_conv SIX [1]", "lock_conv SIX [1]", "lock_conv SIX [1]", "lock_conv SIX [1]"}},
+		{"X", lock(held(spi.ModeX)), [6]string{"lock_conv X [1]", "lock_conv X [1]", "lock_conv X [1]", "lock_conv X [1]", "lock_conv X [1]", "lock_conv X [1]"}},
+		{"A", lock(heldA), [6]string{g, g, g, "lock_a A [1]", "lock_a A [1]", g}},
+		{"D mark, no compensation", mark(4, spi.NoStep), [6]string{g, g, "lock_d D [1]", "lock_d D [1]", "lock_d D [1]", "lock_d D [1]"}},
+		{"D mark with C reservation", mark(5, 99), [6]string{g, g, "lock_d D [1]", "lock_d D [1]", "lock_d D [1]", "lock_c C [1]"}},
+		{"retired X", func(t *testing.T, m *Manager, it spi.Item) {
+			txn := spi.NewTxn(1, 1)
+			if err := m.Acquire(txn, it, held(spi.ModeX)); err != nil {
+				t.Fatal(err)
+			}
+			m.Retire(txn, 5, 0, false)
+		}, [6]string{g, g, g, g, g, g}},
+		{"queued IS", queued(byLock(spi.ModeX), conv(spi.ModeIS)), [6]string{"lock_conv X [3]", "lock_conv X [3]", "lock_conv X [3]", "lock_conv X [3]", "lock_conv X [2 3]", g}},
+		{"queued IX", queued(byLock(spi.ModeS), conv(spi.ModeIX)), [6]string{g, "lock_conv S [3]", "lock_conv IX [2]", "lock_conv S [2 3]", "lock_conv S [2 3]", g}},
+		{"queued S", queued(byMark, held(spi.ModeS)), [6]string{g, "lock_conv S [2]", g, "lock_conv S [2]", "lock_conv S [2]", g}},
+		{"queued SIX", queued(byMark, held(spi.ModeSIX)), [6]string{g, "lock_conv SIX [2]", "lock_conv SIX [2]", "lock_conv SIX [2]", "lock_conv SIX [2]", "lock_conv SIX [2]"}},
+		{"queued X", queued(byMark, held(spi.ModeX)), [6]string{"lock_conv X [2]", "lock_conv X [2]", "lock_conv X [2]", "lock_conv X [2]", "lock_conv X [2]", "lock_conv X [2]"}},
+		{"queued A", queued(byMark, heldA), [6]string{g, g, g, "lock_a A [2]", "lock_a A [2]", g}},
+	} {
+		for i, req := range requests {
+			t.Run(row.entry+"/"+req.Mode.String(), func(t *testing.T) {
+				m := NewManager(o)
+				it := item("x")
+				row.setup(t, m, it)
+				if got := refusal(t, m, 10, it, req); got != row.want[i] {
+					t.Errorf("%v against %s: %s, want %s", req.Mode, row.entry, got, row.want[i])
+				}
+			})
+		}
+	}
+}
+
+// refusal runs req for a fresh transaction. Granted at once, the request is
+// released again and refusal returns "granted"; blocked, it returns the
+// lock-wait stage its span was charged, the tag of the entry that refused it
+// and its waits-for edges' targets, then withdraws it.
+func refusal(t *testing.T, m *Manager, id spi.TxnID, it spi.Item, req spi.LockRequest) string {
 	t.Helper()
 	txn := spi.NewTxn(id, 2)
-	txn.Span = &trace.Span{}
+	a := trace.NewAnatomy(trace.AnatomyConfig{})
+	txn.Span = a.Start(0, time.Time{})
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- m.AcquireCtx(ctx, txn, it, req) }()
-	waitUntil(t, func() bool { return blockedOf(txn) != nil })
+	var err error
+	granted := false
+	waitUntil(t, func() bool {
+		select {
+		case err = <-done:
+			granted = true
+			return true
+		default:
+			return blockedOf(txn) != nil
+		}
+	})
+	if granted {
+		if err != nil {
+			t.Fatalf("T%d: %v", id, err)
+		}
+		m.ReleaseAll(txn)
+		return "granted"
+	}
+	var by []spi.TxnID
+	for _, e := range m.Snapshot().Edges {
+		if e.From == id {
+			by = append(by, e.To)
+		}
+	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("T%d: got %v, want the withdrawn wait", id, err)
 	}
+	txn.Span.Finish()
+	rec := a.Recent()[0]
 	for _, s := range []trace.SpanStage{trace.StageLockConv, trace.StageLockA, trace.StageLockD, trace.StageLockC} {
-		if txn.Span.Stage(s) > 0 {
-			return s
+		if rec.Stages[s] > 0 {
+			return fmt.Sprintf("%v %s %v", s, rec.Events[len(rec.Events)-1].Mode, by)
 		}
 	}
 	t.Fatalf("T%d: no lock-wait stage charged", id)
-	return 0
+	return ""
 }
 
 // waitUntil polls cond for up to a second; the snapshot of a concurrent

@@ -298,15 +298,15 @@ type ClassStats struct {
 //     record is appended but not yet durable (controlled lock violation):
 //     read-mode grants are dropped; write-mode grants (IX, SIX, X) stay on
 //     the item as retired grants stamped with the record's log position. A
-//     retired grant blocks nobody, makes no waits-for edge and is invisible
-//     to HoldsConventional, but a request granted in a mode that would have
-//     conflicted with it notes the stamp in the requester (Txn.NoteDep), so
-//     a reader waits for exactly the records it saw. A grant retired at or
-//     below the durable watermark is simply dropped. Assertional entries,
-//     exposure marks and reservations persist to the final Retire and fall
-//     with it; retired grants fall with ReleaseAll, which the holder calls
-//     once its own durability wait returned. ReleaseAssertion drops one
-//     assertion's A-locks.
+//     retired grant blocks nobody, makes no waits-for edge and no longer
+//     counts as its holder's conventional lock, but a request granted in a
+//     mode that would have conflicted with it notes the stamp in the
+//     requester (Txn.NoteDep), so a reader waits for exactly the records it
+//     saw. A grant retired at or below the durable watermark is simply
+//     dropped. Assertional entries, exposure marks and reservations persist
+//     to the final Retire and fall with it; retired grants fall with
+//     ReleaseAll, which the holder calls once its own durability wait
+//     returned. ReleaseAssertion drops one assertion's A-locks.
 //   - Snapshot must render grants, queues and waits-for edges as deadlock
 //     detection would see them, an item's exposure mark and reservation as
 //     a "D" and a "C" grant.
@@ -341,11 +341,6 @@ type LockService interface {
 	// (abort, or after the durability wait that follows the final Retire).
 	ReleaseAll(txn *Txn)
 
-	// HeldItems returns the items on which txn currently holds any entry.
-	HeldItems(txn *Txn) []Item
-	// HoldsConventional reports whether txn holds a conventional lock of at
-	// least mode want on item.
-	HoldsConventional(txn TxnID, item Item, want Mode) bool
 	// Stats returns the aggregated counters.
 	Stats() LockStats
 	// ByClass returns per-(table, level, mode) wait tallies.

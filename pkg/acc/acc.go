@@ -95,10 +95,6 @@ var (
 	// WithForceLatency sets the simulated log-force I/O time of the memory
 	// log an engine builds when WithWAL supplies none.
 	WithForceLatency = core.WithForceLatency
-	// WithMaxStepRetries bounds deadlock-victim step restarts.
-	WithMaxStepRetries = core.WithMaxStepRetries
-	// WithMaxTxnRetries bounds whole-transaction restarts.
-	WithMaxTxnRetries = core.WithMaxTxnRetries
 	// WithEnv injects execution costs.
 	WithEnv = core.WithEnv
 	// WithRecordHistory captures a conflict-checkable access history.
