@@ -264,7 +264,7 @@ func detail(p *experiment.Point, verbose bool) {
 			if i >= 4 {
 				break
 			}
-			fmt.Printf("%10s     %-32s waits=%-5d total=%v\n", "",
+			fmt.Printf("%10s     %-36s waits=%-5d total=%v\n", "",
 				c.k, c.v.Waits, time.Duration(c.v.WaitNanos).Round(time.Millisecond))
 		}
 	}

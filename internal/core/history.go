@@ -13,6 +13,9 @@ import (
 // serializable histories, while the ACC routinely produces histories that
 // are NOT conflict serializable — yet still semantically correct (every
 // postcondition holds and the consistency constraint is restored).
+//
+// A read of fixed columns (Ctx.GetCols) takes no lock and is not recorded:
+// a value no transaction writes takes part in no conflict.
 
 // Access is one recorded data access by a committed transaction.
 type Access struct {

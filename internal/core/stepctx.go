@@ -263,21 +263,74 @@ func (tc *Ctx) Get(table string, keyVals ...spi.Value) (spi.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk := spi.EncodeKey(keyVals...)
+	return tc.get(t, table, spi.EncodeKey(keyVals...), true)
+}
+
+// GetCols is a projecting Get: it copies the columns cols (ordinals of the
+// table's schema) of the row under the given key into dst, which must hold
+// len(cols) values, and is one statement like Get. When the schema declares
+// every one of cols fixed it takes no lock, conventional or assertional, and
+// leaves no history record: no transaction writes such a column, or inserts
+// or deletes such a row (spi.Column.Fixed), so the read can take part in no
+// conflict. Otherwise it locks and records exactly as Get does. At a
+// versioned tier it reads as Get does there.
+func (tc *Ctx) GetCols(table string, cols []int, dst []spi.Value, keyVals ...spi.Value) error {
+	t, err := tc.table(table)
+	if err != nil {
+		return err
+	}
+	s := t.Schema()
+	if len(dst) < len(cols) {
+		return fmt.Errorf("core: GetCols on %s: %d columns into %d values", table, len(cols), len(dst))
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(s.Columns) {
+			return fmt.Errorf("core: GetCols on %s: no column %d", table, c)
+		}
+	}
+	row, err := tc.get(t, table, spi.EncodeKey(keyVals...), !s.AllFixed(cols))
+	if err != nil {
+		return err
+	}
+	for i, c := range cols {
+		dst[i] = row[c]
+	}
+	return nil
+}
+
+// get reads the row under pk in one statement: at a versioned tier through
+// the version chains; at the locked tier under the row hierarchy's IS/IS/S
+// with a history record, unless locked is false — a read of fixed columns
+// alone (GetCols).
+func (tc *Ctx) get(t spi.Table, table string, pk spi.Key, locked bool) (spi.Row, error) {
 	if tc.versioned() {
 		tc.begin()
 		row, err := t.GetAsOf(pk, tc.asOf())
 		tc.end()
 		return row, err
 	}
-	if err := tc.lockRow(table, pk, spi.ModeIS, spi.ModeS); err != nil {
-		return nil, err
+	if locked {
+		if err := tc.lockRow(table, pk, spi.ModeIS, spi.ModeS); err != nil {
+			return nil, err
+		}
 	}
 	tc.begin()
 	row, err := t.Get(pk)
 	tc.end()
-	tc.e.record(tc.txn, table, pk, false)
+	if locked {
+		tc.e.record(tc.txn, table, pk, false)
+	}
 	return row, err
+}
+
+// fixedRows refuses an insert or delete on t when its row set is fixed: a
+// lock-free read of its fixed columns (GetCols) relies on no row coming or
+// going.
+func fixedRows(t spi.Table, op string) error {
+	if s := t.Schema(); s.FixedRows() {
+		return fmt.Errorf("%w: %s on %s", spi.ErrFixed, op, s.Name)
+	}
+	return nil
 }
 
 // GetMany reads, in one statement, the rows under the given encoded primary
@@ -367,6 +420,9 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 	if err != nil {
 		return nil, err
 	}
+	if err := fixedRows(t, "claim"); err != nil {
+		return nil, err
+	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
 		return nil, err
 	}
@@ -412,6 +468,9 @@ func (tc *Ctx) Insert(table string, row spi.Row) error {
 	if err != nil {
 		return err
 	}
+	if err := fixedRows(t, "insert"); err != nil {
+		return err
+	}
 	if err := t.Schema().CheckRow(row); err != nil {
 		return err
 	}
@@ -436,6 +495,9 @@ func (tc *Ctx) Delete(table string, keyVals ...spi.Value) error {
 	}
 	t, err := tc.table(table)
 	if err != nil {
+		return err
+	}
+	if err := fixedRows(t, "delete"); err != nil {
 		return err
 	}
 	pk := spi.EncodeKey(keyVals...)
@@ -570,6 +632,9 @@ func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.R
 	err = t.IndexScan(PartIndex, partVals, func(pk spi.Key, row spi.Row) bool {
 		after, err := mutate(row.Clone())
 		if err == ErrDeleteRow {
+			if merr = fixedRows(t, "delete"); merr != nil {
+				return false
+			}
 			changes = append(changes, change{pk, nil})
 			return true
 		}

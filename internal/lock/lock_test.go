@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,8 @@ func (o *stubOracle) MayInterleave(s interference.StepTypeID, h interference.Txn
 	defer o.mu.Unlock()
 	return o.interleave[[2]int32{int32(s), int32(h)}] || o.interleaveAt[[3]int32{int32(s), int32(h), int32(b)}]
 }
+
+func (o *stubOracle) StepName(s interference.StepTypeID) string { return fmt.Sprintf("step%d", s) }
 
 func item(name string) spi.Item { return spi.RowItem(name, "k") }
 

@@ -546,7 +546,7 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 	granted, err := w.granted, w.err
 	sh.mu.Unlock()
 	waited := time.Since(start)
-	sh.recordWait(w.item, w.req.Mode, uint64(waited))
+	sh.recordWait(w.item, w.req, uint64(waited))
 	spanWait(w, waited, spanWaitKind(granted, err))
 	if m.tracer != nil {
 		m.emitWaitOutcome(w, granted, err, int64(waited))
@@ -801,13 +801,14 @@ func (m *Manager) HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode)
 	return g != nil && covers(g.mode, want)
 }
 
-// ByClass returns the per-class wait tallies, aggregated across shards.
+// ByClass returns the per-class wait tallies, aggregated across shards and
+// keyed "table/level/mode/step", the step named by the oracle.
 func (m *Manager) ByClass() map[string]spi.ClassStats {
 	out := make(map[string]spi.ClassStats)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for k, v := range sh.byClass {
-			name := k.String()
+			name := k.table + "/" + k.level.String() + "/" + k.mode.String() + "/" + m.oracle.StepName(k.step)
 			agg := out[name]
 			agg.Waits += v.Waits
 			agg.WaitNanos += v.WaitNanos

@@ -80,17 +80,15 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// classKey identifies a (table, level, mode) contention class. Using a
-// struct key instead of a concatenated string keeps the per-wait accounting
-// allocation-free on the hot path.
+// classKey identifies a contention class: the waited-on item's table and
+// level, the requested mode, and the step type of the request that waited.
+// Using a struct key instead of a concatenated string keeps the per-wait
+// accounting allocation-free on the hot path; ByClass names it.
 type classKey struct {
 	table string
 	level spi.Level
 	mode  spi.Mode
-}
-
-func (k classKey) String() string {
-	return k.table + "/" + k.level.String() + "/" + k.mode.String()
+	step  spi.StepTypeID
 }
 
 // shardCounters are bumped atomically (without the shard latch) and
@@ -293,10 +291,11 @@ func (sh *shard) touch(st *lockState) {
 }
 
 // recordWait tallies one finished wait (granted, aborted, deadlocked or
-// timed out — every exit path) against the shard and its contention class.
-func (sh *shard) recordWait(item spi.Item, mode spi.Mode, waitedNanos uint64) {
+// timed out — every exit path) of request req against the shard and its
+// contention class.
+func (sh *shard) recordWait(item spi.Item, req spi.LockRequest, waitedNanos uint64) {
 	sh.stats.waitNanos.Add(waitedNanos)
-	k := classKey{table: item.Table, level: item.Level, mode: mode}
+	k := classKey{table: item.Table, level: item.Level, mode: req.Mode, step: req.Step}
 	sh.mu.Lock()
 	cs, ok := sh.byClass[k]
 	if !ok {

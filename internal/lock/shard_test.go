@@ -229,24 +229,34 @@ func TestCancelWaitVsTimeoutRace(t *testing.T) {
 
 // TestTimedOutWaitsAttributed pins the satellite fix: a wait that ends in
 // ErrTimeout must still contribute to WaitNanos and the per-class tallies.
+// A class is keyed by the waiting step type as well: two steps that wait on
+// the same item in the same mode are two classes, named by the oracle.
 func TestTimedOutWaitsAttributed(t *testing.T) {
 	m := NewManager(newStub())
 	m.WaitTimeout = 5 * time.Millisecond
 	it := item("hot")
 	holder := spi.NewTxn(1, 1)
 	m.Acquire(holder, it, conv(spi.ModeX))
-	w := spi.NewTxn(2, 1)
-	if err := m.Acquire(w, it, conv(spi.ModeX)); !errors.Is(err, spi.ErrTimeout) {
-		t.Fatalf("got %v, want spi.ErrTimeout", err)
+	for id, step := range []spi.StepTypeID{2, 3, 3} {
+		w := spi.NewTxn(spi.TxnID(id+2), 1)
+		if err := m.Acquire(w, it, spi.LockRequest{Mode: spi.ModeX, Step: step}); !errors.Is(err, spi.ErrTimeout) {
+			t.Fatalf("got %v, want spi.ErrTimeout", err)
+		}
 	}
 	st := m.Stats()
 	if st.WaitNanos == 0 {
 		t.Fatal("timed-out wait missing from WaitNanos")
 	}
 	classes := m.ByClass()
-	cs, ok := classes[it.Table+"/"+it.Level.String()+"/"+spi.ModeX.String()]
-	if !ok || cs.Waits != 1 || cs.WaitNanos == 0 {
-		t.Fatalf("timed-out wait missing from per-class stats: %+v", classes)
+	class := it.Table + "/" + it.Level.String() + "/" + spi.ModeX.String() + "/"
+	for step, waits := range map[string]uint64{"step2": 1, "step3": 2} {
+		cs, ok := classes[class+step]
+		if !ok || cs.Waits != waits || cs.WaitNanos == 0 {
+			t.Fatalf("timed-out waits of %s missing from per-class stats: %+v", step, classes)
+		}
+	}
+	if len(classes) != 2 {
+		t.Fatalf("classes = %+v, want one per waiting step", classes)
 	}
 }
 

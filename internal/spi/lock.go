@@ -114,6 +114,8 @@ type Oracle interface {
 	Interferes(step StepTypeID, a AssertionID) bool
 	PrefixInterferes(txn TxnTypeID, completed int, a AssertionID) bool
 	MayInterleave(step StepTypeID, holder TxnTypeID, completed int) bool
+	// StepName names a step type in the lock service's reports (ByClass).
+	StepName(step StepTypeID) string
 }
 
 // Txn is the lock service's view of a transaction instance. The engine
@@ -266,8 +268,9 @@ type LockStats struct {
 	VictimsForComp uint64 // forward steps aborted to let a compensation proceed
 }
 
-// ClassStats aggregates wait behaviour for one (table, level, mode) class;
-// the benchmarks use it to attribute contention to specific hot spots.
+// ClassStats aggregates wait behaviour for one (table, level, mode, waiting
+// step type) class; the benchmarks use it to attribute contention to
+// specific hot spots and to the steps that wait on them.
 type ClassStats struct {
 	Waits     uint64
 	WaitNanos uint64
@@ -343,7 +346,8 @@ type LockService interface {
 
 	// Stats returns the aggregated counters.
 	Stats() LockStats
-	// ByClass returns per-(table, level, mode) wait tallies.
+	// ByClass returns wait tallies per (table, level, mode, waiting step
+	// type), keyed "table/level/mode/step" with the oracle's step name.
 	ByClass() map[string]ClassStats
 	// Snapshot dumps the lock table's current structure for introspection.
 	Snapshot() *TableSnapshot

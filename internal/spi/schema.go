@@ -9,6 +9,13 @@ import (
 type Column struct {
 	Name string
 	Kind Kind
+	// Fixed declares that no write changes the column once the row is
+	// loaded. It is a checked constraint, not a hint: a Table's Update
+	// refuses a change to it, and a table with any fixed column has a fixed
+	// row set, so the engine refuses its inserts and deletes (ErrFixed). In
+	// return a read of fixed columns alone takes no lock (core's GetCols): a
+	// value no transaction writes can take part in no conflict.
+	Fixed bool
 }
 
 // Schema describes a relation: its name, columns, and which column indexes
@@ -18,6 +25,8 @@ type Schema struct {
 	Columns []Column
 	// PK holds the ordinal positions of the primary-key columns, in key order.
 	PK []int
+	// FixedCols holds the ordinal positions of the columns declared Fixed.
+	FixedCols []int
 
 	byName map[string]int
 }
@@ -40,6 +49,9 @@ func NewSchema(name string, cols []Column, pkCols ...string) (*Schema, error) {
 			return nil, fmt.Errorf("spi: schema %s: duplicate column %q", name, c.Name)
 		}
 		s.byName[c.Name] = i
+		if c.Fixed {
+			s.FixedCols = append(s.FixedCols, i)
+		}
 	}
 	for _, pk := range pkCols {
 		i, ok := s.byName[pk]
@@ -76,6 +88,21 @@ func (s *Schema) MustCol(name string) int {
 		panic(fmt.Sprintf("spi: schema %s has no column %q", s.Name, name))
 	}
 	return i
+}
+
+// FixedRows reports whether the table's row set is fixed: it declares a
+// fixed column, so no transaction inserts or deletes its rows.
+func (s *Schema) FixedRows() bool { return len(s.FixedCols) > 0 }
+
+// AllFixed reports whether every one of the column ordinals cols is declared
+// Fixed; an ordinal outside the schema is not.
+func (s *Schema) AllFixed(cols []int) bool {
+	for _, c := range cols {
+		if c < 0 || c >= len(s.Columns) || !s.Columns[c].Fixed {
+			return false
+		}
+	}
+	return true
 }
 
 // PKOf extracts the primary-key values from a row in key order.

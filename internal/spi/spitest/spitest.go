@@ -7,8 +7,9 @@
 //	}
 //
 // The suite exercises everything the scheduler relies on — CRUD with exact
-// pre-image capture, the sentinel errors, secondary-index ordering, and the
-// full version-chain protocol behind the lock-free read tiers (seeding,
+// pre-image capture, the sentinel errors, the refusal of an Update that
+// changes a fixed column, secondary-index ordering, and the full
+// version-chain protocol behind the lock-free read tiers (seeding,
 // publication, as-of resolution, pruning), and that a row handed out never
 // changes — but deliberately nothing more: anything not tested here is not
 // part of the contract, and a backend is free to implement it any way it
@@ -20,6 +21,7 @@ package spitest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"accdb/internal/spi"
@@ -35,6 +37,7 @@ func Run(t *testing.T, open func() spi.Store) {
 	}{
 		{"StoreBasics", testStoreBasics},
 		{"CRUD", testCRUD},
+		{"FixedColumns", testFixedColumns},
 		{"PreImages", testPreImages},
 		{"Apply", testApply},
 		{"Scan", testScan},
@@ -150,6 +153,40 @@ func testCRUD(t *testing.T, s spi.Store) {
 	}
 	if tab.Len() != 1 || tab.Exists(pk(2)) {
 		t.Fatal("Delete did not remove the row")
+	}
+}
+
+// An Update may not change a column the schema declares fixed, compared as
+// the primary key is, floats bit for bit: +0 to -0 is a change. A refused
+// Update leaves the row as it was; one that changes only unfixed columns,
+// or rewrites a fixed one with the same value, goes through.
+func testFixedColumns(t *testing.T, s spi.Store) {
+	tab, err := s.Create(spi.MustSchema("rates", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "tax", Kind: spi.KindFloat, Fixed: true},
+		{Name: "label", Kind: spi.KindString, Fixed: true},
+		{Name: "ytd", Kind: spi.KindInt},
+	}, "id"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	rate := func(tax float64, label string, ytd int64) spi.Row {
+		return spi.Row{spi.I64(1), spi.F64(tax), spi.Str(label), spi.I64(ytd)}
+	}
+	insert(t, tab, rate(0, "a", 0))
+	for _, r := range []spi.Row{rate(0.5, "a", 0), rate(0, "b", 0), rate(math.Copysign(0, -1), "a", 0)} {
+		if _, err := tab.Update(pk(1), r); !errors.Is(err, spi.ErrFixed) {
+			t.Errorf("Update to %v: err = %v, want ErrFixed", r, err)
+		}
+	}
+	if got, _ := tab.Get(pk(1)); !got.Equal(rate(0, "a", 0)) || math.Signbit(got[1].F) {
+		t.Fatalf("refused Updates changed the row: %v", got)
+	}
+	if _, err := tab.Update(pk(1), rate(0, "a", 7)); err != nil {
+		t.Fatalf("Update of an unfixed column: %v", err)
+	}
+	if got, _ := tab.Get(pk(1)); got[3].Int64() != 7 {
+		t.Fatalf("Update not applied: %v", got)
 	}
 }
 

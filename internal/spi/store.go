@@ -12,6 +12,10 @@ var (
 	ErrNotFound = errors.New("storage: row not found")
 	// ErrDuplicate reports an insert whose primary key already exists.
 	ErrDuplicate = errors.New("storage: duplicate primary key")
+	// ErrFixed reports a write the schema's fixed columns forbid: an update
+	// that changes a fixed column, or an insert or delete through the engine
+	// on a table whose row set is fixed (Column.Fixed).
+	ErrFixed = errors.New("storage: write to a fixed column or row set")
 )
 
 // CSN is a commit sequence number: the engine stamps one on every batch of
@@ -52,7 +56,9 @@ type VersionStats struct {
 //     modify). A backend that copies on the way in or out satisfies this.
 //   - Insert rejects an existing primary key with ErrDuplicate; Get, Update
 //     and Delete report an absent key with ErrNotFound (wrapped). Update
-//     must reject a row whose primary key differs from pk. Update and
+//     must reject a row whose primary key differs from pk, and one that
+//     changes a fixed column with ErrFixed (wrapped); both compare as the
+//     key encoding does, floats bit for bit. Update and
 //     Delete return the previous image — the scheduler's undo logging and
 //     version publication depend on exact pre-image capture.
 //   - Apply installs a row image directly (WAL redo): nil deletes, non-nil

@@ -236,8 +236,9 @@ func (t *Table) Insert(row spi.Row) error {
 }
 
 // Update replaces the row stored under pk by row, which the table keeps. The
-// new row must have the same primary key, which is checked against the stored
-// image's key columns. It returns the previous image for undo logging.
+// new row must have the same primary key and the same fixed columns, both
+// checked against the stored image. It returns the previous image for undo
+// logging.
 func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
@@ -250,6 +251,9 @@ func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	}
 	if !sameCols(rec.base, row, t.schema.PK) {
 		return nil, fmt.Errorf("storage: update changes primary key of %s", t.schema.Name)
+	}
+	if !sameCols(rec.base, row, t.schema.FixedCols) {
+		return nil, fmt.Errorf("%w: update changes a fixed column of %s", spi.ErrFixed, t.schema.Name)
 	}
 	return t.installLocked(rec, row), nil
 }

@@ -19,7 +19,7 @@ var txnAllocBudget = []struct {
 	max  float64
 	draw func(w *Workload, r *rand.Rand) any
 }{
-	{"new_order", 136, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
+	{"new_order", 135, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
 	{"payment", 21, func(w *Workload, r *rand.Rand) any { return w.PaymentArgs(r) }},
 	{"delivery", 115, func(w *Workload, r *rand.Rand) any { return w.DeliveryArgs(r) }},
 	{"order_status", 18, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},

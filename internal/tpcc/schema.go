@@ -27,6 +27,13 @@ const (
 
 // Monetary values are stored in cents and rates (tax, discount) in basis
 // points, so the consistency conditions are exact integer identities.
+//
+// The columns no step type writes and new-order reads — w_tax, c_discount and
+// the whole item table — are declared Fixed, so new-order reads them without
+// locks (Ctx.GetCols). That makes the warehouse, customer and item row sets
+// fixed too: no step type inserts or deletes there; the loader writes through
+// the store. d_tax is left unfixed: NO1 reads it inside the district Update
+// that takes the row's X lock anyway.
 
 var (
 	warehouseSchema = spi.MustSchema(TWarehouse, []spi.Column{
@@ -37,7 +44,7 @@ var (
 		{Name: "w_city", Kind: spi.KindString},
 		{Name: "w_state", Kind: spi.KindString},
 		{Name: "w_zip", Kind: spi.KindString},
-		{Name: "w_tax", Kind: spi.KindInt},
+		{Name: "w_tax", Kind: spi.KindInt, Fixed: true},
 		{Name: "w_ytd", Kind: spi.KindInt},
 	}, "w_id")
 
@@ -69,7 +76,7 @@ var (
 		{Name: "c_since", Kind: spi.KindInt},
 		{Name: "c_credit", Kind: spi.KindString},
 		{Name: "c_credit_lim", Kind: spi.KindInt},
-		{Name: "c_discount", Kind: spi.KindInt},
+		{Name: "c_discount", Kind: spi.KindInt, Fixed: true},
 		{Name: "c_balance", Kind: spi.KindInt},
 		{Name: "c_ytd_payment", Kind: spi.KindInt},
 		{Name: "c_payment_cnt", Kind: spi.KindInt},
@@ -120,11 +127,11 @@ var (
 	}, "ol_w_id", "ol_d_id", "ol_o_id", "ol_number")
 
 	itemSchema = spi.MustSchema(TItem, []spi.Column{
-		{Name: "i_id", Kind: spi.KindInt},
-		{Name: "i_im_id", Kind: spi.KindInt},
-		{Name: "i_name", Kind: spi.KindString},
-		{Name: "i_price", Kind: spi.KindInt},
-		{Name: "i_data", Kind: spi.KindString},
+		{Name: "i_id", Kind: spi.KindInt, Fixed: true},
+		{Name: "i_im_id", Kind: spi.KindInt, Fixed: true},
+		{Name: "i_name", Kind: spi.KindString, Fixed: true},
+		{Name: "i_price", Kind: spi.KindInt, Fixed: true},
+		{Name: "i_data", Kind: spi.KindString, Fixed: true},
 	}, "i_id")
 
 	stockSchema = spi.MustSchema(TStock, []spi.Column{

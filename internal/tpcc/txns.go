@@ -51,6 +51,13 @@ var (
 	colSOrderCnt = stockSchema.MustCol("s_order_cnt")
 )
 
+// The fixed columns new-order reads through Ctx.GetCols, without locks.
+var (
+	wTaxCols      = []int{colWTax}
+	cDiscountCols = []int{colCDiscount}
+	iPriceCols    = []int{colIPrice}
+)
+
 func i64(v int64) spi.Value { return spi.I64(v) }
 
 // Registration binds the TPC-C transaction types to an engine.
@@ -235,15 +242,17 @@ func (reg *Registration) newOrderType() *core.TxnType {
 
 // noSetup is NO1: read warehouse and customer rates, take the next order
 // number from the district (the hot-spot counter of §5.1), and enter the
-// order and its new_order queue entry.
+// order and its new_order queue entry. The rates are fixed columns, read
+// without locks, so new-order never queues behind payment's X lock on the
+// warehouse row (w_ytd).
 func (reg *Registration) noSetup(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
-	wrow, err := tc.Get(TWarehouse, i64(a.WID))
-	if err != nil {
+	var v [1]spi.Value
+	if err := tc.GetCols(TWarehouse, wTaxCols, v[:], i64(a.WID)); err != nil {
 		return err
 	}
-	a.WTax = wrow[colWTax].Int64()
-	err = tc.Update(TDistrict, []spi.Value{i64(a.WID), i64(a.DID)}, func(row spi.Row) error {
+	a.WTax = v[0].Int64()
+	err := tc.Update(TDistrict, []spi.Value{i64(a.WID), i64(a.DID)}, func(row spi.Row) error {
 		a.DTax = row[colDTax].Int64()
 		a.ONum = row[colDNext].Int64()
 		row[colDNext] = i64(a.ONum + 1)
@@ -252,11 +261,10 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 	if err != nil {
 		return err
 	}
-	crow, err := tc.Get(TCustomer, i64(a.WID), i64(a.DID), i64(a.CID))
-	if err != nil {
+	if err := tc.GetCols(TCustomer, cDiscountCols, v[:], i64(a.WID), i64(a.DID), i64(a.CID)); err != nil {
 		return err
 	}
-	a.CDiscount = crow[colCDiscount].Int64()
+	a.CDiscount = v[0].Int64()
 	if err := tc.Insert(TOrders, spi.Row{
 		i64(a.WID), i64(a.DID), i64(a.ONum), i64(a.CID),
 		i64(0), i64(0), i64(int64(len(a.Lines))), i64(1),
@@ -266,27 +274,46 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 	return tc.Insert(TNewOrder, spi.Row{i64(a.WID), i64(a.DID), i64(a.ONum)})
 }
 
-// noLine is NO2: one order line — read the item, deplete the stock by the
-// TPC-C rule, and enter the line. The benchmark's 1% rollback fires here on
-// the final line via an unused item number (§2.4.1.4), after earlier lines'
+// noLine is NO2: one order line — read the item's price, enter the line, and
+// deplete the stock by the TPC-C rule. The benchmark's 1% rollback fires here
+// on the final line via an unused item number (§2.4.1.4), after earlier lines'
 // steps completed — which is exactly what forces compensation under the ACC.
 // Every line step runs this one body; the step's index names its line (NO1 is
 // step 0, so line i is step i+1).
+//
+// The price is a fixed column, read without locks. The stock row, the only
+// row here other orders contend for, is touched last, so its X lock is held
+// across one statement and the step's end, not across the line's insert too.
+// A line step that fails is undone as a unit, so the order of its writes is
+// invisible to noCompensate.
 func (reg *Registration) noLine(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	i := tc.Step() - 1
 	l := a.Lines[i]
-	irow, err := tc.Get(TItem, i64(l.ItemID))
-	if err != nil {
+	var price [1]spi.Value
+	if err := tc.GetCols(TItem, iPriceCols, price[:], i64(l.ItemID)); err != nil {
 		if errors.Is(err, spi.ErrNotFound) {
 			return tc.Abort("unused item number")
 		}
 		return err
 	}
-	price := irow[colIPrice].Int64()
+	// A remote-partition supply line defers its stock update to the
+	// no_stock shot the NOR step runs on the owning partition; the item
+	// price comes from the local replica (items are loaded identically
+	// into every partition), and the order line itself always lives with
+	// the order.
+	amount := l.Quantity * price[0].Int64()
+	if err := tc.Insert(TOrderLine, spi.Row{
+		i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
+		i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
+		spi.Str(""),
+	}); err != nil {
+		return err
+	}
+	a.Amounts[i] = amount
 	if reg.isLocal(a.WID, l.SupplyW) {
 		var taken int64
-		err = tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
+		err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
 			q := row[colSQty].Int64()
 			var nq int64
 			if q >= l.Quantity+10 {
@@ -305,20 +332,6 @@ func (reg *Registration) noLine(tc *core.Ctx) error {
 		}
 		a.Filled[i] = taken
 	}
-	// A remote-partition supply line defers its stock update to the
-	// no_stock shot the NOR step runs on the owning partition; the item
-	// price comes from the local replica (items are loaded identically
-	// into every partition), and the order line itself always lives with
-	// the order.
-	amount := l.Quantity * price
-	if err := tc.Insert(TOrderLine, spi.Row{
-		i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
-		i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
-		spi.Str(""),
-	}); err != nil {
-		return err
-	}
-	a.Amounts[i] = amount
 	return nil
 }
 
