@@ -20,8 +20,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -142,5 +144,34 @@ func (db *DB) MustCreateTable(schema *spi.Schema, partitionBy ...string) spi.Tab
 	return t
 }
 
-// partitioned reports whether the table has a partition granule.
-func (db *DB) partitioned(table string) bool { return (*db.parts.Load())[table] > 0 }
+// checkParts returns the table's partition-column count, or refuses a
+// partition list that a partition read or write cannot lock, in order: a
+// table without partitions, a partition not named by one value per partition
+// column, or partitions not in strictly ascending order. Values are ordered
+// as their key encoding orders them — by kind, then by value — so ascending
+// values are ascending keys; a pair of values Compare finds equal (a float's
+// -0 and +0) is refused as a repeat.
+func (db *DB) checkParts(table string, parts [][]spi.Value) (int, error) {
+	n := (*db.parts.Load())[table]
+	if n == 0 {
+		return 0, fmt.Errorf("core: table %q is not partitioned", table)
+	}
+	for i, p := range parts {
+		if len(p) != n {
+			return 0, fmt.Errorf("core: partition %d of %s has %d values, want %d", i, table, len(p), n)
+		}
+		if i > 0 && slices.CompareFunc(parts[i-1], p, compareKeyVals) >= 0 {
+			return 0, fmt.Errorf("core: partitions of %s not in strictly ascending order at %d", table, i)
+		}
+	}
+	return n, nil
+}
+
+// compareKeyVals orders two values as their key encodings order them: by
+// kind, whose tag leads the encoding, then by value.
+func compareKeyVals(x, y spi.Value) int {
+	if x.K != y.K {
+		return cmp.Compare(x.K, y.K)
+	}
+	return x.Compare(y)
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"accdb/internal/interference"
 	"accdb/internal/spi"
@@ -551,51 +552,119 @@ func (tc *Ctx) Update(table string, keyVals []spi.Value, mutate func(spi.Row) er
 }
 
 // visitRows adapts a row visitor to a storage scan's callback: a visitor
-// error ends the scan and, unless it is ErrStopScan, is kept in *verr.
+// error, ErrStopScan included, ends the scan and is kept in *verr (scanErr
+// turns it into the scan's result).
 func visitRows(visit func(spi.Row) error, verr *error) func(spi.Key, spi.Row) bool {
 	return func(_ spi.Key, row spi.Row) bool {
 		if err := visit(row); err != nil {
-			if err != ErrStopScan {
-				*verr = err
-			}
+			*verr = err
 			return false
 		}
 		return true
 	}
 }
 
-// ScanPartition visits, in primary-key-within-partition order, every row of
-// the given partition (shared partition lock: concurrent structural change
-// is excluded, closing the phantom window). The visitor may return
-// ErrStopScan to end early.
+// scanErr is what a scan returns for the visitor error visitRows kept: nil
+// for none and for ErrStopScan.
+func scanErr(verr error) error {
+	if verr == ErrStopScan {
+		return nil
+	}
+	return verr
+}
+
+// ScanPartition is ScanPartitions over one partition.
 func (tc *Ctx) ScanPartition(table string, partVals []spi.Value, visit func(spi.Row) error) error {
+	return tc.ScanPartitions(table, [][]spi.Value{partVals}, visit)
+}
+
+// ScanPartitions visits, in one statement, every row of the given partitions:
+// partition by partition, each in primary-key-within-partition order. It is
+// the engine's stand-in for a join against a list of partitions
+// (stock-level's order lines). Each of parts holds one value for every
+// partition column, and parts are in strictly ascending order, which is the
+// lock order; anything else is refused before any lock is taken, at every
+// tier. At the locked tier ScanPartitions takes IS on the table, then S on
+// every listed partition, in order, before it reads a row — the shared
+// partition lock excludes concurrent structural change, closing the phantom
+// window — and leaves one history record per partition. The visitor may
+// return ErrStopScan to end the whole read early; any other visitor error
+// stops it and is returned.
+func (tc *Ctx) ScanPartitions(table string, parts [][]spi.Value, visit func(spi.Row) error) error {
 	t, err := tc.table(table)
 	if err != nil {
 		return err
 	}
-	if !tc.e.db.partitioned(table) {
-		return fmt.Errorf("core: table %q is not partitioned", table)
+	n, err := tc.e.db.checkParts(table, parts)
+	if err != nil {
+		return err
 	}
 	var verr error
+	scan := visitRows(visit, &verr)
 	if tc.versioned() {
 		asOf := tc.asOf()
 		tc.begin()
-		err = t.IndexScanAsOf(PartIndex, partVals, asOf, visitRows(visit, &verr))
+		for i := 0; i < len(parts) && err == nil && verr == nil; i++ {
+			err = t.IndexScanAsOf(PartIndex, parts[i], asOf, scan)
+		}
 		tc.end()
-		return cmp.Or(err, verr)
+		return cmp.Or(err, scanErr(verr))
 	}
-	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
-		return err
-	}
-	part := spi.PartitionItem(table, spi.EncodeKey(partVals...))
-	if err := tc.acquire(part, spi.ModeS); err != nil {
+	keys, err := tc.lockParts(table, n, parts)
+	if err != nil {
 		return err
 	}
 	tc.begin()
-	err = t.IndexScan(PartIndex, partVals, visitRows(visit, &verr))
+	for i := 0; i < len(parts) && err == nil && verr == nil; i++ {
+		err = t.IndexScan(PartIndex, parts[i], scan)
+	}
 	tc.end()
-	tc.e.record(tc.txn, table, part.Key, false)
-	return cmp.Or(err, verr)
+	for k, rest := nextKey(keys, n); k != ""; k, rest = nextKey(rest, n) {
+		tc.e.record(tc.txn, table, k, false)
+	}
+	return cmp.Or(err, scanErr(verr))
+}
+
+// lockParts takes IS on the table, then S on each of parts in order, and
+// returns their keys, back to back in one buffer (partKeys). It is its own
+// function so that ScanPartitions' frame, which stays on the stack under
+// every row its visitor gets, holds none of this.
+func (tc *Ctx) lockParts(table string, n int, parts [][]spi.Value) (spi.Key, error) {
+	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
+		return "", err
+	}
+	keys := partKeys(parts)
+	for k, rest := nextKey(keys, n); k != ""; k, rest = nextKey(rest, n) {
+		if err := tc.acquire(spi.PartitionItem(table, k), spi.ModeS); err != nil {
+			return "", err
+		}
+	}
+	return keys, nil
+}
+
+// partKeys encodes the partition key of each of parts into one buffer, back
+// to back: one allocation for any number of partitions.
+func partKeys(parts [][]spi.Value) spi.Key {
+	n := 0
+	for _, p := range parts {
+		for _, v := range p {
+			n += spi.KeyLen(v)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range parts {
+		for _, v := range p {
+			spi.AppendKeyVal(&b, v)
+		}
+	}
+	return spi.Key(b.String())
+}
+
+// nextKey splits the first key, of n values, off keys: "" when none is left.
+func nextKey(keys spi.Key, n int) (first, rest spi.Key) {
+	first = spi.KeyPrefix(keys, n)
+	return first, keys[len(first):]
 }
 
 // UpdateWhere visits every row of a partition under an exclusive partition
@@ -611,8 +680,8 @@ func (tc *Ctx) UpdateWhere(table string, partVals []spi.Value, mutate func(spi.R
 	if err != nil {
 		return err
 	}
-	if !tc.e.db.partitioned(table) {
-		return fmt.Errorf("core: table %q is not partitioned", table)
+	if _, err := tc.e.db.checkParts(table, [][]spi.Value{partVals}); err != nil {
+		return err
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
 		return err
@@ -730,7 +799,7 @@ func (tc *Ctx) Scan(table string, visit func(spi.Row) error) error {
 		tc.begin()
 		t.ScanAsOf(asOf, visitRows(visit, &verr))
 		tc.end()
-		return verr
+		return scanErr(verr)
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeS); err != nil {
 		return err
@@ -739,7 +808,7 @@ func (tc *Ctx) Scan(table string, visit func(spi.Row) error) error {
 	t.Scan(visitRows(visit, &verr))
 	tc.end()
 	tc.e.record(tc.txn, table, "", false)
-	return verr
+	return scanErr(verr)
 }
 
 // Sentinel errors for scan visitors.

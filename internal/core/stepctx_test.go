@@ -31,7 +31,7 @@ type heldLocks interface {
 // locksOf returns the lock manager of tc's engine as a heldLocks.
 func locksOf(tc *Ctx) heldLocks { return tc.e.lm.(heldLocks) }
 
-func newOpSys(t *testing.T) *opSys {
+func newOpSys(t *testing.T, opts ...Option) *opSys {
 	t.Helper()
 	s := &opSys{db: NewDB()}
 	var err error
@@ -50,7 +50,7 @@ func newOpSys(t *testing.T) *opSys {
 	s.txn = b.TxnType("op", 1)
 	s.step = b.StepType("op")
 	b.AllowInterleaveEverywhere(s.step, s.txn)
-	s.eng = New(s.db, b.Build(), WithWaitTimeout(5*time.Second))
+	s.eng = New(s.db, b.Build(), append([]Option{WithWaitTimeout(5 * time.Second)}, opts...)...)
 	for r := int64(1); r <= 2; r++ {
 		for sku := int64(1); sku <= 5; sku++ {
 			if err := s.inv.Insert(spi.Row{spi.I64(r), spi.I64(sku), spi.I64(sku * 10)}); err != nil {

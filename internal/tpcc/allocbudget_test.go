@@ -23,7 +23,7 @@ var txnAllocBudget = []struct {
 	{"payment", 21, func(w *Workload, r *rand.Rand) any { return w.PaymentArgs(r) }},
 	{"delivery", 115, func(w *Workload, r *rand.Rand) any { return w.DeliveryArgs(r) }},
 	{"order_status", 18, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
-	{"stock_level", 49, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
+	{"stock_level", 23, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
 }
 
 // TestTxnAllocBudget pins the allocations of one whole transaction per TPC-C

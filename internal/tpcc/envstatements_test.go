@@ -8,6 +8,7 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/sim"
+	"accdb/internal/spi"
 )
 
 // envStatements is the number of statements the simulated testbed charges
@@ -19,11 +20,11 @@ import (
 // counts may change only with the transactions' SQL.
 var envStatements = map[core.Mode]map[string]uint64{
 	core.ModeACC: {
-		"new_order": 220, "payment": 29, "delivery": 284, "order_status": 16, "stock_level": 48,
+		"new_order": 220, "payment": 29, "delivery": 284, "order_status": 16, "stock_level": 12,
 		"new_order_rollback": 40,
 	},
 	core.ModeBaseline: {
-		"new_order": 169, "payment": 21, "delivery": 204, "order_status": 16, "stock_level": 48,
+		"new_order": 169, "payment": 21, "delivery": 204, "order_status": 16, "stock_level": 12,
 		"new_order_rollback": 21,
 	},
 }
@@ -79,6 +80,55 @@ func TestEnvStatementsPerType(t *testing.T) {
 			if want := envStatements[mode][c.name]; got != want {
 				t.Errorf("%v %s: %d statements, want %d", mode, c.name, got, want)
 			}
+		}
+	}
+}
+
+// TestOrderStatusReadsCustomerOnce: an order-status that selects its customer
+// by last name reads the row the name lookup chose and does not read it
+// again, so by name and by id it is three statements on sim.Env — the
+// customer, the customer's orders, the latest order's lines — and touches
+// the customer row once.
+func TestOrderStatusReadsCustomerOnce(t *testing.T) {
+	db := core.NewDB()
+	if err := CreateSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	scale := DefaultScale()
+	if err := Load(db, scale, 42); err != nil {
+		t.Fatal(err)
+	}
+	types := BuildTypes()
+	env := sim.NewEnv(1, 0, 0)
+	eng := core.New(db, types.Tables, core.WithEnv(env), core.WithRecordHistory(true))
+	if _, err := Register(eng, types, scale); err != nil {
+		t.Fatal(err)
+	}
+	const did, cid = 3, 7
+	pk := spi.EncodeKey(i64(1), i64(did), i64(cid))
+	crow, err := db.Table(TCustomer).Get(pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := &OrderStatusArgs{WID: 1, DID: did, CID: cid + 1, CLast: crow[customerSchema.MustCol("c_last")].Text()}
+	byID := &OrderStatusArgs{WID: 1, DID: did, CID: cid}
+	for _, a := range []*OrderStatusArgs{byName, byID} {
+		accesses := len(eng.History().Accesses)
+		before := env.Statements()
+		if err := eng.Run("order_status", a); err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Statements() - before; got != 3 {
+			t.Errorf("order-status by %q/%d: %d statements, want 3", a.CLast, a.CID, got)
+		}
+		reads := 0
+		for _, acc := range eng.History().Accesses[accesses:] {
+			if acc.Table == TCustomer && acc.PK == pk {
+				reads++
+			}
+		}
+		if reads != 1 {
+			t.Errorf("order-status by %q/%d: read customer %d %d times, want once", a.CLast, a.CID, cid, reads)
 		}
 	}
 }

@@ -40,6 +40,33 @@ func TestStockKeysAllocFree(t *testing.T) {
 	}
 }
 
+var partsSink [][]spi.Value
+
+// TestOrderPartsAllocFree is the CI allocation guard for stock-level's
+// partition list (run via -run 'AllocFree'): orderParts slices every order's
+// (w, d, o) from one buffer, so any number of orders costs two allocations,
+// and the partitions come in ascending order, as ScanPartitions needs them.
+func TestOrderPartsAllocFree(t *testing.T) {
+	parts := orderParts(3, 7, 41, 51)
+	if len(parts) != 10 {
+		t.Fatalf("%d partitions for orders 41..50", len(parts))
+	}
+	for i, p := range parts {
+		want := []spi.Value{i64(3), i64(7), i64(41 + int64(i))}
+		if !slices.EqualFunc(p, want, spi.Value.Equal) || cap(p) != 3 {
+			t.Errorf("partition %d = %v (cap %d), want %v (cap 3)", i, p, cap(p), want)
+		}
+	}
+	if len(orderParts(3, 7, 5, 5)) != 0 {
+		t.Error("an empty order range named partitions")
+	}
+	for _, n := range []int64{1, 10} {
+		if a := testing.AllocsPerRun(100, func() { partsSink = orderParts(3, 7, 41, 41+n) }); a != 2 {
+			t.Errorf("orderParts of %d orders: %.1f allocs/op, want 2", n, a)
+		}
+	}
+}
+
 // TestStockLevelMatchesReference: after a seeded mix, stockLevelLow counts,
 // at the locked and the snapshot tier, what a map-and-loop count over the
 // quiescent tables does for the same district.

@@ -460,27 +460,31 @@ func (reg *Registration) payDistrict(tc *core.Ctx) error {
 
 // resolveCustomer implements the benchmark's 60/40 selection: by last name
 // (the row whose c_first is the ceiling-median among the matches) or by id.
-func resolveCustomer(tc *core.Ctx, wid, did int64, cid int64, clast string) (int64, error) {
+// A by-name selection also returns the row it chose, read under the S lock
+// LookupByIndex took; a by-id one — and a name that matches no row, which
+// falls back to the id — returns a nil row.
+func resolveCustomer(tc *core.Ctx, wid, did int64, cid int64, clast string) (int64, spi.Row, error) {
 	if clast == "" {
-		return cid, nil
+		return cid, nil, nil
 	}
 	rows, err := tc.LookupByIndex(TCustomer, IdxCustomerByLast,
 		[]spi.Value{i64(wid), i64(did), spi.Str(clast)})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if len(rows) == 0 {
-		return cid, nil // fall back to the id the generator always supplies
+		return cid, nil, nil // fall back to the id the generator always supplies
 	}
 	slices.SortFunc(rows, func(x, y spi.Row) int {
 		return strings.Compare(x[colCFirst].Text(), y[colCFirst].Text())
 	})
-	return rows[len(rows)/2][colCID].Int64(), nil
+	row := rows[len(rows)/2]
+	return row[colCID].Int64(), row, nil
 }
 
 func (reg *Registration) payCustomer(tc *core.Ctx) error {
 	a := tc.Args().(*PaymentArgs)
-	cid, err := resolveCustomer(tc, a.CWID, a.CDID, a.CID, a.CLast)
+	cid, _, err := resolveCustomer(tc, a.CWID, a.CDID, a.CID, a.CLast)
 	if err != nil {
 		return err
 	}

@@ -190,12 +190,14 @@ func (reg *Registration) orderStatusType() *core.TxnType {
 
 func (reg *Registration) orderStatus(tc *core.Ctx) error {
 	a := tc.Args().(*OrderStatusArgs)
-	cid, err := resolveCustomer(tc, a.WID, a.DID, a.CID, a.CLast)
+	cid, crow, err := resolveCustomer(tc, a.WID, a.DID, a.CID, a.CLast)
 	if err != nil {
 		return err
 	}
-	if _, err := tc.Get(TCustomer, i64(a.WID), i64(a.DID), i64(cid)); err != nil {
-		return err
+	if crow == nil { // by id: the customer is not read yet
+		if _, err := tc.Get(TCustomer, i64(a.WID), i64(a.DID), i64(cid)); err != nil {
+			return err
+		}
 	}
 	rows, err := tc.LookupByIndex(TOrders, IdxOrdersByCust,
 		[]spi.Value{i64(a.WID), i64(a.DID), i64(cid)})
@@ -236,10 +238,11 @@ func (reg *Registration) stockLevel(tc *core.Ctx) error {
 }
 
 // stockLevelLow counts the distinct items of the district's last a.Orders
-// orders whose stock in warehouse a.WID is below a.Threshold. It allocates
-// per order scanned, not per item read: the item ids gather in one slice and
-// are deduplicated by sorting it, and every stock key is encoded into one
-// buffer (stockKeys).
+// orders whose stock in warehouse a.WID is below a.Threshold, in three
+// statements: the district read, one read of the orders' line partitions
+// (orderParts) and one of their stock rows (stockKeys). It allocates per
+// statement, not per order or item read: the item ids gather in one slice and
+// are deduplicated by sorting it.
 func stockLevelLow(tc *core.Ctx, a *StockLevelArgs) (int, error) {
 	drow, err := tc.Get(TDistrict, i64(a.WID), i64(a.DID))
 	if err != nil {
@@ -248,16 +251,12 @@ func stockLevelLow(tc *core.Ctx, a *StockLevelArgs) (int, error) {
 	next := drow[colDNext].Int64()
 	lo := max(next-a.Orders, 1)
 	items := make([]int64, 0, 16*max(next-lo, 0)) // an order has at most 15 lines
-	collect := func(row spi.Row) error {
+	err = tc.ScanPartitions(TOrderLine, orderParts(a.WID, a.DID, lo, next), func(row spi.Row) error {
 		items = append(items, row[colOLItem].Int64())
 		return nil
-	}
-	part := []spi.Value{i64(a.WID), i64(a.DID), {}}
-	for o := lo; o < next; o++ {
-		part[2] = i64(o)
-		if err := tc.ScanPartition(TOrderLine, part, collect); err != nil {
-			return 0, err
-		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	slices.Sort(items)
 	items = slices.Compact(items)
@@ -269,6 +268,21 @@ func stockLevelLow(tc *core.Ctx, a *StockLevelArgs) (int, error) {
 		return nil
 	})
 	return low, err
+}
+
+// orderParts names the order-line partitions (w, d, o) of orders lo up to,
+// not including, next, in ascending order, slicing every partition's values
+// from one buffer: two allocations for any number of orders.
+func orderParts(w, d, lo, next int64) [][]spi.Value {
+	n := int(max(next-lo, 0))
+	vals := make([]spi.Value, 3*n)
+	parts := make([][]spi.Value, n)
+	for i := range parts {
+		p := vals[3*i : 3*i+3 : 3*i+3]
+		p[0], p[1], p[2] = i64(w), i64(d), i64(lo+int64(i))
+		parts[i] = p
+	}
+	return parts
 }
 
 // stockKeys encodes the stock primary key (w, item) of each item into one
