@@ -3,17 +3,21 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"accdb/internal/interference"
+	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
 // fixedSys is a catalog whose name and price are declared fixed, beside a
 // stock count that steps update, so its row set is fixed too: the shape
 // TPC-C's warehouse and customer tables have. The catalog is partitioned by
-// region and has a by_region index, so every write path has a way in.
+// region and has a by_region index, so every write path has a way in. Beside
+// it is a tariff whose every column is fixed, TPC-C's item table's shape,
+// partitioned by zone.
 type fixedSys struct {
 	eng *Engine
 	cat spi.Table
@@ -51,6 +55,22 @@ func newFixedSys(t *testing.T, opts ...Option) *fixedSys {
 		}
 	}
 	cat.ResetVersions()
+	tariff, err := db.CreateTable(spi.MustSchema("tariff", []spi.Column{
+		{Name: "zone", Kind: spi.KindInt, Fixed: true},
+		{Name: "code", Kind: spi.KindInt, Fixed: true},
+		{Name: "rate", Kind: spi.KindInt, Fixed: true},
+	}, "zone", "code"), "zone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for zone := int64(1); zone <= 2; zone++ {
+		for code := int64(1); code <= 3; code++ {
+			if err := tariff.Insert(spi.Row{spi.I64(zone), spi.I64(code), spi.I64(10*zone + code)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tariff.ResetVersions()
 	b := interference.NewBuilder()
 	s := &fixedSys{cat: cat, txn: b.TxnType("op", 1), stp: b.StepType("op")}
 	b.AllowInterleaveEverywhere(s.stp, s.txn)
@@ -227,6 +247,65 @@ func TestGetColsSameAtEveryTier(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
+		}
+	}
+}
+
+// TestGetManyAllFixedTakesNoLock: a GetMany on a table whose every column is
+// fixed takes no lock, conventional or assertional, and leaves no history
+// record, under both schedulers — repeated and missing keys included — and is
+// one statement on sim.Env. It still refuses keys out of ascending order. (The
+// tariff's keys have the inventory's shape, so invKeys encodes them.) A
+// GetMany on a table with an unfixed column locks and records as before: IS
+// on the table, then IS on the partition and S on the row of each key.
+func TestGetManyAllFixedTakesNoLock(t *testing.T) {
+	for _, mode := range []Mode{ModeACC, ModeBaseline} {
+		env := sim.NewEnv(1, 0, 0)
+		s := newFixedSys(t, WithMode(mode), WithRecordHistory(true), WithEnv(env))
+		var acqFixed, acqMixed uint64
+		var heldFixed, stmtsFixed int
+		var rates []int64
+		err := s.run(TierLocked, func(tc *Ctx) error {
+			before, stmts := s.eng.Locks().Stats().Acquisitions, env.Statements()
+			err := tc.GetMany("tariff", invKeys([2]int64{1, 2}, [2]int64{1, 2}, [2]int64{1, 9}, [2]int64{2, 3}),
+				func(row spi.Row) error {
+					rates = append(rates, row[2].Int64())
+					return nil
+				})
+			if err != nil {
+				return err
+			}
+			acqFixed, stmtsFixed = s.eng.Locks().Stats().Acquisitions-before, int(env.Statements()-stmts)
+			heldFixed = len(locksOf(tc).HeldItems(tc.txn.info))
+			if err := tc.GetMany("tariff", invKeys([2]int64{2, 1}, [2]int64{1, 1}), func(spi.Row) error { return nil }); err == nil {
+				t.Errorf("%v: GetMany on the tariff accepted keys out of order", mode)
+			}
+			before = s.eng.Locks().Stats().Acquisitions
+			if err := tc.GetMany("catalog", invKeys([2]int64{1, 1}, [2]int64{1, 2}), func(spi.Row) error { return nil }); err != nil {
+				return err
+			}
+			acqMixed = s.eng.Locks().Stats().Acquisitions - before
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !slices.Equal(rates, []int64{12, 12, 23}) {
+			t.Errorf("%v: GetMany on the tariff visited rates %v, want [12 12 23]", mode, rates)
+		}
+		if acqFixed != 0 || heldFixed != 0 || stmtsFixed != 1 {
+			t.Errorf("%v: GetMany on an all-fixed table took %d locks, holds %d items, ran %d statements; want 0, 0, 1",
+				mode, acqFixed, heldFixed, stmtsFixed)
+		}
+		if acqMixed != 5 {
+			t.Errorf("%v: GetMany of 2 catalog keys took %d locks, want 5", mode, acqMixed)
+		}
+		tables := map[string]int{}
+		for _, a := range s.eng.History().Accesses {
+			tables[a.Table]++
+		}
+		if tables["tariff"] != 0 || tables["catalog"] != 2 {
+			t.Errorf("%v: history recorded %v accesses by table, want only the 2 catalog reads", mode, tables)
 		}
 	}
 }

@@ -341,8 +341,10 @@ func fixedRows(t spi.Table, op string) error {
 // that lock in key order cannot deadlock against each other. At the locked
 // tier GetMany takes IS on the table, then, key by key, IS on the row's
 // partition (if the table is partitioned) and S on the row; unsorted keys are
-// refused before any lock is taken. A visitor error stops the read and is
-// returned.
+// refused before any lock is taken. On a table whose every column is fixed
+// it takes no lock and leaves no history record, as GetCols does for fixed
+// columns: no transaction writes, inserts or deletes such a row. A visitor
+// error stops the read and is returned.
 func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) error {
 	t, err := tc.table(table)
 	if err != nil {
@@ -365,17 +367,21 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 	if !slices.IsSorted(pks) {
 		return fmt.Errorf("core: GetMany on %s: keys not in ascending order", table)
 	}
-	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
-		return err
-	}
-	for _, pk := range pks {
-		if part, ok := tc.e.db.partitionOf(table, pk); ok {
-			if err := tc.acquire(part, spi.ModeIS); err != nil {
+	s := t.Schema()
+	locked := len(s.FixedCols) < len(s.Columns)
+	if locked {
+		if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
+			return err
+		}
+		for _, pk := range pks {
+			if part, ok := tc.e.db.partitionOf(table, pk); ok {
+				if err := tc.acquire(part, spi.ModeIS); err != nil {
+					return err
+				}
+			}
+			if err := tc.acquire(spi.RowItem(table, pk), spi.ModeS); err != nil {
 				return err
 			}
-		}
-		if err := tc.acquire(spi.RowItem(table, pk), spi.ModeS); err != nil {
-			return err
 		}
 	}
 	tc.begin()
@@ -387,8 +393,10 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 		}
 	}
 	tc.end()
-	for _, pk := range pks {
-		tc.e.record(tc.txn, table, pk, false)
+	if locked {
+		for _, pk := range pks {
+			tc.e.record(tc.txn, table, pk, false)
+		}
 	}
 	return verr
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // testSystem assembles a loaded TPC-C database with registered transactions.
-func testSystem(t *testing.T, mode core.Mode, scale Scale) (*core.Engine, *Workload) {
+func testSystem(t *testing.T, mode core.Mode, scale Scale, opts ...core.Option) (*core.Engine, *Workload) {
 	t.Helper()
 	db := core.NewDB()
 	if err := CreateSchema(db); err != nil {
@@ -21,10 +21,10 @@ func testSystem(t *testing.T, mode core.Mode, scale Scale) (*core.Engine, *Workl
 		t.Fatal(err)
 	}
 	types := BuildTypes()
-	eng := core.New(db, types.Tables,
+	eng := core.New(db, types.Tables, append([]core.Option{
 		core.WithMode(mode),
-		core.WithWaitTimeout(20*time.Second),
-	)
+		core.WithWaitTimeout(20 * time.Second),
+	}, opts...)...)
 	if _, err := Register(eng, types, scale); err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,7 @@ var (
 	colOLQty      = orderLineSchema.MustCol("ol_quantity")
 	colOLAmount   = orderLineSchema.MustCol("ol_amount")
 
+	colIID    = itemSchema.MustCol("i_id")
 	colIPrice = itemSchema.MustCol("i_price")
 
 	colSQty      = stockSchema.MustCol("s_quantity")
@@ -55,7 +56,6 @@ var (
 var (
 	wTaxCols      = []int{colWTax}
 	cDiscountCols = []int{colCDiscount}
-	iPriceCols    = []int{colIPrice}
 )
 
 func i64(v int64) spi.Value { return spi.I64(v) }
@@ -240,11 +240,12 @@ func (reg *Registration) newOrderType() *core.TxnType {
 	}
 }
 
-// noSetup is NO1: read warehouse and customer rates, take the next order
-// number from the district (the hot-spot counter of §5.1), and enter the
-// order and its new_order queue entry. The rates are fixed columns, read
-// without locks, so new-order never queues behind payment's X lock on the
-// warehouse row (w_ytd).
+// noSetup is NO1: read warehouse and customer rates and the order's item
+// prices, take the next order number from the district (the hot-spot counter
+// of §5.1), and enter the order and its new_order queue entry. The rates and
+// prices are fixed columns, read without locks before the district Update, so
+// new-order never queues behind payment's X lock on the warehouse row (w_ytd)
+// and holds the district's X lock across the Update and the two inserts only.
 func (reg *Registration) noSetup(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	var v [1]spi.Value
@@ -252,6 +253,13 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 		return err
 	}
 	a.WTax = v[0].Int64()
+	if err := tc.GetCols(TCustomer, cDiscountCols, v[:], i64(a.WID), i64(a.DID), i64(a.CID)); err != nil {
+		return err
+	}
+	a.CDiscount = v[0].Int64()
+	if err := linePrices(tc, a); err != nil {
+		return err
+	}
 	err := tc.Update(TDistrict, []spi.Value{i64(a.WID), i64(a.DID)}, func(row spi.Row) error {
 		a.DTax = row[colDTax].Int64()
 		a.ONum = row[colDNext].Int64()
@@ -261,10 +269,6 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 	if err != nil {
 		return err
 	}
-	if err := tc.GetCols(TCustomer, cDiscountCols, v[:], i64(a.WID), i64(a.DID), i64(a.CID)); err != nil {
-		return err
-	}
-	a.CDiscount = v[0].Int64()
 	if err := tc.Insert(TOrders, spi.Row{
 		i64(a.WID), i64(a.DID), i64(a.ONum), i64(a.CID),
 		i64(0), i64(0), i64(int64(len(a.Lines))), i64(1),
@@ -274,35 +278,53 @@ func (reg *Registration) noSetup(tc *core.Ctx) error {
 	return tc.Insert(TNewOrder, spi.Row{i64(a.WID), i64(a.DID), i64(a.ONum)})
 }
 
-// noLine is NO2: one order line — read the item's price, enter the line, and
-// deplete the stock by the TPC-C rule. The benchmark's 1% rollback fires here
-// on the final line via an unused item number (§2.4.1.4), after earlier lines'
-// steps completed — which is exactly what forces compensation under the ACC.
-// Every line step runs this one body; the step's index names its line (NO1 is
-// step 0, so line i is step i+1).
+// linePrices sets every line's amount, quantity × i_price, from one read of
+// the order's items. A line whose item does not exist keeps amount 0, the
+// sentinel its line step aborts on: a TPC-C quantity and price are at least 1,
+// so no real line amounts to 0.
+func linePrices(tc *core.Ctx, a *NewOrderArgs) error {
+	var buf [maxOrderLines]int64
+	ids := buf[:0]
+	for _, l := range a.Lines {
+		ids = append(ids, l.ItemID)
+	}
+	slices.Sort(ids)
+	clear(a.Amounts)
+	return tc.GetMany(TItem, idKeys(nil, ids), func(row spi.Row) error {
+		id, price := row[colIID].Int64(), row[colIPrice].Int64()
+		for i, l := range a.Lines {
+			if l.ItemID == id {
+				a.Amounts[i] = l.Quantity * price
+			}
+		}
+		return nil
+	})
+}
+
+// noLine is NO2: one order line — enter the line, and deplete the stock by the
+// TPC-C rule. The benchmark's 1% rollback fires here on the final line via an
+// unused item number (§2.4.1.4), which NO1's price read left at amount 0,
+// after earlier lines' steps completed — which is exactly what forces
+// compensation under the ACC. Every line step runs this one body; the step's
+// index names its line (NO1 is step 0, so line i is step i+1).
 //
-// The price is a fixed column, read without locks. The stock row, the only
-// row here other orders contend for, is touched last, so its X lock is held
-// across one statement and the step's end, not across the line's insert too.
-// A line step that fails is undone as a unit, so the order of its writes is
-// invisible to noCompensate.
+// The stock row, the only row here other orders contend for, is touched last,
+// so its X lock is held across one statement and the step's end, not across
+// the line's insert too. A line step that fails is undone as a unit, so the
+// order of its writes is invisible to noCompensate.
 func (reg *Registration) noLine(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	i := tc.Step() - 1
 	l := a.Lines[i]
-	var price [1]spi.Value
-	if err := tc.GetCols(TItem, iPriceCols, price[:], i64(l.ItemID)); err != nil {
-		if errors.Is(err, spi.ErrNotFound) {
-			return tc.Abort("unused item number")
-		}
-		return err
+	amount := a.Amounts[i]
+	if amount == 0 {
+		return tc.Abort("unused item number")
 	}
 	// A remote-partition supply line defers its stock update to the
 	// no_stock shot the NOR step runs on the owning partition; the item
-	// price comes from the local replica (items are loaded identically
+	// price came from the local replica (items are loaded identically
 	// into every partition), and the order line itself always lives with
 	// the order.
-	amount := l.Quantity * price[0].Int64()
 	if err := tc.Insert(TOrderLine, spi.Row{
 		i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
 		i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
@@ -310,7 +332,6 @@ func (reg *Registration) noLine(tc *core.Ctx) error {
 	}); err != nil {
 		return err
 	}
-	a.Amounts[i] = amount
 	if reg.isLocal(a.WID, l.SupplyW) {
 		var taken int64
 		err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
@@ -336,7 +357,9 @@ func (reg *Registration) noLine(tc *core.Ctx) error {
 }
 
 // noFinalize is NOF: total the lines and apply discount and taxes — the step
-// that restores the order-level conjunct of I (all lines present).
+// that restores the order-level conjunct of I (all lines present). The total
+// is the work area's line amounts, the ol_amount values the line steps
+// entered, so the step makes no statement.
 func (reg *Registration) noFinalize(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	if a.FailFinal {
@@ -346,14 +369,8 @@ func (reg *Registration) noFinalize(tc *core.Ctx) error {
 		return tc.Abort("rollback at order finish")
 	}
 	var sum int64
-	err := tc.ScanPartition(TOrderLine,
-		[]spi.Value{i64(a.WID), i64(a.DID), i64(a.ONum)},
-		func(row spi.Row) error {
-			sum += row[colOLAmount].Int64()
-			return nil
-		})
-	if err != nil {
-		return err
+	for _, amount := range a.Amounts {
+		sum += amount
 	}
 	// total = sum * (1 - discount) * (1 + w_tax + d_tax), rates in basis points.
 	a.Total = sum * (10000 - a.CDiscount) / 10000 * (10000 + a.WTax + a.DTax) / 10000

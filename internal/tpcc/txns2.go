@@ -285,21 +285,30 @@ func orderParts(w, d, lo, next int64) [][]spi.Value {
 	return parts
 }
 
-// stockKeys encodes the stock primary key (w, item) of each item into one
-// buffer and slices the keys out of it: two allocations for any number of
-// items. Ascending items give ascending keys, since the key encoding
-// preserves order.
+// stockKeys encodes the stock primary key (w, item) of each item: idKeys with
+// the warehouse leading.
 func stockKeys(w int64, items []int64) []spi.Key {
-	wv := i64(w)
-	n := spi.KeyLen(wv) + spi.KeyLen(i64(0))
+	return idKeys([]spi.Value{i64(w)}, items)
+}
+
+// idKeys encodes the primary key (lead..., id) of each id into one buffer and
+// slices the keys out of it: two allocations for any number of ids. Ascending
+// ids give ascending keys, since the key encoding preserves order.
+func idKeys(lead []spi.Value, ids []int64) []spi.Key {
+	n := spi.KeyLen(i64(0))
+	for _, v := range lead {
+		n += spi.KeyLen(v)
+	}
 	var b strings.Builder
-	b.Grow(n * len(items))
-	for _, item := range items {
-		spi.AppendKeyVal(&b, wv)
-		spi.AppendKeyVal(&b, i64(item))
+	b.Grow(n * len(ids))
+	for _, id := range ids {
+		for _, v := range lead {
+			spi.AppendKeyVal(&b, v)
+		}
+		spi.AppendKeyVal(&b, i64(id))
 	}
 	buf := b.String()
-	keys := make([]spi.Key, len(items))
+	keys := make([]spi.Key, len(ids))
 	for i := range keys {
 		keys[i] = spi.Key(buf[i*n : (i+1)*n])
 	}
