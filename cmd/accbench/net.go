@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/sim"
+	"accdb/internal/experiment"
 	"accdb/internal/tpcc"
 	"accdb/pkg/accclient"
 )
@@ -45,21 +45,14 @@ func runNet(addr string, terminals, pool int, duration, warmup, think time.Durat
 	})
 
 	fmt.Printf("== network TPC-C against %s: %d terminals, pool %d, read tier %s ==\n", addr, terminals, pool, tier)
-	res := sim.Run(sim.Config{
-		Terminals: terminals,
-		Duration:  duration,
-		Warmup:    warmup,
-		ThinkTime: think,
-		Seed:      seed,
-	}, w)
+	rec, perSec := experiment.Terminals{N: terminals, Think: think, Seed: seed}.Measure(w, warmup, duration)
 
-	total := res.Recorder.Total()
-	fmt.Printf("throughput %.1f txn/s  %s\n", res.Throughput(), total)
+	fmt.Printf("throughput %.1f txn/s  %s\n", perSec, rec.Total())
 	st := cli.Stats()
 	fmt.Printf("client: requests=%d attempts=%d retries=%d transport_errors=%d\n",
 		st.Requests, st.Attempts, st.Retries, st.TransportErrors)
 	if verbose {
-		byType := res.Recorder.ByType()
+		byType := rec.ByType()
 		names := make([]string, 0, len(byType))
 		for name := range byType {
 			names = append(names, name)

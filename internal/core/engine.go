@@ -25,7 +25,8 @@ const (
 	ModeACC Mode = iota
 	// ModeBaseline is the unmodified system of §5: the whole transaction is
 	// a single strict-2PL unit, serializable, with one commit record that
-	// its reply waits to be durable.
+	// its reply waits to be durable. The same step scheduler runs it, over
+	// the type's undecomposed twin, and restarts it whole on deadlock.
 	ModeBaseline
 )
 
@@ -41,34 +42,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ExecEnv models the execution environment's costs. The simulation package
-// provides an implementation with a server pool, per-statement service time
-// and inter-statement compute time; the zero environment executes inline.
-//
-// A statement is a bracket, not a callback: the engine calls BeginStatement,
-// runs the statement's data operation itself, then calls EndStatement, so
-// the statement path hands the environment no closure and moves none of its
-// results to the heap. Every BeginStatement is matched by one EndStatement
-// on the same goroutine, and lock waits happen outside the bracket.
-type ExecEnv interface {
-	// BeginStatement opens the CPU phase of one SQL statement: the
-	// implementation acquires a database server and charges the service
-	// time.
-	BeginStatement()
-	// EndStatement closes the statement BeginStatement opened and releases
-	// its server.
-	EndStatement()
-	// Compute charges the application's compute time between successive
-	// statements of a transaction (Figure 3's knob). Locks remain held.
-	Compute()
-}
-
-type inlineEnv struct{}
-
-func (inlineEnv) BeginStatement() {}
-func (inlineEnv) EndStatement()   {}
-func (inlineEnv) Compute()        {}
-
 // The restart budgets. A deadlock-victim step restarts maxStepRetries times
 // before the transaction is rolled back by compensation: the paper's policy,
 // "if the deadlock recurs ... rollback". A transaction that scheduling
@@ -83,12 +56,8 @@ type Options struct {
 	Mode Mode
 	// WaitTimeout bounds individual lock waits (safety net; 0 = forever).
 	WaitTimeout time.Duration
-	// ForceLatency is the simulated log-force I/O time. Neither scheduler
-	// forces at a step boundary: a writing transaction pays it at most once,
-	// in the durability wait before its reply.
-	ForceLatency time.Duration
-	// Env injects execution costs; nil executes inline.
-	Env ExecEnv
+	// Env is the testbed's cost model; nil executes inline.
+	Env *Env
 	// RecordHistory captures a conflict-checkable access history (tests).
 	RecordHistory bool
 	// Tracer, when non-nil, receives structured events from every layer:
@@ -105,7 +74,7 @@ type Options struct {
 	Anatomy *trace.Anatomy
 	// Log, when non-nil, is the write-ahead log the engine appends to —
 	// typically a disk-backed log from wal.Open. Nil creates a memory-only
-	// log with ForceLatency.
+	// log that forces at no cost.
 	Log *wal.Log
 	// VersionGCInterval is the cadence of the background version-chain
 	// reaper (DESIGN.md §14): every interval it truncates chains behind the
@@ -141,7 +110,7 @@ type Engine struct {
 	db      *DB
 	lm      spi.LockService
 	log     *wal.Log
-	env     ExecEnv
+	env     *Env
 	tracer  *trace.Tracer
 	anatomy *trace.Anatomy
 
@@ -196,15 +165,11 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 	for _, apply := range opts {
 		apply(&opt)
 	}
-	env := opt.Env
-	if env == nil {
-		env = inlineEnv{}
-	}
 	lm := spi.NewLockService(tables)
 	lm.SetWaitTimeout(opt.WaitTimeout)
 	log := opt.Log
 	if log == nil {
-		log = wal.New(opt.ForceLatency)
+		log = wal.New(0)
 	}
 	if opt.Tracer != nil {
 		lm.SetTracer(opt.Tracer)
@@ -215,7 +180,7 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 		db:      db,
 		lm:      lm,
 		log:     log,
-		env:     env,
+		env:     opt.Env,
 		tracer:  opt.Tracer,
 		anatomy: opt.Anatomy,
 		types:   make(map[string]*TxnType),
@@ -292,6 +257,7 @@ func (e *Engine) Register(tt *TxnType) error {
 	if _, dup := e.types[tt.Name]; dup {
 		return fmt.Errorf("core: transaction type %q already registered", tt.Name)
 	}
+	tt.twin = tt.undecomposed()
 	e.types[tt.Name] = tt
 	return nil
 }

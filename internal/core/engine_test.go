@@ -530,11 +530,13 @@ func TestRecoveryRejectsUnknownType(t *testing.T) {
 	}
 }
 
-func TestDeadlockStepRetryTransparent(t *testing.T) {
-	// Two transfers lock (from,to) in opposite orders within one step by
-	// using a custom two-account step; the victim's step retries and both
-	// commit.
-	s := newTestSys(t, ModeACC)
+// crossedPairs runs two transfers that lock accounts 5 and 6 in opposite
+// orders within one unit, meeting after their first update on their first
+// attempt only, so at least one deadlock happens and a restart must not wait
+// again. Both must commit with the balances intact.
+func crossedPairs(t *testing.T, mode Mode) *testSys {
+	t.Helper()
+	s := newTestSys(t, mode)
 	b2 := &TxnType{
 		Name: "pairupdate",
 		ID:   s.txnTransfer,
@@ -560,8 +562,6 @@ func TestDeadlockStepRetryTransparent(t *testing.T) {
 	onces := []*sync.Once{&once1, &once2}
 	var next int
 	var mu sync.Mutex
-	// Each transaction rendezvouses only on its first attempt; a deadlock
-	// retry must not wait again.
 	rendezvous := func() {
 		mu.Lock()
 		idx := next % 2
@@ -590,9 +590,62 @@ func TestDeadlockStepRetryTransparent(t *testing.T) {
 	if s.balance(t, 5) != 100 || s.balance(t, 6) != 100 {
 		t.Fatal("balances corrupted by retry")
 	}
-	ls := s.eng.Locks().Stats()
-	if ls.Deadlocks == 0 {
+	if s.eng.Locks().Stats().Deadlocks == 0 {
 		t.Fatal("expected at least one deadlock")
+	}
+	return s
+}
+
+// TestDeadlockStepRetryTransparent: under the ACC the victim's step retries
+// and both transfers commit.
+func TestDeadlockStepRetryTransparent(t *testing.T) {
+	s := crossedPairs(t, ModeACC)
+	if s.eng.Snapshot().StepRetries == 0 {
+		t.Fatal("the ACC resolved the deadlock without a step retry")
+	}
+}
+
+// TestBaselineRestartsWholeTransaction: the baseline retries no step; its
+// deadlock victim restarts whole.
+func TestBaselineRestartsWholeTransaction(t *testing.T) {
+	st := crossedPairs(t, ModeBaseline).eng.Snapshot()
+	if st.StepRetries != 0 || st.TxnRetries == 0 {
+		t.Fatalf("baseline: %d step retries, %d transaction retries; want 0 and > 0", st.StepRetries, st.TxnRetries)
+	}
+}
+
+// TestRetriesExhaustedWrapsCause: a transaction that can never get its lock
+// restarts maxTxnRetries times and then ends with an error that names both
+// the exhaustion and the scheduling cause, under either scheduler.
+func TestRetriesExhaustedWrapsCause(t *testing.T) {
+	for _, mode := range []Mode{ModeACC, ModeBaseline} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := newTestSys(t, mode, WithWaitTimeout(time.Millisecond))
+			locked, hold := make(chan struct{}), make(chan struct{})
+			held := make(chan error, 1)
+			go func() {
+				held <- s.eng.RunLegacy("holder", func(tc *Ctx) error {
+					if err := s.add(tc, 1, 0); err != nil {
+						return err
+					}
+					close(locked)
+					<-hold
+					return nil
+				})
+			}()
+			<-locked
+			err := s.eng.Run("transfer", &transferArgs{From: 1, To: 2, Amount: 5})
+			close(hold)
+			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, spi.ErrTimeout) {
+				t.Fatalf("got %v, want ErrRetriesExhausted wrapping spi.ErrTimeout", err)
+			}
+			if n := s.eng.Snapshot().TxnRetries; n != maxTxnRetries {
+				t.Fatalf("%d transaction retries, want %d", n, maxTxnRetries)
+			}
+			if err := <-held; err != nil {
+				t.Fatalf("holder: %v", err)
+			}
+		})
 	}
 }
 

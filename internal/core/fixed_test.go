@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accdb/internal/interference"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
@@ -254,13 +253,13 @@ func TestGetColsSameAtEveryTier(t *testing.T) {
 // TestGetManyAllFixedTakesNoLock: a GetMany on a table whose every column is
 // fixed takes no lock, conventional or assertional, and leaves no history
 // record, under both schedulers — repeated and missing keys included — and is
-// one statement on sim.Env. It still refuses keys out of ascending order. (The
+// one statement on Env. It still refuses keys out of ascending order. (The
 // tariff's keys have the inventory's shape, so invKeys encodes them.) A
 // GetMany on a table with an unfixed column locks and records as before: IS
 // on the table, then IS on the partition and S on the row of each key.
 func TestGetManyAllFixedTakesNoLock(t *testing.T) {
 	for _, mode := range []Mode{ModeACC, ModeBaseline} {
-		env := sim.NewEnv(1, 0, 0)
+		env := NewEnv(1, 0, 0)
 		s := newFixedSys(t, WithMode(mode), WithRecordHistory(true), WithEnv(env))
 		var acqFixed, acqMixed uint64
 		var heldFixed, stmtsFixed int

@@ -396,7 +396,7 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 		args:  args,
 		ctx:   ctx,
 		steps: tt.stepsFor(args),
-		info:  tt.lockTxn(spi.TxnID(e.nextTxn.Add(1)), tt.ID),
+		info:  tt.lockTxn(spi.TxnID(e.nextTxn.Add(1))),
 		span:  sp,
 	}
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)

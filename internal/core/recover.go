@@ -120,7 +120,7 @@ func (e *Engine) Recover(logData []byte) (*RecoverResult, error) {
 		txn := &txnState{
 			tt:     tt,
 			args:   args,
-			info:   tt.lockTxn(spi.TxnID(pending.ID), tt.ID),
+			info:   tt.lockTxn(spi.TxnID(pending.ID)),
 			logged: true,
 		}
 		txn.info.SetCompletedSteps(pending.CompletedSteps)

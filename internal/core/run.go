@@ -149,7 +149,7 @@ func (e *Engine) Exec(ctx context.Context, req Request) error {
 	case req.Tier != TierLocked:
 		err = e.runReadTiered(ctx, tt, req.Args, req.Tier, sp)
 	case e.opt.Mode == ModeBaseline:
-		err = e.runBaseline(ctx, tt, req.Args, sp)
+		err = e.runDecomposed(ctx, tt.undecomposed(), req.Args, sp)
 	default:
 		err = e.runDecomposed(ctx, tt, req.Args, sp)
 	}
@@ -188,7 +188,8 @@ func (e *Engine) RunLegacy(name string, body func(tc *Ctx) error) error {
 	}})
 }
 
-// runDecomposed executes tt under the ACC scheduler. A scheduling abort
+// runDecomposed executes tt step by step: the ACC scheduler, and under
+// ModeBaseline the same loop over tt's undecomposed twin. A scheduling abort
 // before any step has completed restarts the whole transaction (nothing was
 // exposed, so a restart is free); once a step has completed, rollback goes
 // through compensation instead.
@@ -199,17 +200,21 @@ func (e *Engine) runDecomposed(ctx context.Context, tt *TxnType, args any, sp *t
 		// exposed, everything undone in place): a compensated rollback is a
 		// final outcome, a failed compensation is never retried, and a
 		// cancelled caller gets its cancellation back, not another attempt.
-		if Retryable(err) && ctx.Err() == nil && attempt < maxTxnRetries {
-			e.txnRetries.Add(1)
-			retryBackoff(attempt, e.nextTxn.Load())
-			continue
+		if !Retryable(err) || ctx.Err() != nil {
+			return err
 		}
-		return err
+		if attempt == maxTxnRetries {
+			// Callers can classify both the exhaustion and the scheduling
+			// cause (deadlock vs timeout).
+			return fmt.Errorf("core: %s: %w: %w", tt.Name, ErrRetriesExhausted, err)
+		}
+		e.txnRetries.Add(1)
+		retryBackoff(attempt, e.nextTxn.Load())
 	}
 }
 
 func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
-	txn := e.beginTxn(ctx, tt, args, tt.ID, sp)
+	txn := e.beginTxn(ctx, tt, args, sp)
 	start := time.Now()
 	for j := range txn.steps {
 		if err := e.runStep(txn, j); err != nil {
@@ -221,13 +226,13 @@ func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, s
 
 // beginTxn builds the per-attempt transaction record, announces it to the
 // trace and the span, and prepares — but does not append — its begin record.
-func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, typ interference.TxnTypeID, sp *trace.Span) *txnState {
+func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, sp *trace.Span) *txnState {
 	txn := &txnState{
 		tt:    tt,
 		args:  args,
 		ctx:   ctx,
 		steps: tt.stepsFor(args),
-		info:  tt.lockTxn(spi.TxnID(e.nextTxn.Add(1)), typ),
+		info:  tt.lockTxn(spi.TxnID(e.nextTxn.Add(1))),
 		span:  sp,
 	}
 	// The lock manager charges this transaction's blocked time to the span's
@@ -365,10 +370,10 @@ func (e *Engine) awaitDurable(need wal.LSN, sp *trace.Span) error {
 	return nil
 }
 
-// commit is the one commit tail the ACC and baseline schedulers share: the
-// commit record (which is also the final step's end-of-step record) is
-// appended, the final writes are published, every lock is given up, and only
-// then does the request wait for the disk.
+// commit is the one commit tail, the baseline's included: the commit record
+// (which is also the final step's end-of-step record) is appended, the final
+// writes are published, every lock is given up, and only then does the
+// request wait for the disk.
 func (e *Engine) commit(txn *txnState, writes []writeRec, start time.Time) error {
 	// A committed remote shot can still be compensated by its coordinator,
 	// from the work area its commit record saved.
@@ -406,7 +411,8 @@ func retryBackoff(attempt int, salt uint64) {
 // runStep executes forward step j with the deadlock-retry policy: a victim
 // step is undone, its conventional locks released, and retried; when the
 // deadlock recurs beyond the budget the error escalates to the caller, which
-// compensates (§3.4).
+// compensates (§3.4). The baseline retries no step: its one unit is the
+// whole transaction, which restarts instead.
 func (e *Engine) runStep(txn *txnState, j int) error {
 	for attempt := 0; ; attempt++ {
 		// A cancelled caller stops making forward progress at the next step
@@ -427,7 +433,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		}
 		tc.undo()
 		e.lm.ReleaseStepAbort(txn.info)
-		if Retryable(err) && attempt < maxStepRetries {
+		if Retryable(err) && attempt < maxStepRetries && e.opt.Mode != ModeBaseline {
 			e.stepRetries.Add(1)
 			// The one transition whose two observers differ: the bus carries
 			// the cause, and formatting it stays behind the check.
@@ -580,56 +586,5 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 		e.lm.ReleaseAll(txn.info)
 		e.compFailures.Add(1)
 		return &CompensationFailedError{Txn: tt.Name, Cause: err}
-	}
-}
-
-// runBaseline executes tt as the unmodified system would: all step bodies
-// in one strict-2PL unit, everything released at commit, one commit record
-// waited for once, and whole-transaction restart on deadlock.
-func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		txn := e.beginTxn(ctx, tt, args, interference.LegacyTxn, sp)
-		start := time.Now()
-		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: 0})
-		tc := e.stepCtx(txn, 0, interference.LegacyStep, nil, false)
-		var err error
-		for j := range txn.steps {
-			tc.stepIdx = j // one unit, but a shared body still reads its step
-			if txn.steps[j].Body != nil {
-				if err = txn.steps[j].Body(tc); err != nil {
-					break
-				}
-			}
-		}
-		if err == nil {
-			return e.commit(txn, tc.writes, start)
-		}
-		// Serializable rollback: restore before-images; nothing was exposed.
-		tc.undo()
-		if txn.logged {
-			e.append(txn, wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)})
-		}
-		e.lm.ReleaseAll(txn.info)
-		if Retryable(err) {
-			if ctx.Err() == nil && attempt < maxTxnRetries {
-				e.txnRetries.Add(1)
-				e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "scheduling")
-				retryBackoff(attempt, uint64(txn.info.ID))
-				continue
-			}
-			// Double-wrap so callers can classify both the exhaustion and the
-			// underlying scheduling cause (deadlock vs timeout).
-			return fmt.Errorf("core: %s: %w: %w", tt.Name, ErrRetriesExhausted, err)
-		}
-		if canceled(err) {
-			e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "canceled")
-			return fmt.Errorf("core: %s canceled: %w", tt.Name, err)
-		}
-		e.userAborts.Add(1)
-		e.announce(trace.KindTxnAbort, txn, -1, tt.Name, 0, "user")
-		return fmt.Errorf("core: %s aborted: %w", tt.Name, err)
 	}
 }

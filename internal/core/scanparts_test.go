@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"accdb/internal/interference"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
@@ -197,7 +196,7 @@ func TestScanPartitionsSameAtEveryTier(t *testing.T) {
 // the paper's model charges a join — and ScanPartition is its one-partition
 // case.
 func TestScanPartitionsIsOneStatement(t *testing.T) {
-	env := sim.NewEnv(1, 0, 0)
+	env := NewEnv(1, 0, 0)
 	s := newOpSys(t, WithEnv(env))
 	for r := int64(3); r <= 10; r++ {
 		if err := s.inv.Insert(spi.Row{spi.I64(r), spi.I64(1), spi.I64(1)}); err != nil {

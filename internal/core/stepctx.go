@@ -17,7 +17,7 @@ import (
 // connection"). Every operation acquires the hierarchy of conventional
 // locks, attaches assertional locks for the transaction's active assertions
 // (the implemented one-level ACC acquires them dynamically, §3.3), brackets
-// the statement's CPU phase with the ExecEnv, and records undo images so a
+// the statement's CPU phase with the engine's Env, and records undo images so a
 // deadlock-victim step can be rolled back and retried.
 //
 // A transaction attempt has one Ctx, reset for each step and for the
@@ -183,26 +183,26 @@ func (tc *Ctx) lockCtx() context.Context {
 	return tc.txn.ctx
 }
 
-// acquire takes one conventional lock and, in ACC mode, attaches assertional
-// locks for every active assertion covering the item.
+// acquire takes one conventional lock and attaches assertional locks for
+// every active assertion covering the item. The baseline scheduler runs
+// undecomposed types, whose one step declares no precondition, so it attaches
+// none.
 func (tc *Ctx) acquire(item spi.Item, mode spi.Mode) error {
 	if err := tc.e.lm.AcquireCtx(tc.lockCtx(), tc.txn.info, item, tc.request(mode)); err != nil {
 		return err
 	}
-	if tc.e.opt.Mode == ModeACC {
-		for _, a := range tc.active {
-			if a.Covers != nil && a.Covers(tc.txn.args, item) {
-				req := spi.LockRequest{
-					Mode: spi.ModeA, Step: tc.stepType,
-					Assertion: a.ID, Compensating: tc.compensating,
-				}
-				if err := tc.e.lm.AcquireCtx(tc.lockCtx(), tc.txn.info, item, req); err != nil {
-					return err
-				}
-				if tc.e.tracer != nil {
-					tc.e.emitTxn(trace.KindAssertCheck, tc.txn,
-						tc.stepIdx, item.String(), 0, a.Name)
-				}
+	for _, a := range tc.active {
+		if a.Covers != nil && a.Covers(tc.txn.args, item) {
+			req := spi.LockRequest{
+				Mode: spi.ModeA, Step: tc.stepType,
+				Assertion: a.ID, Compensating: tc.compensating,
+			}
+			if err := tc.e.lm.AcquireCtx(tc.lockCtx(), tc.txn.info, item, req); err != nil {
+				return err
+			}
+			if tc.e.tracer != nil {
+				tc.e.emitTxn(trace.KindAssertCheck, tc.txn,
+					tc.stepIdx, item.String(), 0, a.Name)
 			}
 		}
 	}

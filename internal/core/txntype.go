@@ -92,6 +92,10 @@ type TxnType struct {
 	// inter-statement compute time (§5.2 added it to the transactions whose
 	// duration the experiment stretches: new-order and delivery).
 	InterStatementCompute bool
+
+	// twin is the undecomposed type the baseline scheduler runs in tt's
+	// place (undecomposed); Register sets it.
+	twin *TxnType
 }
 
 // validate checks the declaration at registration time.
@@ -122,15 +126,45 @@ func (tt *TxnType) validate() error {
 	return nil
 }
 
-// lockTxn builds the lock-side descriptor of an instance running as typ
-// (tt.ID, or LegacyTxn under the baseline scheduler): its marks reserve the
-// items they cover for tt's compensating step.
-func (tt *TxnType) lockTxn(id spi.TxnID, typ interference.TxnTypeID) *spi.Txn {
-	t := spi.NewTxn(id, typ)
+// lockTxn builds the lock-side descriptor of an instance: its marks reserve
+// the items they cover for tt's compensating step.
+func (tt *TxnType) lockTxn(id spi.TxnID) *spi.Txn {
+	t := spi.NewTxn(id, tt.ID)
 	if tt.Comp != nil {
 		t.Comp = tt.Comp.Type
 	}
 	return t
+}
+
+// undecomposed returns the type the baseline scheduler runs for tt: the
+// unmodified system of §5, where the whole transaction is one strict-2PL
+// unit. It is one LegacyStep step under LegacyTxn that runs every step body
+// of the instance in order on one Ctx, with Step() naming the body's step. A
+// one-step legacy type, what RunLegacy builds, is its own twin.
+func (tt *TxnType) undecomposed() *TxnType {
+	if tt.twin != nil {
+		return tt.twin
+	}
+	if tt.ID == interference.LegacyTxn && len(tt.Steps) == 1 && tt.MakeSteps == nil {
+		return tt
+	}
+	return &TxnType{
+		Name: tt.Name,
+		ID:   interference.LegacyTxn,
+		Steps: []Step{{Name: tt.Name, Type: interference.LegacyStep, Body: func(tc *Ctx) error {
+			steps := tt.stepsFor(tc.txn.args)
+			for j := range steps {
+				tc.stepIdx = j
+				if err := steps[j].Body(tc); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}},
+		AppendArgs:            tt.AppendArgs,
+		DecodeArgs:            tt.DecodeArgs,
+		InterStatementCompute: tt.InterStatementCompute,
+	}
 }
 
 // stepsFor resolves the instance's step sequence.

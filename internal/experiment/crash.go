@@ -14,9 +14,7 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,39 +133,22 @@ func buildCrashSystem(cfg CrashConfig) (*tpcc.Stack, *tpcc.Workload, error) {
 	return st, tpcc.NewWorkload(st.Set, wcfg), nil
 }
 
-// drive runs the workload from cfg.Terminals goroutines until ops
+// drive runs cfg.Terminals terminals without think time until ops
 // transactions were started or stop is closed, and returns how many
 // committed; acks, when non-nil, remembers each of them. Concurrent terminals
 // let group commit share the log syncs, which is what bounds a case's wall
 // time.
 func drive(w *tpcc.Workload, cfg CrashConfig, seed int64, ops int, stop <-chan struct{}, acks *tpcc.AckLog) int {
-	var started, committed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Terminals; i++ {
-		wg.Add(1)
-		go func(term int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + int64(term)*7919))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if started.Add(1) > int64(ops) {
-					return
-				}
-				name, args := w.DrawArgs(r, term)
-				if out, _ := w.Run(name, args); out == metrics.Committed {
-					committed.Add(1)
-					if acks != nil {
-						acks.Observe(name, args)
-					}
+	var committed atomic.Int64
+	Terminals{N: cfg.Terminals, Seed: seed, Ops: ops, Stop: stop,
+		Done: func(name string, args any, out metrics.Outcome, _ time.Duration) {
+			if out == metrics.Committed {
+				committed.Add(1)
+				if acks != nil {
+					acks.Observe(name, args)
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
+		}}.Drive(w)
 	return int(committed.Load())
 }
 

@@ -1,9 +1,10 @@
 // Package experiment assembles full systems (storage + lock manager + WAL +
-// scheduler + TPC-C + simulation testbed) and reruns the paper's §5
-// experiments: for each configuration it drives identical closed-loop loads
-// against the unmodified (baseline, strict-2PL serializable) system and the
-// ACC, and reports the non-ACC/ACC ratios plotted in Figures 2-4, plus the
-// server-count experiment described in the text.
+// scheduler + TPC-C + the testbed's cost model and terminal loop) and reruns
+// the paper's §5 experiments: for each configuration it drives identical
+// closed-loop loads against the unmodified (baseline, strict-2PL
+// serializable) system and the ACC, and reports the non-ACC/ACC ratios
+// plotted in Figures 2-4, plus the server-count experiment described in the
+// text.
 package experiment
 
 import (
@@ -13,7 +14,6 @@ import (
 	_ "accdb/internal/backends"
 	"accdb/internal/core"
 	"accdb/internal/metrics"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 	"accdb/internal/tpcc"
 	"accdb/internal/trace"
@@ -118,7 +118,7 @@ type RunResult struct {
 
 // Run builds a fresh system per the config — the same one-partition
 // tpcc.Stack accd serves and the crash matrix crashes, here with the
-// simulation testbed as its execution environment — applies the load,
+// testbed's cost model (core.Env) — applies the Terminals load,
 // verifies the twelve-component consistency constraint afterwards, and
 // returns the measurements.
 func Run(cfg Config) (*RunResult, error) {
@@ -131,7 +131,7 @@ func Run(cfg Config) (*RunResult, error) {
 		Engine: []core.Option{
 			core.WithMode(cfg.Mode),
 			core.WithWaitTimeout(30 * time.Second),
-			core.WithEnv(sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
+			core.WithEnv(core.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
 			core.WithTracer(cfg.Tracer),
 			core.WithAnatomy(cfg.Anatomy),
 		},
@@ -155,23 +155,18 @@ func Run(cfg Config) (*RunResult, error) {
 	}
 	w := tpcc.NewWorkload(st.Set, wcfg)
 
-	res := sim.Run(sim.Config{
-		Terminals: cfg.Terminals,
-		Duration:  cfg.Duration,
-		Warmup:    cfg.Warmup,
-		ThinkTime: cfg.ThinkTime,
-		Seed:      cfg.Seed,
-	}, w)
+	rec, perSec := Terminals{N: cfg.Terminals, Think: cfg.ThinkTime, Seed: cfg.Seed}.
+		Measure(w, cfg.Warmup, cfg.Duration)
 
-	total := res.Recorder.Total()
+	total := rec.Total()
 	violations := st.Check(w.Holes())
 	return &RunResult{
 		Mode:       cfg.Mode,
-		ByType:     res.Recorder.ByType(),
+		ByType:     rec.ByType(),
 		Mean:       total.Mean,
 		P95:        total.P95,
-		Completed:  res.Completed,
-		Throughput: res.Throughput(),
+		Completed:  rec.Count(),
+		Throughput: perSec,
 		Engine:     eng.Snapshot(),
 		Locks:      eng.Locks().Stats(),
 		LockClass:  eng.Locks().ByClass(),

@@ -244,7 +244,7 @@ func TestPartitionedConsistencyUnderLoad(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(42 + int64(term)*7919))
 			for i := 0; i < opsPerTerminal; i++ {
-				w.Next(r, term).Run()
+				w.Run(w.DrawArgs(r, term))
 			}
 		}(term)
 	}

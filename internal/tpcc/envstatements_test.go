@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
@@ -30,7 +29,7 @@ var envStatements = map[core.Mode]map[string]uint64{
 }
 
 // TestEnvStatementsPerType runs the TPC-C types one after another through an
-// engine on sim.Env and pins the statements each charges: the count the
+// engine on core.Env and pins the statements each charges: the count the
 // paper's testbed multiplies by its per-statement service time.
 func TestEnvStatementsPerType(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeACC, core.ModeBaseline} {
@@ -43,7 +42,7 @@ func TestEnvStatementsPerType(t *testing.T) {
 			t.Fatal(err)
 		}
 		types := BuildTypes()
-		env := sim.NewEnv(1, 0, 0)
+		env := core.NewEnv(1, 0, 0)
 		eng := core.New(db, types.Tables, core.WithMode(mode),
 			core.WithWaitTimeout(20*time.Second), core.WithEnv(env))
 		if _, err := Register(eng, types, scale); err != nil {
@@ -86,7 +85,7 @@ func TestEnvStatementsPerType(t *testing.T) {
 
 // TestOrderStatusReadsCustomerOnce: an order-status that selects its customer
 // by last name reads the row the name lookup chose and does not read it
-// again, so by name and by id it is three statements on sim.Env — the
+// again, so by name and by id it is three statements on core.Env — the
 // customer, the customer's orders, the latest order's lines — and touches
 // the customer row once.
 func TestOrderStatusReadsCustomerOnce(t *testing.T) {
@@ -99,7 +98,7 @@ func TestOrderStatusReadsCustomerOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	types := BuildTypes()
-	env := sim.NewEnv(1, 0, 0)
+	env := core.NewEnv(1, 0, 0)
 	eng := core.New(db, types.Tables, core.WithEnv(env), core.WithRecordHistory(true))
 	if _, err := Register(eng, types, scale); err != nil {
 		t.Fatal(err)

@@ -3,23 +3,23 @@ package tpcc
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
 // TestNewOrderWaitsForDistrictAfterLockFreeReads: NO1 makes its three
 // lock-free reads — w_tax, c_discount, and every item price in one statement —
 // before it asks for the district row, so while another transaction holds X
-// on that row a new-order on sim.Env waits after exactly three statements.
+// on that row a new-order on core.Env waits after exactly three statements.
 // Once the row is free the order commits with every line priced, a repeated
 // item on each of its lines.
 func TestNewOrderWaitsForDistrictAfterLockFreeReads(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeACC, core.ModeBaseline} {
-		env := sim.NewEnv(1, 0, 0)
+		env := core.NewEnv(1, 0, 0)
 		eng, _ := testSystem(t, mode, smallScale(), core.WithEnv(env))
 		const did = 2
 		holding, release := make(chan struct{}), make(chan struct{})
@@ -81,7 +81,7 @@ func TestNewOrderWaitsForDistrictAfterLockFreeReads(t *testing.T) {
 
 // TestUnusedItemAbortsInItsLineStep: an unused item number, which NO1's price
 // read leaves at amount 0, aborts the line step that names it before the step
-// makes a statement, so under the baseline an order's statements on sim.Env
+// makes a statement, so under the baseline an order's statements on core.Env
 // are NO1's six and two per line entered before it. Under the ACC the line
 // steps before it completed: an order whose last item is unused is
 // compensated with its earlier lines restocked, and one whose first item is
@@ -89,7 +89,7 @@ func TestNewOrderWaitsForDistrictAfterLockFreeReads(t *testing.T) {
 // compensation. Every way, no stock row moves and no order or line stays.
 func TestUnusedItemAbortsInItsLineStep(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeACC, core.ModeBaseline} {
-		env := sim.NewEnv(1, 0, 0)
+		env := core.NewEnv(1, 0, 0)
 		scale := smallScale()
 		eng, w := testSystem(t, mode, scale, core.WithEnv(env))
 		r := rand.New(rand.NewSource(7))
@@ -139,6 +139,36 @@ func TestUnusedItemAbortsInItsLineStep(t *testing.T) {
 				func(spi.Key, spi.Row) bool { lines++; return true })
 			if lines != 0 {
 				t.Errorf("%v, %s item unused: %d lines of order %d stayed", mode, unused, lines, a.ONum)
+			}
+		}
+	}
+}
+
+// TestQuantityOutOfRangeAborts: a line quantity outside TPC-C's 1–10 aborts
+// the new-order before its first statement, under both schedulers: a user
+// abort, not a compensation, with no statement charged and no row changed —
+// the district's next order number and every stock row included.
+func TestQuantityOutOfRangeAborts(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeACC, core.ModeBaseline} {
+		env := core.NewEnv(1, 0, 0)
+		eng, w := testSystem(t, mode, smallScale(), core.WithEnv(env))
+		r := rand.New(rand.NewSource(7))
+		for _, q := range []int64{0, -2, 11} {
+			a := w.NewOrderArgs(r)
+			a.InvalidItem = false
+			a.Lines[len(a.Lines)-1].ItemID = 1
+			a.Lines[len(a.Lines)-1].Quantity = q
+			before := dumpTables(eng.DB())
+			stmts := env.Statements()
+			err := eng.Run("new_order", a)
+			if !errors.Is(err, core.ErrUserAbort) || core.IsCompensated(err) {
+				t.Errorf("%v, quantity %d: %v, want an abort without compensation", mode, q, err)
+			}
+			if n := env.Statements() - stmts; n != 0 {
+				t.Errorf("%v, quantity %d: %d statements before the abort, want 0", mode, q, n)
+			}
+			if !reflect.DeepEqual(dumpTables(eng.DB()), before) {
+				t.Errorf("%v, quantity %d: the abort changed the database", mode, q)
 			}
 		}
 	}

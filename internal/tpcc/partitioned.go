@@ -61,24 +61,8 @@ func (reg *Registration) noStockApply(tc *core.Ctx) error {
 	a := tc.Args().(*NoStockArgs)
 	// Item order, like the compensating restock: concurrent shots then take
 	// their stock locks in one global order within the partition.
-	order := lineOrder(a.Lines)
-	for _, i := range order {
-		l := a.Lines[i]
-		var taken int64
-		err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
-			q := row[colSQty].Int64()
-			var nq int64
-			if q >= l.Quantity+10 {
-				nq = q - l.Quantity
-			} else {
-				nq = q - l.Quantity + 91
-			}
-			taken = q - nq
-			row[colSQty] = i64(nq)
-			row[colSYTD] = i64(row[colSYTD].Int64() + l.Quantity)
-			row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() + 1)
-			return nil
-		})
+	for _, i := range lineOrder(a.Lines) {
+		taken, err := takeStock(tc, a.Lines[i])
 		if err != nil {
 			return err
 		}
@@ -102,30 +86,12 @@ func (reg *Registration) noStockUndoType() *core.TxnType {
 
 func (reg *Registration) noStockRevert(tc *core.Ctx) error {
 	a := tc.Args().(*NoStockArgs)
-	order := lineOrder(a.Lines)
-	for _, i := range order {
-		l := a.Lines[i]
-		taken, qty := a.Filled[i], l.Quantity
-		err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
-			row[colSQty] = i64(row[colSQty].Int64() + taken)
-			row[colSYTD] = i64(row[colSYTD].Int64() - qty)
-			row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() - 1)
-			return nil
-		})
-		if err != nil {
+	for _, i := range lineOrder(a.Lines) {
+		if err := restock(tc, a.Lines[i], a.Filled[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func lineOrder(lines []OrderLineReq) []int {
-	order := make([]int, len(lines))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool { return lines[order[x]].ItemID < lines[order[y]].ItemID })
-	return order
 }
 
 // InstallRoutes declares the TPC-C routing on a partition set: every

@@ -27,8 +27,7 @@ type StackConfig struct {
 	// — opened with WAL. Empty gives each partition a memory log.
 	WALDir string
 	// WAL configures every partition's log, memory or disk: its
-	// ForceLatency is the stack's simulated force time, set here once (the
-	// stack's logs ignore core.WithForceLatency).
+	// ForceLatency is the stack's simulated force time, set here once.
 	WAL wal.Options
 	// Engine is applied to every partition's engine; the stack adds the
 	// engine's own log and its "partition <p>" label.

@@ -58,12 +58,13 @@ func TestSetOfOneIsTheEngine(t *testing.T) {
 	rEng, rSet := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 	rolledBack := 0
 	for i := 0; i < 600; i++ {
-		a, b := wEng.Next(rEng, 0), wSet.Next(rSet, 0)
-		outA, errA := a.Run()
-		outB, errB := b.Run()
-		if a.Type != b.Type || outA != outB || fmt.Sprint(errA) != fmt.Sprint(errB) {
+		nameA, argsA := wEng.DrawArgs(rEng, 0)
+		nameB, argsB := wSet.DrawArgs(rSet, 0)
+		outA, errA := wEng.Run(nameA, argsA)
+		outB, errB := wSet.Run(nameB, argsB)
+		if nameA != nameB || outA != outB || fmt.Sprint(errA) != fmt.Sprint(errB) {
 			t.Fatalf("request %d diverged: engine %s %v (%v), set %s %v (%v)",
-				i, a.Type, outA, errA, b.Type, outB, errB)
+				i, nameA, outA, errA, nameB, outB, errB)
 		}
 		if outA != metrics.Committed {
 			rolledBack++
@@ -114,7 +115,7 @@ func TestStackReopensUsedDirectory(t *testing.T) {
 	w := NewWorkload(st.Set, DefaultWorkloadConfig(st.Scale))
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 60; i++ {
-		if _, err := w.Next(r, 0).Run(); err != nil {
+		if _, err := w.Run(w.DrawArgs(r, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

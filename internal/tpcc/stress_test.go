@@ -9,8 +9,8 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/metrics"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
+	"accdb/internal/wal"
 )
 
 func TestStressMixACC(t *testing.T) {
@@ -37,8 +37,8 @@ func TestStressMixACCWithEnv(t *testing.T) {
 	eng := core.New(db, types.Tables,
 		core.WithMode(core.ModeACC),
 		core.WithWaitTimeout(20*time.Second),
-		core.WithForceLatency(20*time.Microsecond),
-		core.WithEnv(sim.NewEnv(3, 50*time.Microsecond, 0)),
+		core.WithWAL(wal.New(20*time.Microsecond)),
+		core.WithEnv(core.NewEnv(3, 50*time.Microsecond, 0)),
 	)
 	if _, err := Register(eng, types, scale); err != nil {
 		t.Fatal(err)
@@ -57,22 +57,15 @@ func TestStressMixACCWithEnv(t *testing.T) {
 			r := rand.New(rand.NewSource(7 + int64(g)))
 			for i := 0; i < 40; i++ {
 				var lastNO *NewOrderArgs
-				txn := w.Next(r, g)
-				if txn.Type == "new_order" {
+				name, args := w.DrawArgs(r, g)
+				if name == "new_order" {
 					lastNO = w.NewOrderArgs(r)
-					a := lastNO
-					txn.Run = func() (metrics.Outcome, error) {
-						err := eng.Run("new_order", a)
-						if core.IsCompensated(err) {
-							w.addHole(a.WID, a.DID, a.ONum)
-						}
-						return outcome(err)
-					}
+					args = lastNO
 				}
-				out, err := txn.Run()
+				out, err := w.Run(name, args)
 				if out == metrics.Failed {
 					mu.Lock()
-					outcomes[-int64(g*1000+i)] = fmt.Sprintf("%s FAILED: %v", txn.Type, err)
+					outcomes[-int64(g*1000+i)] = fmt.Sprintf("%s FAILED: %v", name, err)
 					mu.Unlock()
 				}
 				if lastNO != nil && out == metrics.Committed {

@@ -138,7 +138,8 @@ func TestWorkloadMixRatios(t *testing.T) {
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[w.Next(r, i).Type]++
+		name, _ := w.DrawArgs(r, i)
+		counts[name]++
 	}
 	for typ, pct := range map[string]int{
 		"new_order": 45, "payment": 43, "order_status": 4, "delivery": 4, "stock_level": 4,

@@ -64,9 +64,9 @@ func runMix(t *testing.T, eng *core.Engine, w *Workload, goroutines, perG int, s
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed + int64(g)))
 			for i := 0; i < perG; i++ {
-				txn := w.Next(r, g)
-				if out, err := txn.Run(); out == metrics.Failed {
-					t.Errorf("%s failed: %v", txn.Type, err)
+				name, args := w.DrawArgs(r, g)
+				if out, err := w.Run(name, args); out == metrics.Failed {
+					t.Errorf("%s failed: %v", name, err)
 				}
 			}
 		}(g)

@@ -246,8 +246,16 @@ func (reg *Registration) newOrderType() *core.TxnType {
 // prices are fixed columns, read without locks before the district Update, so
 // new-order never queues behind payment's X lock on the warehouse row (w_ytd)
 // and holds the district's X lock across the Update and the two inserts only.
+// An order with a quantity outside TPC-C's 1–10 (§2.4.1.5) aborts before its
+// first statement: its amount and restock would be wrong, and a quantity of 0
+// would read as the unused item's 0 amount.
 func (reg *Registration) noSetup(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
+	for _, l := range a.Lines {
+		if l.Quantity < 1 || l.Quantity > 10 {
+			return tc.Abort("quantity out of range")
+		}
+	}
 	var v [1]spi.Value
 	if err := tc.GetCols(TWarehouse, wTaxCols, v[:], i64(a.WID)); err != nil {
 		return err
@@ -333,27 +341,54 @@ func (reg *Registration) noLine(tc *core.Ctx) error {
 		return err
 	}
 	if reg.isLocal(a.WID, l.SupplyW) {
-		var taken int64
-		err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
-			q := row[colSQty].Int64()
-			var nq int64
-			if q >= l.Quantity+10 {
-				nq = q - l.Quantity
-			} else {
-				nq = q - l.Quantity + 91
-			}
-			taken = q - nq
-			row[colSQty] = i64(nq)
-			row[colSYTD] = i64(row[colSYTD].Int64() + l.Quantity)
-			row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() + 1)
-			return nil
-		})
+		taken, err := takeStock(tc, l)
 		if err != nil {
 			return err
 		}
 		a.Filled[i] = taken
 	}
 	return nil
+}
+
+// takeStock depletes line l's stock row by the TPC-C rule (§2.4.2.2) and
+// returns the quantity taken, which the row's restock gives back.
+func takeStock(tc *core.Ctx, l OrderLineReq) (int64, error) {
+	var taken int64
+	err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
+		q := row[colSQty].Int64()
+		nq := q - l.Quantity
+		if q < l.Quantity+10 {
+			nq += 91
+		}
+		taken = q - nq
+		row[colSQty] = i64(nq)
+		row[colSYTD] = i64(row[colSYTD].Int64() + l.Quantity)
+		row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() + 1)
+		return nil
+	})
+	return taken, err
+}
+
+// restock reverses takeStock on line l's stock row: it gives back the
+// quantity taken and undoes the year-to-date and order counts.
+func restock(tc *core.Ctx, l OrderLineReq, taken int64) error {
+	return tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
+		row[colSQty] = i64(row[colSQty].Int64() + taken)
+		row[colSYTD] = i64(row[colSYTD].Int64() - l.Quantity)
+		row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() - 1)
+		return nil
+	})
+}
+
+// lineOrder returns the indexes of lines in ascending item order: the order
+// every stock update and restock of several lines takes its stock locks in.
+func lineOrder(lines []OrderLineReq) []int {
+	order := make([]int, len(lines))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(lines[x].ItemID, lines[y].ItemID) })
+	return order
 }
 
 // noFinalize is NOF: total the lines and apply discount and taxes — the step
@@ -392,24 +427,10 @@ func (reg *Registration) noCompensate(tc *core.Ctx, completed int) error {
 	}
 	// Restock in item order: concurrent compensations then acquire their
 	// stock locks in the same order and cannot deadlock with each other.
-	order := make([]int, lines)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(x, y int) int {
-		return cmp.Compare(a.Lines[x].ItemID, a.Lines[y].ItemID)
-	})
-	for _, i := range order {
+	for _, i := range lineOrder(a.Lines[:lines]) {
 		l := a.Lines[i]
 		if reg.isLocal(a.WID, l.SupplyW) {
-			taken, qty := a.Filled[i], l.Quantity
-			err := tc.Update(TStock, []spi.Value{i64(l.SupplyW), i64(l.ItemID)}, func(row spi.Row) error {
-				row[colSQty] = i64(row[colSQty].Int64() + taken)
-				row[colSYTD] = i64(row[colSYTD].Int64() - qty)
-				row[colSOrderCnt] = i64(row[colSOrderCnt].Int64() - 1)
-				return nil
-			})
-			if err != nil {
+			if err := restock(tc, l, a.Filled[i]); err != nil {
 				return err
 			}
 		}

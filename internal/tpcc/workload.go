@@ -9,7 +9,6 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/metrics"
-	"accdb/internal/sim"
 	"accdb/internal/spi"
 )
 
@@ -315,15 +314,9 @@ func (w *Workload) DrawArgs(r *rand.Rand, terminal int) (string, any) {
 	}
 }
 
-// Next implements sim.Generator: it draws a transaction type from the mix
-// and returns a runnable instance.
-func (w *Workload) Next(r *rand.Rand, terminal int) sim.Txn {
-	name, args := w.DrawArgs(r, terminal)
-	return sim.Txn{Type: name, Run: func() (metrics.Outcome, error) { return w.Run(name, args) }}
-}
-
-// Run executes one drawn transaction — for drivers that need the argument
-// record afterwards (the crash harness remembers what was acknowledged).
+// Run executes one drawn transaction and classifies its outcome; the argument
+// record stays the caller's (the crash harness remembers what was
+// acknowledged).
 func (w *Workload) Run(name string, args any) (metrics.Outcome, error) {
 	if a, ok := args.(*NewOrderArgs); ok {
 		err := w.run(name, a)

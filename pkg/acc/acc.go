@@ -92,9 +92,6 @@ var (
 	WithMode = core.WithMode
 	// WithWaitTimeout bounds individual lock waits.
 	WithWaitTimeout = core.WithWaitTimeout
-	// WithForceLatency sets the simulated log-force I/O time of the memory
-	// log an engine builds when WithWAL supplies none.
-	WithForceLatency = core.WithForceLatency
 	// WithEnv injects execution costs.
 	WithEnv = core.WithEnv
 	// WithRecordHistory captures a conflict-checkable access history.
