@@ -78,7 +78,7 @@ func main() {
 		netRem   = flag.Int("net-remote-pct", 0, "with -net: percentage of new-orders with a remote supply warehouse (cross-partition on a partitioned accd)")
 		slowThr  = flag.Duration("slow-txn-threshold", 0, "dump any transaction slower than this to -slow-txn-log as JSONL, with its full stage breakdown and event history (0 disables)")
 		slowLog  = flag.String("slow-txn-log", "slow-txns.jsonl", "destination for -slow-txn-threshold dumps")
-		tierName = flag.String("read-tier", "locked", "consistency tier for the read-only types (order-status, stock-level): locked | asap | committed | snapshot")
+		tierName = flag.String("read-tier", "locked", "consistency tier for the read-only types (order-status, stock-level): locked | snapshot")
 		readHvy  = flag.Bool("read-heavy", false, "swap the TPC-C mix for the read-heavy mix (mostly order-status/stock-level over a thin writer stream)")
 	)
 	flag.Parse()

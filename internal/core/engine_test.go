@@ -192,7 +192,7 @@ func TestCommitBothModes(t *testing.T) {
 func TestExec(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	tiers := []ReadTier{TierLocked, TierASAP, TierReadCommitted, TierSnapshot}
+	tiers := []ReadTier{TierLocked, TierSnapshot}
 	type execCase struct {
 		name   string
 		ctx    context.Context

@@ -219,7 +219,7 @@ func TestGetColsSameAtEveryTier(t *testing.T) {
 		row, _ := s.cat.Get(spi.EncodeKey(spi.I64(1), spi.I64(sku)))
 		want[sku] = [3]spi.Value{row[catName], row[catPrice], row[catStock]}
 	}
-	for _, tier := range []ReadTier{TierLocked, TierSnapshot, TierReadCommitted, TierASAP} {
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
 		err := s.run(tier, func(tc *Ctx) error {
 			for sku := int64(1); sku <= 3; sku++ {
 				var fixed [2]spi.Value

@@ -35,8 +35,7 @@ import (
 )
 
 // ReadTier selects the consistency level of a read-only transaction. The
-// zero value is the fully locked path, so existing callers and pre-v4 wire
-// peers are unchanged.
+// zero value is the fully locked path.
 type ReadTier uint8
 
 const (
@@ -44,20 +43,11 @@ const (
 	// transaction: strict 2PL within steps, full assertional protocol. This
 	// is the default and the only tier that permits writes.
 	TierLocked ReadTier = iota
-	// TierASAP returns each row's latest exposed version with no cross-row
-	// consistency claim — the cheapest read, one atomic load per statement.
-	// "Exposed" follows the paper's semantics: interstep states published at
-	// an end-of-step force are readable, exactly as they are to locked
-	// transactions once the step's locks release.
-	TierASAP
-	// TierReadCommitted resolves each statement against the CSN current at
-	// that statement: every statement sees a consistent prefix of exposure
-	// points, but two statements of one transaction may see different ones.
-	TierReadCommitted
 	// TierSnapshot fixes one CSN for the whole read-only transaction: every
 	// row resolves as of that CSN, giving a stable transaction-wide view.
-	// The snapshot registers in the engine's live-snapshot table so the
-	// reaper preserves the versions it can still reach.
+	// The snapshot registers in the engine's live-snapshot table for the one
+	// Exec that reads through it, so the reaper preserves the versions it
+	// can still reach.
 	TierSnapshot
 
 	tierMax
@@ -68,10 +58,6 @@ func (t ReadTier) String() string {
 	switch t {
 	case TierLocked:
 		return "locked"
-	case TierASAP:
-		return "asap"
-	case TierReadCommitted:
-		return "committed"
 	case TierSnapshot:
 		return "snapshot"
 	default:
@@ -87,24 +73,16 @@ func ParseReadTier(s string) (ReadTier, error) {
 	switch s {
 	case "", "locked":
 		return TierLocked, nil
-	case "asap":
-		return TierASAP, nil
-	case "committed", "read-committed":
-		return TierReadCommitted, nil
 	case "snapshot":
 		return TierSnapshot, nil
 	default:
-		return TierLocked, fmt.Errorf("core: unknown read tier %q (want locked|asap|committed|snapshot)", s)
+		return TierLocked, fmt.Errorf("core: unknown read tier %q (want locked|snapshot)", s)
 	}
 }
 
 // defaultVersionGCInterval is the reaper cadence when Options leaves
 // VersionGCInterval zero.
 const defaultVersionGCInterval = 100 * time.Millisecond
-
-// CSN returns the engine's current commit sequence number: the newest fully
-// published exposure point. A snapshot opened now reads as of this value.
-func (e *Engine) CSN() uint64 { return e.csnClock.Load() }
 
 // publishWrites installs one exposure unit's after-images into the version
 // chains under a freshly assigned CSN and only then advances the clock, so a
@@ -148,49 +126,6 @@ func (e *Engine) publishWrites(writes []writeRec, lsn wal.LSN) spi.CSN {
 	e.csnClock.Store(uint64(csn))
 	e.pubMu.Unlock()
 	return csn
-}
-
-// Snapshot is a stable read point: every row resolved through it reflects
-// the database as of the CSN captured at OpenSnapshot. Close it promptly —
-// the reaper preserves every version an open snapshot can still reach.
-type Snapshot struct {
-	e      *Engine
-	id     uint64
-	csn    spi.CSN
-	lsn    wal.LSN // published high-water mark when csn was captured
-	opened time.Time
-}
-
-// OpenSnapshot captures the current CSN and registers it live. The returned
-// handle runs read-only transactions against that fixed point; Exec at
-// TierSnapshot does the same for a single call.
-func (e *Engine) OpenSnapshot() *Snapshot {
-	id, csn, lsn := e.openSnapshot()
-	return &Snapshot{e: e, id: id, csn: csn, lsn: lsn, opened: time.Now()}
-}
-
-// CSN returns the snapshot's fixed commit sequence number.
-func (s *Snapshot) CSN() uint64 { return uint64(s.csn) }
-
-// Run executes the named read-only transaction type against the snapshot's
-// fixed CSN. Zero locks, zero log records; write operations fail with
-// ErrReadOnly.
-func (s *Snapshot) Run(ctx context.Context, name string, args any) error {
-	tt := s.e.Type(name)
-	if tt == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTxnType, name)
-	}
-	return s.e.runReadBody(ctx, tt, args, TierSnapshot, s.csn, s.lsn, nil)
-}
-
-// Close deregisters the snapshot, releasing its versions to the reaper.
-// Closing twice is a no-op.
-func (s *Snapshot) Close() {
-	if s.e == nil {
-		return
-	}
-	s.e.closeSnapshot(s.id, s.csn, time.Since(s.opened))
-	s.e = nil
 }
 
 // openSnapshot registers a live read point. The CSN is loaded under snapMu —
@@ -369,28 +304,17 @@ func (e *Engine) ReadTierSummaries() map[string]metrics.Summary {
 	return e.readRec.ByType()
 }
 
-// runReadTiered resolves the tier's read point, registering a snapshot for
-// TierSnapshot so the reaper preserves its versions until the body finishes.
-func (e *Engine) runReadTiered(ctx context.Context, tt *TxnType, args any, tier ReadTier, sp *trace.Span) error {
-	var asOf spi.CSN
-	var need wal.LSN
-	if tier == TierSnapshot {
-		id, csn, lsn := e.openSnapshot()
-		start := time.Now()
-		defer func() { e.closeSnapshot(id, csn, time.Since(start)) }()
-		asOf, need = csn, lsn
-	}
-	return e.runReadBody(ctx, tt, args, tier, asOf, need, sp)
-}
-
-// runReadBody executes the type's step bodies sequentially against the
-// versioned read path: no lock manager, no WAL, no exposure marks — the
-// paper's reader-free waits-for graph made literal. Step preconditions are
-// not re-evaluated: a published CSN prefix is by construction a state every
-// discharged assertion held over (CONSISTENCY.md). need is the published log
-// mark of a snapshot's CSN; the per-statement tiers read the latest versions
-// and take the mark after their last statement. The reply waits for it.
-func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier ReadTier, asOf spi.CSN, need wal.LSN, sp *trace.Span) error {
+// runRead executes the type's step bodies sequentially against a snapshot
+// opened for this call and closed when it returns: no lock manager, no WAL,
+// no exposure marks — the paper's reader-free waits-for graph made literal.
+// Step preconditions are not re-evaluated: a published CSN prefix is by
+// construction a state every discharged assertion held over
+// (CONSISTENCY.md). The reply waits for the log to be durable through the
+// published mark captured with the snapshot's CSN.
+func (e *Engine) runRead(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
+	id, csn, need := e.openSnapshot()
+	start := time.Now()
+	defer func() { e.closeSnapshot(id, csn, time.Since(start)) }()
 	txn := &txnState{
 		tt:    tt,
 		args:  args,
@@ -400,10 +324,10 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 		span:  sp,
 	}
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
-	start := time.Now()
+	const tier = TierSnapshot
 	txn.span.Event(trace.KindTxnBegin, tier.String(), tt.Name, 0)
 	tc := e.stepCtx(txn, 0, 0, nil, false)
-	tc.readTier, tc.readCSN = tier, asOf
+	tc.readTier, tc.readCSN = tier, csn
 	for j := range txn.steps {
 		if err := ctx.Err(); err != nil {
 			e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)
@@ -420,9 +344,6 @@ func (e *Engine) runReadBody(ctx context.Context, tt *TxnType, args any, tier Re
 			txn.span.Event(trace.KindTxnAbort, tier.String(), tt.Name, int64(time.Since(start)))
 			return fmt.Errorf("core: %s (%s read) failed: %w", tt.Name, tier, err)
 		}
-	}
-	if tier != TierSnapshot {
-		need = wal.LSN(e.pubLSN.Load())
 	}
 	if err := e.awaitDurable(need, sp); err != nil {
 		e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)

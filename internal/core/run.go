@@ -100,7 +100,8 @@ type Request struct {
 // Exec executes one transaction under the engine's scheduler mode: the one
 // entry point every other way of running a transaction wraps. It returns nil
 // on commit, a *CompensatedError or ErrUserAbort-wrapping error on rollback,
-// and other errors on failure.
+// and other errors on failure. A Request.Tier that names no tier is refused
+// before anything runs.
 //
 // Durability is a property of the reply, not of the step (DESIGN.md §10):
 // end-of-step, commit and compensation-done records are appended, the step's
@@ -132,6 +133,9 @@ func (e *Engine) Exec(ctx context.Context, req Request) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if !ValidTier(uint8(req.Tier)) {
+		return fmt.Errorf("core: unknown read tier %d", req.Tier)
+	}
 	if req.Tier == TierLocked && e.log.Crashed() {
 		// Fail-stop: nothing written from here on could ever be acknowledged.
 		return e.logFailed()
@@ -147,7 +151,7 @@ func (e *Engine) Exec(ctx context.Context, req Request) error {
 	var err error
 	switch {
 	case req.Tier != TierLocked:
-		err = e.runReadTiered(ctx, tt, req.Args, req.Tier, sp)
+		err = e.runRead(ctx, tt, req.Args, sp)
 	case e.opt.Mode == ModeBaseline:
 		err = e.runDecomposed(ctx, tt.undecomposed(), req.Args, sp)
 	default:

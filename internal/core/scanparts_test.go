@@ -105,7 +105,7 @@ func TestScanPartitionsRefusesOutOfOrder(t *testing.T) {
 		"too many values":     {{spi.I64(1), spi.I64(1)}},
 		"a kind out of order": {{spi.Str("1")}, {spi.I64(2)}},
 	}
-	for _, tier := range []ReadTier{TierLocked, TierReadCommitted, TierSnapshot} {
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
 		s := newOpSys(t)
 		err := s.runAt(t, tier, func(tc *Ctx) error {
 			for name, parts := range bad {
@@ -140,7 +140,7 @@ func TestScanPartitionsRefusesOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestScanPartitionsSameAtEveryTier: the locked, read-committed and snapshot
+// TestScanPartitionsSameAtEveryTier: the locked and snapshot
 // tiers visit the same rows in the same order — partition by partition, each
 // in key order, an empty partition contributing none — and at each an
 // ErrStopScan ends the whole read, not just its partition, while any other
@@ -153,7 +153,7 @@ func TestScanPartitionsSameAtEveryTier(t *testing.T) {
 			want = append(want, [2]int64{r, sku})
 		}
 	}
-	for _, tier := range []ReadTier{TierLocked, TierReadCommitted, TierSnapshot} {
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
 		s := newOpSys(t)
 		err := s.runAt(t, tier, func(tc *Ctx) error {
 			var got [][2]int64
@@ -205,7 +205,7 @@ func TestScanPartitionsIsOneStatement(t *testing.T) {
 	}
 	s.inv.ResetVersions()
 	ten := regions(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	for _, tier := range []ReadTier{TierLocked, TierReadCommitted, TierSnapshot} {
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
 		for _, c := range []struct {
 			name string
 			rows int

@@ -40,9 +40,9 @@ type Ctx struct {
 	compensating bool
 	active       []*Assertion
 
-	// readTier, when not TierLocked, routes every read through the version
-	// chains (readtier.go): no locks, no history, writes refused. readCSN is
-	// the fixed snapshot CSN when readTier is TierSnapshot.
+	// readTier, when TierSnapshot, routes every read through the version
+	// chains (readtier.go) as of readCSN: no locks, no history, writes
+	// refused.
 	readTier ReadTier
 	readCSN  spi.CSN
 
@@ -150,22 +150,8 @@ func (tc *Ctx) begin() {
 func (tc *Ctx) end() { tc.e.env.EndStatement() }
 
 // versioned reports whether this context reads through the version chains
-// instead of the lock manager (Exec at a non-locked tier).
+// instead of the lock manager (Exec at the snapshot tier).
 func (tc *Ctx) versioned() bool { return tc.readTier != TierLocked }
-
-// asOf resolves the CSN the current statement reads as of: MaxCSN for
-// read-ASAP, the clock's current value for read-committed (per statement),
-// and the transaction's fixed CSN for snapshot.
-func (tc *Ctx) asOf() spi.CSN {
-	switch tc.readTier {
-	case TierASAP:
-		return spi.MaxCSN
-	case TierReadCommitted:
-		return spi.CSN(tc.e.csnClock.Load())
-	default:
-		return tc.readCSN
-	}
-}
 
 // request builds the lock request for this step.
 func (tc *Ctx) request(mode spi.Mode) spi.LockRequest {
@@ -306,7 +292,7 @@ func (tc *Ctx) GetCols(table string, cols []int, dst []spi.Value, keyVals ...spi
 func (tc *Ctx) get(t spi.Table, table string, pk spi.Key, locked bool) (spi.Row, error) {
 	if tc.versioned() {
 		tc.begin()
-		row, err := t.GetAsOf(pk, tc.asOf())
+		row, err := t.GetAsOf(pk, tc.readCSN)
 		tc.end()
 		return row, err
 	}
@@ -338,24 +324,26 @@ func fixedRows(t spi.Table, op string) error {
 // keys and hands each present row to visit; missing keys are skipped. It is
 // the engine's stand-in for a join against a key list (stock-level's). The
 // keys must be in ascending order, which is the lock order: batched acquirers
-// that lock in key order cannot deadlock against each other. At the locked
-// tier GetMany takes IS on the table, then, key by key, IS on the row's
-// partition (if the table is partitioned) and S on the row; unsorted keys are
-// refused before any lock is taken. On a table whose every column is fixed
-// it takes no lock and leaves no history record, as GetCols does for fixed
-// columns: no transaction writes, inserts or deletes such a row. A visitor
-// error stops the read and is returned.
+// that lock in key order cannot deadlock against each other. Unsorted keys
+// are refused at every tier, before any lock is taken. At the locked tier
+// GetMany takes IS on the table, then, key by key, IS on the row's partition
+// (if the table is partitioned) and S on the row. On a table whose every
+// column is fixed it takes no lock and leaves no history record, as GetCols
+// does for fixed columns: no transaction writes, inserts or deletes such a
+// row. A visitor error stops the read and is returned.
 func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) error {
 	t, err := tc.table(table)
 	if err != nil {
 		return err
 	}
+	if !slices.IsSorted(pks) {
+		return fmt.Errorf("core: GetMany on %s: keys not in ascending order", table)
+	}
 	var verr error
 	if tc.versioned() {
-		asOf := tc.asOf()
 		tc.begin()
 		for _, pk := range pks {
-			if row, err := t.GetAsOf(pk, asOf); err == nil {
+			if row, err := t.GetAsOf(pk, tc.readCSN); err == nil {
 				if verr = visit(row); verr != nil {
 					break
 				}
@@ -363,9 +351,6 @@ func (tc *Ctx) GetMany(table string, pks []spi.Key, visit func(spi.Row) error) e
 		}
 		tc.end()
 		return verr
-	}
-	if !slices.IsSorted(pks) {
-		return fmt.Errorf("core: GetMany on %s: keys not in ascending order", table)
 	}
 	s := t.Schema()
 	locked := len(s.FixedCols) < len(s.Columns)
@@ -610,10 +595,9 @@ func (tc *Ctx) ScanPartitions(table string, parts [][]spi.Value, visit func(spi.
 	var verr error
 	scan := visitRows(visit, &verr)
 	if tc.versioned() {
-		asOf := tc.asOf()
 		tc.begin()
 		for i := 0; i < len(parts) && err == nil && verr == nil; i++ {
-			err = t.IndexScanAsOf(PartIndex, parts[i], asOf, scan)
+			err = t.IndexScanAsOf(PartIndex, parts[i], tc.readCSN, scan)
 		}
 		tc.end()
 		return cmp.Or(err, scanErr(verr))
@@ -755,10 +739,9 @@ func (tc *Ctx) LookupByIndex(table, index string, eqVals []spi.Value) ([]spi.Row
 		return nil, err
 	}
 	if tc.versioned() {
-		asOf := tc.asOf()
 		var rows []spi.Row
 		tc.begin()
-		err = t.IndexScanAsOf(index, eqVals, asOf, func(_ spi.Key, row spi.Row) bool {
+		err = t.IndexScanAsOf(index, eqVals, tc.readCSN, func(_ spi.Key, row spi.Row) bool {
 			rows = append(rows, row)
 			return true
 		})
@@ -803,9 +786,8 @@ func (tc *Ctx) Scan(table string, visit func(spi.Row) error) error {
 	}
 	var verr error
 	if tc.versioned() {
-		asOf := tc.asOf()
 		tc.begin()
-		t.ScanAsOf(asOf, visitRows(visit, &verr))
+		t.ScanAsOf(tc.readCSN, visitRows(visit, &verr))
 		tc.end()
 		return scanErr(verr)
 	}

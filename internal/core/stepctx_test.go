@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -318,6 +319,30 @@ func TestGetManyLocks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGetManyRefusesUnsortedKeys: unsorted keys are refused at both tiers,
+// before any lock is taken and before any row is visited, so a body that
+// works at one tier works at the other.
+func TestGetManyRefusesUnsortedKeys(t *testing.T) {
+	for _, tier := range []ReadTier{TierLocked, TierSnapshot} {
+		s := newOpSys(t)
+		before := s.eng.Locks().Stats().Acquisitions
+		visited := 0
+		err := s.runAt(t, tier, func(tc *Ctx) error {
+			return tc.GetMany("inventory", invKeys([2]int64{2, 1}, [2]int64{1, 1}),
+				func(spi.Row) error { visited++; return nil })
+		})
+		if err == nil || !strings.Contains(err.Error(), "not in ascending order") {
+			t.Errorf("%v: unsorted keys gave %v, want a refusal", tier, err)
+		}
+		if visited != 0 {
+			t.Errorf("%v: refused GetMany visited %d rows", tier, visited)
+		}
+		if after := s.eng.Locks().Stats().Acquisitions; after != before {
+			t.Errorf("%v: refused GetMany acquired %d locks", tier, after-before)
+		}
 	}
 }
 

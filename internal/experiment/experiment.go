@@ -42,9 +42,8 @@ type Config struct {
 	// Skew is the extra probability mass on district 1 (Figure 2's
 	// "Skewed" curve).
 	Skew float64
-	// ReadTier, when not core.TierLocked, routes the mix's read-only types
-	// (order-status, stock-level) through the lock-free versioned read path
-	// at that tier.
+	// ReadTier, when core.TierSnapshot, routes the mix's read-only types
+	// (order-status, stock-level) through the lock-free versioned read path.
 	ReadTier core.ReadTier
 	// ReadHeavy swaps the TPC-C §5.2.3 mix for tpcc.ReadHeavyMix — mostly
 	// read-only probes over a thin writer stream, the read-tier experiment's

@@ -196,8 +196,7 @@ func (s *Set) TypeBytes(name []byte) *core.TxnType {
 // Exec is the Set's single execution entry point, with core.Engine.Exec's
 // contract. At TierLocked it routes the transaction (direct to its home
 // partition, or through the multi-shot coordinator when the instance
-// splits); at the versioned read tiers it runs read-only on the home
-// partition.
+// splits); at the snapshot tier it runs read-only on the home partition.
 func (s *Set) Exec(ctx context.Context, req core.Request) error {
 	if req.Type == nil {
 		if req.Type = s.engines[0].Type(req.Name); req.Type == nil {

@@ -918,7 +918,7 @@ func TestSetExec(t *testing.T) {
 	if err := set.Exec(canceled, status(2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: %v", err)
 	}
-	for _, tier := range []core.ReadTier{core.TierLocked, core.TierASAP, core.TierReadCommitted, core.TierSnapshot} {
+	for _, tier := range []core.ReadTier{core.TierLocked, core.TierSnapshot} {
 		req := status(2) // warehouse 2 lives on partition 1
 		req.Tier = tier
 		opened := set.Engine(1).Versions().SnapshotsOpened

@@ -47,7 +47,7 @@ type Runner interface {
 	// allocating a string (the hot-path contract the session loop relies on).
 	TypeBytes(name []byte) *core.TxnType
 	// Exec executes one transaction: tier 0 is the full locked protocol,
-	// versioned tiers take the lock-free read path.
+	// the snapshot tier takes the lock-free read path.
 	Exec(ctx context.Context, req core.Request) error
 	// Close drains and forces durable state; Closed reports it happened.
 	Close() error
@@ -486,7 +486,7 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 	var scratch *[]byte
 	if args != nil {
 		sp.EnterEngine()
-		// Tier 0 is the full locked protocol; the versioned tiers take the
+		// Tier 0 is the full locked protocol; the snapshot tier takes the
 		// lock-free read path (which refuses writes).
 		err := s.eng.Exec(sess.ctx, core.Request{Type: tt, Args: args, Tier: core.ReadTier(st.req.Tier), Span: sp})
 		sp.ExitEngine()

@@ -624,6 +624,37 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnknownTierRefused: a request whose read-tier byte names no tier is
+// answered StatusBadRequest before it reaches Exec — no read is recorded at
+// any tier and nothing commits — and the connection stays usable.
+func TestUnknownTierRefused(t *testing.T) {
+	s := newMoveSys(t, nil)
+	rc := dialRaw(t, s.ln.Addr())
+	defer rc.c.Close()
+
+	for i, tier := range []uint8{2, 3, 255} {
+		req := mustReq(uint64(i+1), "move", &moveArgs{ID: int64(80 + i), Account: 1})
+		req.Tier = tier
+		if err := wire.WriteRequest(rc.c, req); err != nil {
+			t.Fatal(err)
+		}
+		resp := rc.recv()
+		if resp.Status != wire.StatusBadRequest || !strings.Contains(string(resp.Msg), "unknown read tier") {
+			t.Errorf("tier %d: got status %v %q, want an unknown-tier refusal", tier, resp.Status, resp.Msg)
+		}
+	}
+	if sums := s.eng.ReadTierSummaries(); len(sums) != 0 {
+		t.Fatalf("a refused tier reached Exec: read summaries %v", sums)
+	}
+	if n := s.eng.Snapshot().Commits; n != 0 {
+		t.Fatalf("commits = %d: a refused request executed", n)
+	}
+	rc.send(9, "move", &moveArgs{ID: 90, Account: 1})
+	if resp := rc.recv(); resp.ID != 9 || resp.Status != wire.StatusOK {
+		t.Fatalf("locked request after the refusals: %+v", resp)
+	}
+}
+
 // TestGroupCommitAcrossSessions is the cross-session group-commit
 // acceptance check: many concurrent client sessions commit against a
 // WAL-backed engine with a group window, and one leader's force must cover

@@ -12,7 +12,7 @@
 //	                     server's latency-anatomy spans and trace events)
 //	uint8   op          (OpRun, OpPing)
 //	uint8   args format (FmtBinary; zero on a frame without args)
-//	uint8   read tier   (0 locked, 1 asap, 2 read-committed, 3 snapshot)
+//	uint8   read tier   (0 locked, 1 snapshot)
 //	uint16  name length
 //	bytes   transaction type name (OpRun; empty for OpPing)
 //	bytes   encoded transaction arguments (the rest of the frame)
@@ -56,7 +56,7 @@ import (
 // Version is the protocol version stamped on every payload. There is no
 // cross-version interoperability: a peer that sends another version is
 // refused (ErrVersion), and both ends of a deployment upgrade together.
-const Version = 5
+const Version = 6
 
 // Op selects what a request asks the server to do.
 type Op uint8
@@ -183,9 +183,9 @@ type Request struct {
 	// Fmt says how Args is encoded.
 	Fmt Format
 	// Tier selects the read path: 0 runs the full locked protocol (the only
-	// tier that permits writes); 1-3 are the versioned read-only tiers
-	// (read-ASAP, read-committed, snapshot — core.ReadTier's values). An
-	// unknown tier is answered with StatusBadRequest.
+	// tier that permits writes); 1 is the snapshot read-only tier
+	// (core.ReadTier's values). An unknown tier is answered with
+	// StatusBadRequest.
 	Tier uint8
 	// Name is the transaction type to run (OpRun).
 	Name []byte

@@ -30,7 +30,7 @@ var (
 // is visible to — every possible snapshot.
 type CSN uint64
 
-// MaxCSN is the read-ASAP bound: a reader using it sees the newest published
+// MaxCSN is the newest-version bound: a reader using it sees the newest published
 // version of each key with no cross-key consistency claim.
 const MaxCSN = CSN(math.MaxUint64)
 

@@ -49,9 +49,9 @@ type WorkloadConfig struct {
 	// StockLevelOrders is how many recent orders stock-level inspects
 	// (spec: 20; scaled down with the database).
 	StockLevelOrders int
-	// ReadTier, when not core.TierLocked, routes the read-only transaction
+	// ReadTier, when core.TierSnapshot, routes the read-only transaction
 	// types (order-status, stock-level) through the engine's lock-free
-	// versioned read path at that tier; writers are unaffected.
+	// versioned read path; writers are unaffected.
 	ReadTier core.ReadTier
 	// RemotePercent is the share of new-orders that include one line
 	// supplied by a different warehouse (the spec's §2.4.1.5 remote-supply

@@ -92,8 +92,6 @@ var (
 	WithMode = core.WithMode
 	// WithWaitTimeout bounds individual lock waits.
 	WithWaitTimeout = core.WithWaitTimeout
-	// WithEnv injects execution costs.
-	WithEnv = core.WithEnv
 	// WithRecordHistory captures a conflict-checkable access history.
 	WithRecordHistory = core.WithRecordHistory
 	// WithTracer attaches the structured event bus.
@@ -115,32 +113,18 @@ type Request = core.Request
 // tier-by-tier guarantees).
 type ReadTier = core.ReadTier
 
-// Consistency tiers, weakest coupling to the lock manager first. Only
-// TierLocked permits writes; the other tiers read the engine's version
-// chains and acquire no locks at all.
+// Consistency tiers. Only TierLocked permits writes; TierSnapshot reads the
+// engine's version chains and acquires no locks at all.
 const (
 	// TierLocked is the default fully locked protocol.
 	TierLocked = core.TierLocked
-	// TierASAP reads each row's latest exposed version, no cross-row
-	// consistency claim.
-	TierASAP = core.TierASAP
-	// TierReadCommitted gives each statement a consistent exposure-point
-	// prefix; statements may see different prefixes.
-	TierReadCommitted = core.TierReadCommitted
 	// TierSnapshot fixes one commit sequence number for the whole
 	// transaction: a stable view, zero locks, never in the waits-for graph.
 	TierSnapshot = core.TierSnapshot
 )
 
-// ParseReadTier maps a flag string (locked|asap|committed|snapshot) onto a
-// tier.
+// ParseReadTier maps a flag string (locked|snapshot) onto a tier.
 var ParseReadTier = core.ParseReadTier
-
-// Snapshot is a long-lived stable read point from Engine.OpenSnapshot:
-// every transaction run through it sees the database as of the CSN captured
-// at open. Close it promptly — the version reaper preserves everything an
-// open snapshot can still reach.
-type Snapshot = core.Snapshot
 
 // TxnType is a registered multi-step transaction: steps, assertions, and
 // compensations per §2-3 of the paper.

@@ -220,10 +220,9 @@ func (c *Client) Run(ctx context.Context, name string, args any) error {
 
 // RunTier is Run at an explicit consistency tier. TierLocked (the Run
 // default) executes the full locked protocol and is the only tier that
-// permits writes; the versioned tiers (acc.TierASAP, acc.TierReadCommitted,
-// acc.TierSnapshot) take the server's lock-free read path, and a write
-// inside the transaction fails the request with a bad-request status
-// wrapping acc.ErrReadOnly's message.
+// permits writes; acc.TierSnapshot takes the server's lock-free read path,
+// and a write inside the transaction fails the request with a bad-request
+// status wrapping acc.ErrReadOnly's message.
 func (c *Client) RunTier(ctx context.Context, name string, args any, tier core.ReadTier) error {
 	c.requests.Add(1)
 	codec := wire.CodecFor(name)
