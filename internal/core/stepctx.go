@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"accdb/internal/interference"
 	"accdb/internal/spi"
@@ -451,10 +452,20 @@ func (tc *Ctx) ClaimMin(table, index string, eqVals []spi.Value) (spi.Row, error
 	}
 }
 
-// Insert adds a new row. The row belongs to the engine from here on: the
-// table, the log record and the published version share it, so the body must
-// not change it afterwards (build a fresh row per Insert).
-func (tc *Ctx) Insert(table string, row spi.Row) error {
+// Insert adds one or more new rows in one statement: the engine's stand-in
+// for a multi-row INSERT (a new-order's lines). The rows must be in strictly
+// ascending primary-key order, which is the lock order; anything else is
+// refused before any lock is taken. Insert takes IX on the table, then, row by
+// row, X on the row's partition (if the table has one; a run of rows in one
+// partition locks it once) and X on the row, and only then makes its one
+// statement. Each row keeps its own write record, history record and D/C
+// marks. A row that cannot go in — its key exists — ends the statement, and
+// the rows before it stay written until the step is undone.
+//
+// The rows belong to the engine from here on: the table, the log record and
+// the published version share them, so the body must not change them
+// afterwards (build fresh rows per Insert).
+func (tc *Ctx) Insert(table string, rows ...spi.Row) error {
 	if tc.versioned() {
 		return ErrReadOnly
 	}
@@ -465,20 +476,48 @@ func (tc *Ctx) Insert(table string, row spi.Row) error {
 	if err := fixedRows(t, "insert"); err != nil {
 		return err
 	}
-	if err := t.Schema().CheckRow(row); err != nil {
+	s := t.Schema()
+	var one [1]spi.Key // a one-row Insert allocates no key list
+	pks := one[:0]
+	if len(rows) > 1 {
+		pks = make([]spi.Key, 0, len(rows))
+	}
+	for i, row := range rows {
+		if err := s.CheckRow(row); err != nil {
+			return err
+		}
+		pk := s.KeyOf(row)
+		if i > 0 && pk <= pks[i-1] {
+			return fmt.Errorf("core: Insert on %s: keys not in strictly ascending order", table)
+		}
+		pks = append(pks, pk)
+	}
+	if len(pks) == 0 {
+		return nil
+	}
+	if err := tc.acquire(spi.TableItem(table), spi.ModeIX); err != nil {
 		return err
 	}
-	pk := t.Schema().KeyOf(row)
-	if err := tc.lockRow(table, pk, spi.ModeX, spi.ModeX); err != nil {
-		return err
+	var held spi.Item
+	for _, pk := range pks {
+		if part, ok := tc.e.db.partitionOf(table, pk); ok && part != held {
+			if err := tc.acquire(part, spi.ModeX); err != nil {
+				return err
+			}
+			held = part
+		}
+		if err := tc.acquire(spi.RowItem(table, pk), spi.ModeX); err != nil {
+			return err
+		}
 	}
 	tc.begin()
-	err = t.Insert(row)
-	tc.end()
-	if err != nil {
-		return err
+	defer tc.end()
+	for i, row := range rows {
+		if err := t.Insert(row); err != nil {
+			return err
+		}
+		tc.recordWrite(t, table, pks[i], nil, row)
 	}
-	tc.recordWrite(t, table, pk, nil, row)
 	return nil
 }
 
@@ -739,30 +778,32 @@ func (tc *Ctx) LookupByIndex(table, index string, eqVals []spi.Value) ([]spi.Row
 		return nil, err
 	}
 	if tc.versioned() {
-		var rows []spi.Row
+		found := foundRows.Get().(*[]spi.Row)
+		defer putFound(&foundRows, found)
 		tc.begin()
 		err = t.IndexScanAsOf(index, eqVals, tc.readCSN, func(_ spi.Key, row spi.Row) bool {
-			rows = append(rows, row)
+			*found = append(*found, row)
 			return true
 		})
 		tc.end()
-		return rows, err
+		return slices.Clone(*found), err
 	}
 	if err := tc.acquire(spi.TableItem(table), spi.ModeIS); err != nil {
 		return nil, err
 	}
-	var pks []spi.Key
+	found := foundKeys.Get().(*[]spi.Key)
+	defer putFound(&foundKeys, found)
 	tc.begin()
 	err = t.IndexScan(index, eqVals, func(pk spi.Key, _ spi.Row) bool {
-		pks = append(pks, pk)
+		*found = append(*found, pk)
 		return true
 	})
 	tc.end()
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]spi.Row, 0, len(pks))
-	for _, pk := range pks {
+	rows := make([]spi.Row, 0, len(*found))
+	for _, pk := range *found {
 		// Lock, then re-fetch: the row may have changed (or vanished)
 		// between the index probe and the grant.
 		if err := tc.acquire(spi.RowItem(table, pk), spi.ModeS); err != nil {
@@ -776,6 +817,23 @@ func (tc *Ctx) LookupByIndex(table, index string, eqVals []spi.Value) ([]spi.Row
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// foundRows and foundKeys recycle the buffers LookupByIndex's index scan
+// gathers its matches in — the rows at the snapshot tier, the keys it then
+// locks at the locked tier — so that what a lookup keeps is allocated once,
+// at its size, however many rows match.
+var (
+	foundRows = sync.Pool{New: func() any { return new([]spi.Row) }}
+	foundKeys = sync.Pool{New: func() any { return new([]spi.Key) }}
+)
+
+// putFound empties a buffer, dropping its references, and returns it to its
+// pool.
+func putFound[T any](p *sync.Pool, buf *[]T) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	p.Put(buf)
 }
 
 // Scan visits every row of the table under a shared table lock.

@@ -22,12 +22,12 @@ var txnAllocBudget = []struct {
 	max  float64
 	draw func(w *Workload, r *rand.Rand) any
 }{
-	{"order_status", core.TierSnapshot, 14, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
+	{"order_status", core.TierSnapshot, 13, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
 	{"stock_level", core.TierSnapshot, 22, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
-	{"new_order", core.TierLocked, 121, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
+	{"new_order", core.TierLocked, 117, func(w *Workload, r *rand.Rand) any { return w.NewOrderArgs(r) }},
 	{"payment", core.TierLocked, 21, func(w *Workload, r *rand.Rand) any { return w.PaymentArgs(r) }},
 	{"delivery", core.TierLocked, 115, func(w *Workload, r *rand.Rand) any { return w.DeliveryArgs(r) }},
-	{"order_status", core.TierLocked, 18, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
+	{"order_status", core.TierLocked, 15, func(w *Workload, r *rand.Rand) any { return w.OrderStatusArgs(r) }},
 	{"stock_level", core.TierLocked, 23, func(w *Workload, r *rand.Rand) any { return w.StockLevelArgs(r, 0) }},
 }
 

@@ -123,10 +123,11 @@ func (reg *Registration) isLocal(homeW, supplyW int64) bool {
 // buildAssertions constructs the interstep assertion declarations.
 //
 // A_NO_OPEN is the TPC-C analogue of the paper's I1^o_num (§4): while a
-// new-order is between steps, its order exists, has exactly the lines
-// entered so far, and is undelivered. Its footprint is the instance's own
-// orders row, new_order row, and order_line partition — locking them
-// assertionally is what stops a delivery from claiming a half-entered order.
+// new-order is between steps, its order exists, is open and undelivered, has
+// no lines yet — NOF enters them all — and has taken stock for the lines
+// whose steps ran. Its footprint is the instance's own orders row, new_order
+// row, and order_line partition — locking them assertionally is what stops a
+// delivery from claiming an order whose lines are not in.
 //
 // A_DLV_CLAIM protects a delivery between claiming an order (D1) and
 // applying its updates (D2): the claimed orders row and order_line
@@ -309,23 +310,19 @@ func linePrices(tc *core.Ctx, a *NewOrderArgs) error {
 	})
 }
 
-// noLine is NO2: one order line — enter the line, and deplete the stock by the
-// TPC-C rule. The benchmark's 1% rollback fires here on the final line via an
-// unused item number (§2.4.1.4), which NO1's price read left at amount 0,
-// after earlier lines' steps completed — which is exactly what forces
-// compensation under the ACC. Every line step runs this one body; the step's
-// index names its line (NO1 is step 0, so line i is step i+1).
-//
-// The stock row, the only row here other orders contend for, is touched last,
-// so its X lock is held across one statement and the step's end, not across
-// the line's insert too. A line step that fails is undone as a unit, so the
-// order of its writes is invisible to noCompensate.
+// noLine is NO2: one order line's stock, depleted by the TPC-C rule. The line
+// itself is entered by NOF, with the others, in one statement. The benchmark's
+// 1% rollback fires here on the final line via an unused item number
+// (§2.4.1.4), which NO1's price read left at amount 0, after earlier lines'
+// steps completed — which is exactly what forces compensation under the ACC.
+// Every line step runs this one body; the step's index names its line (NO1 is
+// step 0, so line i is step i+1). The stock row's X lock is held across one
+// statement and the step's end.
 func (reg *Registration) noLine(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	i := tc.Step() - 1
 	l := a.Lines[i]
-	amount := a.Amounts[i]
-	if amount == 0 {
+	if a.Amounts[i] == 0 {
 		return tc.Abort("unused item number")
 	}
 	// A remote-partition supply line defers its stock update to the
@@ -333,13 +330,6 @@ func (reg *Registration) noLine(tc *core.Ctx) error {
 	// price came from the local replica (items are loaded identically
 	// into every partition), and the order line itself always lives with
 	// the order.
-	if err := tc.Insert(TOrderLine, spi.Row{
-		i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
-		i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(amount),
-		spi.Str(""),
-	}); err != nil {
-		return err
-	}
 	if reg.isLocal(a.WID, l.SupplyW) {
 		taken, err := takeStock(tc, l)
 		if err != nil {
@@ -391,10 +381,12 @@ func lineOrder(lines []OrderLineReq) []int {
 	return order
 }
 
-// noFinalize is NOF: total the lines and apply discount and taxes — the step
-// that restores the order-level conjunct of I (all lines present). The total
-// is the work area's line amounts, the ol_amount values the line steps
-// entered, so the step makes no statement.
+// noFinalize is NOF: enter every order line in one statement, then total the
+// lines and apply discount and taxes — the step that restores the order-level
+// conjunct of I (all lines present). It is the final step, so its lines are
+// never exposed before commit: a NOF that fails is undone in place, and no
+// compensation finds a line to remove. The total is the work area's line
+// amounts, the ol_amount values entered here.
 func (reg *Registration) noFinalize(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
 	if a.FailFinal {
@@ -402,6 +394,9 @@ func (reg *Registration) noFinalize(tc *core.Ctx) error {
 		// partitioned run, every remote shot — has committed by now, so this
 		// abort drives the full compensation path.
 		return tc.Abort("rollback at order finish")
+	}
+	if err := tc.Insert(TOrderLine, orderLines(a)...); err != nil {
+		return err
 	}
 	var sum int64
 	for _, amount := range a.Amounts {
@@ -412,10 +407,30 @@ func (reg *Registration) noFinalize(tc *core.Ctx) error {
 	return nil
 }
 
-// noCompensate semantically undoes a partial new-order: restock every
-// entered line, remove the lines, and remove the order and its queue entry.
-// The district's order counter is NOT decremented — later orders exist — so
-// the compensated number remains as a hole, exactly the outcome §4 derives.
+// orderLines builds the order's line rows, in line-number order — ascending
+// keys — slicing every row from one backing array: two allocations for any
+// number of lines.
+func orderLines(a *NewOrderArgs) []spi.Row {
+	n := len(orderLineSchema.Columns)
+	vals := make([]spi.Value, n*len(a.Lines))
+	rows := make([]spi.Row, len(a.Lines))
+	for i, l := range a.Lines {
+		row := vals[n*i : n*i+n : n*i+n]
+		copy(row, []spi.Value{
+			i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i + 1)),
+			i64(l.ItemID), i64(l.SupplyW), i64(0), i64(l.Quantity), i64(a.Amounts[i]),
+			spi.Str(""),
+		})
+		rows[i] = row
+	}
+	return rows
+}
+
+// noCompensate semantically undoes a partial new-order: restock the lines
+// whose steps took stock, and remove the order and its queue entry. It removes
+// no line: lines exist only once NOF, the final step, has run. The district's
+// order counter is NOT decremented — later orders exist — so the compensated
+// number remains as a hole, exactly the outcome §4 derives.
 func (reg *Registration) noCompensate(tc *core.Ctx, completed int) error {
 	a := tc.Args().(*NewOrderArgs)
 	if completed < 1 || a.ONum == 0 {
@@ -428,17 +443,12 @@ func (reg *Registration) noCompensate(tc *core.Ctx, completed int) error {
 	// Restock in item order: concurrent compensations then acquire their
 	// stock locks in the same order and cannot deadlock with each other.
 	for _, i := range lineOrder(a.Lines[:lines]) {
-		l := a.Lines[i]
-		if reg.isLocal(a.WID, l.SupplyW) {
+		// A remote line's stock lives in another partition: the coordinator
+		// reverses it with a no_stock_undo shot.
+		if l := a.Lines[i]; reg.isLocal(a.WID, l.SupplyW) {
 			if err := restock(tc, l, a.Filled[i]); err != nil {
 				return err
 			}
-		}
-		// A remote line's stock lives in another partition: the coordinator
-		// reverses it with a no_stock_undo shot; here only the entered line
-		// itself is removed.
-		if err := tc.Delete(TOrderLine, i64(a.WID), i64(a.DID), i64(a.ONum), i64(int64(i+1))); err != nil {
-			return err
 		}
 	}
 	if err := tc.Delete(TNewOrder, i64(a.WID), i64(a.DID), i64(a.ONum)); err != nil &&

@@ -37,7 +37,7 @@ type Types struct {
 	CSNewOrder, CSPayment, CSDelivery interference.StepTypeID
 
 	// Interstep assertion types.
-	ANoOpen   interference.AssertionID // "order o is still open and built up to line i"
+	ANoOpen   interference.AssertionID // "order o is open and undelivered, has no lines yet, and has taken stock for lines ≤ i"
 	ADlvClaim interference.AssertionID // "claimed order o is delivered-in-progress by me"
 }
 
