@@ -46,10 +46,6 @@ func checkExperiment(name string) error {
 	return fmt.Errorf("unknown -experiment %q (want %s or all)", name, strings.Join(experiments, ", "))
 }
 
-// closeTrace flushes and closes the -trace output; set when tracing is on so
-// both the normal exit and fatal() finish the file.
-var closeTrace func()
-
 func main() {
 	var (
 		which    = flag.String("experiment", "all", strings.Join(experiments, " | ")+" | all")
@@ -64,7 +60,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		termList = flag.String("terminals", "", "comma-separated terminal counts (default 4,8,16,24,32,48,60)")
 		verbose  = flag.Bool("v", false, "print per-system detail")
-		traceOut = flag.String("trace", "", "write structured events to this file (.json: Chrome trace_event for chrome://tracing; otherwise JSONL)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/locks, /debug/waitsfor, /debug/anatomy and /debug/pprof on this address (e.g. :6060)")
 		walDir   = flag.String("wal-dir", "", "back the log with CRC-framed segment files in this directory instead of the in-memory log")
 		groupWin = flag.Duration("group-commit", 0, "with -wal-dir: group-commit window; a force leader waits this long so concurrent commits share one sync (0 disables)")
@@ -116,35 +111,10 @@ func main() {
 	cfg.ReadTier = tier
 	cfg.ReadHeavy = *readHvy
 
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		var sink trace.Sink
-		if strings.HasSuffix(*traceOut, ".json") {
-			sink = trace.NewChromeSink(f)
-		} else {
-			sink = trace.NewJSONLSink(f)
-		}
-		tr = trace.New(sink)
-		cfg.Tracer = tr
-		closeTrace = func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "accbench: closing trace:", err)
-			}
-			if n := tr.Drops(); n > 0 {
-				fmt.Fprintf(os.Stderr, "accbench: trace dropped %d events under backpressure\n", n)
-			}
-			closeTrace = nil
-		}
-		defer closeTrace()
-	}
 	// The latency-anatomy layer turns on with either consumer: the debug
 	// endpoint's live histograms, or the slow-transaction flight recorder.
 	if *metrics != "" || *slowThr > 0 {
-		acfg := trace.AnatomyConfig{SlowThreshold: *slowThr, Tracer: tr}
+		acfg := trace.AnatomyConfig{SlowThreshold: *slowThr}
 		if *slowThr > 0 {
 			f, err := os.Create(*slowLog)
 			if err != nil {
@@ -155,7 +125,7 @@ func main() {
 		cfg.Anatomy = trace.NewAnatomy(acfg)
 	}
 	if *metrics != "" {
-		dbg := debughttp.New(tr, cfg.Anatomy)
+		dbg := debughttp.New(cfg.Anatomy)
 		if err := dbg.Start(*metrics); err != nil {
 			fatal(err)
 		}
@@ -277,8 +247,5 @@ func detail(p *experiment.Point, verbose bool) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "accbench:", err)
-	if closeTrace != nil {
-		closeTrace() // os.Exit skips defers; finish the trace file first
-	}
 	os.Exit(1)
 }

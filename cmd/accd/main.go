@@ -21,7 +21,8 @@
 // series in Prometheus text format), /debug/locks, /debug/waitsfor,
 // /debug/anatomy and /debug/pprof. With -slow-txn-threshold set, every
 // transaction slower than the threshold is dumped to -slow-txn-log as one
-// JSONL record carrying its full per-stage breakdown and event history.
+// JSONL record carrying its full per-stage breakdown and event history;
+// -slow-txn-threshold 1ns records every transaction.
 package main
 
 import (
@@ -58,7 +59,6 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /debug/locks, /debug/waitsfor, /debug/anatomy and /debug/pprof on this address (e.g. :6061)")
 		slowThr      = flag.Duration("slow-txn-threshold", 0, "dump any transaction slower than this to -slow-txn-log as JSONL, with its full stage breakdown and event history (0 disables)")
 		slowLog      = flag.String("slow-txn-log", "slow-txns.jsonl", "destination for -slow-txn-threshold dumps")
-		traceOut     = flag.String("trace", "", "write structured events to this file (.json: Chrome trace_event; otherwise JSONL)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain; in-flight work past it is cancelled (and compensated)")
 		check        = flag.Bool("check", true, "verify TPC-C consistency after the drain; violations exit non-zero")
 		ready        = flag.String("ready-fd", "", "write one line with the bound address to this file once listening (harness handshake)")
@@ -76,24 +76,6 @@ func main() {
 		fatal(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if strings.HasSuffix(*traceOut, ".json") {
-			tr = trace.New(trace.NewChromeSink(f))
-		} else {
-			tr = trace.New(trace.NewJSONLSink(f))
-		}
-		defer func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "accd: closing trace:", err)
-			}
-		}()
-	}
-
 	// One stack for every partition count: -partitions 1, the default, is
 	// the same set, router and per-partition log layout with one engine.
 	st, err := tpcc.NewStack(tpcc.StackConfig{
@@ -105,7 +87,6 @@ func main() {
 		Engine: []core.Option{
 			core.WithMode(m),
 			core.WithWaitTimeout(*waitTimeout),
-			core.WithTracer(tr),
 		},
 	})
 	if err != nil {
@@ -128,7 +109,7 @@ func main() {
 	// request's span at frame read, so the engine must not start its own.
 	var anatomy *trace.Anatomy
 	if *metricsAddr != "" || *slowThr > 0 {
-		acfg := trace.AnatomyConfig{SlowThreshold: *slowThr, Tracer: tr}
+		acfg := trace.AnatomyConfig{SlowThreshold: *slowThr}
 		if *slowThr > 0 {
 			f, err := os.Create(*slowLog)
 			if err != nil {
@@ -144,7 +125,6 @@ func main() {
 	srv := server.New(server.Config{
 		Engine:      set,
 		MaxInFlight: *maxInFlight,
-		Tracer:      tr,
 		Anatomy:     anatomy,
 		OnOutcome: func(txnType string, args any, err error) {
 			holes.Observe(txnType, args, err)
@@ -158,7 +138,7 @@ func main() {
 	})
 
 	if *metricsAddr != "" {
-		dbg := debughttp.New(tr, anatomy)
+		dbg := debughttp.New(anatomy)
 		// The engine sections of /metrics show partition 0 (every partition is
 		// symmetric), /debug/locks and /debug/waitsfor every partition; the
 		// set's own routing/coordinator series ride along.

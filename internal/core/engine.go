@@ -60,11 +60,6 @@ type Options struct {
 	Env *Env
 	// RecordHistory captures a conflict-checkable access history (tests).
 	RecordHistory bool
-	// Tracer, when non-nil, receives structured events from every layer:
-	// transaction/step/compensation lifecycle from the engine, lock events
-	// from the lock manager, append/force events from the log. Nil disables
-	// tracing at zero cost.
-	Tracer *trace.Tracer
 	// Anatomy, when non-nil, is the latency-anatomy recorder (DESIGN.md §13).
 	// Callers that already carry a request span (the network server) pass it
 	// in Request.Span; for span-less calls the engine starts a
@@ -111,7 +106,6 @@ type Engine struct {
 	lm      spi.LockService
 	log     *wal.Log
 	env     *Env
-	tracer  *trace.Tracer
 	anatomy *trace.Anatomy
 
 	nextTxn atomic.Uint64
@@ -157,7 +151,7 @@ type Engine struct {
 }
 
 // New creates an engine over db using the design-time interference tables,
-// configured by functional options (WithMode, WithTracer, WithWAL, ...).
+// configured by functional options (WithMode, WithWAL, WithAnatomy, ...).
 // With no options the engine runs the ACC scheduler inline with a
 // memory-only log.
 func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
@@ -171,17 +165,12 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 	if log == nil {
 		log = wal.New(0)
 	}
-	if opt.Tracer != nil {
-		lm.SetTracer(opt.Tracer)
-		log.SetTracer(opt.Tracer)
-	}
 	e := &Engine{
 		opt:     opt,
 		db:      db,
 		lm:      lm,
 		log:     log,
 		env:     opt.Env,
-		tracer:  opt.Tracer,
 		anatomy: opt.Anatomy,
 		types:   make(map[string]*TxnType),
 		snaps:   make(map[uint64]spi.CSN),
@@ -236,9 +225,6 @@ func (e *Engine) Log() *wal.Log { return e.log }
 
 // Locks returns the lock service (tests and stats).
 func (e *Engine) Locks() spi.LockService { return e.lm }
-
-// Tracer returns the attached event bus, or nil when tracing is disabled.
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // Anatomy returns the attached latency-anatomy recorder, or nil when
 // disabled.

@@ -32,12 +32,6 @@ func WithRecordHistory(record bool) Option {
 	return func(o *Options) { o.RecordHistory = record }
 }
 
-// WithTracer attaches the structured event bus to every layer; nil disables
-// tracing at zero cost.
-func WithTracer(t *trace.Tracer) Option {
-	return func(o *Options) { o.Tracer = t }
-}
-
 // WithAnatomy attaches the latency-anatomy recorder (DESIGN.md §13): every
 // span-less Run acquires an engine-owned span, so per-stage histograms and
 // the slow-transaction flight recorder work for in-process callers too. Nil

@@ -143,24 +143,13 @@ func (e *Engine) openSnapshot() (uint64, spi.CSN, wal.LSN) {
 	e.snaps[id] = csn
 	e.snapMu.Unlock()
 	e.snapshotsOpened.Add(1)
-	if e.tracer != nil {
-		ev := trace.Ev(trace.KindSnapshotOpen, id)
-		ev.Dur = int64(csn)
-		e.tracer.Emit(ev)
-	}
 	return id, csn, lsn
 }
 
-func (e *Engine) closeSnapshot(id uint64, csn spi.CSN, held time.Duration) {
+func (e *Engine) closeSnapshot(id uint64) {
 	e.snapMu.Lock()
 	delete(e.snaps, id)
 	e.snapMu.Unlock()
-	if e.tracer != nil {
-		ev := trace.Ev(trace.KindSnapshotClose, id)
-		ev.Dur = int64(held)
-		ev.Extra = fmt.Sprintf("csn=%d", csn)
-		e.tracer.Emit(ev)
-	}
 }
 
 // snapshotFloor is the oldest CSN any live snapshot may still read at; with
@@ -201,12 +190,6 @@ func (e *Engine) ReapVersions() (pruned, dropped int) {
 	e.gcRuns.Add(1)
 	e.gcPruned.Add(uint64(pruned))
 	e.gcDropped.Add(uint64(dropped))
-	if e.tracer != nil && (pruned > 0 || dropped > 0) {
-		ev := trace.Ev(trace.KindSnapshotGC, uint64(floor))
-		ev.Dur = int64(pruned)
-		ev.Extra = fmt.Sprintf("dropped=%d", dropped)
-		e.tracer.Emit(ev)
-	}
 	return pruned, dropped
 }
 
@@ -313,8 +296,8 @@ func (e *Engine) ReadTierSummaries() map[string]metrics.Summary {
 // published mark captured with the snapshot's CSN.
 func (e *Engine) runRead(ctx context.Context, tt *TxnType, args any, sp *trace.Span) error {
 	id, csn, need := e.openSnapshot()
+	defer e.closeSnapshot(id)
 	start := time.Now()
-	defer func() { e.closeSnapshot(id, csn, time.Since(start)) }()
 	txn := &txnState{
 		tt:    tt,
 		args:  args,

@@ -31,36 +31,6 @@ func (e *Engine) crashPoint(name string) {
 	}
 }
 
-// emitTxn sends one engine-layer event to the bus. Callers nil-check e.tracer
-// first so the disabled path never builds the event (nor formats what goes
-// in it). step < 0 means not step-scoped. The transaction's trace id (when a
-// latency-anatomy span is attached) rides along so one request can be
-// followed across client, server and engine.
-func (e *Engine) emitTxn(kind trace.Kind, txn *txnState, step int, item string, dur int64, extra string) {
-	ev := trace.Ev(kind, uint64(txn.info.ID))
-	if txn.span != nil {
-		ev.Trace = txn.span.TraceID
-	}
-	if step >= 0 {
-		ev.Step = int16(step)
-	}
-	ev.Item, ev.Dur, ev.Extra = item, dur, extra
-	e.tracer.Emit(ev)
-}
-
-// announce reports one transition of txn to both observers: the bus when
-// one is attached, and the transaction's span history when it has a span —
-// the flight recorder keeps the full per-transaction history with the bus
-// detached. note qualifies the kind (an abort's reason); it is the bus
-// event's Extra and the span entry's Mode. With neither observer nothing is
-// built.
-func (e *Engine) announce(kind trace.Kind, txn *txnState, step int, item string, dur int64, note string) {
-	if e.tracer != nil {
-		e.emitTxn(kind, txn, step, item, dur, note)
-	}
-	txn.span.Event(kind, note, item, dur)
-}
-
 // spanStatus classifies an engine outcome for engine-owned span records,
 // mirroring the wire status taxonomy the server stamps on request spans.
 func spanStatus(err error) string {
@@ -228,8 +198,8 @@ func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, s
 	return e.commit(txn, txn.pending, start)
 }
 
-// beginTxn builds the per-attempt transaction record, announces it to the
-// trace and the span, and prepares — but does not append — its begin record.
+// beginTxn builds the per-attempt transaction record, records its begin in
+// the span, and prepares — but does not append — its begin record.
 func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, sp *trace.Span) *txnState {
 	txn := &txnState{
 		tt:    tt,
@@ -244,7 +214,7 @@ func (e *Engine) beginTxn(ctx context.Context, tt *TxnType, args any, sp *trace.
 	// waits keep accumulating, which is the end-to-end truth.
 	txn.info.Span = sp
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
-	e.announce(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
+	txn.span.Event(trace.KindTxnBegin, "", tt.Name, 0)
 	txn.begin = wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
 	if tag := shotTagFrom(ctx); tag.Group != nil {
 		// A shot of a multi-shot global transaction: stamp the begin record
@@ -392,7 +362,7 @@ func (e *Engine) commit(txn *txnState, writes []writeRec, start time.Time) error
 	} else {
 		e.readOnly.Add(1)
 	}
-	e.announce(trace.KindTxnCommit, txn, -1, txn.tt.Name, int64(time.Since(start)), "")
+	txn.span.Event(trace.KindTxnCommit, "", txn.tt.Name, int64(time.Since(start)))
 	e.recordCommit(txn)
 	return nil
 }
@@ -426,24 +396,19 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 			return err
 		}
 		e.openUnit(txn, wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)})
-		e.announce(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
+		txn.span.Event(trace.KindStepBegin, "", txn.steps[j].Name, 0)
 		stepStart := time.Now()
 		tc := e.stepCtx(txn, j, txn.steps[j].Type, activeAssertions(txn.steps, j), false)
 		err := txn.steps[j].Body(tc)
 		if err == nil {
 			e.finishStep(txn, tc, j)
-			e.announce(trace.KindStepEnd, txn, j, txn.steps[j].Name, int64(time.Since(stepStart)), "")
+			txn.span.Event(trace.KindStepEnd, "", txn.steps[j].Name, int64(time.Since(stepStart)))
 			return nil
 		}
 		tc.undo()
 		e.lm.ReleaseStepAbort(txn.info)
 		if Retryable(err) && attempt < maxStepRetries && e.opt.Mode != ModeBaseline {
 			e.stepRetries.Add(1)
-			// The one transition whose two observers differ: the bus carries
-			// the cause, and formatting it stays behind the check.
-			if e.tracer != nil {
-				e.emitTxn(trace.KindStepRetry, txn, j, txn.steps[j].Name, 0, err.Error())
-			}
 			txn.span.Event(trace.KindStepRetry, "", txn.steps[j].Name, 0)
 			continue
 		}
@@ -519,18 +484,18 @@ func (e *Engine) rollback(txn *txnState, j int, cause error) error {
 		}
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(cause) {
-			e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "scheduling")
+			txn.span.Event(trace.KindTxnAbort, "scheduling", txn.tt.Name, 0)
 			return cause // nothing exposed: the caller restarts the transaction
 		}
 		if canceled(cause) {
 			// The caller went away before anything was exposed: the undo
 			// already happened in place, so this is neither a user abort nor
 			// a scheduling abort — just the cancellation, propagated.
-			e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "canceled")
+			txn.span.Event(trace.KindTxnAbort, "canceled", txn.tt.Name, 0)
 			return fmt.Errorf("core: %s canceled: %w", txn.tt.Name, cause)
 		}
 		e.userAborts.Add(1)
-		e.announce(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "user")
+		txn.span.Event(trace.KindTxnAbort, "user", txn.tt.Name, 0)
 		return fmt.Errorf("core: %s aborted: %w", txn.tt.Name, cause)
 	}
 	if err := e.compensate(txn, completed); err != nil {
@@ -549,9 +514,9 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 		return fmt.Errorf("core: %s has completed steps but no compensation", tt.Name)
 	}
 	for attempt := 0; ; attempt++ {
-		e.openUnit(txn, wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)})
 		// Step carries the number of completed forward steps being undone.
-		e.announce(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
+		e.openUnit(txn, wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)})
+		txn.span.Event(trace.KindCompBegin, "", tt.Name, 0)
 		compStart := time.Now()
 		tc := e.stepCtx(txn, completed, tt.Comp.Type, nil, true)
 		err := tt.Comp.Body(tc, completed)
@@ -564,7 +529,7 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 				return err
 			}
 			e.compensations.Add(1)
-			e.announce(trace.KindCompDone, txn, completed, tt.Name, int64(time.Since(compStart)), "")
+			txn.span.Event(trace.KindCompDone, "", tt.Name, int64(time.Since(compStart)))
 			e.recordCommit(txn) // compensation publishes a (compensated) outcome
 			return nil
 		}

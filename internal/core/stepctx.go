@@ -187,10 +187,6 @@ func (tc *Ctx) acquire(item spi.Item, mode spi.Mode) error {
 			if err := tc.e.lm.AcquireCtx(tc.lockCtx(), tc.txn.info, item, req); err != nil {
 				return err
 			}
-			if tc.e.tracer != nil {
-				tc.e.emitTxn(trace.KindAssertCheck, tc.txn,
-					tc.stepIdx, item.String(), 0, a.Name)
-			}
 		}
 	}
 	return nil

@@ -35,7 +35,6 @@ import (
 // Server owns the debug endpoints. Configure with New and the setters, then
 // Start it; the zero-value fields simply omit their sections.
 type Server struct {
-	tracer  *trace.Tracer
 	anatomy *trace.Anatomy
 	engines atomic.Pointer[[]*core.Engine]
 
@@ -46,10 +45,10 @@ type Server struct {
 	sections []func(io.Writer)
 }
 
-// New creates a debug server over the given (possibly nil) trace bus and
-// latency-anatomy recorder.
-func New(tr *trace.Tracer, an *trace.Anatomy) *Server {
-	return &Server{tracer: tr, anatomy: an}
+// New creates a debug server over the given (possibly nil) latency-anatomy
+// recorder.
+func New(an *trace.Anatomy) *Server {
+	return &Server{anatomy: an}
 }
 
 // SetEngines publishes the engines currently under load — at least one — in
@@ -140,11 +139,6 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 				tier, sum.P50.Seconds(), tier, sum.P95.Seconds(),
 				tier, sum.P99.Seconds(), tier, sum.Count)
 		}
-	}
-	if s.tracer != nil {
-		counter("accdb_trace_emitted_total", "Events accepted by the trace bus.", s.tracer.Emitted())
-		counter("accdb_trace_dropped_total", "Events dropped by trace backpressure.", s.tracer.Drops())
-		counter("accdb_trace_sink_errors_total", "Trace batches the sink rejected.", s.tracer.SinkErrors())
 	}
 	if s.anatomy != nil {
 		s.anatomy.WriteMetrics(w)

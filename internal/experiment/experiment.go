@@ -57,11 +57,8 @@ type Config struct {
 
 	// RollbackPercent overrides the share of new-orders that abort via an
 	// unused item number; zero means the benchmark default (1%). Raising it
-	// exercises the compensation path (trace acceptance tests use this).
+	// exercises the compensation path.
 	RollbackPercent int
-	// Tracer, when non-nil, is attached to the engine so every layer emits
-	// structured events to it for the run.
-	Tracer *trace.Tracer
 	// Anatomy, when non-nil, records a latency-anatomy span per transaction
 	// (engine-owned spans: the whole run is the engine phase), feeding the
 	// per-stage histograms and the slow-transaction flight recorder.
@@ -131,7 +128,6 @@ func Run(cfg Config) (*RunResult, error) {
 			core.WithMode(cfg.Mode),
 			core.WithWaitTimeout(30 * time.Second),
 			core.WithEnv(core.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)),
-			core.WithTracer(cfg.Tracer),
 			core.WithAnatomy(cfg.Anatomy),
 		},
 	})

@@ -8,7 +8,7 @@
 //
 //   - Disabled injection must cost nothing. When no Controller is active,
 //     Point is a single atomic pointer load and a predicted nil-check —
-//     exactly the nil-guard discipline the trace bus uses. Production code
+//     the nil-guard discipline a nil *trace.Span follows. Production code
 //     never pays for the crash matrix.
 //   - Armed injection must be deterministic. The controller's decisions
 //     (which hit fires, what fraction of a torn write survives, how long a

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"accdb/internal/spi"
-	"accdb/internal/trace"
 )
 
 // Deadlock handling (§3.4 of the paper).
@@ -108,10 +107,6 @@ func resolveDeadlock(w *waiter) {
 		}
 		if victim.kill(spi.ErrAborted) {
 			victim.sh.stats.victimsForComp.Add(1)
-			if vm := victim.m; vm.tracer != nil {
-				vm.emitLock(trace.KindDeadlockVictim, victim.txn.ID, victim.item, victim.sh,
-					victim.req.Mode.String(), 0, "for-compensation")
-			}
 		}
 		// Re-check: w may sit on several overlapping cycles.
 	}

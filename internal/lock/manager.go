@@ -17,7 +17,7 @@ func init() {
 }
 
 // Mode tags for the paper's non-conventional entry kinds, as they appear in
-// trace events, span stages and snapshots: A = assertional lock, D =
+// span events and snapshots: A = assertional lock, D =
 // displayed (exposed) intermediate state mark, C = compensation reservation.
 const (
 	tagExposure    = "D"
@@ -107,7 +107,7 @@ type waiter struct {
 	st   *lockState // item's state, never reaped while w is queued
 	m    *Manager   // owns sh; a deadlock walk may reach w from another manager
 	sh   *shard
-	conv bool // conversion request (trace events tag these as upgrades)
+	conv bool // conversion request (queued ahead of plain requests)
 	// would is the grant the request would install, what requests queued
 	// behind it are checked against.
 	would grant
@@ -160,11 +160,6 @@ type Manager struct {
 	// hold nothing any more (txnLocks).
 	locksMu   sync.Mutex
 	locksPool []*txnLocks
-
-	// tracer is the structured event bus; nil disables tracing. Every emit
-	// site nil-checks first, so the disabled cost is one predictable branch
-	// (BenchmarkTraceDisabled).
-	tracer *trace.Tracer
 }
 
 // NewManager creates a lock manager with the default shard count,
@@ -198,21 +193,9 @@ func NewManagerWithShards(oracle spi.Oracle, n int) *Manager {
 // ShardCount reports the number of lock-table partitions.
 func (m *Manager) ShardCount() int { return len(m.shards) }
 
-// SetTracer attaches the structured event bus; nil disables tracing. Call
-// before the manager serves requests.
-func (m *Manager) SetTracer(t *trace.Tracer) { m.tracer = t }
-
 // SetWaitTimeout bounds each blocking Acquire; zero waits forever. Call
 // before the manager serves requests.
 func (m *Manager) SetWaitTimeout(d time.Duration) { m.WaitTimeout = d }
-
-// emitLock sends one lock-layer event. Callers nil-check m.tracer first so
-// the disabled path never builds the event.
-func (m *Manager) emitLock(kind trace.Kind, txn spi.TxnID, item spi.Item, sh *shard, mode string, dur int64, extra string) {
-	ev := trace.Ev(kind, uint64(txn))
-	ev.Mode, ev.Item, ev.Shard, ev.Dur, ev.Extra = mode, item.String(), sh.idx, dur, extra
-	m.tracer.Emit(ev)
-}
 
 // refuses is the lock table's one question (§3.2–3.4): which clause of the
 // entry e, if any, makes request (txn, req) wait. e is a grant or a queued
@@ -380,15 +363,10 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 			conv.Mode = want
 			c, by := m.blocker(txn, conv, st, nil)
 			if c == clauseNone {
-				old := g.mode
 				g.mode = want
 				g.step = req.Step
 				noteRetired(txn, want, st)
 				sh.mu.Unlock()
-				if m.tracer != nil {
-					m.emitLock(trace.KindLockUpgrade, txn.ID, item, sh,
-						want.String(), 0, old.String()+"->"+want.String())
-				}
 				return nil
 			}
 			return m.wait(ctx, txn, item, sh, st, conv, true, c, by)
@@ -402,9 +380,6 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, r
 	if c == clauseNone {
 		m.install(txn, sh, st, req)
 		sh.mu.Unlock()
-		if m.tracer != nil {
-			m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, req.Mode.String(), 0, "")
-		}
 		return nil
 	}
 	return m.wait(ctx, txn, item, sh, st, req, false, c, by)
@@ -442,33 +417,26 @@ func (m *Manager) install(txn *spi.Txn, sh *shard, st *lockState, req spi.LockRe
 	noteRetired(txn, g.mode, st)
 }
 
-// spanWait charges a finished wait to the waiter's lock stage and appends it
-// to the span's bounded event history. It runs on the waiting goroutine —
-// the only reader and writer of the span — after the outcome is finalized.
-func spanWait(w *waiter, waited time.Duration, kind trace.Kind) {
+// spanWait charges a finished wait to the waiter's lock stage and appends
+// its outcome to the span's bounded event history. It runs on the waiting
+// goroutine — the only reader and writer of the span — after the outcome is
+// finalized.
+func spanWait(w *waiter, waited time.Duration, granted bool, err error) {
 	sp := w.txn.Span
 	if sp == nil {
 		return
 	}
-	sp.Add(w.stage, int64(waited))
-	sp.Event(kind, w.blockedBy, w.item.String(), int64(waited))
-}
-
-// spanWaitKind maps a finished wait's outcome to its event kind, for the
-// span history and for the trace bus (emitWaitOutcome, which adds the
-// upgrade special case — the span cares about where time went, not queue
-// mechanics).
-func spanWaitKind(granted bool, err error) trace.Kind {
+	kind := trace.KindLockGrant
 	switch {
 	case err == spi.ErrTimeout:
-		return trace.KindLockTimeout
+		kind = trace.KindLockTimeout
 	case err == spi.ErrDeadlock:
-		return trace.KindDeadlockVictim
+		kind = trace.KindDeadlockVictim
 	case err != nil || !granted:
-		return trace.KindLockAbort
-	default:
-		return trace.KindLockGrant
+		kind = trace.KindLockAbort
 	}
+	sp.Add(w.stage, int64(waited))
+	sp.Event(kind, w.blockedBy, w.item.String(), int64(waited))
 }
 
 // wait enqueues the request, which clause c of entry by refused, publishes
@@ -502,9 +470,6 @@ func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *sha
 	}
 	sh.stats.waits.Add(1)
 	sh.mu.Unlock()
-	if m.tracer != nil {
-		m.emitLock(trace.KindLockWait, txn.ID, item, sh, req.Mode.String(), 0, "")
-	}
 
 	// Publish before detecting: the last member of a cycle to publish is
 	// guaranteed to see every other member when its own detection runs.
@@ -547,10 +512,7 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 	sh.mu.Unlock()
 	waited := time.Since(start)
 	sh.recordWait(w.item, w.req, uint64(waited))
-	spanWait(w, waited, spanWaitKind(granted, err))
-	if m.tracer != nil {
-		m.emitWaitOutcome(w, granted, err, int64(waited))
-	}
+	spanWait(w, waited, granted, err)
 	if err != nil {
 		return err
 	}
@@ -558,22 +520,6 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 		return spi.ErrAborted
 	}
 	return nil
-}
-
-// emitWaitOutcome sends a finished wait's trace event. The for-compensation
-// victim kill emits its own KindDeadlockVictim at the kill site (deadlock.go),
-// so here an externally aborted wait is a plain lock.abort.
-func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int64) {
-	kind, extra := spanWaitKind(granted, err), ""
-	switch {
-	case err == spi.ErrDeadlock:
-		extra = "self"
-	case err != nil && err != spi.ErrTimeout && err != spi.ErrAborted:
-		extra = "ctx" // the caller's context
-	case err == nil && granted && w.conv:
-		kind, extra = trace.KindLockUpgrade, "waited"
-	}
-	m.emitLock(kind, w.txn.ID, w.item, w.sh, w.req.Mode.String(), waited, extra)
 }
 
 // removeWaiter unlinks w from its queue and re-examines the queue: waiters
@@ -632,12 +578,6 @@ func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 		sh.contest(g)
 	}
 	sh.mu.Unlock()
-	if m.tracer != nil {
-		m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagExposure, 0, "")
-		if txn.Comp != spi.NoStep {
-			m.emitLock(trace.KindLockAcquire, txn.ID, item, sh, tagReservation, 0, "")
-		}
-	}
 }
 
 // releaseWhere removes the grants of txn that dropLock selects among its

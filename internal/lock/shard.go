@@ -145,7 +145,7 @@ type shard struct {
 
 	// bit is this shard's position in txnLocks.mask.
 	bit uint64
-	// idx is the shard's index, tagged onto trace events and snapshots.
+	// idx is the shard's index, shown in snapshots.
 	idx int16
 
 	// Pad shards apart so neighbouring shards' latches and counters do not

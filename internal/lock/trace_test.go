@@ -13,24 +13,38 @@ import (
 	"accdb/internal/trace"
 )
 
-// collect flushes the tracer and indexes its events by kind.
-func collect(tr *trace.Tracer, sink *trace.MemorySink) map[trace.Kind][]trace.Event {
-	tr.Flush()
-	out := make(map[trace.Kind][]trace.Event)
-	for _, ev := range sink.Events() {
-		out[ev.Kind] = append(out[ev.Kind], ev)
+// spanOf gives txn a span of its own; the returned func finishes it and
+// returns its event history. Call it once txn's lock calls have returned.
+func spanOf(txn *spi.Txn) func() []trace.SpanEvent {
+	a := trace.NewAnatomy(trace.AnatomyConfig{})
+	txn.Span = a.Start(0, time.Time{})
+	return func() []trace.SpanEvent {
+		txn.Span.Finish()
+		txn.Span = nil
+		return a.Recent()[0].Events
 	}
-	return out
 }
 
-func TestTraceLockLifecycleEvents(t *testing.T) {
-	sink := trace.NewMemorySink(4096)
-	tr := trace.New(sink)
-	defer tr.Close()
-	m := NewManager(newStub())
-	m.SetTracer(tr)
+// oneEvent fails unless events is exactly one entry of kind on it, refused
+// by an entry tagged mode, with a positive wait.
+func oneEvent(t *testing.T, who string, events []trace.SpanEvent, kind trace.Kind, mode string, it spi.Item) {
+	t.Helper()
+	if len(events) != 1 {
+		t.Fatalf("%s: span events %+v, want one %v", who, events, kind)
+	}
+	if ev := events[0]; ev.Kind != kind || ev.Mode != mode || ev.Item != it.String() || ev.Dur <= 0 {
+		t.Fatalf("%s: span event %+v, want %v refused by %q on %v with a positive wait", who, ev, kind, mode, it)
+	}
+}
 
+// TestTraceLockLifecycleEvents: a span records a lock's waits, not its
+// acquisitions. A grant or a conversion that needs no wait adds nothing; a
+// blocked request adds one lock.grant naming the item, the mode of the
+// holder that refused it and the time waited.
+func TestTraceLockLifecycleEvents(t *testing.T) {
+	m := NewManager(newStub())
 	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	events1, events2 := spanOf(t1), spanOf(t2)
 	it := item("a")
 
 	// Immediate grant.
@@ -44,58 +58,80 @@ func TestTraceLockLifecycleEvents(t *testing.T) {
 	// Contended request: wait then grant.
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(t2, it, conv(spi.ModeS)) }()
-	time.Sleep(20 * time.Millisecond)
+	waitUntil(t, func() bool { return blockedOf(t2) != nil })
 	m.ReleaseAll(t1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	m.ReleaseAll(t2)
 
-	byKind := collect(tr, sink)
-	acq := byKind[trace.KindLockAcquire]
-	if len(acq) == 0 {
-		t.Fatal("no lock.acquire event")
+	if evs := events1(); len(evs) != 0 {
+		t.Fatalf("T1 never waited, yet its span holds %+v", evs)
 	}
-	if acq[0].Mode != "S" || acq[0].Item != it.String() || acq[0].Shard < 0 {
-		t.Fatalf("acquire event = %+v", acq[0])
-	}
-	up := byKind[trace.KindLockUpgrade]
-	if len(up) != 1 || up[0].Extra != "S->X" {
-		t.Fatalf("upgrade events = %+v", up)
-	}
-	if len(byKind[trace.KindLockWait]) != 1 {
-		t.Fatalf("wait events = %+v", byKind[trace.KindLockWait])
-	}
-	gr := byKind[trace.KindLockGrant]
-	if len(gr) != 1 || gr[0].Txn != 2 || gr[0].Dur <= 0 {
-		t.Fatalf("grant events = %+v", gr)
-	}
+	oneEvent(t, "T2", events2(), trace.KindLockGrant, "X", it)
 }
 
+// TestTraceDeadlockVictimAndADCModes: a wait refused by an assertional lock,
+// an exposure mark or a reservation carries the paper's A, D or C tag in the
+// waiter's span, and a request that closes a waits-for cycle records itself
+// as the victim.
 func TestTraceDeadlockVictimAndADCModes(t *testing.T) {
 	o := newStub()
-	sink := trace.NewMemorySink(4096)
-	tr := trace.New(sink)
-	defer tr.Close()
+	o.setInterferes(1, 7, true)  // a step-1 writer invalidates assertion 7,
+	o.setPrefixSafe(1, 7, true)  // which the holder's executed prefix leaves true
+	o.setInterferes(99, 7, true) // and its compensating step does not
 	m := NewManager(o)
-	m.SetTracer(tr)
 
-	// A/D/C attachments carry the paper's mode tags.
 	holder := spi.NewTxn(1, 1)
-	it := item("x")
-	if err := m.Acquire(holder, it, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7}); err != nil {
+	holder.Comp = 99
+	asserted, marked := item("asserted"), item("marked")
+	if err := m.Acquire(holder, asserted, spi.LockRequest{Mode: spi.ModeA, Step: 1, Assertion: 7}); err != nil {
 		t.Fatal(err)
 	}
-	holder.Comp = 99
-	m.AttachExposure(holder, it)
+	m.AttachExposure(holder, marked)
 
-	// Self-victim deadlock: t2 closes the cycle with t3.
+	type blocked struct {
+		txn    *spi.Txn
+		it     spi.Item
+		req    spi.LockRequest
+		tag    string
+		events func() []trace.SpanEvent
+		done   chan error
+	}
+	var waits []*blocked
+	for i, c := range []struct {
+		it  spi.Item
+		req spi.LockRequest
+		tag string
+	}{
+		{asserted, conv(spi.ModeX), "A"},
+		{marked, spi.LockRequest{Mode: spi.ModeS, Step: 5}, "D"},
+		{marked, spi.LockRequest{Mode: spi.ModeA, Step: 3, Assertion: 7}, "C"},
+	} {
+		b := &blocked{txn: spi.NewTxn(spi.TxnID(10+i), 2), it: c.it, req: c.req, tag: c.tag, done: make(chan error, 1)}
+		b.events = spanOf(b.txn)
+		go func() { b.done <- m.Acquire(b.txn, b.it, b.req) }()
+		waitUntil(t, func() bool { return blockedOf(b.txn) != nil })
+		waits = append(waits, b)
+	}
+	m.ReleaseAll(holder)
+	for _, b := range waits {
+		if err := <-b.done; err != nil {
+			t.Fatalf("T%d: %v", b.txn.ID, err)
+		}
+		m.ReleaseAll(b.txn)
+		oneEvent(t, fmt.Sprintf("T%d", b.txn.ID), b.events(), trace.KindLockGrant, b.tag, b.it)
+	}
+
+	// Self-victim deadlock: t3 closes the cycle with t2.
 	t2, t3 := spi.NewTxn(2, 1), spi.NewTxn(3, 1)
+	events2, events3 := spanOf(t2), spanOf(t3)
 	a, b := item("a"), item("b")
 	m.Acquire(t2, a, conv(spi.ModeX))
 	m.Acquire(t3, b, conv(spi.ModeX))
 	got := make(chan error, 1)
 	go func() { got <- m.Acquire(t2, b, conv(spi.ModeX)) }()
-	time.Sleep(20 * time.Millisecond)
+	waitUntil(t, func() bool { return blockedOf(t2) != nil })
 	if err := m.Acquire(t3, a, conv(spi.ModeX)); !errors.Is(err, spi.ErrDeadlock) {
 		t.Fatalf("got %v, want spi.ErrDeadlock", err)
 	}
@@ -103,67 +139,41 @@ func TestTraceDeadlockVictimAndADCModes(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-
-	byKind := collect(tr, sink)
-	modes := make(map[string]bool)
-	for _, ev := range byKind[trace.KindLockAcquire] {
-		modes[ev.Mode] = true
+	m.ReleaseAll(t2)
+	evs := events3()
+	if len(evs) != 1 || evs[0].Kind != trace.KindDeadlockVictim || evs[0].Item != a.String() {
+		t.Fatalf("victim T3's span events = %+v, want one lock.victim on %v", evs, a)
 	}
-	for _, want := range []string{"A", "D", "C"} {
-		if !modes[want] {
-			t.Fatalf("no lock.acquire with mode %q (modes seen: %v)", want, modes)
-		}
-	}
-	victims := byKind[trace.KindDeadlockVictim]
-	if len(victims) == 0 {
-		t.Fatal("no lock.victim event")
-	}
-	if victims[0].Extra != "self" || victims[0].Txn != 3 {
-		t.Fatalf("victim event = %+v", victims[0])
-	}
+	oneEvent(t, "T2", events2(), trace.KindLockGrant, "X", b)
 }
 
+// TestTraceTimeoutAndCancelEvents: a wait ended by the wait budget records
+// lock.timeout, one withdrawn by the caller's context lock.abort.
 func TestTraceTimeoutAndCancelEvents(t *testing.T) {
-	sink := trace.NewMemorySink(1024)
-	tr := trace.New(sink)
-	defer tr.Close()
 	m := NewManager(newStub())
-	m.SetTracer(tr)
 	m.WaitTimeout = 30 * time.Millisecond
 
 	t1, t2 := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
+	events2 := spanOf(t2)
 	it := item("x")
 	m.Acquire(t1, it, conv(spi.ModeX))
 	if err := m.Acquire(t2, it, conv(spi.ModeX)); !errors.Is(err, spi.ErrTimeout) {
 		t.Fatalf("got %v, want spi.ErrTimeout", err)
 	}
+	oneEvent(t, "T2", events2(), trace.KindLockTimeout, "X", it)
 
 	m.WaitTimeout = 0
 	t3 := spi.NewTxn(3, 1)
+	events3 := spanOf(t3)
 	done := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { done <- m.AcquireCtx(ctx, t3, it, conv(spi.ModeX)) }()
-	time.Sleep(20 * time.Millisecond)
+	waitUntil(t, func() bool { return blockedOf(t3) != nil })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-
-	byKind := collect(tr, sink)
-	to := byKind[trace.KindLockTimeout]
-	if len(to) == 0 || to[0].Txn != 2 || to[0].Dur <= 0 {
-		t.Fatalf("timeout events = %+v", to)
-	}
-	ab := byKind[trace.KindLockAbort]
-	found := false
-	for _, ev := range ab {
-		if ev.Txn == 3 && ev.Extra == "ctx" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no cancel abort event for txn 3: %+v", ab)
-	}
+	oneEvent(t, "T3", events3(), trace.KindLockAbort, "X", it)
 }
 
 func TestSnapshotDumpsGrantsWaitersAndEdges(t *testing.T) {
@@ -241,18 +251,14 @@ func TestSnapshotDumpsGrantsWaitersAndEdges(t *testing.T) {
 }
 
 // TestMarkKeepsDAndCApart: one grant is both an item's D mark and its C
-// reservation, yet the wait stage, the trace and the snapshot still say which
+// reservation, yet the wait stage, the span and the snapshot still say which
 // of the two refused a request or is held; without a compensating step the
 // mark is an exposure only; a step abort drops only that step's marks.
 func TestMarkKeepsDAndCApart(t *testing.T) {
 	o := newStub()
 	o.setInterferes(99, 7, true) // the holder's compensation interferes with assertion 7,
 	o.setPrefixSafe(1, 7, true)  // which its executed prefix leaves true
-	sink := trace.NewMemorySink(64)
-	tr := trace.New(sink)
-	defer tr.Close()
 	m := NewManager(o)
-	m.SetTracer(tr)
 	holder, plain := spi.NewTxn(1, 1), spi.NewTxn(2, 1)
 	holder.Comp = 99
 	reserved, exposed := item("reserved"), item("exposed")
@@ -286,22 +292,12 @@ func TestMarkKeepsDAndCApart(t *testing.T) {
 			}
 		}
 	}
-	tagged := make(map[string][]string)
-	for _, ev := range collect(tr, sink)[trace.KindLockAcquire] {
-		if ev.Mode == "D" || ev.Mode == "C" {
-			tagged[ev.Item] = append(tagged[ev.Item], ev.Mode)
-		}
-	}
 	for _, c := range []struct {
 		txn  spi.TxnID
-		it   spi.Item
 		want string
-	}{{holder.ID, reserved, "D C"}, {plain.ID, exposed, "D"}} {
+	}{{holder.ID, "D C"}, {plain.ID, "D"}} {
 		if got := strings.Join(kinds[c.txn], " "); got != c.want {
 			t.Errorf("T%d's snapshot grants: %q, want %q", c.txn, got, c.want)
-		}
-		if got := strings.Join(tagged[c.it.String()], " "); got != c.want {
-			t.Errorf("trace modes on %v: %q, want %q", c.it, got, c.want)
 		}
 	}
 
@@ -467,43 +463,5 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// BenchmarkTraceDisabled measures the uncontended Acquire+Release path with
-// tracing off — the nil-tracer branch must stay in the noise (<2 ns/op added
-// versus the pre-tracing numbers in EXPERIMENTS.md). Compare with
-// BenchmarkTraceEnabled to see the enabled-path cost.
-func BenchmarkTraceDisabled(b *testing.B) {
-	m := NewManager(newStub())
-	txn := spi.NewTxn(1, 1)
-	it := item("bench")
-	req := conv(spi.ModeS)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Acquire(txn, it, req); err != nil {
-			b.Fatal(err)
-		}
-		m.ReleaseAll(txn)
-	}
-}
-
-func BenchmarkTraceEnabled(b *testing.B) {
-	sink := trace.NewMemorySink(1024)
-	tr := trace.New(sink)
-	defer tr.Close()
-	m := NewManager(newStub())
-	m.SetTracer(tr)
-	txn := spi.NewTxn(1, 1)
-	it := item("bench")
-	req := conv(spi.ModeS)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Acquire(txn, it, req); err != nil {
-			b.Fatal(err)
-		}
-		m.ReleaseAll(txn)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"accdb/internal/core"
 	"accdb/internal/fault"
@@ -97,6 +96,24 @@ func HookFrom(ctx context.Context) (Hook, bool) {
 	return h, ok
 }
 
+// DeadlockError is the cause a global's context is cancelled with when the
+// lock service dooms it as the victim of a cycle that crosses partitions:
+// the error Exec returns for that global wraps it. It is a context.Canceled.
+type DeadlockError struct {
+	Global uint64
+	// Cycle is the waits-for cycle, g<global id> for a member of a global
+	// transaction and T<local id> for a local one: "g3->T17->g5->g3".
+	Cycle string
+}
+
+func (e *DeadlockError) Error() string {
+	return fmt.Sprintf("partition: global %d doomed by deadlock cycle %s", e.Global, e.Cycle)
+}
+
+// Is makes a doomed global's error a context.Canceled: its work stopped
+// because its context was cancelled.
+func (e *DeadlockError) Is(target error) bool { return target == context.Canceled }
+
 // runCross executes one cross-partition transaction through the multi-shot
 // protocol above.
 func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int, shots []Shot, sp *trace.Span) error {
@@ -118,7 +135,6 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	s.crossStarted.Add(1)
 	homeEng := s.engines[home]
 	homeLog := homeEng.Log() // never nil: an engine without a disk log keeps a memory one
-	start := time.Now()
 
 	// 1. The decision record. Forced: after this the global transaction
 	// exists durably and recovery owns its fate.
@@ -131,19 +147,18 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 		// here proves the record is durable.
 		return fmt.Errorf("partition: global %d: %w: home log froze before the decision record was durable", g, core.ErrLogFailed)
 	}
-	s.emit(trace.KindCoordBegin, g, -1, tt.Name, 0, fmt.Sprintf("home=%d shots=%d", home, len(shots)))
 	s.crashPoint(fpCoordBegin)
 
 	// The group is the global's identity in every partition's lock table,
 	// and its doom the deadlock detector's lever: a cancelled context stops
 	// the engines' retry loops (they check ctx between attempts), which
-	// aborting the victim's current lock wait alone would not.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// aborting the victim's current lock wait alone would not. The cycle is
+	// the cancellation's cause, so the caller's error names it.
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	grp := spi.NewGroup(g, func(cycle string) {
-		cancel()
 		s.crossDeadlocks.Add(1)
-		s.emit(trace.KindCrossDeadlock, g, -1, "", 0, cycle)
+		cancel(&DeadlockError{Global: g, Cycle: cycle})
 	})
 
 	// done survives home-transaction retries: a deadlock-victim home attempt
@@ -172,8 +187,10 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 		s.crashPoint(fpCoordCommit)
 		homeLog.Append(wal.Record{Type: wal.TCoordCommit, Txn: g})
 		s.crossCommitted.Add(1)
-		s.emit(trace.KindCoordCommit, g, -1, tt.Name, time.Since(start).Nanoseconds(), "")
 		return nil
+	}
+	if cause := context.Cause(cctx); cause != nil && cause != context.Cause(ctx) {
+		err = fmt.Errorf("%w: %w", cause, err)
 	}
 
 	// 4. Rollback: the home transaction's own effects are already gone
@@ -183,8 +200,6 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 			continue
 		}
 		if uerr := s.undoShot(grp, int32(i+1), shots[i], shots[i].Args); uerr != nil {
-			s.emit(trace.KindCoordAbort, g, -1, tt.Name, time.Since(start).Nanoseconds(),
-				fmt.Sprintf("undo of shot %d failed: %v", i+1, uerr))
 			return fmt.Errorf("partition: global %d rollback: undo of shot %d: %w (cause: %v)", g, i+1, uerr, err)
 		}
 		s.crashPoint(fpCoordUndo)
@@ -193,7 +208,6 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 	// aborted decision record whose undos still need running.
 	homeLog.AppendForce(wal.Record{Type: wal.TCoordAbort, Txn: g})
 	s.crossAborted.Add(1)
-	s.emit(trace.KindCoordAbort, g, -1, tt.Name, time.Since(start).Nanoseconds(), err.Error())
 	return err
 }
 
@@ -201,14 +215,11 @@ func (s *Set) runCross(ctx context.Context, tt *core.TxnType, args any, home int
 // The shot's Exec returns only once its commit record is durable in its
 // partition's log, so plan order doubles as durability order.
 func (s *Set) runShot(ctx context.Context, grp *spi.Group, idx int32, sh Shot) error {
-	s.emit(trace.KindShotBegin, grp.ID, idx, sh.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
-	start := time.Now()
 	sctx := core.WithShotTag(ctx, core.ShotTag{Group: grp, Shot: idx})
 	if err := s.engines[sh.Partition].Exec(sctx, core.Request{Name: sh.Type, Args: sh.Args}); err != nil {
 		return fmt.Errorf("shot %d (%s on partition %d): %w", idx, sh.Type, sh.Partition, err)
 	}
 	s.shotsRun.Add(1)
-	s.emit(trace.KindShotEnd, grp.ID, idx, sh.Type, time.Since(start).Nanoseconds(), "")
 	return nil
 }
 
@@ -230,7 +241,6 @@ func (s *Set) undoShot(grp *spi.Group, idx int32, sh Shot, args any) error {
 	if spec.Args != nil {
 		args = spec.Args(args)
 	}
-	s.emit(trace.KindShotUndo, grp.ID, -idx, spec.Type, 0, fmt.Sprintf("partition=%d", sh.Partition))
 	grp.Undoing.Store(true)
 	uctx := core.WithShotTag(context.Background(), core.ShotTag{Group: grp, Shot: -idx})
 	var err error

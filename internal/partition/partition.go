@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"accdb/internal/core"
-	"accdb/internal/trace"
 )
 
 // BuildFunc constructs partition p's engine: its own DB (over its own
@@ -95,8 +94,6 @@ type Set struct {
 
 	nextGlobal atomic.Uint64
 
-	tracer *trace.Tracer
-
 	singleRouted   atomic.Uint64
 	crossStarted   atomic.Uint64
 	crossCommitted atomic.Uint64
@@ -108,27 +105,15 @@ type Set struct {
 	closed atomic.Bool
 }
 
-// Option configures a Set.
-type Option func(*Set)
-
-// WithTracer attaches a trace bus to the coordinator's own events
-// (coord.*/shot.* kinds); the per-partition engines carry their own tracers.
-func WithTracer(t *trace.Tracer) Option {
-	return func(s *Set) { s.tracer = t }
-}
-
 // New builds a Set of n partitions, constructing each engine with build.
 // On a build error the already-built engines are closed.
-func New(n int, build BuildFunc, opts ...Option) (*Set, error) {
+func New(n int, build BuildFunc) (*Set, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("partition: need at least one partition, got %d", n)
 	}
 	s := &Set{
 		routes: make(map[string]*Route),
 		undos:  make(map[string]UndoSpec),
-	}
-	for _, apply := range opts {
-		apply(s)
 	}
 	for p := 0; p < n; p++ {
 		eng, err := build(p)
@@ -258,14 +243,3 @@ func (s *Set) Close() error {
 
 // Closed reports whether Close was called.
 func (s *Set) Closed() bool { return s.closed.Load() }
-
-// emit sends one coordinator-layer trace event, if a bus is attached.
-func (s *Set) emit(kind trace.Kind, g uint64, step int32, item string, dur int64, extra string) {
-	if s.tracer == nil {
-		return
-	}
-	ev := trace.Ev(kind, g)
-	ev.Step = int16(step)
-	ev.Item, ev.Dur, ev.Extra = item, dur, extra
-	s.tracer.Emit(ev)
-}

@@ -1,11 +1,13 @@
 package partition_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -522,6 +524,7 @@ func TestCrossPartitionDeadlockStress(t *testing.T) {
 
 	var mu sync.Mutex
 	want := make(map[kvRef]int64)
+	var errs []error
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -536,6 +539,11 @@ func TestCrossPartitionDeadlockStress(t *testing.T) {
 					a.Remote = append(a.Remote, &pokeArgs{Part: (a.Home + 1 + off) % parts, Key: 1 + r.Int63n(keys)})
 				}
 				err := sys.set.Run("locker", a)
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
 				switch {
 				case err == nil:
 					mu.Lock()
@@ -557,16 +565,16 @@ func TestCrossPartitionDeadlockStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	sys.tracer.Flush()
-	if n := sys.events.count(trace.KindLockTimeout); n != 0 || sys.tracer.Drops() != 0 {
-		t.Errorf("%d lock waits timed out (%d trace events dropped)", n, sys.tracer.Drops())
+	spans, timeouts, dropped := sys.spans.tally()
+	if spans == 0 || timeouts != 0 || dropped {
+		t.Errorf("%d lock waits timed out in %d spans (events dropped: %v)", timeouts, spans, dropped)
 	}
 	st := sys.set.Snapshot()
 	if st.CrossCommitted+st.CrossAborted != workers*rounds {
 		t.Errorf("counters = %+v, want %d globals ended", st, workers*rounds)
 	}
-	if n := sys.events.count(trace.KindCrossDeadlock); uint64(n) != st.CrossDeadlocks {
-		t.Errorf("%d coord.deadlock events for %d dooms", n, st.CrossDeadlocks)
+	if n := cycleErrors(errs); uint64(n) != st.CrossDeadlocks {
+		t.Errorf("%d errors name a deadlock cycle for %d dooms", n, st.CrossDeadlocks)
 	}
 	t.Logf("committed=%d aborted=%d undos=%d dooms=%d", st.CrossCommitted, st.CrossAborted, st.ShotUndos, st.CrossDeadlocks)
 	for p := 0; p < parts; p++ {
@@ -622,33 +630,46 @@ type pokeArgs struct {
 	once    sync.Once
 }
 
-// kindCounter is a trace sink that tallies events by kind.
-type kindCounter struct {
-	mu sync.Mutex
-	n  map[trace.Kind]int
+// spanDump is the engines' slow log at 1ns: one JSONL line per finished
+// span, of which it keeps the tallies the stress test checks.
+type spanDump struct {
+	mu       sync.Mutex
+	spans    int
+	timeouts int
+	dropped  bool
 }
 
-func (c *kindCounter) Write(batch []trace.Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ev := range batch {
-		c.n[ev.Kind]++
+func (d *spanDump) Write(line []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.spans++
+	d.timeouts += bytes.Count(line, []byte(`"kind":"lock.timeout"`))
+	d.dropped = d.dropped || bytes.Contains(line, []byte(`"dropped":`))
+	return len(line), nil
+}
+
+func (d *spanDump) tally() (spans, timeouts int, dropped bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.spans, d.timeouts, d.dropped
+}
+
+// cycleErrors counts the errors that name the deadlock cycle their global
+// was doomed by; each is still a context.Canceled.
+func cycleErrors(errs []error) int {
+	n := 0
+	for _, err := range errs {
+		var de *partition.DeadlockError
+		if errors.As(err, &de) && errors.Is(err, context.Canceled) && strings.Contains(err.Error(), de.Cycle) {
+			n++
+		}
 	}
-	return nil
-}
-
-func (c *kindCounter) Close() error { return nil }
-
-func (c *kindCounter) count(k trace.Kind) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n[k]
+	return n
 }
 
 type lockerSys struct {
-	set    *partition.Set
-	tracer *trace.Tracer
-	events *kindCounter
+	set   *partition.Set
+	spans *spanDump
 }
 
 func (s *lockerSys) value(t *testing.T, part int, key int64) int64 {
@@ -704,7 +725,8 @@ func (s *lockerSys) awaitWaiters(t *testing.T, part, n int) {
 
 // wantBroken asserts a deadlock was broken promptly and precisely: the runs
 // ended well inside the lock-wait budget, exactly failed of them failed, and
-// exactly doomed globals were doomed — each counted and traced once.
+// exactly doomed globals were doomed — each counted once, and each failing
+// with an error that names its cycle.
 func (s *lockerSys) wantBroken(t *testing.T, start time.Time, errs []error, failed int, doomed uint64) {
 	t.Helper()
 	if d := time.Since(start); d > time.Second {
@@ -726,18 +748,16 @@ func (s *lockerSys) wantBroken(t *testing.T, start time.Time, errs []error, fail
 	if int(st.CrossAborted) != failed || int(st.CrossCommitted+st.SingleRouted+st.CrossAborted) != len(errs) {
 		t.Errorf("counters = %+v, want %d of %d runs aborted", st, failed, len(errs))
 	}
-	s.tracer.Flush()
-	if n := s.events.count(trace.KindCrossDeadlock); uint64(n) != doomed {
-		t.Errorf("%d coord.deadlock events, want %d", n, doomed)
+	if n := cycleErrors(errs); uint64(n) != doomed {
+		t.Errorf("%d errors name a deadlock cycle, want %d: %v", n, doomed, failures)
 	}
 }
 
 func newLockerSys(t *testing.T, parts int, waitTimeout time.Duration) *lockerSys {
 	t.Helper()
 	b := newInterference()
-	sys := &lockerSys{events: &kindCounter{n: make(map[trace.Kind]int)}}
-	sys.tracer = trace.New(sys.events)
-	t.Cleanup(func() { sys.tracer.Close() })
+	sys := &lockerSys{spans: &spanDump{}}
+	anatomy := trace.NewAnatomy(trace.AnatomyConfig{SlowThreshold: time.Nanosecond, SlowWriter: sys.spans})
 	set, err := partition.New(parts, func(p int) (*core.Engine, error) {
 		db := core.NewDB()
 		kv := db.MustCreateTable(spi.MustSchema("kv", []spi.Column{
@@ -752,12 +772,12 @@ func newLockerSys(t *testing.T, parts int, waitTimeout time.Duration) *lockerSys
 		eng := core.New(db, b.tables,
 			core.WithMode(core.ModeACC),
 			core.WithWaitTimeout(waitTimeout),
-			core.WithTracer(sys.tracer),
+			core.WithAnatomy(anatomy),
 			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
 		)
 		registerLockerTypes(eng, b)
 		return eng, nil
-	}, partition.WithTracer(sys.tracer))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

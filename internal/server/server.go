@@ -62,8 +62,6 @@ type Config struct {
 	// connections; beyond it requests fail fast with StatusQueueFull.
 	// Zero means DefaultMaxInFlight.
 	MaxInFlight int
-	// Tracer, when non-nil, receives rpc.begin/rpc.end/rpc.reject events.
-	Tracer *trace.Tracer
 	// Anatomy, when non-nil, records a latency-anatomy span per admitted
 	// request (DESIGN.md §13): queue, decode, engine stages, encode and
 	// batch-flush, keyed by the client-assigned trace id. Nil disables the
@@ -102,7 +100,6 @@ type Server struct {
 	eng     Runner
 	sem     chan struct{}
 	rec     *metrics.Recorder
-	tracer  *trace.Tracer
 	anatomy *trace.Anatomy
 
 	admitted         atomic.Uint64
@@ -110,7 +107,6 @@ type Server struct {
 	rejectedDraining atomic.Uint64
 	badRequests      atomic.Uint64
 	connsN           atomic.Int64
-	nextRPC          atomic.Uint64
 
 	// gate decides admission and drain on one word, so no request can be
 	// admitted after Shutdown saw the server idle: twice the number of
@@ -141,7 +137,6 @@ func New(cfg Config) *Server {
 		eng:     cfg.Engine,
 		sem:     make(chan struct{}, max),
 		rec:     metrics.NewRecorder(),
-		tracer:  cfg.Tracer,
 		anatomy: cfg.Anatomy,
 		conns:   make(map[*session]struct{}),
 		drained: make(chan struct{}),
@@ -271,19 +266,6 @@ func (s *Server) closeSessions() {
 	}
 }
 
-func (s *Server) emitRPC(kind trace.Kind, id, tr uint64, name string, dur int64, extra string) {
-	if s.tracer == nil {
-		return
-	}
-	ev := trace.Ev(kind, id)
-	ev.TS = s.tracer.Now()
-	ev.Trace = tr
-	ev.Item = name
-	ev.Dur = dur
-	ev.Extra = extra
-	s.tracer.Emit(ev)
-}
-
 // drainFlushTimeout bounds how long a closing session waits for its final
 // response frames to reach a slow peer before the socket is torn down.
 const drainFlushTimeout = 2 * time.Second
@@ -394,12 +376,8 @@ func (sess *session) loop() {
 // its own goroutine so the session can keep reading pipelined requests.
 func (sess *session) dispatch(st *reqState) {
 	s := sess.srv
-	rpcID := s.nextRPC.Add(1)
 	if !s.admit() {
 		s.rejectedDraining.Add(1)
-		if s.tracer != nil {
-			s.emitRPC(trace.KindRPCReject, rpcID, st.req.Trace, string(st.req.Name), 0, "draining")
-		}
 		sess.respond(&wire.Response{ID: st.req.ID, Status: wire.StatusDraining, Msg: msgDraining})
 		reqPool.Put(st)
 		return
@@ -409,22 +387,19 @@ func (sess *session) dispatch(st *reqState) {
 	default:
 		s.leave()
 		s.rejectedFull.Add(1)
-		if s.tracer != nil {
-			s.emitRPC(trace.KindRPCReject, rpcID, st.req.Trace, string(st.req.Name), 0, "queue-full")
-		}
 		sess.respond(&wire.Response{ID: st.req.ID, Status: wire.StatusQueueFull, Msg: msgQueueFull})
 		reqPool.Put(st)
 		return
 	}
 	s.admitted.Add(1)
 	sess.reqs.Add(1)
-	go sess.run(rpcID, st)
+	go sess.run(st)
 }
 
 // run executes one admitted request and enqueues its response. Arguments
 // and result are the type's argument record in its codec's layout
 // (wire.ArgCodec): a type clients may run is a type with a registered codec.
-func (sess *session) run(rpcID uint64, st *reqState) {
+func (sess *session) run(st *reqState) {
 	s := sess.srv
 	// The span's queue stage covers admission and goroutine hand-off: frame
 	// read completion (readAt) to here. The span outlives this function —
@@ -439,18 +414,9 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 		sess.reqs.Done()
 	}()
 	// tt.Name is the engine's interned copy of the type name: everything
-	// downstream (metrics, traces, hooks) uses it so the request's
+	// downstream (metrics, spans, hooks) uses it so the request's
 	// byte-slice name never becomes a per-request string allocation.
 	tt := s.eng.TypeBytes(st.req.Name)
-	var traceName string
-	if s.tracer != nil {
-		if tt != nil {
-			traceName = tt.Name
-		} else {
-			traceName = string(st.req.Name)
-		}
-		s.emitRPC(trace.KindRPCBegin, rpcID, st.req.Trace, traceName, 0, sess.conn.RemoteAddr().String())
-	}
 	start := time.Now()
 
 	var resp wire.Response
@@ -511,9 +477,6 @@ func (sess *session) run(rpcID uint64, st *reqState) {
 	if resp.Status == wire.StatusBadRequest || resp.Status == wire.StatusUnknownType {
 		// Refused above, or by the type itself (core.ErrBadArgs, ErrReadOnly).
 		s.badRequests.Add(1)
-	}
-	if s.tracer != nil {
-		s.emitRPC(trace.KindRPCEnd, rpcID, st.req.Trace, traceName, int64(time.Since(start)), resp.Status.String())
 	}
 	sp.SetStatus(resp.Status.String())
 	sess.respondSpan(&resp, sp)

@@ -8,8 +8,8 @@
 //
 //	uint8   version     (Version)
 //	uint64  request id  (client-chosen; echoed verbatim in the response)
-//	uint64  trace id    (client-chosen; threads the request through the
-//	                     server's latency-anatomy spans and trace events)
+//	uint64  trace id    (client-chosen; keys the request's latency-anatomy
+//	                     span and its flight-recorder record)
 //	uint8   op          (OpRun, OpPing)
 //	uint8   args format (FmtBinary; zero on a frame without args)
 //	uint8   read tier   (0 locked, 1 snapshot)

@@ -316,9 +316,6 @@ type ClassStats struct {
 type LockService interface {
 	// SetWaitTimeout bounds each blocking AcquireCtx; zero waits forever.
 	SetWaitTimeout(d time.Duration)
-	// SetTracer attaches the structured event bus; nil disables tracing.
-	// Call before the service handles requests.
-	SetTracer(t *trace.Tracer)
 
 	// AcquireCtx obtains the requested lock on item for txn (see the
 	// interface comment for the blocking and conversion contract).

@@ -58,11 +58,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if st.Scale.Warehouses < cfg.Partitions {
 		st.Scale.Warehouses = cfg.Partitions
 	}
-	// The coordinator's coord.*/shot.* events ride the bus the engines got.
-	var eopt core.Options
-	for _, apply := range cfg.Engine {
-		apply(&eopt)
-	}
 	set, err := partition.New(cfg.Partitions, func(p int) (*core.Engine, error) {
 		db := core.NewDB()
 		if err := CreateSchema(db); err != nil {
@@ -94,7 +89,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			return nil, err
 		}
 		return eng, nil
-	}, partition.WithTracer(eopt.Tracer))
+	})
 	if err != nil {
 		st.closeLogs()
 		return nil, err

@@ -20,9 +20,6 @@ type AnatomyConfig struct {
 	// SlowWriter receives the JSONL dump of slow spans. The Anatomy does not
 	// close it.
 	SlowWriter io.Writer
-	// Tracer, when set, receives one KindTxnSpan breakdown event per
-	// finished span.
-	Tracer *Tracer
 	// RingSize is the flight-recorder capacity (default 256).
 	RingSize int
 }
@@ -64,7 +61,6 @@ type Anatomy struct {
 	next     int
 	count    int // ring entries populated, ≤ len(ring)
 	slowBuf  []byte
-	extraBuf []byte
 	slowErrs uint64
 }
 
@@ -125,37 +121,8 @@ func (a *Anatomy) finish(sp *Span) {
 			}
 		}
 	}
-	var ev Event
-	if a.cfg.Tracer != nil {
-		a.extraBuf = appendStagePairs(a.extraBuf[:0], &sp.durs)
-		ev = Event{
-			Kind: KindTxnSpan, Txn: sp.TxnID, Trace: sp.TraceID,
-			Shard: -1, Step: -1, Dur: sp.total,
-			Item: sp.Type, Mode: sp.Status, Extra: string(a.extraBuf),
-		}
-	}
 	a.mu.Unlock()
-	if ev.Kind == KindTxnSpan {
-		a.cfg.Tracer.Emit(ev)
-	}
 	a.pool.Put(sp)
-}
-
-// appendStagePairs renders the non-zero stage durations as "stage=ns"
-// pairs joined by ';' — the KindTxnSpan Extra payload.
-func appendStagePairs(dst []byte, durs *[NumSpanStages]int64) []byte {
-	for i, d := range durs {
-		if d == 0 {
-			continue
-		}
-		if len(dst) > 0 {
-			dst = append(dst, ';')
-		}
-		dst = append(dst, SpanStage(i).String()...)
-		dst = append(dst, '=')
-		dst = strconv.AppendInt(dst, d, 10)
-	}
-	return dst
 }
 
 // appendSpanJSON renders one flight-recorder record as a JSONL line.

@@ -60,7 +60,7 @@ const spanEventCap = 48
 
 // Span accumulates the latency anatomy of one request as it crosses the
 // client/server/engine stack. All methods are nil-receiver safe, so callers
-// thread a possibly-nil *Span unconditionally and disabled tracing costs a
+// thread a possibly-nil *Span unconditionally and a disabled anatomy costs a
 // single predictable branch per call site.
 //
 // A span is owned by exactly one goroutine at a time: the session handler

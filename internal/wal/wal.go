@@ -22,7 +22,6 @@ import (
 
 	"accdb/internal/fault"
 	"accdb/internal/spi"
-	"accdb/internal/trace"
 )
 
 // Type enumerates log record types.
@@ -195,15 +194,7 @@ type Log struct {
 	gcond       *sync.Cond
 	groupWindow time.Duration
 	gLeader     bool
-
-	// tracer is the structured event bus; nil disables tracing. Emit sites
-	// nil-check first so the disabled cost is one predictable branch.
-	tracer *trace.Tracer
 }
-
-// SetTracer attaches the structured event bus; nil disables tracing. Call
-// before the log serves appends.
-func (l *Log) SetTracer(t *trace.Tracer) { l.tracer = t }
 
 // New creates a log with the given simulated force latency.
 func New(forceLatency time.Duration) *Log {
@@ -288,19 +279,12 @@ func (l *Log) Append(rec Record) LSN {
 		l.Crash()
 	}
 	l.mu.Lock()
-	before := l.size
 	l.payload = encodePayload(l.payload[:0], rec)
 	l.appendRecordLocked()
 	l.stats.Records++
 	lsn := l.size
 	l.stats.Bytes = uint64(lsn)
 	l.mu.Unlock()
-	if l.tracer != nil {
-		ev := trace.Ev(trace.KindWALAppend, rec.Txn)
-		ev.Mode = rec.Type.String()
-		ev.Dur = int64(lsn - before) // record size in bytes
-		l.tracer.Emit(ev)
-	}
 	return lsn
 }
 
@@ -405,11 +389,10 @@ func (l *Log) forceDirect(lsn LSN) {
 		l.durable.Store(uint64(lsn))
 		l.stats.Forces++
 		l.mu.Unlock()
-		l.payForceLatency(time.Now())
+		l.payForceLatency()
 		return
 	}
 
-	start := time.Now()
 	l.flushMu.Lock()
 	l.mu.Lock()
 	if l.covered(lsn) {
@@ -443,20 +426,13 @@ func (l *Log) forceDirect(lsn LSN) {
 	l.stats.Forces++
 	l.mu.Unlock()
 	l.flushMu.Unlock()
-	l.payForceLatency(start)
+	l.payForceLatency()
 }
 
-// payForceLatency charges the simulated force I/O time and emits the trace
-// event. start is when the force began (disk-backed forces include the real
-// fsync time in the event's duration).
-func (l *Log) payForceLatency(start time.Time) {
+// payForceLatency charges the simulated force I/O time.
+func (l *Log) payForceLatency() {
 	if l.ForceLatency > 0 {
 		time.Sleep(l.ForceLatency)
-	}
-	if l.tracer != nil {
-		ev := trace.Ev(trace.KindWALForce, 0)
-		ev.Dur = int64(time.Since(start)) // force latency paid
-		l.tracer.Emit(ev)
 	}
 }
 

@@ -94,8 +94,6 @@ var (
 	WithWaitTimeout = core.WithWaitTimeout
 	// WithRecordHistory captures a conflict-checkable access history.
 	WithRecordHistory = core.WithRecordHistory
-	// WithTracer attaches the structured event bus.
-	WithTracer = core.WithTracer
 	// WithWAL backs the engine with an existing write-ahead log.
 	WithWAL = core.WithWAL
 	// WithVersionGCInterval sets the version-chain reaper cadence (zero:

@@ -6,7 +6,6 @@ package acc
 
 import (
 	"accdb/internal/partition"
-	"accdb/internal/trace"
 )
 
 // Cluster is a partitioned engine: n engines behind a key→partition router
@@ -41,23 +40,13 @@ type ClusterStats = partition.Stats
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	n    int
-	opts []partition.Option
+	n int
 }
 
 // WithPartitions sets the partition count, at least 1. Without it,
 // NewCluster builds one partition.
 func WithPartitions(n int) ClusterOption {
 	return func(c *clusterConfig) { c.n = n }
-}
-
-// WithClusterTracer attaches a trace bus to the coordinator's own events
-// (coord.*/shot.* kinds); the per-partition engines carry their own
-// tracers, attached in the BuildFunc.
-func WithClusterTracer(t *trace.Tracer) ClusterOption {
-	return func(c *clusterConfig) {
-		c.opts = append(c.opts, partition.WithTracer(t))
-	}
 }
 
 // NewCluster builds a Cluster, constructing each partition's engine with
@@ -69,5 +58,5 @@ func NewCluster(build BuildFunc, opts ...ClusterOption) (*Cluster, error) {
 	for _, apply := range opts {
 		apply(&cfg)
 	}
-	return partition.New(cfg.n, build, cfg.opts...)
+	return partition.New(cfg.n, build)
 }
