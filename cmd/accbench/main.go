@@ -63,9 +63,6 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/locks, /debug/waitsfor, /debug/anatomy and /debug/pprof on this address (e.g. :6060)")
 		walDir   = flag.String("wal-dir", "", "back the log with CRC-framed segment files in this directory instead of the in-memory log")
 		groupWin = flag.Duration("group-commit", 0, "with -wal-dir: group-commit window; a force leader waits this long so concurrent commits share one sync (0 disables)")
-		faultPt  = flag.String("fault", "", "run one crash-matrix case: trip this fault point (see -fault list) mid-load, recover, verify; 'all' runs every point, 'list' prints the catalog")
-		faultNth = flag.Uint64("fault-nth", 3, "fire the -fault point on its nth hit")
-		faultSd  = flag.Int64("fault-seed", 42, "seed for the -fault controller and load (a (point, seed, nth) triple replays exactly)")
 		netAddr  = flag.String("net", "", "drive TPC-C over the wire against a running accd at this address instead of in-process")
 		netTerms = flag.Int("net-terminals", 64, "terminal count for -net")
 		netPool  = flag.Int("net-pool", 8, "client connection pool size for -net")
@@ -84,11 +81,6 @@ func main() {
 	tier, err := core.ParseReadTier(*tierName)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *faultPt != "" {
-		runFault(*faultPt, *faultNth, *faultSd, *walDir)
-		return
 	}
 
 	if *netAddr != "" {

@@ -17,12 +17,13 @@
 // drain on its own and exits non-zero naming the partition and the error.
 //
 // With -metrics-addr set, the shared debug endpoint (internal/debughttp)
-// serves /metrics (engine, lock, WAL, latency-anatomy, admission and per-RPC
-// series in Prometheus text format), /debug/locks, /debug/waitsfor,
-// /debug/anatomy and /debug/pprof. With -slow-txn-threshold set, every
-// transaction slower than the threshold is dumped to -slow-txn-log as one
-// JSONL record carrying its full per-stage breakdown and event history;
-// -slow-txn-threshold 1ns records every transaction.
+// serves /metrics (engine, lock, WAL, latency-anatomy — per stage and per
+// transaction type — and admission series in Prometheus text format),
+// /debug/locks, /debug/waitsfor, /debug/anatomy and /debug/pprof. With
+// -slow-txn-threshold set, every transaction slower than the threshold is
+// dumped to -slow-txn-log as one JSONL record carrying its full per-stage
+// breakdown and event history; -slow-txn-threshold 1ns records every
+// transaction, and the drain summary names any record a write lost.
 package main
 
 import (
@@ -199,6 +200,9 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"accd: drained: admitted=%d rejected_full=%d rejected_draining=%d commits=%d compensations=%d\n",
 		rs.Admitted, rs.RejectedFull, rs.RejectedDraining, es.Commits, es.Compensations)
+	if n := anatomy.SlowWriteErrors(); n > 0 {
+		fmt.Fprintf(os.Stderr, "accd: slow-txn-log: %d records lost to write errors\n", n)
+	}
 
 	// A failed log is fail-stop: what the database holds beyond the durable
 	// prefix was never acknowledged, so there is nothing to audit.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accdb/internal/interference"
-	"accdb/internal/metrics"
 	"accdb/internal/spi"
 	"accdb/internal/trace"
 	"accdb/internal/wal"
@@ -138,8 +137,6 @@ type Engine struct {
 	snaps    map[uint64]spi.CSN
 	nextSnap uint64 // under snapMu
 
-	readRec *metrics.Recorder // per-tier read-only transaction latencies
-
 	versionsPublished atomic.Uint64
 	snapshotsOpened   atomic.Uint64
 	gcRuns            atomic.Uint64
@@ -174,7 +171,6 @@ func New(db *DB, tables *interference.Tables, opts ...Option) *Engine {
 		anatomy: opt.Anatomy,
 		types:   make(map[string]*TxnType),
 		snaps:   make(map[uint64]spi.CSN),
-		readRec: metrics.NewRecorder(),
 	}
 	if opt.RecordHistory {
 		e.hist = newHistory()

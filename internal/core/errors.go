@@ -83,7 +83,7 @@ func Retryable(err error) bool {
 	if errors.As(err, &cf) {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if canceled(err) {
 		return false
 	}
 	return errors.Is(err, spi.ErrDeadlock) || errors.Is(err, spi.ErrTimeout) ||
@@ -142,3 +142,71 @@ func (e *CompensationFailedError) Error() string {
 
 // Unwrap exposes the cause.
 func (e *CompensationFailedError) Unwrap() error { return e.Cause }
+
+// Outcome is how a finished transaction ended: the one classification of an
+// Exec error. The server's wire status, every span's status and the
+// harness's tallies all read it, so the three cannot disagree.
+type Outcome uint8
+
+// The outcomes. String names each after its wire status.
+const (
+	OutcomeOK          Outcome = iota // committed (or a read-only transaction completed)
+	OutcomeCompensated                // rolled back by compensation (§3.4): final
+	OutcomeAborted                    // rolled back before exposing anything: final
+	OutcomeDeadlock                   // deadlock victim past the retry budget
+	OutcomeLockTimeout                // a lock wait exceeded its budget past the retry budget
+	OutcomeCanceled                   // the caller's context ended first
+	OutcomeUnknownType                // no such transaction type
+	OutcomeDraining                   // the engine was closed
+	OutcomeBadRequest                 // refused as sent: malformed arguments or a write at the snapshot tier
+	OutcomeInternal                   // a failed log, a failed compensation, anything else
+	NumOutcomes                       // count; not an outcome
+)
+
+var outcomeNames = [NumOutcomes]string{
+	"ok", "compensated", "aborted", "deadlock", "lock-timeout", "canceled",
+	"unknown-type", "draining", "bad-request", "internal",
+}
+
+// String returns the outcome's wire status name.
+func (o Outcome) String() string {
+	if o < NumOutcomes {
+		return outcomeNames[o]
+	}
+	return "outcome(?)"
+}
+
+// OutcomeOf classifies the error Exec returned. The order matters: a failed
+// log is first, whatever wraps it, because nothing about the outcome is
+// durable; a failed compensation is next, because its cause (a deadlock, a
+// timeout) must not make it look retryable — it may have left partial
+// effects and is never replayed; a compensated rollback precedes its cause
+// because it too is final, and a client's bookkeeping needs to know that
+// compensation ran (the identifiers it consumed stay consumed).
+func OutcomeOf(err error) Outcome {
+	var cf *CompensationFailedError
+	switch {
+	case err == nil:
+		return OutcomeOK
+	case errors.Is(err, ErrLogFailed), errors.As(err, &cf):
+		return OutcomeInternal
+	case IsCompensated(err):
+		return OutcomeCompensated
+	case errors.Is(err, ErrUnknownTxnType):
+		return OutcomeUnknownType
+	case errors.Is(err, ErrEngineClosed):
+		return OutcomeDraining
+	case canceled(err):
+		return OutcomeCanceled
+	case errors.Is(err, ErrDeadlockVictim):
+		return OutcomeDeadlock
+	case errors.Is(err, ErrLockTimeout):
+		return OutcomeLockTimeout
+	case errors.Is(err, ErrReadOnly), errors.Is(err, ErrBadArgs):
+		return OutcomeBadRequest
+	case errors.Is(err, ErrAborted):
+		return OutcomeAborted
+	default:
+		return OutcomeInternal
+	}
+}

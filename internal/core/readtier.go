@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"time"
 
-	"accdb/internal/metrics"
 	"accdb/internal/spi"
 	"accdb/internal/trace"
 	"accdb/internal/wal"
@@ -281,12 +280,6 @@ func (e *Engine) Versions() VersionMetrics {
 	return m
 }
 
-// ReadTierSummaries returns per-tier latency summaries of the read-only
-// transactions this engine served (tier name → summary).
-func (e *Engine) ReadTierSummaries() map[string]metrics.Summary {
-	return e.readRec.ByType()
-}
-
 // runRead executes the type's step bodies sequentially against a snapshot
 // opened for this call and closed when it returns: no lock manager, no WAL,
 // no exposure marks — the paper's reader-free waits-for graph made literal.
@@ -313,26 +306,20 @@ func (e *Engine) runRead(ctx context.Context, tt *TxnType, args any, sp *trace.S
 	tc.readTier, tc.readCSN = tier, csn
 	for j := range txn.steps {
 		if err := ctx.Err(); err != nil {
-			e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)
 			return err
 		}
 		tc.stepIdx, tc.stepType = j, txn.steps[j].Type
 		if err := txn.steps[j].Body(tc); err != nil {
-			outcome := metrics.Failed
 			if errors.Is(err, ErrAborted) {
-				outcome = metrics.RolledBack
 				e.userAborts.Add(1)
 			}
-			e.readRec.Record(tier.String(), time.Since(start), outcome)
 			txn.span.Event(trace.KindTxnAbort, tier.String(), tt.Name, int64(time.Since(start)))
 			return fmt.Errorf("core: %s (%s read) failed: %w", tt.Name, tier, err)
 		}
 	}
 	if err := e.awaitDurable(need, sp); err != nil {
-		e.readRec.Record(tier.String(), time.Since(start), metrics.Failed)
 		return err
 	}
-	e.readRec.Record(tier.String(), time.Since(start), metrics.Committed)
 	txn.span.Event(trace.KindTxnCommit, tier.String(), tt.Name, int64(time.Since(start)))
 	return nil
 }

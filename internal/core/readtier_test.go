@@ -137,6 +137,7 @@ func TestSnapshotReadAcquiresZeroLocks(t *testing.T) {
 	before := s.eng.Locks().Stats()
 	wal := s.eng.Log().Snapshot()
 	commits := s.eng.Snapshot().Commits
+	opened := s.eng.Versions().SnapshotsOpened
 
 	for _, tier := range []ReadTier{TierSnapshot} {
 		a := &auditArgs{}
@@ -162,11 +163,8 @@ func TestSnapshotReadAcquiresZeroLocks(t *testing.T) {
 	if s.eng.Snapshot().Commits != commits {
 		t.Fatal("versioned reads counted as commits")
 	}
-	sums := s.eng.ReadTierSummaries()
-	for _, tier := range []ReadTier{TierSnapshot} {
-		if sums[tier.String()].Count != 1 {
-			t.Fatalf("per-tier latency not recorded: %+v", sums)
-		}
+	if n := s.eng.Versions().SnapshotsOpened - opened; n != 1 {
+		t.Fatalf("the snapshot read opened %d snapshots, want 1", n)
 	}
 }
 
@@ -396,7 +394,7 @@ func TestParseReadTier(t *testing.T) {
 	if err := s.eng.Exec(context.Background(), Request{Name: "audit", Args: &auditArgs{}, Tier: TierSnapshot + 1}); err == nil {
 		t.Error("Exec accepted a tier past TierSnapshot")
 	}
-	if sums, vm := s.eng.ReadTierSummaries(), s.eng.Versions(); len(sums) != 0 || vm.SnapshotsOpened != 0 {
-		t.Errorf("a refused tier read: summaries %v, %d snapshots opened", sums, vm.SnapshotsOpened)
+	if vm := s.eng.Versions(); vm.SnapshotsOpened != 0 {
+		t.Errorf("a refused tier read: %d snapshots opened", vm.SnapshotsOpened)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,23 +27,6 @@ func init() {
 func (e *Engine) crashPoint(name string) {
 	if fault.Point(name).Effect == fault.Crash {
 		e.log.Crash()
-	}
-}
-
-// spanStatus classifies an engine outcome for engine-owned span records,
-// mirroring the wire status taxonomy the server stamps on request spans.
-func spanStatus(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case IsCompensated(err):
-		return "compensated"
-	case canceled(err):
-		return "canceled"
-	case errors.Is(err, ErrAborted):
-		return "aborted"
-	default:
-		return "error"
 	}
 }
 
@@ -129,7 +111,7 @@ func (e *Engine) Exec(ctx context.Context, req Request) error {
 	}
 	if owned {
 		sp.ExitEngine()
-		sp.SetStatus(spanStatus(err))
+		sp.SetStatus(OutcomeOf(err).String())
 		sp.Finish()
 	}
 	return err

@@ -1,9 +1,9 @@
 // Package debughttp is the shared debug/observability HTTP endpoint both
 // accbench and accd mount behind their -metrics-addr flags:
 //
-//	/metrics         engine, lock, WAL, trace, latency-anatomy and (when
-//	                 wired) per-RPC counters in Prometheus text exposition
-//	                 format
+//	/metrics         engine, lock, WAL, read-tier, latency-anatomy (per
+//	                 stage and per transaction type) and (when wired)
+//	                 admission counters in Prometheus text exposition format
 //	/debug/locks     every partition's lock-table snapshot: per-shard held
 //	                 locks (with the paper's A/D/C kinds) and wait queues
 //	/debug/waitsfor  the waits-for graph deadlock detection walks, across
@@ -128,17 +128,6 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 		counter("accdb_read_gc_dropped_total", "Whole chains dropped by the reaper.", vm.GCDropped)
 		gauge("accdb_read_version_chains", "Keys currently carrying a version chain.", vm.Chains)
 		gauge("accdb_read_chain_versions", "Total chain entries across all keys.", vm.ChainVersions)
-
-		for tier, sum := range eng.ReadTierSummaries() {
-			fmt.Fprintf(w, "# HELP accdb_read_txn_seconds Read-only transaction latency quantiles by tier.\n"+
-				"# TYPE accdb_read_txn_seconds summary\n"+
-				"accdb_read_txn_seconds{tier=%q,quantile=\"0.5\"} %g\n"+
-				"accdb_read_txn_seconds{tier=%q,quantile=\"0.95\"} %g\n"+
-				"accdb_read_txn_seconds{tier=%q,quantile=\"0.99\"} %g\n"+
-				"accdb_read_txn_seconds_count{tier=%q} %d\n",
-				tier, sum.P50.Seconds(), tier, sum.P95.Seconds(),
-				tier, sum.P99.Seconds(), tier, sum.Count)
-		}
 	}
 	if s.anatomy != nil {
 		s.anatomy.WriteMetrics(w)

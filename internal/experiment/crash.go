@@ -20,7 +20,6 @@ import (
 
 	"accdb/internal/core"
 	"accdb/internal/fault"
-	"accdb/internal/metrics"
 	"accdb/internal/tpcc"
 	"accdb/internal/wal"
 )
@@ -141,8 +140,8 @@ func buildCrashSystem(cfg CrashConfig) (*tpcc.Stack, *tpcc.Workload, error) {
 func drive(w *tpcc.Workload, cfg CrashConfig, seed int64, ops int, stop <-chan struct{}, acks *tpcc.AckLog) int {
 	var committed atomic.Int64
 	Terminals{N: cfg.Terminals, Seed: seed, Ops: ops, Stop: stop,
-		Done: func(name string, args any, out metrics.Outcome, _ time.Duration) {
-			if out == metrics.Committed {
+		Done: func(name string, args any, out core.Outcome, _ time.Duration) {
+			if out == core.OutcomeOK {
 				committed.Add(1)
 				if acks != nil {
 					acks.Observe(name, args)

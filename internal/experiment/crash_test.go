@@ -49,6 +49,8 @@ func TestCrashMatrix(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("%s/p%d", c.point.Name, c.partitions), func(t *testing.T) {
+			// With -v the matrix is the fault-point catalog.
+			t.Logf("%s: %s", c.point.Effect, c.point.Desc)
 			res, err := RunCrash(CrashConfig{
 				Point:      c.point,
 				Seed:       42,

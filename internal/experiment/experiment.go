@@ -13,7 +13,6 @@ import (
 
 	_ "accdb/internal/backends"
 	"accdb/internal/core"
-	"accdb/internal/metrics"
 	"accdb/internal/spi"
 	"accdb/internal/tpcc"
 	"accdb/internal/trace"
@@ -104,7 +103,7 @@ type RunResult struct {
 	P95        time.Duration
 	Completed  int
 	Throughput float64
-	ByType     map[string]metrics.Summary
+	ByType     map[string]Summary
 	Engine     core.Stats
 	Locks      spi.LockStats
 	LockClass  map[string]spi.ClassStats

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"accdb/internal/metrics"
+	"accdb/internal/core"
 	"accdb/internal/tpcc"
 )
 
@@ -27,7 +27,7 @@ type Terminals struct {
 	Stop <-chan struct{}
 	// Done, when non-nil, receives each outcome and response time; the
 	// terminals call it concurrently.
-	Done func(name string, args any, out metrics.Outcome, rt time.Duration)
+	Done func(name string, args any, out core.Outcome, rt time.Duration)
 }
 
 // Drive runs the terminals over w and returns once every one has stopped.
@@ -57,9 +57,9 @@ func (l Terminals) Drive(w *tpcc.Workload) {
 				}
 				name, args := w.DrawArgs(r, term)
 				start := time.Now()
-				out, _ := w.Run(name, args)
+				err := w.Run(name, args)
 				if l.Done != nil {
-					l.Done(name, args, out, time.Since(start))
+					l.Done(name, args, core.OutcomeOf(err), time.Since(start))
 				}
 			}
 		}(t)
@@ -71,12 +71,12 @@ func (l Terminals) Drive(w *tpcc.Workload) {
 // returns the response times recorded in the measured interval and the
 // completions per second in it. Transactions of the warm-up complete but are
 // not recorded; l's Stop and Done are Measure's own.
-func (l Terminals) Measure(w *tpcc.Workload, warmup, duration time.Duration) (*metrics.Recorder, float64) {
-	rec := metrics.NewRecorder()
+func (l Terminals) Measure(w *tpcc.Workload, warmup, duration time.Duration) (*Recorder, float64) {
+	rec := NewRecorder()
 	var recording atomic.Bool
 	stop := make(chan struct{})
 	l.Stop = stop
-	l.Done = func(name string, _ any, out metrics.Outcome, rt time.Duration) {
+	l.Done = func(name string, _ any, out core.Outcome, rt time.Duration) {
 		if recording.Load() {
 			rec.Record(name, rt, out)
 		}

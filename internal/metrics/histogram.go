@@ -1,3 +1,6 @@
+// Package metrics holds the one latency histogram every response-time series
+// uses: the latency anatomy's per-stage and per-type series (internal/trace)
+// and the testbed's per-type recorder (internal/experiment).
 package metrics
 
 import (
@@ -14,8 +17,8 @@ import (
 //
 // Count, Sum and Max are tracked exactly, so Mean and Max in summaries are
 // precise; only the interior percentiles are bucket-estimated. Histograms
-// merge by bucket-wise addition, which is how Recorder.Total aggregates
-// per-type series.
+// merge by bucket-wise addition, which is how the testbed's recorder merges
+// per-type series into its total.
 type Histogram struct {
 	counts [numBuckets]uint64
 	count  uint64

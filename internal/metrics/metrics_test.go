@@ -1,87 +1,22 @@
 package metrics
 
 import (
-	"fmt"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestRecorderSummaries(t *testing.T) {
-	r := NewRecorder()
-	for i := 1; i <= 100; i++ {
-		r.Record("a", time.Duration(i)*time.Millisecond, Committed)
-	}
-	r.Record("a", 500*time.Millisecond, RolledBack)
-	r.Record("a", time.Second, Failed)
-	s := r.ByType()["a"]
-	if s.Count != 101 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.Rollbacks != 1 || s.Errors != 1 {
-		t.Fatalf("rollbacks=%d errors=%d", s.Rollbacks, s.Errors)
-	}
-	if s.Max != 500*time.Millisecond {
-		t.Fatalf("Max = %v (failed txn must not count)", s.Max)
-	}
-	if s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if s.P99 < s.P95 || s.P95 < s.P50 {
-		t.Fatal("percentiles out of order")
-	}
-	if s.Mean <= 0 {
-		t.Fatal("mean missing")
-	}
-}
-
-func TestRecorderTotalMergesTypes(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", 10*time.Millisecond, Committed)
-	r.Record("b", 30*time.Millisecond, Committed)
-	total := r.Total()
-	if total.Count != 2 || total.Mean != 20*time.Millisecond {
-		t.Fatalf("total = %+v", total)
-	}
-	if r.Count() != 2 {
-		t.Fatalf("Count() = %d", r.Count())
-	}
-}
-
-func TestEmptySummary(t *testing.T) {
-	r := NewRecorder()
-	s := r.Total()
-	if s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty = %+v", s)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", time.Millisecond, Committed)
-	out := fmt.Sprint(r.ByType()["a"])
-	if out == "" {
-		t.Fatal("empty String")
-	}
-}
 
 // TestPercentileInterpolation pins the satellite fix: percentiles
 // interpolate between ranks instead of truncating int(p*(n-1)). With two
 // samples the seed returned the smaller as p50; interpolation must land
 // near the middle (within histogram bucket resolution, ~3%).
 func TestPercentileInterpolation(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", 10*time.Millisecond, Committed)
-	r.Record("a", 30*time.Millisecond, Committed)
-	p50 := r.ByType()["a"].P50
-	if p50 < 15*time.Millisecond || p50 > 25*time.Millisecond {
-		t.Fatalf("P50 = %v, want ≈20ms (rank interpolation)", p50)
-	}
-	// p=0 and p=1 stay pinned to the extremes.
 	var h Histogram
 	h.Observe(10 * time.Millisecond)
 	h.Observe(30 * time.Millisecond)
+	if p50 := h.Quantile(0.5); p50 < 15*time.Millisecond || p50 > 25*time.Millisecond {
+		t.Fatalf("P50 = %v, want ≈20ms (rank interpolation)", p50)
+	}
+	// p=0 and p=1 stay pinned to the extremes.
 	if q := h.Quantile(1); q != 30*time.Millisecond {
 		t.Fatalf("Quantile(1) = %v", q)
 	}
@@ -145,68 +80,5 @@ func TestHistogramBucketsCoverInt64(t *testing.T) {
 		if v < lo || (width > 0 && v >= lo+width && lo+width > lo) {
 			t.Fatalf("value %d outside bucket %d bounds [%d, %d)", v, i, lo, lo+width)
 		}
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", time.Millisecond, Committed)
-	r.Record("b", time.Millisecond, Failed)
-	r.Reset()
-	if r.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", r.Count())
-	}
-	if total := r.Total(); total.Errors != 0 || total.Count != 0 {
-		t.Fatalf("Total after Reset = %+v", total)
-	}
-	// Reuse after Reset works.
-	r.Record("a", 2*time.Millisecond, Committed)
-	if r.Count() != 1 {
-		t.Fatalf("Count after reuse = %d", r.Count())
-	}
-}
-
-func TestDeadlockAndTimeoutOutcomes(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", time.Millisecond, Committed)
-	r.Record("a", time.Second, Deadlocked)
-	r.Record("a", time.Second, Deadlocked)
-	r.Record("a", time.Second, TimedOut)
-	r.Record("a", time.Second, Failed)
-	s := r.ByType()["a"]
-	if s.Count != 1 {
-		t.Fatalf("Count = %d (aborted txns must not join the population)", s.Count)
-	}
-	if s.Deadlocks != 2 || s.Timeouts != 1 || s.Errors != 1 {
-		t.Fatalf("deadlocks=%d timeouts=%d errors=%d", s.Deadlocks, s.Timeouts, s.Errors)
-	}
-	if s.Max != time.Millisecond {
-		t.Fatalf("Max = %v (aborted durations must not count)", s.Max)
-	}
-	out := s.String()
-	if !strings.Contains(out, "deadlocks=2") || !strings.Contains(out, "timeouts=1") {
-		t.Fatalf("String() = %q missing outcome counters", out)
-	}
-	total := r.Total()
-	if total.Deadlocks != 2 || total.Timeouts != 1 {
-		t.Fatalf("Total = %+v", total)
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Record("x", time.Millisecond, Committed)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Count() != 4000 {
-		t.Fatalf("Count = %d", r.Count())
 	}
 }

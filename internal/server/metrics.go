@@ -3,12 +3,11 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
-// WriteMetrics renders the server's admission counters and per-type RPC
-// latency summaries in the Prometheus text exposition format. accd mounts it
-// at /metrics next to the engine counters.
+// WriteMetrics renders the server's admission counters in the Prometheus
+// text exposition format. accd mounts it at /metrics next to the engine
+// counters; request latency is the anatomy's (accdb_txn_seconds).
 func (s *Server) WriteMetrics(w io.Writer) {
 	st := s.Stats()
 	counter := func(name, help string, v uint64) {
@@ -28,27 +27,4 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		draining = 1
 	}
 	gauge("accd_draining", "1 while Shutdown is draining the server.", draining)
-
-	byType := s.rec.ByType()
-	names := make([]string, 0, len(byType))
-	for name := range byType {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP accd_rpc_latency_seconds Server-side RPC latency quantiles per transaction type.\n")
-	fmt.Fprintf(w, "# TYPE accd_rpc_latency_seconds summary\n")
-	for _, name := range names {
-		sum := byType[name]
-		for _, q := range []struct {
-			p string
-			v float64
-		}{
-			{"0.5", sum.P50.Seconds()},
-			{"0.95", sum.P95.Seconds()},
-			{"0.99", sum.P99.Seconds()},
-		} {
-			fmt.Fprintf(w, "accd_rpc_latency_seconds{type=%q,quantile=%q} %g\n", name, q.p, q.v)
-		}
-		fmt.Fprintf(w, "accd_rpc_latency_seconds_count{type=%q} %d\n", name, sum.Count)
-	}
 }

@@ -21,7 +21,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/metrics"
 	"accdb/internal/server/wire"
 	"accdb/internal/trace"
 )
@@ -99,7 +97,6 @@ type Server struct {
 	cfg     Config
 	eng     Runner
 	sem     chan struct{}
-	rec     *metrics.Recorder
 	anatomy *trace.Anatomy
 
 	admitted         atomic.Uint64
@@ -136,7 +133,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		eng:     cfg.Engine,
 		sem:     make(chan struct{}, max),
-		rec:     metrics.NewRecorder(),
 		anatomy: cfg.Anatomy,
 		conns:   make(map[*session]struct{}),
 		drained: make(chan struct{}),
@@ -167,9 +163,6 @@ func (s *Server) leave() {
 }
 
 func (s *Server) isDraining() bool { return s.gate.Load()&gateDraining != 0 }
-
-// Metrics returns the per-transaction-type RPC latency recorder.
-func (s *Server) Metrics() *metrics.Recorder { return s.rec }
 
 // Stats snapshots the admission counters.
 func (s *Server) Stats() Stats {
@@ -414,10 +407,9 @@ func (sess *session) run(st *reqState) {
 		sess.reqs.Done()
 	}()
 	// tt.Name is the engine's interned copy of the type name: everything
-	// downstream (metrics, spans, hooks) uses it so the request's
-	// byte-slice name never becomes a per-request string allocation.
+	// downstream (spans, hooks) uses it so the request's byte-slice name
+	// never becomes a per-request string allocation.
 	tt := s.eng.TypeBytes(st.req.Name)
-	start := time.Now()
 
 	var resp wire.Response
 	resp.ID = st.req.ID
@@ -456,10 +448,9 @@ func (sess *session) run(st *reqState) {
 		// lock-free read path (which refuses writes).
 		err := s.eng.Exec(sess.ctx, core.Request{Type: tt, Args: args, Tier: core.ReadTier(st.req.Tier), Span: sp})
 		sp.ExitEngine()
-		var msg string
-		resp.Status, msg = statusOf(err)
-		if msg != "" {
-			resp.Msg = []byte(msg)
+		resp.Status = statusOf[core.OutcomeOf(err)]
+		if err != nil {
+			resp.Msg = []byte(err.Error())
 		}
 		// The argument record is the transaction's work area: re-encode it
 		// so the client observes assigned identifiers — also after a
@@ -469,7 +460,6 @@ func (sess *session) run(st *reqState) {
 		*scratch = codec.Encode((*scratch)[:0], args)
 		resp.Fmt = wire.FmtBinary
 		resp.Result = *scratch
-		s.rec.Record(tt.Name, time.Since(start), outcomeOf(err))
 		if s.cfg.OnOutcome != nil {
 			s.cfg.OnOutcome(tt.Name, args, err)
 		}
@@ -522,53 +512,17 @@ func (sess *session) respondSpan(resp *wire.Response, sp *trace.Span) {
 	_ = sess.bw.Enqueue(buf)
 }
 
-// statusOf maps the engine's error taxonomy onto wire status codes.
-// Compensated rollbacks are classified first: a CompensatedError matches
-// ErrAborted (and may wrap a deadlock or cancellation cause), but the wire
-// must report that compensation ran — the client's bookkeeping depends on
-// the distinction.
-func statusOf(err error) (wire.Status, string) {
-	switch {
-	case err == nil:
-		return wire.StatusOK, ""
-	case errors.Is(err, core.ErrLogFailed):
-		// First, whatever it is wrapped in: nothing about the outcome is
-		// durable, and no retry against this server can change that.
-		return wire.StatusInternal, err.Error()
-	case core.IsCompensated(err):
-		return wire.StatusCompensated, err.Error()
-	case errors.Is(err, core.ErrUnknownTxnType):
-		return wire.StatusUnknownType, err.Error()
-	case errors.Is(err, core.ErrEngineClosed):
-		return wire.StatusDraining, err.Error()
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return wire.StatusCanceled, err.Error()
-	case errors.Is(err, core.ErrDeadlockVictim):
-		return wire.StatusDeadlock, err.Error()
-	case errors.Is(err, core.ErrLockTimeout):
-		return wire.StatusLockTimeout, err.Error()
-	case errors.Is(err, core.ErrReadOnly), errors.Is(err, core.ErrBadArgs):
-		return wire.StatusBadRequest, err.Error()
-	case errors.Is(err, core.ErrAborted):
-		return wire.StatusAborted, err.Error()
-	default:
-		return wire.StatusInternal, err.Error()
-	}
-}
-
-// outcomeOf maps the engine's error taxonomy onto metrics outcomes, the
-// same classification the in-process benchmark driver uses.
-func outcomeOf(err error) metrics.Outcome {
-	switch {
-	case err == nil:
-		return metrics.Committed
-	case core.IsCompensated(err), errors.Is(err, core.ErrUserAbort):
-		return metrics.RolledBack
-	case errors.Is(err, core.ErrDeadlockVictim):
-		return metrics.Deadlocked
-	case errors.Is(err, core.ErrLockTimeout):
-		return metrics.TimedOut
-	default:
-		return metrics.Failed
-	}
+// statusOf names each engine outcome's wire status. The names are the
+// same, so a request's span reads as an in-process one of the same outcome.
+var statusOf = [core.NumOutcomes]wire.Status{
+	core.OutcomeOK:          wire.StatusOK,
+	core.OutcomeCompensated: wire.StatusCompensated,
+	core.OutcomeAborted:     wire.StatusAborted,
+	core.OutcomeDeadlock:    wire.StatusDeadlock,
+	core.OutcomeLockTimeout: wire.StatusLockTimeout,
+	core.OutcomeCanceled:    wire.StatusCanceled,
+	core.OutcomeUnknownType: wire.StatusUnknownType,
+	core.OutcomeDraining:    wire.StatusDraining,
+	core.OutcomeBadRequest:  wire.StatusBadRequest,
+	core.OutcomeInternal:    wire.StatusInternal,
 }

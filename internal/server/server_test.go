@@ -625,8 +625,8 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 }
 
 // TestUnknownTierRefused: a request whose read-tier byte names no tier is
-// answered StatusBadRequest before it reaches Exec — no read is recorded at
-// any tier and nothing commits — and the connection stays usable.
+// answered StatusBadRequest before it reaches Exec — no snapshot is opened
+// and nothing commits — and the connection stays usable.
 func TestUnknownTierRefused(t *testing.T) {
 	s := newMoveSys(t, nil)
 	rc := dialRaw(t, s.ln.Addr())
@@ -643,8 +643,8 @@ func TestUnknownTierRefused(t *testing.T) {
 			t.Errorf("tier %d: got status %v %q, want an unknown-tier refusal", tier, resp.Status, resp.Msg)
 		}
 	}
-	if sums := s.eng.ReadTierSummaries(); len(sums) != 0 {
-		t.Fatalf("a refused tier reached Exec: read summaries %v", sums)
+	if vm := s.eng.Versions(); vm.SnapshotsOpened != 0 {
+		t.Fatalf("a refused tier reached Exec: %d snapshots opened", vm.SnapshotsOpened)
 	}
 	if n := s.eng.Snapshot().Commits; n != 0 {
 		t.Fatalf("commits = %d: a refused request executed", n)

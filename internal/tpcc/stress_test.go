@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/metrics"
 	"accdb/internal/spi"
 	"accdb/internal/wal"
 )
@@ -62,13 +61,13 @@ func TestStressMixACCWithEnv(t *testing.T) {
 					lastNO = w.NewOrderArgs(r)
 					args = lastNO
 				}
-				out, err := w.Run(name, args)
-				if out == metrics.Failed {
+				err := w.Run(name, args)
+				if hardFailure(err) {
 					mu.Lock()
 					outcomes[-int64(g*1000+i)] = fmt.Sprintf("%s FAILED: %v", name, err)
 					mu.Unlock()
 				}
-				if lastNO != nil && out == metrics.Committed {
+				if lastNO != nil && err == nil {
 					mu.Lock()
 					committed[[2]int64{lastNO.DID, lastNO.ONum}]++
 					mu.Unlock()

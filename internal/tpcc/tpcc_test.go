@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/metrics"
 )
 
 // testSystem assembles a loaded TPC-C database with registered transactions.
@@ -55,6 +54,17 @@ func TestLoadIsConsistent(t *testing.T) {
 	checkAll(t, eng, w)
 }
 
+// hardFailure reports an error the testbed counts as one: neither a commit,
+// a rollback nor a scheduling loss (deadlock victim, lock timeout).
+func hardFailure(err error) bool {
+	switch core.OutcomeOf(err) {
+	case core.OutcomeOK, core.OutcomeCompensated, core.OutcomeAborted,
+		core.OutcomeDeadlock, core.OutcomeLockTimeout:
+		return false
+	}
+	return true
+}
+
 func runMix(t *testing.T, eng *core.Engine, w *Workload, goroutines, perG int, seed int64) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -65,7 +75,7 @@ func runMix(t *testing.T, eng *core.Engine, w *Workload, goroutines, perG int, s
 			r := rand.New(rand.NewSource(seed + int64(g)))
 			for i := 0; i < perG; i++ {
 				name, args := w.DrawArgs(r, g)
-				if out, err := w.Run(name, args); out == metrics.Failed {
+				if err := w.Run(name, args); hardFailure(err) {
 					t.Errorf("%s failed: %v", name, err)
 				}
 			}

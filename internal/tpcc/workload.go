@@ -2,14 +2,11 @@ package tpcc
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"accdb/internal/core"
-	"accdb/internal/metrics"
-	"accdb/internal/spi"
 )
 
 // Mix is the transaction mix in percent; it must sum to 100. The default is
@@ -314,10 +311,10 @@ func (w *Workload) DrawArgs(r *rand.Rand, terminal int) (string, any) {
 	}
 }
 
-// Run executes one drawn transaction and classifies its outcome; the argument
-// record stays the caller's (the crash harness remembers what was
-// acknowledged).
-func (w *Workload) Run(name string, args any) (metrics.Outcome, error) {
+// Run executes one drawn transaction and returns the engine's error
+// (core.OutcomeOf classifies it); the argument record stays the caller's
+// (the crash harness remembers what was acknowledged).
+func (w *Workload) Run(name string, args any) error {
 	if a, ok := args.(*NewOrderArgs); ok {
 		err := w.run(name, a)
 		if core.IsCompensated(err) {
@@ -325,26 +322,10 @@ func (w *Workload) Run(name string, args any) (metrics.Outcome, error) {
 			// plain abort restored the counter, so no hole.
 			w.addHole(a.WID, a.DID, a.ONum)
 		}
-		return outcome(err)
+		return err
 	}
 	if w.cfg.ReadTier != core.TierLocked && w.runRead != nil && readOnlyType(name) {
-		return outcome(w.runRead(name, args, w.cfg.ReadTier))
+		return w.runRead(name, args, w.cfg.ReadTier)
 	}
-	return outcome(w.run(name, args))
-}
-
-func outcome(err error) (metrics.Outcome, error) {
-	switch {
-	case err == nil:
-		return metrics.Committed, nil
-	case core.IsCompensated(err) || errors.Is(err, core.ErrUserAbort):
-		return metrics.RolledBack, nil
-	case errors.Is(err, spi.ErrDeadlock):
-		// Abandoned as a deadlock victim after the retry budget.
-		return metrics.Deadlocked, err
-	case errors.Is(err, spi.ErrTimeout):
-		return metrics.TimedOut, err
-	default:
-		return metrics.Failed, err
-	}
+	return w.run(name, args)
 }

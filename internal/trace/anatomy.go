@@ -42,7 +42,8 @@ type SpanRecord struct {
 }
 
 // Anatomy is the request-scoped latency-anatomy collector: it pools Spans,
-// folds finished spans into per-stage log-bucketed histograms, keeps a
+// folds finished spans into per-stage and per-type log-bucketed histograms
+// (the only latency record of a transaction, in process or served), keeps a
 // fixed-size flight-recorder ring of recent spans, and dumps transactions
 // exceeding the slow threshold as JSONL. A nil *Anatomy is a valid,
 // permanently disabled collector — Start returns a nil *Span and every Span
@@ -55,6 +56,7 @@ type Anatomy struct {
 	mu       sync.Mutex
 	stage    [NumSpanStages]metrics.Histogram
 	total    metrics.Histogram
+	byType   map[string]*metrics.Histogram // end-to-end latency per span type
 	finished uint64
 	slowN    uint64
 	ring     []SpanRecord
@@ -69,7 +71,7 @@ func NewAnatomy(cfg AnatomyConfig) *Anatomy {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = defaultRingSize
 	}
-	a := &Anatomy{cfg: cfg, ring: make([]SpanRecord, cfg.RingSize)}
+	a := &Anatomy{cfg: cfg, ring: make([]SpanRecord, cfg.RingSize), byType: make(map[string]*metrics.Histogram)}
 	a.pool.New = func() any { return &Span{} }
 	return a
 }
@@ -87,7 +89,8 @@ func (a *Anatomy) Start(traceID uint64, at time.Time) *Span {
 }
 
 // finish folds a finished span into the histograms, the flight-recorder
-// ring, and — when slow — the JSONL dump, then recycles it.
+// ring, and — when slow — the JSONL dump, then recycles it. A span the
+// engine never named (refused before it began) joins no per-type series.
 func (a *Anatomy) finish(sp *Span) {
 	slow := a.cfg.SlowThreshold > 0 && sp.total >= int64(a.cfg.SlowThreshold)
 	a.mu.Lock()
@@ -97,6 +100,14 @@ func (a *Anatomy) finish(sp *Span) {
 		}
 	}
 	a.total.Observe(time.Duration(sp.total))
+	if sp.Type != "" {
+		h := a.byType[sp.Type]
+		if h == nil {
+			h = new(metrics.Histogram)
+			a.byType[sp.Type] = h
+		}
+		h.Observe(time.Duration(sp.total))
+	}
 	a.finished++
 	rec := &a.ring[a.next]
 	a.next = (a.next + 1) % len(a.ring)
@@ -195,6 +206,17 @@ func (a *Anatomy) Finished() uint64 {
 	return a.finished
 }
 
+// SlowWriteErrors reports slow-log records the SlowWriter refused: spans
+// whose record was lost.
+func (a *Anatomy) SlowWriteErrors() uint64 {
+	if a == nil {
+		return 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.slowErrs
+}
+
 // SlowCount reports spans at or above the slow threshold.
 func (a *Anatomy) SlowCount() uint64 {
 	if a == nil {
@@ -222,9 +244,10 @@ func (a *Anatomy) Recent() []SpanRecord {
 	return out
 }
 
-// WriteMetrics renders the per-stage histograms as Prometheus text series:
+// WriteMetrics renders the histograms as Prometheus text series:
 // accdb_txn_stage_seconds{stage,quantile} summaries plus _count and _sum,
-// and the accdb_txn_anatomy_* counters.
+// accdb_txn_seconds{type,quantile} summaries plus _count, and the
+// accdb_txn_anatomy_* counters.
 func (a *Anatomy) WriteMetrics(w io.Writer) {
 	if a == nil {
 		return
@@ -249,10 +272,26 @@ func (a *Anatomy) WriteMetrics(w io.Writer) {
 		emit(SpanStage(i).String(), &a.stage[i])
 	}
 	emit("total", &a.total)
+	types := make([]string, 0, len(a.byType))
+	for name := range a.byType {
+		types = append(types, name)
+	}
+	sort.Strings(types)
+	fmt.Fprintf(w, "# HELP accdb_txn_seconds End-to-end transaction latency per type.\n")
+	fmt.Fprintf(w, "# TYPE accdb_txn_seconds summary\n")
+	for _, name := range types {
+		h := a.byType[name]
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			fmt.Fprintf(w, "accdb_txn_seconds{type=%q,quantile=\"%g\"} %.9f\n", name, q, h.Quantile(q).Seconds())
+		}
+		fmt.Fprintf(w, "accdb_txn_seconds_count{type=%q} %d\n", name, h.Count())
+	}
 	fmt.Fprintf(w, "# HELP accdb_txn_anatomy_finished_total Spans folded into the anatomy.\n")
 	fmt.Fprintf(w, "# TYPE accdb_txn_anatomy_finished_total counter\naccdb_txn_anatomy_finished_total %d\n", a.finished)
 	fmt.Fprintf(w, "# HELP accdb_txn_anatomy_slow_total Spans at or above the slow threshold.\n")
 	fmt.Fprintf(w, "# TYPE accdb_txn_anatomy_slow_total counter\naccdb_txn_anatomy_slow_total %d\n", a.slowN)
+	fmt.Fprintf(w, "# HELP accdb_txn_anatomy_slow_write_errors_total Slow-log records the writer refused (lost).\n")
+	fmt.Fprintf(w, "# TYPE accdb_txn_anatomy_slow_write_errors_total counter\naccdb_txn_anatomy_slow_write_errors_total %d\n", a.slowErrs)
 }
 
 // WriteText renders the live anatomy for /debug/anatomy: per-stage

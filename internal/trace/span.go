@@ -54,8 +54,9 @@ type SpanEvent struct {
 }
 
 // spanEventCap bounds the per-span event history. A TPC-C transaction emits
-// a few dozen events end to end; anything past the cap is counted in
-// Dropped rather than grown, keeping pooled spans allocation-free.
+// a few dozen events end to end; past the cap the last slot is overwritten
+// and the overwritten events are counted in Dropped rather than grown,
+// keeping pooled spans allocation-free.
 const spanEventCap = 48
 
 // Span accumulates the latency anatomy of one request as it crosses the
@@ -156,21 +157,23 @@ func (sp *Span) SetStatus(s string) {
 	sp.Status = s
 }
 
-// Event appends one entry to the span's bounded trace-event history.
+// Event appends one entry to the span's bounded trace-event history. Once
+// the history is full each later event overwrites the last slot, so the
+// history always ends with the span's closing event (its commit or abort).
 func (sp *Span) Event(kind Kind, mode, item string, dur int64) {
 	if sp == nil {
 		return
 	}
-	if len(sp.events) >= spanEventCap {
+	ev := SpanEvent{TS: int64(time.Since(sp.start)), Kind: kind, Mode: mode, Item: item, Dur: dur}
+	if len(sp.events) == spanEventCap {
+		sp.events[spanEventCap-1] = ev
 		sp.dropped++
 		return
 	}
 	if sp.events == nil {
 		sp.events = make([]SpanEvent, 0, spanEventCap)
 	}
-	sp.events = append(sp.events, SpanEvent{
-		TS: int64(time.Since(sp.start)), Kind: kind, Mode: mode, Item: item, Dur: dur,
-	})
+	sp.events = append(sp.events, ev)
 }
 
 // Finish closes the span: the time since the last boundary is charged to

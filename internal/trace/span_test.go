@@ -217,9 +217,10 @@ func TestAnatomyRingOverwrite(t *testing.T) {
 func TestSpanEventOverflow(t *testing.T) {
 	a := NewAnatomy(AnatomyConfig{})
 	sp := a.Start(1, time.Time{})
-	for i := 0; i < spanEventCap+5; i++ {
+	for i := 0; i < spanEventCap+4; i++ {
 		sp.Event(KindStepBegin, "", "s", 0)
 	}
+	sp.Event(KindTxnCommit, "", "new_order", 0)
 	sp.Finish()
 	rec := a.Recent()[0]
 	if len(rec.Events) != spanEventCap {
@@ -227,6 +228,40 @@ func TestSpanEventOverflow(t *testing.T) {
 	}
 	if rec.Dropped != 5 {
 		t.Errorf("dropped = %d, want 5", rec.Dropped)
+	}
+	// A full history keeps its closing event: the overflow overwrites the
+	// last slot, not the newest event.
+	if last := rec.Events[len(rec.Events)-1]; last.Kind != KindTxnCommit {
+		t.Errorf("history ends with %v, want the span's last event, %v", last.Kind, KindTxnCommit)
+	}
+	if first := rec.Events[0]; first.Kind != KindStepBegin {
+		t.Errorf("history starts with %v, want the span's first event", first.Kind)
+	}
+}
+
+// failingWriter refuses every write, as a full disk does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrShortWrite }
+
+// TestAnatomySlowWriteErrorsCounted: a slow-log record the writer refuses
+// is counted and exported, never lost silently.
+func TestAnatomySlowWriteErrorsCounted(t *testing.T) {
+	a := NewAnatomy(AnatomyConfig{SlowThreshold: time.Nanosecond, SlowWriter: failingWriter{}})
+	for i := 0; i < 3; i++ {
+		exerciseSpan(a)
+	}
+	if got := a.SlowWriteErrors(); got != 3 {
+		t.Errorf("SlowWriteErrors = %d, want 3", got)
+	}
+	var buf bytes.Buffer
+	a.WriteMetrics(&buf)
+	if want := "accdb_txn_anatomy_slow_write_errors_total 3\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics output missing %q:\n%s", want, buf.String())
+	}
+	var nilAnatomy *Anatomy
+	if nilAnatomy.SlowWriteErrors() != 0 {
+		t.Error("a nil anatomy reported slow-log write errors")
 	}
 }
 
@@ -239,7 +274,10 @@ func TestAnatomyWriteMetrics(t *testing.T) {
 	for _, want := range []string{
 		`accdb_txn_stage_seconds{stage="lock_a",quantile="0.5"}`,
 		`accdb_txn_stage_seconds_count{stage="total"} 1`,
+		`accdb_txn_seconds{type="new_order",quantile="0.95"}`,
+		`accdb_txn_seconds_count{type="new_order"} 1`,
 		"accdb_txn_anatomy_finished_total 1",
+		"accdb_txn_anatomy_slow_write_errors_total 0",
 	} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
