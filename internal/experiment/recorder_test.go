@@ -111,12 +111,77 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Record("x", time.Millisecond, core.OutcomeOK)
-				_ = r.Total()
 			}
 		}()
 	}
 	wg.Wait()
 	if r.Count() != 4000 {
 		t.Fatalf("Count = %d", r.Count())
+	}
+}
+
+// TestRecordObserveRace pins the readers-vs-Record contract: summaries taken
+// while terminals record must be safe under the race detector and coherent —
+// the completed count never goes backwards, and once the writers stop it
+// holds every record they made.
+func TestRecordObserveRace(t *testing.T) {
+	r := NewRecorder()
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	recorded := make([]int, 4)
+
+	for g := range recorded {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			name := fmt.Sprintf("type-%d", g)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					recorded[g] = i
+					return
+				default:
+				}
+				r.Record(name, time.Duration(i%1000)*time.Microsecond, core.OutcomeOK)
+			}
+		}(g)
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		last := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = r.Total()
+			_ = r.ByType()
+			n := r.Count()
+			if n < last {
+				t.Errorf("Count went backwards: %d after %d", n, last)
+				return
+			}
+			last = n
+		}
+	}()
+
+	for i := 0; i < 200; i++ {
+		_ = r.Total()
+	}
+	close(stop)
+	writers.Wait()
+	readers.Wait()
+
+	want := 0
+	for _, n := range recorded {
+		want += n
+	}
+	if got := r.Count(); got != want {
+		t.Errorf("Count = %d, want %d", got, want)
+	}
+	if got := r.Total().Count; got != want {
+		t.Errorf("Total().Count = %d, want %d", got, want)
 	}
 }
